@@ -5,30 +5,42 @@ discriminants, congruence-subgroup indices, Mellin finite parts, and the
 error-exponent budget that ties them together.
 """
 
-from .errors import (DiagnosticsError, DomainError, NumericError, ParseError,
-                     ResourceLimitError, TracegeoError, exit_code_for)
-from .root_datum import (RootSystem, SimpleType, build_root_system,
-                         dual_coxeter_number, positive_roots)
-from .parabolic_lattice import (LeviDatum, ParabolicSubset,
-                                count_contributing_tuples, d_nonvanishing,
-                                dim_unipotent_radical,
-                                enumerate_parabolic_subsets, f_sets, full_levi,
-                                levi_of, make_levi, minimal_levi)
-from .nilpotent_orbits import (GLType, OrbitLabel, induced_dim, list_orbits,
-                               min_orbit_dim, minimal_orbit, orbit_dim,
-                               trivial_orbit)
-from .invariants_k import (GroupSpec, RelativeDatum, k_by_pairs, k_min_orbit,
-                           k_report, k_richardson)
-from .local_data import (DiscriminantValue, RationalMatrix, as_fraction,
-                         modulus_character, weyl_discriminant)
-from .arithmetic import (LevelData, PrimeFixedResult, congruence_index,
-                         conjecture_bound, is_neat_level, level_data,
-                         prime_fixed_check, sl_index)
-from .mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
-                        fp_mellin, sqrt_exp_preset, torsion_constant,
-                        truncation_tail)
-from .error_budget import (BudgetParams, ExponentReport, a_exponent, beta_max,
-                           exponents, lambda_min, total_envelope)
+import importlib
+
+# Each public name and the submodule that defines it.  Submodules load on
+# first access (PEP 562), so `import tracegeo` pulls in neither sympy nor
+# scipy until a name that needs them is used.
+_SOURCES = {
+    "errors": ("DiagnosticsError", "DomainError", "NumericError",
+               "ParseError", "ResourceLimitError", "TracegeoError",
+               "exit_code_for"),
+    "root_datum": ("RootSystem", "SimpleType", "build_root_system",
+                   "dual_coxeter_number", "positive_roots"),
+    "parabolic_lattice": ("LeviDatum", "ParabolicSubset",
+                          "count_contributing_tuples", "d_nonvanishing",
+                          "dim_unipotent_radical",
+                          "enumerate_parabolic_subsets", "f_sets",
+                          "full_levi", "levi_of", "make_levi",
+                          "minimal_levi"),
+    "nilpotent_orbits": ("GLType", "OrbitLabel", "induced_dim",
+                         "list_orbits", "min_orbit_dim", "minimal_orbit",
+                         "orbit_dim", "trivial_orbit"),
+    "invariants_k": ("GroupSpec", "RelativeDatum", "k_by_pairs",
+                     "k_min_orbit", "k_report", "k_richardson"),
+    "local_data": ("DiscriminantValue", "RationalMatrix", "as_fraction",
+                   "modulus_character", "weyl_discriminant"),
+    "arithmetic": ("LevelData", "PrimeFixedResult", "congruence_index",
+                   "conjecture_bound", "is_neat_level", "level_data",
+                   "prime_fixed_check", "sl_index"),
+    "mellin_fp": ("AsymptoticExpansion", "TailFunction", "exp_preset",
+                  "fp_mellin", "sqrt_exp_preset", "torsion_constant",
+                  "truncation_tail"),
+    "error_budget": ("BudgetParams", "ExponentReport", "a_exponent",
+                     "beta_max", "exponents", "lambda_min",
+                     "total_envelope"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
@@ -50,3 +62,16 @@ __all__ = [
     "sl_index", "sqrt_exp_preset", "torsion_constant", "total_envelope",
     "trivial_orbit", "truncation_tail", "weyl_discriminant",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

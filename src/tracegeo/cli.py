@@ -21,21 +21,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import sympy
-
-from .arithmetic import level_data, prime_fixed_check, sl_index
 from .errors import DomainError, ParseError, TracegeoError, exit_code_for
-from .error_budget import BudgetParams, beta_max, exponents, lambda_min
 from .invariants_k import (GroupSpec, RelativeDatum, k_by_pairs, k_min_orbit,
                            k_report, k_richardson)
 from .local_data import RationalMatrix, weyl_discriminant
-from .mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
-                        fp_mellin, sqrt_exp_preset)
 from .nilpotent_orbits import GLType, list_orbits, orbit_dim
 from .parabolic_lattice import (dim_unipotent_radical,
                                 enumerate_parabolic_subsets, levi_of)
-from .reproduce import run_reproduction
 from .root_datum import RootSystem, SimpleType, build_root_system
+
+# Modules that load sympy or scipy (arithmetic, error_budget, mellin_fp,
+# reproduce) are imported inside the subcommands that use them, so the
+# exact-only subcommands start without either library.
 
 
 # -- group-spec grammar --------------------------------------------------------
@@ -138,7 +135,9 @@ def _fmt(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
         return f"{x:.15g}"
-    if isinstance(x, sympy.Expr):
+    # A sympy value can only exist once some subcommand has loaded sympy.
+    sympy = sys.modules.get("sympy")
+    if sympy is not None and isinstance(x, sympy.Expr):
         simplified = sympy.simplify(x)
         if simplified.is_Rational:
             return _fmt(Fraction(int(simplified.p), int(simplified.q)))
@@ -311,6 +310,7 @@ def _cmd_discriminant(args) -> tuple[object, str, int]:
 
 
 def _cmd_index(args) -> tuple[object, str, int]:
+    from .arithmetic import level_data, sl_index
     if args.group != "sl":
         raise ParseError(f"unsupported group family {args.group!r}")
     value = sl_index(args.n, args.level)
@@ -321,6 +321,7 @@ def _cmd_index(args) -> tuple[object, str, int]:
 
 
 def _cmd_levels(args) -> tuple[object, str, int]:
+    from .arithmetic import prime_fixed_check
     chunks = [c.strip() for c in args.levels.split(",")]
     if not all(c.isdigit() for c in chunks):
         raise ParseError(f"levels must be a comma list of integers, got "
@@ -348,7 +349,9 @@ def _cmd_levels(args) -> tuple[object, str, int]:
     return result, "\n".join(lines), 0
 
 
-def _mellin_pair_from_spec(data) -> tuple[TailFunction, AsymptoticExpansion]:
+def _mellin_pair_from_spec(data):
+    from .mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
+                            sqrt_exp_preset)
     if not isinstance(data, dict):
         raise ParseError("--spec wants a JSON object")
     t0 = float(data.get("t0", 1.0))
@@ -401,6 +404,7 @@ def _mellin_pair_from_spec(data) -> tuple[TailFunction, AsymptoticExpansion]:
 
 
 def _cmd_mellin_fp(args) -> tuple[object, str, int]:
+    from .mellin_fp import exp_preset, fp_mellin, sqrt_exp_preset
     if (args.spec is None) == (args.preset is None):
         raise ParseError("pass exactly one of --preset or --spec")
     if args.preset is not None:
@@ -420,6 +424,7 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
 
 
 def _cmd_budget(args) -> tuple[object, str, int]:
+    from .error_budget import BudgetParams, beta_max, exponents, lambda_min
     k = _parse_number(args.k, "--k")
     c2 = _parse_number(args.C2, "--C2")
     c4 = _parse_number(args.C4, "--C4")
@@ -451,6 +456,7 @@ def _cmd_budget(args) -> tuple[object, str, int]:
 
 
 def _cmd_reproduce(args) -> tuple[object, str, int]:
+    from .reproduce import run_reproduction
     results = run_reproduction(args.inject_fault)
     all_ok = all(r.ok for r in results)
     rows = [{

@@ -111,8 +111,13 @@ def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
     if _approx(k) < 0:
         raise DomainError("k must be nonnegative")
     if any(isinstance(v, float) for v in (C2, C4, Cn, k)):
+        # The cancellation-free root 2 C4 Cn^2 / (k + D) with
+        # D = sqrt(k^2 + 4 C2 C4 Cn^2).  hypot never forms k^2 or
+        # C2 C4 Cn^2, halving keeps k + D finite, and dividing before the
+        # last factor Cn keeps C4 Cn^2 from being formed.
         c2, c4, cn, kk = map(_approx, (C2, C4, Cn, k))
-        return (-kk + math.sqrt(kk * kk + 4 * c2 * c4 * cn * cn)) / (2 * c2)
+        d = math.hypot(kk, 2 * math.sqrt(c2) * math.sqrt(c4) * cn)
+        return c4 * cn / (kk / 2 + d / 2) * cn
     disc = k * k + 4 * C2 * C4 * Cn * Cn
     root = _sqrt(disc)
     if isinstance(root, sympy.Expr):

@@ -29,14 +29,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u: Vec, v: Vec) -> list[Fraction]:
-    return [Fraction(a) + Fraction(b) for a, b in zip(u, v)]
-
-
-def vec_sub(u: Vec, v: Vec) -> list[Fraction]:
-    return [Fraction(a) - Fraction(b) for a, b in zip(u, v)]
-
-
 def vec_scale(c: Fraction | int, u: Vec) -> list[Fraction]:
     c = Fraction(c)
     return [c * Fraction(a) for a in u]

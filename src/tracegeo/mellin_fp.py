@@ -128,6 +128,11 @@ def _check_expansion_match(f: TailFunction, exp: AsymptoticExpansion,
             f"(still {residuals[14]:.3g} at t={t0 * 2 ** -14:.3g})")
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def _quad(fn: Callable[[float], float], lo: float, hi: float,
           tol: float) -> tuple[float, float]:
     with warnings.catch_warnings():
@@ -145,6 +150,7 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float,
 def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
               tol: float = DEFAULT_TOL) -> float:
     """Finite part at the origin of the normalized Mellin transform of f."""
+    _check_tol(tol)
     exps = [a for a, _ in exp.terms]
     alpha_max = exps[-1] if exps else Fraction(0)
     if alpha_max + exp.remainder_order <= 0:
@@ -188,6 +194,7 @@ def truncation_tail(f: TailFunction, T: float, tol: float = DEFAULT_TOL) -> floa
     exponential-integral majorant, which reduces to the plain C e^{-rate T}
     whenever rate*T is not small.
     """
+    _check_tol(tol)
     if not (T >= 1):
         raise DomainError("truncation point must be >= 1")
     f.spot_check_decay()

@@ -242,6 +242,15 @@ def test_mellin_lying_decay_exits_4(capsys):
     assert code == 4
 
 
+def test_mellin_zero_tolerance_is_domain_error(capsys):
+    code = cli.main(["mellin-fp", "--preset", "exp", "--lambda", "2",
+                     "--tol", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_budget_json(capsys):
     code, data = run_json(capsys, ["budget", "--k", "1", "--json"])
     assert code == 0
@@ -252,6 +261,13 @@ def test_budget_json(capsys):
     assert result["exponents"]["e2"] == "-10/9"
     assert result["all_ok"] is True
     assert result["a_exponent"] == 0
+
+
+def test_budget_float_tiny_c2(capsys):
+    code, data = run_json(capsys, ["budget", "--k", "2.5", "--C2", "1e-300",
+                                   "--json"])
+    assert code == 0
+    assert data["result"]["beta"] == "0.4"
 
 
 def test_budget_rational_inputs(capsys):

@@ -29,6 +29,16 @@ def test_beta_max_float_path():
     assert abs(beta - (math.sqrt(5) - 1) / 2) < 1e-15
 
 
+def test_beta_max_float_path_extremes():
+    # tiny C2: the textbook form cancels to 0; the root is about C4 Cn^2 / k
+    assert abs(beta_max(1e-20, 1.0, 1.0, 1.0) - 1.0) < 1e-15
+    # huge k: k^2 overflows in the textbook form; the root is about 1/k
+    beta = beta_max(1.0, 1.0, 1.0, 1e308)
+    assert math.isfinite(beta) and abs(beta - 1e-308) <= 1e-323
+    # C4 Cn^2 overflows on its own, the root does not
+    assert math.isfinite(beta_max(1.0, 1.0, 1e160, 1.0))
+
+
 def test_beta_solves_the_quadratic_exactly():
     rng = random.Random(55)
     for _ in range(20):

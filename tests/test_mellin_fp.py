@@ -140,3 +140,12 @@ def test_tolerance_violation_reported():
     expn = AsymptoticExpansion((), 1.0, Fraction(1, 2))
     with pytest.raises(NumericError):
         fp_mellin(f, expn, tol=1e-13)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    f, expn = exp_preset(1.0)
+    with pytest.raises(DomainError):
+        fp_mellin(f, expn, tol=tol)
+    with pytest.raises(DomainError):
+        truncation_tail(f, 2.0, tol=tol)
