@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,152 @@ def test_pairing_and_coroot():
     s = short_roots[0]
     coroot = rs.coroot(s)
     assert linalg.dot(s, coroot) == 2
+
+
+# -- independent oracle: the ambient realizations, written out in full -------
+#
+# Every root of each simple type listed directly in its usual coordinates
+# (F4 and the E series doubled so all roots are integral), beside the
+# Bourbaki simple roots.  The library generates its roots from the simple
+# roots by root strings; nothing here touches that route.
+
+E8_SIMPLE = [
+    [1, -1, -1, -1, -1, -1, -1, 1],
+    [2, 2, 0, 0, 0, 0, 0, 0],
+    [-2, 2, 0, 0, 0, 0, 0, 0],
+    [0, -2, 2, 0, 0, 0, 0, 0],
+    [0, 0, -2, 2, 0, 0, 0, 0],
+    [0, 0, 0, -2, 2, 0, 0, 0],
+    [0, 0, 0, 0, -2, 2, 0, 0],
+    [0, 0, 0, 0, 0, -2, 2, 0],
+]
+
+
+def _units(dim, scale):
+    """+-scale e_i."""
+    return [[s * scale * (k == i) for k in range(dim)]
+            for i in range(dim) for s in (1, -1)]
+
+
+def _pairs(dim, scale=1):
+    """+-scale e_i +-scale e_j for i < j."""
+    out = []
+    for i, j in itertools.combinations(range(dim), 2):
+        for si, sj in itertools.product((scale, -scale), repeat=2):
+            v = [0] * dim
+            v[i], v[j] = si, sj
+            out.append(v)
+    return out
+
+
+def _chain(dim, n):
+    """e_i - e_{i+1} for i < n."""
+    return [[(k == i) - (k == i + 1) for k in range(dim)] for i in range(n)]
+
+
+def _oracle_factor(t):
+    """(roots, simple roots, ambient dimension) of one simple type."""
+    l = t.rank
+    if t.series == "A":
+        roots = [[(k == i) - (k == j) for k in range(l + 1)]
+                 for i, j in itertools.permutations(range(l + 1), 2)]
+        return roots, _chain(l + 1, l), l + 1
+    if t.series == "B":
+        return (_units(l, 1) + _pairs(l),
+                _chain(l, l - 1) + [[0] * (l - 1) + [1]], l)
+    if t.series == "C":
+        return (_units(l, 2) + _pairs(l),
+                _chain(l, l - 1) + [[0] * (l - 1) + [2]], l)
+    if t.series == "D":
+        return _pairs(l), _chain(l, l - 1) + [[0] * (l - 2) + [1, 1]], l
+    if t.series == "G":
+        # sum-zero sublattice of Z^3: short e_i - e_j, long +-(3e_i - (1,1,1))
+        short = [[(k == i) - (k == j) for k in range(3)]
+                 for i, j in itertools.permutations(range(3), 2)]
+        long_ = [[s * (3 * (k == i) - 1) for k in range(3)]
+                 for i in range(3) for s in (1, -1)]
+        return short + long_, [[1, -1, 0], [-2, 1, 1]], 3
+    if t.series == "F":
+        roots = (_units(4, 2) + _pairs(4, 2)
+                 + [list(v) for v in itertools.product((1, -1), repeat=4)])
+        simple = [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2],
+                  [1, -1, -1, -1]]
+        return roots, simple, 4
+    roots = _pairs(8, 2) + [list(v) for v in itertools.product((1, -1),
+                                                               repeat=8)
+                            if v.count(-1) % 2 == 0]
+    simple = E8_SIMPLE[:l]
+    # E6 and E7: the E8 roots orthogonal to everything the first l simple
+    # roots are orthogonal to.
+    normals = linalg.nullspace(simple)
+    roots = [r for r in roots
+             if all(sum(a * b for a, b in zip(r, w)) == 0 for w in normals)]
+    return roots, simple, 8
+
+
+def _oracle(factors, torus):
+    blocks = [_oracle_factor(t) for t in factors]
+    total = sum(dim for _, _, dim in blocks) + torus
+    roots, simple, offset = [], [], 0
+    for froots, fsimple, dim in blocks:
+        pad = ([0] * offset, [0] * (total - offset - dim))
+        roots += [tuple(pad[0] + list(r) + pad[1]) for r in froots]
+        simple += [tuple(pad[0] + list(s) + pad[1]) for s in fsimple]
+        offset += dim
+    return sorted(roots), simple
+
+
+def _oracle_coords(roots, simple):
+    """Simple-root coordinates of every root from one rational row
+    reduction of [simple^T | roots^T]."""
+    s = len(simple)
+    aug = [[v[d] for v in simple] + [r[d] for r in roots]
+           for d in range(len(simple[0]))]
+    red, pivots = linalg.rref(aug)
+    assert pivots == list(range(s)), "simple roots are not independent"
+    return [tuple(red[i][s + k] for i in range(s)) for k in range(len(roots))]
+
+
+def _oracle_dual_coxeter(t):
+    l = t.rank
+    # B1 is A1, so 2 rather than 2l - 1; D2 = A1xA1 fits 2l - 2.
+    return {"A": l + 1, "B": 2 * l - 1 if l > 1 else 2, "C": l + 1,
+            "D": 2 * l - 2, "G": 4, "F": 9,
+            "E": {6: 12, 7: 18, 8: 30}.get(l)}[t.series]
+
+
+SIMPLE_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(1, 9)]
+                + [f"C{r}" for r in range(1, 9)]
+                + [f"D{r}" for r in range(2, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+DIFFERENTIAL_CASES = ([((t,), 0) for t in SIMPLE_TYPES]
+                      + [(("A2", "B3"), 0), (("G2", "F4"), 0),
+                         (("D4", "A1"), 1), (("E6", "A2"), 0)])
+
+
+@pytest.mark.parametrize(
+    "names,torus", DIFFERENTIAL_CASES,
+    ids=["x".join(n) + (f"+T{k}" if k else "") for n, k in DIFFERENTIAL_CASES])
+def test_generated_roots_match_ambient_oracle(names, torus):
+    factors = [SimpleType.parse(n) for n in names]
+    rs = build_root_system(factors, torus)
+    roots, simple = _oracle(factors, torus)
+    assert list(rs.roots) == roots
+    assert list(rs.simple_roots) == simple
+    coords = _oracle_coords(roots, simple)
+    assert list(rs.simple_coords) == coords
+    for r, c in zip(rs.roots, rs.simple_coords):
+        assert all(type(x) is int for x in c)
+        assert tuple(sum(cj * s[d] for cj, s in zip(c, rs.simple_roots))
+                     for d in range(rs.ambient_dim)) == r
+    assert list(rs.heights) == [sum(c) for c in coords]
+    assert list(rs.is_positive) == [all(x >= 0 for x in c) for c in coords]
+    for t in factors:
+        assert dual_coxeter_number(t) == _oracle_dual_coxeter(t), str(t)
+    if rs.semisimple_rank <= 4:
+        s = rs.semisimple_rank
+        for mask in range(1 << s):
+            subset = [j for j in range(s) if mask >> j & 1]
+            span = [rs.simple_roots[j] for j in subset]
+            want = [i for i, r in enumerate(rs.roots)
+                    if linalg.in_span(r, span)]
+            assert rs.roots_in_simple_span(subset) == want, subset
