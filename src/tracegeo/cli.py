@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,17 +190,6 @@ def _load_relative(path: str) -> RelativeDatum:
         raise ParseError(f"{path}: roots must be integer vectors and "
                          "dims integers") from exc
     return RelativeDatum(roots=roots, contributions=dims)
-
-
-def _thread_cap() -> None:
-    raw = os.environ.get("TRACEGEO_THREADS")
-    if raw is None:
-        return
-    if not raw.isdigit() or int(raw) < 1:
-        raise ParseError(
-            f"TRACEGEO_THREADS must be a positive integer, got {raw!r}")
-    # All computations here are single-threaded; the cap exists so callers
-    # can bound whatever internal parallelism a future version introduces.
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -481,6 +470,13 @@ def _cmd_reproduce(args) -> tuple[object, str, int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1e-3", "-.5" and "-1/2" as values, not option flags, so a
+        # negative number reaches the domain check that names its option.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-\d+/\d+$")
+
     def error(self, message):
         raise ParseError(message)
 
@@ -571,7 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        _thread_cap()
         parser = _build_parser()
         args = parser.parse_args(argv)
         handler: Callable = args.fn

@@ -119,7 +119,7 @@ def _signature_table(rank: int) -> dict[tuple[int, int], SimpleType]:
 def _recognize_component(rs: RootSystem, simple_subset: list[int]) -> SimpleType:
     member_idx = rs.roots_in_simple_span(simple_subset)
     rank = len(simple_subset)
-    norms = [linalg.dot(rs.roots[i], rs.roots[i]) for i in member_idx]
+    norms = [sum(x * x for x in rs.roots[i]) for i in member_idx]
     top = max(norms)
     shorts = sum(1 for x in norms if x < top)
     t = _signature_table(rank).get((len(member_idx), shorts))
@@ -140,7 +140,7 @@ def _components(rs: RootSystem, simple_subset: list[int]) -> list[list[int]]:
         while frontier:
             i = frontier.pop()
             for j in list(remaining):
-                if linalg.dot(rs.simple_roots[i], rs.simple_roots[j]) != 0:
+                if rs.cartan_matrix[i][j] != 0:
                     remaining.remove(j)
                     comp.add(j)
                     frontier.append(j)
@@ -223,14 +223,12 @@ def _richardson_absolute(rs: RootSystem) -> int:
         raise ResourceLimitError(
             f"parabolic minimization is limited to rank {PAIR_RANK_LIMIT}; "
             f"got rank {s}")
+    # R_J grows with J, so the radical dimension is least at a maximal
+    # proper parabolic: only the s subsets S minus {i} need checking.
     n_roots = len(rs.roots)
-    best = None
-    for subset in range((1 << s) - 1):  # proper subsets only
-        chosen = [i for i in range(s) if subset >> i & 1]
-        dim_v = (n_roots - len(rs.roots_in_simple_span(chosen))) // 2
-        if best is None or dim_v < best:
-            best = dim_v
-    return best
+    levi_sizes = (len(rs.roots_in_simple_span(j for j in range(s) if j != i))
+                  for i in range(s))
+    return min((n_roots - m) // 2 for m in levi_sizes)
 
 
 def _richardson_relative(rel: RelativeDatum) -> int:

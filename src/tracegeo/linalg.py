@@ -116,20 +116,6 @@ def in_span(v: Vec, basis: Mat) -> bool:
     return rank(rows + [list(map(Fraction, v))]) == base_rank
 
 
-def solve(a: Mat, b: Vec) -> list[Fraction] | None:
-    """One solution of a x = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
-
-
 def det(m: Mat) -> Fraction:
     a = _frac_rows(m)
     n = len(a)

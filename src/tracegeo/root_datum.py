@@ -1,10 +1,14 @@
 """Root systems of classical and exceptional type, with exact integer vectors.
 
-Each simple type is realized inside a fixed integer lattice (the usual
-coordinate realizations, uniformly rescaled where needed so that every root
-has integer coordinates: F4 and the E series are stored doubled).  Rescaling
-a factor changes no combinatorics: coroots 2a/(a,a) are scale invariant, and
-all pairings used downstream are ratios.
+Each simple type stores only its simple roots inside a fixed integer lattice
+(the usual coordinate realizations, uniformly rescaled where needed so that
+every root has integer coordinates: F4 and the E series are stored doubled).
+All roots are generated from the simple roots by integer root strings on the
+Cartan matrix, which yields each root together with its simple-root
+coordinates; the ambient vector is the matching integer combination of simple
+roots.  Rescaling a factor changes no combinatorics: coroots 2a/(a,a) are
+scale invariant, and all pairings used downstream are ratios.  The full
+ambient root lists survive only in the tests, as an independent oracle.
 
 Products are block-diagonal concatenations; a central torus contributes
 trailing zero coordinates and no roots.
@@ -12,13 +16,11 @@ trailing zero coordinates and no roots.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from . import linalg
 from .errors import DomainError
 
 _SERIES = "ABCDEFG"
@@ -62,165 +64,79 @@ class SimpleType:
         return cls(text[0], int(text[1:]))
 
 
-def _unit(dim: int, i: int, scale: int = 1) -> list[int]:
-    v = [0] * dim
-    v[i] = scale
-    return v
+def _chain(dim: int, n: int) -> list[list[int]]:
+    """e_i - e_{i+1} for i < n, in Z^dim."""
+    return [[int(k == i) - int(k == i + 1) for k in range(dim)]
+            for i in range(n)]
 
 
-def _build_A(l: int) -> tuple[list[list[int]], list[list[int]], int]:
-    dim = l + 1
-    roots = []
-    for i in range(dim):
-        for j in range(dim):
-            if i != j:
-                v = [0] * dim
-                v[i], v[j] = 1, -1
-                roots.append(v)
-    simple = []
-    for i in range(l):
-        v = [0] * dim
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    return roots, simple, dim
+_E8_SIMPLE = [
+    [1, -1, -1, -1, -1, -1, -1, 1],
+    [2, 2, 0, 0, 0, 0, 0, 0],
+    [-2, 2, 0, 0, 0, 0, 0, 0],
+    [0, -2, 2, 0, 0, 0, 0, 0],
+    [0, 0, -2, 2, 0, 0, 0, 0],
+    [0, 0, 0, -2, 2, 0, 0, 0],
+    [0, 0, 0, 0, -2, 2, 0, 0],
+    [0, 0, 0, 0, 0, -2, 2, 0],
+]
 
-
-def _build_B(l: int) -> tuple[list[list[int]], list[list[int]], int]:
-    roots = [_unit(l, i, s) for i in range(l) for s in (1, -1)]
-    for i, j in itertools.combinations(range(l), 2):
-        for si, sj in itertools.product((1, -1), repeat=2):
-            v = [0] * l
-            v[i], v[j] = si, sj
-            roots.append(v)
-    simple = []
-    for i in range(l - 1):
-        v = [0] * l
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    simple.append(_unit(l, l - 1))
-    return roots, simple, l
-
-
-def _build_C(l: int) -> tuple[list[list[int]], list[list[int]], int]:
-    roots = [_unit(l, i, 2 * s) for i in range(l) for s in (1, -1)]
-    for i, j in itertools.combinations(range(l), 2):
-        for si, sj in itertools.product((1, -1), repeat=2):
-            v = [0] * l
-            v[i], v[j] = si, sj
-            roots.append(v)
-    simple = []
-    for i in range(l - 1):
-        v = [0] * l
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    simple.append(_unit(l, l - 1, 2))
-    return roots, simple, l
-
-
-def _build_D(l: int) -> tuple[list[list[int]], list[list[int]], int]:
-    roots = []
-    for i, j in itertools.combinations(range(l), 2):
-        for si, sj in itertools.product((1, -1), repeat=2):
-            v = [0] * l
-            v[i], v[j] = si, sj
-            roots.append(v)
-    simple = []
-    for i in range(l - 1):
-        v = [0] * l
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    v = [0] * l
-    v[l - 2], v[l - 1] = 1, 1
-    simple.append(v)
-    return roots, simple, l
-
-
-def _build_G2() -> tuple[list[list[int]], list[list[int]], int]:
-    # Realized in the sum-zero sublattice of Z^3: six short roots e_i - e_j
-    # and six long roots +-(2e_i - e_j - e_k).
-    roots = []
-    for i, j in itertools.permutations(range(3), 2):
-        v = [0, 0, 0]
-        v[i], v[j] = 1, -1
-        roots.append(v)
-    for i in range(3):
-        v = [-1, -1, -1]
-        v[i] = 2
-        roots.append(v)
-        roots.append([-x for x in v])
-    simple = [[1, -1, 0], [-2, 1, 1]]
-    return roots, simple, 3
-
-
-def _build_F4() -> tuple[list[list[int]], list[list[int]], int]:
-    # Doubled so that the 16 "half-sum" roots become integral.
-    roots = [_unit(4, i, 2 * s) for i in range(4) for s in (1, -1)]
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((2, -2), repeat=2):
-            v = [0] * 4
-            v[i], v[j] = si, sj
-            roots.append(v)
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.append(list(signs))
-    simple = [
-        [0, 2, -2, 0],
-        [0, 0, 2, -2],
-        [0, 0, 0, 2],
-        [1, -1, -1, -1],
-    ]
-    return roots, simple, 4
-
-
-def _e8_data() -> tuple[list[list[int]], list[list[int]]]:
-    roots = []
-    for i, j in itertools.combinations(range(8), 2):
-        for si, sj in itertools.product((2, -2), repeat=2):
-            v = [0] * 8
-            v[i], v[j] = si, sj
-            roots.append(v)
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(list(signs))
-    simple = [
-        [1, -1, -1, -1, -1, -1, -1, 1],
-        [2, 2, 0, 0, 0, 0, 0, 0],
-        [-2, 2, 0, 0, 0, 0, 0, 0],
-        [0, -2, 2, 0, 0, 0, 0, 0],
-        [0, 0, -2, 2, 0, 0, 0, 0],
-        [0, 0, 0, -2, 2, 0, 0, 0],
-        [0, 0, 0, 0, -2, 2, 0, 0],
-        [0, 0, 0, 0, 0, -2, 2, 0],
-    ]
-    return roots, simple
-
-
-def _build_E(l: int) -> tuple[list[list[int]], list[list[int]], int]:
-    all_roots, simple8 = _e8_data()
-    simple = simple8[:l]
-    if l == 8:
-        return all_roots, simple, 8
-    # E6 and E7 are the root subsystems of E8 spanned by the first l simple
-    # roots; membership is an exact rank test.
-    kept = [r for r in all_roots if linalg.in_span(r, simple)]
-    return kept, simple, 8
-
-
-_BUILDERS = {
-    "A": _build_A,
-    "B": _build_B,
-    "C": _build_C,
-    "D": _build_D,
+# Per series: rank -> (ambient simple roots in Bourbaki order, ambient dim).
+# G2 sits in the sum-zero sublattice of Z^3; F4 and the E series are doubled
+# so that every root is integral; E6 and E7 are spanned by the first 6 and 7
+# simple roots of E8.
+_SIMPLE_ROOTS = {
+    "A": lambda l: (_chain(l + 1, l), l + 1),
+    "B": lambda l: (_chain(l, l - 1) + [[0] * (l - 1) + [1]], l),
+    "C": lambda l: (_chain(l, l - 1) + [[0] * (l - 1) + [2]], l),
+    "D": lambda l: (_chain(l, l - 1) + [[0] * (l - 2) + [1, 1]], l),
+    "G": lambda l: ([[1, -1, 0], [-2, 1, 1]], 3),
+    "F": lambda l: ([[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2],
+                     [1, -1, -1, -1]], 4),
+    "E": lambda l: (_E8_SIMPLE[:l], 8),
 }
 
 
-def _factor_roots(t: SimpleType) -> tuple[list[list[int]], list[list[int]], int]:
-    if t.series in _BUILDERS:
-        return _BUILDERS[t.series](t.rank)
-    if t.series == "G":
-        return _build_G2()
-    if t.series == "F":
-        return _build_F4()
-    return _build_E(t.rank)
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cartan(simple: Sequence[Sequence[int]]) -> list[list[int]]:
+    """cartan[i][j] = <alpha_i, alpha_j coroot>
+    = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), an integer."""
+    return [[2 * _dot(a, b) // _dot(b, b) for b in simple] for a in simple]
+
+
+def _positive_coords(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Positive roots in simple-root coordinates, generated height by height.
+
+    Root strings: for a positive root beta other than alpha_i, the alpha_i
+    string through beta runs from beta - p alpha_i to beta + q alpha_i with
+    p - q = <beta, alpha_i coroot>.  Every root below beta is already known,
+    so p is read off the known set and beta + alpha_i is a root iff q > 0.
+    """
+    n = len(cartan)
+    layer = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    found = set(layer)
+    out = []
+    while layer:
+        out.extend(layer)
+        nxt = []
+        for beta in layer:
+            for i in range(n):
+                p = 0
+                down = list(beta)
+                down[i] -= 1
+                while tuple(down) in found:
+                    p += 1
+                    down[i] -= 1
+                if p - sum(c * row[i] for c, row in zip(beta, cartan)) > 0:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in found:
+                        found.add(up)
+                        nxt.append(up)
+        layer = nxt
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,8 +144,9 @@ class RootSystem:
     """A finite root system (possibly a product) with a central torus block.
 
     roots are integer vectors in the ambient lattice, stored sorted
-    lexicographically; simple_roots keep factor-by-factor Bourbaki order.
-    Derived combinatorial tables are computed lazily and cached.
+    lexicographically; simple_roots keep factor-by-factor Bourbaki order;
+    simple_coords[i] writes roots[i] in the simple-root basis.  Derived
+    combinatorial tables are computed lazily and cached.
     """
 
     factors: tuple[SimpleType, ...]
@@ -237,6 +154,7 @@ class RootSystem:
     ambient_dim: int
     roots: tuple[tuple[int, ...], ...]
     simple_roots: tuple[tuple[int, ...], ...]
+    simple_coords: tuple[tuple[int, ...], ...] = field(compare=False)
 
     # -- basic derived data --------------------------------------------------
 
@@ -270,38 +188,24 @@ class RootSystem:
         return tuple(rows)
 
     @cached_property
-    def simple_coords(self) -> tuple[tuple[int, ...], ...]:
-        """Each root written in the simple-root basis (always integral)."""
-        basis_t = [[Fraction(s[d]) for s in self.simple_roots]
-                   for d in range(self.ambient_dim)]
-        out = []
-        for r in self.roots:
-            sol = linalg.solve(basis_t, [Fraction(x) for x in r])
-            if sol is None:
-                raise AssertionError(f"root {r} outside simple-root span")
-            coeffs = []
-            for c in sol:
-                if c.denominator != 1:
-                    raise AssertionError(f"non-integral coordinate for {r}")
-                coeffs.append(int(c))
-            out.append(tuple(coeffs))
-        return tuple(out)
-
-    @cached_property
-    def is_positive(self) -> tuple[bool, ...]:
-        flags = []
-        for coords in self.simple_coords:
-            if all(c >= 0 for c in coords):
-                flags.append(True)
-            elif all(c <= 0 for c in coords):
-                flags.append(False)
-            else:
-                raise AssertionError("mixed-sign simple-root coordinates")
-        return tuple(flags)
+    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """cartan_matrix[i][j] = <alpha_i, alpha_j coroot>, an integer."""
+        return tuple(map(tuple, _cartan(self.simple_roots)))
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
         return tuple(sum(c) for c in self.simple_coords)
+
+    @cached_property
+    def is_positive(self) -> tuple[bool, ...]:
+        # Coordinates are sign-coherent, so the sign of the height decides.
+        return tuple(h > 0 for h in self.heights)
+
+    @cached_property
+    def support_masks(self) -> tuple[int, ...]:
+        """Bit j of support_masks[i] is set iff roots[i] involves alpha_j."""
+        return tuple(sum(1 << j for j, c in enumerate(coords) if c)
+                     for coords in self.simple_coords)
 
     @cached_property
     def simple_factor_index(self) -> tuple[int, ...]:
@@ -314,23 +218,18 @@ class RootSystem:
         assert pos == len(self.simple_roots)
         return tuple(out)
 
-    # -- pairings and reflections --------------------------------------------
-
-    @staticmethod
-    def pairing(u: Sequence[int | Fraction], v: Sequence[int | Fraction]) -> Fraction:
-        return linalg.dot(u, v)
+    # -- coroots and reflections ---------------------------------------------
 
     @staticmethod
     def coroot(alpha: Sequence[int]) -> tuple[Fraction, ...]:
-        norm = linalg.dot(alpha, alpha)
-        return tuple(2 * Fraction(x) / norm for x in alpha)
+        norm = _dot(alpha, alpha)
+        return tuple(Fraction(2 * x, norm) for x in alpha)
 
     def reflect(self, beta: Sequence[int], alpha: Sequence[int]) -> tuple[int, ...]:
         """Reflection of beta in the hyperplane orthogonal to alpha."""
-        c = 2 * linalg.dot(beta, alpha) / linalg.dot(alpha, alpha)
-        if c.denominator != 1:
+        c, rem = divmod(2 * _dot(beta, alpha), _dot(alpha, alpha))
+        if rem:
             raise AssertionError("non-integral Cartan pairing")
-        c = int(c)
         return tuple(b - c * a for b, a in zip(beta, alpha))
 
     @cached_property
@@ -356,12 +255,8 @@ class RootSystem:
 
     def roots_in_simple_span(self, simple_subset: Iterable[int]) -> list[int]:
         """Indices of roots supported on the given simple-root indices."""
-        allowed = set(simple_subset)
-        out = []
-        for i, coords in enumerate(self.simple_coords):
-            if all(c == 0 or j in allowed for j, c in enumerate(coords)):
-                out.append(i)
-        return out
+        outside = ~sum(1 << j for j in set(simple_subset))
+        return [i for i, m in enumerate(self.support_masks) if not m & outside]
 
     def __str__(self) -> str:
         name = "x".join(str(t) for t in self.factors) if self.factors else "T"
@@ -382,28 +277,29 @@ def build_root_system(factors: Sequence[SimpleType | str],
         raise DomainError("torus_rank must be nonnegative")
     typed = [t if isinstance(t, SimpleType) else SimpleType.parse(t)
              for t in factors]
-    blocks = [_factor_roots(t) for t in typed]
-    total = sum(b[2] for b in blocks) + torus_rank
-    roots: list[tuple[int, ...]] = []
+    blocks = [_SIMPLE_ROOTS[t.series](t.rank) for t in typed]
+    total = sum(dim for _, dim in blocks) + torus_rank
     simple: list[tuple[int, ...]] = []
     offset = 0
-    for froots, fsimple, dim in blocks:
-        for r in froots:
-            v = [0] * total
-            v[offset:offset + dim] = r
-            roots.append(tuple(v))
+    for fsimple, dim in blocks:
         for s in fsimple:
             v = [0] * total
             v[offset:offset + dim] = s
             simple.append(tuple(v))
         offset += dim
-    roots.sort()
+    # Factors occupy disjoint coordinates, so the product's Cartan matrix is
+    # block diagonal and one generator run covers every factor.
+    pos = _positive_coords(_cartan(simple))
+    cols = list(zip(*simple))
+    pairs = sorted((tuple(_dot(c, col) for col in cols), c)
+                   for c in pos + [tuple(-x for x in p) for p in pos])
     return RootSystem(
         factors=tuple(typed),
         torus_rank=torus_rank,
         ambient_dim=total,
-        roots=tuple(roots),
+        roots=tuple(r for r, _ in pairs),
         simple_roots=tuple(simple),
+        simple_coords=tuple(c for _, c in pairs),
     )
 
 
@@ -417,19 +313,17 @@ def positive_roots(rs: RootSystem) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _dual_coxeter(series: str, rank: int) -> int:
-    rs = build_root_system([SimpleType(series, rank)])
-    # A root of maximal height; unique in the irreducible case, and any
-    # choice works when a low-rank type happens to be reducible (D2).
-    theta_idx = max(range(len(rs.roots)), key=lambda i: rs.heights[i])
-    theta = rs.roots[theta_idx]
-    theta_co = rs.coroot(theta)
-    cobasis_t = [[rs.coroot(s)[d] for s in rs.simple_roots]
-                 for d in range(rs.ambient_dim)]
-    sol = linalg.solve(cobasis_t, list(theta_co))
-    assert sol is not None, "highest coroot outside simple-coroot span"
-    total = 1 + sum(sol)
-    assert total.denominator == 1 and total > 0
-    return int(total)
+    simple, _ = _SIMPLE_ROOTS[series](rank)
+    # A root theta of maximal height; unique in the irreducible case, and any
+    # choice works when a low-rank type happens to be reducible (D2).  The
+    # coroot of theta is sum c_i (alpha_i, alpha_i)/(theta, theta) alpha_i
+    # coroot, so the coefficient sum is one integer division.
+    coords = max(_positive_coords(_cartan(simple)), key=sum)
+    theta = [_dot(coords, col) for col in zip(*simple)]
+    total, rem = divmod(sum(c * _dot(a, a) for c, a in zip(coords, simple)),
+                        _dot(theta, theta))
+    assert rem == 0 and total > 0
+    return 1 + total
 
 
 def dual_coxeter_number(t: SimpleType) -> int:

@@ -251,6 +251,29 @@ def test_mellin_zero_tolerance_is_domain_error(capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["mellin-fp", "--preset", "exp", "--lambda", "2", "--tol", "-1e-3"],
+     "tolerance"),
+    (["mellin-fp", "--preset", "exp", "--lambda", "-2e0"], "decay rate"),
+    (["mellin-fp", "--preset", "exp", "--lambda", "2", "--t0", "-1E-1"],
+     "positive"),
+    (["budget", "--k", "-1e-3"], "k must be"),
+    (["budget", "--k", "1", "--C2", "-1/2"], "C2"),
+    (["budget", "--k", "1", "--eps", "-.5"], "epsilon"),
+], ids=["tol-exponent", "lambda-exponent", "t0-exponent", "k-exponent",
+        "C2-fraction", "eps-decimal"])
+def test_negative_values_reach_the_domain_check(capsys, argv, needle):
+    # A negative number is a value, in exponent and fraction form too; the
+    # domain check names what is wrong, not argparse's "expected one
+    # argument".
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert needle in captured.err
+    assert "expected one argument" not in captured.err
+
+
 def test_budget_json(capsys):
     code, data = run_json(capsys, ["budget", "--k", "1", "--json"])
     assert code == 0
@@ -286,15 +309,6 @@ def test_exit_codes(capsys):
     assert cli.main(["orbits", "G2"]) == 2
     capsys.readouterr()
     assert cli.main(["reproduce", "--inject-fault", "no_such_check"]) == 2
-    capsys.readouterr()
-
-
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("TRACEGEO_THREADS", "zero")
-    assert cli.main(["k", "A1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("TRACEGEO_THREADS", "4")
-    assert cli.main(["k", "A1"]) == 0
     capsys.readouterr()
 
 

@@ -63,20 +63,6 @@ def test_rank_nullity_and_nullspace():
             assert all(x == 0 for x in linalg.mat_vec(m, v))
 
 
-def test_solve_round_trip_and_inconsistency():
-    rng = random.Random(105)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, n)
-        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-             for _ in range(n)]
-        b = linalg.mat_vec(a, x)
-        sol = linalg.solve(a, b)
-        assert sol is not None
-        assert linalg.mat_vec(a, sol) == b
-    assert linalg.solve([[1, 1], [1, 1]], [0, 1]) is None
-
-
 def test_inverse():
     rng = random.Random(106)
     found = 0

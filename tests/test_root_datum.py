@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tracegeo import linalg
+from tracegeo import linalg, root_datum
 from tracegeo.errors import DomainError
+from tracegeo.invariants_k import GroupSpec, k_report
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number, positive_roots)
 
@@ -255,9 +256,9 @@ def _oracle_dual_coxeter(t):
             "E": {6: 12, 7: 18, 8: 30}.get(l)}[t.series]
 
 
-SIMPLE_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(1, 9)]
-                + [f"C{r}" for r in range(1, 9)]
-                + [f"D{r}" for r in range(2, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+SIMPLE_TYPES = ([f"{x}{r}" for x in "ABC" for r in range(1, 9)]
+                + [f"D{r}" for r in range(2, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
 DIFFERENTIAL_CASES = ([((t,), 0) for t in SIMPLE_TYPES]
                       + [(("A2", "B3"), 0), (("G2", "F4"), 0),
                          (("D4", "A1"), 1), (("E6", "A2"), 0)])
@@ -290,3 +291,19 @@ def test_generated_roots_match_ambient_oracle(names, torus):
             want = [i for i, r in enumerate(rs.roots)
                     if linalg.in_span(r, span)]
             assert rs.roots_in_simple_span(subset) == want, subset
+
+
+def test_integer_core_needs_no_rational_linear_algebra(monkeypatch):
+    # Root generation, coordinates, reflections, dual Coxeter numbers and
+    # every k route on absolute data are integer combinatorics.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational linear algebra on the integer path")
+
+    for name in ("rref", "dot", "rank", "in_span"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    root_datum._dual_coxeter.cache_clear()
+    for name in SIMPLE_TYPES:
+        rs = build_root_system([name])
+        assert len(rs.simple_coords) == len(rs.reflection_perms[0])
+        report = k_report(GroupSpec(rs))
+        assert report["minorbit"] == dual_coxeter_number(rs.factors[0]) - 1
