@@ -123,6 +123,122 @@ def test_a_exponent():
     assert a_exponent(p) == 5
 
 
+# -- differential test against the closed form --------------------------------
+
+
+def _rat(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _parts(x):
+    """(a, sign(b) b^2 m) for x = a + b sqrt(m): the same pair for every
+    way of writing x, whatever square factors sit under the root."""
+    x = sympy.expand(sympy.radsimp(sympy.sympify(x)))
+    a, rest = x.as_coeff_Add()
+    return a, sympy.sign(rest) * rest ** 2
+
+
+def _same(got, want):
+    """Exact equality in Q(sqrt D); surd denominators are rationalised on
+    the test side."""
+    return _parts(got) == _parts(want)
+
+
+def _oracle(c2, c4, cn, k, eps, cp):
+    """beta, lambda and the three exponents from the closed form
+    (-k + sqrt(k^2 + 4 C2 C4 Cn^2)) / (2 C2), with the lambda branch
+    decided by a rational comparison."""
+    c2, c4, cn, k, eps, cp = map(_rat, (c2, c4, cn, k, eps, cp))
+    disc = k ** 2 + 4 * c2 * c4 * cn ** 2
+    root = sympy.sqrt(disc)
+    beta = (-k + root) / (2 * c2)
+    # k / ((1 - eps) beta), with 1 / beta = (k + root) / (2 C4 Cn^2)
+    base = k * (k + root) / (2 * (1 - eps) * c4 * cn ** 2)
+    nudged = cp * sympy.Rational(10 ** 9 + 1, 10 ** 9)
+    # base <= nudged  <=>  beta >= t  <=>  disc >= (2 C2 t + k)^2
+    take_nudged = nudged > 0 and \
+        disc >= (2 * c2 * k / (nudged * (1 - eps)) + k) ** 2
+    lam = nudged if take_nudged else base
+    return beta, lam, (-lam * (1 - eps) * beta, -k, -lam * beta)
+
+
+def _draws(count, seed):
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+    for i in range(count):
+        surd = i % 4 != 3
+        c2, cn, k = frac(), frac(), frac()
+        if surd:
+            c4 = frac()
+        else:
+            beta = frac()
+            c4 = (c2 * beta * beta + k * beta) / (cn * cn)
+        eps = Fraction(rng.randint(1, 999), 1000)
+        cp = frac() if i % 5 else Fraction(0)
+        yield surd, (c2, c4, cn, k, eps, cp)
+
+
+def test_budget_chain_matches_closed_form_oracle():
+    for surd, (c2, c4, cn, k, eps, cp) in _draws(200, 2024):
+        beta = beta_max(c2, c4, cn, k)
+        lam = lambda_min(k, beta, eps, cp)
+        rep = exponents(BudgetParams(k=k, lam=lam, epsilon=eps, C2=c2,
+                                     C4=c4, Cn=cn, c_prime=cp, beta=beta))
+        want_beta, want_lam, want_es = _oracle(c2, c4, cn, k, eps, cp)
+        got_es = (rep.e_spec, rep.e1, rep.e2)
+        if surd:
+            assert isinstance(beta, sympy.Expr)
+        else:
+            assert all(isinstance(v, Fraction) for v in (beta, lam) + got_es)
+        assert _same(beta, want_beta), (c2, c4, cn, k)
+        assert _same(lam, want_lam), (c2, c4, cn, k, eps, cp)
+        for got, want in zip(got_es, want_es):
+            assert _same(got, want), (c2, c4, cn, k, eps, cp)
+        assert rep.all_ok
+
+
+# -- decisions that floats and 15-digit evalf get wrong ------------------------
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_lambda_min_decides_a_near_tie_exactly(side):
+    beta = beta_max(1, 1, 1, 1)  # (sqrt 5 - 1) / 2
+    eps = Fraction(1, 10)
+    # base = 1 / ((1 - eps) beta) = 5 (1 + sqrt 5) / 9
+    scale = 10 ** 40
+    root5 = Fraction(math.isqrt(5 * scale * scale), scale)  # just below
+    near = 5 * (1 + root5) / 9 + side * Fraction(1, 10 ** 27)
+    base = 5 * (1 + sympy.sqrt(5)) / 9
+    assert abs(float(near) / float(base) - 1) < 1e-15
+    lam = lambda_min(1, beta, eps, near * Fraction(10 ** 9, 10 ** 9 + 1))
+    if side > 0:
+        assert lam == near
+    else:
+        assert _same(lam, base)
+
+
+def test_height_1e30_inputs_stay_exact():
+    h = 10 ** 30
+    c2, c4 = Fraction(h + 7, h - 3), Fraction(h - 11, 3 * h + 1)
+    cn, k = Fraction(2 * h + 1, h + 13), Fraction(h + 1, h)
+    eps, cp = Fraction(h - 1, 2 * h), Fraction(h, 3 * h - 1)
+    beta = beta_max(c2, c4, cn, k)
+    lam = lambda_min(k, beta, eps, cp)
+    rep = exponents(BudgetParams(k=k, lam=lam, epsilon=eps, C2=c2, C4=c4,
+                                 Cn=cn, c_prime=cp, beta=beta))
+    want_beta, want_lam, want_es = _oracle(c2, c4, cn, k, eps, cp)
+    assert _same(beta, want_beta)
+    assert _same(lam, want_lam)
+    for got, want in zip((rep.e_spec, rep.e1, rep.e2), want_es):
+        assert _same(got, want)
+    assert _same(rep.e1, -_rat(k))
+    assert rep.all_ok
+
+
 def test_total_envelope():
     got = total_envelope(100, 2, 3, 10.0)
     want = 10.0 * 100 ** -2 * math.log(100) ** 3
