@@ -32,7 +32,8 @@ from .root_datum import RootSystem, SimpleType, build_root_system
 
 # Modules that load sympy or scipy (arithmetic, error_budget, mellin_fp,
 # reproduce) are imported inside the subcommands that use them, so the
-# exact-only subcommands start without either library.
+# exact-only subcommands start without either library; error_budget loads
+# sympy only when it returns a surd.
 
 
 # -- group-spec grammar --------------------------------------------------------
@@ -138,10 +139,9 @@ def _fmt(x):
     # A sympy value can only exist once some subcommand has loaded sympy.
     sympy = sys.modules.get("sympy")
     if sympy is not None and isinstance(x, sympy.Expr):
-        simplified = sympy.simplify(x)
-        if simplified.is_Rational:
-            return _fmt(Fraction(int(simplified.p), int(simplified.q)))
-        return _fmt(float(simplified))
+        if x.is_Rational:
+            return _fmt(Fraction(int(x.p), int(x.q)))
+        return _fmt(float(x))
     if isinstance(x, dict):
         return {str(k): _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -397,9 +397,15 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
     if (args.spec is None) == (args.preset is None):
         raise ParseError("pass exactly one of --preset or --spec")
     if args.preset is not None:
+        # Name the option, not the library parameter, in a domain error.
+        if not args.t0 > 0:
+            raise DomainError(f"--t0 must be positive, got {args.t0!r}")
         if args.preset == "exp":
             if args.lam is None:
                 raise ParseError("--preset exp wants --lambda")
+            if not args.lam > 0:
+                raise DomainError("--lambda: decay rate must be positive, "
+                                  f"got {args.lam!r}")
             pair = exp_preset(args.lam, args.t0)
         elif args.preset == "sqrt":
             pair = sqrt_exp_preset(args.t0)

@@ -7,62 +7,189 @@ the smallest workable spectral gap follows, and the three exponents can be
 checked against -k.
 
 The arithmetic is type generic: float inputs give float answers, while
-int/Fraction inputs stay exact (falling back to symbolic square roots when
-the discriminant is not a perfect square), so identities like
-e1(beta_max) = -k hold exactly, not just to rounding.
+int/Fraction inputs stay exact.  When the discriminant k^2 + 4 C2 C4 Cn^2
+is not a rational square, beta lies in Q(sqrt d) with d = num * den of the
+discriminant, and the whole chain runs there in a small a + b sqrt(d) type
+whose signs are decided by comparing a^2 with b^2 d.  So identities like
+e1(beta_max) = -k hold exactly, with no simplifier involved.  sympy appears
+only at the API edge: such a beta is returned as
+Rational(a) + Rational(b)*sqrt(Integer(d)), and a sympy argument must be a
+Rational or of that form; anything else raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import sympy
-
 from .errors import DomainError
 
-Number = Union[int, float, Fraction, sympy.Expr]
+Number = Union[int, float, Fraction, "sympy.Expr"]
 
 _NUDGE_NUM = 10 ** 9 + 1
 _NUDGE_DEN = 10 ** 9
 
 
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class _Surd:
+    """a + b sqrt(d): Fractions a, b and a non-square integer d > 1.
+
+    Values of one field Q(sqrt d) combine exactly with each other and with
+    int and Fraction; a float operand makes the result a float.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: int):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def _parts(self, other) -> tuple[Fraction, Fraction]:
+        if not isinstance(other, _Surd):
+            return Fraction(other), Fraction(0)
+        if other.d == self.d:
+            return other.a, other.b
+        # sqrt(e) = s sqrt(d) / d when d e = s^2: the same field
+        s = math.isqrt(self.d * other.d)
+        if s * s != self.d * other.d:
+            raise DomainError(f"sqrt({self.d}) and sqrt({other.d}) lie in "
+                              "different quadratic fields")
+        return other.a, other.b * Fraction(s, self.d)
+
+    def __neg__(self) -> _Surd:
+        return _Surd(-self.a, -self.b, self.d)
+
+    def __add__(self, other):
+        if isinstance(other, float):
+            return float(self) + other
+        a, b = self._parts(other)
+        return _Surd(self.a + a, self.b + b, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, float):
+            return float(self) * other
+        a, b = self._parts(other)
+        return _Surd(self.a * a + self.b * b * self.d,
+                     self.a * b + self.b * a, self.d)
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> _Surd:
+        # the norm a^2 - b^2 d vanishes only at 0, since d is not a square
+        norm = self.a * self.a - self.b * self.b * self.d
+        return _Surd(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        if isinstance(other, float):
+            return float(self) / other
+        if isinstance(other, _Surd):
+            return self * other._inverse()
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def sign(self) -> int:
+        sa, sb = _sgn(self.a), _sgn(self.b)
+        if sa == sb or sb == 0:
+            return sa
+        if sa == 0:
+            return sb
+        return sa if self.a * self.a > self.b * self.b * self.d else sb
+
+    def __float__(self) -> float:
+        # sqrt(d) to 128 fractional bits; with opposite signs go through
+        # the conjugate, (a^2 - b^2 d) / (a - b sqrt d), which does not
+        # cancel.  float(Fraction) then rounds once.
+        root = Fraction(math.isqrt(self.d << 256), 1 << 128)
+        if self.a * self.b >= 0:
+            return float(self.a + self.b * root)
+        return float((self.a * self.a - self.b * self.b * self.d)
+                     / (self.a - self.b * root))
+
+
+def _read(x):
+    """A sympy argument in internal form: Rational gives a Fraction and
+    Rational + Rational*sqrt(Integer) a _Surd.  Python numbers pass."""
+    sympy = sys.modules.get("sympy")
+    if sympy is None or not isinstance(x, sympy.Basic):
+        return x
+    if x.is_Rational:
+        return Fraction(int(x.p), int(x.q))
+    a, rest = x.as_coeff_Add()
+    b, root = rest.as_coeff_Mul()
+    if not (a.is_Rational and b.is_Rational and root.is_Pow
+            and root.base.is_Integer and root.base > 1
+            and root.exp == sympy.S.Half):
+        raise DomainError(f"{x} is not of the form a + b*sqrt(d) with "
+                          "rational a, b and an integer d")
+    a, b, d = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)), \
+        int(root.base)
+    s = math.isqrt(d)
+    return a + b * s if s * s == d else _Surd(a, b, d)
+
+
+def _to_sympy(x):
+    """The public form of a _Surd (Rational when the sqrt part vanishes);
+    other values pass."""
+    if not isinstance(x, _Surd):
+        return x
+    import sympy
+    a = sympy.Rational(x.a.numerator, x.a.denominator)
+    if x.b == 0:
+        return a
+    surd = sympy.Rational(x.b.numerator, x.b.denominator) \
+        * sympy.sqrt(sympy.Integer(x.d))
+    # (a, surd) is already sympy's canonical order for a + surd; skipping
+    # Add.flatten skips its first-use import of sympy.tensor (about 50 ms).
+    return sympy.Add(a, surd, evaluate=False) if a else surd
+
+
 def _is_exact(x: Number) -> bool:
-    return isinstance(x, (int, Fraction)) or isinstance(x, sympy.Expr)
+    return isinstance(x, (int, Fraction, _Surd))
 
 
 def _approx(x: Number) -> float:
-    if isinstance(x, sympy.Expr):
-        return float(x.evalf())
-    return float(x)
+    return float(_read(x))
 
 
-def _sqrt(x: Number) -> Number:
-    if isinstance(x, float):
-        return math.sqrt(x)
-    if isinstance(x, sympy.Expr):
-        return sympy.sqrt(x)
+def _sqrt(x: Number) -> Fraction | _Surd:
+    if isinstance(x, _Surd):
+        if x.b:
+            raise DomainError(f"sqrt({_to_sympy(x)}) lies outside Q(sqrt d)")
+        x = x.a
     fr = Fraction(x)
-    rn, rd = math.isqrt(fr.numerator), math.isqrt(fr.denominator)
-    if rn * rn == fr.numerator and rd * rd == fr.denominator:
+    n, d = fr.numerator, fr.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
-    return sympy.sqrt(sympy.Rational(fr.numerator, fr.denominator))
+    return _Surd(0, Fraction(1, d), n * d)
 
 
 def _le(a: Number, b: Number) -> bool:
-    """a <= b, decided exactly when symbolic values are involved."""
-    if isinstance(a, sympy.Expr) or isinstance(b, sympy.Expr):
-        diff = sympy.simplify(sympy.sympify(a) - sympy.sympify(b))
-        if diff.is_number:
-            return bool(diff <= 0)
-        raise DomainError(f"cannot compare symbolic value {diff}")
+    """a <= b, decided exactly in Q(sqrt d)."""
+    if isinstance(a, _Surd) or isinstance(b, _Surd):
+        diff = a - b
+        return diff.sign() <= 0 if isinstance(diff, _Surd) else diff <= 0
     return a <= b
 
 
 def _positive(x: Number) -> bool:
-    return _approx(x) > 0
+    x = _read(x)
+    return x.sign() > 0 if isinstance(x, _Surd) else float(x) > 0
 
 
 @dataclass(frozen=True)
@@ -105,6 +232,7 @@ def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
     The constraint holds with equality here: beta solves
     C2 beta^2 + k beta - C4 Cn^2 = 0.
     """
+    C2, C4, Cn, k = map(_read, (C2, C4, Cn, k))
     for name, v in (("C2", C2), ("C4", C4), ("Cn", Cn)):
         if not _positive(v):
             raise DomainError(f"{name} must be positive")
@@ -118,17 +246,15 @@ def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
         c2, c4, cn, kk = map(_approx, (C2, C4, Cn, k))
         d = math.hypot(kk, 2 * math.sqrt(c2) * math.sqrt(c4) * cn)
         return c4 * cn / (kk / 2 + d / 2) * cn
-    disc = k * k + 4 * C2 * C4 * Cn * Cn
-    root = _sqrt(disc)
-    if isinstance(root, sympy.Expr):
-        return sympy.simplify((-sympy.sympify(k) + root) / (2 * sympy.sympify(C2)))
-    return (-k + root) / (2 * Fraction(C2))
+    root = _sqrt(k * k + 4 * C2 * C4 * Cn * Cn)
+    return _to_sympy((-k + root) / (2 * C2))
 
 
 def lambda_min(k: Number, beta: Number, epsilon: Number,
                c_prime: Number) -> Number:
     """Smallest spectral gap meeting gap*(1-epsilon)*beta >= k, kept
     strictly above c_prime by a relative nudge of 1e-9."""
+    k, beta, epsilon, c_prime = map(_read, (k, beta, epsilon, c_prime))
     if not _positive(k) or not _positive(beta):
         raise DomainError("k and beta must be positive")
     eps = _approx(epsilon)
@@ -141,7 +267,7 @@ def lambda_min(k: Number, beta: Number, epsilon: Number,
         nudged = c_prime * Fraction(_NUDGE_NUM, _NUDGE_DEN)
     else:
         nudged = c_prime * (1 + 1e-9)
-    return nudged if _le(base, nudged) else base
+    return _to_sympy(nudged if _le(base, nudged) else base)
 
 
 @dataclass(frozen=True)
@@ -154,11 +280,14 @@ class ExponentReport:
 
 def exponents(p: BudgetParams) -> ExponentReport:
     """The three level exponents and whether each clears -k."""
-    e_spec = -p.lam * (1 - p.epsilon) * p.beta
-    e1 = -p.C4 * p.Cn * p.Cn / p.beta + p.C2 * p.beta
-    e2 = -p.lam * p.beta
-    ok = all(_le(e, -p.k) for e in (e_spec, e1, e2))
-    return ExponentReport(e_spec=e_spec, e1=e1, e2=e2, all_ok=ok)
+    k, lam, eps, C2, C4, Cn, beta = map(_read, (p.k, p.lam, p.epsilon, p.C2,
+                                                p.C4, p.Cn, p.beta))
+    e_spec = -lam * (1 - eps) * beta
+    e1 = -C4 * Cn * Cn / beta + C2 * beta
+    e2 = -lam * beta
+    ok = all(_le(e, -k) for e in (e_spec, e1, e2))
+    return ExponentReport(e_spec=_to_sympy(e_spec), e1=_to_sympy(e1),
+                          e2=_to_sympy(e2), all_ok=ok)
 
 
 def a_exponent(p: BudgetParams) -> Number:

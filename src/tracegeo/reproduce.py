@@ -249,13 +249,14 @@ def _check_budget() -> tuple[bool, str, str, str]:
         bad.append(("golden", float(golden)))
     for c2, c4, cn, k in ((1, 1, 1, 1), (2, 1, 1, 1), (3, 2, 5, 7),
                           (Fraction(1, 2), 2, 1, Fraction(3, 4))):
-        beta = beta_max(c2, c4, cn, k)
-        e1 = -c4 * cn * cn / beta + c2 * beta if not isinstance(beta, sympy.Expr) \
-            else sympy.simplify(-sympy.sympify(c4 * cn * cn) / beta
-                                + sympy.sympify(c2) * beta)
-        diff = sympy.simplify(sympy.sympify(e1) + sympy.sympify(k))
-        if diff != 0:
-            bad.append(("exact-e1", c2, c4, cn, k, e1))
+        # C2 beta^2 + k beta - C4 Cn^2 = beta (e1 + k), so e1 = -k exactly
+        # iff this expands to 0
+        beta = sympy.sympify(beta_max(c2, c4, cn, k))
+        quad = sympy.expand(sympy.sympify(c2) * beta ** 2
+                            + sympy.sympify(k) * beta
+                            - sympy.sympify(c4 * cn * cn))
+        if quad != 0:
+            bad.append(("exact-e1", c2, c4, cn, k, beta))
     rng = random.Random(10)
     for _ in range(100):
         c2 = Fraction(rng.randint(1, 40), rng.randint(1, 8))

@@ -274,6 +274,19 @@ def test_negative_values_reach_the_domain_check(capsys, argv, needle):
     assert "expected one argument" not in captured.err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["mellin-fp", "--preset", "exp", "--lambda", "2", "--t0=-0.1"], "--t0"),
+    (["mellin-fp", "--preset", "sqrt", "--t0", "0"], "--t0"),
+    (["mellin-fp", "--preset", "exp", "--lambda", "-2"], "--lambda"),
+], ids=["t0-exp", "t0-sqrt", "lambda"])
+def test_mellin_domain_error_names_the_option(capsys, argv, option):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}")
+
+
 def test_budget_json(capsys):
     code, data = run_json(capsys, ["budget", "--k", "1", "--json"])
     assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,37 @@ def test_height_1e30_inputs_stay_exact():
         assert _same(got, want)
     assert _same(rep.e1, -_rat(k))
     assert rep.all_ok
+
+
+@pytest.mark.parametrize("value", [
+    sympy.sqrt(2) + sympy.sqrt(3), sympy.cbrt(2), sympy.pi,
+    sympy.Float(0.5), sympy.Symbol("x", positive=True), sympy.sqrt(-5)],
+    ids=["two-roots", "cube-root", "pi", "float", "symbol", "imaginary"])
+def test_sympy_value_outside_a_quadratic_field_is_a_domain_error(value):
+    with pytest.raises(DomainError, match=re.escape(str(value))):
+        lambda_min(1, value, Fraction(1, 10), 0)
+
+
+def test_one_field_with_different_square_factors():
+    # sqrt(45) written without extracting the square: it is 3 sqrt(5)
+    # and combines with beta in Q(sqrt 5)
+    k = sympy.Pow(45, sympy.S.Half, evaluate=False)
+    beta = beta_max(1, 1, 1, 1)
+    lam = lambda_min(k, beta, Fraction(1, 10), 0)
+    assert _same(lam, 3 * sympy.sqrt(5) * 5 * (1 + sympy.sqrt(5)) / 9)
+    with pytest.raises(DomainError, match="different quadratic fields"):
+        lambda_min(sympy.sqrt(2), beta, Fraction(1, 10), 0)
+
+
+def test_float_operand_makes_a_surd_chain_float():
+    beta = beta_max(1, 1, 1, 1)
+    lam = lambda_min(1, beta, 0.1, 0)
+    assert isinstance(lam, float)
+    assert abs(lam - 5 * (1 + math.sqrt(5)) / 9) < 1e-15
+    rep = exponents(BudgetParams(k=1, lam=lam, epsilon=0.1, C2=1, C4=1,
+                                 Cn=1, c_prime=0, beta=beta))
+    assert isinstance(rep.e_spec, float) and isinstance(rep.e2, float)
+    assert rep.e1 == -1 and isinstance(rep.e1, sympy.Rational)
 
 
 def test_total_envelope():

@@ -19,6 +19,7 @@ LIGHT_CALLS = [
     ["orbits", "B3", "--json"],
     ["parabolics", "A2", "--json"],
     ["discriminant", "--matrix", "[[1,0],[0,2]]", "--json"],
+    ["budget", "--k", "1", "--C2", "2", "--json"],
 ]
 
 PROBE = """
