@@ -107,3 +107,120 @@ def test_modulus_character():
         modulus_character([1, 1], [2, 0])
     with pytest.raises(DomainError):
         modulus_character([1, 1], [2, 3], place=6)
+
+
+
+# -- differential test: the route against independent references -------------
+#
+# Dense conjugates P D P^-1 are checked against the eigenvalue product and
+# the centralizer dimension sum(multiplicity^2); non-split semisimple
+# matrices against a sympy reference that builds the n^2 x n^2 matrix of
+# X -> g X g^-1 and takes its characteristic polynomial.
+
+
+def _conjugate(rng, m):
+    """P m P^-1 for a random integer P = L U with unit triangular L, U."""
+    import sympy
+    n = len(m)
+    lower = sympy.Matrix(n, n, lambda i, j: int(i == j) if i <= j
+                         else rng.randint(-2, 2))
+    upper = sympy.Matrix(n, n, lambda i, j: int(i == j) if i >= j
+                         else rng.randint(-2, 2))
+    p = lower * upper
+    out = p * sympy.Matrix([[sympy.Rational(str(v)) for v in row]
+                            for row in m]) * p.inv()
+    return [[Fraction(int(out[i, j].p), int(out[i, j].q)) for j in range(n)]
+            for i in range(n)]
+
+
+def _eigenvalue_corpus():
+    rng = random.Random(2026)
+    cases = []
+    for n in range(2, 8):
+        distinct = []
+        while len(distinct) < n:
+            x = Fraction(rng.randint(1, 9), rng.randint(1, 5)) \
+                * rng.choice((-1, 1))
+            if x not in distinct and -x not in distinct:
+                distinct.append(x)
+        repeated = distinct[:n - n // 2] + distinct[:n // 2]
+        signed = [s * x for x in distinct[:(n + 1) // 2] for s in (1, -1)][:n]
+        for kind, diag in (("distinct", distinct), ("repeated", repeated),
+                           ("signed", signed)):
+            rows = _conjugate(rng, [[diag[i] if i == j else 0
+                                     for j in range(n)] for i in range(n)])
+            cases.append(pytest.param(diag, rows, id=f"n{n}-{kind}"))
+    return cases
+
+
+EIGENVALUE_CORPUS = _eigenvalue_corpus()
+
+
+@pytest.mark.parametrize("diag,rows", EIGENVALUE_CORPUS)
+def test_dense_conjugates_match_eigenvalue_product(diag, rows):
+    res = weyl_discriminant(RationalMatrix.from_rows(rows))
+    assert res.value == oracles.diagonal_discriminant(diag)
+    assert res.abs_inf == abs(res.value)
+    assert res.centralizer_dim == sum(diag.count(x) ** 2 for x in set(diag))
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic x^n + c_1 x^(n-1) + ... + c_n."""
+    n = len(coeffs)
+    return [[int(i == j + 1) if j < n - 1 else -coeffs[n - 1 - i]
+             for j in range(n)] for i in range(n)]
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + \
+        [[0] * n + list(row) for row in b]
+
+
+def _sympy_discriminant(rows):
+    """det(1 - Ad g) off the centralizer and the centralizer dimension,
+    from sympy's characteristic polynomial of the n^2 x n^2 conjugation
+    matrix kron(g, g^-T)."""
+    import sympy
+    from sympy.matrices import kronecker_product
+    x = sympy.Symbol("x")
+    g = sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in rows])
+    chi = kronecker_product(g, g.inv().T).charpoly(x)
+    one = sympy.PurePoly(x - 1, x)
+    m = 0
+    while chi.eval(1) == 0:
+        chi = chi.quo(one)
+        m += 1
+    value = chi.eval(1)
+    return Fraction(int(value.p), int(value.q)), m
+
+
+QUARTER_TURN = [[0, -1], [1, 0]]
+NON_SPLIT = {
+    "x2+1": _companion([0, 1]),
+    "x2-2": _companion([0, -2]),
+    "x3-2": _companion([0, 0, -2]),
+    "x4+x+1": _companion([0, 0, 1, 1]),
+    "C+C": _block_sum(QUARTER_TURN, QUARTER_TURN),
+    "x2-2+3": _block_sum(_companion([0, -2]), [[3]]),
+    "x2+1+scalar-2": _block_sum(_companion([0, 1]), [[-2, 0], [0, -2]]),
+    "x3-2+1/2-dense": _conjugate(random.Random(7), _block_sum(
+        _companion([0, 0, -2]), [[Fraction(1, 2)]])),
+    "x4+x+1-dense": _conjugate(random.Random(8), _companion([0, 0, 1, 1])),
+}
+SMALL_DENSE = {c.id: c.values[1] for c in EIGENVALUE_CORPUS
+               if len(c.values[0]) <= 4}
+
+
+@pytest.mark.parametrize("rows", [*NON_SPLIT.values(), *SMALL_DENSE.values()],
+                         ids=[*NON_SPLIT, *SMALL_DENSE])
+def test_matches_sympy_conjugation_matrix(rows):
+    res = weyl_discriminant(RationalMatrix.from_rows(rows))
+    assert (res.value, res.centralizer_dim) == _sympy_discriminant(rows)
+
+
+def test_invertibility_is_checked_before_semisimplicity():
+    with pytest.raises(DomainError, match="^matrix is not invertible$"):
+        weyl_discriminant(RationalMatrix.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(DomainError, match="^matrix is not semisimple"):
+        weyl_discriminant(RationalMatrix.from_rows([[2, 1], [0, 2]]))
