@@ -138,22 +138,13 @@ def det(m: Mat) -> Fraction:
     return result
 
 
-def inverse(m: Mat) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(map(Fraction, m[i])) + list(identity(n)[i]) for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
 # -- characteristic polynomial ------------------------------------------------
 #
 # Exact Hessenberg reduction followed by the standard recurrence.  Both the
 # row operation and the matching inverse column operation are applied, so the
 # reduction is a similarity and the characteristic polynomial is preserved.
-# O(n^3) Fraction operations, comfortably fast for the 16x16 adjoint
-# matrices that show up in discriminant computations.
+# O(n^3) Fraction operations; the discriminant calls it on n-by-n matrices
+# only, never on the n^2-dimensional adjoint action.
 
 
 def charpoly(m: Mat) -> list[Fraction]:
@@ -202,14 +193,6 @@ def charpoly(m: Mat) -> list[Fraction]:
 # -- polynomial helpers (coefficients highest degree first) -------------------
 
 
-def poly_eval(p: Sequence[Fraction], x: Fraction | int) -> Fraction:
-    acc = Fraction(0)
-    x = Fraction(x)
-    for c in p:
-        acc = acc * x + Fraction(c)
-    return acc
-
-
 def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
     n = len(p) - 1
     if n <= 0:
@@ -256,12 +239,3 @@ def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
         a = [c / lead for c in a]
     return a
 
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += Fraction(a) * Fraction(b)
-    return out

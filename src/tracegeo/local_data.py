@@ -1,10 +1,14 @@
 """Generalized Weyl discriminants and block modulus characters, exactly.
 
 The discriminant of a semisimple rational matrix g is det(1 - Ad(g))
-taken on the complement of the centralizer: the characteristic polynomial
-of Ad(g) on the full n-by-n matrix algebra is divided by (x - 1) as often
-as it vanishes at 1, and the quotient is evaluated at 1.  Everything runs
-in exact rational arithmetic; no root finding, no floats.
+taken on the complement of the centralizer.  Ad(g) has the eigenvalues
+x_i / x_j of g's eigenvalues x_i, so tr Ad(g)^k = p_k(g) p_k(g^-1) for the
+power sums p_k.  Those come from the characteristic polynomial of g (and
+of g^-1, its reversal) by Newton's identities, which read backwards give
+the characteristic polynomial of Ad(g) without forming the n^2-by-n^2
+matrix.  That polynomial is divided by (x - 1) as often as it vanishes at
+1, and the quotient is evaluated at 1.  Everything runs in exact rational
+arithmetic; no root finding, no floats.
 """
 
 from __future__ import annotations
@@ -103,11 +107,10 @@ def _matrix_poly_eval(p: Sequence[Fraction], m: list[list[Fraction]]) -> list[li
     return acc
 
 
-def _check_semisimple(m: list[list[Fraction]]) -> None:
-    # The squarefree radical of the characteristic polynomial annihilates
+def _check_semisimple(m: list[list[Fraction]], chi: list[Fraction]) -> None:
+    # The squarefree radical of the characteristic polynomial chi annihilates
     # the matrix exactly when it is diagonalizable over the algebraic
     # closure.
-    chi = linalg.charpoly(m)
     radical, _ = linalg.poly_divmod(chi, linalg.poly_gcd(chi, linalg.poly_derivative(chi)))
     value = _matrix_poly_eval(radical, m)
     if any(x != 0 for row in value for x in row):
@@ -115,20 +118,28 @@ def _check_semisimple(m: list[list[Fraction]]) -> None:
                           "part of its multiplicative Jordan decomposition")
 
 
-def _adjoint_matrix(g: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Conjugation action X -> g X g^{-1} on the matrix algebra, as an
-    n^2-by-n^2 matrix in the basis of matrix units (row-major)."""
-    n = len(g)
-    ginv = linalg.inverse(g)
-    ad = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if g[i][k] == 0:
-                    continue
-                for l in range(n):
-                    ad[i * n + j][k * n + l] = g[i][k] * ginv[l][j]
-    return ad
+def _power_sums(chi: Sequence[Fraction], count: int) -> list[Fraction]:
+    """p_1..p_count of the roots of the monic chi (highest degree first),
+    by Newton's identities p_k = -(k c_k + sum_{i<k} c_i p_{k-i})."""
+    p: list[Fraction] = []
+    for k in range(1, count + 1):
+        s = k * chi[k] if k < len(chi) else 0
+        for i in range(1, min(k, len(chi))):
+            s += chi[i] * p[k - i - 1]
+        p.append(-s)
+    return p
+
+
+def _from_power_sums(p: Sequence[Fraction]) -> list[Fraction]:
+    """The monic polynomial of degree len(p) whose roots have the power
+    sums p, by the same identities solved for c_k."""
+    c = [Fraction(1)]
+    for k in range(1, len(p) + 1):
+        s = p[k - 1]
+        for i in range(1, k):
+            s += c[i] * p[k - i - 1]
+        c.append(-s / k)
+    return c
 
 
 def weyl_discriminant(gamma_s: RationalMatrix,
@@ -140,10 +151,15 @@ def weyl_discriminant(gamma_s: RationalMatrix,
     plus any explicitly requested primes.
     """
     g = gamma_s.rows()
-    if linalg.det(g) == 0:
+    chi_g = linalg.charpoly(g)
+    if chi_g[-1] == 0:
         raise DomainError("matrix is not invertible")
-    _check_semisimple(g)
-    chi = linalg.charpoly(_adjoint_matrix(g))
+    _check_semisimple(g, chi_g)
+    size = gamma_s.n ** 2
+    # g^-1 has the reversed characteristic polynomial, made monic.
+    chi_inv = [c / chi_g[-1] for c in reversed(chi_g)]
+    chi = _from_power_sums([a * b for a, b in zip(
+        _power_sums(chi_g, size), _power_sums(chi_inv, size))])
     # Exact synthetic division by (x - 1), as long as 1 stays a root.
     m = 0
     coeffs = list(chi)
