@@ -141,7 +141,8 @@ def _fmt(x):
     if sympy is not None and isinstance(x, sympy.Expr):
         if x.is_Rational:
             return _fmt(Fraction(int(x.p), int(x.q)))
-        return _fmt(float(x))
+        from .error_budget import _read
+        return _fmt(float(_read(x)))
     if isinstance(x, dict):
         return {str(k): _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

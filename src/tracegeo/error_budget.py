@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 Number = Union[int, float, Fraction, "sympy.Expr"]
 
@@ -113,12 +113,21 @@ class _Surd:
     def __float__(self) -> float:
         # sqrt(d) to 128 fractional bits; with opposite signs go through
         # the conjugate, (a^2 - b^2 d) / (a - b sqrt d), which does not
-        # cancel.  float(Fraction) then rounds once.
+        # cancel.  float(Fraction) then rounds once.  A value beyond the
+        # normal float range is an error, never a printed 0 or inf.
         root = Fraction(math.isqrt(self.d << 256), 1 << 128)
         if self.a * self.b >= 0:
-            return float(self.a + self.b * root)
-        return float((self.a * self.a - self.b * self.b * self.d)
-                     / (self.a - self.b * root))
+            q = self.a + self.b * root
+        else:
+            q = (self.a * self.a - self.b * self.b * self.d) \
+                / (self.a - self.b * root)
+        if not sys.float_info.min <= abs(q) <= sys.float_info.max:
+            from decimal import Context, Decimal
+            digits = Context(prec=15).divide(Decimal(q.numerator),
+                                             Decimal(q.denominator))
+            raise NumericError(f"{digits.normalize():g} lies outside the "
+                               "float range")
+        return float(q)
 
 
 def _read(x):
@@ -158,10 +167,6 @@ def _to_sympy(x):
     return sympy.Add(a, surd, evaluate=False) if a else surd
 
 
-def _is_exact(x: Number) -> bool:
-    return isinstance(x, (int, Fraction, _Surd))
-
-
 def _approx(x: Number) -> float:
     return float(_read(x))
 
@@ -187,9 +192,29 @@ def _le(a: Number, b: Number) -> bool:
     return a <= b
 
 
-def _positive(x: Number) -> bool:
+def _sign(x: Number) -> int:
+    """The sign of x, decided exactly; 0 for NaN."""
     x = _read(x)
-    return x.sign() > 0 if isinstance(x, _Surd) else float(x) > 0
+    return x.sign() if isinstance(x, _Surd) else _sgn(x)
+
+
+def _check_finite(name: str, x: Number) -> None:
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+
+
+def _require(name: str, x: Number, nonnegative: bool = False) -> None:
+    """x must be finite and positive (or nonnegative), decided exactly."""
+    _check_finite(name, x)
+    if _sign(x) < (0 if nonnegative else 1):
+        raise DomainError(f"{name} must be "
+                          + ("nonnegative" if nonnegative else "positive"))
+
+
+def _check_epsilon(epsilon: Number) -> None:
+    eps = _read(epsilon)
+    if _sign(eps) <= 0 or _sign(1 - eps) <= 0:
+        raise DomainError("epsilon must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -214,16 +239,10 @@ class BudgetParams:
 
     def __post_init__(self):
         for name in ("k", "lam", "C2", "C4", "Cn", "beta"):
-            if not _positive(getattr(self, name)):
-                raise DomainError(f"{name} must be positive")
-        eps = _approx(self.epsilon)
-        if not (0 < eps < 1):
-            raise DomainError("epsilon must lie in (0, 1)")
-        if _approx(self.c_prime) < 0:
-            raise DomainError("c_prime must be nonnegative")
-        for name in ("b_conj", "m_nonarch"):
-            if _approx(getattr(self, name)) < 0:
-                raise DomainError(f"{name} must be nonnegative")
+            _require(name, getattr(self, name))
+        _check_epsilon(self.epsilon)
+        for name in ("c_prime", "b_conj", "m_nonarch"):
+            _require(name, getattr(self, name), nonnegative=True)
 
 
 def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
@@ -234,10 +253,8 @@ def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
     """
     C2, C4, Cn, k = map(_read, (C2, C4, Cn, k))
     for name, v in (("C2", C2), ("C4", C4), ("Cn", Cn)):
-        if not _positive(v):
-            raise DomainError(f"{name} must be positive")
-    if _approx(k) < 0:
-        raise DomainError("k must be nonnegative")
+        _require(name, v)
+    _require("k", k, nonnegative=True)
     if any(isinstance(v, float) for v in (C2, C4, Cn, k)):
         # The cancellation-free root 2 C4 Cn^2 / (k + D) with
         # D = sqrt(k^2 + 4 C2 C4 Cn^2).  hypot never forms k^2 or
@@ -255,18 +272,16 @@ def lambda_min(k: Number, beta: Number, epsilon: Number,
     """Smallest spectral gap meeting gap*(1-epsilon)*beta >= k, kept
     strictly above c_prime by a relative nudge of 1e-9."""
     k, beta, epsilon, c_prime = map(_read, (k, beta, epsilon, c_prime))
-    if not _positive(k) or not _positive(beta):
+    _check_finite("k", k)
+    if _sign(k) <= 0 or _sign(beta) <= 0:
         raise DomainError("k and beta must be positive")
-    eps = _approx(epsilon)
-    if not (0 < eps < 1):
-        raise DomainError("epsilon must lie in (0, 1)")
-    if _approx(c_prime) < 0:
-        raise DomainError("c_prime must be nonnegative")
+    _check_epsilon(epsilon)
+    _require("c_prime", c_prime, nonnegative=True)
     base = k / ((1 - epsilon) * beta)
-    if _is_exact(c_prime):
-        nudged = c_prime * Fraction(_NUDGE_NUM, _NUDGE_DEN)
-    else:
+    if isinstance(c_prime, float):
         nudged = c_prime * (1 + 1e-9)
+    else:
+        nudged = c_prime * Fraction(_NUDGE_NUM, _NUDGE_DEN)
     return _to_sympy(nudged if _le(base, nudged) else base)
 
 
@@ -300,10 +315,7 @@ def total_envelope(N: int, k: Number, a: Number, vol: Number) -> float:
     """vol * N^{-k} * (log N)^a for a level N >= 2."""
     if not isinstance(N, int) or N < 2:
         raise DomainError("level must be an integer >= 2")
-    if not _positive(k):
-        raise DomainError("k must be positive")
-    if _approx(a) < 0:
-        raise DomainError("a must be nonnegative")
-    if not _positive(vol):
-        raise DomainError("vol must be positive")
+    _require("k", k)
+    _require("a", a, nonnegative=True)
+    _require("vol", vol)
     return _approx(vol) * float(N) ** (-_approx(k)) * math.log(N) ** _approx(a)

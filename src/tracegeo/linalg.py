@@ -29,11 +29,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_scale(c: Fraction | int, u: Vec) -> list[Fraction]:
-    c = Fraction(c)
-    return [c * Fraction(a) for a in u]
-
-
 def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
     n, k = len(a), len(a[0])
     if len(b) != k:
@@ -183,7 +178,7 @@ def charpoly(m: Mat) -> list[Fraction]:
             prod *= a[j][j - 1]
             if prod == 0:
                 break
-            term = vec_scale(prod * a[j - 1][k - 1], polys[j - 1])
+            term = [prod * a[j - 1][k - 1] * c for c in polys[j - 1]]
             for i, c in enumerate(term):
                 pk[k - len(term) + 1 + i] -= c
         polys.append(pk)

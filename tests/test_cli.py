@@ -306,6 +306,48 @@ def test_budget_float_tiny_c2(capsys):
     assert data["result"]["beta"] == "0.4"
 
 
+HUGE = "1" + "0" * 400  # 10^400, written out
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--k", "1e400"], "k must be finite"),
+    (["--k", "nan"], "k must be finite"),
+    (["--k", "1", "--cprime", "inf"], "c_prime must be finite"),
+], ids=["k-overflow", "k-nan", "cprime-inf"])
+def test_budget_non_finite_input_is_named(capsys, argv, needle):
+    code = cli.main(["budget", *argv, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {needle}\n"
+
+
+def test_budget_tiny_exact_c2_is_positive(capsys):
+    code, data = run_json(capsys, ["budget", "--k", "1", "--C2", "1/" + HUGE,
+                                   "--json"])
+    assert code == 0
+    assert data["result"]["beta"] == "1"
+    assert data["result"]["all_ok"] is True
+
+
+def test_budget_surd_prints_from_the_exact_value(capsys):
+    # beta is about 0.4 although both of its terms are near 10^300
+    code, data = run_json(capsys, ["budget", "--k", "5/2",
+                                   "--C2", "1/1" + "0" * 300, "--json"])
+    assert code == 0
+    assert data["result"]["beta"] == "0.4"
+    assert data["result"]["exponents"]["e1"] == "-5/2"
+
+
+def test_budget_surd_outside_the_float_range_is_numeric_error(capsys):
+    # beta is about 10^-400: it must not print as 0, nor raise OverflowError
+    code = cli.main(["budget", "--k", HUGE, "--json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: 1e-400 lies outside the float range\n"
+
+
 def test_budget_rational_inputs(capsys):
     code, data = run_json(capsys, ["budget", "--k", "1", "--C2", "2",
                                    "--eps", "1/2", "--json"])

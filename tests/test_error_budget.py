@@ -118,6 +118,38 @@ def test_param_validation():
         lambda_min(1, beta, Fraction(1, 2), -1)
 
 
+@pytest.mark.parametrize("name", ["k", "C2", "C4", "Cn", "c_prime"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_non_finite_input_is_named(name, bad):
+    args = {"k": 1.0, "C2": 1.0, "C4": 1.0, "Cn": 1.0, "c_prime": 0.0}
+    args[name] = bad
+    match = f"^{name} must be finite$"
+    with pytest.raises(DomainError, match=match):
+        beta = beta_max(args["C2"], args["C4"], args["Cn"], args["k"])
+        lambda_min(args["k"], beta, 0.1, args["c_prime"])
+    with pytest.raises(DomainError, match=match):
+        BudgetParams(k=args["k"], lam=1.0, epsilon=0.1, C2=args["C2"],
+                     C4=args["C4"], Cn=args["Cn"], c_prime=args["c_prime"],
+                     beta=1.0)
+
+
+def test_validation_is_exact_beyond_the_float_range():
+    huge = 10 ** 400
+    beta = beta_max(1, 1, huge, 1)  # no OverflowError from a float()
+    assert isinstance(beta, sympy.Expr)
+    assert beta_max(Fraction(1, huge), 1, 1, 1) is not None
+    lam = lambda_min(1, Fraction(1, huge), Fraction(1, 10), 0)
+    assert lam == Fraction(10 * huge, 9)
+    # as floats these epsilons read 0.0 and 1.0, outside (0, 1)
+    for eps in (Fraction(1, huge), 1 - Fraction(1, huge)):
+        BudgetParams(k=huge, lam=Fraction(1, huge), epsilon=eps, C2=1, C4=1,
+                     Cn=1, c_prime=0, beta=1)
+    with pytest.raises(DomainError, match="epsilon"):
+        BudgetParams(k=1, lam=1, epsilon=1 + Fraction(1, huge), C2=1, C4=1,
+                     Cn=1, c_prime=0, beta=1)
+
+
 def test_a_exponent():
     p = BudgetParams(k=1, lam=1, epsilon=Fraction(1, 2), C2=1, C4=1, Cn=1,
                      c_prime=0, beta=Fraction(1, 2), b_conj=2, m_nonarch=3)
