@@ -138,8 +138,7 @@ def det(m: Mat) -> Fraction:
 # Exact Hessenberg reduction followed by the standard recurrence.  Both the
 # row operation and the matching inverse column operation are applied, so the
 # reduction is a similarity and the characteristic polynomial is preserved.
-# O(n^3) Fraction operations; the discriminant calls it on n-by-n matrices
-# only, never on the n^2-dimensional adjoint action.
+# O(n^3) Fraction operations.
 
 
 def charpoly(m: Mat) -> list[Fraction]:
