@@ -2,20 +2,19 @@
 
 Nothing here shares code with the implementations under test: parabolic
 subsets are found by scanning every root subset, group orders by counting
-matrices, discriminants by eigenvalue products and complement
+matrices row by row, discriminants by eigenvalue products and complement
 determinants.  Deliberately small and slow.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .root_datum import RootSystem
 
 BRUTE_FORCE_ROOT_LIMIT = 14
@@ -47,26 +46,27 @@ def brute_force_parabolic_count(rs: RootSystem) -> int:
 
 
 def sl_group_order(n: int, N: int) -> int:
-    """|SL(n, Z/N)| by counting matrices with determinant 1 mod N."""
+    """|SL(n, Z/N)| by counting matrices with determinant 1 mod N.
+
+    The first n - 1 rows are enumerated.  The determinant is linear in the
+    last row c: det = c . m, with m the cofactor vector of those rows, so
+    c . m = 1 (mod N) has N^(n-1) solutions c when gcd(m, N) = 1 and none
+    otherwise.
+    """
+    if N < 1:
+        raise DomainError(f"level must be a positive integer, got {N}")
+    if n not in (2, 3):
+        raise ResourceLimitError(
+            "matrix counting is implemented for n in {2, 3}")
+    rows = list(itertools.product(range(N), repeat=n))
     if n == 2:
-        rng = [np.arange(N)] * 4
-        a, b, c, d = np.meshgrid(*rng, indexing="ij", sparse=True)
-        det = (a * d - b * c) % N
-        return int(np.count_nonzero(det == 1))
-    if n == 3:
-        rng = [np.arange(N, dtype=np.int64)] * 6
-        d, e, f, g, h, i = np.meshgrid(*rng, indexing="ij", sparse=True)
-        m1 = (e * i - f * h) % N
-        m2 = (d * i - f * g) % N
-        m3 = (d * h - e * g) % N
-        total = 0
-        for a in range(N):
-            for b in range(N):
-                for c in range(N):
-                    det = (a * m1 - b * m2 + c * m3) % N
-                    total += int(np.count_nonzero(det == 1))
-        return total
-    raise ResourceLimitError("matrix counting is implemented for n in {2, 3}")
+        count = sum(1 for a, b in rows if math.gcd(a, b, N) == 1)
+    else:
+        count = sum(1 for (a, b, c), (d, e, f) in itertools.product(rows,
+                                                                    repeat=2)
+                    if math.gcd(b * f - c * e, c * d - a * f, a * e - b * d,
+                                N) == 1)
+    return count * N ** (n - 1)
 
 
 def diagonal_discriminant(diag: Sequence[Fraction]) -> Fraction:
