@@ -8,8 +8,8 @@ error-exponent budget that ties them together.
 import importlib
 
 # Each public name and the submodule that defines it.  Submodules load on
-# first access (PEP 562), so `import tracegeo` pulls in neither sympy nor
-# scipy until a name that needs them is used.
+# first access (PEP 562), so `import tracegeo` pulls in sympy only once a
+# name that needs it is used.
 _SOURCES = {
     "errors": ("DiagnosticsError", "DomainError", "NumericError",
                "ParseError", "ResourceLimitError", "TracegeoError",

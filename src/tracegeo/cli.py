@@ -30,10 +30,10 @@ from .parabolic_lattice import (dim_unipotent_radical,
                                 enumerate_parabolic_subsets, levi_of)
 from .root_datum import RootSystem, SimpleType, build_root_system
 
-# Modules that load sympy or scipy (arithmetic, error_budget, mellin_fp,
-# reproduce) are imported inside the subcommands that use them, so the
-# exact-only subcommands start without either library; error_budget loads
-# sympy only when it returns a surd.
+# Modules that load sympy (arithmetic, error_budget, reproduce) are
+# imported inside the subcommands that use them, so the others start
+# without it; error_budget loads sympy only when it returns a surd.
+# mellin_fp is imported late too: building its dataclasses costs a few ms.
 
 
 # -- group-spec grammar --------------------------------------------------------
@@ -341,7 +341,7 @@ def _cmd_levels(args) -> tuple[object, str, int]:
 
 def _mellin_pair_from_spec(data):
     from .mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
-                            sqrt_exp_preset)
+                            monotone_cubic, sqrt_exp_preset)
     if not isinstance(data, dict):
         raise ParseError("--spec wants a JSON object")
     t0 = float(data.get("t0", 1.0))
@@ -376,8 +376,7 @@ def _mellin_pair_from_spec(data):
     if ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ParseError('"samples" abscissae must be positive and '
                          "strictly increasing")
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(ts, vs, extrapolate=False)
+    interp = monotone_cubic(ts, vs)
     t_lo, t_hi, v_hi = ts[0], ts[-1], vs[-1]
     expansion = AsymptoticExpansion(terms, min(t0, t_lo), remainder)
 
@@ -388,7 +387,7 @@ def _mellin_pair_from_spec(data):
             return expansion.evaluate(t)
         if t >= t_hi:
             return v_hi * math.exp(-decay_pair[1] * (t - t_hi))
-        return float(interp(t))
+        return interp(t)
 
     return TailFunction(evaluator, decay_pair), expansion
 

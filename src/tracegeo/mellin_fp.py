@@ -15,17 +15,23 @@ coefficient of the exponent-zero term and, for a split point t0,
           + int_t0^inf f dt/t.
 
 The t0-dependence cancels exactly; the suite checks that numerically.
+
+Both integrals use double-exponential rules (Takahasi & Mori, Publ. RIMS
+9, 1974) in the standard library: exp-sinh for the tail, scaled by the
+declared decay rate, and tanh-sinh for the small-t part above a cutoff
+read off the expansion residuals.  Below the cutoff the expansion's
+positive-exponent terms are integrated analytically and the remainder by
+its leading power, so the cancellation in f minus its pole part near 0
+is never sampled.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-from scipy.integrate import quad
 
 from .errors import DiagnosticsError, DomainError, NumericError
 
@@ -34,6 +40,19 @@ EULER_GAMMA = 0.5772156649015329
 DEFAULT_TOL = 1e-10
 
 _DECAY_SAMPLES = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+# Double-exponential rules: nodes at tau = j h for |tau| <= _DE_SPAN, where
+# the weights are below 1e-28 in units of the interval length (or of
+# 1/rate), with h halved from 1 at least _DE_MIN_LEVEL and at most
+# _DE_MAX_LEVEL times.
+_DE_SPAN = 4.5
+_DE_MIN_LEVEL = 3
+_DE_MAX_LEVEL = 10
+# The cutoff search halves t from min(valid_to, 1) down to 2^-_CUTOFF_STEPS
+# times that.
+_CUTOFF_STEPS = 60
+# e^{-_UNDERFLOW} is below the smallest positive double.
+_UNDERFLOW = 745.0
 
 
 def _to_fraction(x) -> Fraction:
@@ -109,9 +128,10 @@ class TailFunction:
 
 
 def _check_expansion_match(f: TailFunction, exp: AsymptoticExpansion,
-                           tol: float) -> None:
+                           tol: float) -> list[float]:
     """Sample f minus its claimed expansion on a dyadic grid below the
-    validity point; the residual must head to zero."""
+    validity point; the residual must head to zero.  Returns the signed
+    residuals at min(valid_to, 1) * 2^-j, j = 0..14."""
     t0 = min(exp.valid_to, 1.0)
     residuals = []
     for j in range(15):
@@ -119,13 +139,41 @@ def _check_expansion_match(f: TailFunction, exp: AsymptoticExpansion,
         h = f(t) - exp.evaluate(t)
         if not math.isfinite(h):
             raise DiagnosticsError(f"non-finite expansion residual at t={t}")
-        residuals.append(abs(h))
+        residuals.append(h)
+    r7, r14 = abs(residuals[7]), abs(residuals[14])
     atol = max(10 * tol, 1e-9)
-    if residuals[7] > atol and residuals[14] > 0.75 * residuals[7] + atol:
+    if r7 > atol and r14 > 0.75 * r7 + atol:
         raise DiagnosticsError(
             "expansion does not match the function near zero: residual "
-            f"{residuals[7]:.3g} at t={t0 * 2 ** -7:.3g} does not decay "
-            f"(still {residuals[14]:.3g} at t={t0 * 2 ** -14:.3g})")
+            f"{r7:.3g} at t={t0 * 2 ** -7:.3g} does not decay "
+            f"(still {r14:.3g} at t={t0 * 2 ** -14:.3g})")
+    return residuals
+
+
+def _cutoff(f: TailFunction, exp: AsymptoticExpansion, tol: float,
+            order: Fraction, residuals: list[float]) -> tuple[float, float]:
+    """A cutoff tau and the integral of R = f - expansion against dt/t
+    below it, or (0, 0) when none is found.
+
+    R(t) = K t^order (1 + o(1)) near 0, so that integral is R(tau) / order
+    up to the o(1) part, which shows as R(2 tau) / 2^order differing from
+    R(tau).  The cutoff is the largest dyadic point, continuing below the
+    sampled grid, where the two agree within tol * order / 8.  Going
+    lower is no better when f has a pole part: f - pole part cancels
+    there.
+    """
+    rho = float(order)
+    t = min(exp.valid_to, 1.0)
+    previous = residuals[0]
+    for j in range(1, _CUTOFF_STEPS):
+        t /= 2
+        r = residuals[j] if j < len(residuals) else f(t) - exp.evaluate(t)
+        if not math.isfinite(r):
+            break
+        if abs(previous / 2 ** rho - r) <= tol * rho / 8:
+            return t, r / rho
+        previous = r
+    return 0.0, 0.0
 
 
 def _check_tol(tol: float) -> None:
@@ -133,18 +181,71 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _quad(fn: Callable[[float], float], lo: float, hi: float,
-          tol: float) -> tuple[float, float]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            value, err = quad(fn, lo, hi, epsabs=tol / 4, epsrel=tol / 4,
-                              limit=200)
-        except Exception as exc:
-            raise NumericError(f"quadrature failed: {exc}") from exc
-    if not math.isfinite(value):
-        raise NumericError("quadrature returned a non-finite value")
-    return value, err
+def _de_quad(g: Callable[[float], float],
+             node: Callable[[float], tuple[float, float]],
+             lo: float, hi: float, tol: float) -> float:
+    """The integral of g by a double-exponential rule (Takahasi & Mori).
+
+    node(tau) gives an abscissa and its weight dx/dtau; the trapezoidal
+    sum over tau = j h in [lo, hi] is refined by halving h, reusing the
+    earlier nodes, until three successive levels agree within tol / 4.
+    One agreeing pair is not enough: on an integrand with kinks (a spline
+    through samples) two levels can agree by chance.
+    """
+    def part(h: float, first: int, step: int) -> float:
+        total = 0.0
+        for j in range(first, math.floor(hi / h) + 1, step):
+            x, w = node(j * h)
+            if w:
+                total += g(x) * w
+        return total
+
+    h = 1.0
+    total = part(h, math.ceil(lo), 1)
+    value, err = h * total, math.inf
+    for level in range(1, _DE_MAX_LEVEL + 1):
+        h /= 2
+        total += part(h, math.ceil(lo / h) | 1, 2)
+        previous, value = value, h * total
+        if not math.isfinite(value):
+            raise NumericError("quadrature returned a non-finite value")
+        last, err = err, abs(value - previous)
+        if level >= _DE_MIN_LEVEL and max(last, err) <= tol / 4:
+            return value
+    raise NumericError(
+        f"quadrature did not reach tolerance {tol:.3g} in {_DE_MAX_LEVEL} "
+        f"step halvings: the last three levels differ by {last:.3g} and "
+        f"{err:.3g}")
+
+
+def _tanh_sinh(a: float, b: float) -> Callable[[float], tuple[float, float]]:
+    """Nodes of [a, b]: x = a + (b - a)(1 + tanh u) / 2, u = pi/2 sinh tau,
+    measured from the nearer end so that x never rounds onto it early."""
+    def node(tau: float) -> tuple[float, float]:
+        u = math.pi / 2 * math.sinh(tau)
+        e = math.exp(-2 * abs(u))
+        d = (b - a) * e / (1 + e)
+        w = (b - a) * math.pi * math.cosh(tau) * e / (1 + e) ** 2
+        return (a + d if u < 0 else b - d), w
+    return node
+
+
+def _tail(f: TailFunction, t0: float, tol: float) -> float:
+    """The integral of f dt/t over [t0, inf) by an exp-sinh rule scaled by
+    the declared rate: t = t0 + exp(pi/2 sinh tau) / rate.
+
+    Nodes stop where the declared bound C e^{-rate t} (t >= 1) has
+    underflowed, so f is never asked for its value far out.
+    """
+    rate = f.decay[1]
+    reach = math.log(_UNDERFLOW + rate * max(0.0, 1.0 - t0))
+
+    def node(tau: float) -> tuple[float, float]:
+        v = math.exp(math.pi / 2 * math.sinh(tau)) / rate
+        return t0 + v, v * math.pi / 2 * math.cosh(tau)
+
+    return _de_quad(lambda t: f(t) / t, node, -_DE_SPAN,
+                    math.asinh(2 / math.pi * reach), tol)
 
 
 def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
@@ -152,13 +253,14 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     """Finite part at the origin of the normalized Mellin transform of f."""
     _check_tol(tol)
     exps = [a for a, _ in exp.terms]
-    alpha_max = exps[-1] if exps else Fraction(0)
-    if alpha_max + exp.remainder_order <= 0:
+    order = (exps[-1] if exps else Fraction(0)) + exp.remainder_order
+    if order <= 0:
         raise DomainError(
             "expansion remainder is not integrable against dt/t; the top "
             "exponent plus remainder_order must be positive")
     f.spot_check_decay()
-    _check_expansion_match(f, exp, tol)
+    residuals = _check_expansion_match(f, exp, tol)
+    cutoff, below = _cutoff(f, exp, tol, order, residuals)
 
     t0 = exp.valid_to
     c_minus1 = sum(c for a, c in exp.terms if a == 0)
@@ -166,23 +268,16 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     def small(t: float) -> float:
         return (f(t) - exp.pole_part(t)) / t
 
-    i1, e1 = _quad(small, 0.0, t0, tol)
-
-    u0 = math.exp(-t0)
-
-    def tail(u: float) -> float:
-        t = -math.log(u)
-        return f(t) / (t * u)
-
-    i2, e2 = _quad(tail, 0.0, u0, tol)
-    if e1 + e2 > tol:
-        raise NumericError(
-            f"quadrature error estimate {e1 + e2:.3g} exceeds tolerance "
-            f"{tol:.3g}")
+    i1 = 0.0
+    if cutoff < t0:
+        i1 = _de_quad(small, _tanh_sinh(cutoff, t0), -_DE_SPAN, _DE_SPAN, tol)
+    i2 = _tail(f, t0, tol)
 
     c0 = c_minus1 * math.log(t0)
     c0 += sum(c * t0 ** float(a) / float(a) for a, c in exp.terms if a < 0)
-    c0 += i1 + i2
+    c0 += sum(c * cutoff ** float(a) / float(a)
+              for a, c in exp.terms if a > 0)
+    c0 += below + i1 + i2
     return c0 + EULER_GAMMA * c_minus1
 
 
@@ -198,15 +293,7 @@ def truncation_tail(f: TailFunction, T: float, tol: float = DEFAULT_TOL) -> floa
     if not (T >= 1):
         raise DomainError("truncation point must be >= 1")
     f.spot_check_decay()
-
-    def integrand(u: float) -> float:
-        t = T - math.log(u)
-        return f(t) / (t * u)
-
-    value, err = _quad(integrand, 0.0, 1.0, tol)
-    if err > tol:
-        raise NumericError(
-            f"quadrature error estimate {err:.3g} exceeds tolerance {tol:.3g}")
+    value = _tail(f, T, tol)
     c, rate = f.decay
     envelope = c * math.exp(-rate * T) * max(1.0, math.log1p(1.0 / (rate * T)))
     if abs(value) > envelope * (1 + 1e-9) + 1e-15:
@@ -230,6 +317,59 @@ def torsion_constant(entries: Sequence[tuple[TailFunction, AsymptoticExpansion]]
     for p, (f, exp) in enumerate(entries, start=1):
         total += (-1) ** p * p * fp_mellin(f, exp, tol)
     return total / 4.0
+
+
+def _sgn(x: float) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end, clipped to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sgn(d) != _sgn(m0):
+        return 0.0
+    if _sgn(m0) != _sgn(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+def monotone_cubic(xs: Sequence[float],
+                   ys: Sequence[float]) -> Callable[[float], float]:
+    """The monotone piecewise cubic Hermite interpolant through (xs, ys),
+    for strictly increasing xs (Fritsch & Butland, SIAM J. Sci. Stat.
+    Comput. 5, 1984).
+
+    An interior slope is the weighted harmonic mean of the two adjacent
+    secants, or 0 where they differ in sign or one vanishes; the ends take
+    a three-point estimate.  Two points give the straight line.  Outside
+    [xs[0], xs[-1]] the end pieces extend.
+    """
+    h = [b - a for a, b in zip(xs, xs[1:])]
+    m = [(b - a) / w for a, b, w in zip(ys, ys[1:], h)]
+    if len(m) == 1:
+        d = [m[0], m[0]]
+    else:
+        d = [_end_slope(h[0], h[1], m[0], m[1])]
+        for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+            if _sgn(m0) != _sgn(m1) or m0 == 0 or m1 == 0:
+                d.append(0.0)
+            else:
+                w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+                d.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+        d.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
+    # Piece i is ((c0 s + c1) s + c2) s + c3 in s = x - xs[i].
+    pieces = []
+    for i, (w, slope) in enumerate(zip(h, m)):
+        t = (d[i] + d[i + 1] - 2 * slope) / w
+        pieces.append((t / w, (slope - d[i]) / w - t, d[i], ys[i]))
+
+    def value(x: float) -> float:
+        i = min(max(bisect.bisect_right(xs, x) - 1, 0), len(h) - 1)
+        c0, c1, c2, c3 = pieces[i]
+        s = x - xs[i]
+        return ((c0 * s + c1) * s + c2) * s + c3
+
+    return value
 
 
 # -- stock inputs used by the CLI presets and the test oracles ---------------

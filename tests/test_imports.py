@@ -1,8 +1,10 @@
-"""The import contract: the package and the exact-only subcommands load
-none of the heavy numerical libraries, and every public name still
-resolves through the lazy package namespace."""
+"""The import contract: the package and the subcommands that need no
+simplifier load none of the heavy libraries, numpy and scipy load nowhere,
+and every public name still resolves through the lazy package
+namespace."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,12 +16,32 @@ import tracegeo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+SPEC = json.dumps({
+    "t0": 1.0,
+    "decay": {"C": 1.1, "lambda": 1.0},
+    "terms": [[j, (-1) ** j / math.factorial(j)] for j in range(4)],
+    "samples": [[0.05 * i, math.exp(-0.05 * i)] for i in range(1, 121)],
+})
+
+# (argv, expected exit code)
 LIGHT_CALLS = [
-    ["k", "A2", "--json"],
-    ["orbits", "B3", "--json"],
-    ["parabolics", "A2", "--json"],
-    ["discriminant", "--matrix", "[[1,0],[0,2]]", "--json"],
-    ["budget", "--k", "1", "--C2", "2", "--json"],
+    (["k", "A2", "--json"], 0),
+    (["orbits", "B3", "--json"], 0),
+    (["parabolics", "A2", "--json"], 0),
+    (["discriminant", "--matrix", "[[1,0],[0,2]]", "--json"], 0),
+    (["budget", "--k", "1", "--C2", "2", "--json"], 0),
+    (["mellin-fp", "--preset", "exp", "--lambda", "2", "--json"], 0),
+    (["mellin-fp", "--preset", "sqrt", "--json"], 0),
+    (["mellin-fp", "--spec", SPEC, "--tol", "1e-4", "--json"], 0),
+    (["mellin-fp", "--preset", "exp", "--lambda", "2", "--tol", "0"], 2),
+]
+
+# Subcommands that load sympy; it must not bring numpy or scipy along.
+SYMPY_CALLS = [
+    (["index", "--group", "sl", "--n", "3", "--level", "2", "--json"], 0),
+    (["levels", "check-prime-fixed", "2,4,6", "--allowed", "2,3",
+      "--json"], 0),
+    (["budget", "--k", "1", "--json"], 0),
 ]
 
 PROBE = """
@@ -28,22 +50,31 @@ import tracegeo
 from tracegeo import cli
 codes = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
 print(json.dumps({"codes": codes, "loaded": sorted(
     m for m in ("sympy", "scipy", "numpy") if m in sys.modules)}))
 """
 
 
-def test_light_subcommands_load_no_heavy_library():
+def _probe(calls):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PROBE,
-                           json.dumps(LIGHT_CALLS)],
+                           json.dumps([argv for argv, _ in calls])],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0] * len(LIGHT_CALLS)
-    assert report["loaded"] == []
+    assert report["codes"] == [code for _, code in calls]
+    return report["loaded"]
+
+
+def test_light_subcommands_load_no_heavy_library():
+    assert _probe(LIGHT_CALLS) == []
+
+
+def test_numpy_and_scipy_never_load():
+    assert _probe(SYMPY_CALLS) == ["sympy"]
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -1,13 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from scipy.special import exp1
+from mpmath import e1
 
 from tracegeo.errors import DiagnosticsError, DomainError, NumericError
 from tracegeo.mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
-                                fp_mellin, sqrt_exp_preset, torsion_constant,
-                                truncation_tail)
+                                fp_mellin, monotone_cubic, sqrt_exp_preset,
+                                torsion_constant, truncation_tail)
+
+
+def exp1(x: float) -> float:
+    return float(e1(x))
 
 
 def test_exponential_closed_form():
@@ -15,6 +20,59 @@ def test_exponential_closed_form():
     for lam in (0.5, 1.0, 3.0, math.e):
         f, expn = exp_preset(lam)
         assert abs(fp_mellin(f, expn) + math.log(lam)) < 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05, 0.1, 0.13, 0.15, 0.2, 0.3,
+                                 1.0, 10.0, 50.0])
+def test_exponential_grid(lam):
+    # Slow decay (lam <= 0.15) used to defeat the tail quadrature; the
+    # finite part must not depend on the split point either.
+    for t0 in (0.25, 0.5, 1.0, 2.0, 4.0):
+        f, expn = exp_preset(lam, t0=t0)
+        assert abs(fp_mellin(f, expn) + math.log(lam)) < 1e-9, t0
+
+
+@pytest.mark.parametrize("f,decay,terms,order,want", [
+    (lambda t: math.exp(-t) / math.sqrt(t), (1.0, 1.0),
+     ((Fraction(-1, 2), 1.0),), Fraction(1), -2 * math.sqrt(math.pi)),
+    (lambda t: math.exp(-t) / math.sqrt(t), (1.0, 1.0),
+     ((Fraction(-1, 2), 1.0), (Fraction(1, 2), -1.0)), Fraction(1),
+     -2 * math.sqrt(math.pi)),
+    (lambda t: math.exp(-t), (1.0, 1.0), ((Fraction(0), 1.0),), Fraction(1),
+     0.0),
+    (lambda t: math.sqrt(t) * math.exp(-t), (1.0, 0.5), (), Fraction(1, 2),
+     math.sqrt(math.pi)),
+], ids=["pole-only", "pole-and-one", "constant-only", "no-terms"])
+def test_short_expansions(f, decay, terms, order, want):
+    # Few terms leave a remainder far above tol on the sampled grid; with a
+    # pole, f minus the pole part cancels near 0, so the part below the
+    # cutoff must come from the remainder's leading power, not samples.
+    expn = AsymptoticExpansion(terms, 1.0, order)
+    assert abs(fp_mellin(TailFunction(f, decay), expn) - want) < 1e-9
+
+
+def test_sampled_function_meets_its_tolerance():
+    # A spline through samples has kinks in its second derivative, where
+    # two refinement levels can agree by chance; the answer at tol must
+    # still lie within tol of a far tighter one.
+    ts = [0.05 * i for i in range(1, 121)]
+    spline = monotone_cubic(ts, [math.exp(-t) for t in ts])
+    expn = AsymptoticExpansion(
+        tuple((k, (-1.0) ** k / math.factorial(k)) for k in range(4)),
+        ts[0], Fraction(1))
+
+    def f(t):
+        if t <= ts[0]:
+            return expn.evaluate(t)
+        if t >= ts[-1]:
+            return spline(ts[-1]) * math.exp(ts[-1] - t)
+        return spline(t)
+
+    sampled = TailFunction(f, (1.1, 1.0))
+    ref = fp_mellin(sampled, expn, tol=1e-9)
+    assert abs(ref) < 1e-4  # the spline is close to e^{-t}, whose FP is 0
+    for tol in (1e-4, 1e-6):
+        assert abs(fp_mellin(sampled, expn, tol=tol) - ref) <= tol
 
 
 def test_gamma_constant_cancels():
@@ -25,8 +83,9 @@ def test_gamma_constant_cancels():
 
 
 def test_sqrt_closed_form():
-    f, expn = sqrt_exp_preset()
-    assert abs(fp_mellin(f, expn) - (-2 * math.sqrt(math.pi))) < 1e-8
+    for t0 in (0.25, 0.5, 1.0, 2.0, 4.0):
+        f, expn = sqrt_exp_preset(t0=t0)
+        assert abs(fp_mellin(f, expn) - (-2 * math.sqrt(math.pi))) < 1e-10, t0
 
 
 def test_split_point_independence():
@@ -149,3 +208,39 @@ def test_tolerance_must_be_positive_and_finite(tol):
         fp_mellin(f, expn, tol=tol)
     with pytest.raises(DomainError):
         truncation_tail(f, 2.0, tol=tol)
+
+
+def _samples(rng: random.Random, monotone: bool) -> tuple[list, list]:
+    xs = sorted(rng.sample(range(1, 1000), rng.randint(2, 40)))
+    xs = [x / 100 for x in xs]
+    if monotone:
+        ys = [0.0]
+        for _ in xs[1:]:
+            ys.append(ys[-1] - rng.choice((0.0, rng.expovariate(1.0))))
+    else:
+        ys = [rng.uniform(-2, 2) for _ in xs]
+    return xs, ys
+
+
+@pytest.mark.parametrize("monotone", [True, False])
+def test_monotone_cubic_matches_scipy(monotone):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = random.Random(17 + monotone)
+    for _ in range(40):
+        xs, ys = _samples(rng, monotone)
+        ours = monotone_cubic(xs, ys)
+        ref = interpolate.PchipInterpolator(xs, ys)
+        points = xs + [rng.uniform(xs[0], xs[-1]) for _ in range(50)]
+        scale = max(1.0, max(abs(y) for y in ys))
+        for x in points:
+            assert abs(ours(x) - float(ref(x))) <= 1e-12 * scale, (xs, ys, x)
+
+
+def test_monotone_cubic_keeps_monotone_data_monotone():
+    rng = random.Random(5)
+    for _ in range(20):
+        xs, ys = _samples(rng, True)
+        f = monotone_cubic(xs, ys)
+        grid = [xs[0] + (xs[-1] - xs[0]) * i / 2000 for i in range(2001)]
+        values = [f(x) for x in grid]
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
