@@ -13,6 +13,8 @@ arithmetic; no root finding, no floats.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -97,14 +99,26 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and _prime_support(p) == {p}
 
 
-def _matrix_poly_eval(p: Sequence[Fraction], m: list[list[Fraction]]) -> list[list[Fraction]]:
+def _annihilates(p: Sequence[Fraction], m: list[list[Fraction]]) -> bool:
+    """Whether p(m) = 0, for p highest degree first.
+
+    With D the common denominator of m, D^deg p(m) is the polynomial with
+    coefficients p_i D^i evaluated at the integer matrix D m.  Those
+    coefficients are scaled to integers, so the Horner runs on ints.
+    """
     n = len(m)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in p:
-        acc = linalg.mat_mul(acc, m)
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    cols = list(zip(*([int(x * den) for x in row] for row in m)))
+    coeffs = [c * den ** i for i, c in enumerate(p)]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    coeffs = [int(c * scale) for c in coeffs]
+    acc = [[coeffs[0] * (i == j) for j in range(n)] for i in range(n)]
+    for c in coeffs[1:]:
+        acc = [[sum(map(operator.mul, row, col)) for col in cols]
+               for row in acc]
         for i in range(n):
             acc[i][i] += c
-    return acc
+    return not any(x for row in acc for x in row)
 
 
 def _check_semisimple(m: list[list[Fraction]], chi: list[Fraction]) -> None:
@@ -112,8 +126,7 @@ def _check_semisimple(m: list[list[Fraction]], chi: list[Fraction]) -> None:
     # the matrix exactly when it is diagonalizable over the algebraic
     # closure.
     radical, _ = linalg.poly_divmod(chi, linalg.poly_gcd(chi, linalg.poly_derivative(chi)))
-    value = _matrix_poly_eval(radical, m)
-    if any(x != 0 for row in value for x in row):
+    if not _annihilates(radical, m):
         raise DomainError("matrix is not semisimple; pass the semisimple "
                           "part of its multiplicative Jordan decomposition")
 
