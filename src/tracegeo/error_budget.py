@@ -160,8 +160,15 @@ def _to_sympy(x):
     a = sympy.Rational(x.a.numerator, x.a.denominator)
     if x.b == 0:
         return a
-    surd = sympy.Rational(x.b.numerator, x.b.denominator) \
-        * sympy.sqrt(sympy.Integer(x.d))
+    b = sympy.Rational(x.b.numerator, x.b.denominator)
+    try:
+        surd = b * sympy.sqrt(sympy.Integer(x.d))
+    except ValueError:
+        # sympy's perfect-power test can fail on a large d (1.14 raises
+        # from its factor cache).  The unevaluated root is the same number
+        # and _read reads it back.
+        root = sympy.Pow(sympy.Integer(x.d), sympy.S.Half, evaluate=False)
+        surd = sympy.Mul(b, root, evaluate=False)
     # (a, surd) is already sympy's canonical order for a + surd; skipping
     # Add.flatten skips its first-use import of sympy.tensor (about 50 ms).
     return sympy.Add(a, surd, evaluate=False) if a else surd

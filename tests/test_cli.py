@@ -339,6 +339,15 @@ def test_budget_surd_prints_from_the_exact_value(capsys):
     assert data["result"]["exponents"]["e1"] == "-5/2"
 
 
+def test_budget_surd_with_a_large_discriminant(capsys):
+    # sympy cannot take sqrt(4*10^200 + 1) itself; the run must not die
+    code, data = run_json(capsys, ["budget", "--k", "1",
+                                   "--Cn", "1" + "0" * 100, "--json"])
+    assert code == 0
+    assert data["result"]["beta"] == "1e+100"
+    assert data["result"]["exponents"]["e1"] == "-1/1"
+
+
 def test_budget_surd_outside_the_float_range_is_numeric_error(capsys):
     # beta is about 10^-400: it must not print as 0, nor raise OverflowError
     code = cli.main(["budget", "--k", HUGE, "--json"])

@@ -272,6 +272,21 @@ def test_height_1e30_inputs_stay_exact():
     assert rep.all_ok
 
 
+def test_surd_with_a_large_discriminant():
+    # d = 4*10^200 + 1 defeats sympy.sqrt's perfect-power test (sympy 1.14
+    # raises ValueError from its factor cache); beta must still come back
+    # as an exact surd that the rest of the chain reads.
+    beta = beta_max(1, 1, 10 ** 100, 1)
+    assert beta.free_symbols == set()
+    assert float(beta) == 1e100
+    lam = lambda_min(1, beta, Fraction(1, 10), 0)
+    rep = exponents(BudgetParams(k=1, lam=lam, epsilon=Fraction(1, 10),
+                                 C2=1, C4=1, Cn=10 ** 100, c_prime=0,
+                                 beta=beta))
+    assert rep.e1 == -1
+    assert rep.all_ok
+
+
 @pytest.mark.parametrize("value", [
     sympy.sqrt(2) + sympy.sqrt(3), sympy.cbrt(2), sympy.pi,
     sympy.Float(0.5), sympy.Symbol("x", positive=True), sympy.sqrt(-5)],
