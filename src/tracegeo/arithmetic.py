@@ -6,6 +6,7 @@ level guard admits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,119 @@ from sympy import factorint
 from .errors import DomainError, ResourceLimitError
 
 LEVEL_LIMIT = 2 ** 63
+
+# Trial divisors, and the Miller-Rabin bases: the first 12 primes make the
+# test exact below 318665857834031151167461 (about 3.18e23), the least
+# strong pseudoprime to all of them.
+_SMALL_PRIMES = tuple(p for p in range(2, 2000)
+                      if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_MR_BASES = _SMALL_PRIMES[:12]
+# Pollard-Brent steps allowed per split, about 1 s of work on a 60-digit
+# cofactor.  A factor p takes about sqrt(p) steps: the hardest levels under
+# the 2^63 guard, products of two 31-bit primes, split within 2^18.
+RHO_STEPS = 2 ** 20
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 12 prime bases: exact below 3.18e23,
+    a strong probable-prime test above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root(m: int, k: int) -> int:
+    """floor(m^(1/k)), by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of a composite n with no factor below 2000, by
+    Pollard's rho with Brent's cycle detection, gcds batched 128 steps at a
+    time (Brent, BIT 20, 1980)."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEPS:
+                raise ResourceLimitError(
+                    f"cannot factor a {len(str(n))}-digit cofactor within "
+                    f"{RHO_STEPS} Pollard-Brent steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of a positive integer, p increasing.
+
+    Trial division by the primes below 2000, then Miller-Rabin and
+    Pollard-Brent on what is left.  A cofactor that does not split within
+    RHO_STEPS raises ResourceLimitError.
+    """
+    fac: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            fac[p] = fac.get(p, 0) + 1
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            fac[m] = fac.get(m, 0) + 1
+            continue
+        # Rho splits p^k only after about sqrt(p) steps, and squares are
+        # common in discriminants, so take perfect powers apart first.
+        # Every prime factor of m exceeds 2^10, which bounds the exponent.
+        for k in range(2, m.bit_length() // 10 + 1):
+            r = _root(m, k)
+            if r ** k == m:
+                todo += [r] * k
+                break
+        else:
+            d = _pollard_brent(m)
+            todo += [d, m // d]
+    return dict(sorted(fac.items()))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,70 @@ import pytest
 
 from tracegeo import oracles
 from tracegeo.arithmetic import (congruence_index, conjecture_bound,
-                                 is_neat_level, level_data, prime_fixed_check,
-                                 sl_index)
+                                 factorize, is_neat_level, is_prime,
+                                 level_data, prime_fixed_check, sl_index)
 from tracegeo.errors import DomainError, ResourceLimitError
+
+
+def _trial_factor(n: int) -> dict[int, int]:
+    """Reference factorization by trial division over every integer."""
+    fac: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            fac[d] = fac.get(d, 0) + 1
+        d += 1
+    if n > 1:
+        fac[n] = fac.get(n, 0) + 1
+    return fac
+
+
+def _random_prime(rng, bits, test):
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if test(p):
+            return p
+
+
+# Carmichael numbers and strong pseudoprimes to the first bases: each fools
+# a weaker test.
+HARD_COMPOSITES = [561, 41041, 3215031751, 3825123056546413051]
+
+
+def test_factorize_matches_references():
+    rng = random.Random(8)
+
+    def trial_is_prime(n):
+        return _trial_factor(n) == {n: 1}
+
+    small = list(range(1, 2000)) + [rng.randrange(1, 10 ** 12)
+                                    for _ in range(30)]
+    small += [_random_prime(rng, 11 + i % 9, trial_is_prime)
+              * _random_prime(rng, 11 + i % 9, trial_is_prime)
+              for i in range(20)]
+    small += [2003 ** 3, 1999 ** 3, 3 ** 25, 65537 ** 2, 1009 ** 4]
+    small += HARD_COMPOSITES[:3]
+    for n in small:
+        want = _trial_factor(n)
+        assert factorize(n) == want, n
+        assert is_prime(n) == (want == {n: 1}), n
+
+    sympy = pytest.importorskip("sympy")
+    large = [rng.randrange(1, 2 ** 63) for _ in range(200)]
+    large += [_random_prime(rng, 31 + i % 2, sympy.isprime)
+              * _random_prime(rng, 31, sympy.isprime) for i in range(6)]
+    large += [(2 ** 31 - 1) ** 2, 1000003 ** 3, (2 ** 61 - 1) * 4,
+              HARD_COMPOSITES[3], 2 ** 61 - 1, 2 ** 63 - 25, 2 ** 63]
+    for n in large:
+        want = {int(p): e for p, e in sympy.factorint(n).items()}
+        assert factorize(n) == want, n
+        assert is_prime(n) == (want == {n: 1}), n
+
+
+def test_the_group_order_oracle_does_not_factor():
+    assert not {"arithmetic", "factorize", "is_prime", "level_data"} & \
+        set(vars(oracles))
 
 
 def test_level_data():
