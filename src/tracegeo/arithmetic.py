@@ -1,7 +1,11 @@
-"""Level arithmetic: prime supports, congruence-subgroup indices, bounds.
+"""Level arithmetic: factoring, prime supports, congruence-subgroup
+indices, bounds.
 
-Factoring is delegated to sympy, which is exact for anything the 2^63
-level guard admits.
+Factoring is stdlib only: trial division by the primes below 2000, then
+deterministic Miller-Rabin and Pollard-Brent (Cohen, A Course in
+Computational Algebraic Number Theory, 8.2 and 8.5).  It is exact for
+anything the 2^63 level guard admits; larger values, such as discriminant
+numerators, get a bounded number of rho steps per split.
 """
 
 from __future__ import annotations
@@ -12,17 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from sympy import factorint
-
 from .errors import DomainError, ResourceLimitError
 
 LEVEL_LIMIT = 2 ** 63
 
-# Trial divisors, and the Miller-Rabin bases: the first 12 primes make the
-# test exact below 318665857834031151167461 (about 3.18e23), the least
-# strong pseudoprime to all of them.
-_SMALL_PRIMES = tuple(p for p in range(2, 2000)
-                      if all(p % q for q in range(2, math.isqrt(p) + 1)))
+# Trial divisors by a sieve, and the Miller-Rabin bases: the first 12
+# primes make the test exact below 318665857834031151167461 (about
+# 3.18e23), the least strong pseudoprime to all of them.
+_sieve = bytearray([0, 0]) + bytearray([1]) * 1998
+for _p in range(2, 45):
+    if _sieve[_p]:
+        _sieve[_p * _p::_p] = bytes(len(range(_p * _p, 2000, _p)))
+_SMALL_PRIMES = tuple(itertools.compress(range(2000), _sieve))
 _MR_BASES = _SMALL_PRIMES[:12]
 # Pollard-Brent steps allowed per split, about 1 s of work on a 60-digit
 # cofactor.  A factor p takes about sqrt(p) steps: the hardest levels under
@@ -139,14 +144,18 @@ class LevelData:
     S_N: tuple[int, ...]
 
 
-def level_data(N: int) -> LevelData:
-    """Exact factorization of a level, with its prime support sorted."""
+def _checked_level(N: int) -> int:
     if not isinstance(N, int) or N < 1:
         raise DomainError("level must be a positive integer")
     if N > LEVEL_LIMIT:
         raise ResourceLimitError(f"levels are limited to {LEVEL_LIMIT}")
-    fac = {int(p): int(e) for p, e in factorint(N).items()}
-    return LevelData(N=N, factorization=fac, S_N=tuple(sorted(fac)))
+    return N
+
+
+def level_data(N: int) -> LevelData:
+    """Exact factorization of a level, with its prime support sorted."""
+    fac = factorize(_checked_level(N))
+    return LevelData(N=N, factorization=fac, S_N=tuple(fac))
 
 
 def sl_index(n: int, N: int) -> int:
@@ -214,7 +223,9 @@ def prime_fixed_check(levels: Sequence[int],
     if allowed is not None:
         reference = set()
         for p in allowed:
-            if not isinstance(p, int) or p < 2 or level_data(p).S_N != (p,):
+            # The level guard keeps is_prime inside its exact range.
+            if not isinstance(p, int) or p < 2 or \
+                    not is_prime(_checked_level(p)):
                 raise DomainError(f"allowed set must contain primes, got {p}")
             reference.add(p)
     else:

@@ -24,16 +24,16 @@ from typing import Callable
 from .errors import DomainError, ParseError, TracegeoError, exit_code_for
 from .invariants_k import (GroupSpec, RelativeDatum, k_by_pairs, k_min_orbit,
                            k_report, k_richardson)
-from .local_data import RationalMatrix, weyl_discriminant
 from .nilpotent_orbits import GLType, list_orbits, orbit_dim
 from .parabolic_lattice import (dim_unipotent_radical,
                                 enumerate_parabolic_subsets, levi_of)
 from .root_datum import RootSystem, SimpleType, build_root_system
 
-# Modules that load sympy (arithmetic, error_budget, reproduce) are
-# imported inside the subcommands that use them, so the others start
-# without it; error_budget loads sympy only when it returns a surd.
-# mellin_fp is imported late too: building its dataclasses costs a few ms.
+# Modules that load sympy (error_budget, reproduce) are imported inside the
+# subcommands that use them, so the others start without it; error_budget
+# loads sympy only when it returns a surd.  arithmetic, local_data and
+# mellin_fp are imported late too: compiling them (when no bytecode is
+# cached) and building their dataclasses costs a few ms per module.
 
 
 # -- group-spec grammar --------------------------------------------------------
@@ -272,6 +272,7 @@ def _cmd_parabolics(args) -> tuple[object, str, int]:
 
 
 def _cmd_discriminant(args) -> tuple[object, str, int]:
+    from .local_data import RationalMatrix, weyl_discriminant
     data = _load_json_text(args.matrix, "--matrix")
     if not isinstance(data, list) or not data or \
             any(not isinstance(row, list) or len(row) != len(data)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
+from .arithmetic import factorize, is_prime
 from .errors import DomainError
 
 RationalLike = int | str | Fraction
@@ -78,25 +79,6 @@ def _valuation(value: Fraction, p: int) -> int:
         den //= p
         v -= 1
     return v
-
-
-def _prime_support(n: int) -> set[int]:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and _prime_support(p) == {p}
 
 
 def _annihilates(p: Sequence[Fraction], m: list[list[Fraction]]) -> bool:
@@ -186,9 +168,10 @@ def weyl_discriminant(gamma_s: RationalMatrix,
         m += 1
     value = sum(coeffs, Fraction(0))  # evaluation at 1
     assert value != 0
-    support = _prime_support(value.numerator) | _prime_support(value.denominator)
+    support = set(factorize(abs(value.numerator))) | \
+        set(factorize(value.denominator))
     for p in primes:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise DomainError(f"{p} is not a prime")
         support.add(p)
     vals = {p: _valuation(value, p) for p in sorted(support)}
@@ -219,6 +202,6 @@ def modulus_character(block_sizes: Sequence[int],
             x *= dets[i] ** block_sizes[j] * dets[j] ** (-block_sizes[i])
     if place == "inf":
         return abs(x)
-    if isinstance(place, int) and _is_prime(place):
+    if isinstance(place, int) and is_prime(place):
         return Fraction(place) ** (-_valuation(x, place))
     raise DomainError(f"place must be 'inf' or a prime, got {place!r}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,38 @@ def test_discriminant_json(capsys):
         "p_valuations": {"2": -1, "3": -1, "5": 0},
         "centralizer_dim": 2,
     }
+
+
+def test_discriminant_with_a_large_prime_factor(capsys):
+    # the value is -(p-1)^2/p with p - 1 = 2 * 500000003; trial division up
+    # to the largest factor took 40 s here
+    start = time.perf_counter()
+    code, data = run_json(capsys, [
+        "discriminant", "--matrix", '[["1000000007", 0], [0, 1]]', "--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert data["result"]["p_valuations"] == {
+        "2": 2, "500000003": 2, "1000000007": -1}
+
+
+def test_discriminant_accepts_a_large_requested_prime(capsys):
+    code, data = run_json(capsys, [
+        "discriminant", "--matrix", "[[2, 0], [0, 3]]",
+        "--primes", str(2 ** 61 - 1), "--json"])
+    assert code == 0
+    assert data["result"]["p_valuations"][str(2 ** 61 - 1)] == 0
+
+
+def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):
+    # q is a product of two 100-bit primes and q - 1 = 2^4 * prime, so
+    # the numerator (q-1)^2 factors and the denominator q exhausts the rho
+    # budget
+    q = 1207217343286418673499236026251 * 1159725981523800116308335181427
+    code = cli.main(["discriminant", "--matrix", f'[["{q}", 0], [0, 1]]'])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ("error: cannot factor a 61-digit cofactor within "
+                            "1048576 Pollard-Brent steps\n")
 
 
 def test_discriminant_rejects_floats(capsys):
