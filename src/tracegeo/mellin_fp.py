@@ -46,6 +46,9 @@ _DECAY_SAMPLES = (1.0, 2.0, 4.0, 8.0, 16.0)
 # 1/rate), with h halved from 1 at least _DE_MIN_LEVEL and at most
 # _DE_MAX_LEVEL times.
 _DE_SPAN = 4.5
+# Above a positive cutoff the small-t integrand is bounded, and the
+# tanh-sinh weights beyond |tau| = 3.5 are below 2e-21 of the interval.
+_BOUNDED_SPAN = 3.5
 _DE_MIN_LEVEL = 3
 _DE_MAX_LEVEL = 10
 # The cutoff search halves t from min(valid_to, 1) down to 2^-_CUTOFF_STEPS
@@ -270,7 +273,8 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
 
     i1 = 0.0
     if cutoff < t0:
-        i1 = _de_quad(small, _tanh_sinh(cutoff, t0), -_DE_SPAN, _DE_SPAN, tol)
+        span = _BOUNDED_SPAN if cutoff > 0 else _DE_SPAN
+        i1 = _de_quad(small, _tanh_sinh(cutoff, t0), -span, span, tol)
     i2 = _tail(f, t0, tol)
 
     c0 = c_minus1 * math.log(t0)
