@@ -20,14 +20,20 @@ from .errors import DomainError, ResourceLimitError
 
 LEVEL_LIMIT = 2 ** 63
 
-# Trial divisors by a sieve, and the Miller-Rabin bases: the first 12
-# primes make the test exact below 318665857834031151167461 (about
-# 3.18e23), the least strong pseudoprime to all of them.
-_sieve = bytearray([0, 0]) + bytearray([1]) * 1998
-for _p in range(2, 45):
-    if _sieve[_p]:
-        _sieve[_p * _p::_p] = bytes(len(range(_p * _p, 2000, _p)))
-_SMALL_PRIMES = tuple(itertools.compress(range(2000), _sieve))
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+# Trial divisors, and the Miller-Rabin bases: the first 12 primes make the
+# test exact below 318665857834031151167461 (about 3.18e23), the least
+# strong pseudoprime to all of them.
+_SMALL_PRIMES = _primes_below(2000)
 _MR_BASES = _SMALL_PRIMES[:12]
 # Pollard-Brent steps allowed per split, about 1 s of work on a 60-digit
 # cofactor.  A factor p takes about sqrt(p) steps: the hardest levels under
