@@ -154,8 +154,33 @@ def _classical_dim_set(series: str, rank: int) -> tuple[int, ...]:
     return tuple(sorted({orbit_dim(lab) for lab in list_orbits(t)}))
 
 
+def _component_type(rs: RootSystem, comp: list[int]) -> SimpleType:
+    """The simple type of a connected set of simple roots, read off its
+    Dynkin subdiagram.
+
+    cartan[i][j] == -2 is a double bond from long root i to short root j,
+    and -3 a triple bond.  B2 and A3 stand for B2/C2 and A3/D3: the
+    algebras are isomorphic, so their orbit dimensions agree.
+    """
+    cartan = rs.cartan_matrix
+    nbrs = {i: [j for j in comp if j != i and cartan[i][j]] for i in comp}
+    leaves = {i for i in comp if len(nbrs[i]) == 1}
+    for i in comp:
+        for j in nbrs[i]:
+            if cartan[i][j] == -3:
+                return SimpleType("G", 2)
+            if cartan[i][j] == -2:
+                series = "B" if j in leaves else "C" if i in leaves else "F"
+                return SimpleType(series, len(comp))
+    for i in comp:
+        if len(nbrs[i]) == 3:
+            series = "D" if len(leaves & set(nbrs[i])) >= 2 else "E"
+            return SimpleType(series, len(comp))
+    return SimpleType("A", len(comp))
+
+
 def _component_dim_set(rs: RootSystem, comp: list[int]) -> tuple[int, ...]:
-    t = _recognize_component(rs, comp)
+    t = _component_type(rs, comp)
     if t.series in "ABCD":
         return _classical_dim_set(t.series, t.rank)
     return (0,)  # exceptional Levi factors: trivial orbit only

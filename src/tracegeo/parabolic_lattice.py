@@ -231,30 +231,36 @@ def _relative_space(outer: list[list[Fraction]], inner_sub: list[list[Fraction]]
     return out
 
 
+def _root_rank(rs: RootSystem, members: Iterable[int]) -> int:
+    # +-alpha span the same line; simple coordinates are sign-coherent.
+    return linalg.rank(list({tuple(map(abs, rs.simple_coords[i]))
+                             for i in members}))
+
+
 def d_nonvanishing(rs: RootSystem, m: LeviDatum, l1: LeviDatum,
                    l2: LeviDatum) -> bool:
-    """Whether the two relative split-center spaces span the full relative
-    space in complementary fashion.
+    """Whether a_M^{L1} + a_M^{L2} = a_M^G is a direct sum (Arthur's
+    splitting condition d_M^G(L1, L2) != 0).
 
-    True iff dim of (complement of l1's center inside m's) plus the same
-    for l2 equals the dim of the relative space up to the full group, and
-    the two subspaces meet trivially.
+    Write r(X) for the rank of the root set X.  For M inside L, the
+    complement of a_L in a_M is a_M n span(R_L), of dimension
+    r(L) - r(M), and span(R_L1) + span(R_L2) is span(R_M) plus the sum of
+    the two complements.  So the sum is direct and fills a_M^G (of
+    dimension s - r(M), s the semisimple rank) exactly when
+    r(L1) + r(L2) - r(M) = s and r(L1 u L2) = s.  The ranks come from the
+    roots, not from a_M_dim, which a hand-built LeviDatum need not get
+    right.
     """
     for l in (l1, l2):
         if l.system != rs or m.system != rs:
             raise DomainError("mismatched root systems")
         if not m.levi_roots <= l.levi_roots:
             raise DomainError("m must be contained in both Levis")
-    gram = _gram(rs)
-    a_m = _a_space(rs, m.levi_roots)
-    a_g = _a_space(rs, frozenset(range(len(rs.roots))))
-    rel1 = _relative_space(a_m, _a_space(rs, l1.levi_roots), gram)
-    rel2 = _relative_space(a_m, _a_space(rs, l2.levi_roots), gram)
-    rel_g = _relative_space(a_m, a_g, gram)
-    if len(rel1) + len(rel2) != len(rel_g):
-        return False
-    combined = rel1 + rel2
-    return linalg.rank(combined) == len(combined)
+    s = rs.semisimple_rank
+    r1 = _root_rank(rs, l1.levi_roots)
+    r2 = _root_rank(rs, l2.levi_roots)
+    return (r1 + r2 - _root_rank(rs, m.levi_roots) == s
+            and _root_rank(rs, l1.levi_roots | l2.levi_roots) == s)
 
 
 def count_contributing_tuples(rs: RootSystem, m: LeviDatum,

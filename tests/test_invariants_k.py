@@ -1,9 +1,10 @@
 import pytest
 
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.invariants_k import (GroupSpec, RelativeDatum, k_by_pairs,
-                                   k_min_orbit, k_report, k_richardson)
-from tracegeo.root_datum import SimpleType
+from tracegeo.invariants_k import (GroupSpec, RelativeDatum, _component_type,
+                                   _components, k_by_pairs, k_min_orbit,
+                                   k_report, k_richardson)
+from tracegeo.root_datum import SimpleType, build_root_system
 
 
 def spec(*names, **kw):
@@ -138,3 +139,56 @@ def test_torus_only_rejected():
         k_min_orbit(g)
     with pytest.raises(DomainError):
         k_by_pairs(g)
+
+
+# -- Levi component typing against the signature matcher ---------------------
+#
+# The reference types a component by its (root count, short-root count)
+# pair, from the ambient root vectors; the route under test reads the
+# Dynkin subdiagram off the Cartan matrix.  They share only the component
+# split.
+
+
+def _signature(t):
+    r = t.rank
+    count = {"A": r * (r + 1), "B": 2 * r * r, "C": 2 * r * r,
+             "D": 2 * r * (r - 1), "G": 12, "F": 48,
+             "E": {6: 72, 7: 126, 8: 240}.get(r, 0)}[t.series]
+    shorts = 0 if r == 1 else {"A": 0, "B": 2 * r, "C": 2 * r * (r - 1),
+                               "D": 0, "G": 6, "F": 24, "E": 0}[t.series]
+    return count, shorts
+
+
+def _signature_type(rs, comp):
+    table = {}
+    for series in "ABCDEFG":
+        try:
+            t = SimpleType(series, len(comp))
+        except DomainError:
+            continue
+        table.setdefault(_signature(t), t)  # B2 over C2, A3 over D3
+    members = rs.roots_in_simple_span(comp)
+    norms = [sum(x * x for x in rs.roots[i]) for i in members]
+    shorts = sum(1 for x in norms if x < max(norms))
+    return table[len(members), shorts]
+
+
+TYPING_SYSTEMS = ([[f"{s}{r}"] for s in "ABC" for r in range(1, 9)]
+                  + [[f"D{r}"] for r in range(2, 9)]
+                  + [["E6"], ["E7"], ["E8"], ["F4"], ["G2"]]
+                  + [["A2", "B3"], ["G2", "F4"], ["D4", "A1"], ["E6", "A2"],
+                     ["B2", "C3"], ["F4", "B4"]])
+
+
+def test_component_type_matches_signature_matcher():
+    seen = 0
+    for factors in TYPING_SYSTEMS:
+        rs = build_root_system(factors)
+        s = rs.semisimple_rank
+        for subset in range(1 << s):
+            chosen = [i for i in range(s) if subset >> i & 1]
+            for comp in _components(rs, chosen):
+                assert _component_type(rs, comp) == \
+                    _signature_type(rs, comp), (factors, comp)
+                seen += 1
+    assert seen == 6639

@@ -1,10 +1,11 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from tracegeo import oracles
+from tracegeo import linalg, oracles
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.parabolic_lattice import (count_contributing_tuples,
+from tracegeo.parabolic_lattice import (LeviDatum, count_contributing_tuples,
                                         d_nonvanishing,
                                         dim_unipotent_radical,
                                         enumerate_parabolic_subsets, f_sets,
@@ -188,3 +189,81 @@ def test_system_mismatch_rejected():
     rs2 = build_root_system(["B2"])
     with pytest.raises(DomainError):
         f_sets(rs2, minimal_levi(rs1))
+
+
+# -- the splitting predicate against the Gram/nullspace construction ---------
+#
+# The reference builds each split-center space as a nullspace in
+# coordinates of the group basis (simple roots, then torus unit vectors),
+# takes orthogonal complements under that basis's Gram matrix, and checks
+# that the two complements are independent and fill a_M^G.  The route under
+# test compares ranks of root sets and never forms a subspace.
+
+
+def _split_reference(rs):
+    dim = rs.ambient_dim
+    basis = [list(r) for r in rs.simple_roots] + [
+        [int(j == dim - rs.torus_rank + k) for j in range(dim)]
+        for k in range(rs.torus_rank)]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    identity = [[Fraction(int(i == j)) for j in range(len(basis))]
+                for i in range(len(basis))]
+
+    def a_space(levi_roots):
+        if not levi_roots:
+            return identity
+        return linalg.nullspace(
+            [[sum(a * b for a, b in zip(bk, rs.roots[i])) for bk in basis]
+             for i in sorted(levi_roots)])
+
+    def inner(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(len(u))
+                   for j in range(len(v)))
+
+    def relative(outer, inner_sub):
+        if not outer:
+            return []
+        rows = [[inner(o, w) for o in outer] for w in inner_sub]
+        coeffs = linalg.nullspace(rows) if rows else [
+            [Fraction(int(i == j)) for j in range(len(outer))]
+            for i in range(len(outer))]
+        return [[sum(c * o[t] for c, o in zip(y, outer))
+                 for t in range(len(outer[0]))] for y in coeffs]
+
+    all_roots = frozenset(range(len(rs.roots)))
+    cache = {}
+
+    def rel(m, l):
+        if (m, l) not in cache:
+            cache[m, l] = relative(a_space(m), a_space(l))
+        return cache[m, l]
+
+    def d(m, l1, l2):
+        rel1, rel2 = rel(m, l1), rel(m, l2)
+        if len(rel1) + len(rel2) != len(rel(m, all_roots)):
+            return False
+        return linalg.rank(rel1 + rel2) == len(rel1) + len(rel2)
+
+    return d
+
+
+SPLIT_SYSTEMS = [(["A1"], 0), (["A1", "A1"], 0), (["A2"], 0), (["A2"], 1),
+                 (["A3"], 0), (["B2"], 0), (["G2"], 0), (["B3"], 0),
+                 (["C3"], 0), (["A1", "B2"], 0), (["A4"], 0)]
+
+
+def test_d_nonvanishing_matches_gram_construction():
+    seen = 0
+    for factors, torus in SPLIT_SYSTEMS:
+        rs = build_root_system(factors, torus)
+        reference = _split_reference(rs)
+        levis = sorted({levi_of(p) for p in enumerate_parabolic_subsets(rs)},
+                       key=LeviDatum.sort_key)
+        for m in levis:
+            bigger = [l for l in levis if m.levi_roots <= l.levi_roots]
+            for l1, l2 in itertools.product(bigger, repeat=2):
+                assert d_nonvanishing(rs, m, l1, l2) == reference(
+                    m.levi_roots, l1.levi_roots, l2.levi_roots), \
+                    (factors, torus, m, l1, l2)
+                seen += 1
+    assert seen == 8463
