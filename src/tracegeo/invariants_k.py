@@ -87,49 +87,6 @@ class GroupSpec:
 # -- component recognition ----------------------------------------------------
 
 
-def _expected_signature(t: SimpleType) -> tuple[int, int]:
-    """(root count, short-root count) for a simple type, where short means
-    strictly shorter than the longest root; rank-1 systems have none."""
-    r = t.rank
-    counts = {"A": r * (r + 1), "B": 2 * r * r, "C": 2 * r * r,
-              "D": 2 * r * (r - 1), "G": 12, "F": 48,
-              "E": {6: 72, 7: 126, 8: 240}.get(r, 0)}[t.series]
-    if r == 1:
-        shorts = 0
-    else:
-        shorts = {"A": 0, "B": 2 * r, "C": 2 * r * (r - 1), "D": 0,
-                  "G": 6, "F": 24, "E": 0}[t.series]
-    return counts, shorts
-
-
-@lru_cache(maxsize=None)
-def _signature_table(rank: int) -> dict[tuple[int, int], SimpleType]:
-    table: dict[tuple[int, int], SimpleType] = {}
-    for series in "ABCDEFG":
-        try:
-            t = SimpleType(series, rank)
-        except DomainError:
-            continue
-        # Colliding signatures (B2/C2, A3/D3) are isomorphic algebras with
-        # identical orbit dimension sets, so either representative works.
-        table.setdefault(_expected_signature(t), t)
-    return table
-
-
-def _recognize_component(rs: RootSystem, simple_subset: list[int]) -> SimpleType:
-    member_idx = rs.roots_in_simple_span(simple_subset)
-    rank = len(simple_subset)
-    norms = [sum(x * x for x in rs.roots[i]) for i in member_idx]
-    top = max(norms)
-    shorts = sum(1 for x in norms if x < top)
-    t = _signature_table(rank).get((len(member_idx), shorts))
-    if t is None:
-        raise AssertionError(
-            f"unrecognized component signature ({rank}, {len(member_idx)}, "
-            f"{shorts})")
-    return t
-
-
 def _components(rs: RootSystem, simple_subset: list[int]) -> list[list[int]]:
     remaining = set(simple_subset)
     comps = []

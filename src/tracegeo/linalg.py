@@ -48,14 +48,6 @@ def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
     return out
 
 
-def mat_vec(a: Mat, v: Vec) -> list[Fraction]:
-    return [dot(row, v) for row in a]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def rref(m: Mat) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
     a = _frac_rows(m)

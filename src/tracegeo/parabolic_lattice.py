@@ -3,7 +3,7 @@
 A parabolic subgroup containing the maximal split torus is modeled by a
 closed subset S of roots with S u -S = R; its Levi is the symmetric part
 S n -S and its unipotent radical the antisymmetric part.  Everything here
-is finite set combinatorics plus exact rational linear algebra, so all
+is finite set combinatorics plus exact ranks of root sets, so all
 dimensions and counts are exact.
 
 Subsets are stored as frozensets of root indices into the parent system's
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -33,11 +32,6 @@ class ParabolicSubset:
     @property
     def member_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.system.roots[i] for i in self.members))
-
-    def opposite(self) -> "ParabolicSubset":
-        neg = self.system.negation
-        return ParabolicSubset(self.system,
-                               frozenset(neg[i] for i in self.members))
 
     def sort_key(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -178,57 +172,6 @@ def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
         by_levi.setdefault(levi_of(p), []).append(p)
     levis = sorted(by_levi, key=LeviDatum.sort_key)
     return f_all, levis, by_levi
-
-
-# -- split-center subspaces -------------------------------------------------
-#
-# All subspace computations run in coordinates with respect to the system's
-# group basis (simple roots plus torus unit vectors), with the Gram matrix
-# of that basis supplying the inner product.
-
-
-def _gram(rs: RootSystem) -> list[list[Fraction]]:
-    b = rs.group_basis
-    return [[linalg.dot(u, v) for v in b] for u in b]
-
-
-def _a_space(rs: RootSystem, levi_roots: frozenset[int]) -> list[list[Fraction]]:
-    """Basis (in group-basis coordinates) of the space orthogonal to the
-    given Levi roots."""
-    dim = rs.group_dim
-    if not levi_roots:
-        return [list(row) for row in linalg.identity(dim)]
-    rows = []
-    for i in sorted(levi_roots):
-        alpha = rs.roots[i]
-        rows.append([linalg.dot(bk, alpha) for bk in rs.group_basis])
-    return linalg.nullspace(rows)
-
-
-def _inner(u: Sequence[Fraction], v: Sequence[Fraction],
-           gram: Sequence[Sequence[Fraction]]) -> Fraction:
-    return linalg.dot(u, linalg.mat_vec(gram, v))
-
-
-def _relative_space(outer: list[list[Fraction]], inner_sub: list[list[Fraction]],
-                    gram: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Orthogonal complement of inner_sub within outer (both in group
-    coordinates), returned in group coordinates."""
-    if not outer:
-        return []
-    rows = [[_inner(m_j, w, gram) for m_j in outer] for w in inner_sub]
-    if not rows:
-        coeff_basis = [list(row) for row in linalg.identity(len(outer))]
-    else:
-        coeff_basis = linalg.nullspace(rows)
-    out = []
-    for y in coeff_basis:
-        vec = [Fraction(0)] * len(outer[0])
-        for c, m_j in zip(y, outer):
-            for t, x in enumerate(m_j):
-                vec[t] += c * x
-        out.append(vec)
-    return out
 
 
 def _root_rank(rs: RootSystem, members: Iterable[int]) -> int:

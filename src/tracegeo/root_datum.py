@@ -178,16 +178,6 @@ class RootSystem:
         return self.semisimple_rank + self.torus_rank
 
     @cached_property
-    def group_basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Rows spanning span(roots) + torus coordinates."""
-        rows = [tuple(Fraction(x) for x in s) for s in self.simple_roots]
-        for k in range(self.torus_rank):
-            v = [Fraction(0)] * self.ambient_dim
-            v[self.ambient_dim - self.torus_rank + k] = Fraction(1)
-            rows.append(tuple(v))
-        return tuple(rows)
-
-    @cached_property
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """cartan_matrix[i][j] = <alpha_i, alpha_j coroot>, an integer."""
         return tuple(map(tuple, _cartan(self.simple_roots)))
@@ -206,17 +196,6 @@ class RootSystem:
         """Bit j of support_masks[i] is set iff roots[i] involves alpha_j."""
         return tuple(sum(1 << j for j, c in enumerate(coords) if c)
                      for coords in self.simple_coords)
-
-    @cached_property
-    def simple_factor_index(self) -> tuple[int, ...]:
-        """Which factor each simple root belongs to, in listed order."""
-        out = []
-        pos = 0
-        for fi, t in enumerate(self.factors):
-            out.extend([fi] * t.rank)
-            pos += t.rank
-        assert pos == len(self.simple_roots)
-        return tuple(out)
 
     # -- coroots and reflections ---------------------------------------------
 
