@@ -277,7 +277,8 @@ def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
 def lambda_min(k: Number, beta: Number, epsilon: Number,
                c_prime: Number) -> Number:
     """Smallest spectral gap meeting gap*(1-epsilon)*beta >= k, kept
-    strictly above c_prime by a relative nudge of 1e-9."""
+    strictly above c_prime by a relative nudge of 1e-9.  A float gap
+    beyond the float range raises NumericError."""
     k, beta, epsilon, c_prime = map(_read, (k, beta, epsilon, c_prime))
     _check_finite("k", k)
     if _sign(k) <= 0 or _sign(beta) <= 0:
@@ -289,7 +290,11 @@ def lambda_min(k: Number, beta: Number, epsilon: Number,
         nudged = c_prime * (1 + 1e-9)
     else:
         nudged = c_prime * Fraction(_NUDGE_NUM, _NUDGE_DEN)
-    return _to_sympy(nudged if _le(base, nudged) else base)
+    lam = nudged if _le(base, nudged) else base
+    if isinstance(lam, float) and not math.isfinite(lam):
+        raise NumericError("lambda = k / ((1 - epsilon) beta) overflows "
+                           "the float range")
+    return _to_sympy(lam)
 
 
 @dataclass(frozen=True)

@@ -390,6 +390,16 @@ def test_budget_surd_outside_the_float_range_is_numeric_error(capsys):
     assert captured.err == "error: 1e-400 lies outside the float range\n"
 
 
+def test_budget_lambda_overflow_is_numeric_error(capsys):
+    # beta is about 1e-308, so k / beta exceeds the float range
+    code = cli.main(["budget", "--k", "1e308", "--json"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("error: lambda = k / ((1 - epsilon) beta) "
+                            "overflows the float range\n")
+
+
 def test_budget_rational_inputs(capsys):
     code, data = run_json(capsys, ["budget", "--k", "1", "--C2", "2",
                                    "--eps", "1/2", "--json"])
