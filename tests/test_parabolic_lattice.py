@@ -206,12 +206,13 @@ def _split_reference(rs):
         [int(j == dim - rs.torus_rank + k) for j in range(dim)]
         for k in range(rs.torus_rank)]
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    identity = [[Fraction(int(i == j)) for j in range(len(basis))]
-                for i in range(len(basis))]
+
+    def identity(n):
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
     def a_space(levi_roots):
         if not levi_roots:
-            return identity
+            return identity(len(basis))
         return linalg.nullspace(
             [[sum(a * b for a, b in zip(bk, rs.roots[i])) for bk in basis]
              for i in sorted(levi_roots)])
@@ -224,9 +225,7 @@ def _split_reference(rs):
         if not outer:
             return []
         rows = [[inner(o, w) for o in outer] for w in inner_sub]
-        coeffs = linalg.nullspace(rows) if rows else [
-            [Fraction(int(i == j)) for j in range(len(outer))]
-            for i in range(len(outer))]
+        coeffs = linalg.nullspace(rows) if rows else identity(len(outer))
         return [[sum(c * o[t] for c, o in zip(y, outer))
                  for t in range(len(outer[0]))] for y in coeffs]
 
@@ -263,7 +262,8 @@ def test_d_nonvanishing_matches_gram_construction():
             bigger = [l for l in levis if m.levi_roots <= l.levi_roots]
             for l1, l2 in itertools.product(bigger, repeat=2):
                 assert d_nonvanishing(rs, m, l1, l2) == reference(
-                    m.levi_roots, l1.levi_roots, l2.levi_roots), \
-                    (factors, torus, m, l1, l2)
+                    m.levi_roots, l1.levi_roots, l2.levi_roots), (
+                    factors, torus, m.sort_key(), l1.sort_key(),
+                    l2.sort_key())
                 seen += 1
     assert seen == 8463
