@@ -44,24 +44,7 @@ _MODULE_OF = {name: module for module, names in _SOURCES.items()
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticExpansion", "BudgetParams", "DiagnosticsError",
-    "DiscriminantValue", "DomainError", "ExponentReport", "GLType",
-    "GroupSpec", "LevelData", "LeviDatum", "NumericError", "OrbitLabel",
-    "ParabolicSubset", "ParseError", "PrimeFixedResult", "RationalMatrix",
-    "RelativeDatum", "ResourceLimitError", "RootSystem", "SimpleType",
-    "TailFunction", "TracegeoError", "a_exponent", "as_fraction", "beta_max",
-    "build_root_system", "congruence_index", "conjecture_bound",
-    "count_contributing_tuples", "d_nonvanishing", "dim_unipotent_radical",
-    "dual_coxeter_number", "enumerate_parabolic_subsets", "exit_code_for",
-    "exp_preset", "exponents", "f_sets", "fp_mellin", "full_levi",
-    "induced_dim", "is_neat_level", "k_by_pairs", "k_min_orbit", "k_report",
-    "k_richardson", "lambda_min", "level_data", "levi_of", "list_orbits",
-    "make_levi", "min_orbit_dim", "minimal_levi", "minimal_orbit",
-    "modulus_character", "orbit_dim", "positive_roots", "prime_fixed_check",
-    "sl_index", "sqrt_exp_preset", "torsion_constant", "total_envelope",
-    "trivial_orbit", "truncation_tail", "weyl_discriminant",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -60,7 +60,7 @@ class RelativeDatum:
 
     @property
     def rank(self) -> int:
-        return linalg.rank([list(r) for r in self.roots])
+        return linalg.rank(self.roots)
 
 
 @dataclass(frozen=True)
@@ -219,15 +219,17 @@ def _richardson_relative(rel: RelativeDatum) -> int:
         raise ResourceLimitError(
             f"relative data are limited to {RELATIVE_ENTRY_LIMIT} entries; "
             f"got {m}")
-    vectors = [list(r) for r in rel.roots]
+    vectors = rel.roots
     full_rank = linalg.rank(vectors)
     best = None
     for subset in range(1 << m):
         chosen = [vectors[i] for i in range(m) if subset >> i & 1]
-        if chosen and linalg.rank(chosen) == full_rank:
+        r = linalg.rank(chosen)
+        if r == full_rank:
             continue  # spans everything: not a proper parabolic
+        # root i lies outside the span of chosen when it raises the rank
         total = sum(rel.contributions[i] for i in range(m)
-                    if not (chosen and linalg.in_span(vectors[i], chosen)))
+                    if linalg.rank(chosen + [vectors[i]]) > r)
         if best is None or total < best:
             best = total
     assert best is not None and best > 0

@@ -1,32 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on lists of lists of ``fractions.Fraction`` (or ints,
-which Fraction arithmetic absorbs).  The point of hand-rolling these rather
-than calling numpy is exactness: ranks, nullspaces and characteristic
-polynomials feed invariant computations whose contracts promise integer or
-rational answers, and a float rank is not a rank.
-
-Matrices are row-major.  Vectors are plain lists.  Functions never mutate
-their arguments.
+Matrices are row-major lists of rows of ``fractions.Fraction`` or ``int``.
+Rank and determinant share one fraction-free (Bareiss) elimination on
+integer rows, so integer input never becomes a Fraction; the
+characteristic polynomial and the polynomial helpers work over Fraction.
+Hand-rolled rather than numpy because a float rank is not a rank: these
+values feed invariants whose contracts promise integer or rational
+answers.  Functions never mutate their arguments.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-Vec = Sequence[Fraction | int]
 Mat = Sequence[Sequence[Fraction | int]]
 
 
 def _frac_rows(m: Mat) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in m]
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
 def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
@@ -48,81 +41,56 @@ def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
     return out
 
 
-def rref(m: Mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    a = _frac_rows(m)
+def _bareiss(m: Mat) -> tuple[int, Fraction]:
+    """Rank of m and, when m is square, its determinant (else 0).
+
+    Each row is first scaled to integers by the lcm of its denominators
+    (rows that are all int are copied as they are).  Bareiss's step
+    a_ij <- (p a_ij - a_ic a_rj) / p_prev then divides exactly, so every
+    entry stays an integer minor of the scaled matrix and the last pivot
+    of a full-rank square matrix is its determinant.
+    """
+    a: list[list[int]] = []
+    scale = 1
+    for row in m:
+        if all(type(x) is int for x in row):
+            a.append(list(row))
+        else:
+            fr = [Fraction(x) for x in row]
+            den = math.lcm(*(x.denominator for x in fr))
+            a.append([x.numerator * (den // x.denominator) for x in fr])
+            scale *= den
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
+    r, sign, prev = 0, 1, 1
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
-    return a, pivots
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        ar = a[r]
+        p = ar[c]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ar)]
+        prev = p
+        r += 1
+    full_square = r == rows == cols
+    return r, Fraction(sign * prev, scale) if full_square else Fraction(0)
 
 
 def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
-
-
-def nullspace(m: Mat) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column."""
-    if not m:
-        return []
-    red, pivots = rref(m)
-    cols = len(m[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-def in_span(v: Vec, basis: Mat) -> bool:
-    """Whether v lies in the row span of basis."""
-    rows = [list(map(Fraction, row)) for row in basis]
-    base_rank = rank(rows) if rows else 0
-    return rank(rows + [list(map(Fraction, v))]) == base_rank
+    return _bareiss(m)[0]
 
 
 def det(m: Mat) -> Fraction:
-    a = _frac_rows(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+    return _bareiss(m)[1]
 
 
 # -- characteristic polynomial ------------------------------------------------

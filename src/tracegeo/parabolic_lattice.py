@@ -21,6 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .root_datum import RootSystem
 
 ENUMERATION_RANK_LIMIT = 6
+PARABOLIC_COUNT_LIMIT = 2**16
 TUPLE_SIZE_LIMIT = 8
 
 
@@ -58,6 +59,12 @@ class LeviDatum:
         return tuple(sorted(self.levi_roots))
 
 
+def _root_rank(rs: RootSystem, members: Iterable[int]) -> int:
+    # +-alpha span the same line; simple coordinates are sign-coherent.
+    return linalg.rank(list({tuple(map(abs, rs.simple_coords[i]))
+                             for i in members}))
+
+
 def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
     """Validate a root subset as a Levi and compute its split-center dim.
 
@@ -70,14 +77,12 @@ def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
             raise DomainError(f"root index {i} out of range")
         if rs.negation[i] not in members:
             raise DomainError("levi roots must be closed under negation")
-    vectors = [rs.roots[i] for i in sorted(members)]
-    if vectors:
-        for j, r in enumerate(rs.roots):
-            if j not in members and linalg.in_span(r, vectors):
-                raise DomainError("levi roots must contain every root in "
-                                  "their span")
-    a_m = rs.group_dim - linalg.rank(vectors)
-    return LeviDatum(rs, members, a_m)
+    r = _root_rank(rs, members)
+    for j in range(len(rs.roots)):
+        if j not in members and _root_rank(rs, members | {j}) == r:
+            raise DomainError("levi roots must contain every root in "
+                              "their span")
+    return LeviDatum(rs, members, rs.group_dim - r)
 
 
 def minimal_levi(rs: RootSystem) -> LeviDatum:
@@ -92,8 +97,7 @@ def levi_of(p: ParabolicSubset) -> LeviDatum:
     """Symmetric part of a parabolic subset, with its split-center dim."""
     rs = p.system
     sym = frozenset(i for i in p.members if rs.negation[i] in p.members)
-    vectors = [rs.roots[i] for i in sorted(sym)]
-    return LeviDatum(rs, sym, rs.group_dim - linalg.rank(vectors))
+    return LeviDatum(rs, sym, rs.group_dim - _root_rank(rs, sym))
 
 
 def dim_unipotent_radical(p: ParabolicSubset) -> int:
@@ -117,6 +121,8 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     subset's span, together with all positive roots); closing the seed set
     under the simple-reflection permutations reaches every chamber, hence
     every parabolic subset.  The result is sorted by member index tuple.
+    The closure stops as soon as it holds more than PARABOLIC_COUNT_LIMIT
+    masks, before any subset is built.
     """
     if rs.semisimple_rank > ENUMERATION_RANK_LIMIT:
         raise ResourceLimitError(
@@ -145,6 +151,10 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)
+        if len(seen) > PARABOLIC_COUNT_LIMIT:
+            raise ResourceLimitError(
+                f"parabolic enumeration is limited to "
+                f"{PARABOLIC_COUNT_LIMIT} subsets; {rs} has more")
     out = [ParabolicSubset(rs, frozenset(i for i in range(n) if m >> i & 1))
            for m in seen]
     out.sort(key=ParabolicSubset.sort_key)
@@ -172,12 +182,6 @@ def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
         by_levi.setdefault(levi_of(p), []).append(p)
     levis = sorted(by_levi, key=LeviDatum.sort_key)
     return f_all, levis, by_levi
-
-
-def _root_rank(rs: RootSystem, members: Iterable[int]) -> int:
-    # +-alpha span the same line; simple coordinates are sign-coherent.
-    return linalg.rank(list({tuple(map(abs, rs.simple_coords[i]))
-                             for i in members}))
 
 
 def d_nonvanishing(rs: RootSystem, m: LeviDatum, l1: LeviDatum,

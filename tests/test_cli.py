@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tracegeo import cli
+from tracegeo import cli, parabolic_lattice
 from tracegeo.errors import ParseError
 
 
@@ -176,6 +176,16 @@ def test_discriminant_accepts_a_large_requested_prime(capsys):
         "--primes", str(2 ** 61 - 1), "--json"])
     assert code == 0
     assert data["result"]["p_valuations"][str(2 ** 61 - 1)] == 0
+
+
+def test_parabolics_count_limit_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 100)
+    code, data = run_json(capsys, ["parabolics", "A3", "--json"])
+    assert code == 0 and len(data["result"]) == 75
+    assert cli.main(["parabolics", "B3", "--json"]) == 3
+    assert capsys.readouterr().err == (
+        "error: parabolic enumeration is limited to 100 subsets; "
+        "B3 has more\n")
 
 
 def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):

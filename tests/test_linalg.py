@@ -48,25 +48,37 @@ def test_charpoly_roots_consistency():
         assert sum(m[i][i] for i in range(n)) == -chi[1]
 
 
-def test_rank_nullity_and_nullspace():
-    rng = random.Random(104)
-    for _ in range(20):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-             for _ in range(rows)]
-        r = linalg.rank(m)
-        basis = linalg.nullspace(m)
-        assert r + len(basis) == cols
-        for v in basis:
-            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
-
-
-def test_in_span():
-    basis = [[1, 0, 1], [0, 1, 1]]
-    assert linalg.in_span([1, 1, 2], basis)
-    assert not linalg.in_span([1, 1, 1], basis)
-    assert not linalg.in_span([1, 0, 0], [])
+def test_rank_matches_sympy():
+    # int and Fraction matrices up to 6x6.  Half are products of a
+    # rows x inner and an inner x cols factor with inner < min(rows, cols)
+    # where possible, so most of those are rank-deficient.  Two in three
+    # get each row scaled by an int or a Fraction, which keeps the rank
+    # and mixes all-int rows with Fraction rows.
+    rng = random.Random(105)
+    deficient = 0
+    for trial in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 2 == 0:
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            left = [[rng.randint(-3, 3) for _ in range(inner)]
+                    for _ in range(rows)]
+            right = [[rng.randint(-3, 3) for _ in range(cols)]
+                     for _ in range(inner)]
+            m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                 for row in left]
+        else:
+            m = [[rng.randint(-2, 2) for _ in range(cols)]
+                 for _ in range(rows)]
+        if trial % 3:
+            scales = [rng.choice((1, -2, Fraction(-3, 2), Fraction(5, 3),
+                                  Fraction(1, 4))) for _ in m]
+            m = [[x * f for x in row] for f, row in zip(scales, m)]
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                              for x in row] for row in m]).rank()
+        assert linalg.rank(m) == want, m
+        deficient += want < min(rows, cols)
+    assert deficient > 75
+    assert linalg.rank([]) == 0
 
 
 def test_poly_helpers():

@@ -1,11 +1,12 @@
 import itertools
-from fractions import Fraction
 
 import pytest
+import sympy
 
-from tracegeo import linalg, oracles
+from tracegeo import oracles, parabolic_lattice
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.parabolic_lattice import (LeviDatum, count_contributing_tuples,
+from tracegeo.parabolic_lattice import (LeviDatum, _root_rank,
+                                        count_contributing_tuples,
                                         d_nonvanishing,
                                         dim_unipotent_radical,
                                         enumerate_parabolic_subsets, f_sets,
@@ -54,6 +55,53 @@ def test_enumeration_guard():
     rs = build_root_system(["A7"])
     with pytest.raises(ResourceLimitError):
         enumerate_parabolic_subsets(rs)
+
+
+SIMPLE_TYPES = ([f"{x}{r}" for x in "ABC" for r in range(1, 9)]
+                + [f"D{r}" for r in range(2, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def test_standard_levi_rank_is_subset_size():
+    # The roots of the span of a simple-root subset J have rank |J|.
+    seen = 0
+    for factors in ([[t] for t in SIMPLE_TYPES]
+                    + [["A2", "B3"], ["G2", "F4"], ["D4", "A1"],
+                       ["E6", "A2"]]):
+        rs = build_root_system(factors)
+        s = rs.semisimple_rank
+        for mask in range(1 << s):
+            subset = [j for j in range(s) if mask >> j & 1]
+            assert _root_rank(rs, rs.roots_in_simple_span(subset)) == \
+                len(subset), (factors, subset)
+            seen += 1
+    assert seen == 2890
+
+
+def test_levi_of_split_center_matches_sympy_rank():
+    # One type per isomorphism class of rank <= 4; a_M is the group
+    # dimension minus the rank of the Levi's roots in ambient coordinates.
+    seen = set()
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                 "D4", "F4", "G2"):
+        rs = build_root_system([name])
+        want = {}
+        for p in enumerate_parabolic_subsets(rs):
+            levi = levi_of(p)
+            if levi.levi_roots not in want:
+                roots = [rs.roots[i] for i in levi.levi_roots]
+                want[levi.levi_roots] = rs.group_dim - (
+                    sympy.Matrix(roots).rank() if roots else 0)
+            assert levi.a_M_dim == want[levi.levi_roots], (name, p)
+        seen.update((name, key) for key in want)
+    assert len(seen) == 708
+
+
+def test_parabolic_count_limit(monkeypatch):
+    monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 100)
+    assert len(enumerate_parabolic_subsets(build_root_system(["A3"]))) == 75
+    with pytest.raises(ResourceLimitError, match="limited to 100 subsets"):
+        enumerate_parabolic_subsets(build_root_system(["B3"]))
 
 
 def test_levi_dimensions_a2():
@@ -193,11 +241,17 @@ def test_system_mismatch_rejected():
 
 # -- the splitting predicate against the Gram/nullspace construction ---------
 #
-# The reference builds each split-center space as a nullspace in
+# The reference builds each split-center space as a sympy nullspace in
 # coordinates of the group basis (simple roots, then torus unit vectors),
 # takes orthogonal complements under that basis's Gram matrix, and checks
 # that the two complements are independent and fill a_M^G.  The route under
 # test compares ranks of root sets and never forms a subspace.
+
+
+def _nullspace(rows, width):
+    """Basis of the right nullspace, by sympy; all of Q^width for no rows."""
+    m = sympy.Matrix(len(rows), width, [x for row in rows for x in row])
+    return [list(v) for v in m.nullspace()]
 
 
 def _split_reference(rs):
@@ -207,15 +261,10 @@ def _split_reference(rs):
         for k in range(rs.torus_rank)]
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
 
-    def identity(n):
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
     def a_space(levi_roots):
-        if not levi_roots:
-            return identity(len(basis))
-        return linalg.nullspace(
+        return _nullspace(
             [[sum(a * b for a, b in zip(bk, rs.roots[i])) for bk in basis]
-             for i in sorted(levi_roots)])
+             for i in sorted(levi_roots)], len(basis))
 
     def inner(u, v):
         return sum(u[i] * gram[i][j] * v[j] for i in range(len(u))
@@ -225,9 +274,9 @@ def _split_reference(rs):
         if not outer:
             return []
         rows = [[inner(o, w) for o in outer] for w in inner_sub]
-        coeffs = linalg.nullspace(rows) if rows else identity(len(outer))
         return [[sum(c * o[t] for c, o in zip(y, outer))
-                 for t in range(len(outer[0]))] for y in coeffs]
+                 for t in range(len(outer[0]))]
+                for y in _nullspace(rows, len(outer))]
 
     all_roots = frozenset(range(len(rs.roots)))
     cache = {}
@@ -241,7 +290,7 @@ def _split_reference(rs):
         rel1, rel2 = rel(m, l1), rel(m, l2)
         if len(rel1) + len(rel2) != len(rel(m, all_roots)):
             return False
-        return linalg.rank(rel1 + rel2) == len(rel1) + len(rel2)
+        return sympy.Matrix(rel1 + rel2).rank() == len(rel1) + len(rel2)
 
     return d
 
