@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -49,6 +50,68 @@ def test_parabolic_subsets_are_parabolic():
             for i, j in itertools.combinations(sorted(s), 2):
                 k = add[i][j]
                 assert k < 0 or k in s
+
+
+def _macdonald_order(rs, subset):
+    """|W_J| as the product of (ht + 1) / ht over the positive roots in the
+    span of J (Macdonald, Math. Ann. 199, 1972)."""
+    order = Fraction(1)
+    for i in rs.roots_in_simple_span(subset):
+        if rs.is_positive[i]:
+            order *= Fraction(rs.heights[i] + 1, rs.heights[i])
+    assert order.denominator == 1
+    return order.numerator
+
+
+HEIGHT_FORMULA_CASES = ([[f"A{r}"] for r in range(1, 6)]
+                        + [["B2"], ["B3"], ["B4"], ["C3"], ["C4"], ["D4"],
+                           ["D5"], ["F4"], ["G2"], ["A1", "B2"],
+                           ["G2", "A2"]])
+
+
+@pytest.mark.parametrize("factors", HEIGHT_FORMULA_CASES,
+                         ids=["x".join(f) for f in HEIGHT_FORMULA_CASES])
+def test_count_matches_height_formula(factors):
+    # Every parabolic subset is conjugate to exactly one standard P_J,
+    # whose stabilizer in W is W_J: the count is sum_J |W| / |W_J|.
+    rs = build_root_system(factors)
+    s = rs.semisimple_rank
+    w = _macdonald_order(rs, range(s))
+    want = sum(w // _macdonald_order(rs, [j for j in range(s)
+                                          if mask >> j & 1])
+               for mask in range(1 << s))
+    assert len(enumerate_parabolic_subsets(rs)) == want
+
+
+def _bit_loop_closure(rs):
+    """Member sets of the standard parabolic seeds closed under the simple
+    reflections, each applied to a mask one bit at a time."""
+    n = len(rs.roots)
+    s = rs.semisimple_rank
+    pos = sum(1 << i for i in range(n) if rs.is_positive[i])
+    seen = {pos | sum(1 << i for i in rs.roots_in_simple_span(
+        [j for j in range(s) if mask >> j & 1])) for mask in range(1 << s)}
+    frontier = list(seen)
+    while frontier:
+        mask = frontier.pop()
+        for perm in rs.reflection_perms:
+            img = 0
+            for i in range(n):
+                if mask >> i & 1:
+                    img |= 1 << perm[i]
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return {frozenset(i for i in range(n) if m >> i & 1) for m in seen}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
+def test_closure_matches_bit_loop_reference(name):
+    rs = build_root_system([name])
+    got = enumerate_parabolic_subsets(rs)
+    keys = [tuple(sorted(p.members)) for p in got]
+    assert keys == sorted(set(keys))
+    assert {p.members for p in got} == _bit_loop_closure(rs)
 
 
 def test_enumeration_guard():

@@ -68,10 +68,29 @@ def test_simple_roots_are_positive_and_indecomposable():
             assert len(signs) == 1
 
 
+def _reference_perms(rs):
+    """Each simple reflection on the ambient roots, from the integer
+    pairing 2 (beta, alpha) / (alpha, alpha)."""
+    index = {r: k for k, r in enumerate(rs.roots)}
+    perms = []
+    for a in rs.simple_roots:
+        perm = []
+        for b in rs.roots:
+            c, rem = divmod(2 * _dot(b, a), _dot(a, a))
+            assert rem == 0
+            perm.append(index[tuple(x - c * y for x, y in zip(b, a))])
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
 def test_reflections_permute_roots():
-    for name in ("A2", "B2", "G2", "D4"):
-        rs = build_root_system([name])
+    cases = ([((t,), 0) for t in SIMPLE_TYPES]
+             + [(("A2", "B3"), 0), (("G2", "F4"), 0), (("D4", "A1"), 0),
+                (("E6", "A2"), 0), (("A4", "A5"), 0), (("B2",), 1)])
+    for names, torus in cases:
+        rs = build_root_system(names, torus)
         n = len(rs.roots)
+        assert rs.reflection_perms == _reference_perms(rs), (names, torus)
         for perm in rs.reflection_perms:
             assert sorted(perm) == list(range(n))
             assert any(perm[i] != i for i in range(n))
