@@ -15,23 +15,21 @@ _SOURCES = {
                "ParseError", "ResourceLimitError", "TracegeoError",
                "exit_code_for"),
     "root_datum": ("RootSystem", "SimpleType", "build_root_system",
-                   "dual_coxeter_number", "positive_roots"),
+                   "dual_coxeter_number"),
     "parabolic_lattice": ("LeviDatum", "ParabolicSubset",
                           "count_contributing_tuples", "d_nonvanishing",
                           "dim_unipotent_radical",
                           "enumerate_parabolic_subsets", "f_sets",
                           "full_levi", "levi_of", "make_levi",
                           "minimal_levi"),
-    "nilpotent_orbits": ("GLType", "OrbitLabel", "induced_dim",
-                         "list_orbits", "min_orbit_dim", "minimal_orbit",
-                         "orbit_dim", "trivial_orbit"),
+    "nilpotent_orbits": ("GLType", "OrbitLabel", "list_orbits",
+                         "min_orbit_dim", "orbit_dim"),
     "invariants_k": ("GroupSpec", "RelativeDatum", "k_by_pairs",
                      "k_min_orbit", "k_report", "k_richardson"),
     "local_data": ("DiscriminantValue", "RationalMatrix", "as_fraction",
                    "modulus_character", "weyl_discriminant"),
-    "arithmetic": ("LevelData", "PrimeFixedResult", "congruence_index",
-                   "conjecture_bound", "is_neat_level", "level_data",
-                   "prime_fixed_check", "sl_index"),
+    "arithmetic": ("LevelData", "PrimeFixedResult", "conjecture_bound",
+                   "level_data", "prime_fixed_check", "sl_index"),
     "mellin_fp": ("AsymptoticExpansion", "TailFunction", "exp_preset",
                   "fp_mellin", "sqrt_exp_preset", "torsion_constant",
                   "truncation_tail"),

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
 
@@ -180,20 +180,6 @@ def sl_index(n: int, N: int) -> int:
             total *= 1 - Fraction(1, p ** k)
     assert total.denominator == 1 and total > 0
     return int(total)
-
-
-def is_neat_level(N: int) -> bool:
-    return N >= 3
-
-
-def congruence_index(N: int, order_mod: Callable[[int], int]) -> int:
-    """Index route for groups without a shipped formula: the caller
-    supplies an exact order-mod-N callback."""
-    level_data(N)
-    value = order_mod(N)
-    if not isinstance(value, int) or value < 1:
-        raise DomainError("order callback must return a positive integer")
-    return value
 
 
 def conjecture_bound(N: int, b: float, c: float) -> float:

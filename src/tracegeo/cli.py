@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -578,12 +579,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         handler: Callable = args.fn
         result, human, code = handler(args)
+        text = human
         if args.json:
             envelope = {"schema": "1", "command": args.command,
                         "result": _fmt(result)}
-            print(json.dumps(envelope, indent=2))
-        else:
-            print(human)
+            text = json.dumps(envelope, indent=2)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader closed the pipe (`... | head`).  Point stdout at
+            # devnull so the flush at interpreter exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except TracegeoError as exc:
         print(f"error: {exc}", file=sys.stderr)

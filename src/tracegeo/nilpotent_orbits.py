@@ -166,20 +166,3 @@ def min_orbit_dim(t: SimpleType) -> int:
     """
     return 2 * (dual_coxeter_number(t) - 1)
 
-
-def induced_dim(orbit_dim_in_levi: int, dim_v_p: int) -> int:
-    """Dimension of an induced orbit: dim of the source plus twice the
-    unipotent-radical dimension."""
-    if orbit_dim_in_levi < 0 or dim_v_p < 0:
-        raise DomainError("dimensions must be nonnegative")
-    if orbit_dim_in_levi % 2:
-        raise DomainError("orbit dimensions are even")
-    return orbit_dim_in_levi + 2 * dim_v_p
-
-
-def trivial_orbit(t: SimpleType | GLType) -> OrbitLabel:
-    return OrbitLabel(t, "trivial")
-
-
-def minimal_orbit(t: SimpleType | GLType) -> OrbitLabel:
-    return OrbitLabel(t, "minimal")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -59,10 +60,18 @@ class LeviDatum:
         return tuple(sorted(self.levi_roots))
 
 
+@lru_cache(maxsize=4096)
+def _rows_rank(rows: frozenset[tuple[int, ...]]) -> int:
+    return linalg.rank(list(rows))
+
+
 def _root_rank(rs: RootSystem, members: Iterable[int]) -> int:
-    # +-alpha span the same line; simple coordinates are sign-coherent.
-    return linalg.rank(list({tuple(map(abs, rs.simple_coords[i]))
-                             for i in members}))
+    # +-alpha span the same line, and the positive one of the pair has
+    # nonnegative coordinates.  Equal row sets have equal ranks in any
+    # system, so each distinct Levi is ranked once.
+    coords, pos, neg = rs.simple_coords, rs.is_positive, rs.negation
+    return _rows_rank(frozenset(coords[i] if pos[i] else coords[neg[i]]
+                                for i in members))
 
 
 def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
@@ -93,25 +102,36 @@ def full_levi(rs: RootSystem) -> LeviDatum:
     return LeviDatum(rs, frozenset(range(len(rs.roots))), rs.torus_rank)
 
 
+def _symmetric_part(p: ParabolicSubset) -> frozenset[int]:
+    return p.members.intersection(map(p.system.negation.__getitem__,
+                                      p.members))
+
+
 def levi_of(p: ParabolicSubset) -> LeviDatum:
     """Symmetric part of a parabolic subset, with its split-center dim."""
     rs = p.system
-    sym = frozenset(i for i in p.members if rs.negation[i] in p.members)
+    sym = _symmetric_part(p)
     return LeviDatum(rs, sym, rs.group_dim - _root_rank(rs, sym))
 
 
 def dim_unipotent_radical(p: ParabolicSubset) -> int:
-    rs = p.system
-    return sum(1 for i in p.members if rs.negation[i] not in p.members)
+    return len(p.members) - len(_symmetric_part(p))
 
 
-def _apply_perm(mask: int, perm: Sequence[int]) -> int:
-    img = 0
-    while mask:
-        low = mask & -mask
-        img |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return img
+# The members' bit offsets within each 4-bit nibble of a mask.
+_NIBBLE_BITS = tuple(tuple(b for b in range(4) if v >> b & 1)
+                     for v in range(16))
+
+
+def _nibble_tables(perm: Sequence[int]) -> list[list[int]]:
+    """table[k][v] is the image under perm of the mask v << 4k."""
+    tables = []
+    for base in range(0, len(perm), 4):
+        table = [0]
+        for j in perm[base:base + 4]:
+            table += [img | 1 << j for img in table]
+        tables.append(table)
+    return tables
 
 
 def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
@@ -120,9 +140,10 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     Seeds are the standard parabolic subsets (roots of a simple-root
     subset's span, together with all positive roots); closing the seed set
     under the simple-reflection permutations reaches every chamber, hence
-    every parabolic subset.  The result is sorted by member index tuple.
-    The closure stops as soon as it holds more than PARABOLIC_COUNT_LIMIT
-    masks, before any subset is built.
+    every parabolic subset.  Each reflection acts on a root bitmask through
+    one 16-entry table per 4-bit nibble.  The result is sorted by member
+    index tuple.  The closure stops as soon as it holds more than
+    PARABOLIC_COUNT_LIMIT masks, before any subset is built.
     """
     if rs.semisimple_rank > ENUMERATION_RANK_LIMIT:
         raise ResourceLimitError(
@@ -141,13 +162,17 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
         for i in rs.roots_in_simple_span(chosen):
             levi_mask |= 1 << i
         seeds.add(levi_mask | pos_mask)
-    perms = rs.reflection_perms
+    shifts = range(0, n, 4)
+    tables = [list(zip(shifts, _nibble_tables(perm)))
+              for perm in rs.reflection_perms]
     seen = set(seeds)
     frontier = list(seeds)
     while frontier:
         mask = frontier.pop()
-        for perm in perms:
-            img = _apply_perm(mask, perm)
+        for table in tables:
+            img = 0
+            for shift, row in table:
+                img |= row[mask >> shift & 15]
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)
@@ -155,10 +180,10 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
             raise ResourceLimitError(
                 f"parabolic enumeration is limited to "
                 f"{PARABOLIC_COUNT_LIMIT} subsets; {rs} has more")
-    out = [ParabolicSubset(rs, frozenset(i for i in range(n) if m >> i & 1))
-           for m in seen]
-    out.sort(key=ParabolicSubset.sort_key)
-    return out
+    rows = sorted(tuple(shift + b for shift in shifts
+                        for b in _NIBBLE_BITS[m >> shift & 15])
+                  for m in seen)
+    return [ParabolicSubset(rs, frozenset(r)) for r in rows]
 
 
 def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[

@@ -204,20 +204,22 @@ class RootSystem:
         norm = _dot(alpha, alpha)
         return tuple(Fraction(2 * x, norm) for x in alpha)
 
-    def reflect(self, beta: Sequence[int], alpha: Sequence[int]) -> tuple[int, ...]:
-        """Reflection of beta in the hyperplane orthogonal to alpha."""
-        c, rem = divmod(2 * _dot(beta, alpha), _dot(alpha, alpha))
-        if rem:
-            raise AssertionError("non-integral Cartan pairing")
-        return tuple(b - c * a for b, a in zip(beta, alpha))
-
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """For each simple root, the induced permutation of root indices."""
+        """For each simple root, the induced permutation of root indices.
+
+        s_i(beta) = beta - <beta, alpha_i coroot> alpha_i changes only the
+        i-th simple coordinate, and the pairing is sum_j c_j A[j][i] over
+        column i of the Cartan matrix A.
+        """
+        index = {c: k for k, c in enumerate(self.simple_coords)}
         perms = []
-        for s in self.simple_roots:
-            perms.append(tuple(self.root_index[self.reflect(r, s)]
-                               for r in self.roots))
+        for i, column in enumerate(zip(*self.cartan_matrix)):
+            terms = [(j, a) for j, a in enumerate(column) if a]
+            perms.append(tuple(
+                index[c[:i] + (c[i] - sum(c[j] * a for j, a in terms),)
+                      + c[i + 1:]]
+                for c in self.simple_coords))
         return tuple(perms)
 
     @cached_property
@@ -280,14 +282,6 @@ def build_root_system(factors: Sequence[SimpleType | str],
         simple_roots=tuple(simple),
         simple_coords=tuple(c for _, c in pairs),
     )
-
-
-def positive_roots(rs: RootSystem) -> list[tuple[int, ...]]:
-    """The positive half of the root set, ordered by height then vector."""
-    pos = [(rs.heights[i], r) for i, r in enumerate(rs.roots)
-           if rs.is_positive[i]]
-    pos.sort()
-    return [r for _, r in pos]
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from tracegeo import oracles
-from tracegeo.arithmetic import (congruence_index, conjecture_bound,
-                                 factorize, is_neat_level, is_prime,
+from tracegeo.arithmetic import (conjecture_bound, factorize, is_prime,
                                  level_data, prime_fixed_check, sl_index)
 from tracegeo.errors import DomainError, ResourceLimitError
 
@@ -120,21 +119,6 @@ def test_sl_index_validation():
         sl_index(1, 5)
     with pytest.raises(DomainError):
         sl_index(2, 0)
-
-
-def test_neat_levels():
-    assert not is_neat_level(1)
-    assert not is_neat_level(2)
-    assert is_neat_level(3)
-    assert is_neat_level(97)
-
-
-def test_congruence_index_callback():
-    assert congruence_index(4, lambda n: sl_index(2, n)) == 48
-    with pytest.raises(DomainError):
-        congruence_index(4, lambda n: 0)
-    with pytest.raises(DomainError):
-        congruence_index(0, lambda n: 1)
 
 
 def test_conjecture_bound():

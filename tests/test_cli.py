@@ -444,6 +444,50 @@ def test_module_entry_point():
     assert data["result"]["pairs"] == 2
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["parabolics", "A2", "--json"],
+                                  ["parabolics", "A2"]])
+def test_closed_pipe_exits_quietly(argv, tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "out", "w") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        assert cli.main(argv) == 0
+        # stdout now points at devnull, so the flush at exit is harmless
+        assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_subprocess():
+    # About 2.6 MB of JSON; the reader keeps 10 bytes and closes the pipe.
+    proc = subprocess.Popen([sys.executable, "-m", "tracegeo", "parabolics",
+                             "B4", "--json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(10) == b'{\n  "schem'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
 @pytest.fixture(scope="module")
 def console_script(tmp_path_factory):
     """Install this checkout into a temporary prefix, offline, and return

@@ -1,10 +1,8 @@
 import pytest
 
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.nilpotent_orbits import (GLType, OrbitLabel, induced_dim,
-                                       list_orbits, min_orbit_dim,
-                                       minimal_orbit, orbit_dim,
-                                       trivial_orbit)
+from tracegeo.nilpotent_orbits import (GLType, OrbitLabel, list_orbits,
+                                       min_orbit_dim, orbit_dim)
 from tracegeo.root_datum import SimpleType, dual_coxeter_number
 
 
@@ -115,20 +113,11 @@ def test_label_str():
     assert str(lab) == "(2,1,1)"
 
 
-def test_trivial_and_minimal_helpers():
+def test_trivial_and_minimal_labels():
     t = SimpleType("C", 3)
-    assert orbit_dim(trivial_orbit(t)) == 0
-    assert orbit_dim(minimal_orbit(t)) == min_orbit_dim(t)
-    assert orbit_dim(trivial_orbit(GLType(5))) == 0
-
-
-def test_induced_dim():
-    assert induced_dim(0, 3) == 6
-    assert induced_dim(4, 1) == 6
-    with pytest.raises(DomainError):
-        induced_dim(-2, 1)
-    with pytest.raises(DomainError):
-        induced_dim(1, 1)  # orbit dimensions are even
+    assert orbit_dim(OrbitLabel(t, "trivial")) == 0
+    assert orbit_dim(OrbitLabel(t, "minimal")) == min_orbit_dim(t)
+    assert orbit_dim(OrbitLabel(GLType(5), "trivial")) == 0
 
 
 def test_exceptional_enumeration_refused():
