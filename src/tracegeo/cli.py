@@ -20,21 +20,18 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, ParseError, TracegeoError, exit_code_for
-from .invariants_k import (GroupSpec, RelativeDatum, k_by_pairs, k_min_orbit,
-                           k_report, k_richardson)
-from .nilpotent_orbits import GLType, list_orbits, orbit_dim
-from .parabolic_lattice import (dim_unipotent_radical,
-                                enumerate_parabolic_subsets, levi_of)
-from .root_datum import RootSystem, SimpleType, build_root_system
 
-# Modules that load sympy (error_budget, reproduce) are imported inside the
-# subcommands that use them, so the others start without it; error_budget
-# loads sympy only when it returns a surd.  arithmetic, local_data and
-# mellin_fp are imported late too: compiling them (when no bytecode is
-# cached) and building their dataclasses costs a few ms per module.
+# Only the stdlib and .errors load at module top.  Every library module is
+# imported inside the function that calls it, so a subcommand loads only
+# what it runs: compiling a module (when no bytecode is cached) and
+# building its dataclasses costs a few ms each, and error_budget and
+# reproduce can load sympy.  The names below serve annotations only.
+if TYPE_CHECKING:
+    from .invariants_k import RelativeDatum
+    from .root_datum import RootSystem, SimpleType
 
 
 # -- group-spec grammar --------------------------------------------------------
@@ -65,10 +62,12 @@ class ParsedGroupSpec:
         return body
 
     def root_system(self) -> RootSystem:
+        from .root_datum import build_root_system
         return build_root_system(list(self.factors), self.torus_rank)
 
 
 def parse_group_spec(text: str) -> ParsedGroupSpec:
+    from .root_datum import SimpleType
     if not text:
         raise ParseError("empty group spec", offset=0)
     at = text.find("@")
@@ -175,6 +174,7 @@ def _load_json_text(text: str, what: str):
 
 
 def _load_relative(path: str) -> RelativeDatum:
+    from .invariants_k import RelativeDatum
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -199,6 +199,8 @@ def _load_relative(path: str) -> RelativeDatum:
 
 def _cmd_k(args) -> tuple[object, str, int]:
     parsed = parse_group_spec(args.spec)
+    from .invariants_k import (GroupSpec, k_by_pairs, k_min_orbit, k_report,
+                               k_richardson)
     rel_path = args.relative if args.relative is not None \
         else parsed.relative_path
     relative = _load_relative(rel_path) if rel_path is not None else None
@@ -225,6 +227,8 @@ def _cmd_k(args) -> tuple[object, str, int]:
 
 
 def _cmd_orbits(args) -> tuple[object, str, int]:
+    from .nilpotent_orbits import GLType, list_orbits, orbit_dim
+    from .root_datum import SimpleType
     text = args.type
     if text.startswith("gl"):
         digits = text[2:]
@@ -252,11 +256,11 @@ def _cmd_orbits(args) -> tuple[object, str, int]:
 
 def _cmd_parabolics(args) -> tuple[object, str, int]:
     parsed = parse_group_spec(args.spec)
-    rs = parsed.root_system()
-    subsets = sorted(enumerate_parabolic_subsets(rs),
-                     key=lambda p: p.sort_key())
+    from .parabolic_lattice import (dim_unipotent_radical,
+                                    enumerate_parabolic_subsets, levi_of)
     rows = []
-    for p in subsets:
+    # enumerate_parabolic_subsets returns the subsets in sort_key order.
+    for p in enumerate_parabolic_subsets(parsed.root_system()):
         levi = levi_of(p)
         rows.append({
             "members": [list(v) for v in p.member_roots],

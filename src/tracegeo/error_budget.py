@@ -280,9 +280,9 @@ def lambda_min(k: Number, beta: Number, epsilon: Number,
     strictly above c_prime by a relative nudge of 1e-9.  A float gap
     beyond the float range raises NumericError."""
     k, beta, epsilon, c_prime = map(_read, (k, beta, epsilon, c_prime))
-    _check_finite("k", k)
-    if _sign(k) <= 0 or _sign(beta) <= 0:
-        raise DomainError("k and beta must be positive")
+    _require("k", k)
+    if _sign(beta) <= 0:
+        raise DomainError("beta must be positive")
     _check_epsilon(epsilon)
     _require("c_prime", c_prime, nonnegative=True)
     base = k / ((1 - epsilon) * beta)

@@ -116,6 +116,10 @@ def test_param_validation():
         beta_max(0, 1, 1, 1)
     with pytest.raises(DomainError):
         lambda_min(1, beta, Fraction(1, 2), -1)
+    with pytest.raises(DomainError, match="^k must be positive$"):
+        lambda_min(0, beta, Fraction(1, 2), 0)
+    with pytest.raises(DomainError, match="^beta must be positive$"):
+        lambda_min(1, 0, Fraction(1, 2), 0)
 
 
 @pytest.mark.parametrize("name", ["k", "C2", "C4", "Cn", "c_prime"])

@@ -1,7 +1,7 @@
 """The import contract: the package and the subcommands that need no
 simplifier load none of the heavy libraries, numpy and scipy load nowhere,
-and every public name still resolves through the lazy package
-namespace."""
+each subcommand loads only the tracegeo modules it runs, and every public
+name still resolves through the lazy package namespace."""
 
 import json
 import math
@@ -55,8 +55,36 @@ for argv in json.loads(sys.argv[1]):
             contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
 print(json.dumps({"codes": codes, "loaded": sorted(
-    m for m in ("sympy", "scipy", "numpy") if m in sys.modules)}))
+    m for m in ("sympy", "scipy", "numpy") if m in sys.modules),
+    "modules": sorted(m.split(".", 1)[1] for m in sys.modules
+                      if m.startswith("tracegeo."))}))
 """
+
+# One call per fresh process, with the tracegeo submodules besides cli and
+# errors that it may load.  Without a bytecode cache each module compiles
+# on every cold call, so a subcommand loads only what it runs; a parse error
+# gets no further than root_datum.
+MODULE_CONTRACT = {
+    "index": (["index", "--n", "3", "--level", "12", "--json"], 0,
+              {"arithmetic"}),
+    "levels": (["levels", "check-prime-fixed", "2,4,6", "--allowed", "2,3",
+                "--json"], 0, {"arithmetic"}),
+    "budget": (["budget", "--k", "1", "--C2", "2", "--json"], 0,
+               {"error_budget"}),
+    "mellin-fp": (["mellin-fp", "--preset", "sqrt", "--json"], 0,
+                  {"mellin_fp"}),
+    "discriminant": (["discriminant", "--matrix", "[[1,0],[0,2]]",
+                      "--json"], 0, {"local_data", "arithmetic", "linalg"}),
+    "orbits": (["orbits", "B3", "--json"], 0,
+               {"nilpotent_orbits", "root_datum"}),
+    "parabolics": (["parabolics", "A2", "--json"], 0,
+                   {"parabolic_lattice", "root_datum", "linalg"}),
+    "k": (["k", "A2", "--json"], 0,
+          {"invariants_k", "nilpotent_orbits", "root_datum", "linalg"}),
+    "k-parse-error": (["k", "Z3", "--json"], 2, {"root_datum"}),
+    "parabolics-parse-error": (["parabolics", "A2+Tx", "--json"], 2,
+                               {"root_datum"}),
+}
 
 
 def _probe(calls):
@@ -67,15 +95,22 @@ def _probe(calls):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["codes"] == [code for _, code in calls]
-    return report["loaded"]
+    return report
 
 
 def test_light_subcommands_load_no_heavy_library():
-    assert _probe(LIGHT_CALLS) == []
+    assert _probe(LIGHT_CALLS)["loaded"] == []
 
 
 def test_numpy_and_scipy_never_load():
-    assert _probe(SYMPY_CALLS) == ["sympy"]
+    assert _probe(SYMPY_CALLS)["loaded"] == ["sympy"]
+
+
+@pytest.mark.parametrize("name", MODULE_CONTRACT)
+def test_subcommand_loads_only_its_modules(name):
+    argv, code, allowed = MODULE_CONTRACT[name]
+    loaded = set(_probe([(argv, code)])["modules"])
+    assert loaded <= {"cli", "errors", *allowed}
 
 
 def test_every_public_name_resolves_and_is_listed():
