@@ -8,8 +8,8 @@ error-exponent budget that ties them together.
 import importlib
 
 # Each public name and the submodule that defines it.  Submodules load on
-# first access (PEP 562), so `import tracegeo` pulls in sympy only once a
-# name that needs it is used.
+# first access (PEP 562), so `import tracegeo` loads none of them until one
+# of their names is used.
 _SOURCES = {
     "errors": ("DiagnosticsError", "DomainError", "NumericError",
                "ParseError", "ResourceLimitError", "TracegeoError",
@@ -33,8 +33,8 @@ _SOURCES = {
     "mellin_fp": ("AsymptoticExpansion", "TailFunction", "exp_preset",
                   "fp_mellin", "sqrt_exp_preset", "torsion_constant",
                   "truncation_tail"),
-    "error_budget": ("BudgetParams", "ExponentReport", "a_exponent",
-                     "beta_max", "exponents", "lambda_min",
+    "error_budget": ("BudgetParams", "ExponentReport", "QuadraticSurd",
+                     "a_exponent", "beta_max", "exponents", "lambda_min",
                      "total_envelope"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()

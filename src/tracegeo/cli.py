@@ -27,8 +27,8 @@ from .errors import DomainError, ParseError, TracegeoError, exit_code_for
 # Only the stdlib and .errors load at module top.  Every library module is
 # imported inside the function that calls it, so a subcommand loads only
 # what it runs: compiling a module (when no bytecode is cached) and
-# building its dataclasses costs a few ms each, and error_budget and
-# reproduce can load sympy.  The names below serve annotations only.
+# building its dataclasses costs a few ms each.  The names below serve
+# annotations only.
 if TYPE_CHECKING:
     from .invariants_k import RelativeDatum
     from .root_datum import RootSystem, SimpleType
@@ -136,17 +136,14 @@ def _fmt(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
         return f"{x:.15g}"
-    # A sympy value can only exist once some subcommand has loaded sympy.
-    sympy = sys.modules.get("sympy")
-    if sympy is not None and isinstance(x, sympy.Expr):
-        if x.is_Rational:
-            return _fmt(Fraction(int(x.p), int(x.q)))
-        from .error_budget import _read
-        return _fmt(float(_read(x)))
     if isinstance(x, dict):
         return {str(k): _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
+    # A surd comes only from the budget handler, which loaded error_budget.
+    from .error_budget import QuadraticSurd
+    if isinstance(x, QuadraticSurd):
+        return _fmt(float(x))
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 

@@ -17,11 +17,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import oracles
 from .errors import DomainError
-from .error_budget import (BudgetParams, beta_max, exponents, lambda_min)
+from .error_budget import (BudgetParams, QuadraticSurd, beta_max, exponents,
+                           lambda_min)
 from .invariants_k import (GroupSpec, RelativeDatum, k_by_pairs, k_min_orbit,
                            k_richardson)
 from .local_data import RationalMatrix, weyl_discriminant
@@ -250,13 +249,15 @@ def _check_budget() -> tuple[bool, str, str, str]:
     for c2, c4, cn, k in ((1, 1, 1, 1), (2, 1, 1, 1), (3, 2, 5, 7),
                           (Fraction(1, 2), 2, 1, Fraction(3, 4))):
         # C2 beta^2 + k beta - C4 Cn^2 = beta (e1 + k), so e1 = -k exactly
-        # iff this expands to 0
-        beta = sympy.sympify(beta_max(c2, c4, cn, k))
-        quad = sympy.expand(sympy.sympify(c2) * beta ** 2
-                            + sympy.sympify(k) * beta
-                            - sympy.sympify(c4 * cn * cn))
-        if quad != 0:
-            bad.append(("exact-e1", c2, c4, cn, k, beta))
+        # iff it vanishes.  For beta = a + b sqrt(d), written out in
+        # Fractions here, that is C2 (a^2 + b^2 d) + k a - C4 Cn^2 = 0 and
+        # b (2 C2 a + k) = 0.
+        beta = beta_max(c2, c4, cn, k)
+        a, b, d = (beta.a, beta.b, beta.d) \
+            if isinstance(beta, QuadraticSurd) else (Fraction(beta), 0, 0)
+        if c2 * (a * a + b * b * d) + k * a - c4 * cn * cn \
+                or b * (2 * c2 * a + k):
+            bad.append(("exact-e1", c2, c4, cn, k, str(beta)))
     rng = random.Random(10)
     for _ in range(100):
         c2 = Fraction(rng.randint(1, 40), rng.randint(1, 8))

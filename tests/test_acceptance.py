@@ -19,7 +19,8 @@ import sympy
 
 from tracegeo import oracles
 from tracegeo.arithmetic import sl_index
-from tracegeo.error_budget import BudgetParams, beta_max, exponents, lambda_min
+from tracegeo.error_budget import (BudgetParams, QuadraticSurd, beta_max,
+                                   exponents, lambda_min)
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum, k_by_pairs,
                                    k_min_orbit, k_richardson)
 from tracegeo.local_data import RationalMatrix, weyl_discriminant
@@ -31,6 +32,13 @@ from tracegeo.parabolic_lattice import (count_contributing_tuples,
                                         full_levi, levi_of, minimal_levi)
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number)
+
+
+def _sym(x):
+    """A budget value in sympy, built from a surd's public a, b and d."""
+    if isinstance(x, QuadraticSurd):
+        return sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(x.d)
+    return sympy.Rational(x)
 
 
 @contextmanager
@@ -190,11 +198,10 @@ def test_criterion_10_budget_boundary():
         assert abs(float(golden) - (math.sqrt(5) - 1) / 2) < 1e-12
         for c2, c4, cn, k in ((1, 1, 1, 1), (2, 3, 1, 5),
                               (Fraction(1, 2), 2, 1, Fraction(3, 4))):
-            beta = beta_max(c2, c4, cn, k)
-            e1 = sympy.simplify(-sympy.sympify(c4) * sympy.sympify(cn) ** 2
-                                / sympy.sympify(beta)
-                                + sympy.sympify(c2) * sympy.sympify(beta))
-            assert sympy.simplify(e1 + sympy.sympify(k)) == 0
+            beta = _sym(beta_max(c2, c4, cn, k))
+            e1 = sympy.simplify(-_sym(c4) * _sym(cn) ** 2 / beta
+                                + _sym(c2) * beta)
+            assert sympy.simplify(e1 + _sym(k)) == 0
         rng = random.Random(2028)
         for _ in range(100):
             c2 = Fraction(rng.randint(1, 40), rng.randint(1, 8))
@@ -209,8 +216,7 @@ def test_criterion_10_budget_boundary():
                                             C4=c4, Cn=cn, c_prime=cp,
                                             beta=beta))
             for e in (report.e_spec, report.e1, report.e2):
-                assert sympy.simplify(sympy.sympify(e) + sympy.sympify(k)) \
-                    <= 0
+                assert sympy.simplify(_sym(e) + _sym(k)) <= 0
             assert report.all_ok
 
 

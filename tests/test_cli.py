@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tracegeo import cli, parabolic_lattice
+from tracegeo import cli, parabolic_lattice, reproduce
 from tracegeo.errors import ParseError
 
 
@@ -393,7 +394,8 @@ def test_budget_surd_prints_from_the_exact_value(capsys):
 
 
 def test_budget_surd_with_a_large_discriminant(capsys):
-    # sympy cannot take sqrt(4*10^200 + 1) itself; the run must not die
+    # d = 4*10^200 + 1 is far too large to factor, and the surd never needs
+    # to; the run must not die
     code, data = run_json(capsys, ["budget", "--k", "1",
                                    "--Cn", "1" + "0" * 100, "--json"])
     assert code == 0
@@ -539,3 +541,14 @@ def test_fault_injection_fails_and_names_the_check(capsys):
     assert data["result"]["all_ok"] is False
     failing = [c["name"] for c in data["result"]["checks"] if not c["ok"]]
     assert failing == ["k_special_linear"]
+
+
+def test_budget_check_catches_a_slope_off_by_ten_to_the_minus_30(monkeypatch):
+    # beta + 10^-30 still agrees with the golden ratio to 1e-12; only the
+    # exact quadratic identity can tell the two apart
+    exact = reproduce.beta_max
+    monkeypatch.setattr(reproduce, "beta_max",
+                        lambda *args: exact(*args) + Fraction(1, 10 ** 30))
+    ok, _, _, actual = reproduce._check_budget()
+    assert ok is False
+    assert "exact-e1" in actual

@@ -6,16 +6,73 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tracegeo.error_budget import (BudgetParams, a_exponent, beta_max,
-                                   exponents, lambda_min, total_envelope)
+from tracegeo.error_budget import (BudgetParams, QuadraticSurd, a_exponent,
+                                   beta_max, exponents, lambda_min,
+                                   total_envelope)
 from tracegeo.errors import DomainError
+
+
+def _rat(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sym(x):
+    """x in sympy, built from a surd's public a, b and d; the reference
+    never uses QuadraticSurd arithmetic."""
+    if isinstance(x, QuadraticSurd):
+        return _rat(x.a) + _rat(x.b) * sympy.sqrt(x.d)
+    return x if isinstance(x, sympy.Basic) else _rat(x)
 
 
 def test_beta_max_golden_ratio():
     beta = beta_max(1, 1, 1, 1)
-    assert isinstance(beta, sympy.Expr)
-    assert sympy.simplify(beta - (sympy.sqrt(5) - 1) / 2) == 0
+    assert isinstance(beta, QuadraticSurd)
+    assert (beta.a, beta.b, beta.d) == (Fraction(-1, 2), Fraction(1, 2), 5)
+    assert str(beta) == "-1/2 + 1/2*sqrt(5)"
+    assert sympy.simplify(_sym(beta) - (sympy.sqrt(5) - 1) / 2) == 0
     assert abs(float(beta) - (math.sqrt(5) - 1) / 2) < 1e-15
+
+
+def test_surd_equality_is_exact_in_any_spelling_of_d():
+    root8, two_root2 = QuadraticSurd(0, 1, 8), QuadraticSurd(0, 2, 2)
+    assert root8 == two_root2 and hash(root8) == hash(two_root2)
+    assert root8 != QuadraticSurd(0, -2, 2)
+    assert QuadraticSurd(1, 1, 2) != QuadraticSurd(1, 1, 3)
+    # irrational, so never equal to a rational or a float
+    assert QuadraticSurd(0, 1, 2) != math.sqrt(2)
+    assert QuadraticSurd(0, 1, 2) != 1 and 1 != QuadraticSurd(0, 1, 2)
+    assert len({root8, two_root2, QuadraticSurd(0, 1, 2) * 2}) == 1
+
+
+def test_surd_arithmetic_leaves_the_field_only_to_a_fraction():
+    r5 = QuadraticSurd(0, 1, 5)
+    assert r5 * r5 == 5 and type(r5 * r5) is Fraction
+    assert type(r5 - r5) is Fraction and r5 - r5 == 0
+    assert 1 / (1 + r5) == (r5 - 1) / 4
+    assert QuadraticSurd(0, 1, 20) / r5 == 2  # sqrt(20) = 2 sqrt(5)
+    assert isinstance(r5 + 0.5, float)
+
+
+@pytest.mark.parametrize("x,text", [
+    (QuadraticSurd(Fraction(-1, 2), Fraction(1, 2), 5), "-1/2 + 1/2*sqrt(5)"),
+    (QuadraticSurd(3, -1, 2), "3 - sqrt(2)"),
+    (QuadraticSurd(0, -2, 7), "-2*sqrt(7)"),
+    (QuadraticSurd(0, 1, 7), "sqrt(7)")])
+def test_surd_text_reads_back_in_sympy(x, text):
+    assert str(x) == text
+    assert sympy.simplify(sympy.sympify(text) - _sym(x)) == 0
+    assert eval(repr(x), {"QuadraticSurd": QuadraticSurd,
+                          "Fraction": Fraction}) == x
+
+
+def test_surd_is_immutable_and_always_irrational():
+    x = QuadraticSurd(1, 1, 2)
+    with pytest.raises(AttributeError):
+        x.a = Fraction(0)
+    for b, d in ((1, 4), (1, 1), (1, 0), (1, -3), (1, 2.0), (0, 2)):
+        with pytest.raises(DomainError, match="b != 0 and an integer d > 1"):
+            QuadraticSurd(1, b, d)
 
 
 def test_beta_max_rational_when_discriminant_is_square():
@@ -47,9 +104,8 @@ def test_beta_solves_the_quadratic_exactly():
         c4 = Fraction(rng.randint(1, 20), rng.randint(1, 6))
         cn = Fraction(rng.randint(1, 10), rng.randint(1, 4))
         k = Fraction(rng.randint(1, 15), rng.randint(1, 6))
-        beta = beta_max(c2, c4, cn, k)
-        expr = sympy.sympify(c2) * beta ** 2 + sympy.sympify(k) * beta \
-            - sympy.sympify(c4 * cn * cn)
+        beta = _sym(beta_max(c2, c4, cn, k))
+        expr = _rat(c2) * beta ** 2 + _rat(k) * beta - _rat(c4 * cn * cn)
         assert sympy.simplify(expr) == 0
 
 
@@ -61,7 +117,7 @@ def test_first_exponent_is_minus_k_exactly():
         p = BudgetParams(k=k, lam=lam, epsilon=Fraction(1, 10), C2=c2,
                          C4=c4, Cn=cn, c_prime=0, beta=beta)
         rep = exponents(p)
-        assert sympy.simplify(sympy.sympify(rep.e1) + sympy.sympify(k)) == 0
+        assert rep.e1 == -k and type(rep.e1) is Fraction
         assert rep.all_ok
 
 
@@ -141,7 +197,7 @@ def test_non_finite_input_is_named(name, bad):
 def test_validation_is_exact_beyond_the_float_range():
     huge = 10 ** 400
     beta = beta_max(1, 1, huge, 1)  # no OverflowError from a float()
-    assert isinstance(beta, sympy.Expr)
+    assert isinstance(beta, QuadraticSurd)
     assert beta_max(Fraction(1, huge), 1, 1, 1) is not None
     lam = lambda_min(1, Fraction(1, huge), Fraction(1, 10), 0)
     assert lam == Fraction(10 * huge, 9)
@@ -163,15 +219,10 @@ def test_a_exponent():
 # -- differential test against the closed form --------------------------------
 
 
-def _rat(x):
-    x = Fraction(x)
-    return sympy.Rational(x.numerator, x.denominator)
-
-
 def _parts(x):
     """(a, sign(b) b^2 m) for x = a + b sqrt(m): the same pair for every
     way of writing x, whatever square factors sit under the root."""
-    x = sympy.expand(sympy.radsimp(sympy.sympify(x)))
+    x = sympy.expand(sympy.radsimp(_sym(x)))
     a, rest = x.as_coeff_Add()
     return a, sympy.sign(rest) * rest ** 2
 
@@ -228,7 +279,7 @@ def test_budget_chain_matches_closed_form_oracle():
         want_beta, want_lam, want_es = _oracle(c2, c4, cn, k, eps, cp)
         got_es = (rep.e_spec, rep.e1, rep.e2)
         if surd:
-            assert isinstance(beta, sympy.Expr)
+            assert isinstance(beta, QuadraticSurd)
         else:
             assert all(isinstance(v, Fraction) for v in (beta, lam) + got_es)
         assert _same(beta, want_beta), (c2, c4, cn, k)
@@ -277,11 +328,11 @@ def test_height_1e30_inputs_stay_exact():
 
 
 def test_surd_with_a_large_discriminant():
-    # d = 4*10^200 + 1 defeats sympy.sqrt's perfect-power test (sympy 1.14
-    # raises ValueError from its factor cache); beta must still come back
-    # as an exact surd that the rest of the chain reads.
+    # d = 4*10^200 + 1 is far too large to factor; the surd never needs to
+    # take its square factors out.
     beta = beta_max(1, 1, 10 ** 100, 1)
-    assert beta.free_symbols == set()
+    assert (beta.a, beta.b, beta.d) == (Fraction(-1, 2), Fraction(1, 2),
+                                        4 * 10 ** 200 + 1)
     assert float(beta) == 1e100
     lam = lambda_min(1, beta, Fraction(1, 10), 0)
     rep = exponents(BudgetParams(k=1, lam=lam, epsilon=Fraction(1, 10),
@@ -296,19 +347,51 @@ def test_surd_with_a_large_discriminant():
     sympy.Float(0.5), sympy.Symbol("x", positive=True), sympy.sqrt(-5)],
     ids=["two-roots", "cube-root", "pi", "float", "symbol", "imaginary"])
 def test_sympy_value_outside_a_quadratic_field_is_a_domain_error(value):
-    with pytest.raises(DomainError, match=re.escape(str(value))):
+    match = f"^beta must be a rational, a float or a QuadraticSurd, " \
+        f"not {re.escape(type(value).__name__)}$"
+    with pytest.raises(DomainError, match=match):
         lambda_min(1, value, Fraction(1, 10), 0)
+
+
+ENTRY_POINTS = {
+    "beta_max": (lambda x: beta_max(x, 1, 1, 1), "C2"),
+    "lambda_min": (lambda x: lambda_min(1, 1, x, 0), "epsilon"),
+    "BudgetParams": (lambda x: BudgetParams(k=1, lam=1, epsilon=Fraction(1, 2),
+                                            C2=1, C4=1, Cn=x, c_prime=0,
+                                            beta=1), "Cn"),
+    "total_envelope": (lambda x: total_envelope(10, x, 0, 1.0), "k"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("value", [
+    "1", None, 1j, sympy.sqrt(5), sympy.pi, sympy.Symbol("x")],
+    ids=["str", "None", "complex", "sympy-sqrt", "sympy-pi", "symbol"])
+def test_non_number_is_a_domain_error_naming_parameter_and_type(entry,
+                                                                value):
+    call, name = ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be a rational, a "
+                       f"float or a QuadraticSurd, not "
+                       f"{re.escape(type(value).__name__)}$"):
+        call(value)
+
+
+def test_any_rational_reads_as_a_fraction():
+    # sympy's Rational registers as numbers.Rational
+    beta = beta_max(sympy.Integer(2), 1, 1, sympy.Rational(1))
+    assert beta == Fraction(1, 2) and type(beta) is Fraction
+    assert type(beta.numerator) is int
 
 
 def test_one_field_with_different_square_factors():
     # sqrt(45) written without extracting the square: it is 3 sqrt(5)
     # and combines with beta in Q(sqrt 5)
-    k = sympy.Pow(45, sympy.S.Half, evaluate=False)
+    k = QuadraticSurd(0, 1, 45)
     beta = beta_max(1, 1, 1, 1)
     lam = lambda_min(k, beta, Fraction(1, 10), 0)
     assert _same(lam, 3 * sympy.sqrt(5) * 5 * (1 + sympy.sqrt(5)) / 9)
     with pytest.raises(DomainError, match="different quadratic fields"):
-        lambda_min(sympy.sqrt(2), beta, Fraction(1, 10), 0)
+        lambda_min(QuadraticSurd(0, 1, 2), beta, Fraction(1, 10), 0)
 
 
 def test_float_operand_makes_a_surd_chain_float():
@@ -319,7 +402,7 @@ def test_float_operand_makes_a_surd_chain_float():
     rep = exponents(BudgetParams(k=1, lam=lam, epsilon=0.1, C2=1, C4=1,
                                  Cn=1, c_prime=0, beta=beta))
     assert isinstance(rep.e_spec, float) and isinstance(rep.e2, float)
-    assert rep.e1 == -1 and isinstance(rep.e1, sympy.Rational)
+    assert rep.e1 == -1 and type(rep.e1) is Fraction
 
 
 def test_total_envelope():

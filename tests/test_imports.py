@@ -1,7 +1,7 @@
-"""The import contract: the package and the subcommands that need no
-simplifier load none of the heavy libraries, numpy and scipy load nowhere,
-each subcommand loads only the tracegeo modules it runs, and every public
-name still resolves through the lazy package namespace."""
+"""The import contract: no subcommand loads sympy, numpy or scipy, and
+none needs sympy to be installed; each subcommand loads only the tracegeo
+modules it runs, and every public name still resolves through the lazy
+package namespace."""
 
 import json
 import math
@@ -39,11 +39,21 @@ LIGHT_CALLS = [
       "--json"], 0),
 ]
 
-# The one subcommand that loads sympy, for the surd beta; it must not bring
-# numpy or scipy along.
-SYMPY_CALLS = [
+# A surd beta and the reproduction suite, which check exact Q(sqrt d)
+# values without a simplifier.
+EXACT_FIELD_CALLS = [
     (["budget", "--k", "1", "--json"], 0),
+    (["reproduce", "--json"], 0),
 ]
+
+# Run where sympy cannot be imported at all.
+WITHOUT_SYMPY_CALLS = [
+    (["budget", "--k", "1"], 0),
+    (["budget", "--k", "5/2", "--C2", "1/1" + "0" * 300], 0),
+    (["reproduce"], 0),
+]
+
+BLOCK_SYMPY = 'import sys; sys.modules["sympy"] = None\n'
 
 PROBE = """
 import contextlib, io, json, sys
@@ -87,9 +97,9 @@ MODULE_CONTRACT = {
 }
 
 
-def _probe(calls):
+def _probe(calls, prelude=""):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", PROBE,
+    proc = subprocess.run([sys.executable, "-c", prelude + PROBE,
                            json.dumps([argv for argv, _ in calls])],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -102,8 +112,12 @@ def test_light_subcommands_load_no_heavy_library():
     assert _probe(LIGHT_CALLS)["loaded"] == []
 
 
-def test_numpy_and_scipy_never_load():
-    assert _probe(SYMPY_CALLS)["loaded"] == ["sympy"]
+def test_surd_budget_and_reproduce_load_no_heavy_library():
+    assert _probe(EXACT_FIELD_CALLS)["loaded"] == []
+
+
+def test_runs_with_sympy_blocked():
+    _probe(WITHOUT_SYMPY_CALLS, prelude=BLOCK_SYMPY)
 
 
 @pytest.mark.parametrize("name", MODULE_CONTRACT)
