@@ -1,9 +1,11 @@
 import pytest
 
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.invariants_k import (GroupSpec, RelativeDatum, _component_type,
+from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
+                                   _classical_dim_set, _component_type,
                                    _components, k_by_pairs, k_min_orbit,
                                    k_report, k_richardson)
+from tracegeo.nilpotent_orbits import min_orbit_dim
 from tracegeo.root_datum import SimpleType, build_root_system
 
 
@@ -192,3 +194,45 @@ def test_component_type_matches_signature_matcher():
                     _signature_type(rs, comp), (factors, comp)
                 seen += 1
     assert seen == 6639
+
+
+# -- the pairs route against its earlier form ---------------------------------
+#
+# The earlier pairs route gave exceptional Levi components only the trivial
+# orbit and then added min_orbit_dim(t) = 2(h_dual - 1) for each simple
+# factor.  It is kept here as the reference for the route that reads each
+# exceptional component's minimal orbit off its own roots.
+
+
+def _pairs_with_factor_loop(g):
+    rs = g.absolute
+    s = rs.semisimple_rank
+    best = None
+    for subset in range(1 << s):
+        chosen = [i for i in range(s) if subset >> i & 1]
+        dim_v = (len(rs.roots) - len(rs.roots_in_simple_span(chosen))) // 2
+        sums = {0}
+        for comp in _components(rs, chosen):
+            t = _component_type(rs, comp)
+            dims = _classical_dim_set(t.series, t.rank) \
+                if t.series in "ABCD" else (0,)
+            sums = {a + b for a in sums for b in dims}
+        for orbit_total in sums:
+            if subset == (1 << s) - 1 and orbit_total == 0:
+                continue
+            cand = orbit_total + 2 * dim_v
+            if best is None or cand < best:
+                best = cand
+    for t in rs.factors:
+        best = min(best, min_orbit_dim(t))
+    return g.restriction_degree * (best // 2)
+
+
+DIFFERENTIAL_SYSTEMS = TYPING_SYSTEMS + [["F4", "A1"], ["E7", "A1"]]
+
+
+@pytest.mark.parametrize("factors", DIFFERENTIAL_SYSTEMS,
+                         ids=["x".join(f) for f in DIFFERENTIAL_SYSTEMS])
+def test_pairs_match_the_factor_loop_reference(factors):
+    g = spec(*factors)
+    assert k_by_pairs(g) == _pairs_with_factor_loop(g)
