@@ -422,7 +422,8 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
 
 
 def _cmd_budget(args) -> tuple[object, str, int]:
-    from .error_budget import BudgetParams, beta_max, exponents, lambda_min
+    from .error_budget import (BudgetParams, a_exponent, beta_max, exponents,
+                               lambda_min)
     k = _parse_number(args.k, "--k")
     c2 = _parse_number(args.C2, "--C2")
     c4 = _parse_number(args.C4, "--C4")
@@ -435,7 +436,7 @@ def _cmd_budget(args) -> tuple[object, str, int]:
                           c_prime=cprime, beta=beta, b_conj=args.b_conj,
                           m_nonarch=args.m_nonarch)
     report = exponents(params)
-    a = params.b_conj + params.m_nonarch
+    a = a_exponent(params)
     result = {
         "beta": beta,
         "lambda": lam,

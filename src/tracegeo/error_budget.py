@@ -29,8 +29,8 @@ from .errors import DomainError, NumericError
 
 Number = Union[int, float, Fraction, "QuadraticSurd"]
 
-_NUDGE_NUM = 10 ** 9 + 1
-_NUDGE_DEN = 10 ** 9
+# A float c_prime times this Fraction is a float product.
+_NUDGE = Fraction(10 ** 9 + 1, 10 ** 9)
 
 
 def _sgn(x) -> int:
@@ -287,10 +287,7 @@ def lambda_min(k: Number, beta: Number, epsilon: Number,
     epsilon = _check_epsilon(epsilon)
     c_prime = _require("c_prime", c_prime, nonnegative=True)
     base = k / ((1 - epsilon) * beta)
-    if isinstance(c_prime, float):
-        nudged = c_prime * (1 + 1e-9)
-    else:
-        nudged = c_prime * Fraction(_NUDGE_NUM, _NUDGE_DEN)
+    nudged = c_prime * _NUDGE
     lam = nudged if _le(base, nudged) else base
     if isinstance(lam, float) and not math.isfinite(lam):
         raise NumericError("lambda = k / ((1 - epsilon) beta) overflows "

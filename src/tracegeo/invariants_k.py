@@ -4,8 +4,9 @@ The invariant is half the minimal dimension of a nontrivial induced
 unipotent orbit.  It can be computed by enumerating (Levi, orbit) pairs,
 by minimizing unipotent-radical dimensions (valid when the minimal orbit
 is a Richardson orbit), or directly from the minimal-orbit dimension
-2(h_dual - 1) per simple factor.  Restriction of scalars from a degree-n
-field multiplies every orbit dimension, hence the invariant, by n.
+2(h_dual - 1) per simple factor; the pairs route never reads h_dual.
+Restriction of scalars from a degree-n field multiplies every orbit
+dimension, hence the invariant, by n.
 
 Groups whose rational structure differs from the split one (rational rank
 smaller than absolute rank) carry an optional relative datum: a list of
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import DomainError, ResourceLimitError
@@ -136,11 +137,22 @@ def _component_type(rs: RootSystem, comp: list[int]) -> SimpleType:
     return SimpleType("A", len(comp))
 
 
+def _minimal_orbit_dim(rs: RootSystem, comp: list[int]) -> int:
+    """1 + #{alpha > 0 : (alpha, theta) > 0}, theta the component's highest
+    root: the minimal orbit is that of a theta root vector e, and [g, e] is
+    spanned by e, the grade-1 root vectors and the coroot of theta
+    (Collingwood and McGovern, ch. 4)."""
+    positive = [i for i in rs.roots_in_simple_span(comp) if rs.is_positive[i]]
+    theta = rs.roots[max(positive, key=rs.heights.__getitem__)]
+    return 1 + sum(1 for i in positive
+                   if sum(a * b for a, b in zip(rs.roots[i], theta)) > 0)
+
+
 def _component_dim_set(rs: RootSystem, comp: list[int]) -> tuple[int, ...]:
     t = _component_type(rs, comp)
     if t.series in "ABCD":
         return _classical_dim_set(t.series, t.rank)
-    return (0,)  # exceptional Levi factors: trivial orbit only
+    return (0, _minimal_orbit_dim(rs, comp))
 
 
 # -- the three computations ----------------------------------------------------
@@ -150,10 +162,10 @@ def k_by_pairs(g: GroupSpec) -> int:
     """Enumerate (standard Levi, orbit) pairs and halve the minimal induced
     dimension, excluding the trivial pair.
 
-    Orbit labels in exceptional Levi factors are restricted to the trivial
-    orbit; the minimal orbits of the group's own factors are added as
-    candidates, which covers everything a nontrivial exceptional-factor
-    orbit could contribute.
+    Exceptional Levi components contribute their trivial and minimal
+    orbits only: every nontrivial orbit is at least minimal, so larger ones
+    cannot lower the minimum.  The whole group is one of the Levis, so its
+    own minimal orbits enter here too.
     """
     rs = g.absolute
     s = rs.semisimple_rank
@@ -180,10 +192,6 @@ def k_by_pairs(g: GroupSpec) -> int:
             cand = orbit_total + 2 * dim_v
             if best is None or cand < best:
                 best = cand
-    for t in rs.factors:
-        cand = min_orbit_dim(t)
-        if cand < best:
-            best = cand
     assert best is not None and best % 2 == 0 and best > 0
     return g.restriction_degree * (best // 2)
 
@@ -236,29 +244,24 @@ def _richardson_relative(rel: RelativeDatum) -> int:
     return best
 
 
-def k_richardson(g: GroupSpec, assume_richardson: bool = False) -> int:
+def k_richardson(g: GroupSpec) -> int:
     """Minimal unipotent-radical dimension over proper standard parabolics.
 
     Runs on the relative datum when one is present, else on the absolute
     root system.  This equals the decay invariant exactly when the minimal
-    orbit is induced from a trivial orbit; pass assume_richardson=True to
-    assert that (absolute data only), which raises when the assertion is
-    false rather than returning a silently wrong invariant.
+    orbit is induced from a trivial orbit.
     """
     if g.relative is not None:
-        if assume_richardson:
-            raise DomainError(
-                "assume_richardson compares against absolute invariants and "
-                "cannot be combined with a relative datum")
         return g.restriction_degree * _richardson_relative(g.relative)
-    value = g.restriction_degree * _richardson_absolute(g.absolute)
-    if assume_richardson:
-        reference = k_min_orbit(g)
-        if value != reference:
-            raise DomainError(
-                f"minimal orbit is not Richardson here: radical minimum "
-                f"{value} differs from minimal-orbit value {reference}")
-    return value
+    return g.restriction_degree * _richardson_absolute(g.absolute)
+
+
+def _guarded(route: Callable[[], int]) -> int | None:
+    """The route's value, or None when a resource guard rules it out."""
+    try:
+        return route()
+    except ResourceLimitError:
+        return None
 
 
 def k_report(g: GroupSpec) -> dict:
@@ -267,22 +270,15 @@ def k_report(g: GroupSpec) -> dict:
     Routes that a guard or missing datum rules out appear as None and do
     not affect agreement.
     """
-    report: dict[str, int | bool | None] = {}
-    report["minorbit"] = k_min_orbit(g)
-    try:
-        report["pairs"] = k_by_pairs(g)
-    except ResourceLimitError:
-        report["pairs"] = None
-    try:
-        report["richardson_absolute"] = g.restriction_degree * \
-            _richardson_absolute(g.absolute)
-    except ResourceLimitError:
-        report["richardson_absolute"] = None
-    if g.relative is not None:
-        report["richardson_relative"] = \
-            g.restriction_degree * _richardson_relative(g.relative)
-    else:
-        report["richardson_relative"] = None
+    n, rel = g.restriction_degree, g.relative
+    report: dict[str, int | bool | None] = {
+        "minorbit": k_min_orbit(g),
+        "pairs": _guarded(lambda: k_by_pairs(g)),
+        "richardson_absolute":
+            _guarded(lambda: n * _richardson_absolute(g.absolute)),
+        "richardson_relative": None if rel is None else
+            _guarded(lambda: n * _richardson_relative(rel)),
+    }
     values = [v for v in report.values() if v is not None]
     report["agreement"] = len(set(values)) == 1
     return report

@@ -17,7 +17,6 @@ trailing zero coordinates and no roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -197,12 +196,7 @@ class RootSystem:
         return tuple(sum(1 << j for j, c in enumerate(coords) if c)
                      for coords in self.simple_coords)
 
-    # -- coroots and reflections ---------------------------------------------
-
-    @staticmethod
-    def coroot(alpha: Sequence[int]) -> tuple[Fraction, ...]:
-        norm = _dot(alpha, alpha)
-        return tuple(Fraction(2 * x, norm) for x in alpha)
+    # -- reflections -----------------------------------------------------------
 
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:

@@ -113,6 +113,26 @@ def test_k_relative_file(tmp_path, capsys):
     assert data["result"]["richardson_relative"] == 2
 
 
+def test_k_report_nulls_a_guarded_relative_route(tmp_path, capsys):
+    # 13 entries exceed the relative guard of 12: the report shows the
+    # route as null, the single method exits 3 (resource)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"simple_roots": [[1]] * 13,
+                                "nilradical_dims": [1] * 13}))
+    code, data = run_json(capsys, ["k", "A3", "--relative", str(path),
+                                   "--json"])
+    assert code == 0
+    assert data["result"] == {"spec": "A3", "minorbit": 3,
+                              "pairs": 3, "richardson_absolute": 3,
+                              "richardson_relative": None,
+                              "agreement": True}
+    code = cli.main(["k", "A3", "--relative", str(path), "--method",
+                     "richardson", "--json"])
+    assert code == 3
+    assert "relative data are limited to 12 entries; got 13" in \
+        capsys.readouterr().err
+
+
 def test_orbits_json(capsys):
     code, data = run_json(capsys, ["orbits", "C2", "--json"])
     assert code == 0

@@ -130,6 +130,10 @@ def test_lambda_min_branches():
     lam = lambda_min(1, beta, Fraction(1, 2), 100)
     assert lam == 100 * Fraction(10 ** 9 + 1, 10 ** 9)
     assert lam > 100
+    # a float c_prime is nudged in floats, to the double c' (1 + 1e-9)
+    for c_prime in (4.0, 100.0, 1e300):
+        lam = lambda_min(1, 0.5, 0.5, c_prime)
+        assert lam == c_prime * (1 + 1e-9) > c_prime and type(lam) is float
 
 
 def test_feasibility_float_draws_with_margin():

@@ -1,12 +1,14 @@
 import pytest
 
+from tracegeo import invariants_k, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
                                    _classical_dim_set, _component_type,
                                    _components, k_by_pairs, k_min_orbit,
                                    k_report, k_richardson)
 from tracegeo.nilpotent_orbits import min_orbit_dim
-from tracegeo.root_datum import SimpleType, build_root_system
+from tracegeo.root_datum import (SimpleType, build_root_system,
+                                 dual_coxeter_number)
 
 
 def spec(*names, **kw):
@@ -64,18 +66,15 @@ def test_richardson_differs_when_minimal_orbit_is_not_induced():
     g = spec("D4")
     assert k_richardson(g) == 6
     assert k_min_orbit(g) == 5
-    with pytest.raises(DomainError):
-        k_richardson(g, assume_richardson=True)
-    # for type A they agree and the assertion is fine
-    assert k_richardson(spec("A3"), assume_richardson=True) == 3
+    assert k_report(g)["agreement"] is False
+    # for type A the minimal orbit is Richardson and they agree
+    assert k_richardson(spec("A3")) == k_min_orbit(spec("A3")) == 3
 
 
 def test_relative_datum_route():
     rel = RelativeDatum(roots=((1,),), contributions=(2,))
     g = GroupSpec.build([SimpleType("D", 2)], relative=rel)
     assert k_richardson(g) == 2
-    with pytest.raises(DomainError):
-        k_richardson(g, assume_richardson=True)
     report = k_report(g)
     assert report["richardson_relative"] == 2
     assert report["minorbit"] == 1
@@ -141,6 +140,8 @@ def test_torus_only_rejected():
         k_min_orbit(g)
     with pytest.raises(DomainError):
         k_by_pairs(g)
+    with pytest.raises(DomainError):
+        k_richardson(g)
 
 
 # -- Levi component typing against the signature matcher ---------------------
@@ -236,3 +237,29 @@ DIFFERENTIAL_SYSTEMS = TYPING_SYSTEMS + [["F4", "A1"], ["E7", "A1"]]
 def test_pairs_match_the_factor_loop_reference(factors):
     g = spec(*factors)
     assert k_by_pairs(g) == _pairs_with_factor_loop(g)
+
+
+EXCEPTIONAL_K = {"G2": 3, "F4": 8, "E6": 11, "E7": 17, "E8": 29}
+
+
+def test_pairs_route_reads_no_dual_coxeter_number(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the pairs route read the h_dual table")
+    monkeypatch.setattr(invariants_k, "min_orbit_dim", boom)
+    monkeypatch.setattr(root_datum, "_dual_coxeter", boom)
+    for name, want in EXCEPTIONAL_K.items():
+        assert k_by_pairs(spec(name)) == want, name
+
+
+def test_pairs_check_catches_a_wrong_dual_coxeter_table(monkeypatch):
+    # Shift h_dual by one on E, F and G.  A pairs route that read the same
+    # table would shift with it, and the comparison would still pass.
+    true_value = root_datum._dual_coxeter
+    monkeypatch.setattr(root_datum, "_dual_coxeter",
+                        lambda series, rank: true_value(series, rank)
+                        + (series in "EFG"))
+    wrong = [name for name in EXCEPTIONAL_K
+             if k_by_pairs(spec(name))
+             != dual_coxeter_number(SimpleType.parse(name)) - 1]
+    assert wrong == list(EXCEPTIONAL_K)
+    assert reproduce._check_pairs_consistency()[0] is False
