@@ -137,7 +137,7 @@ def _component_type(rs: RootSystem, comp: list[int]) -> SimpleType:
     return SimpleType("A", len(comp))
 
 
-def _minimal_orbit_dim(rs: RootSystem, comp: list[int]) -> int:
+def _theta_grading_dim(rs: RootSystem, comp: list[int]) -> int:
     """1 + #{alpha > 0 : (alpha, theta) > 0}, theta the component's highest
     root: the minimal orbit is that of a theta root vector e, and [g, e] is
     spanned by e, the grade-1 root vectors and the coroot of theta
@@ -152,7 +152,7 @@ def _component_dim_set(rs: RootSystem, comp: list[int]) -> tuple[int, ...]:
     t = _component_type(rs, comp)
     if t.series in "ABCD":
         return _classical_dim_set(t.series, t.rank)
-    return (0, _minimal_orbit_dim(rs, comp))
+    return (0, _theta_grading_dim(rs, comp))
 
 
 # -- the three computations ----------------------------------------------------
