@@ -154,42 +154,31 @@ def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(c) * (n - i) for i, c in enumerate(p[:-1])]
 
 
+def _strip(p: list[Fraction]) -> list[Fraction]:
+    """p without leading zeros; the zero polynomial is [0]."""
+    i = next((i for i, c in enumerate(p) if c), len(p) - 1)
+    return p[max(i, 0):] or [Fraction(0)]
+
+
 def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    p = [Fraction(c) for c in p]
-    d = [Fraction(c) for c in d]
-    while d and d[0] == 0:
-        d = d[1:]
-    if not d:
+    """Quotient and remainder; a nonzero quotient has exactly
+    deg p - deg d + 1 coefficients, trailing zeros included."""
+    r = _strip([Fraction(c) for c in p])
+    d = _strip([Fraction(c) for c in d])
+    if not d[0]:
         raise ZeroDivisionError("polynomial division by zero")
     q: list[Fraction] = []
-    r = p[:]
-    while len(r) >= len(d) and any(c != 0 for c in r):
+    while len(r) >= len(d):
         f = r[0] / d[0]
         q.append(f)
-        for i in range(len(d)):
-            r[i] -= f * d[i]
-        assert r[0] == 0
-        r = r[1:]
-    if not q:
-        q = [Fraction(0)]
-    while len(r) > 1 and r[0] == 0:
-        r = r[1:]
-    if not r:
-        r = [Fraction(0)]
-    return q, r
+        r = [x - f * y for x, y in zip(r[1:], d[1:])] + r[len(d):]
+    return q or [Fraction(0)], _strip(r)
 
 
 def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     """Monic gcd via the Euclidean algorithm."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    while any(c != 0 for c in b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    while len(a) > 1 and a[0] == 0:
-        a = a[1:]
-    if a and a[0] != 0:
-        lead = a[0]
-        a = [c / lead for c in a]
-    return a
-
+    a = _strip([Fraction(c) for c in p])
+    b = _strip([Fraction(c) for c in q])
+    while b[0]:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[0] for c in a] if a[0] else a

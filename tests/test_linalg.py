@@ -89,3 +89,13 @@ def test_poly_helpers():
     quo, rem = linalg.poly_divmod(p, [1, -1])
     assert quo == [1, -2] and rem == [0]
     assert linalg.poly_derivative([1, 0, -4]) == [2, 0]
+
+
+def test_poly_divmod_keeps_trailing_zero_coefficients():
+    # The quotient has exactly deg p - deg d + 1 coefficients.
+    assert linalg.poly_divmod([2, 0], [1]) == ([2, 0], [0])
+    assert linalg.poly_divmod([1, 0, 0], [1, 0]) == ([1, 0], [0])
+    assert linalg.poly_divmod([3, 0, 0, 5], [1, 0]) == ([3, 0, 0], [5])
+    assert linalg.poly_divmod([0, 0, 1, 0], [2]) == ([Fraction(1, 2), 0],
+                                                    [0])
+    assert linalg.poly_divmod([1, 2], [1, 0, 0]) == ([0], [1, 2])
