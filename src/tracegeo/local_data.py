@@ -145,12 +145,26 @@ def weyl_discriminant(gamma_s: RationalMatrix,
     reported for every prime dividing the value's numerator or denominator
     plus any explicitly requested primes.
     """
-    g = gamma_s.rows()
+    value, dim = _discriminant(gamma_s.rows())
+    support = set(factorize(abs(value.numerator))) | \
+        set(factorize(value.denominator))
+    for p in primes:
+        if not is_prime(p):
+            raise DomainError(f"{p} is not a prime")
+        support.add(p)
+    vals = {p: _valuation(value, p) for p in sorted(support)}
+    return DiscriminantValue(value=value, abs_inf=abs(value),
+                             p_valuations=vals, centralizer_dim=dim)
+
+
+def _discriminant(g: list[list[Fraction]]) -> tuple[Fraction, int]:
+    """det(1 - Ad g) off the centralizer of g, and the centralizer's
+    dimension."""
     chi_g = linalg.charpoly(g)
     if chi_g[-1] == 0:
         raise DomainError("matrix is not invertible")
     _check_semisimple(g, chi_g)
-    size = gamma_s.n ** 2
+    size = len(g) ** 2
     # g^-1 has the reversed characteristic polynomial, made monic.
     chi_inv = [c / chi_g[-1] for c in reversed(chi_g)]
     chi = _from_power_sums([a * b for a, b in zip(
@@ -168,15 +182,7 @@ def weyl_discriminant(gamma_s: RationalMatrix,
         m += 1
     value = sum(coeffs, Fraction(0))  # evaluation at 1
     assert value != 0
-    support = set(factorize(abs(value.numerator))) | \
-        set(factorize(value.denominator))
-    for p in primes:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not a prime")
-        support.add(p)
-    vals = {p: _valuation(value, p) for p in sorted(support)}
-    return DiscriminantValue(value=value, abs_inf=abs(value),
-                             p_valuations=vals, centralizer_dim=m)
+    return value, m
 
 
 def modulus_character(block_sizes: Sequence[int],

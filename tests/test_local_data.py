@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracegeo import oracles
+from tracegeo import linalg, local_data, oracles
 from tracegeo.errors import DomainError
 from tracegeo.local_data import (RationalMatrix, as_fraction,
                                  modulus_character, weyl_discriminant)
@@ -224,3 +224,81 @@ def test_invertibility_is_checked_before_semisimplicity():
         weyl_discriminant(RationalMatrix.from_rows([[0, 1], [0, 0]]))
     with pytest.raises(DomainError, match="^matrix is not semisimple"):
         weyl_discriminant(RationalMatrix.from_rows([[2, 1], [0, 2]]))
+
+
+# -- differential test: the library route against the power-sum route -------
+#
+# The power-sum route builds the characteristic polynomial of Ad(g), of
+# degree n^2, from the power sums p_k(g) p_k(g^-1) by Newton's identities,
+# divides it by (x - 1) as often as 1 is a root, and evaluates the quotient
+# at 1.  It is compared with local_data._discriminant before valuations,
+# because the value of a random dense matrix often has a cofactor that
+# Pollard-Brent cannot split within its step budget.
+
+
+def _power_sums(chi, count):
+    """p_1..p_count of the roots of the monic chi (highest degree first),
+    by Newton's identities p_k = -(k c_k + sum_{i<k} c_i p_{k-i})."""
+    p = []
+    for k in range(1, count + 1):
+        s = k * chi[k] if k < len(chi) else 0
+        for i in range(1, min(k, len(chi))):
+            s += chi[i] * p[k - i - 1]
+        p.append(-s)
+    return p
+
+
+def _from_power_sums(p):
+    """The monic polynomial of degree len(p) whose roots have the power
+    sums p, by the same identities solved for c_k."""
+    c = [Fraction(1)]
+    for k in range(1, len(p) + 1):
+        s = p[k - 1]
+        for i in range(1, k):
+            s += c[i] * p[k - i - 1]
+        c.append(-s / k)
+    return c
+
+
+def _power_sum_discriminant(rows):
+    chi_g = linalg.charpoly(rows)
+    size = len(rows) ** 2
+    chi_inv = [c / chi_g[-1] for c in reversed(chi_g)]
+    coeffs = _from_power_sums([a * b for a, b in zip(
+        _power_sums(chi_g, size), _power_sums(chi_inv, size))])
+    m = 0
+    while sum(coeffs) == 0:
+        out = []
+        acc = Fraction(0)
+        for c in coeffs[:-1]:
+            acc += c
+            out.append(acc)
+        coeffs = out
+        m += 1
+    return sum(coeffs, Fraction(0)), m
+
+
+def _random_dense():
+    """60 dense rational matrices, n = 2..6, drawn until they are
+    invertible with distinct eigenvalues (so semisimple)."""
+    rng = random.Random(1616)
+    cases = []
+    while len(cases) < 60:
+        n = 2 + len(cases) % 5
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(n)] for _ in range(n)]
+        chi = linalg.charpoly(rows)
+        if chi[-1] and len(linalg.poly_gcd(
+                chi, linalg.poly_derivative(chi))) == 1:
+            cases.append(pytest.param(rows, id=f"dense-n{n}-{len(cases)}"))
+    return cases
+
+
+@pytest.mark.parametrize("rows", [
+    *(pytest.param(c.values[1], id=c.id) for c in EIGENVALUE_CORPUS),
+    *(pytest.param(rows, id=name) for name, rows in NON_SPLIT.items()),
+    *_random_dense()])
+def test_matches_the_power_sum_route(rows):
+    assert local_data._discriminant(
+        [[Fraction(x) for x in row] for row in rows]) == \
+        _power_sum_discriminant(rows)
