@@ -154,6 +154,14 @@ def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(c) * (n - i) for i, c in enumerate(p[:-1])]
 
 
+def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def _strip(p: list[Fraction]) -> list[Fraction]:
     """p without leading zeros; the zero polynomial is [0]."""
     i = next((i for i, c in enumerate(p) if c), len(p) - 1)
@@ -182,3 +190,45 @@ def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     while b[0]:
         a, b = b, poly_divmod(a, b)[1]
     return [c / a[0] for c in a] if a[0] else a
+
+
+def poly_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Yun's squarefree split of a monic f of positive degree.
+
+    Returns [P_1, P_2, ...] with f = prod P_k^k, each P_k monic, squarefree
+    and holding the roots of multiplicity exactly k ([1] when there are
+    none).  With b = f / gcd(f, f') and c = f' / gcd(f, f'), each step
+    takes P = gcd(b, c - b') and divides it out of b and c - b'.
+    """
+    df = poly_derivative(f)
+    a = poly_gcd(f, df)
+    b, c = poly_divmod(f, a)[0], poly_divmod(df, a)[0]
+    split = []
+    while len(b) > 1:
+        db = poly_derivative(b)
+        d = [x - y for x, y in zip(c, [Fraction(0)] * (len(c) - len(db)) + db)]
+        a = poly_gcd(b, d)
+        split.append(a)
+        b, c = poly_divmod(b, a)[0], poly_divmod(d, a)[0]
+    return split
+
+
+def poly_resultant(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Res(a, b) = lc(a)^deg b * prod of b over the roots of a.
+
+    Euclidean recursion: with r = a mod b,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), down
+    to a constant b, where Res(a, b) = b^deg a.
+    """
+    a = _strip([Fraction(c) for c in a])
+    b = _strip([Fraction(c) for c in b])
+    value = Fraction(1)
+    while len(b) > 1:
+        r = poly_divmod(a, b)[1]
+        if not r[0]:
+            return Fraction(0)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            value = -value
+        value *= b[0] ** (len(a) - len(r))
+        a, b = b, r
+    return value * b[0] ** (len(a) - 1)

@@ -2,17 +2,26 @@
 
 The discriminant of a semisimple rational matrix g is det(1 - Ad(g))
 taken on the complement of the centralizer.  Ad(g) has the eigenvalues
-x_i / x_j of g's eigenvalues x_i, so tr Ad(g)^k = p_k(g) p_k(g^-1) for the
-power sums p_k.  Those come from the characteristic polynomial of g (and
-of g^-1, its reversal) by Newton's identities, which read backwards give
-the characteristic polynomial of Ad(g) without forming the n^2-by-n^2
-matrix.  That polynomial is divided by (x - 1) as often as it vanishes at
-1, and the quotient is evaluated at 1.  Everything runs in exact rational
+x_i / x_j of g's eigenvalues x_i, so with mu_a the distinct eigenvalues
+and m_a their multiplicities the value is the product over a != b of
+(1 - mu_a / mu_b)^(m_a m_b), and the centralizer has dimension
+sum m_a^2.  Yun's algorithm splits the characteristic polynomial of g
+into squarefree factors P_k, P_k holding the eigenvalues of multiplicity
+k, and the product becomes
+
+    prod_{k != l} Res(P_l, P_k)^(kl) * prod_k Res(P_k, P_k')^(k^2)
+    / prod_l ((-1)^deg P_l P_l(0))^(l (n - l)).
+
+The resultants come from the Euclidean recursion
+Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) with
+R = A mod B, so every polynomial has degree at most n and the n^2-by-n^2
+matrix of Ad(g) is never formed.  Everything runs in exact rational
 arithmetic; no root finding, no floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -103,38 +112,14 @@ def _annihilates(p: Sequence[Fraction], m: list[list[Fraction]]) -> bool:
     return not any(x for row in acc for x in row)
 
 
-def _check_semisimple(m: list[list[Fraction]], chi: list[Fraction]) -> None:
-    # The squarefree radical of the characteristic polynomial chi annihilates
-    # the matrix exactly when it is diagonalizable over the algebraic
-    # closure.
-    radical, _ = linalg.poly_divmod(chi, linalg.poly_gcd(chi, linalg.poly_derivative(chi)))
-    if not _annihilates(radical, m):
+def _check_semisimple(m: list[list[Fraction]],
+                      split: list[list[Fraction]]) -> None:
+    # The product of the squarefree factors of the characteristic
+    # polynomial is its radical, which annihilates the matrix exactly when
+    # it is diagonalizable over the algebraic closure.
+    if not _annihilates(functools.reduce(linalg.poly_mul, split), m):
         raise DomainError("matrix is not semisimple; pass the semisimple "
                           "part of its multiplicative Jordan decomposition")
-
-
-def _power_sums(chi: Sequence[Fraction], count: int) -> list[Fraction]:
-    """p_1..p_count of the roots of the monic chi (highest degree first),
-    by Newton's identities p_k = -(k c_k + sum_{i<k} c_i p_{k-i})."""
-    p: list[Fraction] = []
-    for k in range(1, count + 1):
-        s = k * chi[k] if k < len(chi) else 0
-        for i in range(1, min(k, len(chi))):
-            s += chi[i] * p[k - i - 1]
-        p.append(-s)
-    return p
-
-
-def _from_power_sums(p: Sequence[Fraction]) -> list[Fraction]:
-    """The monic polynomial of degree len(p) whose roots have the power
-    sums p, by the same identities solved for c_k."""
-    c = [Fraction(1)]
-    for k in range(1, len(p) + 1):
-        s = p[k - 1]
-        for i in range(1, k):
-            s += c[i] * p[k - i - 1]
-        c.append(-s / k)
-    return c
 
 
 def weyl_discriminant(gamma_s: RationalMatrix,
@@ -163,26 +148,24 @@ def _discriminant(g: list[list[Fraction]]) -> tuple[Fraction, int]:
     chi_g = linalg.charpoly(g)
     if chi_g[-1] == 0:
         raise DomainError("matrix is not invertible")
-    _check_semisimple(g, chi_g)
-    size = len(g) ** 2
-    # g^-1 has the reversed characteristic polynomial, made monic.
-    chi_inv = [c / chi_g[-1] for c in reversed(chi_g)]
-    chi = _from_power_sums([a * b for a, b in zip(
-        _power_sums(chi_g, size), _power_sums(chi_inv, size))])
-    # Exact synthetic division by (x - 1), as long as 1 stays a root.
-    m = 0
-    coeffs = list(chi)
-    while sum(coeffs) == 0:
-        out = []
-        acc = Fraction(0)
-        for c in coeffs[:-1]:
-            acc += c
-            out.append(acc)
-        coeffs = out
-        m += 1
-    value = sum(coeffs, Fraction(0))  # evaluation at 1
-    assert value != 0
-    return value, m
+    split = linalg.poly_squarefree(chi_g)
+    _check_semisimple(g, split)
+    n = len(g)
+    blocks = [(k, p) for k, p in enumerate(split, 1) if len(p) > 1]
+    value = Fraction(1)
+    for i, (k, pk) in enumerate(blocks):
+        dk = len(pk) - 1
+        # Pairs of distinct roots of P_k, over the product of the roots
+        # of each P_k taken once per root outside their eigenspace.
+        value *= linalg.poly_resultant(pk, linalg.poly_derivative(pk)) \
+            ** (k * k)
+        value /= ((-1) ** dk * pk[-1]) ** (k * (n - k))
+        # Roots of P_l against roots of P_k, both orders:
+        # Res(P_l, P_k) Res(P_k, P_l) = (-1)^(deg P_k deg P_l) Res(P_l, P_k)^2.
+        for l, pl in blocks[:i]:
+            r = linalg.poly_resultant(pl, pk)
+            value *= ((-1) ** (dk * (len(pl) - 1)) * r * r) ** (k * l)
+    return value, sum(k * k * (len(p) - 1) for k, p in blocks)
 
 
 def modulus_character(block_sizes: Sequence[int],

@@ -189,7 +189,7 @@ def _check_discriminant() -> tuple[bool, str, str, str]:
         res = weyl_discriminant(ident)
         if res.value != 1 or res.centralizer_dim != n * n:
             bad.append(("identity", n, res.value))
-    return not bad, "polynomial-division route equals eigenvalue product " \
+    return not bad, "resultant route equals eigenvalue product " \
         "and complement determinant on 100 random diagonals", \
         "exact agreement", ("ok" if not bad else str(bad[:3]))
 

@@ -99,3 +99,36 @@ def test_poly_divmod_keeps_trailing_zero_coefficients():
     assert linalg.poly_divmod([0, 0, 1, 0], [2]) == ([Fraction(1, 2), 0],
                                                     [0])
     assert linalg.poly_divmod([1, 2], [1, 0, 0]) == ([0], [1, 2])
+
+
+def test_poly_squarefree():
+    # x^2 - 4: f' / gcd(f, f') = 2x keeps its trailing zero.
+    assert linalg.poly_squarefree([1, 0, -4]) == [[1, 0, -4]]
+    # (x^2 + 1)^2 and x (x - 1)^3 (x + 2)^3
+    assert linalg.poly_squarefree([1, 0, 2, 0, 1]) == [[1], [1, 0, 1]]
+    f = [1]
+    for root in (0, 1, 1, 1, -2, -2, -2):
+        f = linalg.poly_mul(f, [1, -root])
+    assert linalg.poly_squarefree(f) == [[1, 0], [1], [1, 1, -2]]
+
+
+def test_poly_resultant_matches_the_root_product():
+    # a = c prod (x - r_i) with rational roots, so
+    # Res(a, b) = c^deg b prod b(r_i) exactly.
+    rng = random.Random(106)
+    for _ in range(200):
+        c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+        roots = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 5))]
+        a = [c]
+        for r in roots:
+            a = linalg.poly_mul(a, [1, -r])
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+             for _ in range(rng.randint(1, 6))]
+        b[0] = b[0] or Fraction(1)
+        want = c ** (len(b) - 1)
+        for r in roots:
+            want *= sum(x * r ** i for i, x in enumerate(reversed(b)))
+        assert linalg.poly_resultant(a, b) == want
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+        assert linalg.poly_resultant(b, a) == sign * want

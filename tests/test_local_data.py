@@ -302,3 +302,35 @@ def test_matches_the_power_sum_route(rows):
     assert local_data._discriminant(
         [[Fraction(x) for x in row] for row in rows]) == \
         _power_sum_discriminant(rows)
+
+
+def _power(p, k):
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = linalg.poly_mul(out, p)
+    return out
+
+
+@pytest.mark.parametrize("rows", [
+    *(pytest.param(c.values[1], id=c.id) for c in EIGENVALUE_CORPUS),
+    *(pytest.param(rows, id=name) for name, rows in NON_SPLIT.items())])
+def test_squarefree_split_recovers_the_charpoly(rows):
+    chi = linalg.charpoly(rows)
+    split = linalg.poly_squarefree(chi)
+    product = [Fraction(1)]
+    for k, p in enumerate(split, 1):
+        assert p[0] == 1
+        product = linalg.poly_mul(product, _power(p, k))
+    assert product == chi
+    assert len(split[-1]) > 1
+
+
+@pytest.mark.parametrize("diag,rows", EIGENVALUE_CORPUS)
+def test_squarefree_split_sorts_eigenvalues_by_multiplicity(diag, rows):
+    split = linalg.poly_squarefree(linalg.charpoly(rows))
+    for k, p in enumerate(split, 1):
+        want = [Fraction(1)]
+        for x in sorted(set(diag)):
+            if diag.count(x) == k:
+                want = linalg.poly_mul(want, [1, -x])
+        assert p == want
