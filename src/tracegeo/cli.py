@@ -18,7 +18,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
@@ -205,7 +205,8 @@ def _cmd_k(args) -> tuple[object, str, int]:
         else parsed.restriction_degree
     g = GroupSpec.build(list(parsed.factors), parsed.torus_rank,
                         degree, relative)
-    canonical = parsed.render()
+    canonical = replace(parsed, restriction_degree=degree,
+                        relative_path=rel_path).render()
     if args.method is None:
         report = k_report(g)
         result = {"spec": canonical, **report}

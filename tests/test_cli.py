@@ -99,6 +99,28 @@ def test_k_degree_flag_overrides_suffix(capsys):
     assert data["result"]["value"] == 3
 
 
+def test_k_spec_names_the_degree_and_relative_path_used(tmp_path, capsys):
+    code, data = run_json(capsys, ["k", "A1@res=2", "--degree", "3",
+                                   "--json"])
+    assert code == 0
+    assert data["result"]["spec"] == "A1@res=3"
+    assert data["result"]["minorbit"] == 3
+    code, data = run_json(capsys, ["k", "A1@res=2", "--degree", "1",
+                                   "--method", "minorbit", "--json"])
+    assert data["result"] == {"spec": "A1", "method": "minorbit",
+                              "value": 1}
+    path = tmp_path / "so31.json"
+    path.write_text(json.dumps({"simple_roots": [[1]],
+                                "nilradical_dims": [2]}))
+    code, data = run_json(capsys, ["k", "D2", "--relative", str(path),
+                                   "--json"])
+    assert code == 0
+    assert data["result"]["spec"] == f"D2@relative={path}"
+    assert cli.main(["k", "D2@res=2", "--relative", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"k invariants for D2@res=2@relative={path}:\n")
+
+
 def test_k_relative_file(tmp_path, capsys):
     path = tmp_path / "so31.json"
     path.write_text(json.dumps({"simple_roots": [[1]],
@@ -122,7 +144,7 @@ def test_k_report_nulls_a_guarded_relative_route(tmp_path, capsys):
     code, data = run_json(capsys, ["k", "A3", "--relative", str(path),
                                    "--json"])
     assert code == 0
-    assert data["result"] == {"spec": "A3", "minorbit": 3,
+    assert data["result"] == {"spec": f"A3@relative={path}", "minorbit": 3,
                               "pairs": 3, "richardson_absolute": 3,
                               "richardson_relative": None,
                               "agreement": True}
