@@ -164,8 +164,9 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
 
 def _strip(p: list[Fraction]) -> list[Fraction]:
     """p without leading zeros; the zero polynomial is [0]."""
-    i = next((i for i, c in enumerate(p) if c), len(p) - 1)
-    return p[max(i, 0):] or [Fraction(0)]
+    while len(p) > 1 and not p[0]:
+        p = p[1:]
+    return p or [Fraction(0)]
 
 
 def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -205,8 +206,10 @@ def poly_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
     b, c = poly_divmod(f, a)[0], poly_divmod(df, a)[0]
     split = []
     while len(b) > 1:
-        db = poly_derivative(b)
-        d = [x - y for x, y in zip(c, [Fraction(0)] * (len(c) - len(db)) + db)]
+        # Before P_i is split off, b = prod_{j>=i} P_j and
+        # c = sum_{j>=i} (j - i + 1) P_j' b / P_j, whose leading
+        # coefficient is positive: c and b' both have degree deg b - 1.
+        d = [x - y for x, y in zip(c, poly_derivative(b))]
         a = poly_gcd(b, d)
         split.append(a)
         b, c = poly_divmod(b, a)[0], poly_divmod(d, a)[0]

@@ -155,8 +155,9 @@ def _discriminant(g: list[list[Fraction]]) -> tuple[Fraction, int]:
     value = Fraction(1)
     for i, (k, pk) in enumerate(blocks):
         dk = len(pk) - 1
-        # Pairs of distinct roots of P_k, over the product of the roots
-        # of each P_k taken once per root outside their eigenspace.
+        # Ordered pairs of distinct roots of P_k.  Each root of P_k, of
+        # multiplicity k, is the denominator of (1 - mu_a / mu_b) against
+        # n - k eigenvalues counted with multiplicity.
         value *= linalg.poly_resultant(pk, linalg.poly_derivative(pk)) \
             ** (k * k)
         value /= ((-1) ** dk * pk[-1]) ** (k * (n - k))
