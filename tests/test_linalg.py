@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from tracegeo import linalg
@@ -12,10 +13,13 @@ def random_matrix(rng, n, lo=-6, hi=6):
 
 
 def test_charpoly_matches_sympy():
+    # Fraction matrices, then int matrices, n = 1..7.
     rng = random.Random(101)
-    for _ in range(25):
-        n = rng.randint(1, 5)
+    for trial in range(40):
+        n = rng.randint(1, 7)
         m = random_matrix(rng, n)
+        if trial % 2:
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         got = linalg.charpoly(m)
         x = sympy.symbols("x")
         want = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator)
@@ -24,6 +28,113 @@ def test_charpoly_matches_sympy():
                                 int(sympy.Rational(c).q))
                        for c in want.all_coeffs()]
         assert got == want_coeffs
+
+
+def _hessenberg_charpoly(m):
+    """Reference: exact Hessenberg reduction over Fraction, then the
+    recurrence on the leading principal minors of xI - H."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    for c in range(n - 2):
+        pivot = next((i for i in range(c + 1, n) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != c + 1:
+            a[c + 1], a[pivot] = a[pivot], a[c + 1]
+            for row in a:
+                row[c + 1], row[pivot] = row[pivot], row[c + 1]
+        inv = Fraction(1) / a[c + 1][c]
+        for i in range(c + 2, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c + 1])]
+                for row in a:
+                    row[c + 1] += f * row[i]
+    polys = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        pk = [Fraction(0)] * (k + 1)
+        for i, c in enumerate(prev):
+            pk[i] += c
+            pk[i + 1] -= c * a[k - 1][k - 1]
+        prod = Fraction(1)
+        for j in range(k - 1, 0, -1):
+            prod *= a[j][j - 1]
+            if prod == 0:
+                break
+            term = [prod * a[j - 1][k - 1] * c for c in polys[j - 1]]
+            for i, c in enumerate(term):
+                pk[k - len(term) + 1 + i] -= c
+        polys.append(pk)
+    return polys[n]
+
+
+def _conjugate(rng, m, steps=4):
+    """E m E^-1 for a product E of elementary matrices I + c e_ij: add c
+    times row j to row i, then subtract c times column i from column j."""
+    m = [list(row) for row in m]
+    n = len(m)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return m
+
+
+def _entry(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
+    if kind == "int":
+        return rng.randint(-7, 7)
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+
+
+def _differential_case(rng, kind, n):
+    if kind in ("int", "fraction", "mixed"):
+        return [[_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        # A product through rank r < n.
+        r = rng.randint(0, max(0, n - 1))
+        left = [[_entry(rng, "mixed") for _ in range(r)] for _ in range(n)]
+        right = [[_entry(rng, "mixed") for _ in range(n)] for _ in range(r)]
+        return [[sum((x * y for x, y in zip(row, col)), 0)
+                 for col in zip(*right)] if r else [0] * n for row in left]
+    if kind == "nilpotent":
+        return _conjugate(rng, [[_entry(rng, "mixed") if j > i else 0
+                                 for j in range(n)] for i in range(n)])
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        return [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    # Conjugated diagonal with repeated eigenvalues.
+    values = [_entry(rng, "mixed") for _ in range(max(1, n // 2))]
+    diag = [rng.choice(values) for _ in range(n)]
+    return _conjugate(rng, [[diag[i] if i == j else 0 for j in range(n)]
+                            for i in range(n)])
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "singular",
+                                  "nilpotent", "permutation",
+                                  "repeated-eigenvalues"])
+def test_charpoly_matches_the_hessenberg_route(kind):
+    # 5 matrices of each size n = 0..8 per kind: 315 in all.
+    rng = random.Random(f"charpoly-{kind}")
+    for n in range(9):
+        for _ in range(5):
+            m = _differential_case(rng, kind, n)
+            got = linalg.charpoly(m)
+            assert got == _hessenberg_charpoly(m), m
+            assert all(type(c) is Fraction for c in got) and got[0] == 1
+            if kind == "nilpotent":
+                assert got == [1] + [0] * n
+            if kind == "singular" and n:
+                assert got[-1] == 0
+
+
+def test_charpoly_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.charpoly([[1, 2]])
 
 
 def test_det_matches_sympy():
