@@ -2,8 +2,10 @@
 
 Matrices are row-major lists of rows of ``fractions.Fraction`` or ``int``.
 Rank and determinant share one fraction-free (Bareiss) elimination on
-integer rows, so integer input never becomes a Fraction; the
-characteristic polynomial and the polynomial helpers work over Fraction.
+integer rows, and the characteristic polynomial is Berkowitz's
+division-free recursion on the integer matrix D m, D the common
+denominator of m, so neither does Fraction arithmetic on the way; the
+polynomial helpers work over Fraction.
 Hand-rolled rather than numpy because a float rank is not a rank: these
 values feed invariants whose contracts promise integer or rational
 answers.  Functions never mutate their arguments.
@@ -12,14 +14,11 @@ answers.  Functions never mutate their arguments.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
 Mat = Sequence[Sequence[Fraction | int]]
-
-
-def _frac_rows(m: Mat) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in m]
 
 
 def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
@@ -93,55 +92,33 @@ def det(m: Mat) -> Fraction:
     return _bareiss(m)[1]
 
 
-# -- characteristic polynomial ------------------------------------------------
-#
-# Exact Hessenberg reduction followed by the standard recurrence.  Both the
-# row operation and the matching inverse column operation are applied, so the
-# reduction is a similarity and the characteristic polynomial is preserved.
-# O(n^3) Fraction operations.
-
-
 def charpoly(m: Mat) -> list[Fraction]:
-    """Coefficients of det(xI - m), highest degree first (monic)."""
-    a = _frac_rows(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    """Coefficients of det(xI - m), highest degree first (monic).
+
+    Berkowitz's division-free recursion runs on the integer matrix D m,
+    D the common denominator of m; chi_m(x) = D^-n chi_Dm(D x), so
+    coefficient i of chi_m is c_i(D m) / D^i.  For a trailing principal
+    block [[a, r], [c, B]], its characteristic polynomial is the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -r c, -r B c, -r B^2 c, ...) times chi_B.  O(n^4) integer
+    operations.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    # Hessenberg reduction.
-    for c in range(n - 2):
-        pivot = next((i for i in range(c + 1, n) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != c + 1:
-            a[c + 1], a[pivot] = a[pivot], a[c + 1]
-            for row in a:
-                row[c + 1], row[pivot] = row[pivot], row[c + 1]
-        inv = Fraction(1) / a[c + 1][c]
-        for i in range(c + 2, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c + 1])]
-                for row in a:
-                    row[c + 1] += f * row[i]
-    # Recurrence on leading principal minors of (xI - H).
-    polys: list[list[Fraction]] = [[Fraction(1)]]  # p_0 = 1
-    for k in range(1, n + 1):
-        # p_k = (x - h[k-1][k-1]) p_{k-1} - sum over trailing products.
-        prev = polys[k - 1]
-        pk = [Fraction(0)] * (k + 1)
-        for i, c in enumerate(prev):
-            pk[i] += c
-            pk[i + 1] -= c * a[k - 1][k - 1]
-        prod = Fraction(1)
-        for j in range(k - 1, 0, -1):
-            prod *= a[j][j - 1]
-            if prod == 0:
-                break
-            term = [prod * a[j - 1][k - 1] * c for c in polys[j - 1]]
-            for i, c in enumerate(term):
-                pk[k - len(term) + 1 + i] -= c
-        polys.append(pk)
-    return polys[n]
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    p = [1]
+    for k in range(n - 1, -1, -1):
+        r, c = a[k][k + 1:], [row[k] for row in a[k + 1:]]
+        b = [row[k + 1:] for row in a[k + 1:]]
+        t = [1, -a[k][k]]
+        for _ in range(n - k - 1):
+            t.append(-sum(map(operator.mul, r, c)))
+            c = [sum(map(operator.mul, row, c)) for row in b]
+        p = [sum(t[i - j] * p[j] for j in range(min(i + 1, len(p))))
+             for i in range(len(t))]
+    return [Fraction(x, den ** i) for i, x in enumerate(p)]
 
 
 # -- polynomial helpers (coefficients highest degree first) -------------------

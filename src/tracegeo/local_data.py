@@ -90,29 +90,21 @@ def _valuation(value: Fraction, p: int) -> int:
     return v
 
 
-def _annihilates(p: Sequence[Fraction], m: list[list[Fraction]]) -> bool:
-    """Whether p(m) = 0, for p highest degree first.
-
-    With D the common denominator of m, D^deg p(m) is the polynomial with
-    coefficients p_i D^i evaluated at the integer matrix D m.  Those
-    coefficients are scaled to integers, so the Horner runs on ints.
-    """
+def _annihilates(p: Sequence[Fraction], m: list[list[int]]) -> bool:
+    """Whether p(m) = 0, for p with integer coefficients, highest degree
+    first, and an integer matrix m; the Horner runs on ints."""
     n = len(m)
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    cols = list(zip(*([int(x * den) for x in row] for row in m)))
-    coeffs = [c * den ** i for i, c in enumerate(p)]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    coeffs = [int(c * scale) for c in coeffs]
-    acc = [[coeffs[0] * (i == j) for j in range(n)] for i in range(n)]
-    for c in coeffs[1:]:
+    cols = list(zip(*m))
+    acc = [[int(p[0]) * (i == j) for j in range(n)] for i in range(n)]
+    for c in p[1:]:
         acc = [[sum(map(operator.mul, row, col)) for col in cols]
                for row in acc]
         for i in range(n):
-            acc[i][i] += c
+            acc[i][i] += int(c)
     return not any(x for row in acc for x in row)
 
 
-def _check_semisimple(m: list[list[Fraction]],
+def _check_semisimple(m: list[list[int]],
                       split: list[list[Fraction]]) -> None:
     # The product of the squarefree factors of the characteristic
     # polynomial is its radical, which annihilates the matrix exactly when
@@ -144,7 +136,14 @@ def weyl_discriminant(gamma_s: RationalMatrix,
 
 def _discriminant(g: list[list[Fraction]]) -> tuple[Fraction, int]:
     """det(1 - Ad g) off the centralizer of g, and the centralizer's
-    dimension."""
+    dimension.
+
+    Both depend only on ratios of eigenvalues, so g is scaled once by its
+    common denominator; then chi_g and, by Gauss's lemma, each of its
+    monic factors P_k have integer coefficients.
+    """
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    g = [[x.numerator * (den // x.denominator) for x in row] for row in g]
     chi_g = linalg.charpoly(g)
     if chi_g[-1] == 0:
         raise DomainError("matrix is not invertible")
