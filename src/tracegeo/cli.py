@@ -182,13 +182,14 @@ def _load_relative(path: str) -> RelativeDatum:
             set(data) != {"simple_roots", "nilradical_dims"}:
         raise ParseError(f"{path}: relative datum must be an object with "
                          "keys simple_roots and nilradical_dims")
-    try:
-        roots = tuple(tuple(int(x) for x in r) for r in data["simple_roots"])
-        dims = tuple(int(d) for d in data["nilradical_dims"])
-    except (TypeError, ValueError) as exc:
+    roots, dims = data["simple_roots"], data["nilradical_dims"]
+    if not isinstance(roots, list) or not isinstance(dims, list) or \
+            any(not isinstance(r, list) or any(type(x) is not int for x in r)
+                for r in roots) or any(type(d) is not int for d in dims):
         raise ParseError(f"{path}: roots must be integer vectors and "
-                         "dims integers") from exc
-    return RelativeDatum(roots=roots, contributions=dims)
+                         "dims integers")
+    return RelativeDatum(roots=tuple(map(tuple, roots)),
+                         contributions=tuple(dims))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -343,31 +344,44 @@ def _cmd_levels(args) -> tuple[object, str, int]:
     return result, "\n".join(lines), 0
 
 
+def _spec_number(value, key: str, kind=float):
+    """One number of a mellin-fp --spec, read as float or Fraction."""
+    try:
+        return kind(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"--spec: {key} must be a number, got "
+                         f"{json.dumps(value)}") from None
+
+
 def _mellin_pair_from_spec(data):
     from .mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
                             monotone_cubic, sqrt_exp_preset)
     if not isinstance(data, dict):
         raise ParseError("--spec wants a JSON object")
-    t0 = float(data.get("t0", 1.0))
+    t0 = _spec_number(data.get("t0", 1.0), "t0")
     preset = data.get("preset")
     if preset is not None:
         if preset == "exp":
-            return exp_preset(float(data.get("lambda", 1.0)), t0)
+            return exp_preset(_spec_number(data.get("lambda", 1.0), "lambda"),
+                              t0)
         if preset == "sqrt":
             return sqrt_exp_preset(t0)
         raise ParseError(f"unknown preset {preset!r}; expected exp or sqrt")
     decay = data.get("decay")
     if not isinstance(decay, dict) or set(decay) != {"C", "lambda"}:
         raise ParseError('--spec wants "decay": {"C": ..., "lambda": ...}')
-    decay_pair = (float(decay["C"]), float(decay["lambda"]))
+    decay_pair = (_spec_number(decay["C"], "decay.C"),
+                  _spec_number(decay["lambda"], "decay.lambda"))
     raw_terms = data.get("terms", [])
     if not isinstance(raw_terms, list) or \
             any(not isinstance(x, list) or len(x) != 2 for x in raw_terms):
         raise ParseError('--spec wants "terms" as a list of '
                          "[exponent, coefficient] pairs")
-    terms = tuple((Fraction(str(a)), float(Fraction(str(c))))
-                  for a, c in raw_terms)
-    remainder = Fraction(str(data.get("remainder_order", 1)))
+    terms = tuple((_spec_number(a, f"terms[{i}][0]", Fraction),
+                   float(_spec_number(c, f"terms[{i}][1]", Fraction)))
+                  for i, (a, c) in enumerate(raw_terms))
+    remainder = _spec_number(data.get("remainder_order", 1),
+                             "remainder_order", Fraction)
     samples = data.get("samples")
     if samples is None:
         raise ParseError('--spec without "preset" wants "samples": '
@@ -375,8 +389,10 @@ def _mellin_pair_from_spec(data):
     if not isinstance(samples, list) or len(samples) < 2 or \
             any(not isinstance(x, list) or len(x) != 2 for x in samples):
         raise ParseError('"samples" wants at least two [t, value] pairs')
-    ts = [float(t) for t, _ in samples]
-    vs = [float(v) for _, v in samples]
+    ts = [_spec_number(t, f"samples[{i}][0]") for i, (t, _) in
+          enumerate(samples)]
+    vs = [_spec_number(v, f"samples[{i}][1]") for i, (_, v) in
+          enumerate(samples)]
     if ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ParseError('"samples" abscissae must be positive and '
                          "strictly increasing")

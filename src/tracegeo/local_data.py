@@ -39,7 +39,7 @@ def as_fraction(x: RationalLike) -> Fraction:
     """Accept ints, Fractions, and "num/den" strings."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

@@ -135,6 +135,22 @@ def test_k_relative_file(tmp_path, capsys):
     assert data["result"]["richardson_relative"] == 2
 
 
+@pytest.mark.parametrize("datum", [
+    {"simple_roots": [[1]], "nilradical_dims": [1.5]},
+    {"simple_roots": [[1]], "nilradical_dims": [True]},
+    {"simple_roots": [[True]], "nilradical_dims": [2]},
+    {"simple_roots": [[1]], "nilradical_dims": ["2"]}],
+    ids=["float-dim", "bool-dim", "bool-root", "string-dim"])
+def test_k_relative_file_wants_json_integers(tmp_path, capsys, datum):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(datum))
+    assert cli.main(["k", "D2", "--relative", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: roots must be integer vectors "
+                            "and dims integers\n")
+
+
 def test_k_report_nulls_a_guarded_relative_route(tmp_path, capsys):
     # 13 entries exceed the relative guard of 12: the report shows the
     # route as null, the single method exits 3 (resource)
@@ -244,9 +260,10 @@ def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):
 
 
 def test_discriminant_rejects_floats(capsys):
-    code = cli.main(["discriminant", "--matrix", "[[0.5, 0], [0, 2]]"])
-    capsys.readouterr()
-    assert code == 2
+    for matrix in ("[[0.5, 0], [0, 2]]", "[[true, 0], [0, 2]]"):
+        code = cli.main(["discriminant", "--matrix", matrix])
+        capsys.readouterr()
+        assert code == 2, matrix
 
 
 def test_index_json(capsys):
@@ -305,6 +322,32 @@ def test_mellin_spec_preset_route(capsys):
         "mellin-fp", "--spec", '{"preset": "exp", "lambda": 3.0}', "--json"])
     import math
     assert abs(float(data["result"]["finite_part"]) + math.log(3)) < 1e-8
+
+
+_SAMPLES = [[1, 1], [2, 0.5]]
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"decay": {"C": "x", "lambda": 1}, "samples": _SAMPLES}, "decay.C"),
+    ({"t0": "x", "preset": "sqrt"}, "t0"),
+    ({"preset": "exp", "lambda": "x"}, "lambda"),
+    ({"decay": {"C": 1, "lambda": 1}, "terms": [[0, 1], ["x", 1]],
+      "samples": _SAMPLES}, "terms[1][0]"),
+    ({"decay": {"C": 1, "lambda": 1}, "samples": [[1, 1], [2, "x"]]},
+     "samples[1][1]"),
+    ({"decay": {"C": 1, "lambda": 1}, "remainder_order": "x",
+      "samples": _SAMPLES}, "remainder_order"),
+    ({"decay": {"C": 1, "lambda": 1}, "samples": [[1, None], [2, 1]]},
+     "samples[0][1]")],
+    ids=["decay-C", "t0", "preset-lambda", "term-exponent", "sample-value",
+         "remainder-order", "null-sample"])
+def test_mellin_spec_number_is_a_parse_error_naming_the_key(capsys, spec,
+                                                             key):
+    code = cli.main(["mellin-fp", "--spec", json.dumps(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: --spec: {key} must be a number")
+    assert "Traceback" not in captured.err
 
 
 def test_mellin_requires_exactly_one_source(capsys):
