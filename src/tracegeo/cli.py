@@ -306,8 +306,6 @@ def _cmd_discriminant(args) -> tuple[object, str, int]:
 
 def _cmd_index(args) -> tuple[object, str, int]:
     from .arithmetic import level_data, sl_index
-    if args.group != "sl":
-        raise ParseError(f"unsupported group family {args.group!r}")
     value = sl_index(args.n, args.level)
     data = level_data(args.level)
     result = {"group": args.group, "n": args.n, "level": args.level,
@@ -427,10 +425,8 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
                 raise DomainError("--lambda: decay rate must be positive, "
                                   f"got {args.lam!r}")
             pair = exp_preset(args.lam, args.t0)
-        elif args.preset == "sqrt":
-            pair = sqrt_exp_preset(args.t0)
         else:
-            raise ParseError(f"unknown preset {args.preset!r}")
+            pair = sqrt_exp_preset(args.t0)
     else:
         pair = _mellin_pair_from_spec(_load_json_text(args.spec, "--spec"))
     value = fp_mellin(*pair, tol=args.tol)
