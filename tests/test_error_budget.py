@@ -52,6 +52,10 @@ def test_surd_arithmetic_leaves_the_field_only_to_a_fraction():
     assert 1 / (1 + r5) == (r5 - 1) / 4
     assert QuadraticSurd(0, 1, 20) / r5 == 2  # sqrt(20) = 2 sqrt(5)
     assert isinstance(r5 + 0.5, float)
+    assert 1 - QuadraticSurd(1, 1, 2) == QuadraticSurd(0, -1, 2)
+    assert abs(QuadraticSurd(1, 1, 2) / 0.5 - 2 - 2 * math.sqrt(2)) < 1e-14
+    with pytest.raises(TypeError):
+        QuadraticSurd(1, 1, 2) + "x"
 
 
 @pytest.mark.parametrize("x,text", [
@@ -396,6 +400,9 @@ def test_one_field_with_different_square_factors():
     assert _same(lam, 3 * sympy.sqrt(5) * 5 * (1 + sympy.sqrt(5)) / 9)
     with pytest.raises(DomainError, match="different quadratic fields"):
         lambda_min(QuadraticSurd(0, 1, 2), beta, Fraction(1, 10), 0)
+    # a surd C2 puts sqrt(5 + 4 sqrt 2) into beta: no quadratic field
+    with pytest.raises(DomainError, match=r"lies outside Q\(sqrt d\)"):
+        beta_max(QuadraticSurd(1, 1, 2), 1, 1, 1)
 
 
 def test_float_operand_makes_a_surd_chain_float():

@@ -136,6 +136,10 @@ def test_products_and_torus():
     assert _dot(a, b) == 0
     # trailing torus coordinates stay zero on every root
     assert all(r[-1] == 0 and r[-2] == 0 for r in rs.roots)
+    # the name the parabolic count guard prints
+    assert str(rs) == "A1xA1+T2"
+    assert str(build_root_system([], 2)) == "T2"
+    assert str(build_root_system(["A1"], 2)) == "A1+T2"
 
 
 def test_simple_type_parse_and_str():
