@@ -15,8 +15,11 @@ k, and the product becomes
 The resultants come from the Euclidean recursion
 Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) with
 R = A mod B, so every polynomial has degree at most n and the n^2-by-n^2
-matrix of Ad(g) is never formed.  Everything runs in exact rational
-arithmetic; no root finding, no floats.
+matrix of Ad(g) is never formed.  Both values depend only on ratios of
+eigenvalues, so g is first scaled by the common denominator of its
+entries; then its characteristic polynomial and, by Gauss's lemma, every
+P_k are monic with integer coefficients.  Everything runs in exact
+rational arithmetic; no root finding, no floats.
 """
 
 from __future__ import annotations
@@ -136,12 +139,7 @@ def weyl_discriminant(gamma_s: RationalMatrix,
 
 def _discriminant(g: list[list[Fraction]]) -> tuple[Fraction, int]:
     """det(1 - Ad g) off the centralizer of g, and the centralizer's
-    dimension.
-
-    Both depend only on ratios of eigenvalues, so g is scaled once by its
-    common denominator; then chi_g and, by Gauss's lemma, each of its
-    monic factors P_k have integer coefficients.
-    """
+    dimension."""
     den = math.lcm(*(x.denominator for row in g for x in row))
     g = [[x.numerator * (den // x.denominator) for x in row] for row in g]
     chi_g = linalg.charpoly(g)
