@@ -387,10 +387,8 @@ def _mellin_pair_from_spec(data):
     if not isinstance(samples, list) or len(samples) < 2 or \
             any(not isinstance(x, list) or len(x) != 2 for x in samples):
         raise ParseError('"samples" wants at least two [t, value] pairs')
-    ts = [_spec_number(t, f"samples[{i}][0]") for i, (t, _) in
-          enumerate(samples)]
-    vs = [_spec_number(v, f"samples[{i}][1]") for i, (_, v) in
-          enumerate(samples)]
+    ts, vs = ([_spec_number(x[j], f"samples[{i}][{j}]")
+               for i, x in enumerate(samples)] for j in (0, 1))
     if ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ParseError('"samples" abscissae must be positive and '
                          "strictly increasing")
