@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -173,13 +172,13 @@ def sl_index(n: int, N: int) -> int:
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("matrix size must be an integer >= 2")
-    data = level_data(N)
-    total = Fraction(N) ** (n * n - 1)
-    for p in data.S_N:
+    # N^(n^2-1) prod_{p | N} prod_{k=2..n} (1 - p^-k), exactly: p divides
+    # N^(n^2-1) at least n^2 - 1 >= 2 + ... + n times.
+    total = N ** (n * n - 1)
+    for p in level_data(N).S_N:
         for k in range(2, n + 1):
-            total *= 1 - Fraction(1, p ** k)
-    assert total.denominator == 1 and total > 0
-    return int(total)
+            total = total // p ** k * (p ** k - 1)
+    return total
 
 
 def conjecture_bound(N: int, b: float, c: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -100,6 +101,22 @@ def test_sl_index_against_brute_force():
     for n in (2, 3):
         for N in range(2, 7):
             assert sl_index(n, N) == oracles.sl_group_order(n, N), (n, N)
+
+
+def _sl_index_fraction(n, N):
+    """sl_index as it stood in Fraction arithmetic."""
+    total = Fraction(N) ** (n * n - 1)
+    for p in level_data(N).S_N:
+        for k in range(2, n + 1):
+            total *= 1 - Fraction(1, p ** k)
+    assert total.denominator == 1 and total > 0
+    return int(total)
+
+
+def test_sl_index_matches_the_fraction_formula():
+    for n in range(2, 7):
+        for N in range(1, 501):
+            assert sl_index(n, N) == _sl_index_fraction(n, N), (n, N)
 
 
 def test_sl_index_multiplicative():
