@@ -8,7 +8,7 @@ which is 2(h_dual - 1) in every type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 from .root_datum import SimpleType, dual_coxeter_number
@@ -33,26 +33,21 @@ class GLType:
 @dataclass(frozen=True)
 class OrbitLabel:
     attached_type: SimpleType | GLType
-    kind: str  # "partition", "trivial", or "minimal"
-    partition: tuple[int, ...] | None = None
+    partition: tuple[int, ...]
     very_even: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("partition", "trivial", "minimal"):
-            raise DomainError(f"unknown orbit label kind {self.kind!r}")
-        if self.kind == "partition":
-            lam = self.partition
-            if not lam or any(x < 1 for x in lam) or list(lam) != sorted(lam, reverse=True):
-                raise DomainError("partition must be a decreasing list of "
-                                  "positive integers")
-            _validate_parity(self.attached_type, lam)
+        lam = self.partition
+        if not lam or any(x < 1 for x in lam) or \
+                list(lam) != sorted(lam, reverse=True):
+            raise DomainError("partition must be a decreasing list of "
+                              "positive integers")
+        _validate_parity(self.attached_type, lam)
 
     def __str__(self) -> str:
-        if self.kind == "partition":
-            body = ",".join(str(x) for x in self.partition)
-            star = "*" if self.very_even else ""
-            return f"({body}){star}"
-        return self.kind
+        body = ",".join(str(x) for x in self.partition)
+        star = "*" if self.very_even else ""
+        return f"({body}){star}"
 
 
 def _partition_target(t: SimpleType | GLType) -> int:
@@ -124,7 +119,7 @@ def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
             continue
         very_even = (isinstance(t, SimpleType) and t.series == "D"
                      and all(x % 2 == 0 for x in lam))
-        labels.append(OrbitLabel(t, "partition", lam, very_even))
+        labels.append(OrbitLabel(t, lam, very_even))
     return labels
 
 
@@ -135,12 +130,6 @@ def _transpose(lam: tuple[int, ...]) -> list[int]:
 def orbit_dim(label: OrbitLabel) -> int:
     """Dimension of the orbit; always even, zero only for the trivial one."""
     t = label.attached_type
-    if label.kind == "trivial":
-        return 0
-    if label.kind == "minimal":
-        if isinstance(t, GLType):
-            return 2 * t.n - 2
-        return min_orbit_dim(t)
     lam = label.partition
     sq = sum(c * c for c in _transpose(lam))
     odd = sum(1 for x in lam if x % 2 == 1)

@@ -82,21 +82,21 @@ def test_min_orbit_dim_exceptional():
 def test_parity_constraints():
     # B: even parts need even multiplicity
     with pytest.raises(DomainError):
-        OrbitLabel(SimpleType("B", 2), "partition", (4, 1))
-    OrbitLabel(SimpleType("B", 2), "partition", (2, 2, 1))
+        OrbitLabel(SimpleType("B", 2), (4, 1))
+    OrbitLabel(SimpleType("B", 2), (2, 2, 1))
     # C: odd parts need even multiplicity
     with pytest.raises(DomainError):
-        OrbitLabel(SimpleType("C", 2), "partition", (3, 1))
-    OrbitLabel(SimpleType("C", 2), "partition", (1, 1, 1, 1))
+        OrbitLabel(SimpleType("C", 2), (3, 1))
+    OrbitLabel(SimpleType("C", 2), (1, 1, 1, 1))
     # D: even parts need even multiplicity
     with pytest.raises(DomainError):
-        OrbitLabel(SimpleType("D", 3), "partition", (4, 2))
-    OrbitLabel(SimpleType("D", 3), "partition", (3, 3))
+        OrbitLabel(SimpleType("D", 3), (4, 2))
+    OrbitLabel(SimpleType("D", 3), (3, 3))
     # size must match the type
     with pytest.raises(DomainError):
-        OrbitLabel(SimpleType("B", 2), "partition", (3, 3))
+        OrbitLabel(SimpleType("B", 2), (3, 3))
     with pytest.raises(DomainError):
-        OrbitLabel(GLType(3), "partition", (2, 2))
+        OrbitLabel(GLType(3), (2, 2))
 
 
 def test_very_even_flag():
@@ -109,15 +109,8 @@ def test_very_even_flag():
 
 
 def test_label_str():
-    lab = OrbitLabel(GLType(4), "partition", (2, 1, 1))
+    lab = OrbitLabel(GLType(4), (2, 1, 1))
     assert str(lab) == "(2,1,1)"
-
-
-def test_trivial_and_minimal_labels():
-    t = SimpleType("C", 3)
-    assert orbit_dim(OrbitLabel(t, "trivial")) == 0
-    assert orbit_dim(OrbitLabel(t, "minimal")) == min_orbit_dim(t)
-    assert orbit_dim(OrbitLabel(GLType(5), "trivial")) == 0
 
 
 def test_exceptional_enumeration_refused():
