@@ -21,9 +21,7 @@ from . import linalg
 from .errors import DomainError, ResourceLimitError
 from .root_datum import RootSystem
 
-ENUMERATION_RANK_LIMIT = 6
 PARABOLIC_COUNT_LIMIT = 2**16
-TUPLE_SIZE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -143,19 +141,21 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     every parabolic subset.  Each reflection acts on a root bitmask through
     one 16-entry table per 4-bit nibble.  The result is sorted by member
     index tuple.  The closure stops as soon as it holds more than
-    PARABOLIC_COUNT_LIMIT masks, before any subset is built.
+    PARABOLIC_COUNT_LIMIT masks, before any subset is built; at rank
+    s >= 1 there are more than the 2^s seeds, so 2^s >= the limit refuses
+    before seeding.
     """
-    if rs.semisimple_rank > ENUMERATION_RANK_LIMIT:
-        raise ResourceLimitError(
-            f"parabolic enumeration is limited to rank "
-            f"{ENUMERATION_RANK_LIMIT}; got rank {rs.semisimple_rank}")
+    s = rs.semisimple_rank
+    refusal = (f"parabolic enumeration is limited to {PARABOLIC_COUNT_LIMIT} "
+               f"subsets; {rs} has more")
+    if 1 << s >= PARABOLIC_COUNT_LIMIT:
+        raise ResourceLimitError(refusal)
     n = len(rs.roots)
     pos_mask = 0
     for i in range(n):
         if rs.is_positive[i]:
             pos_mask |= 1 << i
     seeds = set()
-    s = rs.semisimple_rank
     for subset in range(1 << s):
         chosen = [i for i in range(s) if subset >> i & 1]
         levi_mask = 0
@@ -177,9 +177,7 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
                 seen.add(img)
                 frontier.append(img)
         if len(seen) > PARABOLIC_COUNT_LIMIT:
-            raise ResourceLimitError(
-                f"parabolic enumeration is limited to "
-                f"{PARABOLIC_COUNT_LIMIT} subsets; {rs} has more")
+            raise ResourceLimitError(refusal)
     rows = sorted(tuple(shift + b for shift in shifts
                         for b in _NIBBLE_BITS[m >> shift & 15])
                   for m in seen)
@@ -238,13 +236,10 @@ def d_nonvanishing(rs: RootSystem, m: LeviDatum, l1: LeviDatum,
 def count_contributing_tuples(rs: RootSystem, m: LeviDatum,
                               s_size: int) -> int:
     """Number of s_size-tuples over the Levi lattice of m in which at most
-    dim-of-relative-center entries differ from m."""
+    dim-of-relative-center entries differ from m: a closed-form sum of at
+    most d + 1 terms, d that dimension, whatever s_size is."""
     if s_size < 1:
         raise DomainError("s_size must be a positive integer")
-    if s_size > TUPLE_SIZE_LIMIT:
-        raise ResourceLimitError(
-            f"tuple counting is limited to s_size {TUPLE_SIZE_LIMIT}; "
-            f"got {s_size}")
     d = m.a_M_dim - rs.torus_rank
     _, levis, _ = f_sets(rs, m)
     n_l = len(levis)

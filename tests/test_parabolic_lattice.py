@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from tracegeo.parabolic_lattice import (LeviDatum, _root_rank,
                                         enumerate_parabolic_subsets, f_sets,
                                         full_levi, levi_of, make_levi,
                                         minimal_levi)
-from tracegeo.root_datum import build_root_system
+from tracegeo.root_datum import RootSystem, build_root_system
 
 # Counts for systems small enough to cross-check by scanning every root
 # subset; the larger two are frozen from the same scan run once offline.
@@ -118,6 +119,25 @@ def test_enumeration_guard():
     rs = build_root_system(["A7"])
     with pytest.raises(ResourceLimitError):
         enumerate_parabolic_subsets(rs)
+
+
+@pytest.mark.parametrize("copies", [7, 8])
+def test_small_products_of_high_rank_are_enumerated(copies):
+    # The guard bounds the count, not the rank: each A1 factor has 3
+    # parabolic subsets, so copies of A1 have 3^copies.
+    rs = build_root_system(["A1"] * copies)
+    assert len(enumerate_parabolic_subsets(rs)) == 3 ** copies
+
+
+def test_count_limit_refuses_before_seeding(monkeypatch):
+    # Rank 7 has 2^7 = 128 standard seeds, already past a limit of 100.
+    def no_seeding(self, chosen):
+        raise AssertionError("seeded")
+
+    monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 100)
+    monkeypatch.setattr(RootSystem, "roots_in_simple_span", no_seeding)
+    with pytest.raises(ResourceLimitError, match="limited to 100 subsets"):
+        enumerate_parabolic_subsets(build_root_system(["A1"] * 7))
 
 
 SIMPLE_TYPES = ([f"{x}{r}" for x in "ABC" for r in range(1, 9)]
@@ -291,8 +311,10 @@ def test_count_contributing_tuples_guards():
     m0 = minimal_levi(rs)
     with pytest.raises(DomainError):
         count_contributing_tuples(rs, m0, 0)
-    with pytest.raises(ResourceLimitError):
-        count_contributing_tuples(rs, m0, 9)
+    # No size guard: the closed form has min(s, d) + 1 terms, here with 5
+    # Levis and d = 2.
+    assert count_contributing_tuples(rs, m0, 9) == \
+        sum(math.comb(9, j) * 4 ** j for j in range(3))
 
 
 def test_system_mismatch_rejected():
