@@ -4,10 +4,15 @@ One binary, one subcommand per module.  Every subcommand takes `--json`
 and then emits a versioned envelope {"schema": "1", "command": ...,
 "result": ...}; without it a short human-readable report is printed.
 
-Serialization rules, chosen so golden outputs are bit-stable: exact
-rationals always render as "num/den" strings (denominator 1 included),
-floats as decimal strings with 15 significant digits, integers as plain
-JSON numbers.
+Serialization rules, chosen so golden outputs are bit-stable.  `main`
+writes the envelope in one `json.dumps(..., indent=2, default=_scalar)`:
+integers, strings, booleans, None, lists and tuples go out as json writes
+them, and json hands `_scalar` each exact rational, which renders as a
+"num/den" string (denominator 1 included), and each QuadraticSurd, which
+renders like a float.  A float renders as a decimal string with 15
+significant digits; json would write it as a number, so the handler that
+makes it (mellin-fp, budget, reproduce's seconds) passes it through
+`_scalar` itself.
 """
 
 from __future__ import annotations
@@ -127,24 +132,16 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
 # -- serialization helpers -----------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, bool) or x is None or isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return x
+def _scalar(x) -> str:
+    """A Fraction as "num/den"; a float or a surd to 15 digits."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return f"{x:.15g}"
-    if isinstance(x, dict):
-        return {str(k): _fmt(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    # A surd comes only from the budget handler, which loaded error_budget.
-    from .error_budget import QuadraticSurd
-    if isinstance(x, QuadraticSurd):
-        return _fmt(float(x))
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    if not isinstance(x, float):
+        # A surd comes only from the budget handler, which loaded error_budget.
+        from .error_budget import QuadraticSurd
+        if not isinstance(x, QuadraticSurd):
+            raise TypeError(f"cannot serialize {type(x).__name__}")
+    return f"{float(x):.15g}"
 
 
 def _parse_number(text: str, flag: str):
@@ -262,8 +259,8 @@ def _cmd_parabolics(args) -> tuple[object, str, int]:
     for p in enumerate_parabolic_subsets(parsed.root_system()):
         levi = levi_of(p)
         rows.append({
-            "members": [list(v) for v in p.member_roots],
-            "levi": [list(v) for v in levi.member_roots],
+            "members": p.member_roots,
+            "levi": levi.member_roots,
             "dim_V": dim_unipotent_radical(p),
             "a_M_dim": levi.a_M_dim,
         })
@@ -428,7 +425,7 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
     else:
         pair = _mellin_pair_from_spec(_load_json_text(args.spec, "--spec"))
     value = fp_mellin(*pair, tol=args.tol)
-    result = {"finite_part": value, "tol": args.tol}
+    result = {"finite_part": _scalar(value), "tol": _scalar(args.tol)}
     return result, f"finite part = {value:.12g}", 0
 
 
@@ -448,20 +445,20 @@ def _cmd_budget(args) -> tuple[object, str, int]:
                           m_nonarch=args.m_nonarch)
     report = exponents(params)
     a = a_exponent(params)
+    beta, lam, e_spec, e1, e2 = map(_scalar, (beta, lam, report.e_spec,
+                                              report.e1, report.e2))
     result = {
         "beta": beta,
         "lambda": lam,
-        "exponents": {"e_spec": report.e_spec, "e1": report.e1,
-                      "e2": report.e2},
+        "exponents": {"e_spec": e_spec, "e1": e1, "e2": e2},
         "all_ok": report.all_ok,
         "a_exponent": a,
     }
-    lines = [f"beta = {_fmt(beta)}",
-             f"lambda = {_fmt(lam)}",
-             f"exponents: e_spec = {_fmt(report.e_spec)}, "
-             f"e1 = {_fmt(report.e1)}, e2 = {_fmt(report.e2)}",
+    lines = [f"beta = {beta}",
+             f"lambda = {lam}",
+             f"exponents: e_spec = {e_spec}, e1 = {e1}, e2 = {e2}",
              f"all_ok: {report.all_ok}",
-             f"a_exponent = {_fmt(a)}"]
+             f"a_exponent = {a}"]
     return result, "\n".join(lines), 0
 
 
@@ -472,7 +469,7 @@ def _cmd_reproduce(args) -> tuple[object, str, int]:
     rows = [{
         "name": r.name, "ok": r.ok, "detail": r.detail,
         "expected": r.expected, "actual": r.actual,
-        "seconds": r.seconds,
+        "seconds": _scalar(r.seconds),
     } for r in results]
     lines = []
     for r in results:
@@ -595,8 +592,8 @@ def main(argv: list[str] | None = None) -> int:
         text = human
         if args.json:
             envelope = {"schema": "1", "command": args.command,
-                        "result": _fmt(result)}
-            text = json.dumps(envelope, indent=2)
+                        "result": result}
+            text = json.dumps(envelope, indent=2, default=_scalar)
         try:
             print(text, flush=True)
         except BrokenPipeError:

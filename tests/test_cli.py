@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tracegeo import cli, parabolic_lattice, reproduce
+from tracegeo import QuadraticSurd, cli, parabolic_lattice, reproduce
 from tracegeo.errors import ParseError
 
 
@@ -18,6 +19,29 @@ def run_json(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.fixture(autouse=True)
+def _json_results_hold_no_raw_float(monkeypatch):
+    """Walk every handler result bound for --json in this file: json would
+    write a raw float as a number, not as the %.15g string."""
+    def checked(handler):
+        def run(args):
+            result, human, code = handler(args)
+            stack = [result] if args.json else []
+            while stack:
+                x = stack.pop()
+                assert type(x) is not float, (args.command, x)
+                if isinstance(x, dict):
+                    stack.extend(x.values())
+                elif isinstance(x, (list, tuple)):
+                    stack.extend(x)
+            return result, human, code
+        return run
+
+    for name in vars(cli).copy():
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
 
 
 # -- group-spec parsing --------------------------------------------------------
@@ -585,6 +609,55 @@ def test_stdout_bytes_are_pinned(capsys, name):
                  capsys.readouterr().out)
     out = re.sub(r"\(\d+\.\d\d s\)", "( s)", out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fmt_reference(x):
+    """The walk main ran over every result before one json.dumps did it."""
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float):
+        return f"{x:.15g}"
+    if isinstance(x, dict):
+        return {str(k): _fmt_reference(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_fmt_reference(v) for v in x]
+    if isinstance(x, QuadraticSurd):
+        return _fmt_reference(float(x))
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+_LEAVES = [0, -7, 10 ** 400, -(10 ** 40), True, False, None, "",
+           "h\u00e9llo \u2211 \u2028 \"q\" \\ \U0001d53d", "\u65e5\u672c",
+           Fraction(-3, 4), Fraction(5), Fraction(0), Fraction(-10 ** 30, 7),
+           QuadraticSurd(1, 1, 2), QuadraticSurd(Fraction(-1, 3), 2, 5)]
+
+
+def _nesting(rng, depth=0):
+    if depth == 3 or rng.random() < 0.3:
+        return rng.choice(_LEAVES)
+    items = [_nesting(rng, depth + 1) for _ in range(rng.randrange(4))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {f"k{i}\u00e9": v for i, v in enumerate(items)}
+    return items if kind == 1 else tuple(items)
+
+
+def test_one_json_walk_matches_the_fmt_rebuild():
+    rng = random.Random(18)
+    nestings = [[], {}, (), [[], {}, ()], *_LEAVES]
+    nestings += [_nesting(rng) for _ in range(300)]
+    for x in nestings:
+        assert json.dumps(x, indent=2, default=cli._scalar) == \
+            json.dumps(_fmt_reference(x), indent=2), x
+    assert cli._scalar(0.1) == _fmt_reference(0.1) == "0.1"
+    for unknown in (1j, {1, 2}, b"x"):
+        name = type(unknown).__name__
+        with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+            json.dumps({"x": [unknown]}, indent=2, default=cli._scalar)
 
 
 def test_exit_codes(capsys):
