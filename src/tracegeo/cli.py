@@ -340,12 +340,17 @@ def _cmd_levels(args) -> tuple[object, str, int]:
 
 
 def _spec_number(value, key: str, kind=float):
-    """One number of a mellin-fp --spec, read as float or Fraction."""
+    """One number of a mellin-fp --spec, read as float or Fraction, within
+    the float range."""
     try:
-        return kind(str(value))
+        x = kind(str(value))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"--spec: {key} must be a number, got "
                          f"{json.dumps(value)}") from None
+    if not abs(x) <= sys.float_info.max:
+        raise ParseError(f"--spec: {key} must be finite, got "
+                         f"{json.dumps(value)}")
+    return x
 
 
 def _mellin_pair_from_spec(data):
@@ -413,12 +418,17 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
         # Name the option, not the library parameter, in a domain error.
         if not args.t0 > 0:
             raise DomainError(f"--t0 must be positive, got {args.t0!r}")
+        if args.t0 == math.inf:
+            raise DomainError("--t0 must be finite, got inf")
         if args.preset == "exp":
             if args.lam is None:
                 raise ParseError("--preset exp wants --lambda")
             if not args.lam > 0:
                 raise DomainError("--lambda: decay rate must be positive, "
                                   f"got {args.lam!r}")
+            if args.lam == math.inf:
+                raise DomainError("--lambda: decay rate must be finite, "
+                                  "got inf")
             pair = exp_preset(args.lam, args.t0)
         else:
             pair = sqrt_exp_preset(args.t0)

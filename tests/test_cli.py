@@ -376,6 +376,48 @@ def test_mellin_spec_number_is_a_parse_error_naming_the_key(capsys, spec,
     assert "Traceback" not in captured.err
 
 
+_HUGE_RATIO = "1" + "0" * 400 + "/3"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--spec", json.dumps({"decay": {"C": 1, "lambda": 1},
+                            "terms": [[0, "1e400"]], "samples": _SAMPLES})],
+     '--spec: terms[0][1] must be finite, got "1e400"'),
+    (["--spec", json.dumps({"decay": {"C": 1, "lambda": 1},
+                            "terms": [[0, _HUGE_RATIO]],
+                            "samples": _SAMPLES})],
+     f'--spec: terms[0][1] must be finite, got "{_HUGE_RATIO}"'),
+    (["--spec", '{"decay": {"C": 1e400, "lambda": 1}, '
+                '"samples": [[1, 1], [2, 0.5]]}'],
+     "--spec: decay.C must be finite, got Infinity"),
+    (["--spec", '{"preset": "exp", "lambda": 1e400}'],
+     "--spec: lambda must be finite, got Infinity"),
+    (["--spec", '{"preset": "sqrt", "t0": 1e400}'],
+     "--spec: t0 must be finite, got Infinity"),
+    (["--spec", '{"decay": {"C": 1, "lambda": 1}, '
+                '"samples": [[1, 1], [1e400, 0.5]]}'],
+     "--spec: samples[1][0] must be finite, got Infinity"),
+    (["--spec", '{"decay": {"C": 1, "lambda": 1}, '
+                '"samples": [[1, 1], [2, NaN]]}'],
+     "--spec: samples[1][1] must be finite, got NaN"),
+    (["--preset", "exp", "--lambda", "inf"],
+     "--lambda: decay rate must be finite, got inf"),
+    (["--preset", "exp", "--lambda", "1e400"],
+     "--lambda: decay rate must be finite, got inf"),
+    (["--preset", "sqrt", "--t0", "inf"], "--t0 must be finite, got inf"),
+    (["--preset", "exp", "--lambda", "2", "--t0", "1e400"],
+     "--t0 must be finite, got inf"),
+], ids=["term-coefficient", "term-ratio", "decay-C", "preset-lambda",
+        "spec-t0", "sample-t", "sample-nan", "lambda-inf", "lambda-1e400",
+        "t0-inf", "t0-1e400"])
+def test_mellin_non_finite_number_exits_2_naming_it(capsys, argv, message):
+    code = cli.main(["mellin-fp", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_mellin_requires_exactly_one_source(capsys):
     assert cli.main(["mellin-fp"]) == 2
     capsys.readouterr()
