@@ -273,6 +273,16 @@ def test_parabolics_count_limit_exits_3(monkeypatch, capsys):
         "B3 has more\n")
 
 
+def test_parabolics_guard_counts_subsets_not_rank(capsys):
+    code, data = run_json(capsys, ["parabolics", "x".join(["A1"] * 7),
+                                   "--json"])
+    assert code == 0 and len(data["result"]) == 3 ** 7
+    assert cli.main(["parabolics", "A7", "--json"]) == 3
+    assert capsys.readouterr().err == (
+        "error: parabolic enumeration is limited to 65536 subsets; "
+        "A7 has more\n")
+
+
 def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):
     # q is a product of two 100-bit primes and q - 1 = 2^4 * prime, so
     # the numerator (q-1)^2 factors and the denominator q exhausts the rho
