@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tracegeo import oracles, parabolic_lattice
+from tracegeo import linalg, oracles, parabolic_lattice
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.parabolic_lattice import (LeviDatum, _root_rank,
                                         count_contributing_tuples,
@@ -401,3 +401,127 @@ def test_d_nonvanishing_matches_gram_construction():
                     l2.sort_key())
                 seen += 1
     assert seen == 8463
+
+
+# -- the mask layer against the frozenset layer it replaced ------------------
+#
+# A copy of the frozenset implementation: nibble-table closure, subsets as
+# sorted index tuples, Levis as frozenset intersections ranked through an
+# lru_cache of coordinate-row sets.  The layer under test must reproduce its
+# enumeration order, members, Levis, split-center dims, radical dims and
+# f_sets grouping exactly.
+
+_REF_NIBBLE_BITS = tuple(tuple(b for b in range(4) if v >> b & 1)
+                         for v in range(16))
+
+
+def _ref_nibble_tables(perm):
+    tables = []
+    for base in range(0, len(perm), 4):
+        table = [0]
+        for j in perm[base:base + 4]:
+            table += [img | 1 << j for img in table]
+        tables.append(table)
+    return tables
+
+
+def _ref_enumerate(rs):
+    s, n = rs.semisimple_rank, len(rs.roots)
+    pos_mask = sum(1 << i for i in range(n) if rs.is_positive[i])
+    seeds = set()
+    for subset in range(1 << s):
+        chosen = [i for i in range(s) if subset >> i & 1]
+        seeds.add(pos_mask | sum(1 << i
+                                 for i in rs.roots_in_simple_span(chosen)))
+    shifts = range(0, n, 4)
+    tables = [list(zip(shifts, _ref_nibble_tables(perm)))
+              for perm in rs.reflection_perms]
+    seen = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        mask = frontier.pop()
+        for table in tables:
+            img = 0
+            for shift, row in table:
+                img |= row[mask >> shift & 15]
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    rows = sorted(tuple(shift + b for shift in shifts
+                        for b in _REF_NIBBLE_BITS[m >> shift & 15])
+                  for m in seen)
+    return [frozenset(r) for r in rows]
+
+
+def _ref_root_rank(rs, members):
+    coords, pos, neg = rs.simple_coords, rs.is_positive, rs.negation
+    rows = {coords[i] if pos[i] else coords[neg[i]] for i in members}
+    return linalg.rank(list(rows))
+
+
+def _ref_symmetric_part(rs, members):
+    return members.intersection(map(rs.negation.__getitem__, members))
+
+
+def _ref_levi_of(rs, members):
+    sym = _ref_symmetric_part(rs, members)
+    return sym, rs.group_dim - _ref_root_rank(rs, sym)
+
+
+def _ref_f_sets(rs, m_roots, subsets):
+    f_all = [p for p in subsets if m_roots <= p]
+    by_levi = {}
+    for p in f_all:
+        by_levi.setdefault(_ref_levi_of(rs, p), []).append(p)
+    return f_all, sorted(by_levi, key=lambda l: tuple(sorted(l[0]))), by_levi
+
+
+ADMITTED_SIMPLE_TYPES = ([f"A{r}" for r in range(1, 7)]
+                         + [f"{x}{r}" for x in "BC" for r in range(1, 6)]
+                         + [f"D{r}" for r in range(2, 6)] + ["F4", "G2"])
+DIFFERENTIAL_SYSTEMS = ([[t] for t in ADMITTED_SIMPLE_TYPES]
+                        + [["A1", "B2"], ["A2", "G2"], ["A1"] * 7])
+
+
+def test_differential_systems_cover_every_admitted_simple_type():
+    # A type is admitted when its parabolic count, by the height formula,
+    # is within the limit; no enumeration runs here.
+    admitted = []
+    for t in SIMPLE_TYPES:
+        rs = build_root_system([t])
+        s = rs.semisimple_rank
+        w = _macdonald_order(rs, range(s))
+        count = sum(w // _macdonald_order(rs, [j for j in range(s)
+                                               if mask >> j & 1])
+                    for mask in range(1 << s))
+        if count <= parabolic_lattice.PARABOLIC_COUNT_LIMIT:
+            admitted.append(t)
+    assert sorted(admitted) == sorted(ADMITTED_SIMPLE_TYPES)
+
+
+@pytest.mark.parametrize("factors", DIFFERENTIAL_SYSTEMS,
+                         ids=["x".join(f) for f in DIFFERENTIAL_SYSTEMS])
+def test_lattice_matches_frozenset_reference(factors):
+    rs = build_root_system(factors)
+    want = _ref_enumerate(rs)
+    got = enumerate_parabolic_subsets(rs)
+    assert [p.members for p in got] == want
+    assert [p.sort_key() for p in got] == [tuple(sorted(p)) for p in want]
+    ref_levis = {}
+    for p, members in zip(got, want):
+        levi = levi_of(p)
+        ref = ref_levis.get(levi.levi_roots)
+        if ref is None:
+            ref = ref_levis[levi.levi_roots] = _ref_levi_of(rs, members)
+        assert (levi.levi_roots, levi.a_M_dim) == ref
+        assert dim_unipotent_radical(p) == len(members) - len(ref[0])
+    assert len(ref_levis) == len({_ref_symmetric_part(rs, p) for p in want})
+    maximal = make_levi(rs, rs.roots_in_simple_span(
+        range(rs.semisimple_rank - 1)))
+    for m in (minimal_levi(rs), maximal, full_levi(rs)):
+        f_all, levis, by_levi = f_sets(rs, m)
+        ref_all, ref_levis, ref_by = _ref_f_sets(rs, m.levi_roots, want)
+        assert [p.members for p in f_all] == ref_all
+        assert [(l.levi_roots, l.a_M_dim) for l in levis] == ref_levis
+        assert [((l.levi_roots, l.a_M_dim), [p.members for p in ps])
+                for l, ps in by_levi.items()] == list(ref_by.items())
