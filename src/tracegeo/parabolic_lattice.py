@@ -6,35 +6,73 @@ S n -S and its unipotent radical the antisymmetric part.  Everything here
 is finite set combinatorics plus exact ranks of root sets, so all
 dimensions and counts are exact.
 
-Subsets are stored as frozensets of root indices into the parent system's
-canonical root order; bitmask arithmetic drives the enumeration.
+Subsets are stored as int masks over the parent system's canonical root
+order (bit i set iff roots[i] is a member), from the enumeration to the
+caller; the index frozensets `members` and `levi_roots` are decoded on
+first access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import compress, count
+from typing import Iterable, Iterator
 
 from . import linalg
 from .errors import DomainError, ResourceLimitError
-from .root_datum import RootSystem
+from .root_datum import RootSystem, mask_tables
 
 PARABOLIC_COUNT_LIMIT = 2**16
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_ORDER = str.maketrans("01", "10")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte i is bit i of mask."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def _indices(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    return compress(count(), _flags(mask))
+
+
+def _order_key(mask: int) -> str:
+    """A key that sorts masks as their ascending index tuples sort.
+
+    Read from bit 0, a set bit sorts before a clear one, and a mask with
+    no bits past the first difference sorts first, as a tuple does when
+    it is a prefix of the other.
+    """
+    return bin(mask)[:1:-1].translate(_ORDER) if mask else ""
+
+
+def _negate(rs: RootSystem, mask: int) -> int:
+    img = 0
+    for shift, row in rs.negation_tables:
+        img |= row[mask >> shift & 255]
+    return img
 
 
 @dataclass(frozen=True)
 class ParabolicSubset:
     system: RootSystem
-    members: frozenset[int]
+    mask: int
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(_indices(self.mask))
 
     @property
     def member_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.system.roots[i] for i in self.members))
+        # roots are stored sorted, so ascending index is ascending root.
+        return tuple(compress(self.system.roots, _flags(self.mask)))
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(_indices(self.mask))
 
 
 @dataclass(frozen=True)
@@ -47,29 +85,50 @@ class LeviDatum:
     """
 
     system: RootSystem
-    levi_roots: frozenset[int]
+    mask: int
     a_M_dim: int
+
+    @cached_property
+    def levi_roots(self) -> frozenset[int]:
+        return frozenset(_indices(self.mask))
 
     @property
     def member_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.system.roots[i] for i in self.levi_roots))
+        return tuple(compress(self.system.roots, _flags(self.mask)))
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.levi_roots))
+        return tuple(_indices(self.mask))
 
 
-@lru_cache(maxsize=4096)
-def _rows_rank(rows: frozenset[tuple[int, ...]]) -> int:
-    return linalg.rank(list(rows))
+def _rank(rs: RootSystem, key: int) -> int:
+    """Rank of a mask of positive roots, computed once per system."""
+    memo = rs.rank_memo
+    r = memo.get(key)
+    if r is None:
+        coords = rs.simple_coords
+        r = memo[key] = linalg.rank([coords[i] for i in _indices(key)])
+    return r
 
 
-def _root_rank(rs: RootSystem, members: Iterable[int]) -> int:
-    # +-alpha span the same line, and the positive one of the pair has
-    # nonnegative coordinates.  Equal row sets have equal ranks in any
-    # system, so each distinct Levi is ranked once.
-    coords, pos, neg = rs.simple_coords, rs.is_positive, rs.negation
-    return _rows_rank(frozenset(coords[i] if pos[i] else coords[neg[i]]
-                                for i in members))
+def _root_rank(rs: RootSystem, mask: int) -> int:
+    # +-alpha span the same line, so the positive root of each pair
+    # meeting mask spans what mask does.
+    return _rank(rs, (mask | _negate(rs, mask)) & rs.positive_mask)
+
+
+def _levi_rank(rs: RootSystem, mask: int) -> int:
+    """Rank of a root mask, after make_levi's checks on it."""
+    if mask >> len(rs.roots):
+        raise DomainError("root index out of range")
+    if _negate(rs, mask) != mask:
+        raise DomainError("levi roots must be closed under negation")
+    pos = mask & rs.positive_mask
+    r = _rank(rs, pos)
+    for j in _indices(rs.positive_mask & ~mask):
+        if _rank(rs, pos | 1 << j) == r:
+            raise DomainError("levi roots must contain every root in "
+                              "their span")
+    return r
 
 
 def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
@@ -78,58 +137,36 @@ def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
     The subset must be closed under negation and saturated in its span
     (every root lying in the rational span of the subset belongs to it).
     """
-    members = frozenset(root_indices)
-    for i in members:
+    mask = 0
+    for i in root_indices:
         if i < 0 or i >= len(rs.roots):
             raise DomainError(f"root index {i} out of range")
-        if rs.negation[i] not in members:
-            raise DomainError("levi roots must be closed under negation")
-    r = _root_rank(rs, members)
-    for j in range(len(rs.roots)):
-        if j not in members and _root_rank(rs, members | {j}) == r:
-            raise DomainError("levi roots must contain every root in "
-                              "their span")
-    return LeviDatum(rs, members, rs.group_dim - r)
+        mask |= 1 << i
+    return LeviDatum(rs, mask, rs.group_dim - _levi_rank(rs, mask))
 
 
 def minimal_levi(rs: RootSystem) -> LeviDatum:
-    return LeviDatum(rs, frozenset(), rs.group_dim)
+    return LeviDatum(rs, 0, rs.group_dim)
 
 
 def full_levi(rs: RootSystem) -> LeviDatum:
-    return LeviDatum(rs, frozenset(range(len(rs.roots))), rs.torus_rank)
+    return LeviDatum(rs, (1 << len(rs.roots)) - 1, rs.torus_rank)
 
 
-def _symmetric_part(p: ParabolicSubset) -> frozenset[int]:
-    return p.members.intersection(map(p.system.negation.__getitem__,
-                                      p.members))
+def _levi(rs: RootSystem, sym: int) -> LeviDatum:
+    # sym is closed under negation, so its positive roots span it.
+    r = _rank(rs, sym & rs.positive_mask)
+    return LeviDatum(rs, sym, rs.group_dim - r)
 
 
 def levi_of(p: ParabolicSubset) -> LeviDatum:
     """Symmetric part of a parabolic subset, with its split-center dim."""
-    rs = p.system
-    sym = _symmetric_part(p)
-    return LeviDatum(rs, sym, rs.group_dim - _root_rank(rs, sym))
+    return _levi(p.system, p.mask & _negate(p.system, p.mask))
 
 
 def dim_unipotent_radical(p: ParabolicSubset) -> int:
-    return len(p.members) - len(_symmetric_part(p))
-
-
-# The members' bit offsets within each 4-bit nibble of a mask.
-_NIBBLE_BITS = tuple(tuple(b for b in range(4) if v >> b & 1)
-                     for v in range(16))
-
-
-def _nibble_tables(perm: Sequence[int]) -> list[list[int]]:
-    """table[k][v] is the image under perm of the mask v << 4k."""
-    tables = []
-    for base in range(0, len(perm), 4):
-        table = [0]
-        for j in perm[base:base + 4]:
-            table += [img | 1 << j for img in table]
-        tables.append(table)
-    return tables
+    mask = p.mask
+    return mask.bit_count() - (mask & _negate(p.system, mask)).bit_count()
 
 
 def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
@@ -138,9 +175,9 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     Seeds are the standard parabolic subsets (roots of a simple-root
     subset's span, together with all positive roots); closing the seed set
     under the simple-reflection permutations reaches every chamber, hence
-    every parabolic subset.  Each reflection acts on a root bitmask through
-    one 16-entry table per 4-bit nibble.  The result is sorted by member
-    index tuple.  The closure stops as soon as it holds more than
+    every parabolic subset.  Each reflection acts on a root mask through
+    one 256-entry table per byte.  The result is sorted by member index
+    tuple.  The closure stops as soon as it holds more than
     PARABOLIC_COUNT_LIMIT masks, before any subset is built; at rank
     s >= 1 there are more than the 2^s seeds, so 2^s >= the limit refuses
     before seeding.
@@ -150,21 +187,12 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
                f"subsets; {rs} has more")
     if 1 << s >= PARABOLIC_COUNT_LIMIT:
         raise ResourceLimitError(refusal)
-    n = len(rs.roots)
-    pos_mask = 0
-    for i in range(n):
-        if rs.is_positive[i]:
-            pos_mask |= 1 << i
     seeds = set()
     for subset in range(1 << s):
         chosen = [i for i in range(s) if subset >> i & 1]
-        levi_mask = 0
-        for i in rs.roots_in_simple_span(chosen):
-            levi_mask |= 1 << i
-        seeds.add(levi_mask | pos_mask)
-    shifts = range(0, n, 4)
-    tables = [list(zip(shifts, _nibble_tables(perm)))
-              for perm in rs.reflection_perms]
+        seeds.add(sum(1 << i for i in rs.roots_in_simple_span(chosen))
+                  | rs.positive_mask)
+    tables = [mask_tables(perm) for perm in rs.reflection_perms]
     seen = set(seeds)
     frontier = list(seeds)
     while frontier:
@@ -172,16 +200,13 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
         for table in tables:
             img = 0
             for shift, row in table:
-                img |= row[mask >> shift & 15]
+                img |= row[mask >> shift & 255]
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)
         if len(seen) > PARABOLIC_COUNT_LIMIT:
             raise ResourceLimitError(refusal)
-    rows = sorted(tuple(shift + b for shift in shifts
-                        for b in _NIBBLE_BITS[m >> shift & 15])
-                  for m in seen)
-    return [ParabolicSubset(rs, frozenset(r)) for r in rows]
+    return [ParabolicSubset(rs, m) for m in sorted(seen, key=_order_key)]
 
 
 def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
@@ -197,13 +222,14 @@ def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
     if m.system != rs:
         raise DomainError("levi datum belongs to a different root system")
     # Re-validate realizability; hand-built data may not be span-saturated.
-    make_levi(rs, m.levi_roots)
+    _levi_rank(rs, m.mask)
     f_all = [p for p in enumerate_parabolic_subsets(rs)
-             if m.levi_roots <= p.members]
-    by_levi: dict[LeviDatum, list[ParabolicSubset]] = {}
+             if not m.mask & ~p.mask]
+    groups: dict[int, list[ParabolicSubset]] = {}
     for p in f_all:
-        by_levi.setdefault(levi_of(p), []).append(p)
-    levis = sorted(by_levi, key=LeviDatum.sort_key)
+        groups.setdefault(p.mask & _negate(rs, p.mask), []).append(p)
+    by_levi = {_levi(rs, sym): ps for sym, ps in groups.items()}
+    levis = sorted(by_levi, key=lambda l: _order_key(l.mask))
     return f_all, levis, by_levi
 
 
@@ -224,13 +250,13 @@ def d_nonvanishing(rs: RootSystem, m: LeviDatum, l1: LeviDatum,
     for l in (l1, l2):
         if l.system != rs or m.system != rs:
             raise DomainError("mismatched root systems")
-        if not m.levi_roots <= l.levi_roots:
+        if m.mask & ~l.mask:
             raise DomainError("m must be contained in both Levis")
     s = rs.semisimple_rank
-    r1 = _root_rank(rs, l1.levi_roots)
-    r2 = _root_rank(rs, l2.levi_roots)
-    return (r1 + r2 - _root_rank(rs, m.levi_roots) == s
-            and _root_rank(rs, l1.levi_roots | l2.levi_roots) == s)
+    r1 = _root_rank(rs, l1.mask)
+    r2 = _root_rank(rs, l2.mask)
+    return (r1 + r2 - _root_rank(rs, m.mask) == s
+            and _root_rank(rs, l1.mask | l2.mask) == s)
 
 
 def count_contributing_tuples(rs: RootSystem, m: LeviDatum,

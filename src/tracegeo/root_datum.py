@@ -138,6 +138,19 @@ def _positive_coords(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return out
 
 
+def mask_tables(perm: Sequence[int]) -> tuple[tuple[int, list[int]], ...]:
+    """A permutation of root indices acting on root bitmasks, one byte at a
+    time: for each (shift, table), table[v] is the image of v << shift, so
+    the image of a mask is the union of table[mask >> shift & 255]."""
+    tables = []
+    for shift in range(0, len(perm), 8):
+        table = [0]
+        for j in perm[shift:shift + 8]:
+            table += [img | 1 << j for img in table]
+        tables.append((shift, table))
+    return tuple(tables)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A finite root system (possibly a product) with a central torus block.
@@ -189,6 +202,22 @@ class RootSystem:
     def is_positive(self) -> tuple[bool, ...]:
         # Coordinates are sign-coherent, so the sign of the height decides.
         return tuple(h > 0 for h in self.heights)
+
+    @cached_property
+    def positive_mask(self) -> int:
+        """Bit i is set iff roots[i] is positive."""
+        return sum(1 << i for i, p in enumerate(self.is_positive) if p)
+
+    @cached_property
+    def negation_tables(self) -> tuple[tuple[int, list[int]], ...]:
+        """mask_tables of the negation permutation."""
+        return mask_tables(self.negation)
+
+    @cached_property
+    def rank_memo(self) -> dict[int, int]:
+        """Ranks of root sets, keyed by the mask of the positive root of
+        each +-pair; filled by the parabolic lattice."""
+        return {}
 
     @cached_property
     def support_masks(self) -> tuple[int, ...]:

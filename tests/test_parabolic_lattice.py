@@ -155,8 +155,8 @@ def test_standard_levi_rank_is_subset_size():
         s = rs.semisimple_rank
         for mask in range(1 << s):
             subset = [j for j in range(s) if mask >> j & 1]
-            assert _root_rank(rs, rs.roots_in_simple_span(subset)) == \
-                len(subset), (factors, subset)
+            roots = sum(1 << i for i in rs.roots_in_simple_span(subset))
+            assert _root_rank(rs, roots) == len(subset), (factors, subset)
             seen += 1
     assert seen == 2890
 
