@@ -115,6 +115,16 @@ def test_closure_matches_bit_loop_reference(name):
     assert {p.members for p in got} == _bit_loop_closure(rs)
 
 
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_member_roots_are_sorted_roots(name):
+    rs = build_root_system([name])
+    for p in enumerate_parabolic_subsets(rs):
+        levi = levi_of(p)
+        for data, members in ((p, p.members), (levi, levi.levi_roots)):
+            assert data.member_roots == tuple(sorted(rs.roots[i]
+                                                     for i in members))
+
+
 def test_enumeration_guard():
     rs = build_root_system(["A7"])
     with pytest.raises(ResourceLimitError):
