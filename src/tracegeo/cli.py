@@ -353,8 +353,17 @@ def _spec_number(value, key: str, kind=float):
     return x
 
 
+def _exp_preset(lam: float, t0: float, name: str):
+    """exp_preset, with name (the flag or key) in its domain errors."""
+    from .mellin_fp import exp_preset
+    try:
+        return exp_preset(lam, t0)
+    except DomainError as e:
+        raise DomainError(f"{name}: {e}") from None
+
+
 def _mellin_pair_from_spec(data):
-    from .mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
+    from .mellin_fp import (AsymptoticExpansion, TailFunction,
                             monotone_cubic, sqrt_exp_preset)
     if not isinstance(data, dict):
         raise ParseError("--spec wants a JSON object")
@@ -362,8 +371,8 @@ def _mellin_pair_from_spec(data):
     preset = data.get("preset")
     if preset is not None:
         if preset == "exp":
-            return exp_preset(_spec_number(data.get("lambda", 1.0), "lambda"),
-                              t0)
+            return _exp_preset(_spec_number(data.get("lambda", 1.0),
+                                            "lambda"), t0, "--spec: lambda")
         if preset == "sqrt":
             return sqrt_exp_preset(t0)
         raise ParseError(f"unknown preset {preset!r}; expected exp or sqrt")
@@ -411,7 +420,7 @@ def _mellin_pair_from_spec(data):
 
 
 def _cmd_mellin_fp(args) -> tuple[object, str, int]:
-    from .mellin_fp import exp_preset, fp_mellin, sqrt_exp_preset
+    from .mellin_fp import fp_mellin, sqrt_exp_preset
     if (args.spec is None) == (args.preset is None):
         raise ParseError("pass exactly one of --preset or --spec")
     if args.preset is not None:
@@ -429,7 +438,7 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
             if args.lam == math.inf:
                 raise DomainError("--lambda: decay rate must be finite, "
                                   "got inf")
-            pair = exp_preset(args.lam, args.t0)
+            pair = _exp_preset(args.lam, args.t0, "--lambda")
         else:
             pair = sqrt_exp_preset(args.t0)
     else:

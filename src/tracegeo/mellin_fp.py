@@ -384,8 +384,12 @@ def exp_preset(lam: float, t0: float = 1.0,
     """f(t) = e^{-lam t} with its Maclaurin expansion to the given order."""
     if lam <= 0:
         raise DomainError("decay rate must be positive")
-    terms = [(Fraction(k), (-lam) ** k / math.factorial(k))
-             for k in range(order + 1)]
+    try:
+        terms = [(Fraction(k), (-lam) ** k / math.factorial(k))
+                 for k in range(order + 1)]
+    except OverflowError:
+        raise DomainError("decay rate is too large for a finite expansion "
+                          f"coefficient, got {lam!r}") from None
     f = TailFunction(lambda t: math.exp(-lam * t), (1.0, lam))
     return f, AsymptoticExpansion(tuple(terms), t0, Fraction(1))
 

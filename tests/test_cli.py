@@ -428,6 +428,22 @@ def test_mellin_non_finite_number_exits_2_naming_it(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--preset", "exp", "--lambda", "1e300"],
+     "--lambda: decay rate is too large for a finite expansion coefficient, "
+     "got 1e+300"),
+    (["--spec", '{"preset": "exp", "lambda": 1e300}'],
+     "--spec: lambda: decay rate is too large for a finite expansion "
+     "coefficient, got 1e+300"),
+], ids=["flag", "spec"])
+def test_mellin_huge_lambda_exits_2_naming_it(capsys, argv, message):
+    code = cli.main(["mellin-fp", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_mellin_requires_exactly_one_source(capsys):
     assert cli.main(["mellin-fp"]) == 2
     capsys.readouterr()
