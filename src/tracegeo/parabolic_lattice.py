@@ -50,11 +50,14 @@ def _order_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_ORDER) if mask else ""
 
 
+def _permute(tables: tuple[list[int], ...], mask: int) -> int:
+    """The image of mask under the permutation behind mask_tables."""
+    return sum(map(list.__getitem__, tables,
+                   mask.to_bytes(len(tables), "little")))
+
+
 def _negate(rs: RootSystem, mask: int) -> int:
-    img = 0
-    for shift, row in rs.negation_tables:
-        img |= row[mask >> shift & 255]
-    return img
+    return _permute(rs.negation_tables, mask)
 
 
 @dataclass(frozen=True)
@@ -198,9 +201,7 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     while frontier:
         mask = frontier.pop()
         for table in tables:
-            img = 0
-            for shift, row in table:
-                img |= row[mask >> shift & 255]
+            img = _permute(table, mask)
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)

@@ -138,16 +138,17 @@ def _positive_coords(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return out
 
 
-def mask_tables(perm: Sequence[int]) -> tuple[tuple[int, list[int]], ...]:
+def mask_tables(perm: Sequence[int]) -> tuple[list[int], ...]:
     """A permutation of root indices acting on root bitmasks, one byte at a
-    time: for each (shift, table), table[v] is the image of v << shift, so
-    the image of a mask is the union of table[mask >> shift & 255]."""
+    time: tables[k][v] is the image of the mask v << 8k.  Images of
+    disjoint masks are disjoint, so the image of a mask is the sum of
+    tables[k][byte k of the mask]."""
     tables = []
-    for shift in range(0, len(perm), 8):
+    for base in range(0, len(perm), 8):
         table = [0]
-        for j in perm[shift:shift + 8]:
+        for j in perm[base:base + 8]:
             table += [img | 1 << j for img in table]
-        tables.append((shift, table))
+        tables.append(table)
     return tuple(tables)
 
 
@@ -209,7 +210,7 @@ class RootSystem:
         return sum(1 << i for i, p in enumerate(self.is_positive) if p)
 
     @cached_property
-    def negation_tables(self) -> tuple[tuple[int, list[int]], ...]:
+    def negation_tables(self) -> tuple[list[int], ...]:
         """mask_tables of the negation permutation."""
         return mask_tables(self.negation)
 
