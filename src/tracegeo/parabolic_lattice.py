@@ -119,8 +119,8 @@ def _root_rank(rs: RootSystem, mask: int) -> int:
     return _rank(rs, (mask | _negate(rs, mask)) & rs.positive_mask)
 
 
-def _levi_rank(rs: RootSystem, mask: int) -> int:
-    """Rank of a root mask, after make_levi's checks on it."""
+def _check_levi(rs: RootSystem, mask: int) -> None:
+    """Raise unless mask passes make_levi's checks."""
     if mask >> len(rs.roots):
         raise DomainError("root index out of range")
     if _negate(rs, mask) != mask:
@@ -131,7 +131,12 @@ def _levi_rank(rs: RootSystem, mask: int) -> int:
         if _rank(rs, pos | 1 << j) == r:
             raise DomainError("levi roots must contain every root in "
                               "their span")
-    return r
+
+
+def _levi(rs: RootSystem, sym: int) -> LeviDatum:
+    # sym is closed under negation, so its positive roots span it.
+    r = _rank(rs, sym & rs.positive_mask)
+    return LeviDatum(rs, sym, rs.group_dim - r)
 
 
 def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
@@ -145,7 +150,8 @@ def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
         if i < 0 or i >= len(rs.roots):
             raise DomainError(f"root index {i} out of range")
         mask |= 1 << i
-    return LeviDatum(rs, mask, rs.group_dim - _levi_rank(rs, mask))
+    _check_levi(rs, mask)
+    return _levi(rs, mask)
 
 
 def minimal_levi(rs: RootSystem) -> LeviDatum:
@@ -154,12 +160,6 @@ def minimal_levi(rs: RootSystem) -> LeviDatum:
 
 def full_levi(rs: RootSystem) -> LeviDatum:
     return LeviDatum(rs, (1 << len(rs.roots)) - 1, rs.torus_rank)
-
-
-def _levi(rs: RootSystem, sym: int) -> LeviDatum:
-    # sym is closed under negation, so its positive roots span it.
-    r = _rank(rs, sym & rs.positive_mask)
-    return LeviDatum(rs, sym, rs.group_dim - r)
 
 
 def levi_of(p: ParabolicSubset) -> LeviDatum:
@@ -223,7 +223,7 @@ def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
     if m.system != rs:
         raise DomainError("levi datum belongs to a different root system")
     # Re-validate realizability; hand-built data may not be span-saturated.
-    _levi_rank(rs, m.mask)
+    _check_levi(rs, m.mask)
     f_all = [p for p in enumerate_parabolic_subsets(rs)
              if not m.mask & ~p.mask]
     groups: dict[int, list[ParabolicSubset]] = {}

@@ -232,6 +232,19 @@ def test_make_levi_closure():
     assert l.a_M_dim == 0
 
 
+def test_f_sets_rejects_hand_built_non_levis():
+    rs = build_root_system(["A2"])
+    alpha = rs.root_index[rs.simple_roots[0]]
+    beta = rs.root_index[rs.simple_roots[1]]
+    pairs = (1 << alpha | 1 << rs.negation[alpha] | 1 << beta
+             | 1 << rs.negation[beta])
+    for mask, message in ((1 << alpha, "closed under negation"),
+                          (pairs, "every root in their span"),
+                          (1 << len(rs.roots), "out of range")):
+        with pytest.raises(DomainError, match=message):
+            f_sets(rs, LeviDatum(rs, mask, 1))
+
+
 def test_f_sets_partition_and_sizes():
     rs = build_root_system(["A2"])
     m0 = minimal_levi(rs)
