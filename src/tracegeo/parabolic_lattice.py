@@ -62,6 +62,8 @@ def _negate(rs: RootSystem, mask: int) -> int:
 
 @dataclass(frozen=True)
 class ParabolicSubset:
+    """A parabolic subset: bit i of mask is set iff roots[i] is a member."""
+
     system: RootSystem
     mask: int
 
