@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from . import linalg
 from .errors import DomainError, ResourceLimitError
-from .root_datum import RootSystem, mask_tables
+from .root_datum import RootSystem, mask_tables, permute_mask
 
 PARABOLIC_COUNT_LIMIT = 2**16
 
@@ -50,14 +50,8 @@ def _order_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_ORDER) if mask else ""
 
 
-def _permute(tables: tuple[list[int], ...], mask: int) -> int:
-    """The image of mask under the permutation behind mask_tables."""
-    return sum(map(list.__getitem__, tables,
-                   mask.to_bytes(len(tables), "little")))
-
-
 def _negate(rs: RootSystem, mask: int) -> int:
-    return _permute(rs.negation_tables, mask)
+    return permute_mask(rs.negation_tables, mask)
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,7 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     while frontier:
         mask = frontier.pop()
         for table in tables:
-            img = _permute(table, mask)
+            img = permute_mask(table, mask)
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)

@@ -152,6 +152,12 @@ def mask_tables(perm: Sequence[int]) -> tuple[list[int], ...]:
     return tuple(tables)
 
 
+def permute_mask(tables: tuple[list[int], ...], mask: int) -> int:
+    """The image of mask under the permutation behind mask_tables."""
+    return sum(map(list.__getitem__, tables,
+                   mask.to_bytes(len(tables), "little")))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A finite root system (possibly a product) with a central torus block.
