@@ -429,10 +429,10 @@ def test_d_nonvanishing_matches_gram_construction():
 # -- the mask layer against the frozenset layer it replaced ------------------
 #
 # A copy of the frozenset implementation: nibble-table closure, subsets as
-# sorted index tuples, Levis as frozenset intersections ranked through an
-# lru_cache of coordinate-row sets.  The layer under test must reproduce its
-# enumeration order, members, Levis, split-center dims, radical dims and
-# f_sets grouping exactly.
+# sorted index tuples, Levis as frozenset intersections ranked from the set
+# of their positive coordinate rows.  The layer under test must reproduce
+# its enumeration order, members, Levis, split-center dims, radical dims
+# and f_sets grouping exactly.
 
 _REF_NIBBLE_BITS = tuple(tuple(b for b in range(4) if v >> b & 1)
                          for v in range(16))
