@@ -4,8 +4,8 @@ from tracegeo import invariants_k, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
                                    _classical_dim_set, _component_type,
-                                   _components, k_by_pairs, k_min_orbit,
-                                   k_report, k_richardson)
+                                   k_by_pairs, k_min_orbit, k_report,
+                                   k_richardson)
 from tracegeo.nilpotent_orbits import min_orbit_dim
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number)
@@ -176,6 +176,27 @@ def _signature_type(rs, comp):
     return table[len(members), shorts]
 
 
+def _components(rs, simple_subset):
+    """The connected components of a simple-root subset, as sorted index
+    lists: the list-based split the pairs route used before it worked on
+    masks."""
+    remaining = set(simple_subset)
+    comps = []
+    while remaining:
+        seed = remaining.pop()
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            i = frontier.pop()
+            for j in list(remaining):
+                if rs.cartan_matrix[i][j] != 0:
+                    remaining.remove(j)
+                    comp.add(j)
+                    frontier.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
 TYPING_SYSTEMS = ([[f"{s}{r}"] for s in "ABC" for r in range(1, 9)]
                   + [[f"D{r}"] for r in range(2, 9)]
                   + [["E6"], ["E7"], ["E8"], ["F4"], ["G2"]]
@@ -263,3 +284,59 @@ def test_pairs_check_catches_a_wrong_dual_coxeter_table(monkeypatch):
              != dual_coxeter_number(SimpleType.parse(name)) - 1]
     assert wrong == list(EXCEPTIONAL_K)
     assert reproduce._check_pairs_consistency()[0] is False
+
+
+# -- the pairs route against its scan-per-subset form -------------------------
+#
+# The reference rescans every root for each simple-root subset J, splits J
+# into list components and types each one again, as the pairs route did
+# before it read one span table and memoised each component's dimensions.
+
+
+def _theta_grading_dim_by_scan(rs, comp):
+    positive = [i for i in rs.roots_in_simple_span(comp) if rs.is_positive[i]]
+    theta = rs.roots[max(positive, key=rs.heights.__getitem__)]
+    return 1 + sum(1 for i in positive
+                   if sum(a * b for a, b in zip(rs.roots[i], theta)) > 0)
+
+
+def _subset_tables_by_scan(rs):
+    """For each simple-root subset J, in order: the number of roots of the
+    standard Levi of J and the set of its orbit dimensions."""
+    s = rs.semisimple_rank
+    tables = []
+    for subset in range(1 << s):
+        chosen = [i for i in range(s) if subset >> i & 1]
+        sums = {0}
+        for comp in _components(rs, chosen):
+            t = _component_type(rs, comp)
+            dims = _classical_dim_set(t.series, t.rank) \
+                if t.series in "ABCD" else \
+                (0, _theta_grading_dim_by_scan(rs, comp))
+            sums = {a + b for a in sums for b in dims}
+        tables.append((len(rs.roots_in_simple_span(chosen)), sums))
+    return tables
+
+
+def _pairs_by_scan(g):
+    rs = g.absolute
+    full = (1 << rs.semisimple_rank) - 1
+    best = None
+    for subset, (levi_root_count, sums) in \
+            enumerate(_subset_tables_by_scan(rs)):
+        dim_v = (len(rs.roots) - levi_root_count) // 2
+        for orbit_total in sums:
+            if subset == full and orbit_total == 0:
+                continue  # the excluded trivial pair
+            cand = orbit_total + 2 * dim_v
+            if best is None or cand < best:
+                best = cand
+    return g.restriction_degree * (best // 2)
+
+
+@pytest.mark.parametrize("factors", TYPING_SYSTEMS,
+                         ids=["x".join(f) for f in TYPING_SYSTEMS])
+def test_pairs_match_the_scan_reference(factors):
+    for degree in (1, 2, 3):
+        g = spec(*factors, restriction_degree=degree)
+        assert k_by_pairs(g) == _pairs_by_scan(g), degree

@@ -125,3 +125,41 @@ def test_rank_guard():
         list_orbits(SimpleType("B", 21))
     with pytest.raises(ResourceLimitError):
         list_orbits(GLType(22))
+
+
+# -- list_orbits against the raise-and-catch filter ---------------------------
+
+
+def _partitions_by_recursion(n, cap=None):
+    if n == 0:
+        return [()]
+    cap = n if cap is None else min(cap, n)
+    return [(first,) + rest for first in range(cap, 0, -1)
+            for rest in _partitions_by_recursion(n - first, first)]
+
+
+def _orbits_by_raise_and_catch(t, size):
+    """Build a label for every partition of size and keep those whose
+    constructor does not raise."""
+    labels = []
+    for lam in _partitions_by_recursion(size):
+        very_even = (isinstance(t, SimpleType) and t.series == "D"
+                     and all(x % 2 == 0 for x in lam))
+        try:
+            labels.append(OrbitLabel(t, lam, very_even))
+        except DomainError as exc:
+            assert "must have even multiplicity" in str(exc), (t, lam)
+    return labels
+
+
+CLASSICAL_UP_TO_12 = (
+    [(SimpleType("A", r), r + 1) for r in range(1, 13)]
+    + [(SimpleType("B", r), 2 * r + 1) for r in range(1, 13)]
+    + [(SimpleType("C", r), 2 * r) for r in range(1, 13)]
+    + [(SimpleType("D", r), 2 * r) for r in range(2, 13)]
+    + [(GLType(n), n) for n in range(1, 13)])
+
+
+def test_list_orbits_matches_the_raise_and_catch_filter():
+    for t, size in CLASSICAL_UP_TO_12:
+        assert list_orbits(t) == _orbits_by_raise_and_catch(t, size), t
