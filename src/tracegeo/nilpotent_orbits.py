@@ -9,6 +9,7 @@ which is 2(h_dual - 1) in every type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .root_datum import SimpleType, dual_coxeter_number
@@ -61,6 +62,16 @@ def _partition_target(t: SimpleType | GLType) -> int:
     }[t.series]
 
 
+def _parity_ok(t: SimpleType | GLType, lam: tuple[int, ...]) -> bool:
+    """Whether lam meets t's parity rule: in types B and D each even part,
+    in type C each odd part, has even multiplicity."""
+    if isinstance(t, GLType) or t.series == "A":
+        return True
+    constrained = 1 if t.series == "C" else 0
+    return all(lam.count(x) % 2 == 0 for x in set(lam)
+               if x % 2 == constrained)
+
+
 def _validate_parity(t: SimpleType | GLType, lam: tuple[int, ...]) -> None:
     if isinstance(t, SimpleType) and t.series not in "ABCD":
         raise DomainError(
@@ -68,32 +79,33 @@ def _validate_parity(t: SimpleType | GLType, lam: tuple[int, ...]) -> None:
             "use min_orbit_dim for its minimal orbit dimension")
     if sum(lam) != _partition_target(t):
         raise DomainError(f"partition {lam} has the wrong size for {t}")
-    if isinstance(t, GLType) or t.series == "A":
-        return
-    counts: dict[int, int] = {}
-    for x in lam:
-        counts[x] = counts.get(x, 0) + 1
-    if t.series in ("B", "D"):
-        bad = [x for x, c in counts.items() if x % 2 == 0 and c % 2 == 1]
-        if bad:
-            raise DomainError(f"even parts of {lam} must have even "
-                              f"multiplicity in type {t.series}")
-    else:  # C
-        bad = [x for x, c in counts.items() if x % 2 == 1 and c % 2 == 1]
-        if bad:
-            raise DomainError(f"odd parts of {lam} must have even "
-                              f"multiplicity in type C")
+    if not _parity_ok(t, lam):
+        parts = "odd" if t.series == "C" else "even"
+        raise DomainError(f"{parts} parts of {lam} must have even "
+                          f"multiplicity in type {t.series}")
 
 
-def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    cap = n if cap is None else min(cap, n)
-    out = []
-    for first in range(cap, 0, -1):
-        for rest in _partitions(n - first, first):
-            out.append((first,) + rest)
-    return out
+def _partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n >= 1, largest first part first (decreasing
+    lexicographic order), each built once.
+
+    The successor lowers the last part above 1 by one and refills the
+    rest of the sum greedily with parts no larger than it.
+    """
+    lam = [n]
+    while True:
+        yield tuple(lam)
+        ones = 0
+        while lam and lam[-1] == 1:
+            lam.pop()
+            ones += 1
+        if not lam:
+            return
+        part = lam.pop() - 1
+        q, r = divmod(ones + 1, part)
+        lam += [part] * (q + 1)
+        if r:
+            lam.append(r)
 
 
 def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
@@ -110,17 +122,10 @@ def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
     if size > RANK_LIMIT:
         raise ResourceLimitError(
             f"orbit enumeration is limited to rank {RANK_LIMIT}; got {size}")
-    target = _partition_target(t)
-    labels = []
-    for lam in _partitions(target):
-        try:
-            _validate_parity(t, lam)
-        except DomainError:
-            continue
-        very_even = (isinstance(t, SimpleType) and t.series == "D"
-                     and all(x % 2 == 0 for x in lam))
-        labels.append(OrbitLabel(t, lam, very_even))
-    return labels
+    type_d = isinstance(t, SimpleType) and t.series == "D"
+    return [OrbitLabel(t, lam, type_d and all(x % 2 == 0 for x in lam))
+            for lam in _partitions(_partition_target(t))
+            if _parity_ok(t, lam)]
 
 
 def _transpose(lam: tuple[int, ...]) -> list[int]:
