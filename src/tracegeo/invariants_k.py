@@ -88,22 +88,21 @@ class GroupSpec:
 # -- component recognition ----------------------------------------------------
 
 
-def _components(rs: RootSystem, simple_subset: list[int]) -> list[list[int]]:
-    remaining = set(simple_subset)
-    comps = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in list(remaining):
-                if rs.cartan_matrix[i][j] != 0:
-                    remaining.remove(j)
-                    comp.add(j)
-                    frontier.append(j)
-        comps.append(sorted(comp))
-    return comps
+def _indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _component_of_lowest(adjacency: Sequence[int], subset: int) -> int:
+    """The connected component of subset's lowest simple root, as a mask;
+    adjacency[i] masks the Dynkin neighbours of simple root i."""
+    comp = frontier = subset & -subset
+    while frontier:
+        reached = 0
+        for i in _indices(frontier):
+            reached |= adjacency[i]
+        frontier = reached & subset & ~comp
+        comp |= frontier
+    return comp
 
 
 @lru_cache(maxsize=None)
@@ -137,22 +136,44 @@ def _component_type(rs: RootSystem, comp: list[int]) -> SimpleType:
     return SimpleType("A", len(comp))
 
 
-def _theta_grading_dim(rs: RootSystem, comp: list[int]) -> int:
-    """1 + #{alpha > 0 : (alpha, theta) > 0}, theta the component's highest
-    root: the minimal orbit is that of a theta root vector e, and [g, e] is
-    spanned by e, the grade-1 root vectors and the coroot of theta
-    (Collingwood and McGovern, ch. 4)."""
-    positive = [i for i in rs.roots_in_simple_span(comp) if rs.is_positive[i]]
+def _theta_grading_dim(rs: RootSystem, comp: int) -> int:
+    """1 + #{alpha > 0 : (alpha, theta) > 0}, theta the highest root of the
+    component masked by comp: the minimal orbit is that of a theta root
+    vector e, and [g, e] is spanned by e, the grade-1 root vectors and the
+    coroot of theta (Collingwood and McGovern, ch. 4)."""
+    positive = _indices(rs.span_masks[comp] & rs.positive_mask)
     theta = rs.roots[max(positive, key=rs.heights.__getitem__)]
     return 1 + sum(1 for i in positive
                    if sum(a * b for a, b in zip(rs.roots[i], theta)) > 0)
 
 
-def _component_dim_set(rs: RootSystem, comp: list[int]) -> tuple[int, ...]:
-    t = _component_type(rs, comp)
+def _component_dim_set(rs: RootSystem, comp: int) -> tuple[int, ...]:
+    t = _component_type(rs, _indices(comp))
     if t.series in "ABCD":
         return _classical_dim_set(t.series, t.rank)
     return (0, _theta_grading_dim(rs, comp))
+
+
+def _orbit_sums(rs: RootSystem) -> list[set[int]]:
+    """sums[J] is the set of orbit dimensions of the standard Levi of the
+    simple-root subset J: the sums of one orbit dimension per component.
+
+    C, the component of J's lowest root, splits J into C and J & ~C, so
+    sums[J] = dims(C) + sums[J & ~C] with the smaller entry already built;
+    each distinct component is typed once.
+    """
+    adjacency = [sum(1 << j for j, c in enumerate(row) if c and j != i)
+                 for i, row in enumerate(rs.cartan_matrix)]
+    dims_of: dict[int, tuple[int, ...]] = {}
+    sums = [{0}]
+    for subset in range(1, 1 << rs.semisimple_rank):
+        comp = _component_of_lowest(adjacency, subset)
+        dims = dims_of.get(comp)
+        if dims is None:
+            dims = dims_of[comp] = _component_dim_set(rs, comp)
+        rest = sums[subset & ~comp]
+        sums.append({a + b for a in dims for b in rest})
+    return sums
 
 
 # -- the three computations ----------------------------------------------------
@@ -162,10 +183,12 @@ def k_by_pairs(g: GroupSpec) -> int:
     """Enumerate (standard Levi, orbit) pairs and halve the minimal induced
     dimension, excluding the trivial pair.
 
-    Exceptional Levi components contribute their trivial and minimal
-    orbits only: every nontrivial orbit is at least minimal, so larger ones
-    cannot lower the minimum.  The whole group is one of the Levis, so its
-    own minimal orbits enter here too.
+    The standard Levi of a simple-root subset J has rs.span_masks[J] for
+    roots, so an orbit of dimension d induces one of dimension d + 2 dim V
+    = d + #roots - #Levi roots.  Exceptional Levi components contribute
+    their trivial and minimal orbits only: every nontrivial orbit is at
+    least minimal, so larger ones cannot lower the minimum.  The whole
+    group is one of the Levis, so its own minimal orbits enter here too.
     """
     rs = g.absolute
     s = rs.semisimple_rank
@@ -176,23 +199,13 @@ def k_by_pairs(g: GroupSpec) -> int:
             f"pair enumeration is limited to rank {PAIR_RANK_LIMIT}; "
             f"got rank {s}")
     n_roots = len(rs.roots)
-    best: int | None = None
-    for subset in range(1 << s):
-        chosen = [i for i in range(s) if subset >> i & 1]
-        levi_root_count = len(rs.roots_in_simple_span(chosen))
-        dim_v = (n_roots - levi_root_count) // 2
-        sums = {0}
-        for comp in _components(rs, chosen):
-            comp_dims = _component_dim_set(rs, comp)
-            sums = {a + b for a in sums for b in comp_dims}
-        full = subset == (1 << s) - 1
-        for orbit_total in sums:
-            if full and orbit_total == 0:
-                continue  # the excluded trivial pair
-            cand = orbit_total + 2 * dim_v
-            if best is None or cand < best:
-                best = cand
-    assert best is not None and best % 2 == 0 and best > 0
+    full = (1 << s) - 1
+    span = rs.span_masks
+    best = min(orbit_total + n_roots - span[subset].bit_count()
+               for subset, sums in enumerate(_orbit_sums(rs))
+               for orbit_total in sums
+               if orbit_total or subset != full)  # not the trivial pair
+    assert best % 2 == 0 and best > 0
     return g.restriction_degree * (best // 2)
 
 

@@ -4,8 +4,8 @@ from tracegeo import invariants_k, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
                                    _classical_dim_set, _component_type,
-                                   k_by_pairs, k_min_orbit, k_report,
-                                   k_richardson)
+                                   _orbit_sums, k_by_pairs, k_min_orbit,
+                                   k_report, k_richardson)
 from tracegeo.nilpotent_orbits import min_orbit_dim
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number)
@@ -301,8 +301,8 @@ def _theta_grading_dim_by_scan(rs, comp):
 
 
 def _subset_tables_by_scan(rs):
-    """For each simple-root subset J, in order: the number of roots of the
-    standard Levi of J and the set of its orbit dimensions."""
+    """For each simple-root subset J, in order: the mask of the roots of
+    the standard Levi of J and the set of its orbit dimensions."""
     s = rs.semisimple_rank
     tables = []
     for subset in range(1 << s):
@@ -314,7 +314,8 @@ def _subset_tables_by_scan(rs):
                 if t.series in "ABCD" else \
                 (0, _theta_grading_dim_by_scan(rs, comp))
             sums = {a + b for a in sums for b in dims}
-        tables.append((len(rs.roots_in_simple_span(chosen)), sums))
+        span = sum(1 << i for i in rs.roots_in_simple_span(chosen))
+        tables.append((span, sums))
     return tables
 
 
@@ -322,9 +323,8 @@ def _pairs_by_scan(g):
     rs = g.absolute
     full = (1 << rs.semisimple_rank) - 1
     best = None
-    for subset, (levi_root_count, sums) in \
-            enumerate(_subset_tables_by_scan(rs)):
-        dim_v = (len(rs.roots) - levi_root_count) // 2
+    for subset, (span, sums) in enumerate(_subset_tables_by_scan(rs)):
+        dim_v = (len(rs.roots) - span.bit_count()) // 2
         for orbit_total in sums:
             if subset == full and orbit_total == 0:
                 continue  # the excluded trivial pair
@@ -340,3 +340,11 @@ def test_pairs_match_the_scan_reference(factors):
     for degree in (1, 2, 3):
         g = spec(*factors, restriction_degree=degree)
         assert k_by_pairs(g) == _pairs_by_scan(g), degree
+
+
+@pytest.mark.parametrize("factors", TYPING_SYSTEMS,
+                         ids=["x".join(f) for f in TYPING_SYSTEMS])
+def test_span_and_orbit_tables_match_the_scan_reference(factors):
+    rs = build_root_system(factors)
+    assert list(zip(rs.span_masks, _orbit_sums(rs))) == \
+        _subset_tables_by_scan(rs)

@@ -141,11 +141,11 @@ def test_small_products_of_high_rank_are_enumerated(copies):
 
 def test_count_limit_refuses_before_seeding(monkeypatch):
     # Rank 7 has 2^7 = 128 standard seeds, already past a limit of 100.
-    def no_seeding(self, chosen):
+    def no_seeding(self):
         raise AssertionError("seeded")
 
     monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 100)
-    monkeypatch.setattr(RootSystem, "roots_in_simple_span", no_seeding)
+    monkeypatch.setattr(RootSystem, "span_masks", property(no_seeding))
     with pytest.raises(ResourceLimitError, match="limited to 100 subsets"):
         enumerate_parabolic_subsets(build_root_system(["A1"] * 7))
 
