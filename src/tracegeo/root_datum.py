@@ -287,6 +287,11 @@ class RootSystem:
         outside = ~sum(1 << j for j in set(simple_subset))
         return [i for i, m in enumerate(self.support_masks) if not m & outside]
 
+    def __hash__(self) -> int:
+        # Equal systems share factors and torus rank, so this agrees with
+        # __eq__ without hashing every root.
+        return hash((self.factors, self.torus_rank))
+
     def __str__(self) -> str:
         name = "x".join(str(t) for t in self.factors) if self.factors else "T"
         if self.torus_rank and self.factors:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -342,3 +343,15 @@ def test_integer_core_needs_no_rational_linear_algebra(monkeypatch):
         assert len(rs.simple_coords) == len(rs.reflection_perms[0])
         report = k_report(GroupSpec(rs))
         assert report["minorbit"] == dual_coxeter_number(rs.factors[0]) - 1
+
+
+def test_hash_agrees_with_eq_without_reading_roots():
+    rs = build_root_system(["F4", "A1"], torus_rank=1)
+    twin = build_root_system(["F4", "A1"], torus_rank=1)
+    assert rs == twin and hash(rs) == hash(twin)
+    assert len({rs, twin, build_root_system(["F4"])}) == 2
+    # A hand-built system that differs only in its roots: equal hashes are
+    # allowed, equality is not.
+    fake = dataclasses.replace(rs, roots=rs.roots[:-1])
+    assert fake != rs
+    assert {rs: 1}.get(fake) is None
