@@ -175,11 +175,11 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     of a simple-root subset's span, together with all positive roots);
     closing the seed set under the simple-reflection permutations reaches
     every chamber, hence every parabolic subset.  Each reflection acts on
-    a root mask through one 256-entry table per byte.  The result is sorted by member index
-    tuple.  The closure stops as soon as it holds more than
-    PARABOLIC_COUNT_LIMIT masks, before any subset is built; at rank
-    s >= 1 there are more than the 2^s seeds, so 2^s >= the limit refuses
-    before seeding.
+    a root mask through one 256-entry table per byte.  The result is
+    sorted by member index tuple.  The closure stops as soon as it holds
+    more than PARABOLIC_COUNT_LIMIT masks, before any subset is built; at
+    rank s >= 1 there are more than the 2^s seeds, so 2^s >= the limit
+    refuses before seeding.
     """
     s = rs.semisimple_rank
     refusal = (f"parabolic enumeration is limited to {PARABOLIC_COUNT_LIMIT} "
