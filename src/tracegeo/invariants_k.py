@@ -141,7 +141,8 @@ def _theta_grading_dim(rs: RootSystem, comp: int) -> int:
     component masked by comp: the minimal orbit is that of a theta root
     vector e, and [g, e] is spanned by e, the grade-1 root vectors and the
     coroot of theta (Collingwood and McGovern, ch. 4)."""
-    positive = _indices(rs.span_masks[comp] & rs.positive_mask)
+    positive = [i for i in rs.roots_in_simple_span(_indices(comp))
+                if rs.is_positive[i]]
     theta = rs.roots[max(positive, key=rs.heights.__getitem__)]
     return 1 + sum(1 for i in positive
                    if sum(a * b for a, b in zip(rs.roots[i], theta)) > 0)
@@ -183,8 +184,8 @@ def k_by_pairs(g: GroupSpec) -> int:
     """Enumerate (standard Levi, orbit) pairs and halve the minimal induced
     dimension, excluding the trivial pair.
 
-    The standard Levi of a simple-root subset J has rs.span_masks[J] for
-    roots, so an orbit of dimension d induces one of dimension d + 2 dim V
+    The standard Levi of a simple-root subset J has rs.span_masks()[J]
+    for roots, so an orbit of dimension d induces one of dimension d + 2 dim V
     = d + #roots - #Levi roots.  Exceptional Levi components contribute
     their trivial and minimal orbits only: every nontrivial orbit is at
     least minimal, so larger ones cannot lower the minimum.  The whole
@@ -200,7 +201,7 @@ def k_by_pairs(g: GroupSpec) -> int:
             f"got rank {s}")
     n_roots = len(rs.roots)
     full = (1 << s) - 1
-    span = rs.span_masks
+    span = rs.span_masks()
     best = min(orbit_total + n_roots - span[subset].bit_count()
                for subset, sums in enumerate(_orbit_sums(rs))
                for orbit_total in sums

@@ -171,22 +171,22 @@ def dim_unipotent_radical(p: ParabolicSubset) -> int:
 def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     """All closed subsets S with S u -S = R, as ParabolicSubset values.
 
-    Seeds are the standard parabolic subsets (rs.span_masks[J], the roots
-    of a simple-root subset's span, together with all positive roots);
-    closing the seed set under the simple-reflection permutations reaches
-    every chamber, hence every parabolic subset.  Each reflection acts on
-    a root mask through one 256-entry table per byte.  The result is
-    sorted by member index tuple.  The closure stops as soon as it holds
-    more than PARABOLIC_COUNT_LIMIT masks, before any subset is built; at
-    rank s >= 1 there are more than the 2^s seeds, so 2^s >= the limit
-    refuses before seeding.
+    Seeds are the standard parabolic subsets (rs.span_masks()[J], the
+    roots of a simple-root subset's span, together with all positive
+    roots); closing the seed set under the simple-reflection permutations
+    reaches every chamber, hence every parabolic subset.  Each reflection
+    acts on a root mask through one 256-entry table per byte.  The result
+    is sorted by member index tuple.  The closure stops as soon as it
+    holds more than PARABOLIC_COUNT_LIMIT masks, before any subset is
+    built; at rank s >= 1 there are more than the 2^s seeds, so 2^s >= the
+    limit refuses before seeding.
     """
     s = rs.semisimple_rank
     refusal = (f"parabolic enumeration is limited to {PARABOLIC_COUNT_LIMIT} "
                f"subsets; {rs} has more")
     if 1 << s >= PARABOLIC_COUNT_LIMIT:
         raise ResourceLimitError(refusal)
-    seeds = {span | rs.positive_mask for span in rs.span_masks}
+    seeds = {span | rs.positive_mask for span in rs.span_masks()}
     tables = [mask_tables(perm) for perm in rs.reflection_perms]
     seen = set(seeds)
     frontier = list(seeds)

@@ -232,13 +232,14 @@ class RootSystem:
         return tuple(sum(1 << j for j, c in enumerate(coords) if c)
                      for coords in self.simple_coords)
 
-    @cached_property
-    def span_masks(self) -> tuple[int, ...]:
-        """span_masks[J] has bit i set iff roots[i] is supported on the
+    def span_masks(self) -> list[int]:
+        """span_masks()[J] has bit i set iff roots[i] is supported on the
         simple-root subset J (bit j of J stands for alpha_j).
 
         Each root is placed at its own support; then one OR sweep per
         simple root j passes every entry without j on to the entry with j.
+        The table is built anew on each call and not kept: its 2^s entries
+        serve one walk over the subsets.
         """
         span = [0] * (1 << self.semisimple_rank)
         for i, m in enumerate(self.support_masks):
@@ -248,7 +249,7 @@ class RootSystem:
             for hi in range(bit, len(span), 2 * bit):
                 span[hi:hi + bit] = map(int.__or__, span[hi:hi + bit],
                                         span[hi - bit:hi])
-        return tuple(span)
+        return span
 
     # -- reflections -----------------------------------------------------------
 

@@ -346,5 +346,5 @@ def test_pairs_match_the_scan_reference(factors):
                          ids=["x".join(f) for f in TYPING_SYSTEMS])
 def test_span_and_orbit_tables_match_the_scan_reference(factors):
     rs = build_root_system(factors)
-    assert list(zip(rs.span_masks, _orbit_sums(rs))) == \
+    assert list(zip(rs.span_masks(), _orbit_sums(rs))) == \
         _subset_tables_by_scan(rs)

@@ -145,7 +145,7 @@ def test_count_limit_refuses_before_seeding(monkeypatch):
         raise AssertionError("seeded")
 
     monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 100)
-    monkeypatch.setattr(RootSystem, "span_masks", property(no_seeding))
+    monkeypatch.setattr(RootSystem, "span_masks", no_seeding)
     with pytest.raises(ResourceLimitError, match="limited to 100 subsets"):
         enumerate_parabolic_subsets(build_root_system(["A1"] * 7))
 
