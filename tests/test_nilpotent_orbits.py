@@ -138,9 +138,23 @@ def _partitions_by_recursion(n, cap=None):
             for rest in _partitions_by_recursion(n - first, first)]
 
 
+def _parity_by_counts(t, lam):
+    """The parity rule as the raising validator counted it: even parts in
+    types B and D, odd parts in type C, each with even multiplicity."""
+    if isinstance(t, GLType) or t.series == "A":
+        return True
+    counts = {}
+    for x in lam:
+        counts[x] = counts.get(x, 0) + 1
+    constrained = 0 if t.series in ("B", "D") else 1
+    return not [x for x, c in counts.items()
+                if x % 2 == constrained and c % 2 == 1]
+
+
 def _orbits_by_raise_and_catch(t, size):
     """Build a label for every partition of size and keep those whose
-    constructor does not raise."""
+    constructor does not raise; it must raise exactly where the counted
+    rule fails."""
     labels = []
     for lam in _partitions_by_recursion(size):
         very_even = (isinstance(t, SimpleType) and t.series == "D"
@@ -149,6 +163,9 @@ def _orbits_by_raise_and_catch(t, size):
             labels.append(OrbitLabel(t, lam, very_even))
         except DomainError as exc:
             assert "must have even multiplicity" in str(exc), (t, lam)
+            assert not _parity_by_counts(t, lam), (t, lam)
+        else:
+            assert _parity_by_counts(t, lam), (t, lam)
     return labels
 
 
