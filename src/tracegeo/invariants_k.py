@@ -185,11 +185,12 @@ def k_by_pairs(g: GroupSpec) -> int:
     dimension, excluding the trivial pair.
 
     The standard Levi of a simple-root subset J has rs.span_masks()[J]
-    for roots, so an orbit of dimension d induces one of dimension d + 2 dim V
-    = d + #roots - #Levi roots.  Exceptional Levi components contribute
-    their trivial and minimal orbits only: every nontrivial orbit is at
-    least minimal, so larger ones cannot lower the minimum.  The whole
-    group is one of the Levis, so its own minimal orbits enter here too.
+    for roots, so an orbit of dimension d induces one of dimension
+    d + 2 dim V = d + #roots - #Levi roots.  Exceptional Levi components
+    contribute their trivial and minimal orbits only: every nontrivial
+    orbit is at least minimal, so larger ones cannot lower the minimum.
+    The whole group is one of the Levis, so its own minimal orbits enter
+    here too.
     """
     rs = g.absolute
     s = rs.semisimple_rank
