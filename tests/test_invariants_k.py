@@ -3,10 +3,10 @@ import pytest
 from tracegeo import invariants_k, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
-                                   _classical_dim_set, _component_type,
-                                   _orbit_sums, k_by_pairs, k_min_orbit,
-                                   k_report, k_richardson)
-from tracegeo.nilpotent_orbits import min_orbit_dim
+                                   _classical_dim_set, _component_dim_set,
+                                   _component_type, _orbit_sums, k_by_pairs,
+                                   k_min_orbit, k_report, k_richardson)
+from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number)
 
@@ -348,3 +348,27 @@ def test_span_and_orbit_tables_match_the_scan_reference(factors):
     rs = build_root_system(factors)
     assert list(zip(rs.span_masks(), _orbit_sums(rs))) == \
         _subset_tables_by_scan(rs)
+
+
+# -- per-type orbit dimensions against the scan and the partition tables -----
+
+
+def _classical_dims(t):
+    return tuple(sorted({orbit_dim(lab) for lab in list_orbits(t)}))
+
+
+def test_component_dim_sets_match_the_scan_and_partition_tables():
+    seen = set()
+    for factors in TYPING_SYSTEMS:
+        rs = build_root_system(factors)
+        s = rs.semisimple_rank
+        for subset in range(1, 1 << s):
+            chosen = [i for i in range(s) if subset >> i & 1]
+            for comp in _components(rs, chosen):
+                t = _component_type(rs, comp)
+                want = _classical_dims(t) if t.series in "ABCD" else \
+                    (0, _theta_grading_dim_by_scan(rs, comp))
+                mask = sum(1 << i for i in comp)
+                assert _component_dim_set(rs, mask) == want, (factors, comp)
+                seen.add(t)
+    assert {t.series for t in seen} == set("ABCDEFG")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from tracegeo.errors import DomainError
 from tracegeo.invariants_k import GroupSpec, k_report
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number)
+
+from test_invariants_k import TYPING_SYSTEMS
 
 
 def _dot(u, v):
@@ -355,3 +358,58 @@ def test_hash_agrees_with_eq_without_reading_roots():
     fake = dataclasses.replace(rs, roots=rs.roots[:-1])
     assert fake != rs
     assert {rs: 1}.get(fake) is None
+
+
+# -- per-factor assembly against the product-wide generator run --------------
+#
+# The reference is build_root_system as it stood while products ran the
+# root-string generator on their whole block-diagonal Cartan matrix and
+# took one ambient dot product per root.
+
+
+def _product_wide_build(factors, torus_rank):
+    blocks = [root_datum._SIMPLE_ROOTS[t.series](t.rank) for t in factors]
+    total = sum(dim for _, dim in blocks) + torus_rank
+    simple, offset = [], 0
+    for fsimple, dim in blocks:
+        for s in fsimple:
+            v = [0] * total
+            v[offset:offset + dim] = s
+            simple.append(tuple(v))
+        offset += dim
+    pos = root_datum._positive_coords(root_datum._cartan(simple))
+    cols = list(zip(*simple))
+    pairs = sorted((tuple(_dot(c, col) for col in cols), c)
+                   for c in pos + [tuple(-x for x in p) for p in pos])
+    return ([r for r, _ in pairs], simple, [c for _, c in pairs])
+
+
+def _random_products(seed, count, max_rank=16):
+    """count seeded products of total rank <= max_rank, each with a random
+    torus rank in 0..2."""
+    rng = random.Random(seed)
+    types = [SimpleType.parse(n) for n in SIMPLE_TYPES]
+    out = []
+    for _ in range(count):
+        factors, rank = [], 0
+        while True:
+            fits = [t for t in types if rank + t.rank <= max_rank]
+            if not fits or factors and rng.random() < 0.3:
+                break
+            factors.append(rng.choice(fits))
+            rank += factors[-1].rank
+        out.append((factors, rng.randint(0, 2)))
+    return out
+
+
+def test_products_match_the_product_wide_generator_run():
+    cases = [([SimpleType.parse(n) for n in names], torus)
+             for names in TYPING_SYSTEMS for torus in (0, 1)]
+    cases += _random_products(2101, 60)
+    assert any(len(f) > 2 and torus for f, torus in cases)
+    for factors, torus in cases:
+        rs = build_root_system(factors, torus)
+        want = _product_wide_build(factors, torus)
+        got = (list(rs.roots), list(rs.simple_roots), list(rs.simple_coords))
+        assert got == want, ([str(t) for t in factors], torus)
+        assert rs.ambient_dim == len(want[1][0])
