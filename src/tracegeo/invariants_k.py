@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .errors import DomainError, ResourceLimitError
 from .nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
-from .root_datum import RootSystem, SimpleType, build_root_system
+from .root_datum import RootSystem, SimpleType, build_root_system, type_data
 
 PAIR_RANK_LIMIT = 8
 RELATIVE_ENTRY_LIMIT = 12
@@ -105,12 +105,6 @@ def _component_of_lowest(adjacency: Sequence[int], subset: int) -> int:
     return comp
 
 
-@lru_cache(maxsize=None)
-def _classical_dim_set(series: str, rank: int) -> tuple[int, ...]:
-    t = SimpleType(series, rank)
-    return tuple(sorted({orbit_dim(lab) for lab in list_orbits(t)}))
-
-
 def _component_type(rs: RootSystem, comp: list[int]) -> SimpleType:
     """The simple type of a connected set of simple roots, read off its
     Dynkin subdiagram.
@@ -136,23 +130,19 @@ def _component_type(rs: RootSystem, comp: list[int]) -> SimpleType:
     return SimpleType("A", len(comp))
 
 
-def _theta_grading_dim(rs: RootSystem, comp: int) -> int:
-    """1 + #{alpha > 0 : (alpha, theta) > 0}, theta the highest root of the
-    component masked by comp: the minimal orbit is that of a theta root
-    vector e, and [g, e] is spanned by e, the grade-1 root vectors and the
-    coroot of theta (Collingwood and McGovern, ch. 4)."""
-    positive = [i for i in rs.roots_in_simple_span(_indices(comp))
-                if rs.is_positive[i]]
-    theta = rs.roots[max(positive, key=rs.heights.__getitem__)]
-    return 1 + sum(1 for i in positive
-                   if sum(a * b for a, b in zip(rs.roots[i], theta)) > 0)
-
-
-def _component_dim_set(rs: RootSystem, comp: int) -> tuple[int, ...]:
-    t = _component_type(rs, _indices(comp))
+@lru_cache(maxsize=None)
+def _orbit_dims(t: SimpleType) -> tuple[int, ...]:
+    """A classical type's orbit dimensions, from its partitions; an
+    exceptional type's trivial and minimal ones only.  The minimal orbit is
+    that of a root vector e of the highest root theta, and [g, e] is spanned
+    by e, the grade-1 root vectors and the coroot of theta (Collingwood and
+    McGovern, ch. 4): 1 + #{alpha > 0 : (alpha, theta) > 0} dimensions."""
     if t.series in "ABCD":
-        return _classical_dim_set(t.series, t.rank)
-    return (0, _theta_grading_dim(rs, comp))
+        return tuple(sorted({orbit_dim(lab) for lab in list_orbits(t)}))
+    pairs = type_data(t)[2]
+    theta = max(pairs, key=lambda pair: sum(pair[1]))[0]
+    return (0, 1 + sum(1 for r, c in pairs if sum(c) > 0
+                       and sum(a * b for a, b in zip(r, theta)) > 0))
 
 
 def _orbit_sums(rs: RootSystem) -> list[set[int]]:
@@ -169,11 +159,10 @@ def _orbit_sums(rs: RootSystem) -> list[set[int]]:
     sums = [{0}]
     for subset in range(1, 1 << rs.semisimple_rank):
         comp = _component_of_lowest(adjacency, subset)
-        dims = dims_of.get(comp)
-        if dims is None:
-            dims = dims_of[comp] = _component_dim_set(rs, comp)
+        if comp not in dims_of:
+            dims_of[comp] = _orbit_dims(_component_type(rs, _indices(comp)))
         rest = sums[subset & ~comp]
-        sums.append({a + b for a in dims for b in rest})
+        sums.append({a + b for a in dims_of[comp] for b in rest})
     return sums
 
 

@@ -3,15 +3,16 @@
 Each simple type stores only its simple roots inside a fixed integer lattice
 (the usual coordinate realizations, uniformly rescaled where needed so that
 every root has integer coordinates: F4 and the E series are stored doubled).
-All roots are generated from the simple roots by integer root strings on the
-Cartan matrix, which yields each root together with its simple-root
-coordinates; the ambient vector is the matching integer combination of simple
-roots.  Rescaling a factor changes no combinatorics: coroots 2a/(a,a) are
-scale invariant, and all pairings used downstream are ratios.  The full
-ambient root lists survive only in the tests, as an independent oracle.
+Its roots are generated once per process from the simple roots by integer
+root strings on the Cartan matrix, which yields each root together with its
+simple-root coordinates; the ambient vector is the matching integer
+combination of simple roots.  Rescaling a factor changes no combinatorics:
+coroots 2a/(a,a) are scale invariant, and all pairings used downstream are
+ratios.  The full ambient root lists survive only in the tests, as an
+independent oracle.
 
-Products are block-diagonal concatenations; a central torus contributes
-trailing zero coordinates and no roots.
+Products are block-diagonal concatenations of these per-type roots; a
+central torus contributes trailing zero coordinates and no roots.
 """
 
 from __future__ import annotations
@@ -33,21 +34,16 @@ class SimpleType:
     rank: int
 
     def __post_init__(self):
-        if self.series not in _SERIES:
+        # A tuple, so that "" and "AB" are not matched as substrings.
+        if self.series not in tuple(_SERIES):
             raise DomainError(f"invalid simple type {self.series}{self.rank}: "
                               f"series must be one of {_SERIES}")
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise DomainError(f"invalid simple type {self.series}{self.rank}: "
-                              "rank must be a positive integer")
-        ok = {
-            "A": self.rank >= 1,
-            "B": self.rank >= 1,
-            "C": self.rank >= 1,
-            "D": self.rank >= 2,
-            "E": self.rank in (6, 7, 8),
-            "F": self.rank == 4,
-            "G": self.rank == 2,
-        }[self.series]
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) \
+                or self.rank < 1:
+            raise DomainError(f"invalid simple type {self.series}: rank must "
+                              f"be a positive integer, got {self.rank!r}")
+        ok = {"D": self.rank >= 2, "E": self.rank in (6, 7, 8),
+              "F": self.rank == 4, "G": self.rank == 2}.get(self.series, True)
         if not ok:
             raise DomainError(f"invalid simple type {self.series}{self.rank}: "
                               "rank out of range for this series")
@@ -302,32 +298,47 @@ class RootSystem:
         return name
 
 
-def build_root_system(factors: Sequence[SimpleType | str],
-                      torus_rank: int = 0) -> RootSystem:
-    """Assemble a (product) root system with an optional central torus.
-
-    Factors may be SimpleType instances or compact names like "B3".
-    """
-    if torus_rank < 0:
-        raise DomainError("torus_rank must be nonnegative")
-    typed = [t if isinstance(t, SimpleType) else SimpleType.parse(t)
-             for t in factors]
-    blocks = [_SIMPLE_ROOTS[t.series](t.rank) for t in typed]
-    total = sum(dim for _, dim in blocks) + torus_rank
-    simple: list[tuple[int, ...]] = []
-    offset = 0
-    for fsimple, dim in blocks:
-        for s in fsimple:
-            v = [0] * total
-            v[offset:offset + dim] = s
-            simple.append(tuple(v))
-        offset += dim
-    # Factors occupy disjoint coordinates, so the product's Cartan matrix is
-    # block diagonal and one generator run covers every factor.
+@lru_cache(maxsize=None)
+def type_data(t: SimpleType) -> tuple:
+    """(ambient simple roots, ambient dimension, (root, simple coordinates)
+    pairs sorted by root) of one simple type, all tuples: one generator run
+    serves every product, dual Coxeter number and orbit table of the type."""
+    simple, dim = _SIMPLE_ROOTS[t.series](t.rank)
     pos = _positive_coords(_cartan(simple))
     cols = list(zip(*simple))
     pairs = sorted((tuple(_dot(c, col) for col in cols), c)
                    for c in pos + [tuple(-x for x in p) for p in pos])
+    return tuple(map(tuple, simple)), dim, tuple(pairs)
+
+
+def build_root_system(factors: Sequence[SimpleType | str],
+                      torus_rank: int = 0) -> RootSystem:
+    """Assemble a (product) root system with an optional central torus.
+
+    Factors may be SimpleType instances or compact names like "B3".  Each
+    factor's type_data is padded with zeros outside its own blocks of
+    ambient coordinates and simple roots.
+    """
+    if isinstance(torus_rank, bool) or not isinstance(torus_rank, int) \
+            or torus_rank < 0:
+        raise DomainError("torus_rank must be a nonnegative integer, "
+                          f"got {torus_rank!r}")
+    typed = [t if isinstance(t, SimpleType) else SimpleType.parse(t)
+             for t in factors]
+    data = [type_data(t) for t in typed]
+    total = sum(dim for _, dim, _ in data) + torus_rank
+    rank = sum(t.rank for t in typed)
+    simple: list[tuple[int, ...]] = []
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    offset = 0
+    for fsimple, dim, fpairs in data:
+        lead, trail = (0,) * offset, (0,) * (total - offset - dim)
+        clead = (0,) * len(simple)
+        ctrail = (0,) * (rank - len(simple) - len(fsimple))
+        simple += [lead + s + trail for s in fsimple]
+        pairs += [(lead + r + trail, clead + c + ctrail) for r, c in fpairs]
+        offset += dim
+    pairs.sort()
     return RootSystem(
         factors=tuple(typed),
         torus_rank=torus_rank,
@@ -340,13 +351,12 @@ def build_root_system(factors: Sequence[SimpleType | str],
 
 @lru_cache(maxsize=None)
 def _dual_coxeter(series: str, rank: int) -> int:
-    simple, _ = _SIMPLE_ROOTS[series](rank)
+    simple, _, pairs = type_data(SimpleType(series, rank))
     # A root theta of maximal height; unique in the irreducible case, and any
     # choice works when a low-rank type happens to be reducible (D2).  The
     # coroot of theta is sum c_i (alpha_i, alpha_i)/(theta, theta) alpha_i
     # coroot, so the coefficient sum is one integer division.
-    coords = max(_positive_coords(_cartan(simple)), key=sum)
-    theta = [_dot(coords, col) for col in zip(*simple)]
+    theta, coords = max(pairs, key=lambda pair: sum(pair[1]))
     total, rem = divmod(sum(c * _dot(a, a) for c, a in zip(coords, simple)),
                         _dot(theta, theta))
     assert rem == 0 and total > 0

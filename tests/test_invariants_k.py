@@ -3,12 +3,17 @@ import pytest
 from tracegeo import invariants_k, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
-                                   _classical_dim_set, _component_dim_set,
-                                   _component_type, _orbit_sums, k_by_pairs,
-                                   k_min_orbit, k_report, k_richardson)
+                                   _component_type, _orbit_dims, _orbit_sums,
+                                   k_by_pairs, k_min_orbit, k_report,
+                                   k_richardson)
 from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number)
+
+
+def _classical_dims(t):
+    """The orbit dimensions of a classical type, read off its partitions."""
+    return tuple(sorted({orbit_dim(lab) for lab in list_orbits(t)}))
 
 
 def spec(*names, **kw):
@@ -236,7 +241,7 @@ def _pairs_with_factor_loop(g):
         sums = {0}
         for comp in _components(rs, chosen):
             t = _component_type(rs, comp)
-            dims = _classical_dim_set(t.series, t.rank) \
+            dims = _classical_dims(t) \
                 if t.series in "ABCD" else (0,)
             sums = {a + b for a in sums for b in dims}
         for orbit_total in sums:
@@ -310,7 +315,7 @@ def _subset_tables_by_scan(rs):
         sums = {0}
         for comp in _components(rs, chosen):
             t = _component_type(rs, comp)
-            dims = _classical_dim_set(t.series, t.rank) \
+            dims = _classical_dims(t) \
                 if t.series in "ABCD" else \
                 (0, _theta_grading_dim_by_scan(rs, comp))
             sums = {a + b for a in sums for b in dims}
@@ -353,10 +358,6 @@ def test_span_and_orbit_tables_match_the_scan_reference(factors):
 # -- per-type orbit dimensions against the scan and the partition tables -----
 
 
-def _classical_dims(t):
-    return tuple(sorted({orbit_dim(lab) for lab in list_orbits(t)}))
-
-
 def test_component_dim_sets_match_the_scan_and_partition_tables():
     seen = set()
     for factors in TYPING_SYSTEMS:
@@ -368,7 +369,6 @@ def test_component_dim_sets_match_the_scan_and_partition_tables():
                 t = _component_type(rs, comp)
                 want = _classical_dims(t) if t.series in "ABCD" else \
                     (0, _theta_grading_dim_by_scan(rs, comp))
-                mask = sum(1 << i for i in comp)
-                assert _component_dim_set(rs, mask) == want, (factors, comp)
+                assert _orbit_dims(t) == want, (factors, comp)
                 seen.add(t)
     assert {t.series for t in seen} == set("ABCDEFG")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from tracegeo import linalg, root_datum
+from tracegeo import invariants_k, linalg, root_datum
 from tracegeo.errors import DomainError
 from tracegeo.invariants_k import GroupSpec, k_report
 from tracegeo.root_datum import (SimpleType, build_root_system,
@@ -153,6 +153,18 @@ def test_simple_type_parse_and_str():
     for bad in ("E9", "F3", "G1", "D1", "A0", "H4", "B", "3B", ""):
         with pytest.raises(DomainError):
             SimpleType.parse(bad)
+
+
+def test_ranks_must_be_integers():
+    for torus in (1.5, "1", True, -1):
+        with pytest.raises(DomainError, match="torus_rank"):
+            build_root_system(["A2"], torus)
+    for rank in (True, 1.5, "2", 0):
+        with pytest.raises(DomainError, match="rank must be a positive"):
+            SimpleType("A", rank)
+    for series in ("", "AB", 1, None):
+        with pytest.raises(DomainError, match="series must be one of"):
+            SimpleType(series, 2)
 
 
 def test_addition_table():
@@ -341,6 +353,8 @@ def test_integer_core_needs_no_rational_linear_algebra(monkeypatch):
     for name in ("rank", "det", "charpoly"):
         monkeypatch.setattr(linalg, name, forbidden)
     root_datum._dual_coxeter.cache_clear()
+    root_datum.type_data.cache_clear()
+    invariants_k._orbit_dims.cache_clear()
     for name in SIMPLE_TYPES:
         rs = build_root_system([name])
         assert len(rs.simple_coords) == len(rs.reflection_perms[0])
@@ -413,3 +427,20 @@ def test_products_match_the_product_wide_generator_run():
         got = (list(rs.roots), list(rs.simple_roots), list(rs.simple_coords))
         assert got == want, ([str(t) for t in factors], torus)
         assert rs.ambient_dim == len(want[1][0])
+
+
+def test_each_simple_type_runs_the_generator_once(monkeypatch):
+    ranks = []
+    generate = root_datum._positive_coords
+
+    def counted(cartan):
+        ranks.append(len(cartan))
+        return generate(cartan)
+
+    monkeypatch.setattr(root_datum, "_positive_coords", counted)
+    for cache in (root_datum.type_data, root_datum._dual_coxeter,
+                  invariants_k._orbit_dims):
+        cache.cache_clear()
+    k_report(GroupSpec(build_root_system(["A2", "B3"])))
+    dual_coxeter_number(SimpleType("A", 2))
+    assert sorted(ranks) == [2, 3]
