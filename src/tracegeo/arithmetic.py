@@ -18,6 +18,9 @@ from typing import Sequence
 from .errors import DomainError, ResourceLimitError
 
 LEVEL_LIMIT = 2 ** 63
+# Python's default limit on int/str conversion: a longer index could be
+# computed but not printed.
+INDEX_DIGIT_LIMIT = 4300
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -168,14 +171,25 @@ def sl_index(n: int, N: int) -> int:
 
     For N >= 3 this is the index of the principal congruence subgroup of
     level N; for N in {1, 2} it is the raw group order (the level is not
-    neat and -1 is congruent to 1).
+    neat and -1 is congruent to 1).  An index of more than
+    INDEX_DIGIT_LIMIT digits raises ResourceLimitError.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("matrix size must be an integer >= 2")
+    primes = level_data(N).S_N
     # N^(n^2-1) prod_{p | N} prod_{k=2..n} (1 - p^-k), exactly: p divides
-    # N^(n^2-1) at least n^2 - 1 >= 2 + ... + n times.
-    total = N ** (n * n - 1)
-    for p in level_data(N).S_N:
+    # N^(n^2-1) at least n^2 - 1 >= 2 + ... + n times.  The product exceeds
+    # 1/3, so the index has about (n^2 - 1) log10 N digits; an int compares
+    # exactly with a float, so a huge n is refused before the power.
+    e = n * n - 1
+    if N > 1 and e >= INDEX_DIGIT_LIMIT / math.log10(N):
+        digits = f"about {e * math.log10(N):.0f}" if e < 2 ** 1000 \
+            else "over 1e300"
+        raise ResourceLimitError(
+            f"the index for n = {n} at level {N} has {digits} digits; "
+            f"indices are limited to {INDEX_DIGIT_LIMIT} digits")
+    total = N ** e
+    for p in primes:
         for k in range(2, n + 1):
             total = total // p ** k * (p ** k - 1)
     return total

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, ParseError, TracegeoError, exit_code_for
+from .errors import (DomainError, ParseError, ResourceLimitError,
+                     TracegeoError, exit_code_for)
 
 # Only the stdlib and .errors load at module top.  Every library module is
 # imported inside the function that calls it, so a subcommand loads only
@@ -71,6 +72,38 @@ class ParsedGroupSpec:
         return build_root_system(list(self.factors), self.torus_rank)
 
 
+# Python refuses int/str conversions past 4300 digits, so every decimal
+# integer the CLI reads passes _read_int, which stops a longer string before
+# int() sees it.  The margin keeps a small multiple of a value printable.
+MAX_DIGITS = 1000
+
+
+def _read_int(text: str, flag: str, limit: int | None = None,
+              offset: int | None = None) -> int:
+    """A string of decimal digits as an int; each error names flag.
+
+    Past MAX_DIGITS digits this raises ParseError, or ResourceLimitError
+    where limit, the library's size guard, applies and text has more
+    digits than limit.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{flag} wants a nonnegative integer, got {text!r}",
+                         offset=offset)
+    digits = len(text.lstrip("0"))
+    if limit is not None and digits > len(str(limit)):
+        raise ResourceLimitError(f"{flag}: values are limited to {limit}; "
+                                 f"got a {digits}-digit value")
+    if digits > MAX_DIGITS:
+        raise ParseError(f"{flag}: at most {MAX_DIGITS} digits are read; "
+                         f"got {digits}", offset=offset)
+    return int(text)
+
+
+def _read_ints(text: str, flag: str, limit: int | None = None) -> list[int]:
+    """A comma list of _read_int values."""
+    return [_read_int(c.strip(), flag, limit) for c in text.split(",")]
+
+
 def parse_group_spec(text: str) -> ParsedGroupSpec:
     from .root_datum import SimpleType
     if not text:
@@ -109,11 +142,11 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
             if "res" in seen:
                 raise ParseError("duplicate @res suffix", offset=idx + 1)
             seen.add("res")
-            value = chunk[len("res="):]
-            if not value.isdigit() or int(value) < 1:
+            offset = idx + 1 + len("res=")
+            degree = _read_int(chunk[len("res="):], "@res=", offset=offset)
+            if degree < 1:
                 raise ParseError("@res= wants a positive integer",
-                                 offset=idx + 1 + len("res="))
-            degree = int(value)
+                                 offset=offset)
         elif chunk.startswith("relative="):
             if "relative" in seen:
                 raise ParseError("duplicate @relative suffix", offset=idx + 1)
@@ -165,6 +198,9 @@ def _load_json_text(text: str, what: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: invalid JSON: {exc.msg}",
                          offset=exc.pos) from exc
+    except ValueError:  # an integer past Python's int/str digit limit
+        raise ParseError(f"{what}: an integer has too many digits to "
+                         "read") from None
 
 
 def _load_relative(path: str) -> RelativeDatum:
@@ -199,7 +235,7 @@ def _cmd_k(args) -> tuple[object, str, int]:
     rel_path = args.relative if args.relative is not None \
         else parsed.relative_path
     relative = _load_relative(rel_path) if rel_path is not None else None
-    degree = args.degree if args.degree is not None \
+    degree = _read_int(args.degree, "--degree") if args.degree is not None \
         else parsed.restriction_degree
     g = GroupSpec.build(list(parsed.factors), parsed.torus_rank,
                         degree, relative)
@@ -280,12 +316,7 @@ def _cmd_discriminant(args) -> tuple[object, str, int]:
                 for row in data):
         raise ParseError("--matrix wants a square JSON array of arrays")
     matrix = RationalMatrix.from_rows(data)
-    primes = []
-    if args.primes:
-        for chunk in args.primes.split(","):
-            if not chunk.strip().isdigit():
-                raise ParseError(f"--primes wants integers, got {chunk!r}")
-            primes.append(int(chunk))
+    primes = _read_ints(args.primes, "--primes") if args.primes else []
     res = weyl_discriminant(matrix, primes)
     result = {
         "value": res.value,
@@ -311,18 +342,10 @@ def _cmd_index(args) -> tuple[object, str, int]:
 
 
 def _cmd_levels(args) -> tuple[object, str, int]:
-    from .arithmetic import prime_fixed_check
-    chunks = [c.strip() for c in args.levels.split(",")]
-    if not all(c.isdigit() for c in chunks):
-        raise ParseError(f"levels must be a comma list of integers, got "
-                         f"{args.levels!r}")
-    levels = [int(c) for c in chunks]
-    allowed = None
-    if args.allowed:
-        allowed = [int(c) for c in args.allowed.split(",")
-                   if c.strip().isdigit()]
-        if len(allowed) != len(args.allowed.split(",")):
-            raise ParseError("--allowed wants a comma list of primes")
+    from .arithmetic import LEVEL_LIMIT, prime_fixed_check
+    levels = _read_ints(args.levels, "levels", LEVEL_LIMIT)
+    allowed = _read_ints(args.allowed, "--allowed", LEVEL_LIMIT) \
+        if args.allowed else None
     res = prime_fixed_check(levels, allowed)
     result = {
         "ok": res.ok,
@@ -532,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relative", metavar="FILE",
                    help="JSON file {simple_roots, nilradical_dims}; "
                         "overrides @relative=")
-    p.add_argument("--degree", type=int, metavar="N",
+    p.add_argument("--degree", metavar="N",
                    help="restriction-of-scalars degree; overrides @res=")
     p.add_argument("--method", choices=["pairs", "richardson", "minorbit"],
                    help="single method instead of the full report")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tracegeo import oracles
-from tracegeo.arithmetic import (conjecture_bound, factorize, is_prime,
+from tracegeo.arithmetic import (INDEX_DIGIT_LIMIT, conjecture_bound, factorize, is_prime,
                                  level_data, prime_fixed_check, sl_index)
 from tracegeo.errors import DomainError, ResourceLimitError
 
@@ -95,6 +95,19 @@ def test_sl_index_known_values():
     assert sl_index(2, 4) == 48
     assert sl_index(3, 2) == 168
     assert sl_index(2, 1) == 1
+
+
+def test_sl_index_refuses_an_index_past_the_digit_limit():
+    # 2^(119^2 - 1) has 4263 digits and 2^(120^2 - 1) has 4335.
+    assert len(str(sl_index(119, 2))) <= INDEX_DIGIT_LIMIT
+    with pytest.raises(ResourceLimitError, match="about 4335 digits"):
+        sl_index(120, 2)
+    with pytest.raises(ResourceLimitError, match="about 10797 digits"):
+        sl_index(60, 1000)
+    # refused before the power is formed
+    with pytest.raises(ResourceLimitError, match="over 1e300 digits"):
+        sl_index(10 ** 200, 2)
+    assert sl_index(10 ** 200, 1) == 1
 
 
 def test_sl_index_against_brute_force():

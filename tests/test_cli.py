@@ -309,6 +309,48 @@ def test_index_json(capsys):
     assert data["result"]["index"] == 168
 
 
+def test_index_past_the_digit_limit_exits_3(capsys):
+    assert cli.main(["index", "--n", "60", "--level", "1000"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the index for n = 60 at level 1000 has about 10797 digits; "
+        "indices are limited to 4300 digits\n")
+
+
+# Python refuses int/str conversions past 4300 digits; each of these once
+# ended in a ValueError traceback.  The CLI stops the string itself, so the
+# outcome does not depend on the interpreter's limit.
+HUGE = "7" * 5000
+LONG_DIGIT_CALLS = [
+    (["k", f"A2@res={HUGE}"], 2, "@res="),
+    (["parabolics", f"A2@res={HUGE}"], 2, "@res="),
+    (["k", "E8", "--degree", "9" * 4300], 2, "--degree"),
+    (["levels", "check-prime-fixed", f"2,{HUGE}"], 3, "levels"),
+    (["levels", "check-prime-fixed", "6", "--allowed", f"2,{HUGE}"], 3,
+     "--allowed"),
+    (["discriminant", "--matrix", "[[1, 0], [0, 2]]", "--primes", HUGE], 2,
+     "--primes"),
+    (["mellin-fp", "--spec", f'{{"t0": {HUGE}}}'], 2, "--spec"),
+]
+
+
+@pytest.mark.parametrize("argv,code,flag", LONG_DIGIT_CALLS,
+                         ids=[f"{a[0]}-{f}" for a, _, f in LONG_DIGIT_CALLS])
+def test_long_digit_strings_exit_cleanly_naming_the_flag(capsys, argv, code,
+                                                         flag):
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
+def test_digit_strings_are_ascii_decimal(capsys):
+    for argv in (["k", "A2@res=\u00b2"], ["k", "A2", "--degree", "-1"],
+                 ["levels", "check-prime-fixed", "2,,4"],
+                 ["discriminant", "--matrix", "[[1]]", "--primes", "\u0663"]):
+        assert cli.main(argv) == 2, argv
+        assert "wants a nonnegative integer" in capsys.readouterr().err
+    code, data = run_json(capsys, ["k", "A2@res=003", "--json"])
+    assert code == 0 and data["result"]["spec"] == "A2@res=3"
+
+
 def test_levels_json(capsys):
     code, data = run_json(capsys, ["levels", "check-prime-fixed", "2,4,6",
                                    "--json"])
