@@ -89,14 +89,14 @@ def _read_int(text: str, flag: str, limit: int | None = None,
     if not (text.isascii() and text.isdigit()):
         raise ParseError(f"{flag} wants a nonnegative integer, got {text!r}",
                          offset=offset)
-    digits = len(text.lstrip("0"))
-    if limit is not None and digits > len(str(limit)):
+    digits = text.lstrip("0")
+    if limit is not None and len(digits) > len(str(limit)):
         raise ResourceLimitError(f"{flag}: values are limited to {limit}; "
-                                 f"got a {digits}-digit value")
-    if digits > MAX_DIGITS:
+                                 f"got a {len(digits)}-digit value")
+    if len(digits) > MAX_DIGITS:
         raise ParseError(f"{flag}: at most {MAX_DIGITS} digits are read; "
-                         f"got {digits}", offset=offset)
-    return int(text)
+                         f"got {len(digits)}", offset=offset)
+    return int(digits or "0")
 
 
 def _read_ints(text: str, flag: str, limit: int | None = None) -> list[int]:
@@ -104,8 +104,17 @@ def _read_ints(text: str, flag: str, limit: int | None = None) -> list[int]:
     return [_read_int(c.strip(), flag, limit) for c in text.split(",")]
 
 
-def parse_group_spec(text: str) -> ParsedGroupSpec:
+def _read_type(text: str, offset: int = 0) -> SimpleType:
+    """A simple type like "B3", its rank read by _read_int."""
     from .root_datum import SimpleType
+    rank = _read_int(text[1:], "type rank", offset=offset + 1)
+    try:
+        return SimpleType(text[:1], rank)
+    except DomainError as exc:
+        raise ParseError(str(exc), offset=offset) from exc
+
+
+def parse_group_spec(text: str) -> ParsedGroupSpec:
     if not text:
         raise ParseError("empty group spec", offset=0)
     at = text.find("@")
@@ -114,11 +123,10 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
     factor_part = core if plus < 0 else core[:plus]
     torus_rank = 0
     if plus >= 0:
-        tpart = core[plus + 1:]
-        if not tpart.startswith("T") or not tpart[1:].isdigit():
+        if core[plus + 1:plus + 2] != "T":
             raise ParseError("torus suffix must look like +T<k>",
                              offset=plus + 1)
-        torus_rank = int(tpart[1:])
+        torus_rank = _read_int(core[plus + 2:], "+T", offset=plus + 2)
     if not factor_part:
         raise ParseError("expected a simple factor like A2", offset=0)
     factors = []
@@ -126,10 +134,7 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
     for chunk in factor_part.split("x"):
         if not chunk:
             raise ParseError("empty factor", offset=pos)
-        try:
-            factors.append(SimpleType.parse(chunk))
-        except DomainError as exc:
-            raise ParseError(str(exc), offset=pos) from exc
+        factors.append(_read_type(chunk, pos))
         pos += len(chunk) + 1
     degree = 1
     rel_path = None
@@ -179,17 +184,16 @@ def _scalar(x) -> str:
 
 def _parse_number(text: str, flag: str):
     """Exact when possible: integers and a/b stay exact, decimals go float."""
-    t = text.strip()
+    m = re.fullmatch(r"([-+]?)([\d_]+)(?:/([\d_]+))?", text.strip())
     try:
-        if "/" in t:
-            return Fraction(t)
-        return int(t)
+        if m is None:
+            return float(text)
+        sign, num, den = m.groups()
+        x = _read_int(num, flag) if den is None else \
+            Fraction(_read_int(num, flag), _read_int(den, flag))
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return float(t)
-    except ValueError:
         raise ParseError(f"{flag} expects a number, got {text!r}") from None
+    return -x if sign == "-" else x
 
 
 def _load_json_text(text: str, what: str):
@@ -260,26 +264,15 @@ def _cmd_k(args) -> tuple[object, str, int]:
 
 def _cmd_orbits(args) -> tuple[object, str, int]:
     from .nilpotent_orbits import GLType, list_orbits, orbit_dim
-    from .root_datum import SimpleType
-    text = args.type
-    if text.startswith("gl"):
-        digits = text[2:]
-        if not digits.isdigit():
-            raise ParseError("general-linear type must look like gl<n>",
-                             offset=2)
-        t: SimpleType | GLType = GLType(int(digits))
-    else:
-        try:
-            t = SimpleType.parse(text)
-        except DomainError as exc:
-            raise ParseError(str(exc), offset=0) from exc
+    t = GLType(_read_int(args.type[2:], "gl<n>", offset=2)) \
+        if args.type.startswith("gl") else _read_type(args.type)
     labels = list_orbits(t)
     rows = sorted(
         ({"label": str(lab), "dim": orbit_dim(lab),
           "flags": (["very_even"] if lab.very_even else [])}
          for lab in labels),
         key=lambda r: (r["dim"], r["label"]))
-    lines = [f"{len(rows)} nilpotent orbits for {text}:"]
+    lines = [f"{len(rows)} nilpotent orbits for {args.type}:"]
     for r in rows:
         star = " very-even" if r["flags"] else ""
         lines.append(f"  {r['label']:<16} dim {r['dim']}{star}")
@@ -316,7 +309,8 @@ def _cmd_discriminant(args) -> tuple[object, str, int]:
                 for row in data):
         raise ParseError("--matrix wants a square JSON array of arrays")
     matrix = RationalMatrix.from_rows(data)
-    primes = _read_ints(args.primes, "--primes") if args.primes else []
+    primes = _read_ints(args.primes, "--primes") \
+        if args.primes is not None else []
     res = weyl_discriminant(matrix, primes)
     result = {
         "value": res.value,
@@ -333,19 +327,20 @@ def _cmd_discriminant(args) -> tuple[object, str, int]:
 
 
 def _cmd_index(args) -> tuple[object, str, int]:
-    from .arithmetic import level_data, sl_index
-    value = sl_index(args.n, args.level)
-    data = level_data(args.level)
-    result = {"group": args.group, "n": args.n, "level": args.level,
-              "index": value, "prime_support": list(data.S_N)}
-    return result, f"[SL({args.n},Z) : Gamma({args.level})] = {value}", 0
+    from .arithmetic import LEVEL_LIMIT, level_data, sl_index
+    n = _read_int(args.n, "--n")
+    level = _read_int(args.level, "--level", LEVEL_LIMIT)
+    value = sl_index(n, level)
+    result = {"group": args.group, "n": n, "level": level, "index": value,
+              "prime_support": list(level_data(level).S_N)}
+    return result, f"[SL({n},Z) : Gamma({level})] = {value}", 0
 
 
 def _cmd_levels(args) -> tuple[object, str, int]:
     from .arithmetic import LEVEL_LIMIT, prime_fixed_check
     levels = _read_ints(args.levels, "levels", LEVEL_LIMIT)
     allowed = _read_ints(args.allowed, "--allowed", LEVEL_LIMIT) \
-        if args.allowed else None
+        if args.allowed is not None else None
     res = prime_fixed_check(levels, allowed)
     result = {
         "ok": res.ok,
@@ -391,6 +386,8 @@ def _mellin_pair_from_spec(data):
     if not isinstance(data, dict):
         raise ParseError("--spec wants a JSON object")
     t0 = _spec_number(data.get("t0", 1.0), "t0")
+    if not t0 > 0:
+        raise DomainError(f"--spec: t0 must be positive, got {t0!r}")
     preset = data.get("preset")
     if preset is not None:
         if preset == "exp":
@@ -474,17 +471,16 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
 def _cmd_budget(args) -> tuple[object, str, int]:
     from .error_budget import (BudgetParams, a_exponent, beta_max, exponents,
                                lambda_min)
-    k = _parse_number(args.k, "--k")
-    c2 = _parse_number(args.C2, "--C2")
-    c4 = _parse_number(args.C4, "--C4")
-    cn = _parse_number(args.Cn, "--Cn")
-    eps = _parse_number(args.eps, "--eps")
-    cprime = _parse_number(args.cprime, "--cprime")
+    b_conj = _read_int(args.b_conj, "--b-conj")
+    m_nonarch = _read_int(args.m_nonarch, "--m-nonarch")
+    k, c2, c4, cn, eps, cprime = (
+        _parse_number(getattr(args, name), f"--{name}")
+        for name in ("k", "C2", "C4", "Cn", "eps", "cprime"))
     beta = beta_max(c2, c4, cn, k)
     lam = lambda_min(k, beta, eps, cprime)
     params = BudgetParams(k=k, lam=lam, epsilon=eps, C2=c2, C4=c4, Cn=cn,
-                          c_prime=cprime, beta=beta, b_conj=args.b_conj,
-                          m_nonarch=args.m_nonarch)
+                          c_prime=cprime, beta=beta, b_conj=b_conj,
+                          m_nonarch=m_nonarch)
     report = exponents(params)
     a = a_exponent(params)
     beta, lam, e_spec, e1, e2 = map(_scalar, (beta, lam, report.e_spec,
@@ -581,8 +577,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", parents=[common],
                        help="index of a principal congruence subgroup")
     p.add_argument("--group", default="sl", choices=["sl"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--n", required=True)
+    p.add_argument("--level", required=True)
     p.set_defaults(fn=_cmd_index)
 
     p = sub.add_parser("levels", help="level-set predicates")
@@ -613,8 +609,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Cn", default="1")
     p.add_argument("--eps", default="1/10")
     p.add_argument("--cprime", default="0")
-    p.add_argument("--b-conj", dest="b_conj", type=int, default=0)
-    p.add_argument("--m-nonarch", dest="m_nonarch", type=int, default=0)
+    p.add_argument("--b-conj", dest="b_conj", default="0")
+    p.add_argument("--m-nonarch", dest="m_nonarch", default="0")
     p.set_defaults(fn=_cmd_budget)
 
     p = sub.add_parser("reproduce", parents=[common],

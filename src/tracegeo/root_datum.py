@@ -21,9 +21,14 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 _SERIES = "ABCDEFG"
+
+# build_root_system refuses a system of more roots times ambient dimension
+# than this before generating a root; A45, B36, C36, D37 and E8+T408, the
+# largest of their kinds that pass, build in about a second or less.
+ROOT_COORD_LIMIT = 100000
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,21 @@ class SimpleType:
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
-        """Parse a compact name like "A2" or "E8"."""
-        if len(text) < 2 or text[0] not in _SERIES or not text[1:].isdigit():
+        """Parse a compact name like "A2" or "E8"; the rank is ASCII
+        decimal digits."""
+        rank = text[1:]
+        if text[:1] not in tuple(_SERIES) or \
+                not (rank.isascii() and rank.isdigit()):
             raise DomainError(f"cannot parse simple type {text!r}")
-        return cls(text[0], int(text[1:]))
+        return cls(text[0], int(rank))
+
+    def size(self) -> tuple[int, int]:
+        """(number of roots, ambient dimension), in closed form."""
+        l = self.rank
+        roots = {"A": l * (l + 1), "B": 2 * l * l, "C": 2 * l * l,
+                 "D": 2 * l * (l - 1), "E": {6: 72, 7: 126, 8: 240}.get(l),
+                 "F": 48, "G": 12}[self.series]
+        return roots, {"A": l + 1, "E": 8, "F": 4, "G": 3}.get(self.series, l)
 
 
 def _chain(dim: int, n: int) -> list[list[int]]:
@@ -317,7 +333,10 @@ def build_root_system(factors: Sequence[SimpleType | str],
 
     Factors may be SimpleType instances or compact names like "B3".  Each
     factor's type_data is padded with zeros outside its own blocks of
-    ambient coordinates and simple roots.
+    ambient coordinates and simple roots.  A system of more than
+    ROOT_COORD_LIMIT root coordinates (roots times ambient dimension,
+    counted in closed form) raises ResourceLimitError before any root is
+    generated.
     """
     if isinstance(torus_rank, bool) or not isinstance(torus_rank, int) \
             or torus_rank < 0:
@@ -325,8 +344,16 @@ def build_root_system(factors: Sequence[SimpleType | str],
                           f"got {torus_rank!r}")
     typed = [t if isinstance(t, SimpleType) else SimpleType.parse(t)
              for t in factors]
+    sizes = [t.size() for t in typed]
+    total = sum(dim for _, dim in sizes) + torus_rank
+    coords = sum(roots for roots, _ in sizes) * total
+    if coords > ROOT_COORD_LIMIT:
+        torus = f"+T{torus_rank}" if torus_rank else ""
+        raise ResourceLimitError(
+            f"root systems are limited to {ROOT_COORD_LIMIT} root "
+            "coordinates (roots times ambient dimension); "
+            f"{'x'.join(map(str, typed))}{torus} has {coords}")
     data = [type_data(t) for t in typed]
-    total = sum(dim for _, dim, _ in data) + torus_rank
     rank = sum(t.rank for t in typed)
     simple: list[tuple[int, ...]] = []
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

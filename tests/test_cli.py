@@ -330,6 +330,16 @@ LONG_DIGIT_CALLS = [
     (["discriminant", "--matrix", "[[1, 0], [0, 2]]", "--primes", HUGE], 2,
      "--primes"),
     (["mellin-fp", "--spec", f'{{"t0": {HUGE}}}'], 2, "--spec"),
+    (["orbits", f"gl{HUGE}"], 2, "gl<n>"),
+    (["k", f"A{HUGE}"], 2, "type rank"),
+    (["k", f"A2+T{HUGE}"], 2, "+T"),
+    (["k", "A2+T" + "9" * 20], 3, "root systems are limited"),
+    (["index", "--n", HUGE, "--level", "2"], 2, "--n"),
+    (["index", "--n", "2", "--level", HUGE], 3, "--level"),
+    (["budget", "--k", HUGE], 2, "--k: at most 1000 digits are read; "
+                                 "got 5000"),
+    (["budget", "--k", f"1/{HUGE}"], 2, "--k: at most 1000 digits"),
+    (["budget", "--k", "1", "--b-conj", HUGE], 2, "--b-conj"),
 ]
 
 
@@ -344,10 +354,21 @@ def test_long_digit_strings_exit_cleanly_naming_the_flag(capsys, argv, code,
 def test_digit_strings_are_ascii_decimal(capsys):
     for argv in (["k", "A2@res=\u00b2"], ["k", "A2", "--degree", "-1"],
                  ["levels", "check-prime-fixed", "2,,4"],
-                 ["discriminant", "--matrix", "[[1]]", "--primes", "\u0663"]):
+                 ["discriminant", "--matrix", "[[1]]", "--primes", "\u0663"],
+                 ["orbits", "gl\u00b2"], ["k", "A\u00b2"],
+                 ["k", "A2+T\u00b2"],
+                 ["index", "--n", "\u00b2", "--level", "4"],
+                 ["budget", "--k", "1", "--m-nonarch", "\u00b2"],
+                 ["levels", "check-prime-fixed", "4", "--allowed", ""],
+                 ["discriminant", "--matrix", "[[2, 0], [0, 3]]",
+                  "--primes", ""]):
         assert cli.main(argv) == 2, argv
         assert "wants a nonnegative integer" in capsys.readouterr().err
     code, data = run_json(capsys, ["k", "A2@res=003", "--json"])
+    assert code == 0 and data["result"]["spec"] == "A2@res=3"
+    # leading zeros do not count toward Python's int/str digit limit
+    code, data = run_json(capsys, ["k", "A2@res=" + "0" * 5000 + "3",
+                                   "--json"])
     assert code == 0 and data["result"]["spec"] == "A2@res=3"
 
 
@@ -543,7 +564,11 @@ def test_negative_values_reach_the_domain_check(capsys, argv, needle):
     (["mellin-fp", "--preset", "exp", "--lambda", "2", "--t0=-0.1"], "--t0"),
     (["mellin-fp", "--preset", "sqrt", "--t0", "0"], "--t0"),
     (["mellin-fp", "--preset", "exp", "--lambda", "-2"], "--lambda"),
-], ids=["t0-exp", "t0-sqrt", "lambda"])
+    (["mellin-fp", "--spec", '{"preset": "sqrt", "t0": -1}'],
+     "--spec: t0 must be positive, got -1.0"),
+    (["mellin-fp", "--spec", '{"preset": "sqrt", "t0": 0}'],
+     "--spec: t0 must be positive, got 0.0"),
+], ids=["t0-exp", "t0-sqrt", "lambda", "spec-t0-negative", "spec-t0-zero"])
 def test_mellin_domain_error_names_the_option(capsys, argv, option):
     code = cli.main(argv)
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from tracegeo import invariants_k, linalg, root_datum
-from tracegeo.errors import DomainError
+from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import GroupSpec, k_report
 from tracegeo.root_datum import (SimpleType, build_root_system,
                                  dual_coxeter_number)
@@ -150,7 +150,8 @@ def test_simple_type_parse_and_str():
     t = SimpleType.parse("B3")
     assert (t.series, t.rank) == ("B", 3)
     assert str(t) == "B3"
-    for bad in ("E9", "F3", "G1", "D1", "A0", "H4", "B", "3B", ""):
+    for bad in ("E9", "F3", "G1", "D1", "A0", "H4", "B", "3B", "",
+                "A\u00b2", "A\u0663"):
         with pytest.raises(DomainError):
             SimpleType.parse(bad)
 
@@ -320,6 +321,9 @@ def test_generated_roots_match_ambient_oracle(names, torus):
     rs = build_root_system(factors, torus)
     roots, simple = _oracle(factors, torus)
     assert list(rs.roots) == roots
+    # the closed forms that the size guard counts
+    assert sum(t.size()[0] for t in factors) == len(roots)
+    assert sum(t.size()[1] for t in factors) + torus == len(roots[0])
     assert list(rs.simple_roots) == simple
     coords = _oracle_coords(roots, simple)
     assert list(rs.simple_coords) == coords
@@ -444,3 +448,24 @@ def test_each_simple_type_runs_the_generator_once(monkeypatch):
     k_report(GroupSpec(build_root_system(["A2", "B3"])))
     dual_coxeter_number(SimpleType("A", 2))
     assert sorted(ranks) == [2, 3]
+
+
+def test_size_guard_refuses_before_generating(monkeypatch):
+    ranks = []
+    generate = root_datum._positive_coords
+
+    def counted(cartan):
+        ranks.append(len(cartan))
+        return generate(cartan)
+
+    monkeypatch.setattr(root_datum, "_positive_coords", counted)
+    root_datum.type_data.cache_clear()
+    # E8+T409: 240 roots in dimension 417, 100,080 coordinates
+    for factors, torus in ((["A2"], 10 ** 20), (["A300"], 0), (["A46"], 0),
+                           (["E8"], 409)):
+        with pytest.raises(ResourceLimitError,
+                           match="limited to 100000 root coordinates"):
+            build_root_system(factors, torus)
+    assert ranks == []
+    assert build_root_system(["E8"], 408).ambient_dim == 416
+    assert ranks == [8]
