@@ -813,6 +813,81 @@ def test_missing_argument_is_parse_error(capsys):
     capsys.readouterr()
 
 
+_COMMANDS = ("{k,orbits,parabolics,discriminant,index,levels,mellin-fp,"
+             "budget,reproduce}")
+# Python 3.13 keeps the trailing "..." on the choices line.
+_TOP_USAGE = f"usage: tracegeo [-h]\n                {_COMMANDS}" + (
+    " ...\n" if sys.version_info >= (3, 13) else "\n                ...\n")
+
+# argv -> (exit code, stdout, stderr) of one `python -m tracegeo` process
+# in an 80-column terminal.
+HELP_PINS = {
+    "top-help": (["-h"], 0, _TOP_USAGE + f"""
+Command-line front end.
+
+positional arguments:
+  {_COMMANDS}
+    k                   decay invariant of a group spec
+    orbits              nilpotent orbits of a classical type
+    parabolics          all parabolic root subsets of a group spec
+    discriminant        Weyl discriminant of a rational matrix
+    index               index of a principal congruence subgroup
+    levels              level-set predicates
+    mellin-fp           finite part of a normalized Mellin transform
+    budget              error-exponent budget feasibility
+    reproduce           run every stated-value check end to end
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    "k-help": (["k", "-h"], 0, """\
+usage: tracegeo k [-h] [--json] [--relative FILE] [--degree N]
+                  [--method {pairs,richardson,minorbit}]
+                  spec
+
+positional arguments:
+  spec                  group spec, e.g. "A2" or "D3xA1+T2@res=2"
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit a versioned JSON envelope
+  --relative FILE       JSON file {simple_roots, nilradical_dims}; overrides
+                        @relative=
+  --degree N            restriction-of-scalars degree; overrides @res=
+  --method {pairs,richardson,minorbit}
+                        single method instead of the full report
+""", ""),
+    "levels-check-help": (["levels", "check-prime-fixed", "-h"], 0, """\
+usage: tracegeo levels check-prime-fixed [-h] [--json] [--allowed ALLOWED]
+                                         levels
+
+positional arguments:
+  levels             comma list of levels, e.g. 2,4,8
+
+options:
+  -h, --help         show this help message and exit
+  --json             emit a versioned JSON envelope
+  --allowed ALLOWED  comma list of allowed primes
+""", ""),
+    "unknown-command": (["nosuch"], 2, "",
+                        "error: argument command: invalid choice: 'nosuch' "
+                        "(choose from 'k', 'orbits', 'parabolics', "
+                        "'discriminant', 'index', 'levels', 'mellin-fp', "
+                        "'budget', 'reproduce')\n"),
+    "k-without-spec": (["k"], 2, "",
+                       "error: the following arguments are required: spec\n"),
+}
+
+
+@pytest.mark.parametrize("name", HELP_PINS)
+def test_help_and_usage_errors_are_pinned(name):
+    argv, code, out, err = HELP_PINS[name]
+    proc = subprocess.run([sys.executable, "-m", "tracegeo", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, COLUMNS="80"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "tracegeo", "k", "A2",
                            "--json"], capture_output=True, text=True)
