@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
+from .value import Value
 
 LEVEL_LIMIT = 2 ** 63
 # Python's default limit on int/str conversion: a longer index could be
@@ -145,11 +145,12 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(fac.items()))
 
 
-@dataclass(frozen=True)
-class LevelData:
-    N: int
-    factorization: dict[int, int]
-    S_N: tuple[int, ...]
+class LevelData(Value):
+    _fields = ("N", "factorization", "S_N")
+
+    def __init__(self, N: int, factorization: dict[int, int],
+                 S_N: tuple[int, ...]):
+        self.__dict__.update(N=N, factorization=factorization, S_N=S_N)
 
 
 def _checked_level(N: int) -> int:
@@ -206,12 +207,14 @@ def conjecture_bound(N: int, b: float, c: float) -> float:
     return c * (1 + math.log(N)) ** b
 
 
-@dataclass(frozen=True)
-class PrimeFixedResult:
-    ok: bool
-    reference: tuple[int, ...]
-    union: tuple[int, ...]
-    offenders: tuple[tuple[int, tuple[int, ...]], ...]
+class PrimeFixedResult(Value):
+    _fields = ("ok", "reference", "union", "offenders")
+
+    def __init__(self, ok: bool, reference: tuple[int, ...],
+                 union: tuple[int, ...],
+                 offenders: tuple[tuple[int, tuple[int, ...]], ...]):
+        self.__dict__.update(ok=ok, reference=reference, union=union,
+                             offenders=offenders)
 
 
 def prime_fixed_check(levels: Sequence[int],

@@ -23,18 +23,18 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (DomainError, ParseError, ResourceLimitError,
                      TracegeoError, exit_code_for)
+from .value import Value
 
-# Only the stdlib and .errors load at module top.  Every library module is
-# imported inside the function that calls it, so a subcommand loads only
-# what it runs: compiling a module (when no bytecode is cached) and
-# building its dataclasses costs a few ms each.  The names below serve
-# annotations only.
+# Only the stdlib, .errors and .value load at module top.  Every library
+# module is imported inside the function that calls it, so a subcommand
+# loads only what it runs: compiling a module when no bytecode is cached
+# costs a few ms.  fractions loads only with a module that computes with
+# Fraction, or for a budget or mellin-fp --spec number.  The names below
+# serve annotations only.
 if TYPE_CHECKING:
     from .invariants_k import RelativeDatum
     from .root_datum import RootSystem, SimpleType
@@ -43,8 +43,7 @@ if TYPE_CHECKING:
 # -- group-spec grammar --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedGroupSpec:
+class ParsedGroupSpec(Value):
     """A group-spec string, decomposed.
 
     Grammar: simple factors joined by 'x' ("A2", "B3xA1"), an optional
@@ -52,10 +51,15 @@ class ParsedGroupSpec:
     "@relative=<path>" markers in either order, each at most once.
     """
 
-    factors: tuple[SimpleType, ...]
-    torus_rank: int = 0
-    restriction_degree: int = 1
-    relative_path: str | None = None
+    _fields = ("factors", "torus_rank", "restriction_degree",
+               "relative_path")
+
+    def __init__(self, factors: tuple[SimpleType, ...], torus_rank: int = 0,
+                 restriction_degree: int = 1,
+                 relative_path: str | None = None):
+        self.__dict__.update(factors=factors, torus_rank=torus_rank,
+                             restriction_degree=restriction_degree,
+                             relative_path=relative_path)
 
     def render(self) -> str:
         body = "x".join(str(t) for t in self.factors)
@@ -172,6 +176,9 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
 
 def _scalar(x) -> str:
     """A Fraction as "num/den"; a float or a surd to 15 digits."""
+    # json passes only Fractions and surds, and the handlers that pass a
+    # float have loaded a module that computes with Fraction.
+    from fractions import Fraction
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if not isinstance(x, float):
@@ -182,8 +189,21 @@ def _scalar(x) -> str:
     return f"{float(x):.15g}"
 
 
+# A refusal quotes at most this many characters of the input it names.
+QUOTE_LIMIT = 40
+
+
+def _clip(shown: str) -> str:
+    """An input as a refusal quotes it: whole, or cut to QUOTE_LIMIT
+    characters with its full length."""
+    if len(shown) <= QUOTE_LIMIT:
+        return shown
+    return f"{shown[:QUOTE_LIMIT]}... ({len(shown)} characters)"
+
+
 def _parse_number(text: str, flag: str):
     """Exact when possible: integers and a/b stay exact, decimals go float."""
+    from fractions import Fraction
     m = re.fullmatch(r"([-+]?)([\d_]+)(?:/([\d_]+))?", text.strip())
     try:
         if m is None:
@@ -192,7 +212,8 @@ def _parse_number(text: str, flag: str):
         x = _read_int(num, flag) if den is None else \
             Fraction(_read_int(num, flag), _read_int(den, flag))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{flag} expects a number, got {text!r}") from None
+        raise ParseError(f"{flag} expects a number, got "
+                         f"{_clip(repr(text))}") from None
     return -x if sign == "-" else x
 
 
@@ -243,8 +264,8 @@ def _cmd_k(args) -> tuple[object, str, int]:
         else parsed.restriction_degree
     g = GroupSpec.build(list(parsed.factors), parsed.torus_rank,
                         degree, relative)
-    canonical = replace(parsed, restriction_degree=degree,
-                        relative_path=rel_path).render()
+    canonical = ParsedGroupSpec(parsed.factors, parsed.torus_rank, degree,
+                                rel_path).render()
     if args.method is None:
         report = k_report(g)
         result = {"spec": canonical, **report}
@@ -364,7 +385,7 @@ def _spec_number(value, key: str, kind=float):
         x = kind(str(value))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"--spec: {key} must be a number, got "
-                         f"{json.dumps(value)}") from None
+                         f"{_clip(json.dumps(value))}") from None
     if not abs(x) <= sys.float_info.max:
         raise ParseError(f"--spec: {key} must be finite, got "
                          f"{json.dumps(value)}")
@@ -381,6 +402,8 @@ def _exp_preset(lam: float, t0: float, name: str):
 
 
 def _mellin_pair_from_spec(data):
+    from fractions import Fraction
+
     from .mellin_fp import (AsymptoticExpansion, TailFunction,
                             monotone_cubic, sqrt_exp_preset)
     if not isinstance(data, dict):
@@ -537,14 +560,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a versioned JSON envelope")
-    top = _Parser(prog="tracegeo", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True,
-                             parser_class=_Parser)
+# Each subcommand's parser is added by its own function, so that a call
+# builds only the parser it runs.
 
+
+def _add_k(sub, common) -> None:
     p = sub.add_parser("k", parents=[common],
                        help="decay invariant of a group spec")
     p.add_argument("spec", help='group spec, e.g. "A2" or "D3xA1+T2@res=2"')
@@ -557,16 +577,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="single method instead of the full report")
     p.set_defaults(fn=_cmd_k)
 
+
+def _add_orbits(sub, common) -> None:
     p = sub.add_parser("orbits", parents=[common],
                        help="nilpotent orbits of a classical type")
     p.add_argument("type", help='simple type "B3" or general linear "gl4"')
     p.set_defaults(fn=_cmd_orbits)
 
+
+def _add_parabolics(sub, common) -> None:
     p = sub.add_parser("parabolics", parents=[common],
                        help="all parabolic root subsets of a group spec")
     p.add_argument("spec")
     p.set_defaults(fn=_cmd_parabolics)
 
+
+def _add_discriminant(sub, common) -> None:
     p = sub.add_parser("discriminant", parents=[common],
                        help="Weyl discriminant of a rational matrix")
     p.add_argument("--matrix", required=True,
@@ -574,6 +600,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", help="extra primes for valuations, e.g. 2,3")
     p.set_defaults(fn=_cmd_discriminant)
 
+
+def _add_index(sub, common) -> None:
     p = sub.add_parser("index", parents=[common],
                        help="index of a principal congruence subgroup")
     p.add_argument("--group", default="sl", choices=["sl"])
@@ -581,6 +609,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True)
     p.set_defaults(fn=_cmd_index)
 
+
+def _add_levels(sub, common) -> None:
     p = sub.add_parser("levels", help="level-set predicates")
     lsub = p.add_subparsers(dest="levels_command", required=True,
                             parser_class=_Parser)
@@ -589,6 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--allowed", help="comma list of allowed primes")
     q.set_defaults(fn=_cmd_levels)
 
+
+def _add_mellin_fp(sub, common) -> None:
     p = sub.add_parser("mellin-fp", parents=[common],
                        help="finite part of a normalized Mellin transform")
     p.add_argument("--preset", choices=["exp", "sqrt"])
@@ -601,6 +633,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "samples|preset}")
     p.set_defaults(fn=_cmd_mellin_fp)
 
+
+def _add_budget(sub, common) -> None:
     p = sub.add_parser("budget", parents=[common],
                        help="error-exponent budget feasibility")
     p.add_argument("--k", required=True)
@@ -613,17 +647,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-nonarch", dest="m_nonarch", default="0")
     p.set_defaults(fn=_cmd_budget)
 
+
+def _add_reproduce(sub, common) -> None:
     p = sub.add_parser("reproduce", parents=[common],
                        help="run every stated-value check end to end")
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_reproduce)
 
+
+# In the order that `tracegeo -h` lists them.
+_SUBCOMMANDS = {
+    "k": _add_k, "orbits": _add_orbits, "parabolics": _add_parabolics,
+    "discriminant": _add_discriminant, "index": _add_index,
+    "levels": _add_levels, "mellin-fp": _add_mellin_fp,
+    "budget": _add_budget, "reproduce": _add_reproduce,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the named subcommand, or with all of them
+    when command names none: the help, usage and error text a call sees
+    are the same either way."""
+    common = _Parser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        help="emit a versioned JSON envelope")
+    top = _Parser(prog="tracegeo", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=_Parser)
+    if command in _SUBCOMMANDS:
+        _SUBCOMMANDS[command](sub, common)
+    else:
+        for add in _SUBCOMMANDS.values():
+            add(sub, common)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        parser = _build_parser()
+        parser = _build_parser(argv[0] if argv else None)
         args = parser.parse_args(argv)
         handler: Callable = args.fn
         result, human, code = handler(args)

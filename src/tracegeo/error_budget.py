@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError, NumericError
+from .value import Value
 
 Number = Union[int, float, Fraction, "QuadraticSurd"]
 
@@ -42,8 +42,7 @@ def _surd(a: Fraction, b: Fraction, d: int) -> Fraction | QuadraticSurd:
     return QuadraticSurd(a, b, d) if b else a
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticSurd:
+class QuadraticSurd(Value):
     """The irrational a + b sqrt(d): rationals a and b != 0 and an integer
     d > 1 that is not a square.  Immutable and hashable.
 
@@ -54,15 +53,13 @@ class QuadraticSurd:
     sqrt(8) == 2*sqrt(2).
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    _fields = ("a", "b", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not self.b or not isinstance(self.d, int) or self.d < 2 \
-                or math.isqrt(self.d) ** 2 == self.d:
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        a, b = Fraction(a), Fraction(b)
+        self.__dict__.update(a=a, b=b, d=d)
+        if not b or not isinstance(d, int) or d < 2 \
+                or math.isqrt(d) ** 2 == d:
             raise DomainError("a QuadraticSurd needs b != 0 and an integer "
                               "d > 1 that is not a square")
 
@@ -226,8 +223,7 @@ def _check_epsilon(epsilon) -> Number:
     return eps
 
 
-@dataclass(frozen=True)
-class BudgetParams:
+class BudgetParams(Value):
     """Inputs of the feasibility check.
 
     lam is the spectral gap (the name lambda is reserved in Python);
@@ -235,18 +231,15 @@ class BudgetParams:
     reported total log-exponent.
     """
 
-    k: Number
-    lam: Number
-    epsilon: Number
-    C2: Number
-    C4: Number
-    Cn: Number
-    c_prime: Number
-    beta: Number
-    b_conj: Number = 0
-    m_nonarch: Number = 0
+    _fields = ("k", "lam", "epsilon", "C2", "C4", "Cn", "c_prime", "beta",
+               "b_conj", "m_nonarch")
 
-    def __post_init__(self):
+    def __init__(self, k: Number, lam: Number, epsilon: Number, C2: Number,
+                 C4: Number, Cn: Number, c_prime: Number, beta: Number,
+                 b_conj: Number = 0, m_nonarch: Number = 0):
+        self.__dict__.update(k=k, lam=lam, epsilon=epsilon, C2=C2, C4=C4,
+                             Cn=Cn, c_prime=c_prime, beta=beta, b_conj=b_conj,
+                             m_nonarch=m_nonarch)
         for name in ("k", "lam", "C2", "C4", "Cn", "beta"):
             _require(name, getattr(self, name))
         _check_epsilon(self.epsilon)
@@ -295,12 +288,11 @@ def lambda_min(k: Number, beta: Number, epsilon: Number,
     return lam
 
 
-@dataclass(frozen=True)
-class ExponentReport:
-    e_spec: Number
-    e1: Number
-    e2: Number
-    all_ok: bool
+class ExponentReport(Value):
+    _fields = ("e_spec", "e1", "e2", "all_ok")
+
+    def __init__(self, e_spec: Number, e1: Number, e2: Number, all_ok: bool):
+        self.__dict__.update(e_spec=e_spec, e1=e1, e2=e2, all_ok=all_ok)
 
 
 def exponents(p: BudgetParams) -> ExponentReport:

@@ -17,21 +17,19 @@ report-style consumers can compare it against the absolute answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from . import linalg
 from .errors import DomainError, ResourceLimitError
 from .nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from .root_datum import RootSystem, SimpleType, build_root_system, type_data
+from .value import Value
 
 PAIR_RANK_LIMIT = 8
 RELATIVE_ENTRY_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class RelativeDatum:
+class RelativeDatum(Value):
     """Rational root data: root vectors with nilradical contributions.
 
     Each entry is one positive relative root together with the dimension
@@ -40,41 +38,44 @@ class RelativeDatum:
     the full minimal-parabolic nilradical dimension.
     """
 
-    roots: tuple[tuple[int, ...], ...]
-    contributions: tuple[int, ...]
+    _fields = ("roots", "contributions")
 
-    def __post_init__(self):
-        if not self.roots:
+    def __init__(self, roots: tuple[tuple[int, ...], ...],
+                 contributions: tuple[int, ...]):
+        self.__dict__.update(roots=roots, contributions=contributions)
+        if not roots:
             raise DomainError("relative datum needs at least one root")
-        if len(self.roots) != len(self.contributions):
+        if len(roots) != len(contributions):
             raise DomainError("relative roots and contributions must have "
                               "matching lengths")
-        width = len(self.roots[0])
-        for r in self.roots:
+        width = len(roots[0])
+        for r in roots:
             if len(r) != width or all(x == 0 for x in r):
                 raise DomainError("relative roots must be nonzero vectors "
                                   "of equal length")
-        for c in self.contributions:
+        for c in contributions:
             if not isinstance(c, int) or c < 1:
                 raise DomainError("nilradical contributions must be "
                                   "positive integers")
 
     @property
     def rank(self) -> int:
+        from . import linalg
         return linalg.rank(self.roots)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    absolute: RootSystem
-    restriction_degree: int = 1
-    relative: RelativeDatum | None = None
+class GroupSpec(Value):
+    _fields = ("absolute", "restriction_degree", "relative")
 
-    def __post_init__(self):
-        if not isinstance(self.restriction_degree, int) or self.restriction_degree < 1:
+    def __init__(self, absolute: RootSystem, restriction_degree: int = 1,
+                 relative: RelativeDatum | None = None):
+        self.__dict__.update(absolute=absolute,
+                             restriction_degree=restriction_degree,
+                             relative=relative)
+        if not isinstance(restriction_degree, int) or restriction_degree < 1:
             raise DomainError("restriction degree must be a positive integer")
-        if self.relative is not None:
-            if self.relative.rank > self.absolute.semisimple_rank:
+        if relative is not None:
+            if relative.rank > absolute.semisimple_rank:
                 raise DomainError("relative rank exceeds absolute rank")
 
     @classmethod
@@ -226,6 +227,7 @@ def _richardson_absolute(rs: RootSystem) -> int:
 
 
 def _richardson_relative(rel: RelativeDatum) -> int:
+    from . import linalg
     m = len(rel.roots)
     if m > RELATIVE_ENTRY_LIMIT:
         raise ResourceLimitError(

@@ -27,13 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .arithmetic import factorize, is_prime
 from .errors import DomainError
+from .value import Value
 
 RationalLike = int | str | Fraction
 
@@ -52,15 +52,14 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+class RationalMatrix(Value):
+    _fields = ("n", "entries")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, entries: tuple[tuple[Fraction, ...], ...]):
+        self.__dict__.update(n=n, entries=entries)
+        if n < 1:
             raise DomainError("matrix size must be positive")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise DomainError("entries must form a square matrix")
 
     @classmethod
@@ -73,12 +72,17 @@ class RationalMatrix:
         return [list(r) for r in self.entries]
 
 
-@dataclass(frozen=True)
-class DiscriminantValue:
-    value: Fraction
-    abs_inf: Fraction
-    p_valuations: dict[int, int] = field(compare=False)
-    centralizer_dim: int = 0
+class DiscriminantValue(Value):
+    """p_valuations is left out of equality."""
+
+    _fields = ("value", "abs_inf", "p_valuations", "centralizer_dim")
+    _uncompared = ("p_valuations",)
+
+    def __init__(self, value: Fraction, abs_inf: Fraction,
+                 p_valuations: dict[int, int], centralizer_dim: int = 0):
+        self.__dict__.update(value=value, abs_inf=abs_inf,
+                             p_valuations=p_valuations,
+                             centralizer_dim=centralizer_dim)
 
 
 def _valuation(value: Fraction, p: int) -> int:

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DiagnosticsError, DomainError, NumericError
+from .value import Value
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -65,8 +65,7 @@ def _to_fraction(x) -> Fraction:
         raise DomainError(f"exponent {x!r} is not an exact rational") from exc
 
 
-@dataclass(frozen=True)
-class AsymptoticExpansion:
+class AsymptoticExpansion(Value):
     """Small-t expansion sum a_i t^{alpha_i} valid on (0, valid_to].
 
     Exponents are exact rationals, strictly increasing; the remainder is
@@ -74,23 +73,22 @@ class AsymptoticExpansion:
     itself is O(t^{remainder_order}) near zero.
     """
 
-    terms: tuple[tuple[Fraction, float], ...]
-    valid_to: float
-    remainder_order: Fraction
+    _fields = ("terms", "valid_to", "remainder_order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(
-            (_to_fraction(a), float(c)) for a, c in self.terms))
-        object.__setattr__(self, "remainder_order",
-                           _to_fraction(self.remainder_order))
-        if not (self.valid_to > 0):
+    def __init__(self, terms: Sequence[tuple[Fraction, float]],
+                 valid_to: float, remainder_order: Fraction):
+        terms = tuple((_to_fraction(a), float(c)) for a, c in terms)
+        remainder_order = _to_fraction(remainder_order)
+        self.__dict__.update(terms=terms, valid_to=valid_to,
+                             remainder_order=remainder_order)
+        if not (valid_to > 0):
             raise DomainError("valid_to must be positive")
-        if self.remainder_order <= 0:
+        if remainder_order <= 0:
             raise DomainError("remainder_order must be positive")
-        exps = [a for a, _ in self.terms]
+        exps = [a for a, _ in terms]
         if any(y <= x for x, y in zip(exps, exps[1:])):
             raise DomainError("exponents must be strictly increasing")
-        for _, c in self.terms:
+        for _, c in terms:
             if not math.isfinite(c):
                 raise DomainError("coefficients must be finite")
 
@@ -101,16 +99,16 @@ class AsymptoticExpansion:
         return sum(c * t ** float(a) for a, c in self.terms if a <= 0)
 
 
-@dataclass(frozen=True)
-class TailFunction:
+class TailFunction(Value):
     """An evaluator on (0, inf) with a certified large-t decay bound:
     |f(t)| <= C e^{-rate t} for t >= 1."""
 
-    evaluator: Callable[[float], float]
-    decay: tuple[float, float]  # (C, rate)
+    _fields = ("evaluator", "decay")
 
-    def __post_init__(self):
-        c, rate = self.decay
+    def __init__(self, evaluator: Callable[[float], float],
+                 decay: tuple[float, float]):  # decay is (C, rate)
+        self.__dict__.update(evaluator=evaluator, decay=decay)
+        c, rate = decay
         if not (c > 0 and rate > 0):
             raise DomainError("decay constants must be positive")
 

@@ -8,42 +8,41 @@ which is 2(h_dual - 1) in every type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .root_datum import SimpleType, dual_coxeter_number
+from .value import Value
 
 RANK_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class GLType:
+class GLType(Value):
     """Marker for gl(n), the general linear Lie algebra."""
 
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, n: int):
+        self.__dict__.update(n=n)
+        if not isinstance(n, int) or n < 1:
             raise DomainError("gl size must be a positive integer")
 
     def __str__(self) -> str:
         return f"gl{self.n}"
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    attached_type: SimpleType | GLType
-    partition: tuple[int, ...]
-    very_even: bool = False
+class OrbitLabel(Value):
+    _fields = ("attached_type", "partition", "very_even")
 
-    def __post_init__(self):
-        lam = self.partition
-        if not lam or any(x < 1 for x in lam) or \
-                list(lam) != sorted(lam, reverse=True):
+    def __init__(self, attached_type: SimpleType | GLType,
+                 partition: tuple[int, ...], very_even: bool = False):
+        self.__dict__.update(attached_type=attached_type, partition=partition,
+                             very_even=very_even)
+        if not partition or any(x < 1 for x in partition) or \
+                list(partition) != sorted(partition, reverse=True):
             raise DomainError("partition must be a decreasing list of "
                               "positive integers")
-        _validate_parity(self.attached_type, lam)
+        _validate_parity(attached_type, partition)
 
     def __str__(self) -> str:
         body = ",".join(str(x) for x in self.partition)

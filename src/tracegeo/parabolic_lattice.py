@@ -15,7 +15,6 @@ first access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Iterator
@@ -23,6 +22,7 @@ from typing import Iterable, Iterator
 from . import linalg
 from .errors import DomainError, ResourceLimitError
 from .root_datum import RootSystem, mask_tables, permute_mask
+from .value import Value
 
 PARABOLIC_COUNT_LIMIT = 2**16
 
@@ -54,12 +54,13 @@ def _negate(rs: RootSystem, mask: int) -> int:
     return permute_mask(rs.negation_tables, mask)
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
+class ParabolicSubset(Value):
     """A parabolic subset: bit i of mask is set iff roots[i] is a member."""
 
-    system: RootSystem
-    mask: int
+    _fields = ("system", "mask")
+
+    def __init__(self, system: RootSystem, mask: int):
+        self.__dict__.update(system=system, mask=mask)
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -74,8 +75,7 @@ class ParabolicSubset:
         return tuple(_indices(self.mask))
 
 
-@dataclass(frozen=True)
-class LeviDatum:
+class LeviDatum(Value):
     """Symmetric part of a parabolic subset plus its split-center dimension.
 
     a_M_dim is the dimension of the central split torus of the Levi:
@@ -83,9 +83,10 @@ class LeviDatum:
     Levi's own roots.
     """
 
-    system: RootSystem
-    mask: int
-    a_M_dim: int
+    _fields = ("system", "mask", "a_M_dim")
+
+    def __init__(self, system: RootSystem, mask: int, a_M_dim: int):
+        self.__dict__.update(system=system, mask=mask, a_M_dim=a_M_dim)
 
     @cached_property
     def levi_roots(self) -> frozenset[int]:

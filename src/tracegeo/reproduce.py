@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracles
@@ -31,18 +30,23 @@ from .parabolic_lattice import (count_contributing_tuples, d_nonvanishing,
                                 enumerate_parabolic_subsets, f_sets, levi_of,
                                 minimal_levi, full_levi)
 from .root_datum import SimpleType, build_root_system, dual_coxeter_number
+from .value import Value
 
 KNOWN_FAULTS = ("k_sl4",)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    detail: str
-    expected: str
-    actual: str
-    ok: bool
-    seconds: float
+class CheckResult(Value):
+    """One check's outcome; mutable, so unhashable."""
+
+    _fields = ("name", "detail", "expected", "actual", "ok", "seconds")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, name: str, detail: str, expected: str, actual: str,
+                 ok: bool, seconds: float):
+        self.__dict__.update(name=name, detail=detail, expected=expected,
+                             actual=actual, ok=ok, seconds=seconds)
 
 
 def _all_simple_types(max_rank: int = 8) -> list[SimpleType]:

@@ -17,11 +17,11 @@ central torus contributes trailing zero coordinates and no roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError
+from .value import Value
 
 _SERIES = "ABCDEFG"
 
@@ -30,27 +30,29 @@ _SERIES = "ABCDEFG"
 # largest of their kinds that pass, build in about a second or less.
 ROOT_COORD_LIMIT = 100000
 
+# SimpleType.parse reads at most this many rank digits, far below Python's
+# 4300-digit limit on int(); no rank that long passes ROOT_COORD_LIMIT.
+RANK_DIGITS = 1000
 
-@dataclass(frozen=True)
-class SimpleType:
+
+class SimpleType(Value):
     """One simple factor, e.g. A3 or E8."""
 
-    series: str
-    rank: int
+    _fields = ("series", "rank")
 
-    def __post_init__(self):
+    def __init__(self, series: str, rank: int):
+        self.__dict__.update(series=series, rank=rank)
         # A tuple, so that "" and "AB" are not matched as substrings.
-        if self.series not in tuple(_SERIES):
-            raise DomainError(f"invalid simple type {self.series}{self.rank}: "
+        if series not in tuple(_SERIES):
+            raise DomainError(f"invalid simple type {series}{rank}: "
                               f"series must be one of {_SERIES}")
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) \
-                or self.rank < 1:
-            raise DomainError(f"invalid simple type {self.series}: rank must "
-                              f"be a positive integer, got {self.rank!r}")
-        ok = {"D": self.rank >= 2, "E": self.rank in (6, 7, 8),
-              "F": self.rank == 4, "G": self.rank == 2}.get(self.series, True)
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+            raise DomainError(f"invalid simple type {series}: rank must "
+                              f"be a positive integer, got {rank!r}")
+        ok = {"D": rank >= 2, "E": rank in (6, 7, 8),
+              "F": rank == 4, "G": rank == 2}.get(series, True)
         if not ok:
-            raise DomainError(f"invalid simple type {self.series}{self.rank}: "
+            raise DomainError(f"invalid simple type {series}{rank}: "
                               "rank out of range for this series")
 
     def __str__(self) -> str:
@@ -58,13 +60,18 @@ class SimpleType:
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
-        """Parse a compact name like "A2" or "E8"; the rank is ASCII
-        decimal digits."""
+        """Parse a compact name like "A2" or "E8"; the rank is at most
+        RANK_DIGITS ASCII decimal digits."""
         rank = text[1:]
         if text[:1] not in tuple(_SERIES) or \
                 not (rank.isascii() and rank.isdigit()):
             raise DomainError(f"cannot parse simple type {text!r}")
-        return cls(text[0], int(rank))
+        digits = rank.lstrip("0")
+        if len(digits) > RANK_DIGITS:
+            raise DomainError(f"cannot parse simple type {text[0]}: at most "
+                              f"{RANK_DIGITS} rank digits are read; got "
+                              f"{len(digits)}")
+        return cls(text[0], int(digits or "0"))
 
     def size(self) -> tuple[int, int]:
         """(number of roots, ambient dimension), in closed form."""
@@ -170,22 +177,28 @@ def permute_mask(tables: tuple[list[int], ...], mask: int) -> int:
                    mask.to_bytes(len(tables), "little")))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     """A finite root system (possibly a product) with a central torus block.
 
     roots are integer vectors in the ambient lattice, stored sorted
     lexicographically; simple_roots keep factor-by-factor Bourbaki order;
-    simple_coords[i] writes roots[i] in the simple-root basis.  Derived
-    combinatorial tables are computed lazily and cached.
+    simple_coords[i] writes roots[i] in the simple-root basis, and is left
+    out of equality.  Derived combinatorial tables are computed lazily and
+    cached.
     """
 
-    factors: tuple[SimpleType, ...]
-    torus_rank: int
-    ambient_dim: int
-    roots: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[tuple[int, ...], ...]
-    simple_coords: tuple[tuple[int, ...], ...] = field(compare=False)
+    _fields = ("factors", "torus_rank", "ambient_dim", "roots",
+               "simple_roots", "simple_coords")
+    _uncompared = ("simple_coords",)
+
+    def __init__(self, factors: tuple[SimpleType, ...], torus_rank: int,
+                 ambient_dim: int, roots: tuple[tuple[int, ...], ...],
+                 simple_roots: tuple[tuple[int, ...], ...],
+                 simple_coords: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(factors=factors, torus_rank=torus_rank,
+                             ambient_dim=ambient_dim, roots=roots,
+                             simple_roots=simple_roots,
+                             simple_coords=simple_coords)
 
     # -- basic derived data --------------------------------------------------
 

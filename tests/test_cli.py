@@ -449,6 +449,20 @@ def test_mellin_spec_number_is_a_parse_error_naming_the_key(capsys, spec,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["mellin-fp", "--spec",
+      json.dumps({"preset": "sqrt", "t0": "1/" + "7" * 5000})],
+     '--spec: t0 must be a number, got "1/' + "7" * 37),
+    (["budget", "--k", "1/" + "0" * 5000],
+     "--k expects a number, got '1/" + "0" * 37),
+], ids=["spec-t0", "budget-k"])
+def test_a_refused_long_input_is_quoted_in_part(capsys, argv, message):
+    # The first 40 characters of the 5004-character quote, and its length.
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: {message}... (5004 characters)\n"
+
+
 _HUGE_RATIO = "1" + "0" * 400 + "/3"
 
 
@@ -886,6 +900,40 @@ def test_help_and_usage_errors_are_pinned(name):
                           capture_output=True, text=True,
                           env=dict(os.environ, COLUMNS="80"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# A call builds only its subcommand's parser; these argv must parse, print
+# help or fail exactly as under the parser with every subcommand.
+PARSER_CALLS = [[name, "-h"] for name in cli._SUBCOMMANDS] + [
+    ["levels", "check-prime-fixed", "-h"], ["k"], ["k", "A2", "--json"],
+    ["k", "A2", "--method", "x"], ["k", "A2", "--degree", "2",
+                                   "--relative", "r.json"],
+    ["orbits", "B3", "--bogus"], ["parabolics"], ["discriminant"],
+    ["index", "--n", "3"], ["index", "--n", "3", "--level", "4",
+                            "--group", "gl"],
+    ["levels"], ["levels", "nosuch"], ["levels", "check-prime-fixed"],
+    ["levels", "check-prime-fixed", "2,4", "--allowed", "2"],
+    ["mellin-fp", "--lambda", "x"], ["mellin-fp", "--preset", "exp",
+                                     "--lambda", "-1/2"],
+    ["budget"], ["budget", "--k", "-1", "--b-conj", "2"],
+    ["reproduce", "--inject-fault", "k_sl4"], ["reproduce", "extra"],
+]
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except ParseError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CALLS, ids=" ".join)
+def test_one_subcommand_parser_acts_as_the_full_parser(capsys, argv):
+    single = _parse_outcome(cli._build_parser(argv[0]), argv, capsys)
+    assert single == _parse_outcome(cli._build_parser(), argv, capsys)
 
 
 def test_module_entry_point():

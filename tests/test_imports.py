@@ -1,7 +1,9 @@
 """The import contract: no subcommand loads sympy, numpy or scipy, and
-none needs sympy to be installed; each subcommand loads only the tracegeo
-modules it runs, and every public name still resolves through the lazy
-package namespace."""
+none needs sympy to be installed; the light subcommands load neither
+dataclasses nor inspect, and those that compute with no Fraction do not
+load fractions; each subcommand loads only the tracegeo modules it runs,
+and every public name still resolves through the lazy package
+namespace."""
 
 import json
 import math
@@ -66,14 +68,16 @@ for argv in json.loads(sys.argv[1]):
         codes.append(cli.main(argv))
 print(json.dumps({"codes": codes, "loaded": sorted(
     m for m in ("sympy", "scipy", "numpy") if m in sys.modules),
+    "stdlib": sorted(m for m in ("dataclasses", "inspect", "fractions")
+                     if m in sys.modules),
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules
                       if m.startswith("tracegeo."))}))
 """
 
-# One call per fresh process, with the tracegeo submodules besides cli and
-# errors that it may load.  Without a bytecode cache each module compiles
-# on every cold call, so a subcommand loads only what it runs; a parse error
-# gets no further than root_datum.
+# One call per fresh process, with the tracegeo submodules besides cli,
+# errors and value that it may load.  Without a bytecode cache each module
+# compiles on every cold call, so a subcommand loads only what it runs; a
+# parse error gets no further than root_datum.
 MODULE_CONTRACT = {
     "index": (["index", "--n", "3", "--level", "12", "--json"], 0,
               {"arithmetic"}),
@@ -90,11 +94,16 @@ MODULE_CONTRACT = {
     "parabolics": (["parabolics", "A2", "--json"], 0,
                    {"parabolic_lattice", "root_datum", "linalg"}),
     "k": (["k", "A2", "--json"], 0,
-          {"invariants_k", "nilpotent_orbits", "root_datum", "linalg"}),
+          {"invariants_k", "nilpotent_orbits", "root_datum"}),
     "k-parse-error": (["k", "Z3", "--json"], 2, {"root_datum"}),
     "parabolics-parse-error": (["parabolics", "A2+Tx", "--json"], 2,
                                {"root_datum"}),
 }
+
+
+# The calls above that compute with no Fraction, and so do not load
+# fractions.
+WITHOUT_FRACTIONS = ("index", "levels", "orbits", "k", "k-parse-error")
 
 
 def _probe(calls, prelude=""):
@@ -109,7 +118,9 @@ def _probe(calls, prelude=""):
 
 
 def test_light_subcommands_load_no_heavy_library():
-    assert _probe(LIGHT_CALLS)["loaded"] == []
+    report = _probe(LIGHT_CALLS)
+    assert report["loaded"] == []
+    assert not {"dataclasses", "inspect"} & set(report["stdlib"])
 
 
 def test_surd_budget_and_reproduce_load_no_heavy_library():
@@ -123,8 +134,10 @@ def test_runs_with_sympy_blocked():
 @pytest.mark.parametrize("name", MODULE_CONTRACT)
 def test_subcommand_loads_only_its_modules(name):
     argv, code, allowed = MODULE_CONTRACT[name]
-    loaded = set(_probe([(argv, code)])["modules"])
-    assert loaded <= {"cli", "errors", *allowed}
+    report = _probe([(argv, code)])
+    assert set(report["modules"]) <= {"cli", "errors", "value", *allowed}
+    if name in WITHOUT_FRACTIONS:
+        assert "fractions" not in report["stdlib"]
 
 
 def test_every_public_name_resolves_and_is_listed():

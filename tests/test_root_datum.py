@@ -155,6 +155,16 @@ def test_simple_type_parse_and_str():
             SimpleType.parse(bad)
 
 
+def test_an_over_long_rank_is_a_domain_error():
+    # Python's int() refuses more than 4300 digits with a ValueError.
+    for text in ("A" + "7" * 5000, "B" + "1" * 1001):
+        with pytest.raises(DomainError, match="at most 1000 rank digits"):
+            SimpleType.parse(text)
+        with pytest.raises(DomainError, match="at most 1000 rank digits"):
+            build_root_system([text])
+    assert SimpleType.parse("A" + "0" * 5000 + "3") == SimpleType("A", 3)
+
+
 def test_ranks_must_be_integers():
     for torus in (1.5, "1", True, -1):
         with pytest.raises(DomainError, match="torus_rank"):
