@@ -15,7 +15,7 @@ import math
 from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .value import Value
+from .value import Value, set_field
 
 LEVEL_LIMIT = 2 ** 63
 # Python's default limit on int/str conversion: a longer index could be
@@ -150,7 +150,9 @@ class LevelData(Value):
 
     def __init__(self, N: int, factorization: dict[int, int],
                  S_N: tuple[int, ...]):
-        self.__dict__.update(N=N, factorization=factorization, S_N=S_N)
+        set_field(self, "N", N)
+        set_field(self, "factorization", factorization)
+        set_field(self, "S_N", S_N)
 
 
 def _checked_level(N: int) -> int:
@@ -213,8 +215,10 @@ class PrimeFixedResult(Value):
     def __init__(self, ok: bool, reference: tuple[int, ...],
                  union: tuple[int, ...],
                  offenders: tuple[tuple[int, tuple[int, ...]], ...]):
-        self.__dict__.update(ok=ok, reference=reference, union=union,
-                             offenders=offenders)
+        set_field(self, "ok", ok)
+        set_field(self, "reference", reference)
+        set_field(self, "union", union)
+        set_field(self, "offenders", offenders)
 
 
 def prime_fixed_check(levels: Sequence[int],

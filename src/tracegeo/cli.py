@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import (DomainError, ParseError, ResourceLimitError,
                      TracegeoError, exit_code_for)
-from .value import Value
+from .value import Value, set_field
 
 # Only the stdlib, .errors and .value load at module top.  Every library
 # module is imported inside the function that calls it, so a subcommand
@@ -57,9 +57,10 @@ class ParsedGroupSpec(Value):
     def __init__(self, factors: tuple[SimpleType, ...], torus_rank: int = 0,
                  restriction_degree: int = 1,
                  relative_path: str | None = None):
-        self.__dict__.update(factors=factors, torus_rank=torus_rank,
-                             restriction_degree=restriction_degree,
-                             relative_path=relative_path)
+        set_field(self, "factors", factors)
+        set_field(self, "torus_rank", torus_rank)
+        set_field(self, "restriction_degree", restriction_degree)
+        set_field(self, "relative_path", relative_path)
 
     def render(self) -> str:
         body = "x".join(str(t) for t in self.factors)
@@ -189,13 +190,14 @@ def _scalar(x) -> str:
     return f"{float(x):.15g}"
 
 
-# A refusal quotes at most this many characters of the input it names.
+# A number refused as malformed is quoted to at most this many characters,
+# so that a refusal of a huge input stays one short line.
 QUOTE_LIMIT = 40
 
 
 def _clip(shown: str) -> str:
-    """An input as a refusal quotes it: whole, or cut to QUOTE_LIMIT
-    characters with its full length."""
+    """A quoted input whole, or cut to QUOTE_LIMIT characters with its
+    full length."""
     if len(shown) <= QUOTE_LIMIT:
         return shown
     return f"{shown[:QUOTE_LIMIT]}... ({len(shown)} characters)"

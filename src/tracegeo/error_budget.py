@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError, NumericError
-from .value import Value
+from .value import Value, set_field
 
 Number = Union[int, float, Fraction, "QuadraticSurd"]
 
@@ -57,7 +57,9 @@ class QuadraticSurd(Value):
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
         a, b = Fraction(a), Fraction(b)
-        self.__dict__.update(a=a, b=b, d=d)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
         if not b or not isinstance(d, int) or d < 2 \
                 or math.isqrt(d) ** 2 == d:
             raise DomainError("a QuadraticSurd needs b != 0 and an integer "
@@ -237,9 +239,16 @@ class BudgetParams(Value):
     def __init__(self, k: Number, lam: Number, epsilon: Number, C2: Number,
                  C4: Number, Cn: Number, c_prime: Number, beta: Number,
                  b_conj: Number = 0, m_nonarch: Number = 0):
-        self.__dict__.update(k=k, lam=lam, epsilon=epsilon, C2=C2, C4=C4,
-                             Cn=Cn, c_prime=c_prime, beta=beta, b_conj=b_conj,
-                             m_nonarch=m_nonarch)
+        set_field(self, "k", k)
+        set_field(self, "lam", lam)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "C2", C2)
+        set_field(self, "C4", C4)
+        set_field(self, "Cn", Cn)
+        set_field(self, "c_prime", c_prime)
+        set_field(self, "beta", beta)
+        set_field(self, "b_conj", b_conj)
+        set_field(self, "m_nonarch", m_nonarch)
         for name in ("k", "lam", "C2", "C4", "Cn", "beta"):
             _require(name, getattr(self, name))
         _check_epsilon(self.epsilon)
@@ -292,7 +301,10 @@ class ExponentReport(Value):
     _fields = ("e_spec", "e1", "e2", "all_ok")
 
     def __init__(self, e_spec: Number, e1: Number, e2: Number, all_ok: bool):
-        self.__dict__.update(e_spec=e_spec, e1=e1, e2=e2, all_ok=all_ok)
+        set_field(self, "e_spec", e_spec)
+        set_field(self, "e1", e1)
+        set_field(self, "e2", e2)
+        set_field(self, "all_ok", all_ok)
 
 
 def exponents(p: BudgetParams) -> ExponentReport:

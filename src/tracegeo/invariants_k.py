@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, ResourceLimitError
 from .nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from .root_datum import RootSystem, SimpleType, build_root_system, type_data
-from .value import Value
+from .value import Value, set_field
 
 PAIR_RANK_LIMIT = 8
 RELATIVE_ENTRY_LIMIT = 12
@@ -42,7 +42,8 @@ class RelativeDatum(Value):
 
     def __init__(self, roots: tuple[tuple[int, ...], ...],
                  contributions: tuple[int, ...]):
-        self.__dict__.update(roots=roots, contributions=contributions)
+        set_field(self, "roots", roots)
+        set_field(self, "contributions", contributions)
         if not roots:
             raise DomainError("relative datum needs at least one root")
         if len(roots) != len(contributions):
@@ -69,9 +70,9 @@ class GroupSpec(Value):
 
     def __init__(self, absolute: RootSystem, restriction_degree: int = 1,
                  relative: RelativeDatum | None = None):
-        self.__dict__.update(absolute=absolute,
-                             restriction_degree=restriction_degree,
-                             relative=relative)
+        set_field(self, "absolute", absolute)
+        set_field(self, "restriction_degree", restriction_degree)
+        set_field(self, "relative", relative)
         if not isinstance(restriction_degree, int) or restriction_degree < 1:
             raise DomainError("restriction degree must be a positive integer")
         if relative is not None:

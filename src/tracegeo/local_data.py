@@ -33,7 +33,7 @@ from typing import Sequence
 from . import linalg
 from .arithmetic import factorize, is_prime
 from .errors import DomainError
-from .value import Value
+from .value import Value, set_field
 
 RationalLike = int | str | Fraction
 
@@ -56,7 +56,8 @@ class RationalMatrix(Value):
     _fields = ("n", "entries")
 
     def __init__(self, n: int, entries: tuple[tuple[Fraction, ...], ...]):
-        self.__dict__.update(n=n, entries=entries)
+        set_field(self, "n", n)
+        set_field(self, "entries", entries)
         if n < 1:
             raise DomainError("matrix size must be positive")
         if len(entries) != n or any(len(r) != n for r in entries):
@@ -80,9 +81,10 @@ class DiscriminantValue(Value):
 
     def __init__(self, value: Fraction, abs_inf: Fraction,
                  p_valuations: dict[int, int], centralizer_dim: int = 0):
-        self.__dict__.update(value=value, abs_inf=abs_inf,
-                             p_valuations=p_valuations,
-                             centralizer_dim=centralizer_dim)
+        set_field(self, "value", value)
+        set_field(self, "abs_inf", abs_inf)
+        set_field(self, "p_valuations", p_valuations)
+        set_field(self, "centralizer_dim", centralizer_dim)
 
 
 def _valuation(value: Fraction, p: int) -> int:

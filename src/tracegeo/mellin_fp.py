@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DiagnosticsError, DomainError, NumericError
-from .value import Value
+from .value import Value, set_field
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -79,8 +79,9 @@ class AsymptoticExpansion(Value):
                  valid_to: float, remainder_order: Fraction):
         terms = tuple((_to_fraction(a), float(c)) for a, c in terms)
         remainder_order = _to_fraction(remainder_order)
-        self.__dict__.update(terms=terms, valid_to=valid_to,
-                             remainder_order=remainder_order)
+        set_field(self, "terms", terms)
+        set_field(self, "valid_to", valid_to)
+        set_field(self, "remainder_order", remainder_order)
         if not (valid_to > 0):
             raise DomainError("valid_to must be positive")
         if remainder_order <= 0:
@@ -107,7 +108,8 @@ class TailFunction(Value):
 
     def __init__(self, evaluator: Callable[[float], float],
                  decay: tuple[float, float]):  # decay is (C, rate)
-        self.__dict__.update(evaluator=evaluator, decay=decay)
+        set_field(self, "evaluator", evaluator)
+        set_field(self, "decay", decay)
         c, rate = decay
         if not (c > 0 and rate > 0):
             raise DomainError("decay constants must be positive")

@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .root_datum import SimpleType, dual_coxeter_number
-from .value import Value
+from .value import Value, set_field
 
 RANK_LIMIT = 20
 
@@ -23,7 +23,7 @@ class GLType(Value):
     _fields = ("n",)
 
     def __init__(self, n: int):
-        self.__dict__.update(n=n)
+        set_field(self, "n", n)
         if not isinstance(n, int) or n < 1:
             raise DomainError("gl size must be a positive integer")
 
@@ -36,8 +36,9 @@ class OrbitLabel(Value):
 
     def __init__(self, attached_type: SimpleType | GLType,
                  partition: tuple[int, ...], very_even: bool = False):
-        self.__dict__.update(attached_type=attached_type, partition=partition,
-                             very_even=very_even)
+        set_field(self, "attached_type", attached_type)
+        set_field(self, "partition", partition)
+        set_field(self, "very_even", very_even)
         if not partition or any(x < 1 for x in partition) or \
                 list(partition) != sorted(partition, reverse=True):
             raise DomainError("partition must be a decreasing list of "

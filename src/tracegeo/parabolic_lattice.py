@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from . import linalg
 from .errors import DomainError, ResourceLimitError
 from .root_datum import RootSystem, mask_tables, permute_mask
-from .value import Value
+from .value import Value, set_field
 
 PARABOLIC_COUNT_LIMIT = 2**16
 
@@ -60,7 +60,8 @@ class ParabolicSubset(Value):
     _fields = ("system", "mask")
 
     def __init__(self, system: RootSystem, mask: int):
-        self.__dict__.update(system=system, mask=mask)
+        set_field(self, "system", system)
+        set_field(self, "mask", mask)
 
     @cached_property
     def members(self) -> frozenset[int]:
@@ -86,7 +87,9 @@ class LeviDatum(Value):
     _fields = ("system", "mask", "a_M_dim")
 
     def __init__(self, system: RootSystem, mask: int, a_M_dim: int):
-        self.__dict__.update(system=system, mask=mask, a_M_dim=a_M_dim)
+        set_field(self, "system", system)
+        set_field(self, "mask", mask)
+        set_field(self, "a_M_dim", a_M_dim)
 
     @cached_property
     def levi_roots(self) -> frozenset[int]:

@@ -45,8 +45,12 @@ class CheckResult(Value):
 
     def __init__(self, name: str, detail: str, expected: str, actual: str,
                  ok: bool, seconds: float):
-        self.__dict__.update(name=name, detail=detail, expected=expected,
-                             actual=actual, ok=ok, seconds=seconds)
+        self.name = name
+        self.detail = detail
+        self.expected = expected
+        self.actual = actual
+        self.ok = ok
+        self.seconds = seconds
 
 
 def _all_simple_types(max_rank: int = 8) -> list[SimpleType]:

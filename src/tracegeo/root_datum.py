@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .value import Value
+from .value import Value, set_field
 
 _SERIES = "ABCDEFG"
 
@@ -41,7 +41,8 @@ class SimpleType(Value):
     _fields = ("series", "rank")
 
     def __init__(self, series: str, rank: int):
-        self.__dict__.update(series=series, rank=rank)
+        set_field(self, "series", series)
+        set_field(self, "rank", rank)
         # A tuple, so that "" and "AB" are not matched as substrings.
         if series not in tuple(_SERIES):
             raise DomainError(f"invalid simple type {series}{rank}: "
@@ -195,10 +196,12 @@ class RootSystem(Value):
                  ambient_dim: int, roots: tuple[tuple[int, ...], ...],
                  simple_roots: tuple[tuple[int, ...], ...],
                  simple_coords: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(factors=factors, torus_rank=torus_rank,
-                             ambient_dim=ambient_dim, roots=roots,
-                             simple_roots=simple_roots,
-                             simple_coords=simple_coords)
+        set_field(self, "factors", factors)
+        set_field(self, "torus_rank", torus_rank)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "roots", roots)
+        set_field(self, "simple_roots", simple_roots)
+        set_field(self, "simple_coords", simple_coords)
 
     # -- basic derived data --------------------------------------------------
 

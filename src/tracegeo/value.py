@@ -1,13 +1,18 @@
 """The base of tracegeo's small immutable records.
 
-A subclass lists its fields in `_fields`, in constructor order, and sets
-them in its own __init__ by writing the instance __dict__, then checks
-them.  Value supplies equality, hash, repr and immutability from that
-list.  Nothing here imports inspect or builds a method with exec, costs
-that every cold CLI process would pay for each class.
+A subclass lists its fields in `_fields`, in constructor order, and its
+own __init__ stores each one with set_field, then checks them.  Value
+supplies equality, hash, repr and immutability from that list.  Nothing
+here imports inspect or builds a method with exec, costs that every cold
+CLI process would pay for each class.
 """
 
 from operator import attrgetter
+
+# Stores a field past the frozen __setattr__.  Unlike writing the instance
+# __dict__, it keeps CPython's compact attribute layout, which matters for
+# the tens of thousands of subsets and Levis one enumeration builds.
+set_field = object.__setattr__
 
 
 class Value:
