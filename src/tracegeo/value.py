@@ -2,9 +2,9 @@
 
 A subclass lists its fields in `_fields`, in constructor order, and its
 own __init__ stores each one with set_field, then checks them.  Value
-supplies equality, hash, repr and immutability from that list.  Nothing
-here imports inspect or builds a method with exec, costs that every cold
-CLI process would pay for each class.
+supplies equality, hash, repr and immutability from that list.  It
+imports no inspect and builds no method with exec, so defining a record
+class costs a cold CLI process next to nothing.
 """
 
 from operator import attrgetter
