@@ -197,6 +197,15 @@ def test_parabolic_count_limit(monkeypatch):
         enumerate_parabolic_subsets(build_root_system(["B3"]))
 
 
+def test_parabolic_count_limit_is_exact(monkeypatch):
+    # B3 has 147 parabolic subsets.
+    monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 147)
+    assert len(enumerate_parabolic_subsets(build_root_system(["B3"]))) == 147
+    monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 146)
+    with pytest.raises(ResourceLimitError, match="limited to 146 subsets"):
+        enumerate_parabolic_subsets(build_root_system(["B3"]))
+
+
 def test_levi_dimensions_a2():
     rs = build_root_system(["A2"])
     m0 = minimal_levi(rs)
@@ -548,3 +557,24 @@ def test_lattice_matches_frozenset_reference(factors):
         assert [(l.levi_roots, l.a_M_dim) for l in levis] == ref_levis
         assert [((l.levi_roots, l.a_M_dim), [p.members for p in ps])
                 for l, ps in by_levi.items()] == list(ref_by.items())
+
+
+DISTINCT_SYSTEMS = ([(f, 0) for f in DIFFERENTIAL_SYSTEMS]
+                    + [(["A2"], 1), (["B3", "A1"], 2), (["C3", "A2"], 0)])
+
+
+@pytest.mark.parametrize(
+    "factors,torus", DISTINCT_SYSTEMS,
+    ids=["x".join(f) + (f"+T{k}" if k else "") for f, k in DISTINCT_SYSTEMS])
+def test_enumerated_masks_are_distinct(factors, torus):
+    # Nothing deduplicates the enumeration's masks after the fact, so a
+    # subset reached twice would show here; the count is the height
+    # formula's.
+    rs = build_root_system(factors, torus)
+    masks = [p.mask for p in enumerate_parabolic_subsets(rs)]
+    assert len(set(masks)) == len(masks)
+    s = rs.semisimple_rank
+    w = _macdonald_order(rs, range(s))
+    assert len(masks) == sum(
+        w // _macdonald_order(rs, [j for j in range(s) if mask >> j & 1])
+        for mask in range(1 << s))

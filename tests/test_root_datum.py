@@ -8,6 +8,7 @@ import sympy
 from tracegeo import invariants_k, linalg, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import GroupSpec, k_report
+from tracegeo.parabolic_lattice import _negate
 from tracegeo.root_datum import (RootSystem, SimpleType, build_root_system,
                                  dual_coxeter_number)
 
@@ -97,6 +98,42 @@ def test_reflections_permute_roots():
         for perm in rs.reflection_perms:
             assert sorted(perm) == list(range(n))
             assert any(perm[i] != i for i in range(n))
+
+
+# Every simple type of rank <= 8 and the typing products, each with a
+# central torus of rank 0, 1 and 2.
+SYMMETRY_CASES = [(names, torus) for names in TYPING_SYSTEMS
+                  for torus in range(3)]
+SYMMETRY_IDS = ["x".join(n) + f"+T{k}" for n, k in SYMMETRY_CASES]
+
+
+@pytest.mark.parametrize("names,torus", SYMMETRY_CASES, ids=SYMMETRY_IDS)
+def test_negation_reverses_the_sorted_order(names, torus):
+    # Negation reverses lexicographic order, so on the sorted roots it is
+    # index reversal; the masks compare _negate with the image through
+    # the negation read off the root vectors, one bit at a time.
+    rs = build_root_system(names, torus)
+    n = len(rs.roots)
+    assert rs.negation == tuple(range(n - 1, -1, -1))
+    rng = random.Random(2401 + n + torus)
+    for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+        want = sum(1 << rs.negation[i] for i in range(n) if mask >> i & 1)
+        assert _negate(rs, mask) == want
+
+
+@pytest.mark.parametrize("names,torus", SYMMETRY_CASES, ids=SYMMETRY_IDS)
+def test_reflection_perms_match_ambient_reflections(names, torus):
+    # s_i(beta) = beta - <beta, alpha_i coroot> alpha_i on the ambient
+    # vectors, looked up in root_index.
+    rs = build_root_system(names, torus)
+    want = []
+    for a in rs.simple_roots:
+        aa = _dot(a, a)
+        want.append(tuple(
+            rs.root_index[tuple(x - 2 * _dot(b, a) // aa * y
+                                for x, y in zip(b, a))]
+            for b in rs.roots))
+    assert rs.reflection_perms == tuple(want)
 
 
 def test_heights_and_highest_root():
