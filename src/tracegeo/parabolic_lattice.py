@@ -50,8 +50,18 @@ def _order_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_ORDER) if mask else ""
 
 
+# _REVERSE[b] is the byte b with its eight bits in reverse order.
+_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _negate(rs: RootSystem, mask: int) -> int:
-    return permute_mask(rs.negation_tables, mask)
+    """The mask of the negated roots.  The roots are sorted and closed
+    under negation, so -roots[i] is roots[n - 1 - i]: negation reverses
+    the n-bit mask."""
+    n = len(rs.roots)
+    k = (n + 7) // 8
+    return int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSE),
+                          "little") >> (8 * k - n)
 
 
 class ParabolicSubset(Value):
@@ -175,13 +185,18 @@ def dim_unipotent_radical(p: ParabolicSubset) -> int:
 def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     """All closed subsets S with S u -S = R, as ParabolicSubset values.
 
-    Seeds are the standard parabolic subsets (rs.span_masks()[J], the
-    roots of a simple-root subset's span, together with all positive
-    roots); closing the seed set under the simple-reflection permutations
-    reaches every chamber, hence every parabolic subset.  Each reflection
-    acts on a root mask through one 256-entry table per byte.  The result
-    is sorted by member index tuple.  The closure stops as soon as it
-    holds more than PARABOLIC_COUNT_LIMIT masks, before any subset is
+    Each parabolic subset is w.P_J for exactly one standard P_J (the roots
+    of the span of a simple-root subset J together with all positive
+    roots) and one minimal coset representative w in W^J.  The walk starts
+    at each P_J and steps from P to s_i.P along the ascents i of P
+    (alpha_i in P, -alpha_i not), which are the steps from w to s_i.w
+    inside W^J.  A child is kept only when i is its smallest left descent,
+    so each w is reached from one parent.  j is a descent of s_i.P when
+    -s_i(alpha_j) lies in the radical of P (the roots of P whose negatives
+    are not in P), so one bit test on the parent decides before the child
+    is built (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  The
+    result is sorted by member index tuple.  The walk stops as soon as
+    more than PARABOLIC_COUNT_LIMIT masks exist, before any subset is
     built; at rank s >= 1 there are more than the 2^s seeds, so 2^s >= the
     limit refuses before seeding.
     """
@@ -190,20 +205,25 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
                f"subsets; {rs} has more")
     if 1 << s >= PARABOLIC_COUNT_LIMIT:
         raise ResourceLimitError(refusal)
-    seeds = {span | rs.positive_mask for span in rs.span_masks()}
-    tables = [mask_tables(perm) for perm in rs.reflection_perms]
-    seen = set(seeds)
-    frontier = list(seeds)
+    last = len(rs.roots) - 1
+    simple = [rs.root_index[a] for a in rs.simple_roots]
+    # Per simple reflection: its mask tables, the bit of alpha_i, and the
+    # bits of -s_i(alpha_j) for j < i.
+    steps = [(mask_tables(perm), 1 << simple[i],
+              sum(1 << last - perm[a] for a in simple[:i]))
+             for i, perm in enumerate(rs.reflection_perms)]
+    found = []
+    frontier = [span | rs.positive_mask for span in rs.span_masks()]
     while frontier:
         mask = frontier.pop()
-        for table in tables:
-            img = permute_mask(table, mask)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-        if len(seen) > PARABOLIC_COUNT_LIMIT:
+        found.append(mask)
+        radical = mask & ~_negate(rs, mask)
+        for tables, ascent, descents in steps:
+            if radical & ascent and not radical & descents:
+                frontier.append(permute_mask(tables, mask))
+        if len(found) + len(frontier) > PARABOLIC_COUNT_LIMIT:
             raise ResourceLimitError(refusal)
-    return [ParabolicSubset(rs, m) for m in sorted(seen, key=_order_key)]
+    return [ParabolicSubset(rs, m) for m in sorted(found, key=_order_key)]
 
 
 def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[

@@ -18,6 +18,7 @@ central torus contributes trailing zero coordinates and no roots.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -244,11 +245,6 @@ class RootSystem(Value):
         return sum(1 << i for i, p in enumerate(self.is_positive) if p)
 
     @cached_property
-    def negation_tables(self) -> tuple[list[int], ...]:
-        """mask_tables of the negation permutation."""
-        return mask_tables(self.negation)
-
-    @cached_property
     def rank_memo(self) -> dict[int, int]:
         """Ranks of root sets, keyed by the mask of the positive root of
         each +-pair; filled by the parabolic lattice."""
@@ -287,16 +283,20 @@ class RootSystem(Value):
 
         s_i(beta) = beta - <beta, alpha_i coroot> alpha_i changes only the
         i-th simple coordinate, and the pairing is sum_j c_j A[j][i] over
-        column i of the Cartan matrix A.
+        column i of the Cartan matrix A.  The sorted roots are closed under
+        negation, so -roots[k] is roots[n - 1 - k]; since s_i(-beta) =
+        -s_i(beta), the images of the first n/2 indices give the rest.
         """
-        index = {c: k for k, c in enumerate(self.simple_coords)}
+        coords = self.simple_coords
+        index = {c: k for k, c in enumerate(coords)}
+        last = len(coords) - 1
         perms = []
         for i, column in enumerate(zip(*self.cartan_matrix)):
             terms = [(j, a) for j, a in enumerate(column) if a]
-            perms.append(tuple(
-                index[c[:i] + (c[i] - sum(c[j] * a for j, a in terms),)
-                      + c[i + 1:]]
-                for c in self.simple_coords))
+            head = [index[c[:i] + (c[i] - sum(c[j] * a for j, a in terms),)
+                          + c[i + 1:]]
+                    for c in coords[:len(coords) // 2]]
+            perms.append(tuple(head + [last - k for k in reversed(head)]))
         return tuple(perms)
 
     @cached_property
@@ -336,11 +336,11 @@ def type_data(t: SimpleType) -> tuple:
     pairs sorted by root) of one simple type, all tuples: one generator run
     serves every product, dual Coxeter number and orbit table of the type."""
     simple, dim = _SIMPLE_ROOTS[t.series](t.rank)
-    pos = _positive_coords(_cartan(simple))
     cols = list(zip(*simple))
-    pairs = sorted((tuple(_dot(c, col) for col in cols), c)
-                   for c in pos + [tuple(-x for x in p) for p in pos])
-    return tuple(map(tuple, simple)), dim, tuple(pairs)
+    pos = [(tuple([sum(map(mul, c, col)) for col in cols]), c)
+           for c in _positive_coords(_cartan(simple))]
+    neg = [(tuple([-x for x in r]), tuple([-x for x in c])) for r, c in pos]
+    return tuple(map(tuple, simple)), dim, tuple(sorted(pos + neg))
 
 
 def build_root_system(factors: Sequence[SimpleType | str],
