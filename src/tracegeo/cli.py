@@ -26,7 +26,7 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (DomainError, ParseError, ResourceLimitError,
-                     TracegeoError, exit_code_for)
+                     TracegeoError, _clip, exit_code_for)
 from .value import Value, set_field
 
 # Only the stdlib, .errors and .value load at module top.  Every library
@@ -92,8 +92,8 @@ def _read_int(text: str, flag: str, limit: int | None = None,
     digits than limit.
     """
     if not (text.isascii() and text.isdigit()):
-        raise ParseError(f"{flag} wants a nonnegative integer, got {text!r}",
-                         offset=offset)
+        raise ParseError(f"{flag} wants a nonnegative integer, got "
+                         f"{_clip(repr(text))}", offset=offset)
     digits = text.lstrip("0")
     if limit is not None and len(digits) > len(str(limit)):
         raise ResourceLimitError(f"{flag}: values are limited to {limit}; "
@@ -166,8 +166,8 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
                 raise ParseError("@relative= wants a file path",
                                  offset=idx + 1 + len("relative="))
         else:
-            raise ParseError(f"unknown suffix {chunk!r}; expected res= or "
-                             "relative=", offset=idx + 1)
+            raise ParseError(f"unknown suffix {_clip(repr(chunk))}; expected "
+                             "res= or relative=", offset=idx + 1)
         idx = nxt
     return ParsedGroupSpec(tuple(factors), torus_rank, degree, rel_path)
 
@@ -188,19 +188,6 @@ def _scalar(x) -> str:
         if not isinstance(x, QuadraticSurd):
             raise TypeError(f"cannot serialize {type(x).__name__}")
     return f"{float(x):.15g}"
-
-
-# A number refused as malformed is quoted to at most this many characters,
-# so that a refusal of a huge input stays one short line.
-QUOTE_LIMIT = 40
-
-
-def _clip(shown: str) -> str:
-    """A quoted input whole, or cut to QUOTE_LIMIT characters with its
-    full length."""
-    if len(shown) <= QUOTE_LIMIT:
-        return shown
-    return f"{shown[:QUOTE_LIMIT]}... ({len(shown)} characters)"
 
 
 def _parse_number(text: str, flag: str):
@@ -390,7 +377,7 @@ def _spec_number(value, key: str, kind=float):
                          f"{_clip(json.dumps(value))}") from None
     if not abs(x) <= sys.float_info.max:
         raise ParseError(f"--spec: {key} must be finite, got "
-                         f"{json.dumps(value)}")
+                         f"{_clip(json.dumps(value))}")
     return x
 
 

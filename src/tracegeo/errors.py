@@ -47,6 +47,19 @@ class DiagnosticsError(NumericError):
     """
 
 
+# A refused input is quoted to at most this many characters, so that a
+# refusal of a huge input stays one short line.
+QUOTE_LIMIT = 40
+
+
+def _clip(shown: str) -> str:
+    """A quoted input whole, or cut to QUOTE_LIMIT characters with its
+    full length."""
+    if len(shown) <= QUOTE_LIMIT:
+        return shown
+    return f"{shown[:QUOTE_LIMIT]}... ({len(shown)} characters)"
+
+
 #: Process exit code used by the CLI for each error class.  More specific
 #: classes must precede their bases because the mapping is scanned in order.
 EXIT_CODES: list[tuple[type[TracegeoError], int]] = [

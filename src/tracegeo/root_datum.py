@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _clip
 from .value import Value, set_field
 
 _SERIES = "ABCDEFG"
@@ -67,7 +67,8 @@ class SimpleType(Value):
         rank = text[1:]
         if text[:1] not in tuple(_SERIES) or \
                 not (rank.isascii() and rank.isdigit()):
-            raise DomainError(f"cannot parse simple type {text!r}")
+            raise DomainError("cannot parse simple type "
+                              f"{_clip(repr(text))}")
         digits = rank.lstrip("0")
         if len(digits) > RANK_DIGITS:
             raise DomainError(f"cannot parse simple type {text[0]}: at most "

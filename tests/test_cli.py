@@ -463,6 +463,24 @@ def test_a_refused_long_input_is_quoted_in_part(capsys, argv, message):
         f"error: {message}... (5004 characters)\n"
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("A2@frob=" + "1" * 4997,
+     "unknown suffix 'frob=" + "1" * 34 + "... (5004 characters); "
+     "expected res= or relative= (at byte offset 3)"),
+    ("A2+T" + "x" * 5002,
+     "+T wants a nonnegative integer, got '" + "x" * 39
+     + "... (5004 characters) (at byte offset 4)"),
+    ("A2@res=" + "x" * 5002,
+     "@res= wants a nonnegative integer, got '" + "x" * 39
+     + "... (5004 characters) (at byte offset 7)"),
+], ids=["suffix", "torus", "res"])
+def test_a_refused_long_group_spec_is_quoted_in_part(capsys, spec, message):
+    assert cli.main(["k", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 _HUGE_RATIO = "1" + "0" * 400 + "/3"
 
 
@@ -473,7 +491,8 @@ _HUGE_RATIO = "1" + "0" * 400 + "/3"
     (["--spec", json.dumps({"decay": {"C": 1, "lambda": 1},
                             "terms": [[0, _HUGE_RATIO]],
                             "samples": _SAMPLES})],
-     f'--spec: terms[0][1] must be finite, got "{_HUGE_RATIO}"'),
+     '--spec: terms[0][1] must be finite, got "1' + "0" * 38
+     + "... (405 characters)"),
     (["--spec", '{"decay": {"C": 1e400, "lambda": 1}, '
                 '"samples": [[1, 1], [2, 0.5]]}'],
      "--spec: decay.C must be finite, got Infinity"),

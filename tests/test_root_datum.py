@@ -192,6 +192,13 @@ def test_simple_type_parse_and_str():
             SimpleType.parse(bad)
 
 
+def test_an_unparsable_long_name_is_quoted_in_part():
+    with pytest.raises(DomainError) as info:
+        SimpleType.parse("A" + "x" * 5000)
+    assert str(info.value) == ("cannot parse simple type 'A" + "x" * 38
+                               + "... (5003 characters)")
+
+
 def test_an_over_long_rank_is_a_domain_error():
     # Python's int() refuses more than 4300 digits with a ValueError.
     for text in ("A" + "7" * 5000, "B" + "1" * 1001):
