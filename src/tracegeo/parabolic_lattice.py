@@ -212,17 +212,23 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     steps = [(mask_tables(perm), 1 << simple[i],
               sum(1 << last - perm[a] for a in simple[:i]))
              for i, perm in enumerate(rs.reflection_perms)]
+    pos, memo = rs.positive_mask, rs.rank_memo
     found = []
-    frontier = [span | rs.positive_mask for span in rs.span_masks()]
-    while frontier:
-        mask = frontier.pop()
-        found.append(mask)
-        radical = mask & ~_negate(rs, mask)
-        for tables, ascent, descents in steps:
-            if radical & ascent and not radical & descents:
-                frontier.append(permute_mask(tables, mask))
-        if len(found) + len(frontier) > PARABOLIC_COUNT_LIMIT:
-            raise ResourceLimitError(refusal)
+    for subset, span in enumerate(rs.span_masks()):
+        # The Levi of w.P_J is w applied to the roots of J's span, whose
+        # rank is |J|.
+        rank = subset.bit_count()
+        frontier = [span | pos]
+        while frontier:
+            mask = frontier.pop()
+            found.append(mask)
+            radical = mask & ~_negate(rs, mask)
+            memo[mask & ~radical & pos] = rank
+            for tables, ascent, descents in steps:
+                if radical & ascent and not radical & descents:
+                    frontier.append(permute_mask(tables, mask))
+            if len(found) + len(frontier) > PARABOLIC_COUNT_LIMIT:
+                raise ResourceLimitError(refusal)
     return [ParabolicSubset(rs, m) for m in sorted(found, key=_order_key)]
 
 

@@ -191,17 +191,11 @@ def test_levi_of_split_center_matches_sympy_rank():
 
 
 def test_parabolic_count_limit(monkeypatch):
-    monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 100)
-    assert len(enumerate_parabolic_subsets(build_root_system(["A3"]))) == 75
-    with pytest.raises(ResourceLimitError, match="limited to 100 subsets"):
-        enumerate_parabolic_subsets(build_root_system(["B3"]))
-
-
-def test_parabolic_count_limit_is_exact(monkeypatch):
-    # B3 has 147 parabolic subsets.
+    # The limit is exact: B3 has 147 parabolic subsets.
     monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 147)
     assert len(enumerate_parabolic_subsets(build_root_system(["B3"]))) == 147
     monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 146)
+    assert len(enumerate_parabolic_subsets(build_root_system(["A3"]))) == 75
     with pytest.raises(ResourceLimitError, match="limited to 146 subsets"):
         enumerate_parabolic_subsets(build_root_system(["B3"]))
 
