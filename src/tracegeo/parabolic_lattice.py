@@ -275,6 +275,8 @@ def d_nonvanishing(rs: RootSystem, m: LeviDatum, l1: LeviDatum,
             raise DomainError("mismatched root systems")
         if m.mask & ~l.mask:
             raise DomainError("m must be contained in both Levis")
+        if l.mask >> len(rs.roots):
+            raise DomainError("root index out of range")
     s = rs.semisimple_rank
     r1 = _root_rank(rs, l1.mask)
     r2 = _root_rank(rs, l2.mask)

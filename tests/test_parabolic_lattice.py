@@ -307,6 +307,11 @@ def test_d_nonvanishing_requires_containment():
     l_b = make_levi(rs, [idx_b, rs.negation[idx_b]])
     with pytest.raises(DomainError):
         d_nonvanishing(rs, l_a, l_b, full_levi(rs))
+    # Hand-built Levis with bits past the six roots.
+    for mask in (1 << 6, 1 << 7, 1 << 100):
+        with pytest.raises(DomainError, match="out of range"):
+            d_nonvanishing(rs, minimal_levi(rs), LeviDatum(rs, mask, 1),
+                           full_levi(rs))
 
 
 def test_count_contributing_tuples_values():
