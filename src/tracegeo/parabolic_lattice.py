@@ -213,22 +213,20 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
               sum(1 << last - perm[a] for a in simple[:i]))
              for i, perm in enumerate(rs.reflection_perms)]
     pos, memo = rs.positive_mask, rs.rank_memo
-    found = []
-    for subset, span in enumerate(rs.span_masks()):
-        # The Levi of w.P_J is w applied to the roots of J's span, whose
-        # rank is |J|.
-        rank = subset.bit_count()
-        frontier = [span | pos]
-        while frontier:
-            mask = frontier.pop()
-            found.append(mask)
-            radical = mask & ~_negate(rs, mask)
-            memo[mask & ~radical & pos] = rank
-            for tables, ascent, descents in steps:
-                if radical & ascent and not radical & descents:
-                    frontier.append(permute_mask(tables, mask))
-            if len(found) + len(frontier) > PARABOLIC_COUNT_LIMIT:
-                raise ResourceLimitError(refusal)
+    found = [span | pos for span in rs.span_masks()]
+    # The Levi of w.P_J is w applied to the roots of J's span, whose rank
+    # is |J|; ranks[k] is that rank for found[k].
+    ranks = [subset.bit_count() for subset in range(len(found))]
+    # found is also the queue: the loop reaches every mask appended to it.
+    for k, mask in enumerate(found):
+        radical = mask & ~_negate(rs, mask)
+        memo[mask & ~radical & pos] = ranks[k]
+        for tables, ascent, descents in steps:
+            if radical & ascent and not radical & descents:
+                found.append(permute_mask(tables, mask))
+                ranks.append(ranks[k])
+        if len(found) > PARABOLIC_COUNT_LIMIT:
+            raise ResourceLimitError(refusal)
     return [ParabolicSubset(rs, m) for m in sorted(found, key=_order_key)]
 
 
