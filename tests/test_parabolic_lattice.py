@@ -7,7 +7,7 @@ import sympy
 
 from tracegeo import linalg, oracles, parabolic_lattice
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.parabolic_lattice import (LeviDatum, _root_rank,
+from tracegeo.parabolic_lattice import (LeviDatum, ParabolicSubset, _root_rank,
                                         count_contributing_tuples,
                                         d_nonvanishing,
                                         dim_unipotent_radical,
@@ -307,11 +307,18 @@ def test_d_nonvanishing_requires_containment():
     l_b = make_levi(rs, [idx_b, rs.negation[idx_b]])
     with pytest.raises(DomainError):
         d_nonvanishing(rs, l_a, l_b, full_levi(rs))
-    # Hand-built Levis with bits past the six roots.
-    for mask in (1 << 6, 1 << 7, 1 << 100):
-        with pytest.raises(DomainError, match="out of range"):
-            d_nonvanishing(rs, minimal_levi(rs), LeviDatum(rs, mask, 1),
-                           full_levi(rs))
+
+
+def test_hand_built_masks_past_the_roots_are_refused():
+    rs = build_root_system(["A2"])
+    for mask in (1 << 6, 1 << 7, 63 | 1 << 7, 1 << 100):
+        for call in (lambda: levi_of(ParabolicSubset(rs, mask)),
+                     lambda: dim_unipotent_radical(ParabolicSubset(rs, mask)),
+                     lambda: d_nonvanishing(rs, minimal_levi(rs),
+                                            LeviDatum(rs, mask, 1),
+                                            full_levi(rs))):
+            with pytest.raises(DomainError, match="out of range"):
+                call()
 
 
 def test_count_contributing_tuples_values():
