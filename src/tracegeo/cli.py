@@ -223,17 +223,20 @@ def _load_relative(path: str) -> RelativeDatum:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise DomainError(f"cannot read relative datum {path!r}: {exc}") from exc
-    data = _load_json_text(raw, path)
+        # strerror, not the whole error, which repeats the path.
+        raise DomainError(f"cannot read relative datum {_clip(repr(path))}: "
+                          f"{exc.strerror}") from exc
+    shown = _clip(path)
+    data = _load_json_text(raw, shown)
     if not isinstance(data, dict) or \
             set(data) != {"simple_roots", "nilradical_dims"}:
-        raise ParseError(f"{path}: relative datum must be an object with "
+        raise ParseError(f"{shown}: relative datum must be an object with "
                          "keys simple_roots and nilradical_dims")
     roots, dims = data["simple_roots"], data["nilradical_dims"]
     if not isinstance(roots, list) or not isinstance(dims, list) or \
             any(not isinstance(r, list) or any(type(x) is not int for x in r)
                 for r in roots) or any(type(d) is not int for d in dims):
-        raise ParseError(f"{path}: roots must be integer vectors and "
+        raise ParseError(f"{shown}: roots must be integer vectors and "
                          "dims integers")
     return RelativeDatum(roots=tuple(map(tuple, roots)),
                          contributions=tuple(dims))

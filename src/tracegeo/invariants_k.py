@@ -18,11 +18,13 @@ report-style consumers can compare it against the absolute answer.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
-from .root_datum import RootSystem, SimpleType, build_root_system, type_data
+from .root_datum import (RootSystem, SimpleType, build_root_system,
+                         mask_flags, mask_indices, type_data)
 from .value import Value, set_field
 
 PAIR_RANK_LIMIT = 8
@@ -90,17 +92,13 @@ class GroupSpec(Value):
 # -- component recognition ----------------------------------------------------
 
 
-def _indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _component_of_lowest(adjacency: Sequence[int], subset: int) -> int:
     """The connected component of subset's lowest simple root, as a mask;
     adjacency[i] masks the Dynkin neighbours of simple root i."""
     comp = frontier = subset & -subset
     while frontier:
         reached = 0
-        for i in _indices(frontier):
+        for i in mask_indices(frontier):
             reached |= adjacency[i]
         frontier = reached & subset & ~comp
         comp |= frontier
@@ -162,7 +160,8 @@ def _orbit_sums(rs: RootSystem) -> list[set[int]]:
     for subset in range(1, 1 << rs.semisimple_rank):
         comp = _component_of_lowest(adjacency, subset)
         if comp not in dims_of:
-            dims_of[comp] = _orbit_dims(_component_type(rs, _indices(comp)))
+            t = _component_type(rs, list(mask_indices(comp)))
+            dims_of[comp] = _orbit_dims(t)
         rest = sums[subset & ~comp]
         sums.append({a + b for a in dims_of[comp] for b in rest})
     return sums
@@ -220,11 +219,10 @@ def _richardson_absolute(rs: RootSystem) -> int:
             f"parabolic minimization is limited to rank {PAIR_RANK_LIMIT}; "
             f"got rank {s}")
     # R_J grows with J, so the radical dimension is least at a maximal
-    # proper parabolic: only the s subsets S minus {i} need checking.
+    # proper parabolic, the one of S minus {i} for some i: its radical is
+    # half the roots that involve alpha_i.
     n_roots = len(rs.roots)
-    levi_sizes = (len(rs.roots_in_simple_span(j for j in range(s) if j != i))
-                  for i in range(s))
-    return min((n_roots - m) // 2 for m in levi_sizes)
+    return min(n_roots - col.count(0) for col in zip(*rs.simple_coords)) // 2
 
 
 def _richardson_relative(rel: RelativeDatum) -> int:
@@ -238,7 +236,7 @@ def _richardson_relative(rel: RelativeDatum) -> int:
     full_rank = linalg.rank(vectors)
     best = None
     for subset in range(1 << m):
-        chosen = [vectors[i] for i in range(m) if subset >> i & 1]
+        chosen = list(compress(vectors, mask_flags(subset)))
         r = linalg.rank(chosen)
         if r == full_rank:
             continue  # spans everything: not a proper parabolic

@@ -39,6 +39,9 @@ EULER_GAMMA = 0.5772156649015329
 
 DEFAULT_TOL = 1e-10
 
+# The stock presets expand their functions to this order in t.
+PRESET_ORDER = 8
+
 _DECAY_SAMPLES = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 # Double-exponential rules: nodes at tau = j h for |tau| <= _DE_SPAN, where
@@ -379,14 +382,14 @@ def monotone_cubic(xs: Sequence[float],
 # -- stock inputs used by the CLI presets and the test oracles ---------------
 
 
-def exp_preset(lam: float, t0: float = 1.0,
-               order: int = 8) -> tuple[TailFunction, AsymptoticExpansion]:
-    """f(t) = e^{-lam t} with its Maclaurin expansion to the given order."""
+def exp_preset(lam: float,
+               t0: float = 1.0) -> tuple[TailFunction, AsymptoticExpansion]:
+    """f(t) = e^{-lam t} with its Maclaurin expansion to PRESET_ORDER."""
     if lam <= 0:
         raise DomainError("decay rate must be positive")
     try:
         terms = [(Fraction(k), (-lam) ** k / math.factorial(k))
-                 for k in range(order + 1)]
+                 for k in range(PRESET_ORDER + 1)]
     except OverflowError:
         raise DomainError("decay rate is too large for a finite expansion "
                           f"coefficient, got {lam!r}") from None
@@ -394,10 +397,10 @@ def exp_preset(lam: float, t0: float = 1.0,
     return f, AsymptoticExpansion(tuple(terms), t0, Fraction(1))
 
 
-def sqrt_exp_preset(t0: float = 1.0,
-                    order: int = 8) -> tuple[TailFunction, AsymptoticExpansion]:
+def sqrt_exp_preset(
+        t0: float = 1.0) -> tuple[TailFunction, AsymptoticExpansion]:
     """f(t) = t^{-1/2} e^{-t}; no exponent-zero term, so no pole at 0."""
     terms = [(Fraction(2 * k - 1, 2), (-1.0) ** k / math.factorial(k))
-             for k in range(order + 1)]
+             for k in range(PRESET_ORDER + 1)]
     f = TailFunction(lambda t: math.exp(-t) / math.sqrt(t), (1.0, 1.0))
     return f, AsymptoticExpansion(tuple(terms), t0, Fraction(1))

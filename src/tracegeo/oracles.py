@@ -21,13 +21,19 @@ BRUTE_FORCE_ROOT_LIMIT = 14
 
 
 def brute_force_parabolic_count(rs: RootSystem) -> int:
-    """Count closed subsets S with S u -S = R by scanning all subsets."""
-    n = len(rs.roots)
+    """Count closed subsets S with S u -S = R by scanning all subsets.
+
+    Reads rs.roots only: the negation and sum tables are built here from
+    the vectors."""
+    roots = rs.roots
+    n = len(roots)
     if n > BRUTE_FORCE_ROOT_LIMIT:
         raise ResourceLimitError(
             f"brute force scan over 2^{n} subsets refused")
-    neg = rs.negation
-    add = rs.addition_table
+    index = {r: i for i, r in enumerate(roots)}
+    neg = [index[tuple(-x for x in r)] for r in roots]
+    add = [[index.get(tuple(a + b for a, b in zip(r, t)), -1) for t in roots]
+           for r in roots]
     count = 0
     for mask in range(1 << n):
         members = [i for i in range(n) if mask >> i & 1]

@@ -6,38 +6,27 @@ S n -S and its unipotent radical the antisymmetric part.  Everything here
 is finite set combinatorics plus exact ranks of root sets, so all
 dimensions and counts are exact.
 
-Subsets are stored as int masks over the parent system's canonical root
-order (bit i set iff roots[i] is a member), from the enumeration to the
-caller; the index frozensets `members` and `levi_roots` are decoded on
-first access.
+Subsets are stored as root_datum's root masks (bit i set iff roots[i] is
+a member), from the enumeration to the caller; the index frozensets
+`members` and `levi_roots` are decoded on first access.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress, count
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable
 
 from . import linalg
 from .errors import DomainError, ResourceLimitError
-from .root_datum import RootSystem, mask_tables, permute_mask
+from .root_datum import (RootSystem, mask_flags, mask_indices, mask_tables,
+                         negate_mask, permute_mask)
 from .value import Value, set_field
 
 PARABOLIC_COUNT_LIMIT = 2**16
 
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
 _ORDER = str.maketrans("01", "10")
-
-
-def _flags(mask: int) -> bytes:
-    """Byte i is bit i of mask."""
-    return bin(mask)[:1:-1].encode().translate(_FLAGS)
-
-
-def _indices(mask: int) -> Iterator[int]:
-    """The set bits of mask, ascending."""
-    return compress(count(), _flags(mask))
 
 
 def _order_key(mask: int) -> str:
@@ -50,24 +39,9 @@ def _order_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_ORDER) if mask else ""
 
 
-# _REVERSE[b] is the byte b with its eight bits in reverse order.
-_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _negate(rs: RootSystem, mask: int) -> int:
-    """The mask of the negated roots.  The roots are sorted and closed
-    under negation, so -roots[i] is roots[n - 1 - i]: negation reverses
-    the n-bit mask."""
-    n = len(rs.roots)
-    if mask >> n:
-        raise DomainError("root index out of range")
-    k = (n + 7) // 8
-    return int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSE),
-                          "little") >> (8 * k - n)
-
-
-class ParabolicSubset(Value):
-    """A parabolic subset: bit i of mask is set iff roots[i] is a member."""
+class _RootMask(Value):
+    """A set of roots of system: bit i of mask is set iff roots[i] is a
+    member."""
 
     _fields = ("system", "mask")
 
@@ -77,23 +51,27 @@ class ParabolicSubset(Value):
 
     @cached_property
     def members(self) -> frozenset[int]:
-        return frozenset(_indices(self.mask))
+        return frozenset(mask_indices(self.mask))
 
     @property
     def member_roots(self) -> tuple[tuple[int, ...], ...]:
         # roots are stored sorted, so ascending index is ascending root.
-        return tuple(compress(self.system.roots, _flags(self.mask)))
+        return tuple(compress(self.system.roots, mask_flags(self.mask)))
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(_indices(self.mask))
+        return tuple(mask_indices(self.mask))
 
 
-class LeviDatum(Value):
+class ParabolicSubset(_RootMask):
+    """A closed subset S of the roots with S u -S = R."""
+
+
+class LeviDatum(_RootMask):
     """Symmetric part of a parabolic subset plus its split-center dimension.
 
     a_M_dim is the dimension of the central split torus of the Levi:
     (rank of the root span + central torus rank) minus the rank of the
-    Levi's own roots.
+    Levi's own roots.  levi_roots is another name for members.
     """
 
     _fields = ("system", "mask", "a_M_dim")
@@ -103,16 +81,9 @@ class LeviDatum(Value):
         set_field(self, "mask", mask)
         set_field(self, "a_M_dim", a_M_dim)
 
-    @cached_property
-    def levi_roots(self) -> frozenset[int]:
-        return frozenset(_indices(self.mask))
-
     @property
-    def member_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(compress(self.system.roots, _flags(self.mask)))
-
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(_indices(self.mask))
+    def levi_roots(self) -> frozenset[int]:
+        return self.members
 
 
 def _rank(rs: RootSystem, key: int) -> int:
@@ -121,23 +92,23 @@ def _rank(rs: RootSystem, key: int) -> int:
     r = memo.get(key)
     if r is None:
         coords = rs.simple_coords
-        r = memo[key] = linalg.rank([coords[i] for i in _indices(key)])
+        r = memo[key] = linalg.rank([coords[i] for i in mask_indices(key)])
     return r
 
 
 def _root_rank(rs: RootSystem, mask: int) -> int:
     # +-alpha span the same line, so the positive root of each pair
     # meeting mask spans what mask does.
-    return _rank(rs, (mask | _negate(rs, mask)) & rs.positive_mask)
+    return _rank(rs, (mask | negate_mask(rs, mask)) & rs.positive_mask)
 
 
 def _check_levi(rs: RootSystem, mask: int) -> None:
     """Raise unless mask passes make_levi's checks."""
-    if _negate(rs, mask) != mask:
+    if negate_mask(rs, mask) != mask:
         raise DomainError("levi roots must be closed under negation")
     pos = mask & rs.positive_mask
     r = _rank(rs, pos)
-    for j in _indices(rs.positive_mask & ~mask):
+    for j in mask_indices(rs.positive_mask & ~mask):
         if _rank(rs, pos | 1 << j) == r:
             raise DomainError("levi roots must contain every root in "
                               "their span")
@@ -174,12 +145,12 @@ def full_levi(rs: RootSystem) -> LeviDatum:
 
 def levi_of(p: ParabolicSubset) -> LeviDatum:
     """Symmetric part of a parabolic subset, with its split-center dim."""
-    return _levi(p.system, p.mask & _negate(p.system, p.mask))
+    return _levi(p.system, p.mask & negate_mask(p.system, p.mask))
 
 
 def dim_unipotent_radical(p: ParabolicSubset) -> int:
     mask = p.mask
-    return mask.bit_count() - (mask & _negate(p.system, mask)).bit_count()
+    return mask.bit_count() - (mask & negate_mask(p.system, mask)).bit_count()
 
 
 def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
@@ -219,7 +190,7 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     ranks = [subset.bit_count() for subset in range(len(found))]
     # found is also the queue: the loop reaches every mask appended to it.
     for k, mask in enumerate(found):
-        radical = mask & ~_negate(rs, mask)
+        radical = mask & ~negate_mask(rs, mask)
         memo[mask & ~radical & pos] = ranks[k]
         for tables, ascent, descents in steps:
             if radical & ascent and not radical & descents:
@@ -248,7 +219,7 @@ def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
              if not m.mask & ~p.mask]
     groups: dict[int, list[ParabolicSubset]] = {}
     for p in f_all:
-        groups.setdefault(p.mask & _negate(rs, p.mask), []).append(p)
+        groups.setdefault(p.mask & negate_mask(rs, p.mask), []).append(p)
     by_levi = {_levi(rs, sym): ps for sym, ps in groups.items()}
     levis = sorted(by_levi, key=lambda l: _order_key(l.mask))
     return f_all, levis, by_levi

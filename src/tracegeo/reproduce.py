@@ -53,10 +53,11 @@ class CheckResult(Value):
         self.seconds = seconds
 
 
-def _all_simple_types(max_rank: int = 8) -> list[SimpleType]:
+def _all_simple_types() -> list[SimpleType]:
+    """Every simple type of rank at most 8."""
     out = []
     for series, lo in (("A", 1), ("B", 1), ("C", 1), ("D", 2)):
-        out.extend(SimpleType(series, r) for r in range(lo, max_rank + 1))
+        out.extend(SimpleType(series, r) for r in range(lo, 9))
     out.extend([SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8),
                 SimpleType("F", 4), SimpleType("G", 2)])
     return out

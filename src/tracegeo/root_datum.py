@@ -18,8 +18,9 @@ central torus contributes trailing zero coordinates and no roots.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import compress, count
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError, _clip
 from .value import Value, set_field
@@ -160,6 +161,22 @@ def _positive_coords(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return out
 
 
+# A set of roots is an int mask over the sorted roots: bit i is set iff
+# roots[i] is a member.  The helpers below decode, negate and permute masks.
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_flags(mask: int) -> bytes:
+    """Byte i is bit i of mask."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def mask_indices(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    return compress(count(), mask_flags(mask))
+
+
 def mask_tables(perm: Sequence[int]) -> tuple[list[int], ...]:
     """A permutation of root indices acting on root bitmasks, one byte at a
     time: tables[k][v] is the image of the mask v << 8k.  Images of
@@ -178,6 +195,23 @@ def permute_mask(tables: tuple[list[int], ...], mask: int) -> int:
     """The image of mask under the permutation behind mask_tables."""
     return sum(map(list.__getitem__, tables,
                    mask.to_bytes(len(tables), "little")))
+
+
+# _REVERSE[b] is the byte b with its eight bits in reverse order: the
+# image of b under the bit permutation i -> 7 - i.
+_REVERSE = bytes(mask_tables(range(7, -1, -1))[0])
+
+
+def negate_mask(rs: RootSystem, mask: int) -> int:
+    """The mask of the negated roots.  The roots are sorted and closed
+    under negation, so -roots[i] is roots[n - 1 - i]: negation reverses
+    the n-bit mask."""
+    n = len(rs.roots)
+    if mask >> n:
+        raise DomainError("root index out of range")
+    k = (n + 7) // 8
+    return int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSE),
+                          "little") >> (8 * k - n)
 
 
 class RootSystem(Value):
@@ -210,12 +244,6 @@ class RootSystem(Value):
     @cached_property
     def root_index(self) -> dict[tuple[int, ...], int]:
         return {r: i for i, r in enumerate(self.roots)}
-
-    @cached_property
-    def negation(self) -> tuple[int, ...]:
-        """Index of -root for each root."""
-        idx = self.root_index
-        return tuple(idx[tuple(-x for x in r)] for r in self.roots)
 
     @property
     def semisimple_rank(self) -> int:
@@ -299,23 +327,6 @@ class RootSystem(Value):
                     for c in coords[:len(coords) // 2]]
             perms.append(tuple(head + [last - k for k in reversed(head)]))
         return tuple(perms)
-
-    @cached_property
-    def addition_table(self) -> tuple[tuple[int, ...], ...]:
-        """addition_table[i][j] = index of root_i + root_j, or -1."""
-        idx = self.root_index
-        table = []
-        for r in self.roots:
-            row = []
-            for s in self.roots:
-                row.append(idx.get(tuple(a + b for a, b in zip(r, s)), -1))
-            table.append(tuple(row))
-        return tuple(table)
-
-    def roots_in_simple_span(self, simple_subset: Iterable[int]) -> list[int]:
-        """Indices of roots supported on the given simple-root indices."""
-        outside = ~sum(1 << j for j in set(simple_subset))
-        return [i for i, m in enumerate(self.support_masks) if not m & outside]
 
     def __hash__(self) -> int:
         # Equal systems share factors and torus rank, so this agrees with

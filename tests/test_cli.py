@@ -167,13 +167,15 @@ def test_k_relative_file(tmp_path, capsys):
     {"simple_roots": [[True]], "nilradical_dims": [2]},
     {"simple_roots": [[1]], "nilradical_dims": ["2"]}],
     ids=["float-dim", "bool-dim", "bool-root", "string-dim"])
-def test_k_relative_file_wants_json_integers(tmp_path, capsys, datum):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(datum))
-    assert cli.main(["k", "D2", "--relative", str(path), "--json"]) == 2
+def test_k_relative_file_wants_json_integers(tmp_path, monkeypatch, capsys,
+                                             datum):
+    # A short relative path, which the message quotes whole.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(datum))
+    assert cli.main(["k", "D2", "--relative", "bad.json", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {path}: roots must be integer vectors "
+    assert captured.err == ("error: bad.json: roots must be integer vectors "
                             "and dims integers\n")
 
 
@@ -476,6 +478,38 @@ def test_a_refused_long_input_is_quoted_in_part(capsys, argv, message):
 ], ids=["suffix", "torus", "res"])
 def test_a_refused_long_group_spec_is_quoted_in_part(capsys, spec, message):
     assert cli.main(["k", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+_LONG_NAME = "r" * 60 + ".json"
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("/nonexist" + "x" * 3000, None,
+     "cannot read relative datum '/nonexist" + "x" * 30
+     + "... (3011 characters): File name too long"),
+    ("nonexist.json", None,
+     "cannot read relative datum 'nonexist.json': No such file or directory"),
+    (_LONG_NAME, "[1",
+     "r" * 40 + "... (65 characters): invalid JSON: Expecting ',' "
+     "delimiter (at byte offset 2)"),
+    (_LONG_NAME, "[]",
+     "r" * 40 + "... (65 characters): relative datum must be an object "
+     "with keys simple_roots and nilradical_dims"),
+    (_LONG_NAME, '{"simple_roots": [[1]], "nilradical_dims": [1.5]}',
+     "r" * 40 + "... (65 characters): roots must be integer vectors and "
+     "dims integers"),
+], ids=["unreadable-long", "missing", "bad-json", "not-object", "not-ints"])
+def test_a_refused_relative_path_is_quoted_in_part(tmp_path, monkeypatch,
+                                                   capsys, name, content,
+                                                   message):
+    # The OS error's own text would repeat the path in full.
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / name).write_text(content)
+    assert cli.main(["k", f"A2@relative={name}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -16,6 +16,14 @@ def _classical_dims(t):
     return tuple(sorted({orbit_dim(lab) for lab in list_orbits(t)}))
 
 
+def roots_in_simple_span(rs, simple_subset):
+    """Indices of the roots supported on the given simple roots, read off
+    simple_coords."""
+    chosen = set(simple_subset)
+    return [i for i, c in enumerate(rs.simple_coords)
+            if all(j in chosen for j, x in enumerate(c) if x)]
+
+
 def spec(*names, **kw):
     return GroupSpec.build([SimpleType.parse(n) for n in names], **kw)
 
@@ -175,7 +183,7 @@ def _signature_type(rs, comp):
         except DomainError:
             continue
         table.setdefault(_signature(t), t)  # B2 over C2, A3 over D3
-    members = rs.roots_in_simple_span(comp)
+    members = roots_in_simple_span(rs, comp)
     norms = [sum(x * x for x in rs.roots[i]) for i in members]
     shorts = sum(1 for x in norms if x < max(norms))
     return table[len(members), shorts]
@@ -237,7 +245,8 @@ def _pairs_with_factor_loop(g):
     best = None
     for subset in range(1 << s):
         chosen = [i for i in range(s) if subset >> i & 1]
-        dim_v = (len(rs.roots) - len(rs.roots_in_simple_span(chosen))) // 2
+        levi = roots_in_simple_span(rs, chosen)
+        dim_v = (len(rs.roots) - len(levi)) // 2
         sums = {0}
         for comp in _components(rs, chosen):
             t = _component_type(rs, comp)
@@ -299,7 +308,8 @@ def test_pairs_check_catches_a_wrong_dual_coxeter_table(monkeypatch):
 
 
 def _theta_grading_dim_by_scan(rs, comp):
-    positive = [i for i in rs.roots_in_simple_span(comp) if rs.is_positive[i]]
+    positive = [i for i in roots_in_simple_span(rs, comp)
+                if rs.is_positive[i]]
     theta = rs.roots[max(positive, key=rs.heights.__getitem__)]
     return 1 + sum(1 for i in positive
                    if sum(a * b for a, b in zip(rs.roots[i], theta)) > 0)
@@ -319,7 +329,7 @@ def _subset_tables_by_scan(rs):
                 if t.series in "ABCD" else \
                 (0, _theta_grading_dim_by_scan(rs, comp))
             sums = {a + b for a in sums for b in dims}
-        span = sum(1 << i for i in rs.roots_in_simple_span(chosen))
+        span = sum(1 << i for i in roots_in_simple_span(rs, chosen))
         tables.append((span, sums))
     return tables
 
