@@ -219,6 +219,7 @@ def _load_json_text(text: str, what: str):
 
 def _load_relative(path: str) -> RelativeDatum:
     from .invariants_k import RelativeDatum
+    shown = _clip(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -226,7 +227,9 @@ def _load_relative(path: str) -> RelativeDatum:
         # strerror, not the whole error, which repeats the path.
         raise DomainError(f"cannot read relative datum {_clip(repr(path))}: "
                           f"{exc.strerror}") from exc
-    shown = _clip(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{shown}: relative datum is not UTF-8 text",
+                         offset=exc.start) from None
     data = _load_json_text(raw, shown)
     if not isinstance(data, dict) or \
             set(data) != {"simple_roots", "nilradical_dims"}:

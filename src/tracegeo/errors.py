@@ -9,11 +9,19 @@ from __future__ import annotations
 
 
 class TracegeoError(Exception):
-    """Base class for all deliberate errors raised by this package."""
+    """Base class for all deliberate errors raised by this package.
+
+    exit_code is the CLI's process exit code for the class; subclasses
+    inherit their base's.
+    """
+
+    exit_code = 1
 
 
 class DomainError(TracegeoError):
     """Input is outside the mathematical domain of the operation."""
+
+    exit_code = 2
 
 
 class ParseError(DomainError):
@@ -33,9 +41,13 @@ class ParseError(DomainError):
 class ResourceLimitError(TracegeoError):
     """A size guard tripped before a computation that would not finish."""
 
+    exit_code = 3
+
 
 class NumericError(TracegeoError):
     """A floating-point computation failed to reach the accuracy target."""
+
+    exit_code = 4
 
 
 class DiagnosticsError(NumericError):
@@ -60,20 +72,6 @@ def _clip(shown: str) -> str:
     return f"{shown[:QUOTE_LIMIT]}... ({len(shown)} characters)"
 
 
-#: Process exit code used by the CLI for each error class.  More specific
-#: classes must precede their bases because the mapping is scanned in order.
-EXIT_CODES: list[tuple[type[TracegeoError], int]] = [
-    (ResourceLimitError, 3),
-    (DiagnosticsError, 4),
-    (NumericError, 4),
-    (ParseError, 2),
-    (DomainError, 2),
-]
-
-
 def exit_code_for(exc: BaseException) -> int:
-    """Map an exception to the CLI exit code, defaulting to 1."""
-    for cls, code in EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return 1
+    """The CLI exit code of an exception: its class's exit_code, else 1."""
+    return getattr(exc, "exit_code", 1)

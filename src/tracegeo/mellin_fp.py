@@ -87,6 +87,8 @@ class AsymptoticExpansion(Value):
         set_field(self, "remainder_order", remainder_order)
         if not (valid_to > 0):
             raise DomainError("valid_to must be positive")
+        if valid_to == math.inf:
+            raise DomainError("valid_to must be finite, got inf")
         if remainder_order <= 0:
             raise DomainError("remainder_order must be positive")
         exps = [a for a, _ in terms]
@@ -384,9 +386,12 @@ def monotone_cubic(xs: Sequence[float],
 
 def exp_preset(lam: float,
                t0: float = 1.0) -> tuple[TailFunction, AsymptoticExpansion]:
-    """f(t) = e^{-lam t} with its Maclaurin expansion to PRESET_ORDER."""
+    """f(t) = e^{-lam t} with its Maclaurin expansion to PRESET_ORDER,
+    valid to t0."""
     if lam <= 0:
         raise DomainError("decay rate must be positive")
+    if not math.isfinite(lam):
+        raise DomainError(f"decay rate must be finite, got {lam!r}")
     try:
         terms = [(Fraction(k), (-lam) ** k / math.factorial(k))
                  for k in range(PRESET_ORDER + 1)]
@@ -399,7 +404,8 @@ def exp_preset(lam: float,
 
 def sqrt_exp_preset(
         t0: float = 1.0) -> tuple[TailFunction, AsymptoticExpansion]:
-    """f(t) = t^{-1/2} e^{-t}; no exponent-zero term, so no pole at 0."""
+    """f(t) = t^{-1/2} e^{-t}, expanded to PRESET_ORDER and valid to t0;
+    no exponent-zero term, so no pole at 0."""
     terms = [(Fraction(2 * k - 1, 2), (-1.0) ** k / math.factorial(k))
              for k in range(PRESET_ORDER + 1)]
     f = TailFunction(lambda t: math.exp(-t) / math.sqrt(t), (1.0, 1.0))

@@ -32,18 +32,25 @@ class GLType(Value):
 
 
 class OrbitLabel(Value):
-    _fields = ("attached_type", "partition", "very_even")
+    """A partition labeling orbits of attached_type."""
+
+    _fields = ("attached_type", "partition")
 
     def __init__(self, attached_type: SimpleType | GLType,
-                 partition: tuple[int, ...], very_even: bool = False):
+                 partition: tuple[int, ...]):
         set_field(self, "attached_type", attached_type)
         set_field(self, "partition", partition)
-        set_field(self, "very_even", very_even)
         if not partition or any(x < 1 for x in partition) or \
                 list(partition) != sorted(partition, reverse=True):
             raise DomainError("partition must be a decreasing list of "
                               "positive integers")
         _validate_parity(attached_type, partition)
+
+    @property
+    def very_even(self) -> bool:
+        return isinstance(self.attached_type, SimpleType) and \
+            self.attached_type.series == "D" and \
+            all(x % 2 == 0 for x in self.partition)
 
     def __str__(self) -> str:
         body = ",".join(str(x) for x in self.partition)
@@ -122,9 +129,7 @@ def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
     if size > RANK_LIMIT:
         raise ResourceLimitError(
             f"orbit enumeration is limited to rank {RANK_LIMIT}; got {size}")
-    type_d = isinstance(t, SimpleType) and t.series == "D"
-    return [OrbitLabel(t, lam, type_d and all(x % 2 == 0 for x in lam))
-            for lam in _partitions(_partition_target(t))
+    return [OrbitLabel(t, lam) for lam in _partitions(_partition_target(t))
             if _parity_ok(t, lam)]
 
 

@@ -67,19 +67,16 @@ class ParabolicSubset(_RootMask):
 
 
 class LeviDatum(_RootMask):
-    """Symmetric part of a parabolic subset plus its split-center dimension.
+    """Symmetric part of a parabolic subset.
 
     a_M_dim is the dimension of the central split torus of the Levi:
     (rank of the root span + central torus rank) minus the rank of the
     Levi's own roots.  levi_roots is another name for members.
     """
 
-    _fields = ("system", "mask", "a_M_dim")
-
-    def __init__(self, system: RootSystem, mask: int, a_M_dim: int):
-        set_field(self, "system", system)
-        set_field(self, "mask", mask)
-        set_field(self, "a_M_dim", a_M_dim)
+    @property
+    def a_M_dim(self) -> int:
+        return self.system.group_dim - _root_rank(self.system, self.mask)
 
     @property
     def levi_roots(self) -> frozenset[int]:
@@ -114,14 +111,8 @@ def _check_levi(rs: RootSystem, mask: int) -> None:
                               "their span")
 
 
-def _levi(rs: RootSystem, sym: int) -> LeviDatum:
-    # sym is closed under negation, so its positive roots span it.
-    r = _rank(rs, sym & rs.positive_mask)
-    return LeviDatum(rs, sym, rs.group_dim - r)
-
-
 def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
-    """Validate a root subset as a Levi and compute its split-center dim.
+    """Validate a root subset as a Levi.
 
     The subset must be closed under negation and saturated in its span
     (every root lying in the rational span of the subset belongs to it).
@@ -132,20 +123,20 @@ def make_levi(rs: RootSystem, root_indices: Iterable[int]) -> LeviDatum:
             raise DomainError(f"root index {i} out of range")
         mask |= 1 << i
     _check_levi(rs, mask)
-    return _levi(rs, mask)
+    return LeviDatum(rs, mask)
 
 
 def minimal_levi(rs: RootSystem) -> LeviDatum:
-    return LeviDatum(rs, 0, rs.group_dim)
+    return LeviDatum(rs, 0)
 
 
 def full_levi(rs: RootSystem) -> LeviDatum:
-    return LeviDatum(rs, (1 << len(rs.roots)) - 1, rs.torus_rank)
+    return LeviDatum(rs, (1 << len(rs.roots)) - 1)
 
 
 def levi_of(p: ParabolicSubset) -> LeviDatum:
-    """Symmetric part of a parabolic subset, with its split-center dim."""
-    return _levi(p.system, p.mask & negate_mask(p.system, p.mask))
+    """Symmetric part of a parabolic subset."""
+    return LeviDatum(p.system, p.mask & negate_mask(p.system, p.mask))
 
 
 def dim_unipotent_radical(p: ParabolicSubset) -> int:
@@ -183,19 +174,13 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     steps = [(mask_tables(perm), 1 << simple[i],
               sum(1 << last - perm[a] for a in simple[:i]))
              for i, perm in enumerate(rs.reflection_perms)]
-    pos, memo = rs.positive_mask, rs.rank_memo
-    found = [span | pos for span in rs.span_masks()]
-    # The Levi of w.P_J is w applied to the roots of J's span, whose rank
-    # is |J|; ranks[k] is that rank for found[k].
-    ranks = [subset.bit_count() for subset in range(len(found))]
+    found = [span | rs.positive_mask for span in rs.span_masks()]
     # found is also the queue: the loop reaches every mask appended to it.
-    for k, mask in enumerate(found):
+    for mask in found:
         radical = mask & ~negate_mask(rs, mask)
-        memo[mask & ~radical & pos] = ranks[k]
         for tables, ascent, descents in steps:
             if radical & ascent and not radical & descents:
                 found.append(permute_mask(tables, mask))
-                ranks.append(ranks[k])
         if len(found) > PARABOLIC_COUNT_LIMIT:
             raise ResourceLimitError(refusal)
     return [ParabolicSubset(rs, m) for m in sorted(found, key=_order_key)]
@@ -220,7 +205,7 @@ def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
     groups: dict[int, list[ParabolicSubset]] = {}
     for p in f_all:
         groups.setdefault(p.mask & negate_mask(rs, p.mask), []).append(p)
-    by_levi = {_levi(rs, sym): ps for sym, ps in groups.items()}
+    by_levi = {LeviDatum(rs, sym): ps for sym, ps in groups.items()}
     levis = sorted(by_levi, key=lambda l: _order_key(l.mask))
     return f_all, levis, by_levi
 
@@ -235,9 +220,7 @@ def d_nonvanishing(rs: RootSystem, m: LeviDatum, l1: LeviDatum,
     r(L) - r(M), and span(R_L1) + span(R_L2) is span(R_M) plus the sum of
     the two complements.  So the sum is direct and fills a_M^G (of
     dimension s - r(M), s the semisimple rank) exactly when
-    r(L1) + r(L2) - r(M) = s and r(L1 u L2) = s.  The ranks come from the
-    roots, not from a_M_dim, which a hand-built LeviDatum need not get
-    right.
+    r(L1) + r(L2) - r(M) = s and r(L1 u L2) = s.
     """
     for l in (l1, l2):
         if l.system != rs or m.system != rs:

@@ -27,7 +27,7 @@ from .value import Value, set_field
 
 _SERIES = "ABCDEFG"
 
-# build_root_system refuses a system of more roots times ambient dimension
+# RootSystem refuses a system of more roots times ambient dimension
 # than this before generating a root; A45, B36, C36, D37 and E8+T408, the
 # largest of their kinds that pass, build in about a second or less.
 ROOT_COORD_LIMIT = 100000
@@ -217,27 +217,67 @@ def negate_mask(rs: RootSystem, mask: int) -> int:
 class RootSystem(Value):
     """A finite root system (possibly a product) with a central torus block.
 
-    roots are integer vectors in the ambient lattice, stored sorted
-    lexicographically; simple_roots keep factor-by-factor Bourbaki order;
-    simple_coords[i] writes roots[i] in the simple-root basis, and is left
-    out of equality.  Derived combinatorial tables are computed lazily and
-    cached.
+    A system is its simple factors and its torus rank; everything else is
+    derived on first read.  roots are integer vectors in the ambient
+    lattice, sorted lexicographically; simple_roots keep factor-by-factor
+    Bourbaki order; simple_coords[i] writes roots[i] in the simple-root
+    basis.  The constructor refuses a system of more than
+    ROOT_COORD_LIMIT root coordinates (roots times ambient dimension,
+    counted in closed form) before any root is generated.
     """
 
-    _fields = ("factors", "torus_rank", "ambient_dim", "roots",
-               "simple_roots", "simple_coords")
-    _uncompared = ("simple_coords",)
+    _fields = ("factors", "torus_rank")
 
-    def __init__(self, factors: tuple[SimpleType, ...], torus_rank: int,
-                 ambient_dim: int, roots: tuple[tuple[int, ...], ...],
-                 simple_roots: tuple[tuple[int, ...], ...],
-                 simple_coords: tuple[tuple[int, ...], ...]):
-        set_field(self, "factors", factors)
+    def __init__(self, factors: tuple[SimpleType, ...], torus_rank: int):
+        set_field(self, "factors", tuple(factors))
         set_field(self, "torus_rank", torus_rank)
-        set_field(self, "ambient_dim", ambient_dim)
-        set_field(self, "roots", roots)
-        set_field(self, "simple_roots", simple_roots)
-        set_field(self, "simple_coords", simple_coords)
+        if isinstance(torus_rank, bool) or not isinstance(torus_rank, int) \
+                or torus_rank < 0:
+            raise DomainError("torus_rank must be a nonnegative integer, "
+                              f"got {torus_rank!r}")
+        coords = sum(t.size()[0] for t in self.factors) * self.ambient_dim
+        if coords > ROOT_COORD_LIMIT:
+            raise ResourceLimitError(
+                f"root systems are limited to {ROOT_COORD_LIMIT} root "
+                f"coordinates (roots times ambient dimension); {self} has "
+                f"{coords}")
+
+    @cached_property
+    def ambient_dim(self) -> int:
+        return sum(t.size()[1] for t in self.factors) + self.torus_rank
+
+    @cached_property
+    def _assembled(self) -> tuple[tuple, tuple, tuple]:
+        """(simple roots, roots, simple coordinates): each factor's
+        type_data padded with zeros outside its own blocks of ambient
+        coordinates and simple roots, the roots sorted."""
+        total, rank = self.ambient_dim, self.semisimple_rank
+        simple: list[tuple[int, ...]] = []
+        pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        offset = 0
+        for fsimple, dim, fpairs in map(type_data, self.factors):
+            lead, trail = (0,) * offset, (0,) * (total - offset - dim)
+            clead = (0,) * len(simple)
+            ctrail = (0,) * (rank - len(simple) - len(fsimple))
+            simple += [lead + s + trail for s in fsimple]
+            pairs += [(lead + r + trail, clead + c + ctrail)
+                      for r, c in fpairs]
+            offset += dim
+        pairs.sort()
+        roots, coords = tuple(zip(*pairs)) or ((), ())
+        return tuple(simple), roots, coords
+
+    @cached_property
+    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
+        return self._assembled[0]
+
+    @cached_property
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        return self._assembled[1]
+
+    @cached_property
+    def simple_coords(self) -> tuple[tuple[int, ...], ...]:
+        return self._assembled[2]
 
     # -- basic derived data --------------------------------------------------
 
@@ -245,9 +285,9 @@ class RootSystem(Value):
     def root_index(self) -> dict[tuple[int, ...], int]:
         return {r: i for i, r in enumerate(self.roots)}
 
-    @property
+    @cached_property
     def semisimple_rank(self) -> int:
-        return len(self.simple_roots)
+        return sum(t.rank for t in self.factors)
 
     @property
     def group_dim(self) -> int:
@@ -328,11 +368,6 @@ class RootSystem(Value):
             perms.append(tuple(head + [last - k for k in reversed(head)]))
         return tuple(perms)
 
-    def __hash__(self) -> int:
-        # Equal systems share factors and torus rank, so this agrees with
-        # __eq__ without hashing every root.
-        return hash((self.factors, self.torus_rank))
-
     def __str__(self) -> str:
         name = "x".join(str(t) for t in self.factors) if self.factors else "T"
         if self.torus_rank and self.factors:
@@ -357,51 +392,11 @@ def type_data(t: SimpleType) -> tuple:
 
 def build_root_system(factors: Sequence[SimpleType | str],
                       torus_rank: int = 0) -> RootSystem:
-    """Assemble a (product) root system with an optional central torus.
-
-    Factors may be SimpleType instances or compact names like "B3".  Each
-    factor's type_data is padded with zeros outside its own blocks of
-    ambient coordinates and simple roots.  A system of more than
-    ROOT_COORD_LIMIT root coordinates (roots times ambient dimension,
-    counted in closed form) raises ResourceLimitError before any root is
-    generated.
-    """
-    if isinstance(torus_rank, bool) or not isinstance(torus_rank, int) \
-            or torus_rank < 0:
-        raise DomainError("torus_rank must be a nonnegative integer, "
-                          f"got {torus_rank!r}")
-    typed = [t if isinstance(t, SimpleType) else SimpleType.parse(t)
-             for t in factors]
-    sizes = [t.size() for t in typed]
-    total = sum(dim for _, dim in sizes) + torus_rank
-    coords = sum(roots for roots, _ in sizes) * total
-    if coords > ROOT_COORD_LIMIT:
-        torus = f"+T{torus_rank}" if torus_rank else ""
-        raise ResourceLimitError(
-            f"root systems are limited to {ROOT_COORD_LIMIT} root "
-            "coordinates (roots times ambient dimension); "
-            f"{'x'.join(map(str, typed))}{torus} has {coords}")
-    data = [type_data(t) for t in typed]
-    rank = sum(t.rank for t in typed)
-    simple: list[tuple[int, ...]] = []
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    offset = 0
-    for fsimple, dim, fpairs in data:
-        lead, trail = (0,) * offset, (0,) * (total - offset - dim)
-        clead = (0,) * len(simple)
-        ctrail = (0,) * (rank - len(simple) - len(fsimple))
-        simple += [lead + s + trail for s in fsimple]
-        pairs += [(lead + r + trail, clead + c + ctrail) for r, c in fpairs]
-        offset += dim
-    pairs.sort()
-    return RootSystem(
-        factors=tuple(typed),
-        torus_rank=torus_rank,
-        ambient_dim=total,
-        roots=tuple(r for r, _ in pairs),
-        simple_roots=tuple(simple),
-        simple_coords=tuple(c for _, c in pairs),
-    )
+    """A (product) root system with an optional central torus; factors may
+    be SimpleType instances or compact names like "B3"."""
+    return RootSystem(tuple(t if isinstance(t, SimpleType)
+                            else SimpleType.parse(t) for t in factors),
+                      torus_rank)
 
 
 @lru_cache(maxsize=None)

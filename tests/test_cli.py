@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tracegeo import QuadraticSurd, cli, parabolic_lattice, reproduce
+from tracegeo import QuadraticSurd, cli, errors, parabolic_lattice, reproduce
 from tracegeo.errors import ParseError
 
 
@@ -513,6 +513,34 @@ def test_a_refused_relative_path_is_quoted_in_part(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["k", f"A2@relative={_LONG_NAME}"],
+                                  ["k", "A2", "--relative", _LONG_NAME]],
+                         ids=["suffix", "flag"])
+def test_a_non_utf8_relative_file_exits_2(tmp_path, monkeypatch, capsys,
+                                          argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / _LONG_NAME).write_bytes(b"\xff\xfe{}")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: " + "r" * 40 + "... (65 characters): "
+                            "relative datum is not UTF-8 text (at byte "
+                            "offset 0)\n")
+
+
+def test_exit_codes_follow_the_error_class():
+    codes = {errors.TracegeoError: 1, errors.DomainError: 2,
+             errors.ParseError: 2, errors.ResourceLimitError: 3,
+             errors.NumericError: 4, errors.DiagnosticsError: 4}
+    assert set(codes) == {cls for cls in vars(errors).values()
+                          if isinstance(cls, type)
+                          and issubclass(cls, errors.TracegeoError)}
+    for cls, code in codes.items():
+        assert cls.exit_code == code
+        assert errors.exit_code_for(cls("x")) == code, cls
+    assert errors.exit_code_for(ValueError("x")) == 1
 
 
 _HUGE_RATIO = "1" + "0" * 400 + "/3"

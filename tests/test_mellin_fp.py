@@ -129,6 +129,20 @@ def test_truncation_tail_guards():
         truncation_tail(f, 0.5)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: exp_preset(1.0, math.inf), "valid_to must be finite, got inf"),
+    (lambda: sqrt_exp_preset(math.inf), "valid_to must be finite, got inf"),
+    (lambda: exp_preset(math.inf), "decay rate must be finite, got inf"),
+    (lambda: exp_preset(math.nan), "decay rate must be finite, got nan"),
+    (lambda: AsymptoticExpansion((), math.inf, Fraction(1)),
+     "valid_to must be finite, got inf"),
+], ids=["exp-t0", "sqrt-t0", "exp-lambda", "exp-lambda-nan", "expansion"])
+def test_presets_refuse_a_non_finite_split_or_rate(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_decay_spot_check_failure():
     lying = TailFunction(lambda t: math.exp(-t), (0.001, 5.0))
     with pytest.raises(DiagnosticsError):

@@ -108,6 +108,18 @@ def test_very_even_flag():
                 if lab.partition == (4, 4)]) == 1
 
 
+def test_very_even_follows_the_partition():
+    # The flag is derived, so no label can contradict its partition.
+    d4 = OrbitLabel(SimpleType("D", 4), (2, 2, 2, 2))
+    assert d4.very_even is True and str(d4).endswith("*")
+    for lab in (OrbitLabel(SimpleType("D", 4), (3, 3, 1, 1)),
+                OrbitLabel(SimpleType("C", 2), (2, 2)),
+                OrbitLabel(GLType(4), (2, 2))):
+        assert lab.very_even is False and not str(lab).endswith("*")
+    with pytest.raises(TypeError):
+        OrbitLabel(GLType(3), (3,), True)
+
+
 def test_label_str():
     lab = OrbitLabel(GLType(4), (2, 1, 1))
     assert str(lab) == "(2,1,1)"
@@ -160,12 +172,13 @@ def _orbits_by_raise_and_catch(t, size):
         very_even = (isinstance(t, SimpleType) and t.series == "D"
                      and all(x % 2 == 0 for x in lam))
         try:
-            labels.append(OrbitLabel(t, lam, very_even))
+            labels.append(OrbitLabel(t, lam))
         except DomainError as exc:
             assert "must have even multiplicity" in str(exc), (t, lam)
             assert not _parity_by_counts(t, lam), (t, lam)
         else:
             assert _parity_by_counts(t, lam), (t, lam)
+            assert labels[-1].very_even is very_even, (t, lam)
     return labels
 
 

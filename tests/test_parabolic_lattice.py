@@ -15,7 +15,8 @@ from tracegeo.parabolic_lattice import (LeviDatum, ParabolicSubset, _root_rank,
                                         enumerate_parabolic_subsets, f_sets,
                                         full_levi, levi_of, make_levi,
                                         minimal_levi)
-from tracegeo.root_datum import RootSystem, build_root_system
+from tracegeo.root_datum import (RootSystem, build_root_system, mask_tables,
+                                 negate_mask, permute_mask)
 
 from test_invariants_k import roots_in_simple_span
 from test_root_datum import negation
@@ -195,6 +196,58 @@ def test_levi_of_split_center_matches_sympy_rank():
     assert len(seen) == 708
 
 
+def _walk_seeded_a_M_dims(rs):
+    """The coset walk as it stood while it carried a rank beside each mask
+    (the Levi of w.P_J has rank |J|): {Levi mask: group_dim - rank}."""
+    last = len(rs.roots) - 1
+    simple = [rs.root_index[a] for a in rs.simple_roots]
+    steps = [(mask_tables(perm), 1 << simple[i],
+              sum(1 << last - perm[a] for a in simple[:i]))
+             for i, perm in enumerate(rs.reflection_perms)]
+    found = [span | rs.positive_mask for span in rs.span_masks()]
+    ranks = [subset.bit_count() for subset in range(len(found))]
+    seeded = {}
+    for k, mask in enumerate(found):
+        sym = mask & negate_mask(rs, mask)
+        assert seeded.setdefault(sym, rs.group_dim - ranks[k]) == \
+            rs.group_dim - ranks[k]
+        for tables, ascent, descents in steps:
+            if mask & ~sym & ascent and not mask & ~sym & descents:
+                found.append(permute_mask(tables, mask))
+                ranks.append(ranks[k])
+    return seeded
+
+
+def test_derived_a_M_dim_matches_the_walk_seeded_rank():
+    admitted = []
+    for factors in ([[t] for t in SIMPLE_TYPES]
+                    + [["A2", "B3"], ["G2", "F4"], ["D4", "A1"]]):
+        rs = build_root_system(factors, torus_rank=len(factors) - 1)
+        try:
+            subsets = enumerate_parabolic_subsets(rs)
+        except ResourceLimitError:
+            continue
+        derived = {}
+        for p in subsets:
+            levi = levi_of(p)
+            derived[levi.mask] = levi.a_M_dim
+        assert derived == _walk_seeded_a_M_dims(rs), factors
+        admitted.append("x".join(factors))
+    assert admitted == ["A1", "A2", "A3", "A4", "A5", "A6", "B1", "B2", "B3",
+                        "B4", "B5", "C1", "C2", "C3", "C4", "C5", "D2", "D3",
+                        "D4", "D5", "F4", "G2", "A2xB3", "D4xA1"]
+
+
+def test_levi_records_hold_only_their_mask():
+    assert "_fields" not in vars(LeviDatum)
+    assert "__init__" not in vars(LeviDatum)
+    assert not hasattr(parabolic_lattice, "_levi")
+    # the walk only enumerates: no rank is computed or stored
+    rs = build_root_system(["B3"])
+    enumerate_parabolic_subsets(rs)
+    assert rs.rank_memo == {}
+
+
 def test_parabolic_count_limit(monkeypatch):
     # The limit is exact: B3 has 147 parabolic subsets.
     monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", 147)
@@ -250,7 +303,7 @@ def test_f_sets_rejects_hand_built_non_levis():
                           (pairs, "every root in their span"),
                           (1 << len(rs.roots), "out of range")):
         with pytest.raises(DomainError, match=message):
-            f_sets(rs, LeviDatum(rs, mask, 1))
+            f_sets(rs, LeviDatum(rs, mask))
 
 
 def test_f_sets_partition_and_sizes():
@@ -322,7 +375,7 @@ def test_hand_built_masks_past_the_roots_are_refused():
         for call in (lambda: levi_of(ParabolicSubset(rs, mask)),
                      lambda: dim_unipotent_radical(ParabolicSubset(rs, mask)),
                      lambda: d_nonvanishing(rs, minimal_levi(rs),
-                                            LeviDatum(rs, mask, 1),
+                                            LeviDatum(rs, mask),
                                             full_levi(rs))):
             with pytest.raises(DomainError, match="out of range"):
                 call()

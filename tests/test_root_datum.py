@@ -410,17 +410,51 @@ def test_integer_core_needs_no_rational_linear_algebra(monkeypatch):
         assert report["minorbit"] == dual_coxeter_number(rs.factors[0]) - 1
 
 
-def test_hash_agrees_with_eq_without_reading_roots():
+# -- the derived fields against the eager six-field builder ------------------
+#
+# The reference is build_root_system as it stood while RootSystem stored
+# ambient_dim, roots, simple_roots and simple_coords as constructor fields
+# beside factors and torus_rank.
+
+
+def _eager_build(factors, torus_rank):
+    data = [root_datum.type_data(t) for t in factors]
+    total = sum(dim for _, dim, _ in data) + torus_rank
+    rank = sum(t.rank for t in factors)
+    simple, pairs, offset = [], [], 0
+    for fsimple, dim, fpairs in data:
+        lead, trail = (0,) * offset, (0,) * (total - offset - dim)
+        clead = (0,) * len(simple)
+        ctrail = (0,) * (rank - len(simple) - len(fsimple))
+        simple += [lead + s + trail for s in fsimple]
+        pairs += [(lead + r + trail, clead + c + ctrail) for r, c in fpairs]
+        offset += dim
+    pairs.sort()
+    return dict(ambient_dim=total, roots=tuple(r for r, _ in pairs),
+                simple_roots=tuple(simple),
+                simple_coords=tuple(c for _, c in pairs),
+                semisimple_rank=len(simple))
+
+
+def test_derived_fields_match_the_eager_builder():
+    cases = [(names, torus) for names in TYPING_SYSTEMS
+             for torus in (0, 1, 2)] + [([], 2)]
+    for names, torus in cases:
+        factors = tuple(SimpleType.parse(n) for n in names)
+        rs = RootSystem(factors, torus)
+        want = _eager_build(factors, torus)
+        assert {name: getattr(rs, name) for name in want} == want, \
+            (names, torus)
+        assert rs == build_root_system(names, torus)
+    assert RootSystem._fields == ("factors", "torus_rank")
+
+
+def test_equal_systems_share_one_hash_without_reading_roots():
     rs = build_root_system(["F4", "A1"], torus_rank=1)
-    twin = build_root_system(["F4", "A1"], torus_rank=1)
+    twin = RootSystem(rs.factors, 1)
     assert rs == twin and hash(rs) == hash(twin)
     assert len({rs, twin, build_root_system(["F4"])}) == 2
-    # A hand-built system that differs only in its roots: equal hashes are
-    # allowed, equality is not.
-    fake = RootSystem(rs.factors, rs.torus_rank, rs.ambient_dim,
-                      rs.roots[:-1], rs.simple_roots, rs.simple_coords)
-    assert fake != rs
-    assert {rs: 1}.get(fake) is None
+    assert "roots" not in vars(twin) and "__hash__" not in vars(RootSystem)
 
 
 # -- per-factor assembly against the product-wide generator run --------------
@@ -512,5 +546,8 @@ def test_size_guard_refuses_before_generating(monkeypatch):
                            match="limited to 100000 root coordinates"):
             build_root_system(factors, torus)
     assert ranks == []
-    assert build_root_system(["E8"], 408).ambient_dim == 416
-    assert ranks == [8]
+    # The guard and ambient_dim are closed forms: no root is generated
+    # until one is read.
+    e8 = build_root_system(["E8"], 408)
+    assert e8.ambient_dim == 416 and ranks == []
+    assert len(e8.roots) == 240 and ranks == [8]
