@@ -644,3 +644,82 @@ def test_enumerated_masks_are_distinct(factors, torus):
     assert len(masks) == sum(
         w // _macdonald_order(rs, [j for j in range(s) if mask >> j & 1])
         for mask in range(1 << s))
+
+
+# -- the walk against the negation walk it replaced ---------------------------
+#
+# A copy of the coset walk as it stood when it formed each mask's radical
+# as mask & ~negate_mask(mask).  The walk under test must append the same
+# masks in the same order, refuse at the same point, and return them in
+# the same sorted order.
+
+def _negation_walk(rs, limit):
+    """(masks in append order, whether more than limit were appended); the
+    walk stops where the count first passes the limit, and does not start
+    when the 2^s seeds alone reach it."""
+    if 1 << rs.semisimple_rank >= limit:
+        return [], True
+    last = len(rs.roots) - 1
+    simple = [rs.root_index[a] for a in rs.simple_roots]
+    steps = [(mask_tables(perm), 1 << simple[i],
+              sum(1 << last - perm[a] for a in simple[:i]))
+             for i, perm in enumerate(rs.reflection_perms)]
+    found = [span | rs.positive_mask for span in rs.span_masks()]
+    for mask in found:
+        radical = mask & ~negate_mask(rs, mask)
+        for tables, ascent, descents in steps:
+            if radical & ascent and not radical & descents:
+                found.append(permute_mask(tables, mask))
+        if len(found) > limit:
+            return found, True
+    return found, False
+
+
+def _walk_images(monkeypatch, rs):
+    """The children the library's walk appends, in order, and its result
+    (or the refusal it raised)."""
+    images = []
+
+    def recording(tables, mask):
+        images.append(permute_mask(tables, mask))
+        return images[-1]
+
+    monkeypatch.setattr(parabolic_lattice, "permute_mask", recording)
+    try:
+        return images, enumerate_parabolic_subsets(rs)
+    except ResourceLimitError as exc:
+        return images, exc
+
+
+@pytest.mark.parametrize(
+    "factors,torus", DISTINCT_SYSTEMS,
+    ids=["x".join(f) + (f"+T{k}" if k else "") for f, k in DISTINCT_SYSTEMS])
+def test_walk_matches_the_negation_walk(monkeypatch, factors, torus):
+    rs = build_root_system(factors, torus)
+    want, refused = _negation_walk(rs,
+                                   parabolic_lattice.PARABOLIC_COUNT_LIMIT)
+    assert not refused
+    images, got = _walk_images(monkeypatch, rs)
+    assert images == want[1 << rs.semisimple_rank:]
+    assert [p.mask for p in got] == sorted(
+        want, key=parabolic_lattice._order_key)
+    for p in got:
+        sym = p.mask & negate_mask(rs, p.mask)
+        assert dim_unipotent_radical(p) == \
+            p.mask.bit_count() - sym.bit_count()
+        assert dim_unipotent_radical(p) == len(rs.roots) - p.mask.bit_count()
+
+
+@pytest.mark.parametrize("limit", [8, 9, 100, 146, 147])
+def test_walk_refuses_where_the_negation_walk_does(monkeypatch, limit):
+    # B3 has 8 seeds and 147 subsets: a limit of 8 refuses before seeding,
+    # 9 after the first mask, 146 at the last one.
+    rs = build_root_system(["B3"])
+    want, refused = _negation_walk(rs, limit)
+    monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", limit)
+    images, got = _walk_images(monkeypatch, rs)
+    assert images == want[8:]
+    assert refused == isinstance(got, ResourceLimitError)
+    if refused:
+        assert str(got) == (f"parabolic enumeration is limited to {limit} "
+                            "subsets; B3 has more")
