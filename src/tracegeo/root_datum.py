@@ -320,6 +320,12 @@ class RootSystem(Value):
         return {}
 
     @cached_property
+    def levi_memo(self) -> dict[int, object]:
+        """The LeviDatum of each symmetric root mask, shared by every
+        parabolic subset with that symmetric part; filled by levi_of."""
+        return {}
+
+    @cached_property
     def support_masks(self) -> tuple[int, ...]:
         """Bit j of support_masks[i] is set iff roots[i] involves alpha_j."""
         return tuple(sum(1 << j for j, c in enumerate(coords) if c)

@@ -242,10 +242,35 @@ def test_levi_records_hold_only_their_mask():
     assert "_fields" not in vars(LeviDatum)
     assert "__init__" not in vars(LeviDatum)
     assert not hasattr(parabolic_lattice, "_levi")
-    # the walk only enumerates: no rank is computed or stored
+    # the walk only enumerates: no rank is computed or stored, and no Levi
+    # is built
     rs = build_root_system(["B3"])
     enumerate_parabolic_subsets(rs)
     assert rs.rank_memo == {}
+    assert rs.levi_memo == {}
+
+
+# A3's Levis are the set partitions of its four coordinates (the Bell
+# number 15); B3 and F4 as the frozenset reference below counts them.
+@pytest.mark.parametrize("name,count", [("A3", 15), ("B3", 24), ("F4", 268)])
+def test_subsets_with_one_symmetric_part_share_one_levi(name, count):
+    rs = build_root_system([name])
+    by_sym = {}
+    for p in enumerate_parabolic_subsets(rs):
+        levi = levi_of(p)
+        assert levi.mask == p.mask & negate_mask(rs, p.mask)
+        assert by_sym.setdefault(levi.mask, levi) is levi
+    assert len(by_sym) == len({id(l) for l in by_sym.values()}) == count
+    # f_sets groups through levi_of: its keys are the shared records
+    f_all, levis, by_levi = f_sets(rs, minimal_levi(rs))
+    assert len(f_all) == sum(map(len, by_levi.values()))
+    assert all(by_sym[l.mask] is l for l in levis)
+    assert all(by_sym[l.mask] is l for l in by_levi)
+    # a shared record works out its a_M_dim once
+    levi = levis[0]
+    assert "a_M_dim" not in vars(levi)
+    dim = levi.a_M_dim
+    assert vars(levi)["a_M_dim"] == dim == rs.group_dim
 
 
 def test_parabolic_count_limit(monkeypatch):
@@ -288,6 +313,12 @@ def test_make_levi_closure():
     # {±a, ±b} spans ±(a+b) without containing it: not saturated, rejected
     with pytest.raises(DomainError):
         make_levi(rs, [alpha_idx, neg[alpha_idx], beta_idx, neg[beta_idx]])
+    # indices must be ints, not floats, strings or bools
+    for bad, shown in ((1.0, "1.0"), ("1", "'1'"), (True, "True")):
+        with pytest.raises(DomainError) as info:
+            make_levi(rs, [bad, neg[alpha_idx]])
+        assert str(info.value) == \
+            f"root indices must be integers, got {shown}"
     l = make_levi(rs, range(len(rs.roots)))
     assert len(l.levi_roots) == 6
     assert l.a_M_dim == 0
@@ -407,8 +438,13 @@ def test_count_contributing_tuples_brute_force():
 def test_count_contributing_tuples_guards():
     rs = build_root_system(["A2"])
     m0 = minimal_levi(rs)
-    with pytest.raises(DomainError):
-        count_contributing_tuples(rs, m0, 0)
+    for bad, shown in ((0, "0"), (-1, "-1"), (2.0, "2.0"), ("3", "'3'"),
+                       (True, "True"), (None, "None"),
+                       ("3" * 50, "'" + "3" * 39 + "... (52 characters)")):
+        with pytest.raises(DomainError) as info:
+            count_contributing_tuples(rs, m0, bad)
+        assert str(info.value) == \
+            f"s_size must be a positive integer, got {shown}"
     # No size guard: the closed form has min(s, d) + 1 terms, here with 5
     # Levis and d = 2.
     assert count_contributing_tuples(rs, m0, 9) == \
