@@ -749,7 +749,7 @@ def test_walk_matches_the_negation_walk(monkeypatch, factors, torus):
 @pytest.mark.parametrize("limit", [8, 9, 100, 146, 147])
 def test_walk_refuses_where_the_negation_walk_does(monkeypatch, limit):
     # B3 has 8 seeds and 147 subsets: a limit of 8 refuses before seeding,
-    # 9 after the first mask, 146 at the last one.
+    # 9 after the first mask, 146 at the last append.
     rs = build_root_system(["B3"])
     want, refused = _negation_walk(rs, limit)
     monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", limit)
