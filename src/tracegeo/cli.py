@@ -11,8 +11,8 @@ them, and json hands `_scalar` each exact rational, which renders as a
 "num/den" string (denominator 1 included), and each QuadraticSurd, which
 renders like a float.  A float renders as a decimal string with 15
 significant digits; json would write it as a number, so the handler that
-makes it (mellin-fp, budget, reproduce's seconds) passes it through
-`_scalar` itself.
+makes it (mellin-fp, reproduce's seconds) passes it through `_scalar`
+itself.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .value import Value, set_field
 # module is imported inside the function that calls it, so a subcommand
 # loads only what it runs: compiling a module when no bytecode is cached
 # costs a few ms.  fractions loads only with a module that computes with
-# Fraction, or for a budget or mellin-fp --spec number.  The names below
+# Fraction, or for a number that _read_number reads.  The names below
 # serve annotations only.
 if TYPE_CHECKING:
     from .invariants_k import RelativeDatum
@@ -102,6 +102,49 @@ def _read_int(text: str, flag: str, limit: int | None = None,
         raise ParseError(f"{flag}: at most {MAX_DIGITS} digits are read; "
                          f"got {len(digits)}", offset=offset)
     return int(digits or "0")
+
+
+# The one grammar of a number the CLI reads, after an optional sign: a/b,
+# or digits with an optional decimal fraction and exponent ("3", "-.5",
+# "0.1", "1e-3"); no whitespace, underscores, hex, inf or nan.
+_NUMBER = re.compile(r"(?:(\d+)/(\d+)|(?=\.?\d)(\d*)\.?(\d*)"
+                     r"(?:[eE]([-+]?)(\d+))?)\Z", re.ASCII)
+_NEGATIVE_NUMBER = re.compile("-" + _NUMBER.pattern, re.ASCII)
+
+
+def _read_number(text: str, name: str):
+    """The exact rational that text spells, as a Fraction; each error names
+    name.  Its numerator and denominator may each spell MAX_DIGITS digits,
+    exponents counted; a longer one is refused before it is built."""
+    from fractions import Fraction
+    m = _NUMBER.match(text, 1 if text[:1] in ("-", "+") else 0)
+    if m is None or m[2] is not None and not m[2].strip("0"):
+        raise ParseError(f"{name} expects a number, got {_clip(repr(text))}")
+    num, den, whole, frac, exp_sign, exp = m.groups()
+    if num is None:
+        num = (whole + frac).lstrip("0") or "0"
+        shift = 0 if num == "0" else -len(frac) + \
+            _read_int(exp or "0", name) * (-1 if exp_sign == "-" else 1)
+        n = len(num) + shift if shift > 0 else 1 - shift
+        if n > MAX_DIGITS:
+            raise ParseError(f"{name}: at most {MAX_DIGITS} digits are read; "
+                             f"got {n}")
+        num, den = num + "0" * max(shift, 0), "1" + "0" * max(-shift, 0)
+    x = Fraction(_read_int(num, name), _read_int(den, name))
+    return -x if text[:1] == "-" else x
+
+
+def _read_float(text: str, name: str) -> float:
+    """The float nearest the number that text spells; a value whose float
+    overflows or rounds to 0 is refused, naming name."""
+    x = _read_number(text, name)
+    try:
+        if float(x) or not x:
+            return float(x)
+    except OverflowError:
+        pass
+    raise DomainError(f"{name}: {_clip(repr(text))} lies outside the float "
+                      "range")
 
 
 def _read_ints(text: str, flag: str, limit: int | None = None) -> list[int]:
@@ -190,25 +233,9 @@ def _scalar(x) -> str:
     return f"{float(x):.15g}"
 
 
-def _parse_number(text: str, flag: str):
-    """Exact when possible: integers and a/b stay exact, decimals go float."""
-    from fractions import Fraction
-    m = re.fullmatch(r"([-+]?)([\d_]+)(?:/([\d_]+))?", text.strip())
+def _load_json_text(text: str, what: str, **hooks):
     try:
-        if m is None:
-            return float(text)
-        sign, num, den = m.groups()
-        x = _read_int(num, flag) if den is None else \
-            Fraction(_read_int(num, flag), _read_int(den, flag))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{flag} expects a number, got "
-                         f"{_clip(repr(text))}") from None
-    return -x if sign == "-" else x
-
-
-def _load_json_text(text: str, what: str):
-    try:
-        return json.loads(text)
+        return json.loads(text, **hooks)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: invalid JSON: {exc.msg}",
                          offset=exc.pos) from exc
@@ -373,20 +400,6 @@ def _cmd_levels(args) -> tuple[object, str, int]:
     return result, "\n".join(lines), 0
 
 
-def _spec_number(value, key: str, kind=float):
-    """One number of a mellin-fp --spec, read as float or Fraction, within
-    the float range."""
-    try:
-        x = kind(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"--spec: {key} must be a number, got "
-                         f"{_clip(json.dumps(value))}") from None
-    if not abs(x) <= sys.float_info.max:
-        raise ParseError(f"--spec: {key} must be finite, got "
-                         f"{_clip(json.dumps(value))}")
-    return x
-
-
 def _exp_preset(lam: float, t0: float, name: str):
     """exp_preset, with name (the flag or key) in its domain errors."""
     from .mellin_fp import exp_preset
@@ -397,38 +410,44 @@ def _exp_preset(lam: float, t0: float, name: str):
 
 
 def _mellin_pair_from_spec(data):
-    from fractions import Fraction
-
     from .mellin_fp import (AsymptoticExpansion, TailFunction,
                             monotone_cubic, sqrt_exp_preset)
+
+    def number(value, key: str, exact: bool = False):
+        # Numbers come as typed; an exponent stays exact but needs a float.
+        text = value if isinstance(value, str) else json.dumps(value)
+        name = f"--spec: {key}"
+        x = _read_float(text, name)
+        return _read_number(text, name) if exact else x
+
     if not isinstance(data, dict):
         raise ParseError("--spec wants a JSON object")
-    t0 = _spec_number(data.get("t0", 1.0), "t0")
+    t0 = number(data.get("t0", "1"), "t0")
     if not t0 > 0:
         raise DomainError(f"--spec: t0 must be positive, got {t0!r}")
     preset = data.get("preset")
     if preset is not None:
         if preset == "exp":
-            return _exp_preset(_spec_number(data.get("lambda", 1.0),
-                                            "lambda"), t0, "--spec: lambda")
+            return _exp_preset(number(data.get("lambda", "1"), "lambda"),
+                               t0, "--spec: lambda")
         if preset == "sqrt":
             return sqrt_exp_preset(t0)
         raise ParseError(f"unknown preset {preset!r}; expected exp or sqrt")
     decay = data.get("decay")
     if not isinstance(decay, dict) or set(decay) != {"C", "lambda"}:
         raise ParseError('--spec wants "decay": {"C": ..., "lambda": ...}')
-    decay_pair = (_spec_number(decay["C"], "decay.C"),
-                  _spec_number(decay["lambda"], "decay.lambda"))
+    decay_pair = (number(decay["C"], "decay.C"),
+                  number(decay["lambda"], "decay.lambda"))
     raw_terms = data.get("terms", [])
     if not isinstance(raw_terms, list) or \
             any(not isinstance(x, list) or len(x) != 2 for x in raw_terms):
         raise ParseError('--spec wants "terms" as a list of '
                          "[exponent, coefficient] pairs")
-    terms = tuple((_spec_number(a, f"terms[{i}][0]", Fraction),
-                   float(_spec_number(c, f"terms[{i}][1]", Fraction)))
+    terms = tuple((number(a, f"terms[{i}][0]", exact=True),
+                   number(c, f"terms[{i}][1]"))
                   for i, (a, c) in enumerate(raw_terms))
-    remainder = _spec_number(data.get("remainder_order", 1),
-                             "remainder_order", Fraction)
+    remainder = number(data.get("remainder_order", "1"), "remainder_order",
+                       exact=True)
     samples = data.get("samples")
     if samples is None:
         raise ParseError('--spec without "preset" wants "samples": '
@@ -436,7 +455,7 @@ def _mellin_pair_from_spec(data):
     if not isinstance(samples, list) or len(samples) < 2 or \
             any(not isinstance(x, list) or len(x) != 2 for x in samples):
         raise ParseError('"samples" wants at least two [t, value] pairs')
-    ts, vs = ([_spec_number(x[j], f"samples[{i}][{j}]")
+    ts, vs = ([number(x[j], f"samples[{i}][{j}]")
                for i, x in enumerate(samples)] for j in (0, 1))
     if ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ParseError('"samples" abscissae must be positive and '
@@ -459,30 +478,27 @@ def _mellin_pair_from_spec(data):
 
 def _cmd_mellin_fp(args) -> tuple[object, str, int]:
     from .mellin_fp import fp_mellin, sqrt_exp_preset
+    tol = _read_float(args.tol, "--tol")
+    t0 = _read_float(args.t0, "--t0")
+    lam = None if args.lam is None else _read_float(args.lam, "--lambda")
     if (args.spec is None) == (args.preset is None):
         raise ParseError("pass exactly one of --preset or --spec")
     if args.preset is not None:
         # Name the option, not the library parameter, in a domain error.
-        if not args.t0 > 0:
-            raise DomainError(f"--t0 must be positive, got {args.t0!r}")
-        if args.t0 == math.inf:
-            raise DomainError("--t0 must be finite, got inf")
+        if not t0 > 0:
+            raise DomainError(f"--t0 must be positive, got {t0!r}")
         if args.preset == "exp":
-            if args.lam is None:
+            if lam is None:
                 raise ParseError("--preset exp wants --lambda")
-            if not args.lam > 0:
-                raise DomainError("--lambda: decay rate must be positive, "
-                                  f"got {args.lam!r}")
-            if args.lam == math.inf:
-                raise DomainError("--lambda: decay rate must be finite, "
-                                  "got inf")
-            pair = _exp_preset(args.lam, args.t0, "--lambda")
+            pair = _exp_preset(lam, t0, "--lambda")
         else:
-            pair = sqrt_exp_preset(args.t0)
+            pair = sqrt_exp_preset(t0)
     else:
-        pair = _mellin_pair_from_spec(_load_json_text(args.spec, "--spec"))
-    value = fp_mellin(*pair, tol=args.tol)
-    result = {"finite_part": _scalar(value), "tol": _scalar(args.tol)}
+        pair = _mellin_pair_from_spec(_load_json_text(
+            args.spec, "--spec", parse_int=str, parse_float=str,
+            parse_constant=str))
+    value = fp_mellin(*pair, tol=tol)
+    result = {"finite_part": _scalar(value), "tol": _scalar(tol)}
     return result, f"finite part = {value:.12g}", 0
 
 
@@ -492,7 +508,7 @@ def _cmd_budget(args) -> tuple[object, str, int]:
     b_conj = _read_int(args.b_conj, "--b-conj")
     m_nonarch = _read_int(args.m_nonarch, "--m-nonarch")
     k, c2, c4, cn, eps, cprime = (
-        _parse_number(getattr(args, name), f"--{name}")
+        _read_number(getattr(args, name), f"--{name}")
         for name in ("k", "C2", "C4", "Cn", "eps", "cprime"))
     beta = beta_max(c2, c4, cn, k)
     lam = lambda_min(k, beta, eps, cprime)
@@ -548,8 +564,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # Read "-1e-3", "-.5" and "-1/2" as values, not option flags, so a
         # negative number reaches the domain check that names its option.
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-\d+/\d+$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise ParseError(message)
@@ -619,11 +634,11 @@ def _add_mellin_fp(sub, common) -> None:
     p = sub.add_parser("mellin-fp", parents=[common],
                        help="finite part of a normalized Mellin transform")
     p.add_argument("--preset", choices=["exp", "sqrt"])
-    p.add_argument("--lambda", dest="lam", type=float,
+    p.add_argument("--lambda", dest="lam",
                    help="decay rate for --preset exp")
-    p.add_argument("--t0", type=float, default=1.0,
+    p.add_argument("--t0", default="1",
                    help="split point / expansion validity (default 1)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", default="1e-10")
     p.add_argument("--spec", help="JSON {terms, t0, decay:{C,lambda}, "
                                   "samples|preset}")
     p.set_defaults(fn=_cmd_mellin_fp)

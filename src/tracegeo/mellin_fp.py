@@ -389,7 +389,7 @@ def exp_preset(lam: float,
     """f(t) = e^{-lam t} with its Maclaurin expansion to PRESET_ORDER,
     valid to t0."""
     if lam <= 0:
-        raise DomainError("decay rate must be positive")
+        raise DomainError(f"decay rate must be positive, got {lam!r}")
     if not math.isfinite(lam):
         raise DomainError(f"decay rate must be finite, got {lam!r}")
     try:

@@ -7,8 +7,8 @@ is finite set combinatorics plus exact ranks of root sets, so all
 dimensions and counts are exact.
 
 Subsets are stored as root_datum's root masks (bit i set iff roots[i] is
-a member), from the enumeration to the caller; the index frozensets
-`members` and `levi_roots` are decoded on first access.
+a member), from the enumeration to the caller; `members`, `levi_roots`
+and `member_roots` are decoded once, on first access.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class _RootMask(Value):
     def members(self) -> frozenset[int]:
         return frozenset(mask_indices(self.mask))
 
-    @property
+    @cached_property
     def member_roots(self) -> tuple[tuple[int, ...], ...]:
         # roots are stored sorted, so ascending index is ascending root.
         return tuple(compress(self.system.roots, mask_flags(self.mask)))

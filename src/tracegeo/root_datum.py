@@ -387,7 +387,7 @@ class RootSystem(Value):
 def type_data(t: SimpleType) -> tuple:
     """(ambient simple roots, ambient dimension, (root, simple coordinates)
     pairs sorted by root) of one simple type, all tuples: one generator run
-    serves every product, dual Coxeter number and orbit table of the type."""
+    serves every product and the orbit table of the type."""
     simple, dim = _SIMPLE_ROOTS[t.series](t.rank)
     cols = list(zip(*simple))
     pos = [(tuple([sum(map(mul, c, col)) for col in cols]), c)
@@ -405,26 +405,12 @@ def build_root_system(factors: Sequence[SimpleType | str],
                       torus_rank)
 
 
-@lru_cache(maxsize=None)
-def _dual_coxeter(series: str, rank: int) -> int:
-    simple, _, pairs = type_data(SimpleType(series, rank))
-    # A root theta of maximal height; unique in the irreducible case, and any
-    # choice works when a low-rank type happens to be reducible (D2).  The
-    # coroot of theta is sum c_i (alpha_i, alpha_i)/(theta, theta) alpha_i
-    # coroot, so the coefficient sum is one integer division.
-    theta, coords = max(pairs, key=lambda pair: sum(pair[1]))
-    total, rem = divmod(sum(c * _dot(a, a) for c, a in zip(coords, simple)),
-                        _dot(theta, theta))
-    assert rem == 0 and total > 0
-    return 1 + total
-
-
 def dual_coxeter_number(t: SimpleType) -> int:
-    """1 plus the coefficient sum of the highest root's coroot in the
-    simple-coroot basis.
-
-    For irreducible systems this matches the familiar closed forms
-    (A_l: l+1, B_l: 2l-1 for l >= 2, C_l: l+1, D_l: 2l-2, G2: 4, F4: 9,
-    E6: 12, E7: 18, E8: 30).  B1 is isomorphic to A1 and yields 2.
-    """
-    return _dual_coxeter(t.series, t.rank)
+    """h_dual, 1 plus the coefficient sum of the highest root's coroot, in
+    closed form (Bourbaki, plates I-IX): A_l: l+1, B_l: 2l-1 (B1 = A1: 2),
+    C_l: l+1, D_l: 2l-2 (D2 = A1xA1: 2), G2: 4, F4: 9, E6: 12, E7: 18,
+    E8: 30."""
+    l = t.rank
+    return {"A": l + 1, "B": 2 * l - 1 if l > 1 else 2, "C": l + 1,
+            "D": 2 * l - 2, "E": {6: 12, 7: 18, 8: 30}.get(l), "F": 9,
+            "G": 4}[t.series]

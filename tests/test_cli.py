@@ -447,14 +447,14 @@ def test_mellin_spec_number_is_a_parse_error_naming_the_key(capsys, spec,
     code = cli.main(["mellin-fp", "--spec", json.dumps(spec)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith(f"error: --spec: {key} must be a number")
+    assert captured.err.startswith(f"error: --spec: {key} expects a number")
     assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [
     (["mellin-fp", "--spec",
-      json.dumps({"preset": "sqrt", "t0": "1/" + "7" * 5000})],
-     '--spec: t0 must be a number, got "1/' + "7" * 37),
+      json.dumps({"preset": "sqrt", "t0": "1/" + "0" * 5000})],
+     "--spec: t0 expects a number, got '1/" + "0" * 37),
     (["budget", "--k", "1/" + "0" * 5000],
      "--k expects a number, got '1/" + "0" * 37),
 ], ids=["spec-t0", "budget-k"])
@@ -549,32 +549,32 @@ _HUGE_RATIO = "1" + "0" * 400 + "/3"
 @pytest.mark.parametrize("argv,message", [
     (["--spec", json.dumps({"decay": {"C": 1, "lambda": 1},
                             "terms": [[0, "1e400"]], "samples": _SAMPLES})],
-     '--spec: terms[0][1] must be finite, got "1e400"'),
+     "--spec: terms[0][1]: '1e400' lies outside the float range"),
     (["--spec", json.dumps({"decay": {"C": 1, "lambda": 1},
                             "terms": [[0, _HUGE_RATIO]],
                             "samples": _SAMPLES})],
-     '--spec: terms[0][1] must be finite, got "1' + "0" * 38
-     + "... (405 characters)"),
+     "--spec: terms[0][1]: '1" + "0" * 38
+     + "... (405 characters) lies outside the float range"),
     (["--spec", '{"decay": {"C": 1e400, "lambda": 1}, '
                 '"samples": [[1, 1], [2, 0.5]]}'],
-     "--spec: decay.C must be finite, got Infinity"),
+     "--spec: decay.C: '1e400' lies outside the float range"),
     (["--spec", '{"preset": "exp", "lambda": 1e400}'],
-     "--spec: lambda must be finite, got Infinity"),
+     "--spec: lambda: '1e400' lies outside the float range"),
     (["--spec", '{"preset": "sqrt", "t0": 1e400}'],
-     "--spec: t0 must be finite, got Infinity"),
+     "--spec: t0: '1e400' lies outside the float range"),
     (["--spec", '{"decay": {"C": 1, "lambda": 1}, '
                 '"samples": [[1, 1], [1e400, 0.5]]}'],
-     "--spec: samples[1][0] must be finite, got Infinity"),
+     "--spec: samples[1][0]: '1e400' lies outside the float range"),
     (["--spec", '{"decay": {"C": 1, "lambda": 1}, '
                 '"samples": [[1, 1], [2, NaN]]}'],
-     "--spec: samples[1][1] must be finite, got NaN"),
+     "--spec: samples[1][1] expects a number, got 'NaN'"),
     (["--preset", "exp", "--lambda", "inf"],
-     "--lambda: decay rate must be finite, got inf"),
+     "--lambda expects a number, got 'inf'"),
     (["--preset", "exp", "--lambda", "1e400"],
-     "--lambda: decay rate must be finite, got inf"),
-    (["--preset", "sqrt", "--t0", "inf"], "--t0 must be finite, got inf"),
+     "--lambda: '1e400' lies outside the float range"),
+    (["--preset", "sqrt", "--t0", "inf"], "--t0 expects a number, got 'inf'"),
     (["--preset", "exp", "--lambda", "2", "--t0", "1e400"],
-     "--t0 must be finite, got inf"),
+     "--t0: '1e400' lies outside the float range"),
 ], ids=["term-coefficient", "term-ratio", "decay-C", "preset-lambda",
         "spec-t0", "sample-t", "sample-nan", "lambda-inf", "lambda-1e400",
         "t0-inf", "t0-1e400"])
@@ -600,6 +600,91 @@ def test_mellin_huge_lambda_exits_2_naming_it(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# -- the one number grammar ----------------------------------------------------
+#
+# budget --k, mellin-fp --lambda and the --spec key lambda read numbers by
+# one reader.  Each accepted spelling must act as its a/b form; each refused
+# one must exit 2 naming the flag or key.
+SPELLINGS = {
+    "2/1": ["2", "+2", "02", "2.", "2.0", "2e0", "2E+0", "20e-1", ".2e1",
+            "0.2E1", "200e-2", "4/2", "+4/2", "002/001"],
+    "1/2": ["0.5", ".5", "5e-1", "50E-2", "0.50", "2/4"],
+    "3/8": ["0.375", "375e-3", "3.75e-1", "6/16"],
+    "1/10": ["0.1", "1e-1", ".1", "0.10000"],
+}
+ACCEPTED = [(s, ratio) for ratio, spellings in SPELLINGS.items()
+            for s in spellings]
+REFUSED = ["", " 2", "2 ", "1_0", "1.5_0", "0x10", "inf", "-inf", "nan",
+           "Infinity", "1e", "e3", ".", "2..0", "1e2.5", "1/2/3", "1.5/2",
+           "1/0", "1/-2", "--2", "\u0663", "\uff12", "1e-5000", "1e5000",
+           "9" * 1001, "1e" + "9" * 1001]
+
+
+def _outcome(capsys, argv):
+    code = cli.main(argv)
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("spelling,ratio", ACCEPTED,
+                         ids=[s for s, _ in ACCEPTED])
+def test_a_spelling_acts_as_its_ratio(capsys, spelling, ratio):
+    assert _outcome(capsys, ["budget", f"--k={spelling}", "--json"]) == \
+        _outcome(capsys, ["budget", f"--k={ratio}", "--json"])
+    want = _outcome(capsys, ["mellin-fp", "--preset", "exp",
+                             f"--lambda={ratio}", "--json"])
+    assert want[0] == 0
+    specs = [{"preset": "exp", "lambda": spelling}]
+    try:
+        float(json.loads(spelling))
+        # a JSON number too, which the spec reads from the text typed
+        specs.append(f'{{"preset": "exp", "lambda": {spelling}}}')
+    except ValueError:
+        pass
+    for spec in specs:
+        text = spec if isinstance(spec, str) else json.dumps(spec)
+        assert _outcome(capsys, ["mellin-fp", "--spec", text, "--json"]) \
+            == want, text
+    assert _outcome(capsys, ["mellin-fp", "--preset", "exp",
+                             f"--lambda={spelling}", "--json"]) == want
+
+
+@pytest.mark.parametrize("spelling", REFUSED,
+                         ids=[repr(s)[:20] for s in REFUSED])
+def test_a_refused_spelling_exits_2_naming_its_flag(capsys, spelling):
+    for argv, name in (
+            (["budget", f"--k={spelling}"], "--k"),
+            (["mellin-fp", "--preset", "exp", f"--lambda={spelling}"],
+             "--lambda"),
+            (["mellin-fp", "--spec",
+              json.dumps({"preset": "exp", "lambda": spelling})],
+             "--spec: lambda")):
+        code, captured = _outcome(capsys, argv)
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith(f"error: {name} expects a number, "
+                                       "got ") or \
+            captured.err.startswith(f"error: {name}: at most 1000 digits "
+                                    "are read; got "), captured.err
+
+
+def test_the_digit_limit_counts_the_exponent(capsys):
+    # 1e999 spells a 1000-digit numerator and 1e-999 a 1000-digit
+    # denominator; one more power of ten is refused before it is built.
+    # The budget then exits 4: beta or lambda lies outside the float range.
+    for k in ("1e999", "1e-999", "0.5e1000", "100e-997"):
+        assert cli.main(["budget", "--k", k]) == 4, k
+        assert capsys.readouterr().err.endswith(" lies outside the float "
+                                                "range\n"), k
+    for k, n in (("1e1000", 1001), ("1e-1000", 1001), ("0.5e1001", 1001),
+                 ("100e-1000", 1001), ("12.5e-1000", 1002),
+                 ("1e" + "0" * 5000 + "1000", 1001), ("1e99999999", 100000000)):
+        assert cli.main(["budget", "--k", k]) == 2, k
+        assert capsys.readouterr().err == \
+            f"error: --k: at most 1000 digits are read; got {n}\n"
+    # zero is zero whatever its exponent
+    assert cli.main(["budget", "--k", "0e99999"]) == 2
+    assert capsys.readouterr().err == "error: k must be positive\n"
 
 
 def test_mellin_requires_exactly_one_source(capsys):
@@ -694,17 +779,18 @@ def test_budget_float_tiny_c2(capsys):
 HUGE = "1" + "0" * 400  # 10^400, written out
 
 
-@pytest.mark.parametrize("argv,needle", [
-    (["--k", "1e400"], "k must be finite"),
-    (["--k", "nan"], "k must be finite"),
-    (["--k", "1", "--cprime", "inf"], "c_prime must be finite"),
+@pytest.mark.parametrize("argv,code,message", [
+    # 1e400 is the exact 10^400, so it fails as the written-out HUGE does
+    (["--k", "1e400"], 4, "1e-400 lies outside the float range"),
+    (["--k", "nan"], 2, "--k expects a number, got 'nan'"),
+    (["--k", "1", "--cprime", "inf"], 2,
+     "--cprime expects a number, got 'inf'"),
 ], ids=["k-overflow", "k-nan", "cprime-inf"])
-def test_budget_non_finite_input_is_named(capsys, argv, needle):
-    code = cli.main(["budget", *argv, "--json"])
+def test_budget_non_finite_input_is_named(capsys, argv, code, message):
+    assert cli.main(["budget", *argv, "--json"]) == code
     captured = capsys.readouterr()
-    assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {needle}\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_budget_zero_k_is_named(capsys):
@@ -754,13 +840,68 @@ def test_budget_surd_outside_the_float_range_is_numeric_error(capsys):
 
 
 def test_budget_lambda_overflow_is_numeric_error(capsys):
-    # beta is about 1e-308, so k / beta exceeds the float range
-    code = cli.main(["budget", "--k", "1e308", "--json"])
-    captured = capsys.readouterr()
-    assert code == 4
-    assert captured.out == ""
-    assert captured.err == ("error: lambda = k / ((1 - epsilon) beta) "
-                            "overflows the float range\n")
+    # The exact chain runs to the end; printing is the float edge.  For
+    # k = 1e300, beta is about 1e-300 and lambda about 1.1e600; for
+    # k = 1e308, beta is already below the normal float range.
+    for k, value in (("1e300", "1.11111111111111e+600"), ("1e308", "1e-308")):
+        assert cli.main(["budget", "--k", k, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {value} lies outside the float range\n"
+
+
+def _budget_json(e1: str, beta: str, lam: str) -> str:
+    return ('{\n  "schema": "1",\n  "command": "budget",\n  "result": {\n'
+            f'    "beta": "{beta}",\n    "lambda": "{lam}",\n'
+            '    "exponents": {\n      "e_spec": "-1/1",\n'
+            f'      "e1": "{e1}",\n      "e2": "-10/9"\n    }},\n'
+            '    "all_ok": true,\n    "a_exponent": 0\n  }\n}\n')
+
+
+@pytest.mark.parametrize("argv,out", [
+    # once all_ok False: the float 0.1 is not 1/10
+    (["--eps", "0.1"],
+     "beta = 0.618033988749895\nlambda = 1.79781554305544\n"
+     "exponents: e_spec = -1/1, e1 = -1/1, e2 = -10/9\nall_ok: True\n"
+     "a_exponent = 0\n"),
+    # once "e1": "-inf" beside all_ok true: C4 Cn^2 overflowed as a float
+    (["--Cn", "1e160", "--json"],
+     _budget_json("-1/1", "1e+160", "1.11111111111111e-160")),
+    # once exit 2, "beta must be positive": hypot gave inf and inf/inf NaN
+    (["--C2", "1e200", "--C4", "1e200", "--Cn", "1e200", "--json"],
+     _budget_json("-1/1", "1e+200", "1.11111111111111e-200")),
+], ids=["eps-decimal", "Cn-1e160", "all-1e200"])
+def test_budget_decimal_inputs_are_exact(capsys, argv, out):
+    assert cli.main(["budget", "--k", "1", *argv]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("decimal,ratio", [
+    (["--k", "1", "--eps", "0.1"], ["--k", "1", "--eps", "1/10"]),
+    (["--k", "2.5", "--json"], ["--k", "5/2", "--json"]),
+    (["--k", "2.5", "--C2", "0.3", "--json"],
+     ["--k", "5/2", "--C2", "3/10", "--json"]),
+], ids=["eps", "k", "k-C2"])
+def test_budget_decimal_prints_the_bytes_of_its_ratio(capsys, decimal, ratio):
+    outcomes = []
+    for argv in (decimal, ratio):
+        code = cli.main(["budget", *argv])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+
+
+def test_budget_float_pin_prints_exact_exponents(capsys):
+    # The STDOUT_SHA256 "budget-float" call, in full: once the float path
+    # printed e_spec and e1 as "-2.5" and e2 as "-2.77777777777778".
+    assert cli.main(["budget", "--k", "2.5", "--C2", "0.3", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "schema": "1",\n  "command": "budget",\n  "result": {\n'
+        '    "beta": "0.382448021318727",\n'
+        '    "lambda": "7.26315112887672",\n'
+        '    "exponents": {\n      "e_spec": "-5/2",\n      "e1": "-5/2",\n'
+        '      "e2": "-25/9"\n    },\n    "all_ok": true,\n'
+        '    "a_exponent": 0\n  }\n}\n')
 
 
 def test_budget_rational_inputs(capsys):
@@ -821,7 +962,7 @@ STDOUT_SHA256 = {
                          "--json"],
         "4bf8b6fbc009b17060cc81ffeb333a8a4c57bd6b3945c0899b9dee3fb6e1330b"),
     "budget-float": (["budget", "--k", "2.5", "--C2", "0.3", "--json"],
-        "1395d83b16b4c64b2970d492baec9dbad1b1f04699fe128aaa10a7b284089d13"),
+        "36e2af33fc06269100095fdec041bc495c56676b12d4b39dde7798ff157fc9a4"),
     "budget-human": (["budget", "--k", "1"],
         "57366257779f9fcfc58041b7fe125bef3ce72df0c528b523d6aa5ec0775277f2"),
     "reproduce": (["reproduce", "--json"],

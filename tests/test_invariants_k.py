@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tracegeo import invariants_k, reproduce, root_datum
@@ -7,8 +9,7 @@ from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
                                    k_by_pairs, k_min_orbit, k_report,
                                    k_richardson)
 from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
-from tracegeo.root_datum import (SimpleType, build_root_system,
-                                 dual_coxeter_number)
+from tracegeo.root_datum import SimpleType, build_root_system
 
 
 def _classical_dims(t):
@@ -277,11 +278,24 @@ def test_pairs_match_the_factor_loop_reference(factors):
 EXCEPTIONAL_K = {"G2": 3, "F4": 8, "E6": 11, "E7": 17, "E8": 29}
 
 
+def _replace_dual_coxeter(monkeypatch, fn):
+    """Bind fn as dual_coxeter_number in every tracegeo module that holds
+    the closed form, so that any reader of h_dual reads fn."""
+    true_value = root_datum.dual_coxeter_number
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("tracegeo") and \
+                vars(module).get("dual_coxeter_number") is true_value:
+            monkeypatch.setattr(module, "dual_coxeter_number", fn)
+    return true_value
+
+
 def test_pairs_route_reads_no_dual_coxeter_number(monkeypatch):
     def boom(*args):
         raise AssertionError("the pairs route read the h_dual table")
     monkeypatch.setattr(invariants_k, "min_orbit_dim", boom)
-    monkeypatch.setattr(root_datum, "_dual_coxeter", boom)
+    _replace_dual_coxeter(monkeypatch, boom)
+    with pytest.raises(AssertionError, match="h_dual"):
+        min_orbit_dim(SimpleType("E", 8))
     for name, want in EXCEPTIONAL_K.items():
         assert k_by_pairs(spec(name)) == want, name
 
@@ -289,13 +303,11 @@ def test_pairs_route_reads_no_dual_coxeter_number(monkeypatch):
 def test_pairs_check_catches_a_wrong_dual_coxeter_table(monkeypatch):
     # Shift h_dual by one on E, F and G.  A pairs route that read the same
     # table would shift with it, and the comparison would still pass.
-    true_value = root_datum._dual_coxeter
-    monkeypatch.setattr(root_datum, "_dual_coxeter",
-                        lambda series, rank: true_value(series, rank)
-                        + (series in "EFG"))
+    def shifted(t):
+        return true_value(t) + (t.series in "EFG")
+    true_value = _replace_dual_coxeter(monkeypatch, shifted)
     wrong = [name for name in EXCEPTIONAL_K
-             if k_by_pairs(spec(name))
-             != dual_coxeter_number(SimpleType.parse(name)) - 1]
+             if k_by_pairs(spec(name)) != shifted(SimpleType.parse(name)) - 1]
     assert wrong == list(EXCEPTIONAL_K)
     assert reproduce._check_pairs_consistency()[0] is False
 

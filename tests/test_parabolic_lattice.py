@@ -131,6 +131,16 @@ def test_member_roots_are_sorted_roots(name):
                                                      for i in members))
 
 
+def test_a_shared_levi_decodes_its_roots_once():
+    # parabolics prints the shared Levi's roots on every row of its
+    # subsets: A3's 75 subsets have 15 Levis.
+    rs = build_root_system(["A3"])
+    levis = [levi_of(p) for p in enumerate_parabolic_subsets(rs)]
+    assert len(levis) == 75 and len({id(levi) for levi in levis}) == 15
+    for levi in levis:
+        assert levi.member_roots is levi.member_roots
+
+
 def test_enumeration_guard():
     rs = build_root_system(["A7"])
     with pytest.raises(ResourceLimitError):

@@ -341,11 +341,19 @@ def _oracle_coords(roots, simple):
 
 
 def _oracle_dual_coxeter(t):
-    l = t.rank
-    # B1 is A1, so 2 rather than 2l - 1; D2 = A1xA1 fits 2l - 2.
-    return {"A": l + 1, "B": 2 * l - 1 if l > 1 else 2, "C": l + 1,
-            "D": 2 * l - 2, "G": 4, "F": 9,
-            "E": {6: 12, 7: 18, 8: 30}.get(l)}[t.series]
+    """h_dual read off the roots, which the closed form never reads: 1 plus
+    the coefficient sum of the highest root's coroot in the simple-coroot
+    basis."""
+    simple, _, pairs = root_datum.type_data(t)
+    # A root theta of maximal height; unique in the irreducible case, and any
+    # choice works when a low-rank type happens to be reducible (D2).  The
+    # coroot of theta is sum c_i (alpha_i, alpha_i)/(theta, theta) alpha_i
+    # coroot, so the coefficient sum is one integer division.
+    theta, coords = max(pairs, key=lambda pair: sum(pair[1]))
+    total, rem = divmod(sum(c * _dot(a, a) for c, a in zip(coords, simple)),
+                        _dot(theta, theta))
+    assert rem == 0 and total > 0
+    return 1 + total
 
 
 SIMPLE_TYPES = ([f"{x}{r}" for x in "ABC" for r in range(1, 9)]
@@ -400,7 +408,6 @@ def test_integer_core_needs_no_rational_linear_algebra(monkeypatch):
 
     for name in ("rank", "det", "charpoly"):
         monkeypatch.setattr(linalg, name, forbidden)
-    root_datum._dual_coxeter.cache_clear()
     root_datum.type_data.cache_clear()
     invariants_k._orbit_dims.cache_clear()
     for name in SIMPLE_TYPES:
@@ -521,12 +528,23 @@ def test_each_simple_type_runs_the_generator_once(monkeypatch):
         return generate(cartan)
 
     monkeypatch.setattr(root_datum, "_positive_coords", counted)
-    for cache in (root_datum.type_data, root_datum._dual_coxeter,
-                  invariants_k._orbit_dims):
+    for cache in (root_datum.type_data, invariants_k._orbit_dims):
         cache.cache_clear()
     k_report(GroupSpec(build_root_system(["A2", "B3"])))
     dual_coxeter_number(SimpleType("A", 2))
     assert sorted(ranks) == [2, 3]
+
+
+def test_k_above_rank_8_generates_no_root(monkeypatch):
+    # Above rank 8 only the minorbit route runs, and it reads h_dual, a
+    # closed form: A45's 2,070 roots are never generated.
+    ranks = []
+    monkeypatch.setattr(root_datum, "_positive_coords",
+                        lambda cartan: ranks.append(len(cartan)))
+    root_datum.type_data.cache_clear()
+    report = k_report(GroupSpec(build_root_system(["A45"])))
+    assert report["minorbit"] == 45
+    assert ranks == []
 
 
 def test_size_guard_refuses_before_generating(monkeypatch):
