@@ -464,6 +464,147 @@ def test_equal_systems_share_one_hash_without_reading_roots():
     assert "roots" not in vars(twin) and "__hash__" not in vars(RootSystem)
 
 
+# -- the root-datum layer against its tuple-rebuilding form -------------------
+#
+# The reference is root_datum as it stood while the generator probed each
+# root string by rebuilding coordinate tuples and summing a Cartan column
+# per probe, type_data returned (simple roots, dimension, pairs) only, and
+# RootSystem took its Cartan matrix from ambient dot products and its
+# reflections from the padded simple coordinates of the whole product.
+
+
+def _tuple_cartan(simple):
+    return [[2 * _dot(a, b) // _dot(b, b) for b in simple] for a in simple]
+
+
+def _tuple_positive_coords(cartan):
+    n = len(cartan)
+    layer = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    found = set(layer)
+    out = []
+    while layer:
+        out.extend(layer)
+        nxt = []
+        for beta in layer:
+            for i in range(n):
+                p = 0
+                down = list(beta)
+                down[i] -= 1
+                while tuple(down) in found:
+                    p += 1
+                    down[i] -= 1
+                if p - sum(c * row[i] for c, row in zip(beta, cartan)) > 0:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in found:
+                        found.add(up)
+                        nxt.append(up)
+        layer = nxt
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tuple_type_data(t):
+    simple, dim = root_datum._SIMPLE_ROOTS[t.series](t.rank)
+    cols = list(zip(*simple))
+    pos = [(tuple(_dot(c, col) for col in cols), c)
+           for c in _tuple_positive_coords(_tuple_cartan(simple))]
+    neg = [(tuple(-x for x in r), tuple(-x for x in c)) for r, c in pos]
+    return tuple(map(tuple, simple)), dim, tuple(sorted(pos + neg))
+
+
+def _tuple_reflection_perms(coords, cartan):
+    index = {c: k for k, c in enumerate(coords)}
+    last = len(coords) - 1
+    perms = []
+    for i, column in enumerate(zip(*cartan)):
+        terms = [(j, a) for j, a in enumerate(column) if a]
+        head = [index[c[:i] + (c[i] - sum(c[j] * a for j, a in terms),)
+                      + c[i + 1:]]
+                for c in coords[:len(coords) // 2]]
+        perms.append(tuple(head + [last - k for k in reversed(head)]))
+    return tuple(perms)
+
+
+def _tuple_build(factors, torus_rank):
+    """The six compared fields of build_root_system(factors, torus_rank)."""
+    data = [_tuple_type_data(t) for t in factors]
+    total = sum(dim for _, dim, _ in data) + torus_rank
+    rank = sum(t.rank for t in factors)
+    simple, pairs, offset = [], [], 0
+    for fsimple, dim, fpairs in data:
+        lead, trail = (0,) * offset, (0,) * (total - offset - dim)
+        clead = (0,) * len(simple)
+        ctrail = (0,) * (rank - len(simple) - len(fsimple))
+        simple += [lead + s + trail for s in fsimple]
+        pairs += [(lead + r + trail, clead + c + ctrail) for r, c in fpairs]
+        offset += dim
+    pairs.sort()
+    coords = tuple(c for _, c in pairs)
+    cartan = tuple(map(tuple, _tuple_cartan(simple)))
+    return dict(roots=tuple(r for r, _ in pairs), simple_roots=tuple(simple),
+                simple_coords=coords,
+                is_positive=tuple(sum(c) > 0 for c in coords),
+                cartan_matrix=cartan,
+                reflection_perms=_tuple_reflection_perms(coords, cartan))
+
+
+LAYER_CASES = [(tuple(names), torus) for names in TYPING_SYSTEMS
+               for torus in range(3)]
+
+
+def _check_layer(factors, torus):
+    rs = build_root_system(factors, torus)
+    want = _tuple_build(factors, torus)
+    for name, value in want.items():
+        assert getattr(rs, name) == value, (str(rs), name)
+
+
+@pytest.mark.parametrize(
+    "names,torus", LAYER_CASES,
+    ids=["x".join(n) + f"+T{k}" for n, k in LAYER_CASES])
+def test_layer_matches_the_tuple_generator(names, torus):
+    _check_layer([SimpleType.parse(n) for n in names], torus)
+
+
+def test_random_products_match_the_tuple_generator():
+    cases = _random_products(2901, 60)
+    assert {torus for _, torus in cases} == {0, 1, 2}
+    assert max(sum(t.rank for t in f) for f, _ in cases) <= 16
+    for factors, torus in cases:
+        _check_layer(factors, torus)
+
+
+@pytest.mark.parametrize("name", ["A45", "B36", "C36", "D37"])
+def test_largest_types_match_the_tuple_generator(name):
+    # The largest of their series under ROOT_COORD_LIMIT.
+    t = SimpleType.parse(name)
+    rs = build_root_system([t])
+    _, _, pairs = _tuple_type_data(t)
+    assert rs.roots == tuple(r for r, _ in pairs)
+    assert rs.simple_coords == tuple(c for _, c in pairs)
+    _tuple_type_data.cache_clear()
+
+
+
+def _highest_coefficient(t):
+    """Bourbaki, plates I-IX: the largest simple coordinate of the highest
+    root, with B1 = C1 = A1, D2 = A1xA1 and D3 = A3."""
+    small = t.rank < {"B": 2, "C": 2, "D": 4}.get(t.series, 0)
+    return 1 if small else {"A": 1, "B": 2, "C": 2, "D": 2, "G": 3,
+                            "F": 4, "E": {6: 3, 7: 4, 8: 6}.get(t.rank)
+                            }[t.series]
+
+
+def test_no_simple_coordinate_exceeds_6():
+    # The generator keys each root by its simple coordinates read as base-16
+    # digits, which is injective only while every digit lies within +-7.
+    for name in SIMPLE_TYPES + ["A45", "B36", "C36", "D37"]:
+        t = SimpleType.parse(name)
+        coords = build_root_system([t]).simple_coords
+        top = max(max(c) for c in coords)
+        assert top == _highest_coefficient(t) <= 6, name
+        assert min(min(c) for c in coords) == -top, name
+
 # -- per-factor assembly against the product-wide generator run --------------
 #
 # The reference is build_root_system as it stood while products ran the
@@ -481,7 +622,7 @@ def _product_wide_build(factors, torus_rank):
             v[offset:offset + dim] = s
             simple.append(tuple(v))
         offset += dim
-    pos = root_datum._positive_coords(root_datum._cartan(simple))
+    pos = _tuple_positive_coords(_tuple_cartan(simple))
     cols = list(zip(*simple))
     pairs = sorted((tuple(_dot(c, col) for col in cols), c)
                    for c in pos + [tuple(-x for x in p) for p in pos])
