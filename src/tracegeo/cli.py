@@ -479,10 +479,15 @@ def _mellin_pair_from_spec(data):
 def _cmd_mellin_fp(args) -> tuple[object, str, int]:
     from .mellin_fp import fp_mellin, sqrt_exp_preset
     tol = _read_float(args.tol, "--tol")
-    t0 = _read_float(args.t0, "--t0")
+    t0 = 1.0 if args.t0 is None else _read_float(args.t0, "--t0")
     lam = None if args.lam is None else _read_float(args.lam, "--lambda")
     if (args.spec is None) == (args.preset is None):
         raise ParseError("pass exactly one of --preset or --spec")
+    source = "--spec" if args.preset is None else f"--preset {args.preset}"
+    if lam is not None and args.preset != "exp":
+        raise ParseError(f"--lambda does not apply to {source}")
+    if args.t0 is not None and args.preset is None:
+        raise ParseError("--t0 does not apply to --spec; give t0 in the spec")
     if args.preset is not None:
         # Name the option, not the library parameter, in a domain error.
         if not t0 > 0:
@@ -636,7 +641,7 @@ def _add_mellin_fp(sub, common) -> None:
     p.add_argument("--preset", choices=["exp", "sqrt"])
     p.add_argument("--lambda", dest="lam",
                    help="decay rate for --preset exp")
-    p.add_argument("--t0", default="1",
+    p.add_argument("--t0",
                    help="split point / expansion validity (default 1)")
     p.add_argument("--tol", default="1e-10")
     p.add_argument("--spec", help="JSON {terms, t0, decay:{C,lambda}, "

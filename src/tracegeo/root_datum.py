@@ -4,12 +4,13 @@ Each simple type stores only its simple roots inside a fixed integer lattice
 (the usual coordinate realizations, uniformly rescaled where needed so that
 every root has integer coordinates: F4 and the E series are stored doubled).
 Its roots are generated once per process from the simple roots by integer
-root strings on the Cartan matrix, which yields each root together with its
-simple-root coordinates; the ambient vector is the matching integer
-combination of simple roots.  Rescaling a factor changes no combinatorics:
-coroots 2a/(a,a) are scale invariant, and all pairings used downstream are
-ratios.  The full ambient root lists survive only in the tests, as an
-independent oracle.
+root strings on the Cartan matrix, each root an integer key for its
+simple-root coordinates carried forward with its ambient vector and its
+pairings with the simple coroots; the keys also give the type's simple
+reflections as permutations of its roots.  Rescaling a factor changes no
+combinatorics: coroots 2a/(a,a) are scale invariant, and all pairings used
+downstream are ratios.  The full ambient root lists survive only in the
+tests, as an independent oracle.
 
 Products are block-diagonal concatenations of these per-type roots; a
 central torus contributes trailing zero coordinates and no roots.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import compress, count
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError, _clip
@@ -120,43 +121,62 @@ _SIMPLE_ROOTS = {
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def _cartan(simple: Sequence[Sequence[int]]) -> list[list[int]]:
+def _cartan(simple: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """cartan[i][j] = <alpha_i, alpha_j coroot>
     = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), an integer."""
-    return [[2 * _dot(a, b) // _dot(b, b) for b in simple] for a in simple]
+    norms = [_dot(b, b) for b in simple]
+    return tuple(tuple([2 * _dot(a, b) // nb for b, nb in zip(simple, norms)])
+                 for a in simple)
 
 
-def _positive_coords(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Positive roots in simple-root coordinates, generated height by height.
+def _positive_coords(simple: Sequence[tuple[int, ...]],
+                     cartan: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """Positive roots as (ambient vector, key, pairings) triples, generated
+    height by height.
+
+    The key of the root sum c_j alpha_j is the integer sum c_j 16^j, its
+    simple coordinates read as base-16 digits; pairings[j] is
+    <beta, alpha_j coroot>.  No simple coordinate of a root exceeds 6 (the
+    highest root of E8 has the largest; Bourbaki, plates I-IX), so every
+    key probed below has digits from -1 to 7.  Two digit strings within
+    +-7 differ digitwise by less than 16, and their lowest differing digit
+    survives modulo the next power of 16: equal keys have equal
+    coordinates.
 
     Root strings: for a positive root beta other than alpha_i, the alpha_i
     string through beta runs from beta - p alpha_i to beta + q alpha_i with
     p - q = <beta, alpha_i coroot>.  Every root below beta is already known,
-    so p is read off the known set and beta + alpha_i is a root iff q > 0.
+    so p is read off the known keys and beta + alpha_i is a root iff q > 0,
+    which a negative pairing settles without a probe.  The step to
+    beta + alpha_i adds 16^i to the key, simple root i to the ambient vector
+    and row i of the Cartan matrix to the pairings.
     """
-    n = len(cartan)
-    layer = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    found = set(layer)
+    steps = [1 << 4 * i for i in range(len(cartan))]
+    layer = list(zip(simple, steps, cartan))
+    found = set(steps)
     out = []
     while layer:
-        out.extend(layer)
+        out += layer
         nxt = []
-        for beta in layer:
-            for i in range(n):
-                p = 0
-                down = list(beta)
-                down[i] -= 1
-                while tuple(down) in found:
-                    p += 1
-                    down[i] -= 1
-                if p - sum(c * row[i] for c, row in zip(beta, cartan)) > 0:
-                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                    if up not in found:
-                        found.add(up)
-                        nxt.append(up)
+        for root, key, pairings in layer:
+            for step, pairing, alpha, row in zip(steps, pairings, simple,
+                                                 cartan):
+                up = key + step
+                if up in found:
+                    continue
+                if pairing >= 0:
+                    p, down = 0, key - step
+                    while down in found:
+                        p += 1
+                        down -= step
+                    if p <= pairing:
+                        continue
+                found.add(up)
+                nxt.append((tuple(map(add, root, alpha)), up,
+                            tuple(map(add, pairings, row))))
         layer = nxt
     return out
 
@@ -247,25 +267,40 @@ class RootSystem(Value):
         return sum(t.size()[1] for t in self.factors) + self.torus_rank
 
     @cached_property
-    def _assembled(self) -> tuple[tuple, tuple, tuple]:
-        """(simple roots, roots, simple coordinates): each factor's
-        type_data padded with zeros outside its own blocks of ambient
-        coordinates and simple roots, the roots sorted."""
+    def _assembled(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """(simple roots, roots, simple coordinates, places): each
+        factor's type_data padded with zeros outside its own blocks of
+        ambient coordinates and simple roots, the roots sorted, and
+        places[f] the two slices of roots that hold factor f's.
+
+        A padded root's first nonzero coordinate lies in its own factor's
+        block, so the sorted roots are the lower halves of the factors'
+        sorted roots (first nonzero coordinate negative) in factor order,
+        then the upper halves in reverse factor order.
+        """
         total, rank = self.ambient_dim, self.semisimple_rank
+        n = sum(t.size()[0] for t in self.factors)
         simple: list[tuple[int, ...]] = []
-        pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        lower: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        uppers, places = [], []
         offset = 0
-        for fsimple, dim, fpairs in map(type_data, self.factors):
+        for fsimple, dim, fpairs, _, _ in map(type_data, self.factors):
             lead, trail = (0,) * offset, (0,) * (total - offset - dim)
             clead = (0,) * len(simple)
             ctrail = (0,) * (rank - len(simple) - len(fsimple))
             simple += [lead + s + trail for s in fsimple]
-            pairs += [(lead + r + trail, clead + c + ctrail)
-                      for r, c in fpairs]
+            pairs = [(lead + r + trail, clead + c + ctrail)
+                     for r, c in fpairs]
+            below, half = len(lower), len(pairs) // 2
+            places.append((slice(below, below + half),
+                           slice(n - below - half, n - below)))
+            lower += pairs[:half]
+            uppers.append(pairs[half:])
             offset += dim
-        pairs.sort()
-        roots, coords = tuple(zip(*pairs)) or ((), ())
-        return tuple(simple), roots, coords
+        for upper in reversed(uppers):
+            lower += upper
+        roots, coords = tuple(zip(*lower)) or ((), ())
+        return tuple(simple), roots, coords, tuple(places)
 
     @cached_property
     def simple_roots(self) -> tuple[tuple[int, ...], ...]:
@@ -296,8 +331,15 @@ class RootSystem(Value):
 
     @cached_property
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """cartan_matrix[i][j] = <alpha_i, alpha_j coroot>, an integer."""
-        return tuple(map(tuple, _cartan(self.simple_roots)))
+        """cartan_matrix[i][j] = <alpha_i, alpha_j coroot>, an integer: one
+        cached block per factor on the diagonal."""
+        rank = self.semisimple_rank
+        rows: list[tuple[int, ...]] = []
+        for t in self.factors:
+            block = type_data(t)[3]
+            lead, trail = (0,) * len(rows), (0,) * (rank - len(rows) - t.rank)
+            rows += [lead + row + trail for row in block]
+        return tuple(rows)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
@@ -354,24 +396,20 @@ class RootSystem(Value):
 
     @cached_property
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """For each simple root, the induced permutation of root indices.
-
-        s_i(beta) = beta - <beta, alpha_i coroot> alpha_i changes only the
-        i-th simple coordinate, and the pairing is sum_j c_j A[j][i] over
-        column i of the Cartan matrix A.  The sorted roots are closed under
-        negation, so -roots[k] is roots[n - 1 - k]; since s_i(-beta) =
-        -s_i(beta), the images of the first n/2 indices give the rest.
-        """
-        coords = self.simple_coords
-        index = {c: k for k, c in enumerate(coords)}
-        last = len(coords) - 1
+        """For each simple root, the induced permutation of root indices:
+        its factor's cached reflection carried to the places of that
+        factor's roots in the sorted roots; the roots of every other
+        factor are fixed."""
+        index = range(len(self.roots))
         perms = []
-        for i, column in enumerate(zip(*self.cartan_matrix)):
-            terms = [(j, a) for j, a in enumerate(column) if a]
-            head = [index[c[:i] + (c[i] - sum(c[j] * a for j, a in terms),)
-                          + c[i + 1:]]
-                    for c in coords[:len(coords) // 2]]
-            perms.append(tuple(head + [last - k for k in reversed(head)]))
+        for t, (lower, upper) in zip(self.factors, self._assembled[3]):
+            where = [*index[lower], *index[upper]]
+            half = len(where) // 2
+            for fperm in type_data(t)[4]:
+                images = list(map(where.__getitem__, fperm))
+                perm = list(index)
+                perm[lower], perm[upper] = images[:half], images[half:]
+                perms.append(tuple(perm))
         return tuple(perms)
 
     def __str__(self) -> str:
@@ -386,14 +424,39 @@ class RootSystem(Value):
 @lru_cache(maxsize=None)
 def type_data(t: SimpleType) -> tuple:
     """(ambient simple roots, ambient dimension, (root, simple coordinates)
-    pairs sorted by root) of one simple type, all tuples: one generator run
-    serves every product and the orbit table of the type."""
+    pairs sorted by root, Cartan matrix, simple reflections) of one simple
+    type, all tuples: one generator run serves every product and the orbit
+    table of the type.
+
+    Reflection i permutes the indices of the sorted pairs: s_i(beta) =
+    beta - <beta, alpha_i coroot> alpha_i has the key of beta less
+    <beta, alpha_i coroot> 16^i, and a zero pairing fixes beta.  The
+    sorted roots are closed under negation, so -roots[k] is
+    roots[n - 1 - k]; since s_i(-beta) = -s_i(beta), the positive roots'
+    images give the rest.
+    """
     simple, dim = _SIMPLE_ROOTS[t.series](t.rank)
-    cols = list(zip(*simple))
-    pos = [(tuple([sum(map(mul, c, col)) for col in cols]), c)
-           for c in _positive_coords(_cartan(simple))]
-    neg = [(tuple([-x for x in r]), tuple([-x for x in c])) for r, c in pos]
-    return tuple(map(tuple, simple)), dim, tuple(sorted(pos + neg))
+    simple = tuple(map(tuple, simple))
+    cartan = _cartan(simple)
+    pos = _positive_coords(simple, cartan)
+    order = sorted([(r, key) for r, key, _ in pos]
+                   + [(tuple([-x for x in r]), -key) for r, key, _ in pos])
+    index = {key: k for k, (_, key) in enumerate(order)}
+    shifts = range(0, 4 * len(simple), 4)
+    coords = {key: tuple([key >> s & 15 for s in shifts])
+              for _, key, _ in pos}
+    pairs = tuple((r, coords[key] if key > 0
+                   else tuple([-x for x in coords[-key]])) for r, key in order)
+    last = len(order) - 1
+    perms = []
+    for shift, column in zip(shifts, zip(*[a for _, _, a in pos])):
+        perm = list(range(len(order)))
+        for (_, key, _), a in zip(pos, column):
+            if a:
+                k, img = index[key], index[key - (a << shift)]
+                perm[k], perm[last - k] = img, last - img
+        perms.append(tuple(perm))
+    return simple, dim, pairs, cartan, tuple(perms)
 
 
 def build_root_system(factors: Sequence[SimpleType | str],

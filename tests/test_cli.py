@@ -695,6 +695,25 @@ def test_mellin_requires_exactly_one_source(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,extra,message", [
+    (["--preset", "sqrt"], ["--lambda", "3"],
+     "--lambda does not apply to --preset sqrt"),
+    (["--spec", '{"preset": "sqrt"}'], ["--lambda", "3"],
+     "--lambda does not apply to --spec"),
+    (["--spec", '{"preset": "sqrt"}'], ["--t0", "5"],
+     "--t0 does not apply to --spec; give t0 in the spec"),
+    (["--spec", '{"preset": "exp", "lambda": 2}'], ["--t0", "1"],
+     "--t0 does not apply to --spec; give t0 in the spec"),
+], ids=["sqrt-lambda", "spec-lambda", "spec-t0", "spec-t0-default"])
+def test_mellin_refuses_a_flag_its_source_does_not_use(capsys, argv, extra,
+                                                       message):
+    assert cli.main(["mellin-fp", *argv]) == 0
+    capsys.readouterr()
+    assert cli.main(["mellin-fp", *argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_mellin_lying_decay_exits_4(capsys):
     import math
     ts = [round(0.05 * i, 10) for i in range(1, 601)]

@@ -344,7 +344,7 @@ def _oracle_dual_coxeter(t):
     """h_dual read off the roots, which the closed form never reads: 1 plus
     the coefficient sum of the highest root's coroot in the simple-coroot
     basis."""
-    simple, _, pairs = root_datum.type_data(t)
+    simple, _, pairs, _, _ = root_datum.type_data(t)
     # A root theta of maximal height; unique in the irreducible case, and any
     # choice works when a low-rank type happens to be reducible (D2).  The
     # coroot of theta is sum c_i (alpha_i, alpha_i)/(theta, theta) alpha_i
@@ -426,10 +426,10 @@ def test_integer_core_needs_no_rational_linear_algebra(monkeypatch):
 
 def _eager_build(factors, torus_rank):
     data = [root_datum.type_data(t) for t in factors]
-    total = sum(dim for _, dim, _ in data) + torus_rank
+    total = sum(dim for _, dim, _, _, _ in data) + torus_rank
     rank = sum(t.rank for t in factors)
     simple, pairs, offset = [], [], 0
-    for fsimple, dim, fpairs in data:
+    for fsimple, dim, fpairs, _, _ in data:
         lead, trail = (0,) * offset, (0,) * (total - offset - dim)
         clead = (0,) * len(simple)
         ctrail = (0,) * (rank - len(simple) - len(fsimple))
@@ -664,9 +664,9 @@ def test_each_simple_type_runs_the_generator_once(monkeypatch):
     ranks = []
     generate = root_datum._positive_coords
 
-    def counted(cartan):
+    def counted(simple, cartan):
         ranks.append(len(cartan))
-        return generate(cartan)
+        return generate(simple, cartan)
 
     monkeypatch.setattr(root_datum, "_positive_coords", counted)
     for cache in (root_datum.type_data, invariants_k._orbit_dims):
@@ -681,7 +681,7 @@ def test_k_above_rank_8_generates_no_root(monkeypatch):
     # closed form: A45's 2,070 roots are never generated.
     ranks = []
     monkeypatch.setattr(root_datum, "_positive_coords",
-                        lambda cartan: ranks.append(len(cartan)))
+                        lambda simple, cartan: ranks.append(len(cartan)))
     root_datum.type_data.cache_clear()
     report = k_report(GroupSpec(build_root_system(["A45"])))
     assert report["minorbit"] == 45
@@ -692,9 +692,9 @@ def test_size_guard_refuses_before_generating(monkeypatch):
     ranks = []
     generate = root_datum._positive_coords
 
-    def counted(cartan):
+    def counted(simple, cartan):
         ranks.append(len(cartan))
-        return generate(cartan)
+        return generate(simple, cartan)
 
     monkeypatch.setattr(root_datum, "_positive_coords", counted)
     root_datum.type_data.cache_clear()
