@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from test_invariants_k import TYPING_SYSTEMS
 from tracegeo import QuadraticSurd, cli, errors, parabolic_lattice, reproduce
-from tracegeo.errors import ParseError
+from tracegeo.errors import DomainError, ParseError, TracegeoError
 
 
 def run_json(capsys, argv):
@@ -96,6 +97,48 @@ def test_parse_errors_carry_offsets():
     for bad in ("", "xA1", "A2@res=2@res=3", "A2@frob=1", "A2@relative="):
         with pytest.raises(ParseError):
             cli.parse_group_spec(bad)
+
+
+# A copy of the group-spec grammar's simple-type reader as it stood when
+# the CLI kept its own: each name must read to the same type, or fail with
+# the same error class, message and offset.
+def _reference_read_type(text, offset=0):
+    from tracegeo.root_datum import SimpleType
+    rank = cli._read_int(text[1:], "type rank", offset=offset + 1)
+    try:
+        return SimpleType(text[:1], rank)
+    except DomainError as exc:
+        raise ParseError(str(exc), offset=offset) from exc
+
+
+def _reference_factors(text):
+    factors, pos = [], 0
+    for chunk in text.split("x"):
+        factors.append(_reference_read_type(chunk, pos))
+        pos += len(chunk) + 1
+    return tuple(factors)
+
+
+TYPE_NAMES = ([f"{s}{r}" for s in "ABC" for r in range(1, 9)]
+              + [f"D{r}" for r in range(2, 9)]
+              + ["E6", "E7", "E8", "F4", "G2"]
+              + ["x".join(f) for f in TYPING_SYSTEMS if len(f) > 1]
+              + ["3B", "Z3", "A0", "E9", "A\u00b2", "A\u0663",
+                 "A" + "7" * 5000, "A" + "x" * 50])
+
+
+def _read_outcome(read):
+    try:
+        return read()
+    except TracegeoError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@pytest.mark.parametrize("text", TYPE_NAMES,
+                         ids=[repr(t)[:16] for t in TYPE_NAMES])
+def test_group_specs_read_types_as_the_reference_does(text):
+    assert _read_outcome(lambda: cli.parse_group_spec(text).factors) == \
+        _read_outcome(lambda: _reference_factors(text))
 
 
 # -- subcommands through main() ------------------------------------------------
