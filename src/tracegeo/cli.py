@@ -25,8 +25,8 @@ import re
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .errors import (DomainError, ParseError, ResourceLimitError,
-                     TracegeoError, _clip, exit_code_for)
+from .errors import (_NUMBER, DomainError, ParseError, TracegeoError, _clip,
+                     _read_int, _read_number, exit_code_for)
 from .value import Value, set_field
 
 # Only the stdlib, .errors and .value load at module top.  Every library
@@ -77,63 +77,6 @@ class ParsedGroupSpec(Value):
         return build_root_system(list(self.factors), self.torus_rank)
 
 
-# Python refuses int/str conversions past 4300 digits, so every decimal
-# integer the CLI reads passes _read_int, which stops a longer string before
-# int() sees it.  The margin keeps a small multiple of a value printable.
-MAX_DIGITS = 1000
-
-
-def _read_int(text: str, flag: str, limit: int | None = None,
-              offset: int | None = None) -> int:
-    """A string of decimal digits as an int; each error names flag.
-
-    Past MAX_DIGITS digits this raises ParseError, or ResourceLimitError
-    where limit, the library's size guard, applies and text has more
-    digits than limit.
-    """
-    if not (text.isascii() and text.isdigit()):
-        raise ParseError(f"{flag} wants a nonnegative integer, got "
-                         f"{_clip(repr(text))}", offset=offset)
-    digits = text.lstrip("0")
-    if limit is not None and len(digits) > len(str(limit)):
-        raise ResourceLimitError(f"{flag}: values are limited to {limit}; "
-                                 f"got a {len(digits)}-digit value")
-    if len(digits) > MAX_DIGITS:
-        raise ParseError(f"{flag}: at most {MAX_DIGITS} digits are read; "
-                         f"got {len(digits)}", offset=offset)
-    return int(digits or "0")
-
-
-# The one grammar of a number the CLI reads, after an optional sign: a/b,
-# or digits with an optional decimal fraction and exponent ("3", "-.5",
-# "0.1", "1e-3"); no whitespace, underscores, hex, inf or nan.
-_NUMBER = re.compile(r"(?:(\d+)/(\d+)|(?=\.?\d)(\d*)\.?(\d*)"
-                     r"(?:[eE]([-+]?)(\d+))?)\Z", re.ASCII)
-_NEGATIVE_NUMBER = re.compile("-" + _NUMBER.pattern, re.ASCII)
-
-
-def _read_number(text: str, name: str):
-    """The exact rational that text spells, as a Fraction; each error names
-    name.  Its numerator and denominator may each spell MAX_DIGITS digits,
-    exponents counted; a longer one is refused before it is built."""
-    from fractions import Fraction
-    m = _NUMBER.match(text, 1 if text[:1] in ("-", "+") else 0)
-    if m is None or m[2] is not None and not m[2].strip("0"):
-        raise ParseError(f"{name} expects a number, got {_clip(repr(text))}")
-    num, den, whole, frac, exp_sign, exp = m.groups()
-    if num is None:
-        num = (whole + frac).lstrip("0") or "0"
-        shift = 0 if num == "0" else -len(frac) + \
-            _read_int(exp or "0", name) * (-1 if exp_sign == "-" else 1)
-        n = len(num) + shift if shift > 0 else 1 - shift
-        if n > MAX_DIGITS:
-            raise ParseError(f"{name}: at most {MAX_DIGITS} digits are read; "
-                             f"got {n}")
-        num, den = num + "0" * max(shift, 0), "1" + "0" * max(-shift, 0)
-    x = Fraction(_read_int(num, name), _read_int(den, name))
-    return -x if text[:1] == "-" else x
-
-
 def _read_float(text: str, name: str) -> float:
     """The float nearest the number that text spells; a value whose float
     overflows or rounds to 0 is refused, naming name."""
@@ -152,16 +95,6 @@ def _read_ints(text: str, flag: str, limit: int | None = None) -> list[int]:
     return [_read_int(c.strip(), flag, limit) for c in text.split(",")]
 
 
-def _read_type(text: str, offset: int = 0) -> SimpleType:
-    """A simple type like "B3", its rank read by _read_int."""
-    from .root_datum import SimpleType
-    rank = _read_int(text[1:], "type rank", offset=offset + 1)
-    try:
-        return SimpleType(text[:1], rank)
-    except DomainError as exc:
-        raise ParseError(str(exc), offset=offset) from exc
-
-
 def parse_group_spec(text: str) -> ParsedGroupSpec:
     if not text:
         raise ParseError("empty group spec", offset=0)
@@ -177,12 +110,13 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
         torus_rank = _read_int(core[plus + 2:], "+T", offset=plus + 2)
     if not factor_part:
         raise ParseError("expected a simple factor like A2", offset=0)
+    from .root_datum import SimpleType
     factors = []
     pos = 0
     for chunk in factor_part.split("x"):
         if not chunk:
             raise ParseError("empty factor", offset=pos)
-        factors.append(_read_type(chunk, pos))
+        factors.append(SimpleType.parse(chunk, pos))
         pos += len(chunk) + 1
     degree = 1
     rel_path = None
@@ -307,8 +241,9 @@ def _cmd_k(args) -> tuple[object, str, int]:
 
 def _cmd_orbits(args) -> tuple[object, str, int]:
     from .nilpotent_orbits import GLType, list_orbits, orbit_dim
+    from .root_datum import SimpleType
     t = GLType(_read_int(args.type[2:], "gl<n>", offset=2)) \
-        if args.type.startswith("gl") else _read_type(args.type)
+        if args.type.startswith("gl") else SimpleType.parse(args.type)
     labels = list_orbits(t)
     rows = sorted(
         ({"label": str(lab), "dim": orbit_dim(lab),
@@ -346,12 +281,17 @@ def _cmd_parabolics(args) -> tuple[object, str, int]:
 
 def _cmd_discriminant(args) -> tuple[object, str, int]:
     from .local_data import RationalMatrix, weyl_discriminant
-    data = _load_json_text(args.matrix, "--matrix")
+    data = _load_json_text(args.matrix, "--matrix", parse_int=str,
+                           parse_float=str, parse_constant=str)
     if not isinstance(data, list) or not data or \
             any(not isinstance(row, list) or len(row) != len(data)
                 for row in data):
         raise ParseError("--matrix wants a square JSON array of arrays")
-    matrix = RationalMatrix.from_rows(data)
+    # A number comes as typed, a JSON number or a string alike.
+    matrix = RationalMatrix.from_rows([
+        [_read_number(x if isinstance(x, str) else json.dumps(x),
+                      f"--matrix: [{i}][{j}]") for j, x in enumerate(row)]
+        for i, row in enumerate(data)])
     primes = _read_ints(args.primes, "--primes") \
         if args.primes is not None else []
     res = weyl_discriminant(matrix, primes)
@@ -569,7 +509,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # Read "-1e-3", "-.5" and "-1/2" as values, not option flags, so a
         # negative number reaches the domain check that names its option.
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = re.compile("-" + _NUMBER.pattern,
+                                                   re.ASCII)
 
     def error(self, message):
         raise ParseError(message)
@@ -611,7 +552,8 @@ def _add_discriminant(sub, common) -> None:
     p = sub.add_parser("discriminant", parents=[common],
                        help="Weyl discriminant of a rational matrix")
     p.add_argument("--matrix", required=True,
-                   help='JSON rows, rationals as "num/den" strings')
+                   help="JSON rows of numbers, each a JSON number or a "
+                        'string such as "1/2" or "0.25"')
     p.add_argument("--primes", help="extra primes for valuations, e.g. 2,3")
     p.set_defaults(fn=_cmd_discriminant)
 

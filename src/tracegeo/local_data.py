@@ -32,23 +32,21 @@ from typing import Sequence
 
 from . import linalg
 from .arithmetic import factorize, is_prime
-from .errors import DomainError
+from .errors import DomainError, _read_number
 from .value import Value, set_field
 
 RationalLike = int | str | Fraction
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Accept ints, Fractions, and "num/den" strings."""
+    """Accept ints, Fractions, and strings in the number grammar of
+    errors._read_number ("3/4", "-2", "0.5", "1e-3")."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse rational {x!r}") from exc
+        return _read_number(x, "rational")
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 

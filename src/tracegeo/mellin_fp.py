@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DiagnosticsError, DomainError, NumericError
+from .errors import DiagnosticsError, DomainError, NumericError, _read_number
 from .value import Value, set_field
 
 EULER_GAMMA = 0.5772156649015329
@@ -62,9 +62,11 @@ _UNDERFLOW = 745.0
 
 
 def _to_fraction(x) -> Fraction:
+    if isinstance(x, str):
+        return _read_number(x, "exponent")
     try:
         return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DomainError(f"exponent {x!r} is not an exact rational") from exc
 
 

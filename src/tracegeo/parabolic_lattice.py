@@ -84,14 +84,10 @@ class LeviDatum(_RootMask):
         return self.members
 
 
-def _rank(rs: RootSystem, key: int) -> int:
-    """Rank of a mask of positive roots, computed once per system."""
-    memo = rs.rank_memo
-    r = memo.get(key)
-    if r is None:
-        coords = rs.simple_coords
-        r = memo[key] = linalg.rank([coords[i] for i in mask_indices(key)])
-    return r
+def _rank(rs: RootSystem, mask: int) -> int:
+    """Rank of a mask of positive roots."""
+    coords = rs.simple_coords
+    return linalg.rank([coords[i] for i in mask_indices(mask)])
 
 
 def _root_rank(rs: RootSystem, mask: int) -> int:

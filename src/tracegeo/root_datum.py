@@ -23,7 +23,7 @@ from itertools import compress, count
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .errors import DomainError, ResourceLimitError, _clip
+from .errors import DomainError, ParseError, ResourceLimitError, _read_int
 from .value import Value, set_field
 
 _SERIES = "ABCDEFG"
@@ -32,10 +32,6 @@ _SERIES = "ABCDEFG"
 # than this before generating a root; A45, B36, C36, D37 and E8+T408, the
 # largest of their kinds that pass, build in about a second or less.
 ROOT_COORD_LIMIT = 100000
-
-# SimpleType.parse reads at most this many rank digits, far below Python's
-# 4300-digit limit on int(); no rank that long passes ROOT_COORD_LIMIT.
-RANK_DIGITS = 1000
 
 
 class SimpleType(Value):
@@ -63,20 +59,15 @@ class SimpleType(Value):
         return f"{self.series}{self.rank}"
 
     @classmethod
-    def parse(cls, text: str) -> "SimpleType":
-        """Parse a compact name like "A2" or "E8"; the rank is at most
-        RANK_DIGITS ASCII decimal digits."""
-        rank = text[1:]
-        if text[:1] not in tuple(_SERIES) or \
-                not (rank.isascii() and rank.isdigit()):
-            raise DomainError("cannot parse simple type "
-                              f"{_clip(repr(text))}")
-        digits = rank.lstrip("0")
-        if len(digits) > RANK_DIGITS:
-            raise DomainError(f"cannot parse simple type {text[0]}: at most "
-                              f"{RANK_DIGITS} rank digits are read; got "
-                              f"{len(digits)}")
-        return cls(text[0], int(digits or "0"))
+    def parse(cls, text: str, offset: int = 0) -> "SimpleType":
+        """A compact name like "A2" or "E8", its rank read by _read_int.
+        Each error is a ParseError at offset, the name's byte offset in
+        the text it came from."""
+        rank = _read_int(text[1:], "type rank", offset=offset + 1)
+        try:
+            return cls(text[:1], rank)
+        except DomainError as exc:
+            raise ParseError(str(exc), offset=offset) from exc
 
     def size(self) -> tuple[int, int]:
         """(number of roots, ambient dimension), in closed form."""
@@ -354,12 +345,6 @@ class RootSystem(Value):
     def positive_mask(self) -> int:
         """Bit i is set iff roots[i] is positive."""
         return sum(1 << i for i, p in enumerate(self.is_positive) if p)
-
-    @cached_property
-    def rank_memo(self) -> dict[int, int]:
-        """Ranks of root sets, keyed by the mask of the positive root of
-        each +-pair; filled by the parabolic lattice."""
-        return {}
 
     @cached_property
     def levi_memo(self) -> dict[int, object]:

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from test_invariants_k import TYPING_SYSTEMS
 from tracegeo import QuadraticSurd, cli, errors, parabolic_lattice, reproduce
 from tracegeo.errors import DomainError, ParseError, TracegeoError
+
+from test_invariants_k import TYPING_SYSTEMS
 
 
 def run_json(capsys, argv):
@@ -139,6 +140,15 @@ def _read_outcome(read):
 def test_group_specs_read_types_as_the_reference_does(text):
     assert _read_outcome(lambda: cli.parse_group_spec(text).factors) == \
         _read_outcome(lambda: _reference_factors(text))
+
+
+@pytest.mark.parametrize("text", TYPE_NAMES,
+                         ids=[repr(t)[:16] for t in TYPE_NAMES])
+def test_simple_type_parse_reads_as_the_reference_does(text):
+    from tracegeo.root_datum import SimpleType
+    for offset in (0, 7):
+        assert _read_outcome(lambda: SimpleType.parse(text, offset)) == \
+            _read_outcome(lambda: _reference_read_type(text, offset))
 
 
 # -- subcommands through main() ------------------------------------------------
@@ -340,11 +350,17 @@ def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):
                             "1048576 Pollard-Brent steps\n")
 
 
-def test_discriminant_rejects_floats(capsys):
-    for matrix in ("[[0.5, 0], [0, 2]]", "[[true, 0], [0, 2]]"):
-        code = cli.main(["discriminant", "--matrix", matrix])
-        capsys.readouterr()
-        assert code == 2, matrix
+def test_discriminant_reads_a_json_decimal_as_its_ratio(capsys):
+    # An entry is read as typed: the JSON number 0.5 is exactly 1/2, and
+    # true is no number.
+    want = _outcome(capsys, ["discriminant", "--matrix",
+                             '[["1/2", "0"], ["0", "2"]]', "--json"])
+    assert want[0] == 0
+    assert _outcome(capsys, ["discriminant", "--matrix",
+                             "[[0.5, 0], [0, 2]]", "--json"]) == want
+    assert cli.main(["discriminant", "--matrix", "[[true, 0], [0, 2]]"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --matrix: [0][0] expects a number, got 'true'\n"
 
 
 def test_index_json(capsys):
@@ -374,6 +390,10 @@ LONG_DIGIT_CALLS = [
      "--allowed"),
     (["discriminant", "--matrix", "[[1, 0], [0, 2]]", "--primes", HUGE], 2,
      "--primes"),
+    (["discriminant", "--matrix", f"[[{HUGE}, 0], [0, 3]]"], 2,
+     "--matrix: [0][0]: at most 1000 digits are read; got 5000"),
+    (["discriminant", "--matrix", '[[1, 0], [0, "1e5000"]]'], 2,
+     "--matrix: [1][1]: at most 1000 digits are read; got 5001"),
     (["mellin-fp", "--spec", f'{{"t0": {HUGE}}}'], 2, "--spec"),
     (["orbits", f"gl{HUGE}"], 2, "gl<n>"),
     (["k", f"A{HUGE}"], 2, "type rank"),
@@ -500,7 +520,10 @@ def test_mellin_spec_number_is_a_parse_error_naming_the_key(capsys, spec,
      "--spec: t0 expects a number, got '1/" + "0" * 37),
     (["budget", "--k", "1/" + "0" * 5000],
      "--k expects a number, got '1/" + "0" * 37),
-], ids=["spec-t0", "budget-k"])
+    (["discriminant", "--matrix",
+      json.dumps([["1/" + "0" * 5000, "0"], ["0", "3"]])],
+     "--matrix: [0][0] expects a number, got '1/" + "0" * 37),
+], ids=["spec-t0", "budget-k", "discriminant-matrix"])
 def test_a_refused_long_input_is_quoted_in_part(capsys, argv, message):
     # The first 40 characters of the 5004-character quote, and its length.
     assert cli.main(argv) == 2
@@ -647,8 +670,8 @@ def test_mellin_huge_lambda_exits_2_naming_it(capsys, argv, message):
 
 # -- the one number grammar ----------------------------------------------------
 #
-# budget --k, mellin-fp --lambda and the --spec key lambda read numbers by
-# one reader.  Each accepted spelling must act as its a/b form; each refused
+# budget --k, mellin-fp --lambda, the --spec key lambda and the entries of
+# discriminant --matrix read numbers by one reader.  Each accepted spelling must act as its a/b form; each refused
 # one must exit 2 naming the flag or key.
 SPELLINGS = {
     "2/1": ["2", "+2", "02", "2.", "2.0", "2e0", "2E+0", "20e-1", ".2e1",
@@ -679,16 +702,25 @@ def test_a_spelling_acts_as_its_ratio(capsys, spelling, ratio):
                              f"--lambda={ratio}", "--json"])
     assert want[0] == 0
     specs = [{"preset": "exp", "lambda": spelling}]
+    matrices = [[[spelling, "0"], ["0", "3"]]]
     try:
         float(json.loads(spelling))
         # a JSON number too, which the spec reads from the text typed
         specs.append(f'{{"preset": "exp", "lambda": {spelling}}}')
+        matrices.append(f'[[{spelling}, 0], [0, 3]]')
     except ValueError:
         pass
     for spec in specs:
         text = spec if isinstance(spec, str) else json.dumps(spec)
         assert _outcome(capsys, ["mellin-fp", "--spec", text, "--json"]) \
             == want, text
+    det = _outcome(capsys, ["discriminant", "--matrix",
+                            f'[["{ratio}", "0"], ["0", "3"]]', "--json"])
+    assert det[0] == 0
+    for matrix in matrices:
+        text = matrix if isinstance(matrix, str) else json.dumps(matrix)
+        assert _outcome(capsys, ["discriminant", "--matrix", text,
+                                 "--json"]) == det, text
     assert _outcome(capsys, ["mellin-fp", "--preset", "exp",
                              f"--lambda={spelling}", "--json"]) == want
 
@@ -702,7 +734,10 @@ def test_a_refused_spelling_exits_2_naming_its_flag(capsys, spelling):
              "--lambda"),
             (["mellin-fp", "--spec",
               json.dumps({"preset": "exp", "lambda": spelling})],
-             "--spec: lambda")):
+             "--spec: lambda"),
+            (["discriminant", "--matrix",
+              json.dumps([[spelling, "0"], ["0", "3"]])],
+             "--matrix: [0][0]")):
         code, captured = _outcome(capsys, argv)
         assert (code, captured.out) == (2, ""), argv
         assert captured.err.startswith(f"error: {name} expects a number, "

@@ -21,8 +21,13 @@ def test_as_fraction():
     assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(DomainError):
         as_fraction(0.5)
-    with pytest.raises(DomainError):
-        as_fraction("x")
+    for text, value in (("0.5", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)),
+                        ("1e-3", Fraction(1, 1000))):
+        assert as_fraction(text) == value, text
+    # the number grammar: no whitespace, underscores or non-ASCII digits
+    for text in ("x", " 3/4", "1_0", "\u0663"):
+        with pytest.raises(DomainError):
+            as_fraction(text)
 
 
 def test_identity_and_central():

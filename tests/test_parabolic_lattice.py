@@ -252,11 +252,9 @@ def test_levi_records_hold_only_their_mask():
     assert "_fields" not in vars(LeviDatum)
     assert "__init__" not in vars(LeviDatum)
     assert not hasattr(parabolic_lattice, "_levi")
-    # the walk only enumerates: no rank is computed or stored, and no Levi
-    # is built
+    # the walk only enumerates: no Levi is built
     rs = build_root_system(["B3"])
     enumerate_parabolic_subsets(rs)
-    assert rs.rank_memo == {}
     assert rs.levi_memo == {}
 
 
