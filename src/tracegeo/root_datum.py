@@ -61,7 +61,7 @@ class SimpleType(Value):
     @classmethod
     def parse(cls, text: str, offset: int = 0) -> "SimpleType":
         """A compact name like "A2" or "E8", its rank read by _read_int.
-        Each error is a ParseError at offset, the name's byte offset in
+        Each error is a ParseError; offset is the name's byte offset in
         the text it came from."""
         rank = _read_int(text[1:], "type rank", offset=offset + 1)
         try:
