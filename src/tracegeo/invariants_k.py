@@ -105,15 +105,15 @@ def _component_of_lowest(adjacency: Sequence[int], subset: int) -> int:
     return comp
 
 
-def _component_type(rs: RootSystem, comp: list[int]) -> SimpleType:
+def _component_type(cartan: Sequence[Sequence[int]],
+                    comp: list[int]) -> SimpleType:
     """The simple type of a connected set of simple roots, read off its
-    Dynkin subdiagram.
+    Dynkin subdiagram in the Cartan matrix cartan.
 
     cartan[i][j] == -2 is a double bond from long root i to short root j,
     and -3 a triple bond.  B2 and A3 stand for B2/C2 and A3/D3: the
     algebras are isomorphic, so their orbit dimensions agree.
     """
-    cartan = rs.cartan_matrix
     nbrs = {i: [j for j in comp if j != i and cartan[i][j]] for i in comp}
     leaves = {i for i in comp if len(nbrs[i]) == 1}
     for i in comp:
@@ -145,26 +145,28 @@ def _orbit_dims(t: SimpleType) -> tuple[int, ...]:
                        and sum(a * b for a, b in zip(r, theta)) > 0))
 
 
-def _orbit_sums(rs: RootSystem) -> list[set[int]]:
-    """sums[J] is the set of orbit dimensions of the standard Levi of the
-    simple-root subset J: the sums of one orbit dimension per component.
-
-    C, the component of J's lowest root, splits J into C and J & ~C, so
-    sums[J] = dims(C) + sums[J & ~C] with the smaller entry already built;
-    each distinct component is typed once.
-    """
+@lru_cache(maxsize=None)
+def _levi_table(t: SimpleType) -> tuple[tuple[int, frozenset[int]], ...]:
+    """table[J] is the root count of the standard Levi of the subset J of
+    t's simple roots and the set of its orbit dimensions, the sums of one
+    per component.  C, the component of J's lowest root, adds its closed-
+    form root count and its orbit dimensions to table[J & ~C]; each
+    distinct C is typed once, on t's own Cartan matrix."""
+    cartan = type_data(t)[3]
     adjacency = [sum(1 << j for j, c in enumerate(row) if c and j != i)
-                 for i, row in enumerate(rs.cartan_matrix)]
-    dims_of: dict[int, tuple[int, ...]] = {}
-    sums = [{0}]
-    for subset in range(1, 1 << rs.semisimple_rank):
+                 for i, row in enumerate(cartan)]
+    parts: dict[int, tuple[int, tuple[int, ...]]] = {}
+    table = [(0, frozenset({0}))]
+    for subset in range(1, 1 << t.rank):
         comp = _component_of_lowest(adjacency, subset)
-        if comp not in dims_of:
-            t = _component_type(rs, list(mask_indices(comp)))
-            dims_of[comp] = _orbit_dims(t)
-        rest = sums[subset & ~comp]
-        sums.append({a + b for a in dims_of[comp] for b in rest})
-    return sums
+        if comp not in parts:
+            c = _component_type(cartan, list(mask_indices(comp)))
+            parts[comp] = c.size()[0], _orbit_dims(c)
+        roots, dims = parts[comp]
+        rest_roots, rest = table[subset & ~comp]
+        table.append((roots + rest_roots,
+                      frozenset({a + b for a in dims for b in rest})))
+    return tuple(table)
 
 
 # -- the three computations ----------------------------------------------------
@@ -174,13 +176,15 @@ def k_by_pairs(g: GroupSpec) -> int:
     """Enumerate (standard Levi, orbit) pairs and halve the minimal induced
     dimension, excluding the trivial pair.
 
-    The standard Levi of a simple-root subset J has rs.span_masks()[J]
-    for roots, so an orbit of dimension d induces one of dimension
-    d + 2 dim V = d + #roots - #Levi roots.  Exceptional Levi components
-    contribute their trivial and minimal orbits only: every nontrivial
-    orbit is at least minimal, so larger ones cannot lower the minimum.
-    The whole group is one of the Levis, so its own minimal orbits enter
-    here too.
+    An orbit of dimension d of the standard Levi of a simple-root subset J
+    induces one of dimension d + #roots - #Levi roots.  Levis and orbits
+    of a product are products, and that sum adds over the simple factors,
+    0 from a factor's trivial pair and more from any other: the minimum is
+    the least over the factors of their _levi_table minima.  Exceptional
+    Levi components contribute their trivial and minimal orbits only:
+    every nontrivial orbit is at least minimal, so larger ones cannot lower
+    the minimum.  Each factor is one of its own Levis, so its minimal
+    orbits enter here too.
     """
     rs = g.absolute
     s = rs.semisimple_rank
@@ -190,13 +194,11 @@ def k_by_pairs(g: GroupSpec) -> int:
         raise ResourceLimitError(
             f"pair enumeration is limited to rank {PAIR_RANK_LIMIT}; "
             f"got rank {s}")
-    n_roots = len(rs.roots)
-    full = (1 << s) - 1
-    span = rs.span_masks()
-    best = min(orbit_total + n_roots - span[subset].bit_count()
-               for subset, sums in enumerate(_orbit_sums(rs))
+    best = min(orbit_total + t.size()[0] - levi_roots
+               for t in rs.factors
+               for subset, (levi_roots, sums) in enumerate(_levi_table(t))
                for orbit_total in sums
-               if orbit_total or subset != full)  # not the trivial pair
+               if orbit_total or subset != (1 << t.rank) - 1)
     assert best % 2 == 0 and best > 0
     return g.restriction_degree * (best // 2)
 
@@ -220,9 +222,10 @@ def _richardson_absolute(rs: RootSystem) -> int:
             f"got rank {s}")
     # R_J grows with J, so the radical dimension is least at a maximal
     # proper parabolic, the one of S minus {i} for some i: its radical is
-    # half the roots that involve alpha_i.
-    n_roots = len(rs.roots)
-    return min(n_roots - col.count(0) for col in zip(*rs.simple_coords)) // 2
+    # half the roots that involve alpha_i, all of them in i's own factor.
+    return min(len(pairs) - col.count(0)
+               for pairs in (type_data(t)[2] for t in rs.factors)
+               for col in zip(*[c for _, c in pairs])) // 2
 
 
 def _richardson_relative(rel: RelativeDatum) -> int:

@@ -321,18 +321,6 @@ class RootSystem(Value):
         return self.semisimple_rank + self.torus_rank
 
     @cached_property
-    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """cartan_matrix[i][j] = <alpha_i, alpha_j coroot>, an integer: one
-        cached block per factor on the diagonal."""
-        rank = self.semisimple_rank
-        rows: list[tuple[int, ...]] = []
-        for t in self.factors:
-            block = type_data(t)[3]
-            lead, trail = (0,) * len(rows), (0,) * (rank - len(rows) - t.rank)
-            rows += [lead + row + trail for row in block]
-        return tuple(rows)
-
-    @cached_property
     def heights(self) -> tuple[int, ...]:
         return tuple(sum(c) for c in self.simple_coords)
 

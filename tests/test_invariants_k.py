@@ -5,7 +5,7 @@ import pytest
 from tracegeo import invariants_k, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
-                                   _component_type, _orbit_dims, _orbit_sums,
+                                   _component_type, _levi_table, _orbit_dims,
                                    k_by_pairs, k_min_orbit, k_report,
                                    k_richardson)
 from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
@@ -23,6 +23,15 @@ def roots_in_simple_span(rs, simple_subset):
     chosen = set(simple_subset)
     return [i for i, c in enumerate(rs.simple_coords)
             if all(j in chosen for j, x in enumerate(c) if x)]
+
+
+def _cartan(rs):
+    """rs's Cartan matrix, cartan[i][j] = <alpha_i, alpha_j coroot>, from
+    ambient dot products of its simple roots."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+    simple = rs.simple_roots
+    return [[2 * dot(a, b) // dot(b, b) for b in simple] for a in simple]
 
 
 def spec(*names, **kw):
@@ -148,6 +157,17 @@ def test_rank_guard():
     assert report["agreement"] is True
 
 
+def test_k_reads_only_its_factors_tables():
+    # Every route reads per-type tables, so the report builds none of the
+    # product's roots or coordinates.
+    rs = build_root_system(["E6", "A2"], 1)
+    assert k_report(GroupSpec(rs, 2)) == {
+        "minorbit": 4, "pairs": 4, "richardson_absolute": 4,
+        "richardson_relative": None, "agreement": True}
+    assert not {"_assembled", "roots", "simple_coords",
+                "support_masks"} & set(vars(rs))
+
+
 def test_torus_only_rejected():
     g = GroupSpec.build([], torus_rank=2)
     with pytest.raises(DomainError):
@@ -190,7 +210,7 @@ def _signature_type(rs, comp):
     return table[len(members), shorts]
 
 
-def _components(rs, simple_subset):
+def _components(cartan, simple_subset):
     """The connected components of a simple-root subset, as sorted index
     lists: the list-based split the pairs route used before it worked on
     masks."""
@@ -203,7 +223,7 @@ def _components(rs, simple_subset):
         while frontier:
             i = frontier.pop()
             for j in list(remaining):
-                if rs.cartan_matrix[i][j] != 0:
+                if cartan[i][j] != 0:
                     remaining.remove(j)
                     comp.add(j)
                     frontier.append(j)
@@ -222,11 +242,12 @@ def test_component_type_matches_signature_matcher():
     seen = 0
     for factors in TYPING_SYSTEMS:
         rs = build_root_system(factors)
+        cartan = _cartan(rs)
         s = rs.semisimple_rank
         for subset in range(1 << s):
             chosen = [i for i in range(s) if subset >> i & 1]
-            for comp in _components(rs, chosen):
-                assert _component_type(rs, comp) == \
+            for comp in _components(cartan, chosen):
+                assert _component_type(cartan, comp) == \
                     _signature_type(rs, comp), (factors, comp)
                 seen += 1
     assert seen == 6639
@@ -242,6 +263,7 @@ def test_component_type_matches_signature_matcher():
 
 def _pairs_with_factor_loop(g):
     rs = g.absolute
+    cartan = _cartan(rs)
     s = rs.semisimple_rank
     best = None
     for subset in range(1 << s):
@@ -249,8 +271,8 @@ def _pairs_with_factor_loop(g):
         levi = roots_in_simple_span(rs, chosen)
         dim_v = (len(rs.roots) - len(levi)) // 2
         sums = {0}
-        for comp in _components(rs, chosen):
-            t = _component_type(rs, comp)
+        for comp in _components(cartan, chosen):
+            t = _component_type(cartan, comp)
             dims = _classical_dims(t) \
                 if t.series in "ABCD" else (0,)
             sums = {a + b for a in sums for b in dims}
@@ -330,13 +352,14 @@ def _theta_grading_dim_by_scan(rs, comp):
 def _subset_tables_by_scan(rs):
     """For each simple-root subset J, in order: the mask of the roots of
     the standard Levi of J and the set of its orbit dimensions."""
+    cartan = _cartan(rs)
     s = rs.semisimple_rank
     tables = []
     for subset in range(1 << s):
         chosen = [i for i in range(s) if subset >> i & 1]
         sums = {0}
-        for comp in _components(rs, chosen):
-            t = _component_type(rs, comp)
+        for comp in _components(cartan, chosen):
+            t = _component_type(cartan, comp)
             dims = _classical_dims(t) \
                 if t.series in "ABCD" else \
                 (0, _theta_grading_dim_by_scan(rs, comp))
@@ -372,9 +395,17 @@ def test_pairs_match_the_scan_reference(factors):
 @pytest.mark.parametrize("factors", TYPING_SYSTEMS,
                          ids=["x".join(f) for f in TYPING_SYSTEMS])
 def test_span_and_orbit_tables_match_the_scan_reference(factors):
+    # A subset of a product's simple roots is one subset per factor, the
+    # first factor's in the low bits, and Levi root counts and orbit
+    # dimensions add over the factors: the product's scanned table is its
+    # factors' tables combined.
     rs = build_root_system(factors)
-    assert list(zip(rs.span_masks(), _orbit_sums(rs))) == \
-        _subset_tables_by_scan(rs)
+    combined = [(0, {0})]
+    for t in rs.factors:
+        combined = [(a + b, {x + y for x in u for y in v})
+                    for b, v in _levi_table(t) for a, u in combined]
+    assert combined == [(span.bit_count(), sums)
+                        for span, sums in _subset_tables_by_scan(rs)]
 
 
 # -- per-type orbit dimensions against the scan and the partition tables -----
@@ -384,11 +415,12 @@ def test_component_dim_sets_match_the_scan_and_partition_tables():
     seen = set()
     for factors in TYPING_SYSTEMS:
         rs = build_root_system(factors)
+        cartan = _cartan(rs)
         s = rs.semisimple_rank
         for subset in range(1, 1 << s):
             chosen = [i for i in range(s) if subset >> i & 1]
-            for comp in _components(rs, chosen):
-                t = _component_type(rs, comp)
+            for comp in _components(cartan, chosen):
+                t = _component_type(cartan, comp)
                 want = _classical_dims(t) if t.series in "ABCD" else \
                     (0, _theta_grading_dim_by_scan(rs, comp))
                 assert _orbit_dims(t) == want, (factors, comp)

@@ -529,7 +529,7 @@ def _tuple_reflection_perms(coords, cartan):
 
 
 def _tuple_build(factors, torus_rank):
-    """The six compared fields of build_root_system(factors, torus_rank)."""
+    """The five compared fields of build_root_system(factors, torus_rank)."""
     data = [_tuple_type_data(t) for t in factors]
     total = sum(dim for _, dim, _ in data) + torus_rank
     rank = sum(t.rank for t in factors)
@@ -543,11 +543,10 @@ def _tuple_build(factors, torus_rank):
         offset += dim
     pairs.sort()
     coords = tuple(c for _, c in pairs)
-    cartan = tuple(map(tuple, _tuple_cartan(simple)))
+    cartan = _tuple_cartan(simple)
     return dict(roots=tuple(r for r, _ in pairs), simple_roots=tuple(simple),
                 simple_coords=coords,
                 is_positive=tuple(sum(c) > 0 for c in coords),
-                cartan_matrix=cartan,
                 reflection_perms=_tuple_reflection_perms(coords, cartan))
 
 
@@ -567,6 +566,13 @@ def _check_layer(factors, torus):
     ids=["x".join(n) + f"+T{k}" for n, k in LAYER_CASES])
 def test_layer_matches_the_tuple_generator(names, torus):
     _check_layer([SimpleType.parse(n) for n in names], torus)
+
+
+def test_each_cartan_block_is_read_off_the_dot_products():
+    # The pairs route types its Levi components on these blocks.
+    for name in SIMPLE_TYPES:
+        simple, _, _, cartan, _ = root_datum.type_data(SimpleType.parse(name))
+        assert cartan == tuple(map(tuple, _tuple_cartan(simple))), name
 
 
 def test_random_products_match_the_tuple_generator():
@@ -672,7 +678,8 @@ def test_each_simple_type_runs_the_generator_once(monkeypatch):
         return generate(simple, cartan)
 
     monkeypatch.setattr(root_datum, "_positive_coords", counted)
-    for cache in (root_datum.type_data, invariants_k._orbit_dims):
+    for cache in (root_datum.type_data, invariants_k._orbit_dims,
+                  invariants_k._levi_table):
         cache.cache_clear()
     k_report(GroupSpec(build_root_system(["A2", "B3"])))
     dual_coxeter_number(SimpleType("A", 2))
