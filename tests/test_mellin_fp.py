@@ -32,6 +32,35 @@ def test_exponential_grid(lam):
         assert abs(fp_mellin(f, expn) + math.log(lam)) < 1e-9, t0
 
 
+SPLIT_POINTS = [1e-6, 1e-2, 1.0, 1e2, 1e6, 1e14, 1e30, 1e50, 1e100]
+RATES = [1e-12, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12]
+
+
+def _finite_part_or_error(pair):
+    try:
+        return fp_mellin(*pair)
+    except NumericError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("t0", SPLIT_POINTS)
+def test_finite_parts_hold_at_every_split_point(t0):
+    # The finite part does not depend on t0, however far t0 lies from the
+    # scale 1/lam of the decay: -log lam for e^{-lam t}, -2 sqrt(pi) for
+    # t^{-1/2} e^{-t}.
+    wrong = []
+    for lam in RATES:
+        value = _finite_part_or_error(exp_preset(lam, t0))
+        if not (isinstance(value, float)
+                and abs(value + math.log(lam)) < 1e-8):
+            wrong.append((lam, value))
+    value = _finite_part_or_error(sqrt_exp_preset(t0))
+    if not (isinstance(value, float)
+            and abs(value + 2 * math.sqrt(math.pi)) < 1e-7):
+        wrong.append(("sqrt", value))
+    assert wrong == []
+
+
 @pytest.mark.parametrize("f,decay,terms,order,want", [
     (lambda t: math.exp(-t) / math.sqrt(t), (1.0, 1.0),
      ((Fraction(-1, 2), 1.0),), Fraction(1), -2 * math.sqrt(math.pi)),
