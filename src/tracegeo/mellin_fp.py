@@ -19,7 +19,8 @@ The t0-dependence cancels exactly; the suite checks that numerically.
 Both integrals use double-exponential rules (Takahasi & Mori, Publ. RIMS
 9, 1974) in the standard library: exp-sinh for the tail, scaled by the
 declared decay rate, and tanh-sinh for the small-t part above a cutoff
-read off the expansion residuals.  Below the cutoff the expansion's
+read off the expansion residuals, run in log t so that no scale between
+the cutoff and t0 goes unsampled.  Below the cutoff the expansion's
 positive-exponent terms are integrated analytically and the remainder by
 its leading power, so the cancellation in f minus its pole part near 0
 is never sampled.
@@ -275,13 +276,18 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     t0 = exp.valid_to
     c_minus1 = sum(c for a, c in exp.terms if a == 0)
 
-    def small(t: float) -> float:
-        return (f(t) - exp.pole_part(t)) / t
+    def excess(t: float) -> float:
+        return f(t) - exp.pole_part(t)
 
-    i1 = 0.0
-    if cutoff < t0:
-        span = _BOUNDED_SPAN if cutoff > 0 else _DE_SPAN
-        i1 = _de_quad(small, _tanh_sinh(cutoff, t0), -span, span, tol)
+    if cutoff > 0:
+        # dt/t is d(log t): in log t the nodes spread over every scale
+        # from the cutoff to t0, however far apart the two lie.
+        i1 = _de_quad(lambda x: excess(math.exp(x)),
+                      _tanh_sinh(math.log(cutoff), math.log(t0)),
+                      -_BOUNDED_SPAN, _BOUNDED_SPAN, tol)
+    else:
+        i1 = _de_quad(lambda t: excess(t) / t, _tanh_sinh(0.0, t0),
+                      -_DE_SPAN, _DE_SPAN, tol)
     i2 = _tail(f, t0, tol)
 
     c0 = c_minus1 * math.log(t0)
