@@ -481,7 +481,7 @@ def _cmd_budget(args) -> tuple[object, str, int]:
 
 def _cmd_reproduce(args) -> tuple[object, str, int]:
     from .reproduce import run_reproduction
-    results = run_reproduction(args.inject_fault)
+    results = run_reproduction()
     all_ok = all(r.ok for r in results)
     rows = [{
         "name": r.name, "ok": r.ok, "detail": r.detail,
@@ -608,7 +608,6 @@ def _add_budget(sub, common) -> None:
 def _add_reproduce(sub, common) -> None:
     p = sub.add_parser("reproduce", parents=[common],
                        help="run every stated-value check end to end")
-    p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_reproduce)
 
 

@@ -4,9 +4,6 @@ Each check pits a library computation against an independent oracle
 (closed forms, brute-force scans, or known constants) and reports
 expected versus actual.  The CLI `reproduce` subcommand drives this and
 exits nonzero if anything disagrees.
-
-A named fault can be injected to verify that the harness actually fails
-when a value regresses; "k_sl4" perturbs one decay invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import time
 from fractions import Fraction
 
 from . import oracles
-from .errors import DomainError
 from .error_budget import (BudgetParams, QuadraticSurd, beta_max, exponents,
                            lambda_min)
 from .invariants_k import (GroupSpec, RelativeDatum, k_by_pairs, k_min_orbit,
@@ -31,9 +27,6 @@ from .parabolic_lattice import (count_contributing_tuples, d_nonvanishing,
                                 minimal_levi, full_levi)
 from .root_datum import SimpleType, build_root_system, dual_coxeter_number
 from .value import Value
-
-KNOWN_FAULTS = ("k_sl4",)
-
 
 class CheckResult(Value):
     """One check's outcome; mutable, so unhashable."""
@@ -63,14 +56,12 @@ def _all_simple_types() -> list[SimpleType]:
     return out
 
 
-def _check_k_sl(fault: str | None) -> tuple[bool, str, str, str]:
+def _check_k_sl() -> tuple[bool, str, str, str]:
     expected = {n: n - 1 for n in range(2, 9)}
     actual = {}
     for n in range(2, 9):
         g = GroupSpec.build([SimpleType("A", n - 1)])
         values = {k_by_pairs(g), k_richardson(g), k_min_orbit(g)}
-        if fault == "k_sl4" and n == 4:
-            values = {4}
         actual[n] = values.pop() if len(values) == 1 else tuple(sorted(values))
     ok = actual == expected
     return ok, "three-route decay invariant of the special linear series", \
@@ -339,16 +330,11 @@ _CHECKS = [
 ]
 
 
-def run_reproduction(fault: str | None = None) -> list[CheckResult]:
-    if fault is not None and fault not in KNOWN_FAULTS:
-        raise DomainError(f"unknown fault {fault!r}; known: {KNOWN_FAULTS}")
+def run_reproduction() -> list[CheckResult]:
     results = []
     for name, fn in _CHECKS:
         start = time.monotonic()
-        if fn is _check_k_sl:
-            ok, detail, expected, actual = fn(fault)
-        else:
-            ok, detail, expected, actual = fn()
+        ok, detail, expected, actual = fn()
         results.append(CheckResult(name=name, detail=detail,
                                    expected=expected, actual=actual, ok=ok,
                                    seconds=time.monotonic() - start))

@@ -1340,8 +1340,16 @@ def test_console_script(console_script):
     assert "48" in proc.stdout
 
 
-def test_fault_injection_fails_and_names_the_check(capsys):
-    code = cli.main(["reproduce", "--inject-fault", "k_sl4", "--json"])
+def test_fault_injection_fails_and_names_the_check(monkeypatch, capsys):
+    # One wrong decay invariant, on A3 only, fails exactly the check that
+    # reads it.
+    true_value = reproduce.k_min_orbit
+
+    def wrong_on_a3(g):
+        return true_value(g) + (str(g.absolute) == "A3")
+
+    monkeypatch.setattr(reproduce, "k_min_orbit", wrong_on_a3)
+    code = cli.main(["reproduce", "--json"])
     out = capsys.readouterr().out
     assert code == 1
     data = json.loads(out)
