@@ -178,6 +178,16 @@ def _load_json_text(text: str, what: str, **hooks):
                          "read") from None
 
 
+def _read_entry(value, name: str, read: Callable = _read_number):
+    """A JSON entry read as a number by read, each error naming name.
+    The loaders give each number as the str typed; true, false and null are
+    read as their JSON words, and an array or object is refused by kind."""
+    if isinstance(value, (list, dict)):
+        kind = "array" if isinstance(value, list) else "object"
+        raise ParseError(f"{name} expects a number, got a JSON {kind}")
+    return read(value if isinstance(value, str) else json.dumps(value), name)
+
+
 def _load_relative(path: str) -> RelativeDatum:
     from .invariants_k import RelativeDatum
     shown = _clip(path)
@@ -289,8 +299,7 @@ def _cmd_discriminant(args) -> tuple[object, str, int]:
         raise ParseError("--matrix wants a square JSON array of arrays")
     # A number comes as typed, a JSON number or a string alike.
     matrix = RationalMatrix.from_rows([
-        [_read_number(x if isinstance(x, str) else json.dumps(x),
-                      f"--matrix: [{i}][{j}]") for j, x in enumerate(row)]
+        [_read_entry(x, f"--matrix: [{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(data)])
     primes = _read_ints(args.primes, "--primes") \
         if args.primes is not None else []
@@ -355,10 +364,9 @@ def _mellin_pair_from_spec(data):
 
     def number(value, key: str, exact: bool = False):
         # Numbers come as typed; an exponent stays exact but needs a float.
-        text = value if isinstance(value, str) else json.dumps(value)
         name = f"--spec: {key}"
-        x = _read_float(text, name)
-        return _read_number(text, name) if exact else x
+        x = _read_entry(value, name, _read_float)
+        return _read_entry(value, name) if exact else x
 
     if not isinstance(data, dict):
         raise ParseError("--spec wants a JSON object")

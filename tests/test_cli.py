@@ -746,6 +746,21 @@ def test_a_refused_spelling_exits_2_naming_its_flag(capsys, spelling):
                                     "are read; got "), captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["discriminant", "--matrix", "[[[1],0],[0,2]]"],
+     "--matrix: [0][0] expects a number, got a JSON array"),
+    (["discriminant", "--matrix", '[[1,0],[0,{"a":2}]]'],
+     "--matrix: [1][1] expects a number, got a JSON object"),
+    (["mellin-fp", "--spec", '{"preset":"exp","lambda":{"a":1.5}}'],
+     "--spec: lambda expects a number, got a JSON object"),
+    (["mellin-fp", "--spec", '{"preset":"exp","lambda":[1]}'],
+     "--spec: lambda expects a number, got a JSON array"),
+], ids=["matrix-array", "matrix-object", "spec-object", "spec-array"])
+def test_a_nested_entry_is_named_by_its_kind(capsys, argv, message):
+    code, captured = _outcome(capsys, argv)
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_the_digit_limit_counts_the_exponent(capsys):
     # 1e999 spells a 1000-digit numerator and 1e-999 a 1000-digit
     # denominator; one more power of ten is refused before it is built.
