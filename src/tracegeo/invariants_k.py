@@ -179,12 +179,12 @@ def k_by_pairs(g: GroupSpec) -> int:
     An orbit of dimension d of the standard Levi of a simple-root subset J
     induces one of dimension d + #roots - #Levi roots.  Levis and orbits
     of a product are products, and that sum adds over the simple factors,
-    0 from a factor's trivial pair and more from any other: the minimum is
-    the least over the factors of their _levi_table minima.  Exceptional
-    Levi components contribute their trivial and minimal orbits only:
-    every nontrivial orbit is at least minimal, so larger ones cannot lower
-    the minimum.  Each factor is one of its own Levis, so its minimal
-    orbits enter here too.
+    0 from a factor's trivial pair and more from any other: the least
+    nontrivial one is the least of each factor's own, read off its
+    _levi_table.  Exceptional Levi components contribute their trivial and
+    minimal orbits only: every nontrivial orbit is at least minimal, so
+    larger ones cannot lower the minimum.  Each factor is one of its own
+    Levis, so its minimal orbits enter here too.
     """
     rs = g.absolute
     s = rs.semisimple_rank

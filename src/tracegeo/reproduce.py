@@ -28,6 +28,7 @@ from .parabolic_lattice import (count_contributing_tuples, d_nonvanishing,
 from .root_datum import SimpleType, build_root_system, dual_coxeter_number
 from .value import Value
 
+
 class CheckResult(Value):
     """One check's outcome; mutable, so unhashable."""
 
