@@ -194,11 +194,11 @@ def k_by_pairs(g: GroupSpec) -> int:
         raise ResourceLimitError(
             f"pair enumeration is limited to rank {PAIR_RANK_LIMIT}; "
             f"got rank {s}")
-    best = min(orbit_total + t.size()[0] - levi_roots
-               for t in rs.factors
-               for subset, (levi_roots, sums) in enumerate(_levi_table(t))
+    best = min(orbit_total + n_roots - levi_roots
+               for t in rs.factors for n_roots in [t.size()[0]]
+               for levi_roots, sums in _levi_table(t)
                for orbit_total in sums
-               if orbit_total or subset != (1 << t.rank) - 1)
+               if orbit_total or levi_roots < n_roots)  # not the trivial pair
     assert best % 2 == 0 and best > 0
     return g.restriction_degree * (best // 2)
 
