@@ -2,26 +2,16 @@
 bytes of its stdout and stderr.  `make_cli_corpus.py` beside this file
 regenerates the corpus."""
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
-from tracegeo import cli
+from make_cli_corpus import CORPUS, run
 
-ENTRIES = json.loads(
-    Path(__file__).with_name("cli_corpus.json").read_text())
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+ENTRIES = json.loads(CORPUS.read_text())
 
 
 @pytest.mark.parametrize("entry", ENTRIES,
                          ids=[" ".join(e["argv"]) for e in ENTRIES])
-def test_a_corpus_call_keeps_its_bytes(capsys, entry):
-    code = cli.main(list(entry["argv"]))
-    captured = capsys.readouterr()
-    assert (code, _sha256(captured.out), _sha256(captured.err)) == \
-        (entry["code"], entry["stdout_sha256"], entry["stderr_sha256"])
+def test_a_corpus_call_keeps_its_bytes(entry):
+    assert run(entry["argv"]) == entry
