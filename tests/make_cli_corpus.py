@@ -32,7 +32,18 @@ ARGVS = ([["k", name, "--json"] for name in SIMPLE_TYPES + PRODUCTS]
             ["k", "D4xA1+T1@res=2", "--json"], ["k", "B3xC2+T2@res=3"]]
          + [["k", "E6xA2", "--method", m]
             for m in ("pairs", "richardson", "minorbit")]
-         + [["k", "A9", "--method", "pairs"], ["k", "A46"], ["k", "Z3"]])
+         + [["k", "A9", "--method", "pairs"], ["k", "A46"], ["k", "Z3"]]
+         + [["k", "A45", "--json"], ["k", "A2+T" + "9" * 20],
+            ["k", "A46", "--degree", "0"]]
+         + [["parabolics", name, "--json"]
+            for name in ("A1", "A2", "A3", "B2", "G2", "A1xA1")]
+         + [["parabolics", "A7"], ["parabolics", "A46"],
+            ["parabolics", "A2+T" + "9" * 20], ["parabolics", "A2@res=3"]]
+         + [["index", "--n", "4", "--level", "360", "--json"],
+            ["levels", "check-prime-fixed", "2,4,8", "--allowed", "2"]]
+         + [["discriminant", "--matrix", matrix]
+            for matrix in ('[["1e5000","0"],["0","3"]]',
+                           '[["1_0","0"],["0","1"]]', "[[[1],0],[0,2]]")])
 
 
 def sha256(text: str) -> str:
