@@ -37,9 +37,12 @@ def _primes_below(n: int) -> tuple[int, ...]:
 # strong pseudoprime to all of them.
 _SMALL_PRIMES = _primes_below(2000)
 _MR_BASES = _SMALL_PRIMES[:12]
-# Pollard-Brent steps allowed per split, about 1 s of work on a 60-digit
-# cofactor.  A factor p takes about sqrt(p) steps: the hardest levels under
-# the 2^63 guard, products of two 31-bit primes, split within 2^18.
+# Pollard-Brent steps allowed per split of a cofactor of up to 100 digits
+# (333 bits), about 1.5 s of work at 100 digits.  A factor p takes about
+# sqrt(p) steps: the hardest levels under the 2^63 guard, products of two
+# 31-bit primes, split within 2^18.  A step is a multiplication modulo the
+# cofactor, whose cost grows about as its size squared, so a larger
+# cofactor gets RHO_STEPS scaled down by (333 / its bits)^2.
 RHO_STEPS = 2 ** 20
 
 
@@ -81,15 +84,16 @@ def _pollard_brent(n: int) -> int:
     """A proper factor of a composite n with no factor below 2000, by
     Pollard's rho with Brent's cycle detection, gcds batched 128 steps at a
     time (Brent, BIT 20, 1980)."""
+    allowed = min(RHO_STEPS, RHO_STEPS * 333 ** 2 // n.bit_length() ** 2)
     steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r
-            if steps > RHO_STEPS:
+            if steps > allowed:
                 raise ResourceLimitError(
                     f"cannot factor a {len(str(n))}-digit cofactor within "
-                    f"{RHO_STEPS} Pollard-Brent steps")
+                    f"{allowed} Pollard-Brent steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -116,7 +120,8 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division by the primes below 2000, then Miller-Rabin and
     Pollard-Brent on what is left.  A cofactor that does not split within
-    RHO_STEPS raises ResourceLimitError.
+    its step budget (RHO_STEPS, scaled down above 100 digits) raises
+    ResourceLimitError.
     """
     fac: dict[int, int] = {}
     for p in _SMALL_PRIMES:

@@ -27,9 +27,8 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import (_NUMBER, DomainError, ParseError, TracegeoError, _clip,
                      _read_int, _read_number, exit_code_for)
-from .value import Value, set_field
 
-# Only the stdlib, .errors and .value load at module top.  Every library
+# Only the stdlib and .errors load at module top.  Every library
 # module is imported inside the function that calls it, so a subcommand
 # loads only what it runs: compiling a module when no bytecode is cached
 # costs a few ms.  fractions loads only with a module that computes with
@@ -37,44 +36,7 @@ from .value import Value, set_field
 # serve annotations only.
 if TYPE_CHECKING:
     from .invariants_k import RelativeDatum
-    from .root_datum import RootSystem, SimpleType
-
-
-# -- group-spec grammar --------------------------------------------------------
-
-
-class ParsedGroupSpec(Value):
-    """A group-spec string, decomposed.
-
-    Grammar: simple factors joined by 'x' ("A2", "B3xA1"), an optional
-    central-torus suffix "+Tk", then optional "@res=<n>" and
-    "@relative=<path>" markers in either order, each at most once.
-    """
-
-    _fields = ("factors", "torus_rank", "restriction_degree",
-               "relative_path")
-
-    def __init__(self, factors: tuple[SimpleType, ...], torus_rank: int = 0,
-                 restriction_degree: int = 1,
-                 relative_path: str | None = None):
-        set_field(self, "factors", factors)
-        set_field(self, "torus_rank", torus_rank)
-        set_field(self, "restriction_degree", restriction_degree)
-        set_field(self, "relative_path", relative_path)
-
-    def render(self) -> str:
-        body = "x".join(str(t) for t in self.factors)
-        if self.torus_rank:
-            body += f"+T{self.torus_rank}"
-        if self.restriction_degree != 1:
-            body += f"@res={self.restriction_degree}"
-        if self.relative_path is not None:
-            body += f"@relative={self.relative_path}"
-        return body
-
-    def root_system(self) -> RootSystem:
-        from .root_datum import build_root_system
-        return build_root_system(list(self.factors), self.torus_rank)
+    from .root_datum import RootSystem
 
 
 def _read_float(text: str, name: str) -> float:
@@ -95,7 +57,17 @@ def _read_ints(text: str, flag: str, limit: int | None = None) -> list[int]:
     return [_read_int(c.strip(), flag, limit) for c in text.split(",")]
 
 
-def parse_group_spec(text: str) -> ParsedGroupSpec:
+# -- group-spec grammar --------------------------------------------------------
+
+
+def parse_group_spec(text: str) -> tuple[RootSystem, int, str | None]:
+    """The root system, restriction degree and relative-datum path that a
+    group spec names.
+
+    Grammar: simple factors joined by 'x' ("A2", "B3xA1"), an optional
+    central-torus suffix "+Tk", then optional "@res=<n>" and
+    "@relative=<path>" markers in either order, each at most once.
+    """
     if not text:
         raise ParseError("empty group spec", offset=0)
     at = text.find("@")
@@ -110,7 +82,7 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
         torus_rank = _read_int(core[plus + 2:], "+T", offset=plus + 2)
     if not factor_part:
         raise ParseError("expected a simple factor like A2", offset=0)
-    from .root_datum import SimpleType
+    from .root_datum import RootSystem, SimpleType
     factors = []
     pos = 0
     for chunk in factor_part.split("x"):
@@ -146,7 +118,15 @@ def parse_group_spec(text: str) -> ParsedGroupSpec:
             raise ParseError(f"unknown suffix {_clip(repr(chunk))}; expected "
                              "res= or relative=", offset=idx + 1)
         idx = nxt
-    return ParsedGroupSpec(tuple(factors), torus_rank, degree, rel_path)
+    return RootSystem(tuple(factors), torus_rank), degree, rel_path
+
+
+def _render_spec(rs: RootSystem, degree: int, rel_path: str | None) -> str:
+    """The canonical group spec: parse_group_spec reads it back."""
+    suffixes = "" if degree == 1 else f"@res={degree}"
+    if rel_path is not None:
+        suffixes += f"@relative={rel_path}"
+    return f"{rs}{suffixes}"
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -220,18 +200,16 @@ def _load_relative(path: str) -> RelativeDatum:
 
 
 def _cmd_k(args) -> tuple[object, str, int]:
-    parsed = parse_group_spec(args.spec)
+    rs, degree, rel_path = parse_group_spec(args.spec)
     from .invariants_k import (GroupSpec, k_by_pairs, k_min_orbit, k_report,
                                k_richardson)
-    rel_path = args.relative if args.relative is not None \
-        else parsed.relative_path
+    if args.relative is not None:
+        rel_path = args.relative
     relative = _load_relative(rel_path) if rel_path is not None else None
-    degree = _read_int(args.degree, "--degree") if args.degree is not None \
-        else parsed.restriction_degree
-    g = GroupSpec.build(list(parsed.factors), parsed.torus_rank,
-                        degree, relative)
-    canonical = ParsedGroupSpec(parsed.factors, parsed.torus_rank, degree,
-                                rel_path).render()
+    if args.degree is not None:
+        degree = _read_int(args.degree, "--degree")
+    g = GroupSpec(rs, degree, relative)
+    canonical = _render_spec(rs, degree, rel_path)
     if args.method is None:
         report = k_report(g)
         result = {"spec": canonical, **report}
@@ -268,12 +246,17 @@ def _cmd_orbits(args) -> tuple[object, str, int]:
 
 
 def _cmd_parabolics(args) -> tuple[object, str, int]:
-    parsed = parse_group_spec(args.spec)
+    rs, degree, rel_path = parse_group_spec(args.spec)
+    # Parabolic subsets live in the split root datum; only k reads the
+    # restriction degree and the relative datum.
+    if degree != 1 or rel_path is not None:
+        suffix = "@res=" if degree != 1 else "@relative="
+        raise ParseError(f"{suffix} does not apply to parabolics")
     from .parabolic_lattice import (dim_unipotent_radical,
                                     enumerate_parabolic_subsets, levi_of)
     rows = []
     # enumerate_parabolic_subsets returns the subsets in sort_key order.
-    for p in enumerate_parabolic_subsets(parsed.root_system()):
+    for p in enumerate_parabolic_subsets(rs):
         levi = levi_of(p)
         rows.append({
             "members": p.member_roots,
@@ -281,7 +264,7 @@ def _cmd_parabolics(args) -> tuple[object, str, int]:
             "dim_V": dim_unipotent_radical(p),
             "a_M_dim": levi.a_M_dim,
         })
-    lines = [f"{len(rows)} parabolic subsets for {parsed.render()}:"]
+    lines = [f"{len(rows)} parabolic subsets for {rs}:"]
     for r in rows:
         lines.append(f"  |members| {len(r['members']):>3}  |levi| "
                      f"{len(r['levi']):>3}  dim_V {r['dim_V']:>3}  "
@@ -323,7 +306,7 @@ def _cmd_index(args) -> tuple[object, str, int]:
     n = _read_int(args.n, "--n")
     level = _read_int(args.level, "--level", LEVEL_LIMIT)
     value = sl_index(n, level)
-    result = {"group": args.group, "n": n, "level": level, "index": value,
+    result = {"group": "sl", "n": n, "level": level, "index": value,
               "prime_support": list(level_data(level).S_N)}
     return result, f"[SL({n},Z) : Gamma({level})] = {value}", 0
 
@@ -569,7 +552,6 @@ def _add_discriminant(sub, common) -> None:
 def _add_index(sub, common) -> None:
     p = sub.add_parser("index", parents=[common],
                        help="index of a principal congruence subgroup")
-    p.add_argument("--group", default="sl", choices=["sl"])
     p.add_argument("--n", required=True)
     p.add_argument("--level", required=True)
     p.set_defaults(fn=_cmd_index)

@@ -28,9 +28,9 @@ from .value import Value, set_field
 
 _SERIES = "ABCDEFG"
 
-# RootSystem refuses a system of more roots times ambient dimension
-# than this before generating a root; A45, B36, C36, D37 and E8+T408, the
-# largest of their kinds that pass, build in about a second or less.
+# RootSystem refuses to generate the roots of a system of more roots times
+# ambient dimension than this; A45, B36, C36, D37 and E8+T408, the largest
+# of their kinds that pass, build in about a second or less.
 ROOT_COORD_LIMIT = 100000
 
 
@@ -232,9 +232,10 @@ class RootSystem(Value):
     derived on first read.  roots are integer vectors in the ambient
     lattice, sorted lexicographically; simple_roots keep factor-by-factor
     Bourbaki order; simple_coords[i] writes roots[i] in the simple-root
-    basis.  The constructor refuses a system of more than
-    ROOT_COORD_LIMIT root coordinates (roots times ambient dimension,
-    counted in closed form) before any root is generated.
+    basis.  Reading any of them, or any table derived from them, refuses
+    a system of more than ROOT_COORD_LIMIT root coordinates (roots times
+    ambient dimension, counted in closed form) before any root is
+    generated; the constructor, ambient_dim and semisimple_rank do not.
     """
 
     _fields = ("factors", "torus_rank")
@@ -246,12 +247,6 @@ class RootSystem(Value):
                 or torus_rank < 0:
             raise DomainError("torus_rank must be a nonnegative integer, "
                               f"got {torus_rank!r}")
-        coords = sum(t.size()[0] for t in self.factors) * self.ambient_dim
-        if coords > ROOT_COORD_LIMIT:
-            raise ResourceLimitError(
-                f"root systems are limited to {ROOT_COORD_LIMIT} root "
-                f"coordinates (roots times ambient dimension); {self} has "
-                f"{coords}")
 
     @cached_property
     def ambient_dim(self) -> int:
@@ -271,6 +266,11 @@ class RootSystem(Value):
         """
         total, rank = self.ambient_dim, self.semisimple_rank
         n = sum(t.size()[0] for t in self.factors)
+        if n * total > ROOT_COORD_LIMIT:
+            raise ResourceLimitError(
+                f"root systems are limited to {ROOT_COORD_LIMIT} root "
+                f"coordinates (roots times ambient dimension); {self} has "
+                f"{n * total}")
         simple: list[tuple[int, ...]] = []
         lower: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         uppers, places = [], []

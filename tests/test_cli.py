@@ -51,38 +51,41 @@ def _json_results_hold_no_raw_float(monkeypatch):
 
 def test_parse_simple():
     spec = cli.parse_group_spec("A2")
-    assert [str(t) for t in spec.factors] == ["A2"]
-    assert spec.torus_rank == 0
-    assert spec.restriction_degree == 1
-    assert spec.relative_path is None
-    assert spec.render() == "A2"
+    rs, degree, rel_path = spec
+    assert [str(t) for t in rs.factors] == ["A2"]
+    assert rs.torus_rank == 0
+    assert degree == 1
+    assert rel_path is None
+    assert cli._render_spec(*spec) == "A2"
 
 
 def test_parse_product_and_torus():
     spec = cli.parse_group_spec("D3xA1+T2")
-    assert [str(t) for t in spec.factors] == ["D3", "A1"]
-    assert spec.torus_rank == 2
-    assert spec.render() == "D3xA1+T2"
+    rs = spec[0]
+    assert [str(t) for t in rs.factors] == ["D3", "A1"]
+    assert rs.torus_rank == 2
+    assert cli._render_spec(*spec) == "D3xA1+T2"
 
 
 def test_parse_suffixes_any_order():
     a = cli.parse_group_spec("A1@res=3@relative=x.json")
     b = cli.parse_group_spec("A1@relative=x.json@res=3")
     assert a == b
-    assert a.restriction_degree == 3
-    assert a.relative_path == "x.json"
-    assert a.render() == "A1@res=3@relative=x.json"
+    _, degree, rel_path = a
+    assert degree == 3
+    assert rel_path == "x.json"
+    assert cli._render_spec(*a) == "A1@res=3@relative=x.json"
 
 
 def test_parse_round_trip():
     for text in ("A2", "B3xA1", "A1xA1+T1", "D3xA1+T2", "A1@res=3",
                  "C4+T1@res=2", "A2@relative=d.json"):
         spec = cli.parse_group_spec(text)
-        assert cli.parse_group_spec(spec.render()) == spec
+        assert cli.parse_group_spec(cli._render_spec(*spec)) == spec
 
 
 def test_parse_drops_unit_degree():
-    assert cli.parse_group_spec("A2@res=1").render() == "A2"
+    assert cli._render_spec(*cli.parse_group_spec("A2@res=1")) == "A2"
 
 
 def test_parse_errors_carry_offsets():
@@ -138,7 +141,7 @@ def _read_outcome(read):
 @pytest.mark.parametrize("text", TYPE_NAMES,
                          ids=[repr(t)[:16] for t in TYPE_NAMES])
 def test_group_specs_read_types_as_the_reference_does(text):
-    assert _read_outcome(lambda: cli.parse_group_spec(text).factors) == \
+    assert _read_outcome(lambda: cli.parse_group_spec(text)[0].factors) == \
         _read_outcome(lambda: _reference_factors(text))
 
 
@@ -338,6 +341,18 @@ def test_parabolics_guard_counts_subsets_not_rank(capsys):
         "A7 has more\n")
 
 
+def test_parabolics_refuses_the_suffixes_only_k_reads(capsys):
+    # Parabolic subsets live in the split root datum; @res=1 is plain A2.
+    for spec, suffix in (("A2@res=3", "@res="),
+                         ("A1@relative=/nonexistent.json", "@relative="),
+                         ("A2@relative=r.json@res=2", "@res=")):
+        assert cli.main(["parabolics", spec]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {suffix} does not apply to parabolics\n"
+    assert cli.main(["parabolics", "A2@res=1"]) == 0
+    assert capsys.readouterr().out.startswith("13 parabolic subsets for A2:\n")
+
+
 def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):
     # q is a product of two 100-bit primes and q - 1 = 2^4 * prime, so
     # the numerator (q-1)^2 factors and the denominator q exhausts the rho
@@ -348,6 +363,17 @@ def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):
     assert code == 3
     assert captured.err == ("error: cannot factor a 61-digit cofactor within "
                             "1048576 Pollard-Brent steps\n")
+
+
+def test_a_long_cofactor_gets_fewer_rho_steps(capsys):
+    # A step multiplies modulo the cofactor, so the budget shrinks with the
+    # square of its size past 100 digits: this refusal took about a minute
+    # at 1048576 steps.
+    code = cli.main(["discriminant", "--matrix", '[["1e999","0"],["0","3"]]'])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: cannot factor a 988-digit cofactor within 10807 "
+        "Pollard-Brent steps\n")
 
 
 def test_discriminant_reads_a_json_decimal_as_its_ratio(capsys):
@@ -364,10 +390,16 @@ def test_discriminant_reads_a_json_decimal_as_its_ratio(capsys):
 
 
 def test_index_json(capsys):
-    code, data = run_json(capsys, ["index", "--group", "sl", "--n", "3",
-                                   "--level", "2", "--json"])
+    code, data = run_json(capsys, ["index", "--n", "3", "--level", "2",
+                                   "--json"])
     assert code == 0
     assert data["result"]["index"] == 168
+    assert data["result"]["group"] == "sl"
+    # The special linear group is the only one, so index takes no --group.
+    assert cli.main(["index", "--group", "sl", "--n", "3",
+                     "--level", "2"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unrecognized arguments: --group sl\n"
 
 
 def test_index_past_the_digit_limit_exits_3(capsys):
@@ -398,7 +430,7 @@ LONG_DIGIT_CALLS = [
     (["orbits", f"gl{HUGE}"], 2, "gl<n>"),
     (["k", f"A{HUGE}"], 2, "type rank"),
     (["k", f"A2+T{HUGE}"], 2, "+T"),
-    (["k", "A2+T" + "9" * 20], 3, "root systems are limited"),
+    (["parabolics", "A2+T" + "9" * 20], 3, "root systems are limited"),
     (["index", "--n", HUGE, "--level", "2"], 2, "--n"),
     (["index", "--n", "2", "--level", HUGE], 3, "--level"),
     (["budget", "--k", HUGE], 2, "--k: at most 1000 digits are read; "

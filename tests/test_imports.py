@@ -36,7 +36,7 @@ LIGHT_CALLS = [
     (["mellin-fp", "--preset", "sqrt", "--json"], 0),
     (["mellin-fp", "--spec", SPEC, "--tol", "1e-4", "--json"], 0),
     (["mellin-fp", "--preset", "exp", "--lambda", "2", "--tol", "0"], 2),
-    (["index", "--group", "sl", "--n", "3", "--level", "2", "--json"], 0),
+    (["index", "--n", "3", "--level", "2", "--json"], 0),
     (["levels", "check-prime-fixed", "2,4,6", "--allowed", "2,3",
       "--json"], 0),
 ]

@@ -698,6 +698,20 @@ def test_k_above_rank_8_generates_no_root(monkeypatch):
     assert ranks == []
 
 
+def test_k_past_the_root_limit_generates_no_root(monkeypatch):
+    # A46 holds 101,614 root coordinates, past ROOT_COORD_LIMIT, but no k
+    # route reads its roots, so the guard where they are generated never
+    # trips.
+    ranks = []
+    monkeypatch.setattr(root_datum, "_positive_coords",
+                        lambda simple, cartan: ranks.append(len(cartan)))
+    root_datum.type_data.cache_clear()
+    report = k_report(GroupSpec(build_root_system(["A46"])))
+    assert report == {"minorbit": 46, "pairs": None,
+                      "richardson_absolute": None,
+                      "richardson_relative": None, "agreement": True}
+    assert ranks == []
+
 def test_size_guard_refuses_before_generating(monkeypatch):
     ranks = []
     generate = root_datum._positive_coords
@@ -711,12 +725,14 @@ def test_size_guard_refuses_before_generating(monkeypatch):
     # E8+T409: 240 roots in dimension 417, 100,080 coordinates
     for factors, torus in ((["A2"], 10 ** 20), (["A300"], 0), (["A46"], 0),
                            (["E8"], 409)):
-        with pytest.raises(ResourceLimitError,
-                           match="limited to 100000 root coordinates"):
-            build_root_system(factors, torus)
+        rs = build_root_system(factors, torus)
+        for name in ("roots", "reflection_perms"):
+            with pytest.raises(ResourceLimitError,
+                               match="limited to 100000 root coordinates"):
+                getattr(rs, name)
     assert ranks == []
-    # The guard and ambient_dim are closed forms: no root is generated
-    # until one is read.
+    # The constructor, the guard and ambient_dim are closed forms: no root
+    # is generated until one is read.
     e8 = build_root_system(["E8"], 408)
     assert e8.ambient_dim == 416 and ranks == []
     assert len(e8.roots) == 240 and ranks == [8]

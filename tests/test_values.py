@@ -14,7 +14,6 @@ from tracegeo import (AsymptoticExpansion, BudgetParams, DiscriminantValue,
                       PrimeFixedResult, QuadraticSurd, RationalMatrix,
                       RelativeDatum, RootSystem, SimpleType, TailFunction,
                       build_root_system)
-from tracegeo.cli import ParsedGroupSpec
 from tracegeo.reproduce import CheckResult
 
 A2 = SimpleType("A", 2)
@@ -28,13 +27,6 @@ F = Fraction
 # repr).  Each replacement changes equality exactly when its field is
 # compared.
 CASES = {
-    ParsedGroupSpec: (
-        dict(factors=(A2,), torus_rank=1, restriction_degree=2,
-             relative_path=None),
-        (), dict(factors=(SimpleType("B", 2),), torus_rank=0,
-                 restriction_degree=1, relative_path="r.json"),
-        "ParsedGroupSpec(factors=(SimpleType(series='A', rank=2),), "
-        "torus_rank=1, restriction_degree=2, relative_path=None)"),
     RationalMatrix: (
         dict(n=1, entries=((F(1, 2),),)),
         (), dict(entries=((F(1, 3),),)),
@@ -192,7 +184,6 @@ def test_repr_names_every_field_in_order(cls):
 
 
 def test_defaults_and_cached_properties():
-    assert ParsedGroupSpec((A2,)) == ParsedGroupSpec((A2,), 0, 1, None)
     assert DiscriminantValue(F(1), F(1), {}).centralizer_dim == 0
     assert GroupSpec(A1) == GroupSpec(A1, 1, None)
     assert OrbitLabel(A2, (3,)).very_even is False
