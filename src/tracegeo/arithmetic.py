@@ -91,9 +91,12 @@ def _pollard_brent(n: int) -> int:
         while g == 1:
             steps += 2 * r
             if steps > allowed:
+                # n's digit count without str(n), which Python refuses
+                # past 4300 digits: 10^k <= n for this k.
+                k = max(0, n.bit_length() * 1233 // 4096 - 2)
                 raise ResourceLimitError(
-                    f"cannot factor a {len(str(n))}-digit cofactor within "
-                    f"{allowed} Pollard-Brent steps")
+                    f"cannot factor a {k + len(str(n // 10 ** k))}-digit "
+                    f"cofactor within {allowed} Pollard-Brent steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

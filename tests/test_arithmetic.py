@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from tracegeo import oracles
-from tracegeo.arithmetic import (INDEX_DIGIT_LIMIT, conjecture_bound, factorize, is_prime,
-                                 level_data, prime_fixed_check, sl_index)
+from tracegeo.arithmetic import (INDEX_DIGIT_LIMIT, _pollard_brent, conjecture_bound,
+                                 factorize, is_prime, level_data, prime_fixed_check,
+                                 sl_index)
 from tracegeo.errors import DomainError, ResourceLimitError
 
 
@@ -79,6 +80,16 @@ def test_level_data():
     assert data.S_N == (2, 3)
     assert level_data(1).S_N == ()
     assert level_data(97).factorization == {97: 1}
+
+
+def test_a_cofactor_past_the_str_limit_is_refused_naming_its_digits():
+    # Python refuses str() of an int of more than 4300 digits, and the
+    # budget at this size is a few hundred steps: 10^4400 + 9 has no
+    # factor below 2000 and none that they find.
+    with pytest.raises(ResourceLimitError, match=(
+            "^cannot factor a 4401-digit cofactor within 544 Pollard-Brent "
+            "steps$")):
+        _pollard_brent(10 ** 4400 + 9)
 
 
 def test_level_data_guards():
