@@ -367,8 +367,8 @@ def test_discriminant_that_cannot_be_factored_is_resource_error(capsys):
 
 def test_a_long_cofactor_gets_fewer_rho_steps(capsys):
     # A step multiplies modulo the cofactor, so the budget shrinks with the
-    # square of its size past 100 digits: this refusal took about a minute
-    # at 1048576 steps.
+    # square of its size past 100 digits, and a 988-digit cofactor is
+    # refused within seconds, not after 1048576 steps.
     code = cli.main(["discriminant", "--matrix", '[["1e999","0"],["0","3"]]'])
     assert code == 3
     assert capsys.readouterr().err == (

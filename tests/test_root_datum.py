@@ -712,6 +712,7 @@ def test_k_past_the_root_limit_generates_no_root(monkeypatch):
                       "richardson_relative": None, "agreement": True}
     assert ranks == []
 
+
 def test_size_guard_refuses_before_generating(monkeypatch):
     ranks = []
     generate = root_datum._positive_coords
