@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 from tracegeo import cli
@@ -44,6 +45,48 @@ ARGVS = ([["k", name, "--json"] for name in SIMPLE_TYPES + PRODUCTS]
          + [["discriminant", "--matrix", matrix]
             for matrix in ('[["1e5000","0"],["0","3"]]',
                            '[["1_0","0"],["0","1"]]', "[[[1],0],[0,2]]")])
+
+# e^{-2t} sampled at t = 0.2, 0.4, ..., 12 with its Maclaurin terms: the
+# spline (`samples`) path of mellin-fp.
+SPLINE_SPEC = json.dumps({
+    "t0": "1", "decay": {"C": "1.1", "lambda": "2"},
+    "terms": [[i, c] for i, c in enumerate(
+        ["1", "-2", "2", "-4/3", "2/3", "-4/15", "4/45", "-8/315", "2/315"])],
+    "samples": [[f"{0.2 * i:.10g}", f"{math.exp(-0.4 * i):.12g}"]
+                for i in range(1, 61)]}, separators=(",", ":"))
+
+# Semisimple matrices with repeated eigenvalues, n = 2..7: conjugates of
+# diagonal matrices by unimodular integer matrices, and at n = 7 a
+# conjugate of two copies of the companion matrix of x^3 - 2 beside 5,
+# whose charpoly does not split over Q.
+DISCRIMINANT_MATRICES = [
+    '[["-3/2",0],[0,"-3/2"]]',
+    "[[-1,0,-6],[-3,2,-6],[3,0,8]]",
+    '[["1/2",-5,"-5/2",5],["5/2","11/2",0,"-5/2"],[0,-5,-2,5],'
+    '["5/2",0,"-5/2",3]]',
+    "[[16,24,-9,15,18],[-9,-14,6,-9,-12],[-3,-6,4,-3,-6],"
+    "[-15,-24,9,-14,-18],[9,15,-6,9,13]]",
+    "[[-1,3,-6,-3,-12,-6],[2,2,6,3,10,8],[-2,0,-3,-2,-8,-6],"
+    "[4,-6,10,9,22,12],[2,0,5,2,10,6],[-3,3,-7,-4,-14,-6]]",
+    '[["-10/3",7,"5/3",-7,-7,-9,"37/3"],["1/3",-4,"-23/3",7,7,-3,"-19/3"],'
+    '[4,-5,1,5,5,7,-8],["22/3",-13,"-20/3",16,13,11,"-58/3"],'
+    '["10/3",-7,"-14/3",7,10,3,"-28/3"],["7/3",-4,"-5/3",4,4,5,"-19/3"],'
+    '["16/3",-8,"-8/3",8,8,8,"-31/3"]]',
+    "[[8,-1,12,-3,6,36,-19],[9,11,-10,26,-23,-34,42],"
+    "[-5,18,-34,60,-29,-79,84],[1,5,-7,19,-7,-11,17],[5,4,0,14,-3,7,8],"
+    "[-2,-11,15,-35,17,34,-45],[-4,-8,9,-24,14,22,-30]]",
+]
+
+ARGVS += ([["mellin-fp", "--preset", "exp", "--lambda", lam, "--t0", t0,
+            "--json"]
+           for lam in ("1/2", "2", "8", "1e-3")
+           for t0 in ("1/2", "1", "2", "1e6")]
+          + [["mellin-fp", "--preset", "sqrt", "--t0", t0, "--json"]
+             for t0 in ("1/2", "2", "1e6")]
+          + [["mellin-fp", "--spec", SPLINE_SPEC, "--tol", "1e-6", "--json"]]
+          + [["discriminant", "--matrix", matrix, "--json"]
+             for matrix in DISCRIMINANT_MATRICES]
+          + [["discriminant", "--matrix", "[[2,1,0],[0,2,0],[0,0,3]]"]])
 
 
 def sha256(text: str) -> str:
