@@ -4,7 +4,9 @@ Matrices are row-major lists of rows of ``fractions.Fraction`` or ``int``.
 Rank and determinant share one fraction-free (Bareiss) elimination on
 integer rows, and the characteristic polynomial is Berkowitz's
 division-free recursion on the integer matrix D m, D the common
-denominator of m, so neither does Fraction arithmetic on the way; the
+denominator of m, so neither does Fraction arithmetic on the way.  The
+squarefree split likewise scales its polynomial to a monic integer one
+and takes its gcds by primitive remainder sequences; the other
 polynomial helpers work over Fraction.
 Hand-rolled rather than numpy because a float rank is not a rank: these
 values feed invariants whose contracts promise integer or rational
@@ -161,13 +163,39 @@ def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Frac
     return q or [Fraction(0)], _strip(r)
 
 
-def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd via the Euclidean algorithm."""
-    a = _strip([Fraction(c) for c in p])
-    b = _strip([Fraction(c) for c in q])
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, leading coefficient positive; p nonzero."""
+    g = math.gcd(*p)
+    return [x // (-g if p[0] < 0 else g) for x in p]
+
+
+def _int_gcd(p: list[int], q: list[int]) -> list[int]:
+    """The primitive gcd of two integer polynomials, p nonzero, with a
+    positive leading coefficient, by a primitive remainder sequence: each
+    pseudo-remainder lc(b)^k a mod b is divided by its content."""
+    a = _primitive(p)
+    b = _strip(q)
     while b[0]:
-        a, b = b, poly_divmod(a, b)[1]
-    return [c / a[0] for c in a] if a[0] else a
+        b = _primitive(b)
+        lead, rest, r = b[0], b[1:], a
+        while len(r) >= len(b):
+            f = r[0]
+            r = [lead * x - f * y for x, y in zip(r[1:], rest)] + \
+                [lead * x for x in r[len(b):]] if f else r[1:]
+        a, b = b, _strip(r)
+    return a
+
+
+def _divide_monic(p: list[int], d: list[int]) -> list[int]:
+    """p / d for integer polynomials with d monic and dividing p; the
+    quotient has deg p - deg d + 1 coefficients."""
+    r = list(p)
+    for i in range(len(p) - len(d) + 1):
+        f = r[i]
+        if f:
+            for j in range(1, len(d)):
+                r[i + j] -= f * d[j]
+    return r[:len(p) - len(d) + 1]
 
 
 def poly_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -177,19 +205,33 @@ def poly_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
     and holding the roots of multiplicity exactly k ([1] when there are
     none).  With b = f / gcd(f, f') and c = f' / gcd(f, f'), each step
     takes P = gcd(b, c - b') and divides it out of b and c - b'.
+
+    The split runs on integers: with D the common denominator of f,
+    F(x) = D^n f(x / D) is monic with integer coefficients, so by Gauss's
+    lemma every gcd and every P_k of F is too.  Each gcd is the primitive
+    part of the last remainder of a primitive remainder sequence, each
+    division is integer long division by a monic divisor, and coefficient
+    i of F's P_k is D^i times that of f's.
     """
-    df = poly_derivative(f)
-    a = poly_gcd(f, df)
-    b, c = poly_divmod(f, a)[0], poly_divmod(df, a)[0]
+    f = [Fraction(c) for c in f]
+    if f[0] != 1:
+        raise ValueError("squarefree split of a polynomial that is not monic")
+    den = math.lcm(*(c.denominator for c in f))
+    big = [c.numerator * (den ** i // c.denominator) for i, c in enumerate(f)]
+    df = [c * (len(big) - 1 - i) for i, c in enumerate(big[:-1])] or [0]
+    a = _int_gcd(big, df)
+    b, c = _divide_monic(big, a), _divide_monic(df, a)
     split = []
     while len(b) > 1:
         # Before P_i is split off, b = prod_{j>=i} P_j and
-        # c = sum_{j>=i} (j - i + 1) P_j' b / P_j, whose leading
-        # coefficient is positive: c and b' both have degree deg b - 1.
-        d = [x - y for x, y in zip(c, poly_derivative(b))]
-        a = poly_gcd(b, d)
-        split.append(a)
-        b, c = poly_divmod(b, a)[0], poly_divmod(d, a)[0]
+        # c = sum_{j>=i} (j - i + 1) P_j' b / P_j, so
+        # d = sum_{j>i} (j - i) P_j' b / P_j: zero when b = P_i, else of
+        # degree deg b - 1 with a positive leading coefficient.
+        n = len(b) - 1
+        d = [x - y * (n - i) for i, (x, y) in enumerate(zip(c, b))]
+        a = _int_gcd(b, d)
+        split.append([Fraction(x, den ** i) for i, x in enumerate(a)])
+        b, c = _divide_monic(b, a), _divide_monic(d, a)
     return split
 
 

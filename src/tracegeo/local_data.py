@@ -18,7 +18,9 @@ R = A mod B, so every polynomial has degree at most n and the n^2-by-n^2
 matrix of Ad(g) is never formed.  Both values depend only on ratios of
 eigenvalues, so g is first scaled by the common denominator of its
 entries; then its characteristic polynomial and, by Gauss's lemma, every
-P_k are monic with integer coefficients.  Everything runs in exact
+P_k are monic with integer coefficients, and the split runs on integers:
+each gcd comes from a primitive remainder sequence and each division is
+exact integer long division by a monic P_k.  Everything runs in exact
 rational arithmetic; no root finding, no floats.
 """
 

@@ -100,12 +100,22 @@ class AsymptoticExpansion(Value):
         for _, c in terms:
             if not math.isfinite(c):
                 raise DomainError("coefficients must be finite")
+        # The quadrature calls pole_part at every node: the exponents are
+        # read as floats, and the pole part's terms picked, once.
+        try:
+            floats = tuple((float(a), c) for a, c in terms)
+        except OverflowError:
+            raise DomainError("exponents must lie in the float range") \
+                from None
+        set_field(self, "_float_terms", floats)
+        set_field(self, "_pole_terms",
+                  tuple(x for x, (a, _) in zip(floats, terms) if a <= 0))
 
     def evaluate(self, t: float) -> float:
-        return sum(c * t ** float(a) for a, c in self.terms)
+        return sum(c * t ** a for a, c in self._float_terms)
 
     def pole_part(self, t: float) -> float:
-        return sum(c * t ** float(a) for a, c in self.terms if a <= 0)
+        return sum(c * t ** a for a, c in self._pole_terms)
 
 
 class TailFunction(Value):

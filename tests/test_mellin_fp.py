@@ -210,6 +210,12 @@ def test_expansion_validation():
     # dyadic float exponents convert exactly
     expn = AsymptoticExpansion(((0.5, 1.0),), 1.0, Fraction(1))
     assert expn.terms[0][0] == Fraction(1, 2)
+    # the float form of each exponent is taken once, when it is given
+    with pytest.raises(DomainError, match="float range"):
+        AsymptoticExpansion(((10 ** 400, 1.0),), 1.0, Fraction(1))
+    # an exponent that rounds to 0.0 stays out of the pole part
+    expn = AsymptoticExpansion(((Fraction(1, 10 ** 400), 2.0),), 1.0, 1)
+    assert expn.pole_part(0.5) == 0 and expn.evaluate(0.5) == 2.0
 
 
 EXPANSIONS = [
