@@ -60,6 +60,8 @@ _DE_MAX_LEVEL = 10
 _CUTOFF_STEPS = 60
 # e^{-_UNDERFLOW} is below the smallest positive double.
 _UNDERFLOW = 745.0
+# The tail rule's last weight is about 5000 / rate, which must stay finite.
+_MIN_RATE = 1e-300
 
 
 def _to_fraction(x) -> Fraction:
@@ -131,6 +133,9 @@ class TailFunction(Value):
         c, rate = decay
         if not (c > 0 and rate > 0):
             raise DomainError("decay constants must be positive")
+        if rate < _MIN_RATE:
+            raise DomainError(f"decay rate must be at least {_MIN_RATE!r}, "
+                              f"got {rate!r}")
 
     def __call__(self, t: float) -> float:
         return self.evaluator(t)
@@ -255,18 +260,29 @@ def _tail(f: TailFunction, t0: float, tol: float) -> float:
     """The integral of f dt/t over [t0, inf) by an exp-sinh rule scaled by
     the declared rate: t = t0 + exp(pi/2 sinh tau) / rate.
 
-    Nodes stop where the declared bound C e^{-rate t} (t >= 1) has
-    underflowed, so f is never asked for its value far out.
+    The first node sits exp(pi/2 sinh -_DE_SPAN) / rate, about
+    2e-31 / rate, above t0, and the rule drops the piece below it, about
+    f(t0) times that over t0.  When that offset over t0 exceeds tol,
+    [t0, 1/rate] is integrated in log t, as the small-t part is, and the
+    exp-sinh rule starts at 1/rate.  Nodes stop where the declared bound
+    C e^{-rate t} (t >= 1) has underflowed, so f is never asked for its
+    value far out.
     """
     rate = f.decay[1]
+    head = 0.0
+    if math.exp(math.pi / 2 * math.sinh(-_DE_SPAN)) / rate > tol * t0:
+        head = _de_quad(lambda x: f(math.exp(x)),
+                        _tanh_sinh(math.log(t0), -math.log(rate)),
+                        -_BOUNDED_SPAN, _BOUNDED_SPAN, tol / 2)
+        t0, tol = 1 / rate, tol / 2
     reach = math.log(_UNDERFLOW + rate * max(0.0, 1.0 - t0))
 
     def node(tau: float) -> tuple[float, float]:
         v = math.exp(math.pi / 2 * math.sinh(tau)) / rate
         return t0 + v, v * math.pi / 2 * math.cosh(tau)
 
-    return _de_quad(lambda t: f(t) / t, node, -_DE_SPAN,
-                    math.asinh(2 / math.pi * reach), tol)
+    return head + _de_quad(lambda t: f(t) / t, node, -_DE_SPAN,
+                           math.asinh(2 / math.pi * reach), tol)
 
 
 def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,

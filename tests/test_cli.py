@@ -700,6 +700,23 @@ def test_mellin_huge_lambda_exits_2_naming_it(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--preset", "exp", "--lambda", "1e-305"],
+     "--lambda: decay rate must be at least 1e-300, got 1e-305"),
+    (["--spec", '{"preset": "exp", "lambda": "1e-305"}'],
+     "--spec: lambda: decay rate must be at least 1e-300, got 1e-305"),
+], ids=["flag", "spec"])
+def test_mellin_tiny_lambda_exits_2_naming_it(capsys, argv, message):
+    code = cli.main(["mellin-fp", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+    # the smallest rate accepted is computed: -log 1e-300
+    assert cli.main(["mellin-fp", "--preset", "exp", "--lambda", "1e-300"]) \
+        == 0
+    assert capsys.readouterr().out == "finite part = 690.775527898\n"
+
+
 # -- the one number grammar ----------------------------------------------------
 #
 # budget --k, mellin-fp --lambda, the --spec key lambda and the entries of

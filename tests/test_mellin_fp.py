@@ -61,6 +61,32 @@ def test_finite_parts_hold_at_every_split_point(t0):
     assert wrong == []
 
 
+@pytest.mark.parametrize("t0", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("log_rate_t0", [-20.75, -21.0, -21.25, -30.0])
+def test_a_tiny_rate_times_split_point_loses_no_piece(log_rate_t0, t0):
+    # The tail rule's first node sits about 2e-31 / lam above t0.  The
+    # piece below it, about 2e-31 / (lam t0), was once dropped: these
+    # rates returned -log lam off by -1.05e-10, -1.73e-10 and -3.42e-10 at
+    # the default tol, and 1e-30 did not converge.
+    lam = 10.0 ** log_rate_t0 / t0
+    assert abs(fp_mellin(*exp_preset(lam, t0)) + math.log(lam)) < 1e-12
+
+
+@pytest.mark.parametrize("t0", SPLIT_POINTS)
+def test_the_smallest_rate_holds_at_every_split_point(t0):
+    lam = 1e-300
+    assert abs(fp_mellin(*exp_preset(lam, t0)) + math.log(lam)) < 1e-10
+
+
+def test_a_rate_below_the_smallest_is_refused():
+    # the tail rule's farthest weight, about 5000 / rate, would overflow
+    with pytest.raises(DomainError, match="^decay rate must be at least "
+                       r"1e-300, got 1e-305$"):
+        exp_preset(1e-305)
+    with pytest.raises(DomainError, match="at least 1e-300"):
+        TailFunction(lambda t: 0.0, (1.0, 5e-324))
+
+
 @pytest.mark.parametrize("f,decay,terms,order,want", [
     (lambda t: math.exp(-t) / math.sqrt(t), (1.0, 1.0),
      ((Fraction(-1, 2), 1.0),), Fraction(1), -2 * math.sqrt(math.pi)),
