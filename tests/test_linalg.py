@@ -222,6 +222,9 @@ def test_poly_squarefree():
     for root in (0, 1, 1, 1, -2, -2, -2):
         f = linalg.poly_mul(f, [1, -root])
     assert linalg.poly_squarefree(f) == [[1, 0], [1], [1, 1, -2]]
+    # the split scales f to a monic integer polynomial, so f must be monic
+    with pytest.raises(ValueError, match="not monic"):
+        linalg.poly_squarefree([2, 0, -8])
 
 
 def _random_repeated_factors(rng):
