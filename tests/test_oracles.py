@@ -1,5 +1,9 @@
 """The brute-force group-order oracle: checked against a straight count of
-all N^(n^2) matrices, and pinned on the degenerate levels."""
+all N^(n^2) matrices and against the earlier count over all pairs of first
+rows, and pinned on the degenerate levels."""
+
+import itertools
+import math
 
 import pytest
 
@@ -29,6 +33,27 @@ def _numpy_count(n: int, N: int) -> int:
                 det = (a * m1 - b * m2 + c * m3) % N
                 total += int(np.count_nonzero(det == 1))
     return total
+
+
+def _row_pair_count(n: int, N: int) -> int:
+    """|SL(n, Z/N)| over all N^n first rows (n = 2) or all N^(2n) pairs of
+    first rows (n = 3), each counted by the last-row gcd rule: the oracle's
+    earlier row-pair route, kept as the reference."""
+    rows = list(itertools.product(range(N), repeat=n))
+    if n == 2:
+        count = sum(1 for a, b in rows if math.gcd(a, b, N) == 1)
+    else:
+        count = sum(1 for (a, b, c), (d, e, f) in itertools.product(rows,
+                                                                    repeat=2)
+                    if math.gcd(b * f - c * e, c * d - a * f, a * e - b * d,
+                                N) == 1)
+    return count * N ** (n - 1)
+
+
+@pytest.mark.parametrize("n, N", [(3, N) for N in range(1, 11)]
+                         + [(2, N) for N in range(1, 41)])
+def test_matches_the_row_pair_route(n, N):
+    assert oracles.sl_group_order(n, N) == _row_pair_count(n, N)
 
 
 @pytest.mark.parametrize("n", [2, 3])
