@@ -2,8 +2,10 @@
 
 Nothing here shares code with the implementations under test: parabolic
 subsets are found by scanning every root subset, group orders by counting
-matrices row by row, discriminants by eigenvalue products and complement
-determinants.  Deliberately small and slow.
+the first rows of a matrix (up to unit scaling) whose cofactors are coprime
+to the level, discriminants by eigenvalue products and complement
+determinants.  The subset scan and the group-order count refuse inputs
+above fixed sizes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import DomainError, ResourceLimitError
 from .root_datum import RootSystem
 
 BRUTE_FORCE_ROOT_LIMIT = 14
+BRUTE_FORCE_ROW_LIMIT = 2 ** 15
 
 
 def brute_force_parabolic_count(rs: RootSystem) -> int:
@@ -58,18 +61,39 @@ def sl_group_order(n: int, N: int) -> int:
     last row c: det = c . m, with m the cofactor vector of those rows, so
     c . m = 1 (mod N) has N^(n-1) solutions c when gcd(m, N) = 1 and none
     otherwise.
+
+    For n = 3 the two first rows are taken up to unit scaling.  For units
+    u and v mod N, (u r1) x (v r2) = uv (r1 x r2) and gcd(uv m, N) =
+    gcd(m, N), so whether a pair counts depends on each row only through
+    its class {u r : gcd(u, N) = 1}.  Each pair of classes that counts
+    adds the product of the two class sizes.  Levels with more than
+    BRUTE_FORCE_ROW_LIMIT rows N^n are refused.
     """
-    if N < 1:
-        raise DomainError(f"level must be a positive integer, got {N}")
-    if n not in (2, 3):
+    if not isinstance(N, int) or N < 1:
+        raise DomainError(f"level must be a positive integer, got {N!r}")
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"matrix size must be an integer >= 2, got {n!r}")
+    if n > 3:
         raise ResourceLimitError(
             "matrix counting is implemented for n in {2, 3}")
-    rows = list(itertools.product(range(N), repeat=n))
+    if N ** n > BRUTE_FORCE_ROW_LIMIT:
+        raise ResourceLimitError(
+            f"brute force count at level {N} refused: {N}^{n} = {N ** n} "
+            f"rows, the limit is {BRUTE_FORCE_ROW_LIMIT}")
+    rows = itertools.product(range(N), repeat=n)
     if n == 2:
         count = sum(1 for a, b in rows if math.gcd(a, b, N) == 1)
     else:
-        count = sum(1 for (a, b, c), (d, e, f) in itertools.product(rows,
-                                                                    repeat=2)
+        units = [u for u in range(N) if math.gcd(u, N) == 1]
+        sizes = {}
+        seen = set()
+        for r in rows:
+            if r not in seen:
+                scaled = {tuple(u * x % N for x in r) for u in units}
+                seen |= scaled
+                sizes[r] = len(scaled)
+        count = sum(w1 * w2 for (a, b, c), w1 in sizes.items()
+                    for (d, e, f), w2 in sizes.items()
                     if math.gcd(b * f - c * e, c * d - a * f, a * e - b * d,
                                 N) == 1)
     return count * N ** (n - 1)

@@ -75,6 +75,26 @@ def test_nonpositive_level_rejected(N):
         oracles.sl_group_order(2, N)
 
 
+@pytest.mark.parametrize("n, N", [(3, 7.0), (2, "5")])
+def test_level_that_is_not_an_integer_rejected(n, N):
+    with pytest.raises(DomainError, match="level must be a positive integer"):
+        oracles.sl_group_order(n, N)
+
+
+@pytest.mark.parametrize("n", [1, 3.0])
+def test_size_that_is_not_an_integer_from_two_rejected(n):
+    with pytest.raises(DomainError, match="matrix size must be an integer"):
+        oracles.sl_group_order(n, 7)
+
+
+@pytest.mark.parametrize("n, N", [(3, 33), (2, 182), (3, 1000)])
+def test_levels_past_the_row_limit_refused(n, N):
+    # 32^3 and 181^2 are the largest row counts admitted
+    with pytest.raises(ResourceLimitError,
+                       match=f"level {N} refused: .* the limit is 32768"):
+        oracles.sl_group_order(n, N)
+
+
 def test_only_small_sizes_are_counted():
     with pytest.raises(ResourceLimitError):
         oracles.sl_group_order(4, 2)
