@@ -77,6 +77,14 @@ DISCRIMINANT_MATRICES = [
     "[-2,-11,15,-35,17,34,-45],[-4,-8,9,-24,14,22,-30]]",
 ]
 
+# Semisimple matrices whose charpoly does not split over Q: the companion
+# matrix of the irreducible x^4 + x/3 + 1/2, and x^2 - 2 twice beside 1/3,
+# so that +-sqrt 2 each have multiplicity 2.
+NON_SPLIT_MATRICES = [
+    '[[0,0,0,"-1/2"],[1,0,0,"-1/3"],[0,1,0,0],[0,0,1,0]]',
+    '[[0,2,0,0,0],[1,0,0,0,0],[0,0,0,2,0],[0,0,1,0,0],[0,0,0,0,"1/3"]]',
+]
+
 ARGVS += ([["mellin-fp", "--preset", "exp", "--lambda", lam, "--t0", t0,
             "--json"]
            for lam in ("1/2", "2", "8", "1e-3")
@@ -86,7 +94,9 @@ ARGVS += ([["mellin-fp", "--preset", "exp", "--lambda", lam, "--t0", t0,
           + [["mellin-fp", "--spec", SPLINE_SPEC, "--tol", "1e-6", "--json"]]
           + [["discriminant", "--matrix", matrix, "--json"]
              for matrix in DISCRIMINANT_MATRICES]
-          + [["discriminant", "--matrix", "[[2,1,0],[0,2,0],[0,0,3]]"]])
+          + [["discriminant", "--matrix", "[[2,1,0],[0,2,0],[0,0,3]]"]]
+          + [["discriminant", "--matrix", matrix, "--json"]
+             for matrix in NON_SPLIT_MATRICES])
 
 
 def sha256(text: str) -> str:
