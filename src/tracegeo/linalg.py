@@ -141,11 +141,11 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def _strip(p: list[Fraction]) -> list[Fraction]:
+def _strip(p: list) -> list:
     """p without leading zeros; the zero polynomial is [0]."""
     while len(p) > 1 and not p[0]:
         p = p[1:]
-    return p or [Fraction(0)]
+    return p or [0]
 
 
 def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -169,20 +169,26 @@ def _primitive(p: list[int]) -> list[int]:
     return [x // (-g if p[0] < 0 else g) for x in p]
 
 
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of integer
+    polynomials, b nonzero; a itself when deg a < deg b."""
+    lead, rest, r = b[0], b[1:], a
+    for _ in range(len(a) - len(b) + 1):
+        f = r[0]
+        r = [lead * x - f * y for x, y in zip(r[1:], rest)] + \
+            [lead * x for x in r[len(b):]]
+    return _strip(r)
+
+
 def _int_gcd(p: list[int], q: list[int]) -> list[int]:
     """The primitive gcd of two integer polynomials, p nonzero, with a
     positive leading coefficient, by a primitive remainder sequence: each
-    pseudo-remainder lc(b)^k a mod b is divided by its content."""
+    pseudo-remainder is divided by its content."""
     a = _primitive(p)
     b = _strip(q)
     while b[0]:
         b = _primitive(b)
-        lead, rest, r = b[0], b[1:], a
-        while len(r) >= len(b):
-            f = r[0]
-            r = [lead * x - f * y for x, y in zip(r[1:], rest)] + \
-                [lead * x for x in r[len(b):]] if f else r[1:]
-        a, b = b, _strip(r)
+        a, b = b, _prem(a, b)
     return a
 
 
@@ -254,3 +260,29 @@ def poly_resultant(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         value *= b[0] ** (len(a) - len(r))
         a, b = b, r
     return value * b[0] ** (len(a) - 1)
+
+
+def _int_resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) = lc(a)^deg b * prod of b over the roots of a, for integer
+    polynomials, by the subresultant sequence (Cohen, Alg. 3.3.7).
+
+    Each step replaces (a, b) by (b, prem(a, b) / (g h^delta)), with
+    delta = deg a - deg b, g the leading coefficient of the step before's
+    b and h <- h^(1 - delta) g^delta; both divisions are exact.  When b is
+    a constant, Res(a, b) = s h^(1 - deg a) b^deg a, s the sign
+    (-1)^(deg a deg b) of each step.
+    """
+    a, b = _strip(list(a)), _strip(list(b))
+    sign, g, h = 1, 1, 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        a, b = b, [x // (g * h ** delta) for x in _prem(a, b)]
+        g = a[0]
+        h = h * g ** delta // h ** delta
+    n = len(a) - 1
+    return sign * h * b[0] ** n // h ** n

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -276,3 +277,32 @@ def test_poly_resultant_matches_the_root_product():
         assert linalg.poly_resultant(a, b) == want
         sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
         assert linalg.poly_resultant(b, a) == sign * want
+
+
+def _random_int_poly(rng, degree):
+    p = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    p[0] = p[0] or rng.choice((-1, 1))
+    return p
+
+
+def test_integer_resultant_matches_the_fraction_reference():
+    # 30 seeded integer pairs for each pair of degrees 0..7, constants and
+    # deg a < deg b included, each in both orders.  One pair in three of
+    # positive degrees is built to share a linear factor, so its resultant
+    # is zero.
+    rng = random.Random(3636)
+    zero = 0
+    for da, db in itertools.product(range(8), repeat=2):
+        for trial in range(30):
+            if trial % 3 or not (da and db):
+                a, b = _random_int_poly(rng, da), _random_int_poly(rng, db)
+            else:
+                root = [rng.randint(1, 3), rng.randint(-5, 5)]
+                a = linalg.poly_mul(_random_int_poly(rng, da - 1), root)
+                b = linalg.poly_mul(_random_int_poly(rng, db - 1), root)
+            for x, y in ((a, b), (b, a)):
+                got = linalg._int_resultant(x, y)
+                assert type(got) is int, (x, y)
+                assert got == linalg.poly_resultant(x, y), (x, y)
+            zero += got == 0
+    assert zero > 490

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -341,6 +342,27 @@ def test_squarefree_split_matches_the_fraction_reference():
             list(NON_SPLIT.values()) + [c.values[0] for c in RANDOM_DENSE]:
         chi = linalg.charpoly(rows)
         assert linalg.poly_squarefree(chi) == yun_squarefree(chi), rows
+
+
+def _scaled(rows):
+    """D rows, D the common denominator of the entries of rows."""
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows]
+
+
+def test_integer_resultant_on_every_charpoly_above():
+    # The integer charpoly of D g for every matrix above, its derivative
+    # and its squarefree factors: each pair in both orders.
+    for rows in [c.values[1] for c in EIGENVALUE_CORPUS] + \
+            list(NON_SPLIT.values()) + [c.values[0] for c in RANDOM_DENSE]:
+        chi = [int(c) for c in linalg.charpoly(_scaled(rows))]
+        polys = [chi] + [[int(c) for c in p]
+                         for p in linalg.poly_squarefree(chi) if len(p) > 1]
+        for a in polys:
+            for b in polys + [[int(c) for c in linalg.poly_derivative(a)]]:
+                for x, y in ((a, b), (b, a)):
+                    assert linalg._int_resultant(x, y) == \
+                        linalg.poly_resultant(x, y), rows
 
 
 @pytest.mark.parametrize("diag,rows", EIGENVALUE_CORPUS)
