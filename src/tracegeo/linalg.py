@@ -1,13 +1,14 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and integer polynomials.
 
 Matrices are row-major lists of rows of ``fractions.Fraction`` or ``int``.
 Rank and determinant share one fraction-free (Bareiss) elimination on
-integer rows, and the characteristic polynomial is Berkowitz's
-division-free recursion on the integer matrix D m, D the common
-denominator of m, so neither does Fraction arithmetic on the way.  The
-squarefree split likewise scales its polynomial to a monic integer one
-and takes its gcds by primitive remainder sequences; the other
-polynomial helpers work over Fraction.
+integer rows, so neither does Fraction arithmetic on the way.  The
+characteristic polynomial, Berkowitz's division-free recursion, takes an
+integer matrix, and the polynomial helpers work on lists of integer
+coefficients, highest degree first: the squarefree split takes its gcds
+by primitive remainder sequences and the resultant is the subresultant
+sequence, both on one exact pseudo-remainder.  A caller with a rational
+matrix scales it to integers first.
 Hand-rolled rather than numpy because a float rank is not a rank: these
 values feed invariants whose contracts promise integer or rational
 answers.  Functions never mutate their arguments.
@@ -94,13 +95,12 @@ def det(m: Mat) -> Fraction:
     return _bareiss(m)[1]
 
 
-def charpoly(m: Mat) -> list[Fraction]:
-    """Coefficients of det(xI - m), highest degree first (monic).
+def charpoly(m: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of det(xI - m) for an integer matrix m, highest degree
+    first (monic, integer).
 
-    Berkowitz's division-free recursion runs on the integer matrix D m,
-    D the common denominator of m; chi_m(x) = D^-n chi_Dm(D x), so
-    coefficient i of chi_m is c_i(D m) / D^i.  For a trailing principal
-    block [[a, r], [c, B]], its characteristic polynomial is the
+    Berkowitz's division-free recursion: for a trailing principal block
+    [[a, r], [c, B]], its characteristic polynomial is the
     lower-triangular Toeplitz matrix with first column
     (1, -a, -r c, -r B c, -r B^2 c, ...) times chi_B.  O(n^4) integer
     operations.
@@ -108,59 +108,39 @@ def charpoly(m: Mat) -> list[Fraction]:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in m]
     p = [1]
     for k in range(n - 1, -1, -1):
-        r, c = a[k][k + 1:], [row[k] for row in a[k + 1:]]
-        b = [row[k + 1:] for row in a[k + 1:]]
-        t = [1, -a[k][k]]
+        r, c = m[k][k + 1:], [row[k] for row in m[k + 1:]]
+        b = [row[k + 1:] for row in m[k + 1:]]
+        t = [1, -m[k][k]]
         for _ in range(n - k - 1):
             t.append(-sum(map(operator.mul, r, c)))
             c = [sum(map(operator.mul, row, c)) for row in b]
         p = [sum(t[i - j] * p[j] for j in range(min(i + 1, len(p))))
              for i in range(len(t))]
-    return [Fraction(x, den ** i) for i, x in enumerate(p)]
+    return p
 
 
-# -- polynomial helpers (coefficients highest degree first) -------------------
+# -- integer polynomial helpers (coefficients highest degree first) ----------
 
 
-def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
-    n = len(p) - 1
-    if n <= 0:
-        return [Fraction(0)]
-    return [Fraction(c) * (n - i) for i, c in enumerate(p[:-1])]
+def poly_derivative(p: Sequence[int]) -> list[int]:
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])] or [0]
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
 
 
-def _strip(p: list) -> list:
+def _strip(p: list[int]) -> list[int]:
     """p without leading zeros; the zero polynomial is [0]."""
     while len(p) > 1 and not p[0]:
         p = p[1:]
     return p or [0]
-
-
-def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder; a nonzero quotient has exactly
-    deg p - deg d + 1 coefficients, trailing zeros included."""
-    r = _strip([Fraction(c) for c in p])
-    d = _strip([Fraction(c) for c in d])
-    if not d[0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q: list[Fraction] = []
-    while len(r) >= len(d):
-        f = r[0] / d[0]
-        q.append(f)
-        r = [x - f * y for x, y in zip(r[1:], d[1:])] + r[len(d):]
-    return q or [Fraction(0)], _strip(r)
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -170,8 +150,8 @@ def _primitive(p: list[int]) -> list[int]:
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
-    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of integer
-    polynomials, b nonzero; a itself when deg a < deg b."""
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b, b nonzero;
+    a itself when deg a < deg b."""
     lead, rest, r = b[0], b[1:], a
     for _ in range(len(a) - len(b) + 1):
         f = r[0]
@@ -181,9 +161,9 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_gcd(p: list[int], q: list[int]) -> list[int]:
-    """The primitive gcd of two integer polynomials, p nonzero, with a
-    positive leading coefficient, by a primitive remainder sequence: each
-    pseudo-remainder is divided by its content."""
+    """The primitive gcd of p and q, p nonzero, with a positive leading
+    coefficient, by a primitive remainder sequence: each pseudo-remainder
+    is divided by its content."""
     a = _primitive(p)
     b = _strip(q)
     while b[0]:
@@ -193,8 +173,8 @@ def _int_gcd(p: list[int], q: list[int]) -> list[int]:
 
 
 def _divide_monic(p: list[int], d: list[int]) -> list[int]:
-    """p / d for integer polynomials with d monic and dividing p; the
-    quotient has deg p - deg d + 1 coefficients."""
+    """p / d for d monic and dividing p; the quotient has
+    deg p - deg d + 1 coefficients."""
     r = list(p)
     for i in range(len(p) - len(d) + 1):
         f = r[i]
@@ -204,29 +184,24 @@ def _divide_monic(p: list[int], d: list[int]) -> list[int]:
     return r[:len(p) - len(d) + 1]
 
 
-def poly_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Yun's squarefree split of a monic f of positive degree.
+def poly_squarefree(f: Sequence[int]) -> list[list[int]]:
+    """Yun's squarefree split of a monic integer f of positive degree.
 
     Returns [P_1, P_2, ...] with f = prod P_k^k, each P_k monic, squarefree
     and holding the roots of multiplicity exactly k ([1] when there are
     none).  With b = f / gcd(f, f') and c = f' / gcd(f, f'), each step
-    takes P = gcd(b, c - b') and divides it out of b and c - b'.
-
-    The split runs on integers: with D the common denominator of f,
-    F(x) = D^n f(x / D) is monic with integer coefficients, so by Gauss's
-    lemma every gcd and every P_k of F is too.  Each gcd is the primitive
-    part of the last remainder of a primitive remainder sequence, each
-    division is integer long division by a monic divisor, and coefficient
-    i of F's P_k is D^i times that of f's.
+    takes P = gcd(b, c - b') and divides it out of b and c - b'.  By
+    Gauss's lemma every gcd and every P_k is monic with integer
+    coefficients: each gcd is the primitive part of the last remainder
+    of a primitive remainder sequence, and each division is integer long
+    division by a monic divisor.
     """
-    f = [Fraction(c) for c in f]
     if f[0] != 1:
         raise ValueError("squarefree split of a polynomial that is not monic")
-    den = math.lcm(*(c.denominator for c in f))
-    big = [c.numerator * (den ** i // c.denominator) for i, c in enumerate(f)]
-    df = [c * (len(big) - 1 - i) for i, c in enumerate(big[:-1])] or [0]
-    a = _int_gcd(big, df)
-    b, c = _divide_monic(big, a), _divide_monic(df, a)
+    f = list(f)
+    df = poly_derivative(f)
+    a = _int_gcd(f, df)
+    b, c = _divide_monic(f, a), _divide_monic(df, a)
     split = []
     while len(b) > 1:
         # Before P_i is split off, b = prod_{j>=i} P_j and
@@ -236,33 +211,12 @@ def poly_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
         n = len(b) - 1
         d = [x - y * (n - i) for i, (x, y) in enumerate(zip(c, b))]
         a = _int_gcd(b, d)
-        split.append([Fraction(x, den ** i) for i, x in enumerate(a)])
+        split.append(a)
         b, c = _divide_monic(b, a), _divide_monic(d, a)
     return split
 
 
-def poly_resultant(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """Res(a, b) = lc(a)^deg b * prod of b over the roots of a.
-
-    Euclidean recursion: with r = a mod b,
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), down
-    to a constant b, where Res(a, b) = b^deg a.
-    """
-    a = _strip([Fraction(c) for c in a])
-    b = _strip([Fraction(c) for c in b])
-    value = Fraction(1)
-    while len(b) > 1:
-        r = poly_divmod(a, b)[1]
-        if not r[0]:
-            return Fraction(0)
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            value = -value
-        value *= b[0] ** (len(a) - len(r))
-        a, b = b, r
-    return value * b[0] ** (len(a) - 1)
-
-
-def _int_resultant(a: Sequence[int], b: Sequence[int]) -> int:
+def poly_resultant(a: Sequence[int], b: Sequence[int]) -> int:
     """Res(a, b) = lc(a)^deg b * prod of b over the roots of a, for integer
     polynomials, by the subresultant sequence (Cohen, Alg. 3.3.7).
 

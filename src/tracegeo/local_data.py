@@ -12,16 +12,16 @@ k, and the product becomes
     prod_{k != l} Res(P_l, P_k)^(kl) * prod_k Res(P_k, P_k')^(k^2)
     / prod_l ((-1)^deg P_l P_l(0))^(l (n - l)).
 
-The resultants come from the Euclidean recursion
-Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R) with
-R = A mod B, so every polynomial has degree at most n and the n^2-by-n^2
-matrix of Ad(g) is never formed.  Both values depend only on ratios of
+Every polynomial has degree at most n, and the n^2-by-n^2 matrix of
+Ad(g) is never formed.  Both values depend only on ratios of
 eigenvalues, so g is first scaled by the common denominator of its
-entries; then its characteristic polynomial and, by Gauss's lemma, every
-P_k are monic with integer coefficients, and the split runs on integers:
-each gcd comes from a primitive remainder sequence and each division is
-exact integer long division by a monic P_k.  Everything runs in exact
-rational arithmetic; no root finding, no floats.
+entries.  Then its characteristic polynomial and, by Gauss's lemma,
+every P_k are monic with integer coefficients, and everything after the
+scaling runs on integers: each gcd of the split comes from a primitive
+remainder sequence, each division is exact long division by a monic
+P_k, and each resultant is a subresultant sequence.  The value is one
+Fraction of the integer numerator and denominator at the end; no root
+finding, no floats.
 """
 
 from __future__ import annotations
@@ -99,22 +99,21 @@ def _valuation(value: Fraction, p: int) -> int:
     return v
 
 
-def _annihilates(p: Sequence[Fraction], m: list[list[int]]) -> bool:
+def _annihilates(p: Sequence[int], m: list[list[int]]) -> bool:
     """Whether p(m) = 0, for p with integer coefficients, highest degree
     first, and an integer matrix m; the Horner runs on ints."""
     n = len(m)
     cols = list(zip(*m))
-    acc = [[int(p[0]) * (i == j) for j in range(n)] for i in range(n)]
+    acc = [[p[0] * (i == j) for j in range(n)] for i in range(n)]
     for c in p[1:]:
         acc = [[sum(map(operator.mul, row, col)) for col in cols]
                for row in acc]
         for i in range(n):
-            acc[i][i] += int(c)
+            acc[i][i] += c
     return not any(x for row in acc for x in row)
 
 
-def _check_semisimple(m: list[list[int]],
-                      split: list[list[Fraction]]) -> None:
+def _check_semisimple(m: list[list[int]], split: list[list[int]]) -> None:
     # The product of the squarefree factors of the characteristic
     # polynomial is its radical, which annihilates the matrix exactly when
     # it is diagonalizable over the algebraic closure.
@@ -146,8 +145,8 @@ def weyl_discriminant(gamma_s: RationalMatrix,
 def _discriminant(g: list[list[Fraction]]) -> tuple[Fraction, int]:
     """det(1 - Ad g) off the centralizer of g, and the centralizer's
     dimension."""
-    den = math.lcm(*(x.denominator for row in g for x in row))
-    g = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+    scale = math.lcm(*(x.denominator for row in g for x in row))
+    g = [[x.numerator * (scale // x.denominator) for x in row] for row in g]
     chi_g = linalg.charpoly(g)
     if chi_g[-1] == 0:
         raise DomainError("matrix is not invertible")
@@ -155,21 +154,21 @@ def _discriminant(g: list[list[Fraction]]) -> tuple[Fraction, int]:
     _check_semisimple(g, split)
     n = len(g)
     blocks = [(k, p) for k, p in enumerate(split, 1) if len(p) > 1]
-    value = Fraction(1)
+    num = den = 1
     for i, (k, pk) in enumerate(blocks):
         dk = len(pk) - 1
         # Ordered pairs of distinct roots of P_k.  Each root of P_k, of
         # multiplicity k, is the denominator of (1 - mu_a / mu_b) against
         # n - k eigenvalues counted with multiplicity.
-        value *= linalg.poly_resultant(pk, linalg.poly_derivative(pk)) \
+        num *= linalg.poly_resultant(pk, linalg.poly_derivative(pk)) \
             ** (k * k)
-        value /= ((-1) ** dk * pk[-1]) ** (k * (n - k))
+        den *= ((-1) ** dk * pk[-1]) ** (k * (n - k))
         # Roots of P_l against roots of P_k, both orders:
         # Res(P_l, P_k) Res(P_k, P_l) = (-1)^(deg P_k deg P_l) Res(P_l, P_k)^2.
         for l, pl in blocks[:i]:
             r = linalg.poly_resultant(pl, pk)
-            value *= ((-1) ** (dk * (len(pl) - 1)) * r * r) ** (k * l)
-    return value, sum(k * k * (len(p) - 1) for k, p in blocks)
+            num *= ((-1) ** (dk * (len(pl) - 1)) * r * r) ** (k * l)
+    return Fraction(num, den), sum(k * k * (len(p) - 1) for k, p in blocks)
 
 
 def modulus_character(block_sizes: Sequence[int],

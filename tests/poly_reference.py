@@ -1,20 +1,46 @@
-"""Yun's squarefree split over Fraction, as the library ran it before its
-split moved to integer polynomials: Euclid's gcd on Fraction coefficients
-and exact division by the monic gcd.  The tests compare the library's
-split with this one."""
+"""Polynomial references over Fraction, and adapters that put rational
+input through the library's integer polynomials.
+
+The references are the routes the library ran before its polynomials
+became integer lists: long division (`poly_divmod`), Euclid's gcd, Yun's
+squarefree split with exact division by the monic gcd, and the resultant
+by the Euclidean recursion.  The tests compare the library with them.
+
+The adapters (`rational_charpoly`, `rational_squarefree`,
+`rational_resultant`) scale rational input to integers by a common
+denominator, call the library and scale the result back, so tests can
+check the library on rational cases.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from tracegeo.linalg import poly_derivative, poly_divmod
+from tracegeo import linalg
+from tracegeo.linalg import poly_derivative
 
 
 def _strip(p: list[Fraction]) -> list[Fraction]:
     while len(p) > 1 and not p[0]:
         p = p[1:]
     return p or [Fraction(0)]
+
+
+def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder; a nonzero quotient has exactly
+    deg p - deg d + 1 coefficients, trailing zeros included."""
+    r = _strip([Fraction(c) for c in p])
+    d = _strip([Fraction(c) for c in d])
+    if not d[0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    q: list[Fraction] = []
+    while len(r) >= len(d):
+        f = r[0] / d[0]
+        q.append(f)
+        r = [x - f * y for x, y in zip(r[1:], d[1:])] + r[len(d):]
+    return q or [Fraction(0)], _strip(r)
 
 
 def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
@@ -40,3 +66,64 @@ def yun_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
         split.append(a)
         b, c = poly_divmod(b, a)[0], poly_divmod(d, a)[0]
     return split
+
+
+def poly_resultant(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Res(a, b) = lc(a)^deg b * prod of b over the roots of a.
+
+    Euclidean recursion: with r = a mod b,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), down
+    to a constant b, where Res(a, b) = b^deg a.
+    """
+    a = _strip([Fraction(c) for c in a])
+    b = _strip([Fraction(c) for c in b])
+    value = Fraction(1)
+    while len(b) > 1:
+        r = poly_divmod(a, b)[1]
+        if not r[0]:
+            return Fraction(0)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            value = -value
+        value *= b[0] ** (len(a) - len(r))
+        a, b = b, r
+    return value * b[0] ** (len(a) - 1)
+
+
+def _denominator(values) -> int:
+    return math.lcm(*(Fraction(x).denominator for x in values))
+
+
+def integer_matrix(m: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """D m for D the common denominator of the entries of m."""
+    den = _denominator(x for row in m for x in row)
+    return [[int(x * den) for x in row] for row in m]
+
+
+def rational_charpoly(m: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
+    """det(xI - m) for a rational m: chi_m(x) = D^-n chi_Dm(D x), so
+    coefficient i is that of linalg.charpoly(D m) over D^i."""
+    den = _denominator(x for row in m for x in row)
+    return [Fraction(c, den ** i)
+            for i, c in enumerate(linalg.charpoly(integer_matrix(m)))]
+
+
+def rational_squarefree(f: Sequence[Fraction]) -> list[list[Fraction]]:
+    """linalg.poly_squarefree for a monic rational f of degree n: it splits
+    the monic integer F(x) = D^n f(x / D), and coefficient i of each P_k
+    of F is D^i times that of f's."""
+    den = _denominator(f)
+    big = [int(c * den ** i) for i, c in enumerate(f)]
+    return [[Fraction(c, den ** i) for i, c in enumerate(p)]
+            for p in linalg.poly_squarefree(big)]
+
+
+def rational_resultant(a: Sequence[Fraction],
+                       b: Sequence[Fraction]) -> Fraction:
+    """linalg.poly_resultant for rational a = A / d_a and b = B / d_b:
+    Res(a, b) = d_a^-deg B d_b^-deg A Res(A, B)."""
+    a = _strip([Fraction(c) for c in a])
+    b = _strip([Fraction(c) for c in b])
+    da, db = _denominator(a), _denominator(b)
+    big_a, big_b = [int(c * da) for c in a], [int(c * db) for c in b]
+    return Fraction(linalg.poly_resultant(big_a, big_b),
+                    da ** (len(b) - 1) * db ** (len(a) - 1))

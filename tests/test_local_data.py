@@ -1,10 +1,11 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from poly_reference import poly_gcd, yun_squarefree
+from poly_reference import (integer_matrix, poly_gcd, poly_resultant,
+                            rational_charpoly, rational_squarefree,
+                            yun_squarefree)
 from tracegeo import linalg, local_data, oracles
 from tracegeo.errors import DomainError
 from tracegeo.local_data import (RationalMatrix, as_fraction,
@@ -268,7 +269,7 @@ def _from_power_sums(p):
 
 
 def _power_sum_discriminant(rows):
-    chi_g = linalg.charpoly(rows)
+    chi_g = rational_charpoly(rows)
     size = len(rows) ** 2
     chi_inv = [c / chi_g[-1] for c in reversed(chi_g)]
     coeffs = _from_power_sums([a * b for a, b in zip(
@@ -294,7 +295,7 @@ def _random_dense():
         n = 2 + len(cases) % 5
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(n)] for _ in range(n)]
-        chi = linalg.charpoly(rows)
+        chi = rational_charpoly(rows)
         if chi[-1] and len(poly_gcd(
                 chi, linalg.poly_derivative(chi))) == 1:
             cases.append(pytest.param(rows, id=f"dense-n{n}-{len(cases)}"))
@@ -325,8 +326,8 @@ def _power(p, k):
     *(pytest.param(c.values[1], id=c.id) for c in EIGENVALUE_CORPUS),
     *(pytest.param(rows, id=name) for name, rows in NON_SPLIT.items())])
 def test_squarefree_split_recovers_the_charpoly(rows):
-    chi = linalg.charpoly(rows)
-    split = linalg.poly_squarefree(chi)
+    chi = rational_charpoly(rows)
+    split = rational_squarefree(chi)
     product = [Fraction(1)]
     for k, p in enumerate(split, 1):
         assert p[0] == 1
@@ -340,14 +341,8 @@ def test_squarefree_split_matches_the_fraction_reference():
     # Yun's algorithm over Fraction splits it.
     for rows in [c.values[1] for c in EIGENVALUE_CORPUS] + \
             list(NON_SPLIT.values()) + [c.values[0] for c in RANDOM_DENSE]:
-        chi = linalg.charpoly(rows)
-        assert linalg.poly_squarefree(chi) == yun_squarefree(chi), rows
-
-
-def _scaled(rows):
-    """D rows, D the common denominator of the entries of rows."""
-    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-    return [[int(x * den) for x in row] for row in rows]
+        chi = rational_charpoly(rows)
+        assert rational_squarefree(chi) == yun_squarefree(chi), rows
 
 
 def test_integer_resultant_on_every_charpoly_above():
@@ -355,19 +350,18 @@ def test_integer_resultant_on_every_charpoly_above():
     # and its squarefree factors: each pair in both orders.
     for rows in [c.values[1] for c in EIGENVALUE_CORPUS] + \
             list(NON_SPLIT.values()) + [c.values[0] for c in RANDOM_DENSE]:
-        chi = [int(c) for c in linalg.charpoly(_scaled(rows))]
-        polys = [chi] + [[int(c) for c in p]
-                         for p in linalg.poly_squarefree(chi) if len(p) > 1]
+        chi = linalg.charpoly(integer_matrix(rows))
+        polys = [chi] + [p for p in linalg.poly_squarefree(chi) if len(p) > 1]
         for a in polys:
-            for b in polys + [[int(c) for c in linalg.poly_derivative(a)]]:
+            for b in polys + [linalg.poly_derivative(a)]:
                 for x, y in ((a, b), (b, a)):
-                    assert linalg._int_resultant(x, y) == \
-                        linalg.poly_resultant(x, y), rows
+                    assert linalg.poly_resultant(x, y) == \
+                        poly_resultant(x, y), rows
 
 
 @pytest.mark.parametrize("diag,rows", EIGENVALUE_CORPUS)
 def test_squarefree_split_sorts_eigenvalues_by_multiplicity(diag, rows):
-    split = linalg.poly_squarefree(linalg.charpoly(rows))
+    split = rational_squarefree(rational_charpoly(rows))
     for k, p in enumerate(split, 1):
         want = [Fraction(1)]
         for x in sorted(set(diag)):
