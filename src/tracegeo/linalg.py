@@ -24,25 +24,6 @@ from typing import Sequence
 Mat = Sequence[Sequence[Fraction | int]]
 
 
-def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
-    n, k = len(a), len(a[0])
-    if len(b) != k:
-        raise ValueError("inner dimension mismatch")
-    m = len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = Fraction(ai[t])
-            if c == 0:
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += c * Fraction(bt[j])
-    return out
-
-
 def _bareiss(m: Mat) -> tuple[int, Fraction]:
     """Rank of m and, when m is square, its determinant (else 0).
 

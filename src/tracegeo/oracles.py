@@ -110,6 +110,12 @@ def diagonal_discriminant(diag: Sequence[Fraction]) -> Fraction:
     return value
 
 
+def _mat_mul(a: list[list[Fraction]],
+             b: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
 def complement_determinant(g: Sequence[Sequence[Fraction]]) -> Fraction:
     """det(1 - Ad(g)) restricted to the matrix units the conjugation
     action moves, for diagonal g.
@@ -132,7 +138,7 @@ def complement_determinant(g: Sequence[Sequence[Fraction]]) -> Fraction:
     for (k, l), col in index.items():
         unit = [[Fraction(0)] * n for _ in range(n)]
         unit[k][l] = Fraction(1)
-        image = linalg.mat_mul(linalg.mat_mul(gm, unit), ginv)
+        image = _mat_mul(_mat_mul(gm, unit), ginv)
         for (i, j), row in index.items():
             m[row][col] = (1 if (i, j) == (k, l) else 0) - image[i][j]
     return linalg.det(m)
