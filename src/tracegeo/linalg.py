@@ -179,7 +179,6 @@ def poly_squarefree(f: Sequence[int]) -> list[list[int]]:
     """
     if f[0] != 1:
         raise ValueError("squarefree split of a polynomial that is not monic")
-    f = list(f)
     df = poly_derivative(f)
     a = _int_gcd(f, df)
     b, c = _divide_monic(f, a), _divide_monic(df, a)
@@ -204,8 +203,9 @@ def poly_resultant(a: Sequence[int], b: Sequence[int]) -> int:
     Each step replaces (a, b) by (b, prem(a, b) / (g h^delta)), with
     delta = deg a - deg b, g the leading coefficient of the step before's
     b and h <- h^(1 - delta) g^delta; both divisions are exact.  When b is
-    a constant, Res(a, b) = s h^(1 - deg a) b^deg a, s the sign
-    (-1)^(deg a deg b) of each step.
+    a constant, Res(a, b) = s h^(1 - deg a) b^deg a, s the product of
+    (-1)^(deg a deg b) over the steps and the first swap, if any, that
+    puts the longer polynomial first.
     """
     a, b = _strip(list(a)), _strip(list(b))
     sign, g, h = 1, 1, 1
