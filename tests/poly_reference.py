@@ -2,9 +2,10 @@
 input through the library's integer polynomials.
 
 The references are the routes the library ran before its polynomials
-became integer lists: long division (`poly_divmod`), Euclid's gcd, Yun's
-squarefree split with exact division by the monic gcd, and the resultant
-by the Euclidean recursion.  The tests compare the library with them.
+became integer lists: the derivative, long division (`poly_divmod`),
+Euclid's gcd, Yun's squarefree split with exact division by the monic
+gcd, and the resultant by the Euclidean recursion.  They share no code
+with the library, and the tests compare the library with them.
 
 The adapters (`rational_charpoly`, `rational_squarefree`,
 `rational_resultant`) scale rational input to integers by a common
@@ -19,13 +20,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from tracegeo import linalg
-from tracegeo.linalg import poly_derivative
 
 
 def _strip(p: list[Fraction]) -> list[Fraction]:
     while len(p) > 1 and not p[0]:
         p = p[1:]
     return p or [Fraction(0)]
+
+
+def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
+    n = len(p) - 1
+    if n <= 0:
+        return [Fraction(0)]
+    return [Fraction(c) * (n - i) for i, c in enumerate(p[:-1])]
 
 
 def poly_divmod(p: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
