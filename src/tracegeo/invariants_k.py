@@ -169,6 +169,60 @@ def _levi_table(t: SimpleType) -> tuple[tuple[int, frozenset[int]], ...]:
     return tuple(table)
 
 
+def _segment_values(cartan: Sequence[Sequence[int]],
+                    nodes: list[int]) -> set[int]:
+    """#roots - d over the orbit dimensions d of the simple type on the
+    connected simple roots nodes."""
+    c = _component_type(cartan, nodes)
+    roots = c.size()[0]
+    return {roots - d for d in _orbit_dims(c)}
+
+
+def _sums(a: set[int], b: set[int]) -> set[int]:
+    return {x + y for x in a for y in b}
+
+
+@lru_cache(maxsize=None)
+def _pair_values(t: SimpleType) -> frozenset[int]:
+    """The values #Levi roots - d over the (J, orbit) pairs of t: J a
+    subset of t's simple roots, d an orbit dimension of J's standard Levi.
+
+    Both terms add over J's components.  t's diagram is a path but for one
+    leaf: alpha_n of D_n on alpha_(n-2), alpha_2 of E_n on alpha_4
+    (Bourbaki's numbering; D2's two roots are unlinked).  A subset of the
+    first i path nodes either leaves node i - 1 out or ends in a component
+    [j, i) after a gap, so left[i] adds [j, i)'s values to left[j - 1];
+    right[i] does the same for the path from node i on.  A J with the leaf
+    leaves its anchor out, splitting the path there, or joins it to one
+    segment through the anchor.  Each segment is typed once.
+    """
+    cartan = type_data(t)[3]
+    leaf = {"D": t.rank - 1, "E": 1}.get(t.series)
+    path = [i for i in range(t.rank) if i != leaf]
+    m = len(path)
+    seg = {(j, i): _segment_values(cartan, path[j:i])
+           for i in range(1, m + 1) for j in range(i)}
+    left = [{0}]
+    for i in range(1, m + 1):
+        left.append(left[i - 1].union(*(_sums(left[max(j - 1, 0)], seg[j, i])
+                                        for j in range(i))))
+    if leaf is None:
+        return frozenset(left[m])
+    right = [{0}] * (m + 2)
+    for j in reversed(range(m)):
+        right[j] = right[j + 1].union(*(_sums(seg[j, i], right[i + 1])
+                                        for i in range(j + 1, m + 1)))
+    # The anchor's path position; D2's leaf has none, and m stands in.
+    p = next((p for p, i in enumerate(path) if cartan[leaf][i]), m)
+    values = left[m] | _sums(_sums(left[p], right[p + 1]),
+                             _segment_values(cartan, [leaf]))
+    for j in range(p + 1):
+        for i in range(p + 1, m + 1):
+            joined = _segment_values(cartan, path[j:i] + [leaf])
+            values |= _sums(_sums(left[max(j - 1, 0)], right[i + 1]), joined)
+    return frozenset(values)
+
+
 # -- the three computations ----------------------------------------------------
 
 

@@ -1,15 +1,18 @@
 import sys
+from functools import lru_cache
+from typing import Sequence
 
 import pytest
 
 from tracegeo import invariants_k, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
-                                   _component_type, _levi_table, _orbit_dims,
+                                   _component_type, _orbit_dims, _pair_values,
                                    k_by_pairs, k_min_orbit, k_report,
                                    k_richardson)
 from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
-from tracegeo.root_datum import SimpleType, build_root_system
+from tracegeo.root_datum import (SimpleType, build_root_system, mask_indices,
+                                 type_data)
 
 
 def _classical_dims(t):
@@ -334,6 +337,64 @@ def test_pairs_check_catches_a_wrong_dual_coxeter_table(monkeypatch):
     assert reproduce._check_pairs_consistency()[0] is False
 
 
+# -- the per-type DP against the subset walk ---------------------------------
+#
+# The walk visits all 2^r simple-root subsets J of one simple type, as the
+# pairs route did before the DP over the Dynkin diagram: the component of
+# J's lowest root adds its root count and orbit dimensions to J minus it.
+
+
+def _component_of_lowest(adjacency: Sequence[int], subset: int) -> int:
+    """The connected component of subset's lowest simple root, as a mask;
+    adjacency[i] masks the Dynkin neighbours of simple root i."""
+    comp = frontier = subset & -subset
+    while frontier:
+        reached = 0
+        for i in mask_indices(frontier):
+            reached |= adjacency[i]
+        frontier = reached & subset & ~comp
+        comp |= frontier
+    return comp
+
+
+@lru_cache(maxsize=None)
+def _levi_table(t: SimpleType) -> tuple[tuple[int, frozenset[int]], ...]:
+    """table[J] is the root count of the standard Levi of the subset J of
+    t's simple roots and the set of its orbit dimensions, the sums of one
+    per component.  C, the component of J's lowest root, adds its closed-
+    form root count and its orbit dimensions to table[J & ~C]; each
+    distinct C is typed once, on t's own Cartan matrix."""
+    cartan = type_data(t)[3]
+    adjacency = [sum(1 << j for j, c in enumerate(row) if c and j != i)
+                 for i, row in enumerate(cartan)]
+    parts: dict[int, tuple[int, tuple[int, ...]]] = {}
+    table = [(0, frozenset({0}))]
+    for subset in range(1, 1 << t.rank):
+        comp = _component_of_lowest(adjacency, subset)
+        if comp not in parts:
+            c = _component_type(cartan, list(mask_indices(comp)))
+            parts[comp] = c.size()[0], _orbit_dims(c)
+        roots, dims = parts[comp]
+        rest_roots, rest = table[subset & ~comp]
+        table.append((roots + rest_roots,
+                      frozenset({a + b for a in dims for b in rest})))
+    return tuple(table)
+
+
+SIMPLE_TYPES = ([SimpleType(s, r) for s in "ABC" for r in range(1, 9)]
+                + [SimpleType("D", r) for r in range(2, 9)]
+                + [SimpleType("E", r) for r in (6, 7, 8)]
+                + [SimpleType("F", 4), SimpleType("G", 2)])
+
+
+@pytest.mark.parametrize("t", SIMPLE_TYPES, ids=str)
+def test_pair_values_match_the_subset_walk(t):
+    # Sets, not only their largest nontrivial member: every (J, orbit)
+    # pair the walk reaches, the DP reaches, and no other.
+    assert _pair_values(t) == {roots - d for roots, dims in _levi_table(t)
+                               for d in dims}
+
+
 # -- the pairs route against its scan-per-subset form -------------------------
 #
 # The reference rescans every root for each simple-root subset J, splits J
@@ -426,3 +487,4 @@ def test_component_dim_sets_match_the_scan_and_partition_tables():
                 assert _orbit_dims(t) == want, (factors, comp)
                 seen.add(t)
     assert {t.series for t in seen} == set("ABCDEFG")
+

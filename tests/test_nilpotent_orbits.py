@@ -193,3 +193,35 @@ CLASSICAL_UP_TO_12 = (
 def test_list_orbits_matches_the_raise_and_catch_filter():
     for t, size in CLASSICAL_UP_TO_12:
         assert list_orbits(t) == _orbits_by_raise_and_catch(t, size), t
+
+
+# -- orbit dimensions against the transpose-partition formula ----------------
+
+
+def _orbit_dim_by_transpose(label):
+    """The dimension from the squares of the transpose partition's parts,
+    as orbit_dim computed it before it summed (2i - 1) lambda_i."""
+    t = label.attached_type
+    lam = label.partition
+    sq = sum(c * c for c in
+             [sum(1 for x in lam if x > i) for i in range(lam[0])])
+    odd = sum(1 for x in lam if x % 2 == 1)
+    if isinstance(t, GLType) or t.series == "A":
+        n = sum(lam)
+        return n * n - sq
+    if t.series in ("B", "D"):
+        m = sum(lam)
+        return (m * m - m) // 2 - (sq - odd) // 2
+    l = sum(lam) // 2
+    return 2 * l * l + l - (sq + odd) // 2
+
+
+TRANSPOSE_TYPES = ([SimpleType(s, r) for s in "ABC" for r in range(1, 13)]
+                   + [SimpleType("D", r) for r in range(2, 13)]
+                   + [GLType(n) for n in range(1, 13)])
+
+
+@pytest.mark.parametrize("t", TRANSPOSE_TYPES, ids=str)
+def test_orbit_dim_matches_the_transpose_formula(t):
+    for lab in list_orbits(t):
+        assert orbit_dim(lab) == _orbit_dim_by_transpose(lab), lab
