@@ -5,6 +5,9 @@ unipotent orbit.  It can be computed by enumerating (Levi, orbit) pairs,
 by minimizing unipotent-radical dimensions (valid when the minimal orbit
 is a Richardson orbit), or directly from the minimal-orbit dimension
 2(h_dual - 1) per simple factor; the pairs route never reads h_dual.
+The pairs route runs per simple type, by a DP over its Dynkin diagram (a
+path, with one extra leaf in types D and E) that collects the pairs'
+values from the diagram's segments in O(r^2) steps, not 2^r subsets.
 Restriction of scalars from a degree-n field multiplies every orbit
 dimension, hence the invariant, by n.
 
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, ResourceLimitError
 from .nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from .root_datum import (RootSystem, SimpleType, build_root_system,
-                         mask_flags, mask_indices, type_data)
+                         mask_flags, type_data)
 from .value import Value, set_field
 
 PAIR_RANK_LIMIT = 8
@@ -92,19 +95,6 @@ class GroupSpec(Value):
 # -- component recognition ----------------------------------------------------
 
 
-def _component_of_lowest(adjacency: Sequence[int], subset: int) -> int:
-    """The connected component of subset's lowest simple root, as a mask;
-    adjacency[i] masks the Dynkin neighbours of simple root i."""
-    comp = frontier = subset & -subset
-    while frontier:
-        reached = 0
-        for i in mask_indices(frontier):
-            reached |= adjacency[i]
-        frontier = reached & subset & ~comp
-        comp |= frontier
-    return comp
-
-
 def _component_type(cartan: Sequence[Sequence[int]],
                     comp: list[int]) -> SimpleType:
     """The simple type of a connected set of simple roots, read off its
@@ -145,34 +135,9 @@ def _orbit_dims(t: SimpleType) -> tuple[int, ...]:
                        and sum(a * b for a, b in zip(r, theta)) > 0))
 
 
-@lru_cache(maxsize=None)
-def _levi_table(t: SimpleType) -> tuple[tuple[int, frozenset[int]], ...]:
-    """table[J] is the root count of the standard Levi of the subset J of
-    t's simple roots and the set of its orbit dimensions, the sums of one
-    per component.  C, the component of J's lowest root, adds its closed-
-    form root count and its orbit dimensions to table[J & ~C]; each
-    distinct C is typed once, on t's own Cartan matrix."""
-    cartan = type_data(t)[3]
-    adjacency = [sum(1 << j for j, c in enumerate(row) if c and j != i)
-                 for i, row in enumerate(cartan)]
-    parts: dict[int, tuple[int, tuple[int, ...]]] = {}
-    table = [(0, frozenset({0}))]
-    for subset in range(1, 1 << t.rank):
-        comp = _component_of_lowest(adjacency, subset)
-        if comp not in parts:
-            c = _component_type(cartan, list(mask_indices(comp)))
-            parts[comp] = c.size()[0], _orbit_dims(c)
-        roots, dims = parts[comp]
-        rest_roots, rest = table[subset & ~comp]
-        table.append((roots + rest_roots,
-                      frozenset({a + b for a in dims for b in rest})))
-    return tuple(table)
-
-
 def _segment_values(cartan: Sequence[Sequence[int]],
                     nodes: list[int]) -> set[int]:
-    """#roots - d over the orbit dimensions d of the simple type on the
-    connected simple roots nodes."""
+    """#roots - d for each orbit dimension d of the component on nodes."""
     c = _component_type(cartan, nodes)
     roots = c.size()[0]
     return {roots - d for d in _orbit_dims(c)}
@@ -231,14 +196,15 @@ def k_by_pairs(g: GroupSpec) -> int:
     dimension, excluding the trivial pair.
 
     An orbit of dimension d of the standard Levi of a simple-root subset J
-    induces one of dimension d + #roots - #Levi roots.  Levis and orbits
-    of a product are products, and that sum adds over the simple factors,
-    0 from a factor's trivial pair and more from any other: the least
-    nontrivial one is the least of each factor's own, read off its
-    _levi_table.  Exceptional Levi components contribute their trivial and
-    minimal orbits only: every nontrivial orbit is at least minimal, so
-    larger ones cannot lower the minimum.  Each factor is one of its own
-    Levis, so its minimal orbits enter here too.
+    induces one of dimension d + #roots - #Levi roots = #roots - v.  Levis
+    and orbits of a product are products, and that sum adds over the
+    simple factors, 0 from a factor's trivial pair and more from any
+    other: the least nontrivial one is the least of each factor's own,
+    #roots less the largest v of _pair_values other than #roots, which
+    only the trivial pair reaches.  Exceptional Levi components contribute
+    their trivial and minimal orbits only: every nontrivial orbit is at
+    least minimal, so larger ones cannot lower the minimum.  Each factor
+    is one of its own Levis, so its minimal orbits enter here too.
     """
     rs = g.absolute
     s = rs.semisimple_rank
@@ -248,11 +214,8 @@ def k_by_pairs(g: GroupSpec) -> int:
         raise ResourceLimitError(
             f"pair enumeration is limited to rank {PAIR_RANK_LIMIT}; "
             f"got rank {s}")
-    best = min(orbit_total + n_roots - levi_roots
-               for t in rs.factors for n_roots in [t.size()[0]]
-               for levi_roots, sums in _levi_table(t)
-               for orbit_total in sums
-               if orbit_total or levi_roots < n_roots)  # not the trivial pair
+    best = min(n - max(v for v in _pair_values(t) if v != n)
+               for t in rs.factors for n in [t.size()[0]])
     assert best % 2 == 0 and best > 0
     return g.restriction_degree * (best // 2)
 

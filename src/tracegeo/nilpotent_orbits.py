@@ -133,15 +133,16 @@ def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
             if _parity_ok(t, lam)]
 
 
-def _transpose(lam: tuple[int, ...]) -> list[int]:
-    return [sum(1 for x in lam if x > i) for i in range(lam[0])]
-
-
 def orbit_dim(label: OrbitLabel) -> int:
-    """Dimension of the orbit; always even, zero only for the trivial one."""
+    """Dimension of the orbit; always even, zero only for the trivial one.
+
+    The formulas read the squares of the transpose partition's parts, and
+    sum_j (lambda'_j)^2 = sum_i (2i - 1) lambda_i (Macdonald, Symmetric
+    Functions and Hall Polynomials, I (1.6)): one pass over the parts.
+    """
     t = label.attached_type
     lam = label.partition
-    sq = sum(c * c for c in _transpose(lam))
+    sq = sum((2 * i - 1) * x for i, x in enumerate(lam, 1))
     odd = sum(1 for x in lam if x % 2 == 1)
     if isinstance(t, GLType) or t.series == "A":
         n = sum(lam)

@@ -679,7 +679,7 @@ def test_each_simple_type_runs_the_generator_once(monkeypatch):
 
     monkeypatch.setattr(root_datum, "_positive_coords", counted)
     for cache in (root_datum.type_data, invariants_k._orbit_dims,
-                  invariants_k._levi_table):
+                  invariants_k._pair_values):
         cache.cache_clear()
     k_report(GroupSpec(build_root_system(["A2", "B3"])))
     dual_coxeter_number(SimpleType("A", 2))
