@@ -116,8 +116,11 @@ def _annihilates(p: Sequence[int], m: list[list[int]]) -> bool:
 def _check_semisimple(m: list[list[int]], split: list[list[int]]) -> None:
     # The product of the squarefree factors of the characteristic
     # polynomial is its radical, which annihilates the matrix exactly when
-    # it is diagonalizable over the algebraic closure.
-    if not _annihilates(functools.reduce(linalg.poly_mul, split), m):
+    # it is diagonalizable over the algebraic closure.  A squarefree
+    # charpoly (every P_k past P_1 is 1) is its own radical, which
+    # annihilates the matrix by Cayley-Hamilton: n distinct eigenvalues.
+    if any(len(p) > 1 for p in split[1:]) and \
+            not _annihilates(functools.reduce(linalg.poly_mul, split), m):
         raise DomainError("matrix is not semisimple; pass the semisimple "
                           "part of its multiplicative Jordan decomposition")
 

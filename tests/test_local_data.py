@@ -234,6 +234,23 @@ def test_invertibility_is_checked_before_semisimplicity():
         weyl_discriminant(RationalMatrix.from_rows([[2, 1], [0, 2]]))
 
 
+def test_squarefree_charpoly_skips_the_annihilation_check(monkeypatch):
+    # n distinct eigenvalues make the matrix semisimple, so the radical's
+    # value at it is never formed; a repeated eigenvalue still forms it.
+    def boom(p, m):
+        raise AssertionError("annihilation checked")
+    monkeypatch.setattr(local_data, "_annihilates", boom)
+    squarefree = [name for name in NON_SPLIT
+                  if name not in ("C+C", "x2+1+scalar-2")]
+    for rows in ([[2, 0], [0, 3]], [[0, 1], [-2, 3]],
+                 [[1, 2, 0], [3, 4, 5], [0, 1, 1]],
+                 *map(NON_SPLIT.get, squarefree)):
+        weyl_discriminant(RationalMatrix.from_rows(rows))
+    for rows in (NON_SPLIT["C+C"], [[2, 0, 0], [0, 2, 0], [0, 0, 3]]):
+        with pytest.raises(AssertionError, match="annihilation checked"):
+            weyl_discriminant(RationalMatrix.from_rows(rows))
+
+
 # -- differential test: the library route against the power-sum route -------
 #
 # The power-sum route builds the characteristic polynomial of Ad(g), of
