@@ -18,7 +18,6 @@ itself.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -32,8 +31,8 @@ from .errors import (_NUMBER, DomainError, ParseError, TracegeoError, _clip,
 # module is imported inside the function that calls it, so a subcommand
 # loads only what it runs: compiling a module when no bytecode is cached
 # costs a few ms.  fractions loads only with a module that computes with
-# Fraction, or for a number that _read_number reads.  The names below
-# serve annotations only.
+# Fraction, or for a number that _read_number reads, and json only where
+# JSON is read or written.  The names below serve annotations only.
 if TYPE_CHECKING:
     from .invariants_k import RelativeDatum
     from .root_datum import RootSystem
@@ -148,6 +147,7 @@ def _scalar(x) -> str:
 
 
 def _load_json_text(text: str, what: str, **hooks):
+    import json
     try:
         return json.loads(text, **hooks)
     except json.JSONDecodeError as exc:
@@ -165,6 +165,7 @@ def _read_entry(value, name: str, read: Callable = _read_number):
     if isinstance(value, (list, dict)):
         kind = "array" if isinstance(value, list) else "object"
         raise ParseError(f"{name} expects a number, got a JSON {kind}")
+    import json
     return read(value if isinstance(value, str) else json.dumps(value), name)
 
 
@@ -638,6 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         result, human, code = handler(args)
         text = human
         if args.json:
+            import json
             envelope = {"schema": "1", "command": args.command,
                         "result": result}
             text = json.dumps(envelope, indent=2, default=_scalar)

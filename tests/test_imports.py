@@ -1,9 +1,9 @@
 """The import contract: no subcommand loads sympy, numpy or scipy, and
 none needs sympy to be installed; the light subcommands load neither
 dataclasses nor inspect, and those that compute with no Fraction do not
-load fractions; each subcommand loads only the tracegeo modules it runs,
-and every public name still resolves through the lazy package
-namespace."""
+load fractions; a text-mode call that reads no JSON does not load json;
+each subcommand loads only the tracegeo modules it runs, and every public
+name still resolves through the lazy package namespace."""
 
 import json
 import math
@@ -138,6 +138,29 @@ def test_subcommand_loads_only_its_modules(name):
     assert set(report["modules"]) <= {"cli", "errors", "value", *allowed}
     if name in WITHOUT_FRACTIONS:
         assert "fractions" not in report["stdlib"]
+
+
+# json loads only where JSON is read or written: --json, --spec, --matrix
+# and --relative.  PROBE imports json itself, so this probe does not.
+JSON_PROBE = """
+import contextlib, io, sys
+from tracegeo import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,loads_json", [
+    (["k", "A2"], False),
+    (["k", "A2", "--json"], True),
+    (["discriminant", "--matrix", "[[1,0],[0,2]]"], True),
+])
+def test_json_loads_only_for_json_text(argv, loads_json):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", JSON_PROBE, *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", str(loads_json)], proc.stderr
 
 
 def test_every_public_name_resolves_and_is_listed():
