@@ -144,6 +144,7 @@ def _segment_values(cartan: Sequence[Sequence[int]],
 
 
 def _sums(a: set[int], b: set[int]) -> set[int]:
+    """The sumset {x + y : x in a, y in b}."""
     return {x + y for x in a for y in b}
 
 
