@@ -1,18 +1,21 @@
+import random
 import sys
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 import pytest
 
-from tracegeo import invariants_k, reproduce, root_datum
+from tracegeo import invariants_k, linalg, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.invariants_k import (GroupSpec, RelativeDatum,
-                                   _component_type, _orbit_dims, _pair_values,
-                                   k_by_pairs, k_min_orbit, k_report,
-                                   k_richardson)
+from tracegeo.invariants_k import (RELATIVE_ENTRY_LIMIT, GroupSpec,
+                                   RelativeDatum, _component_type,
+                                   _orbit_dims, _pair_values,
+                                   _richardson_relative, k_by_pairs,
+                                   k_min_orbit, k_report, k_richardson)
 from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
-from tracegeo.root_datum import (SimpleType, build_root_system, mask_indices,
-                                 type_data)
+from tracegeo.root_datum import (SimpleType, build_root_system, mask_flags,
+                                 mask_indices, type_data)
 
 
 def _classical_dims(t):
@@ -488,3 +491,96 @@ def test_component_dim_sets_match_the_scan_and_partition_tables():
                 seen.add(t)
     assert {t.series for t in seen} == set("ABCDEFG")
 
+
+
+# -- the relative Richardson route against the subset walk -------------------
+#
+# The walk visits all 2^m subsets of the m relative roots, as the relative
+# route did before it took its minimum over hyperplanes: each subset that
+# does not span the datum stands for a proper parabolic, whose radical
+# holds the roots outside its span.
+
+
+def _richardson_relative_by_subsets(rel: RelativeDatum) -> int:
+    m = len(rel.roots)
+    if m > RELATIVE_ENTRY_LIMIT:
+        raise ResourceLimitError(
+            f"relative data are limited to {RELATIVE_ENTRY_LIMIT} entries; "
+            f"got {m}")
+    vectors = rel.roots
+    full_rank = linalg.rank(vectors)
+    best = None
+    for subset in range(1 << m):
+        chosen = list(compress(vectors, mask_flags(subset)))
+        r = linalg.rank(chosen)
+        if r == full_rank:
+            continue  # spans everything: not a proper parabolic
+        # root i lies outside the span of chosen when it raises the rank
+        total = sum(rel.contributions[i] for i in range(m)
+                    if linalg.rank(chosen + [vectors[i]]) > r)
+        if best is None or total < best:
+            best = total
+    assert best is not None and best > 0
+    return best
+
+
+def _seeded_relative_data(count: int, seed: int):
+    """count random data: widths 1-4, 1-10 roots with entries in -2..2,
+    contributions 1-5, and in every third datum a multiple of one root
+    beside it, as BC1 has (1) and (2)."""
+    rng = random.Random(seed)
+    data = []
+    for n in range(count):
+        width, m = rng.randint(1, 4), rng.randint(1, 10)
+        roots = []
+        while len(roots) < m:
+            v = tuple(rng.randint(-2, 2) for _ in range(width))
+            if any(v):
+                roots.append(v)
+        if n % 3 == 0 and m > 1:
+            j, k = rng.sample(range(m), 2)
+            roots[k] = tuple(rng.choice((-2, -1, 2, 3)) * x for x in roots[j])
+        data.append(RelativeDatum(
+            tuple(roots), tuple(rng.randint(1, 5) for _ in range(m))))
+    return data
+
+
+# The relative data the other tests and the CLI tests use, and BC1.
+FIXED_RELATIVE_DATA = [
+    RelativeDatum(((1,),), (2,)), RelativeDatum(((1,),), (1,)),
+    RelativeDatum(((1, 0), (0, 1)), (3, 4)),
+    RelativeDatum(((1, 0), (0, 1)), (1, 1)),
+    RelativeDatum(((1, 0),), (3,)), RelativeDatum(((0, 1),), (4,)),
+    RelativeDatum(((1,),) * 12, (1,) * 12),
+    RelativeDatum(((1,), (2,)), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_relative_route_matches_the_subset_walk(chunk):
+    for rel in _seeded_relative_data(50, 3800 + chunk):
+        assert _richardson_relative(rel) == \
+            _richardson_relative_by_subsets(rel), rel
+
+
+@pytest.mark.parametrize("rel", FIXED_RELATIVE_DATA, ids=repr)
+def test_relative_route_matches_the_subset_walk_on_fixed_data(rel):
+    assert _richardson_relative(rel) == _richardson_relative_by_subsets(rel)
+
+
+def test_bc1_relative_datum():
+    # The flip on A2 restricts to BC1: the roots (1) and (2) with
+    # multiplicities 2 and 1.  The only proper parabolic is the minimal
+    # one, whose radical holds both, so the value is 3.
+    rel = RelativeDatum(((1,), (2,)), (2, 1))
+    g = GroupSpec.build([SimpleType("A", 2)], relative=rel)
+    assert k_richardson(g) == 3
+    assert k_report(g)["richardson_relative"] == 3
+
+
+def test_relative_guard_counts_entries():
+    rel = RelativeDatum(((1,),) * 13, (1,) * 13)
+    with pytest.raises(ResourceLimitError,
+                       match="^relative data are limited to 12 entries; "
+                             "got 13$"):
+        _richardson_relative(rel)
