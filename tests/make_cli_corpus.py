@@ -98,6 +98,20 @@ ARGVS += ([["mellin-fp", "--preset", "exp", "--lambda", lam, "--t0", t0,
           + [["discriminant", "--matrix", matrix, "--json"]
              for matrix in NON_SPLIT_MATRICES])
 
+# Documented refusals, each exit 2: a bad group spec, matrix or orbit
+# family, and every shape check of a mellin-fp spec.
+_DECAY = '"decay": {"C": 1, "lambda": 1}'
+_SAMPLES = '"samples": [[1, 1], [2, 0.5]]'
+ARGVS += ([["k", "+T2"], ["k", "A2@res=0"], ["k", "A2@relative=a@relative=b"],
+           ["discriminant", "--matrix", "[[1,2]]"], ["orbits", "gl0"],
+           ["mellin-fp", "--preset", "exp"]]
+          + [["mellin-fp", "--spec", spec]
+             for spec in ("[1]", '{"preset": "foo"}', "{%s}" % _SAMPLES,
+                          '{%s, "terms": 5, %s}' % (_DECAY, _SAMPLES),
+                          "{%s}" % _DECAY,
+                          '{%s, "samples": [[1, 1]]}' % _DECAY,
+                          '{%s, "samples": [[2, 0.5], [1, 1]]}' % _DECAY)])
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()

@@ -235,6 +235,19 @@ def test_k_relative_file_wants_json_integers(tmp_path, monkeypatch, capsys,
                             "and dims integers\n")
 
 
+def test_k_relative_file_refuses_an_integer_past_the_digit_limit(
+        tmp_path, monkeypatch, capsys):
+    # Python reads at most 4300 digits of an int from text.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(
+        '{"simple_roots": [[%s]], "nilradical_dims": [1]}' % ("9" * 4301))
+    assert cli.main(["k", "D2", "--relative", "big.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: big.json: an integer has too many "
+                            "digits to read\n")
+
+
 def test_k_report_nulls_a_guarded_relative_route(tmp_path, capsys):
     # 13 entries exceed the relative guard of 12: the report shows the
     # route as null, the single method exits 3 (resource)
