@@ -69,6 +69,19 @@ def test_factorize_matches_references():
         assert is_prime(n) == (want == {n: 1}), n
 
 
+P, Q, M61 = 2003, 1000003, 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("n,want", [
+    (P ** 4, {P: 4}), (P ** 6, {P: 6}), (P ** 12, {P: 12}), (P ** 30, {P: 30}),
+    (P ** 4 * Q ** 6, {P: 4, Q: 6}), (P ** 30 * M61 ** 12, {P: 30, M61: 12})],
+    ids=["p^4", "p^6", "p^12", "p^30", "p^4 q^6", "p^30 q^12"])
+def test_factorize_takes_perfect_powers_apart(n, want):
+    # Composite exponents, and products whose exponents share a factor:
+    # each power is taken apart root by root.
+    assert factorize(n) == want
+
+
 def test_the_group_order_oracle_does_not_factor():
     assert not {"arithmetic", "factorize", "is_prime", "level_data"} & \
         set(vars(oracles))
