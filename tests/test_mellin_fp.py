@@ -32,7 +32,8 @@ def test_exponential_grid(lam):
         assert abs(fp_mellin(f, expn) + math.log(lam)) < 1e-9, t0
 
 
-SPLIT_POINTS = [1e-6, 1e-2, 1.0, 1e2, 1e6, 1e14, 1e30, 1e50, 1e100]
+SPLIT_POINTS = [1e-300, 1e-100, 1e-40, 1e-20, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6,
+                1e14, 1e30, 1e50, 1e100]
 RATES = [1e-12, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12]
 
 
