@@ -21,13 +21,12 @@ report-style consumers can compare it against the absolute answer.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
-from .root_datum import (RootSystem, SimpleType, build_root_system,
-                         mask_flags, type_data)
+from .root_datum import RootSystem, SimpleType, build_root_system, type_data
 from .value import Value, set_field
 
 PAIR_RANK_LIMIT = 8
@@ -247,6 +246,12 @@ def _richardson_absolute(rs: RootSystem) -> int:
 
 
 def _richardson_relative(rel: RelativeDatum) -> int:
+    """The least radical dimension over rel's proper parabolics: the
+    contributions of the roots outside a non-spanning set's span.  The
+    radical shrinks as the span grows, so the least is at a hyperplane
+    (Oxley, Matroid Theory, ch. 1), the span of r - 1 roots for r the
+    datum's rank; a smaller span lies in a hyperplane with no larger sum.
+    For r = 1 the only such set is empty."""
     from . import linalg
     m = len(rel.roots)
     if m > RELATIVE_ENTRY_LIMIT:
@@ -254,20 +259,12 @@ def _richardson_relative(rel: RelativeDatum) -> int:
             f"relative data are limited to {RELATIVE_ENTRY_LIMIT} entries; "
             f"got {m}")
     vectors = rel.roots
-    full_rank = linalg.rank(vectors)
-    best = None
-    for subset in range(1 << m):
-        chosen = list(compress(vectors, mask_flags(subset)))
-        r = linalg.rank(chosen)
-        if r == full_rank:
-            continue  # spans everything: not a proper parabolic
-        # root i lies outside the span of chosen when it raises the rank
-        total = sum(rel.contributions[i] for i in range(m)
-                    if linalg.rank(chosen + [vectors[i]]) > r)
-        if best is None or total < best:
-            best = total
-    assert best is not None and best > 0
-    return best
+    sums = []
+    for basis in map(list, combinations(vectors, linalg.rank(vectors) - 1)):
+        r = linalg.rank(basis)
+        sums.append(sum(c for v, c in zip(vectors, rel.contributions)
+                        if linalg.rank(basis + [v]) > r))
+    return min(sums)
 
 
 def k_richardson(g: GroupSpec) -> int:
