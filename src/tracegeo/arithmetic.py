@@ -141,8 +141,9 @@ def factorize(n: int) -> dict[int, int]:
             continue
         # Rho splits p^k only after about sqrt(p) steps, and squares are
         # common in discriminants, so take perfect powers apart first.
-        # Every prime factor of m exceeds 2^10, which bounds the exponent.
-        for k in range(2, m.bit_length() // 10 + 1):
+        # Every prime factor of m exceeds 2^10, which bounds the exponent,
+        # and a root goes back on todo, so prime exponents are enough.
+        for k in _primes_below(m.bit_length() // 10 + 1):
             r = _root(m, k)
             if r ** k == m:
                 todo += [r] * k
