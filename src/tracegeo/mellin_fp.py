@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -114,10 +115,26 @@ class AsymptoticExpansion(Value):
                   tuple(x for x, (a, _) in zip(floats, terms) if a <= 0))
 
     def evaluate(self, t: float) -> float:
-        return sum(c * t ** a for a, c in self._float_terms)
+        try:
+            return sum(c * t ** a for a, c in self._float_terms)
+        except OverflowError:
+            raise self._overflow(t) from None
 
     def pole_part(self, t: float) -> float:
-        return sum(c * t ** a for a, c in self._pole_terms)
+        try:
+            return sum(c * t ** a for a, c in self._pole_terms)
+        except OverflowError:
+            raise self._overflow(t) from None
+
+    def _overflow(self, t: float) -> NumericError:
+        """The error naming the first term whose power of t overflows."""
+        for a, c in self.terms:
+            try:
+                t ** float(a)
+            except OverflowError:
+                break
+        return NumericError(f"the expansion term {c!r} t^({a}) overflows a "
+                            f"float at t = {t!r}")
 
 
 class TailFunction(Value):
@@ -154,11 +171,11 @@ class TailFunction(Value):
 
 
 def _check_expansion_match(f: TailFunction, exp: AsymptoticExpansion,
-                           tol: float) -> list[float]:
+                           tol: float, split: float) -> list[float]:
     """Sample f minus its claimed expansion on a dyadic grid below the
-    validity point; the residual must head to zero.  Returns the signed
-    residuals at min(valid_to, 1) * 2^-j, j = 0..14."""
-    t0 = min(exp.valid_to, 1.0)
+    split point; the residual must head to zero.  Returns the signed
+    residuals at min(split, 1) * 2^-j, j = 0..14."""
+    t0 = min(split, 1.0)
     residuals = []
     for j in range(15):
         t = t0 * 2.0 ** (-j)
@@ -177,7 +194,8 @@ def _check_expansion_match(f: TailFunction, exp: AsymptoticExpansion,
 
 
 def _cutoff(f: TailFunction, exp: AsymptoticExpansion, tol: float,
-            order: Fraction, residuals: list[float]) -> tuple[float, float]:
+            order: Fraction, residuals: list[float],
+            split: float) -> tuple[float, float]:
     """A cutoff tau and the integral of R = f - expansion against dt/t
     below it, or (0, 0) when none is found.
 
@@ -189,7 +207,7 @@ def _cutoff(f: TailFunction, exp: AsymptoticExpansion, tol: float,
     there.
     """
     rho = float(order)
-    t = min(exp.valid_to, 1.0)
+    t = min(split, 1.0)
     previous = residuals[0]
     for j in range(1, _CUTOFF_STEPS):
         t /= 2
@@ -285,9 +303,27 @@ def _tail(f: TailFunction, t0: float, tol: float) -> float:
                            math.asinh(2 / math.pi * reach), tol)
 
 
+def _pole_rounding(exp: AsymptoticExpansion, t: float) -> float:
+    """About the rounding of the pole terms' closed forms c t^a / a at t:
+    eps * sum_{a<0} |c| t^a / |a|.  A term that overflows there is
+    refused by name."""
+    try:
+        return sys.float_info.epsilon * sum(
+            abs(c) * t ** a / -a for a, c in exp._pole_terms if a < 0)
+    except OverflowError:
+        raise exp._overflow(t) from None
+
+
 def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
               tol: float = DEFAULT_TOL) -> float:
-    """Finite part at the origin of the normalized Mellin transform of f."""
+    """Finite part at the origin of the normalized Mellin transform of f.
+
+    The split point t0 is the expansion's valid_to.  The closed forms of
+    the pole terms at t0 cancel against the integral above t0, so where
+    their rounding exceeds tol / 8 and 1/rate lies above t0, the residual
+    check, the cutoff search, both integrals and the closed forms all run
+    at 1/rate instead: the finite part does not depend on the split point.
+    """
     _check_tol(tol)
     exps = [a for a, _ in exp.terms]
     order = (exps[-1] if exps else Fraction(0)) + exp.remainder_order
@@ -296,10 +332,12 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
             "expansion remainder is not integrable against dt/t; the top "
             "exponent plus remainder_order must be positive")
     f.spot_check_decay()
-    residuals = _check_expansion_match(f, exp, tol)
-    cutoff, below = _cutoff(f, exp, tol, order, residuals)
+    t0, rate = exp.valid_to, f.decay[1]
+    if 1 / rate > t0 and _pole_rounding(exp, t0) > tol / 8:
+        t0 = 1 / rate
+    residuals = _check_expansion_match(f, exp, tol, t0)
+    cutoff, below = _cutoff(f, exp, tol, order, residuals, t0)
 
-    t0 = exp.valid_to
     c_minus1 = sum(c for a, c in exp.terms if a == 0)
 
     def excess(t: float) -> float:

@@ -112,6 +112,14 @@ ARGVS += ([["k", "+T2"], ["k", "A2@res=0"], ["k", "A2@relative=a@relative=b"],
                           '{%s, "samples": [[1, 1]]}' % _DECAY,
                           '{%s, "samples": [[2, 0.5], [1, 1]]}' % _DECAY)])
 
+# Tiny split points, where the sqrt preset's split moves to 1/rate, and a
+# pole term that overflows a float at the split point (exit 4, by name).
+ARGVS += ([["mellin-fp", "--preset", "sqrt", "--t0", t0, "--json"]
+           for t0 in ("1e-10", "1e-100", "1e-300")]
+          + [["mellin-fp", "--spec",
+              '{"t0": "1e-300", "terms": [["-5", 1], ["0", 1]], %s, '
+              '"samples": [[1e-3, 1e15], [1, 0.3], [2, 0.1]]}' % _DECAY]])
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()

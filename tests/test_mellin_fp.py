@@ -266,6 +266,22 @@ def test_evaluations_match_the_exponent_formula_bit_for_bit(expn):
                                         for a, c in expn.terms if a <= 0), t
 
 
+def test_a_term_that_overflows_is_named():
+    expn = AsymptoticExpansion((("-5", 1.0), ("0", 1.0)), 1e-300, 1)
+    message = r"^the expansion term 1.0 t\^\(-5\) overflows a float at t = "
+    with pytest.raises(NumericError, match=message + r"1e-300$"):
+        expn.evaluate(1e-300)
+    with pytest.raises(NumericError, match=message + r"1e-100$"):
+        expn.pole_part(1e-100)
+    # Where the split would move to 1/rate, the pole term's closed form at
+    # t0 is refused first; where it cannot move, the residual check meets
+    # the term at t0.
+    for rate in (1.0, 1e300):
+        f = TailFunction(lambda t: 0.0, (1.0, rate))
+        with pytest.raises(NumericError, match=message + r"1e-300$"):
+            fp_mellin(f, expn)
+
+
 def test_tail_function_validation():
     with pytest.raises(DomainError):
         TailFunction(lambda t: 0.0, (0.0, 1.0))
