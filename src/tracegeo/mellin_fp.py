@@ -303,17 +303,6 @@ def _tail(f: TailFunction, t0: float, tol: float) -> float:
                            math.asinh(2 / math.pi * reach), tol)
 
 
-def _pole_rounding(exp: AsymptoticExpansion, t: float) -> float:
-    """About the rounding of the pole terms' closed forms c t^a / a at t:
-    eps * sum_{a<0} |c| t^a / |a|.  A term that overflows there is
-    refused by name."""
-    try:
-        return sys.float_info.epsilon * sum(
-            abs(c) * t ** a / -a for a, c in exp._pole_terms if a < 0)
-    except OverflowError:
-        raise exp._overflow(t) from None
-
-
 def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
               tol: float = DEFAULT_TOL) -> float:
     """Finite part at the origin of the normalized Mellin transform of f.
@@ -323,6 +312,7 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     their rounding exceeds tol / 8 and 1/rate lies above t0, the residual
     check, the cutoff search, both integrals and the closed forms all run
     at 1/rate instead: the finite part does not depend on the split point.
+    A pole term that overflows a float at t0 is refused by name.
     """
     _check_tol(tol)
     exps = [a for a, _ in exp.terms]
@@ -333,7 +323,13 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
             "exponent plus remainder_order must be positive")
     f.spot_check_decay()
     t0, rate = exp.valid_to, f.decay[1]
-    if 1 / rate > t0 and _pole_rounding(exp, t0) > tol / 8:
+    try:
+        # eps * sum_{a<0} |c| t0^a / |a|, about the closed forms' rounding
+        rounding = sys.float_info.epsilon * sum(
+            abs(c) * t0 ** a / -a for a, c in exp._pole_terms if a < 0)
+    except OverflowError:
+        raise exp._overflow(t0) from None
+    if rounding > tol / 8 and 1 / rate > t0:
         t0 = 1 / rate
     residuals = _check_expansion_match(f, exp, tol, t0)
     cutoff, below = _cutoff(f, exp, tol, order, residuals, t0)

@@ -273,9 +273,8 @@ def test_a_term_that_overflows_is_named():
         expn.evaluate(1e-300)
     with pytest.raises(NumericError, match=message + r"1e-100$"):
         expn.pole_part(1e-100)
-    # Where the split would move to 1/rate, the pole term's closed form at
-    # t0 is refused first; where it cannot move, the residual check meets
-    # the term at t0.
+    # The pole term's closed form at t0 is refused, whether or not the
+    # split could move to 1/rate.
     for rate in (1.0, 1e300):
         f = TailFunction(lambda t: 0.0, (1.0, rate))
         with pytest.raises(NumericError, match=message + r"1e-300$"):
