@@ -492,7 +492,6 @@ def test_component_dim_sets_match_the_scan_and_partition_tables():
     assert {t.series for t in seen} == set("ABCDEFG")
 
 
-
 # -- the relative Richardson route against the subset walk -------------------
 #
 # The walk visits all 2^m subsets of the m relative roots, as the relative
