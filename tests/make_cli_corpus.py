@@ -120,6 +120,16 @@ ARGVS += ([["mellin-fp", "--preset", "sqrt", "--t0", t0, "--json"]
               '{"t0": "1e-300", "terms": [["-5", 1], ["0", 1]], %s, '
               '"samples": [[1e-3, 1e15], [1, 0.3], [2, 0.1]]}' % _DECAY]])
 
+# Parabolic lattices past rank 2, among them F4's 5,089 subsets, and the
+# orbit table of every classical type of rank <= 8 and of gl2-gl8.
+_ORBIT_TYPES = ([t for t in SIMPLE_TYPES if t[0] in "ABCD"]
+                + [f"gl{n}" for n in range(2, 9)])
+ARGVS += ([["parabolics", name, "--json"]
+           for name in ("B3", "C3", "A1xB2", "D4")]
+          + [["parabolics", "F4"], ["parabolics", "B4"]]
+          + [["orbits", name] for name in _ORBIT_TYPES]
+          + [["orbits", name, "--json"] for name in ("B8", "C8", "D8", "gl8")])
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
