@@ -129,8 +129,17 @@ def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
     if size > RANK_LIMIT:
         raise ResourceLimitError(
             f"orbit enumeration is limited to rank {RANK_LIMIT}; got {size}")
-    return [OrbitLabel(t, lam) for lam in _partitions(_partition_target(t))
-            if _parity_ok(t, lam)]
+    labels = []
+    for lam in _partitions(_partition_target(t)):
+        if _parity_ok(t, lam):
+            # lam is a decreasing partition of the right size and passes
+            # the parity rule, so OrbitLabel's checks would only repeat
+            # these.
+            label = object.__new__(OrbitLabel)
+            set_field(label, "attached_type", t)
+            set_field(label, "partition", lam)
+            labels.append(label)
+    return labels
 
 
 def orbit_dim(label: OrbitLabel) -> int:

@@ -7,8 +7,10 @@ is finite set combinatorics plus exact ranks of root sets, so all
 dimensions and counts are exact.
 
 Subsets are stored as root_datum's root masks (bit i set iff roots[i] is
-a member), from the enumeration to the caller; `members`, `levi_roots`
-and `member_roots` are decoded once, on first access.
+a member), from the enumeration to the caller.  A subset holds only its
+system and mask and decodes `members` and `member_roots` on every read;
+a Levi, shared by every subset with its symmetric part, decodes
+`members` (`levi_roots`) and `member_roots` once, on first access.
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ class _RootMask(Value):
         set_field(self, "system", system)
         set_field(self, "mask", mask)
 
-    @cached_property
+    @property
     def members(self) -> frozenset[int]:
         return frozenset(mask_indices(self.mask))
 
-    @cached_property
+    @property
     def member_roots(self) -> tuple[tuple[int, ...], ...]:
         # roots are stored sorted, so ascending index is ascending root.
         return tuple(compress(self.system.roots, mask_flags(self.mask)))
@@ -72,8 +74,12 @@ class LeviDatum(_RootMask):
     a_M_dim is the dimension of the central split torus of the Levi:
     (rank of the root span + central torus rank) minus the rank of the
     Levi's own roots, computed on first read.  levi_roots is another name
-    for members.
+    for members.  levi_of shares one record per symmetric part, so a Levi
+    keeps what it decodes, where a subset decodes on every read.
     """
+
+    members = cached_property(_RootMask.members.fget)
+    member_roots = cached_property(_RootMask.member_roots.fget)
 
     @cached_property
     def a_M_dim(self) -> int:

@@ -1,8 +1,9 @@
 import pytest
 
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.nilpotent_orbits import (GLType, OrbitLabel, list_orbits,
-                                       min_orbit_dim, orbit_dim)
+from tracegeo.nilpotent_orbits import (GLType, OrbitLabel, _parity_ok,
+                                       _partition_target, _partitions,
+                                       list_orbits, min_orbit_dim, orbit_dim)
 from tracegeo.root_datum import SimpleType, dual_coxeter_number
 
 
@@ -23,6 +24,19 @@ def partition_count(n):
 def test_gl_orbit_count_is_partition_count():
     for n in range(1, 11):
         assert len(list_orbits(GLType(n))) == partition_count(n)
+
+
+def test_list_orbits_equals_the_checked_filter():
+    # list_orbits builds its labels past OrbitLabel's checks; the public
+    # constructor, which runs every check, gives the same labels in the
+    # same order on every classical type of rank <= 20 and gl1-gl20.
+    types = ([SimpleType(s, r) for s in "ABC" for r in range(1, 21)]
+             + [SimpleType("D", r) for r in range(2, 21)]
+             + [GLType(n) for n in range(1, 21)])
+    for t in types:
+        want = [OrbitLabel(t, lam) for lam in _partitions(_partition_target(t))
+                if _parity_ok(t, lam)]
+        assert list_orbits(t) == want, t
 
 
 def test_gl_dims_against_centralizer_formula():

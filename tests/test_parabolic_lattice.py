@@ -141,6 +141,19 @@ def test_a_shared_levi_decodes_its_roots_once():
         assert levi.member_roots is levi.member_roots
 
 
+@pytest.mark.parametrize("name", ["F4", "A2xB3"])
+def test_a_subset_holds_only_its_mask(name):
+    # A subset decodes on every read and keeps nothing it decodes, so
+    # F4's 5,089 subsets hold no frozenset each; the Levi they share
+    # keeps its own.
+    rs = build_root_system(name.split("x"))
+    for p in enumerate_parabolic_subsets(rs):
+        assert p.members == frozenset(p.sort_key())
+        assert len(p.member_roots) == p.mask.bit_count()
+        assert vars(p).keys() == {"system", "mask"}
+        assert levi_of(p).members is levi_of(p).members
+
+
 def test_enumeration_guard():
     rs = build_root_system(["A7"])
     with pytest.raises(ResourceLimitError):
