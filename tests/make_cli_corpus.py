@@ -130,6 +130,9 @@ ARGVS += ([["parabolics", name, "--json"]
           + [["orbits", name] for name in _ORBIT_TYPES]
           + [["orbits", name, "--json"] for name in ("B8", "C8", "D8", "gl8")])
 
+# The orbit tables at the rank limit, B20's 5,922 labels among them.
+ARGVS += [["orbits", name] for name in ("A20", "B20", "C20", "D20", "gl20")]
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
