@@ -69,14 +69,17 @@ def _partition_target(t: SimpleType | GLType) -> int:
     }[t.series]
 
 
-def _parity_ok(t: SimpleType | GLType, lam: tuple[int, ...]) -> bool:
-    """Whether lam meets t's parity rule: in types B and D each even part,
-    in type C each odd part, has even multiplicity."""
+def _paired_parity(t: SimpleType | GLType) -> int | None:
+    """The parity whose parts come in pairs: 0 in types B and D, 1 in C."""
     if isinstance(t, GLType) or t.series == "A":
-        return True
-    constrained = 1 if t.series == "C" else 0
-    return all(lam.count(x) % 2 == 0 for x in set(lam)
-               if x % 2 == constrained)
+        return None
+    return 1 if t.series == "C" else 0
+
+
+def _parity_ok(t: SimpleType | GLType, lam: tuple[int, ...]) -> bool:
+    """Whether each part of t's paired parity has even multiplicity in lam."""
+    paired = _paired_parity(t)
+    return all(lam.count(x) % 2 == 0 for x in set(lam) if x % 2 == paired)
 
 
 def _validate_parity(t: SimpleType | GLType, lam: tuple[int, ...]) -> None:
@@ -92,34 +95,31 @@ def _validate_parity(t: SimpleType | GLType, lam: tuple[int, ...]) -> None:
                           f"multiplicity in type {t.series}")
 
 
-def _partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n >= 1, largest first part first (decreasing
-    lexicographic order), each built once.
-
-    The successor lowers the last part above 1 by one and refills the
-    rest of the sum greedily with parts no larger than it.
-    """
-    lam = [n]
-    while True:
-        yield tuple(lam)
-        ones = 0
-        while lam and lam[-1] == 1:
-            lam.pop()
-            ones += 1
-        if not lam:
-            return
-        part = lam.pop() - 1
-        q, r = divmod(ones + 1, part)
-        lam += [part] * (q + 1)
-        if r:
-            lam.append(r)
+def _admissible(rem: int, cap: int, paired: int | None,
+                prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """prefix extended by each partition of rem into parts <= cap in which
+    the parts of the paired parity come in pairs, in decreasing
+    lexicographic order: the largest part first, each multiplicity largest
+    first (in steps of 2 when paired), and the rest in 1s, so no branch
+    ends empty.  rem is even when 1 is paired, as in type C's 2n."""
+    for q in range(min(cap, rem), 1, -1):
+        step = 2 if q % 2 == paired else 1
+        for m in range(rem // q // step * step, 0, -step):
+            lam, r = prefix + (q,) * m, rem - q * m
+            if r:
+                yield from _admissible(r, q - 1, paired, lam)
+            else:
+                yield lam
+    if rem:
+        yield prefix + (1,) * rem
 
 
 def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
     """All orbit labels for a classical type, largest partition first.
 
-    Very even labels of type D (all parts even) stand for two orbits of
-    equal dimension and are emitted once, flagged.
+    The admissible partitions are generated directly, not filtered from
+    every partition.  Very even labels of type D (all parts even) stand for
+    two orbits of equal dimension and are emitted once, flagged.
     """
     if isinstance(t, SimpleType) and t.series not in "ABCD":
         raise DomainError(
@@ -129,16 +129,15 @@ def list_orbits(t: SimpleType | GLType) -> list[OrbitLabel]:
     if size > RANK_LIMIT:
         raise ResourceLimitError(
             f"orbit enumeration is limited to rank {RANK_LIMIT}; got {size}")
+    n = _partition_target(t)
     labels = []
-    for lam in _partitions(_partition_target(t)):
-        if _parity_ok(t, lam):
-            # lam is a decreasing partition of the right size and passes
-            # the parity rule, so OrbitLabel's checks would only repeat
-            # these.
-            label = object.__new__(OrbitLabel)
-            set_field(label, "attached_type", t)
-            set_field(label, "partition", lam)
-            labels.append(label)
+    for lam in _admissible(n, n, _paired_parity(t)):
+        # lam meets the size and parity rules by construction, so
+        # OrbitLabel's checks would only repeat these.
+        label = object.__new__(OrbitLabel)
+        set_field(label, "attached_type", t)
+        set_field(label, "partition", lam)
+        labels.append(label)
     return labels
 
 

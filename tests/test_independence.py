@@ -23,6 +23,7 @@ from tracegeo import errors, oracles, value
 from tracegeo.invariants_k import GroupSpec, k_by_pairs, k_min_orbit, \
     k_richardson
 from tracegeo.local_data import RationalMatrix, weyl_discriminant
+from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from tracegeo.parabolic_lattice import enumerate_parabolic_subsets
 from tracegeo.root_datum import RootSystem, SimpleType, build_root_system
 
@@ -97,6 +98,16 @@ def _on_k_specs(route):
             for factors in K_SPECS]
 
 
+# reproduce's orbit_minima check: the classical types it enumerates.
+ORBIT_TYPES = ([("B", r) for r in range(1, 9)] + [("C", r) for r in range(1, 9)]
+               + [("D", r) for r in range(2, 9)])
+
+
+def _least_nonzero_orbit_dim(series, rank):
+    return min(d for d in map(orbit_dim, list_orbits(SimpleType(series, rank)))
+               if d)
+
+
 def _root_datum(*names):
     return [f"root_datum.py:{name}" for name in names]
 
@@ -122,6 +133,10 @@ PAIRS = {
             build_root_system(["A2"]))],
         GENERATOR + _root_datum("<lambda>", *["<genexpr>"] * 4, "size",
                                 "ambient_dim", "_assembled", "roots")),
+    "orbit_minima": (
+        [lambda t=t: _least_nonzero_orbit_dim(*t) for t in ORBIT_TYPES],
+        [lambda t=t: min_orbit_dim(SimpleType(*t)) for t in ORBIT_TYPES],
+        []),
 }
 
 

@@ -2,8 +2,8 @@ import pytest
 
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.nilpotent_orbits import (GLType, OrbitLabel, _parity_ok,
-                                       _partition_target, _partitions,
-                                       list_orbits, min_orbit_dim, orbit_dim)
+                                       _partition_target, list_orbits,
+                                       min_orbit_dim, orbit_dim)
 from tracegeo.root_datum import SimpleType, dual_coxeter_number
 
 
@@ -26,17 +26,63 @@ def test_gl_orbit_count_is_partition_count():
         assert len(list_orbits(GLType(n))) == partition_count(n)
 
 
+CLASSICAL_UP_TO_20 = ([SimpleType(s, r) for s in "ABC" for r in range(1, 21)]
+                      + [SimpleType("D", r) for r in range(2, 21)]
+                      + [GLType(n) for n in range(1, 21)])
+
+
+def _partitions(n):
+    """The partitions of n >= 1 in decreasing lexicographic order, by the
+    successor rule: lower the last part above 1 by one and refill the rest
+    of the sum greedily with parts no larger than it."""
+    lam = [n]
+    while True:
+        yield tuple(lam)
+        ones = 0
+        while lam and lam[-1] == 1:
+            lam.pop()
+            ones += 1
+        if not lam:
+            return
+        part = lam.pop() - 1
+        q, r = divmod(ones + 1, part)
+        lam += [part] * (q + 1)
+        if r:
+            lam.append(r)
+
+
 def test_list_orbits_equals_the_checked_filter():
-    # list_orbits builds its labels past OrbitLabel's checks; the public
-    # constructor, which runs every check, gives the same labels in the
-    # same order on every classical type of rank <= 20 and gl1-gl20.
-    types = ([SimpleType(s, r) for s in "ABC" for r in range(1, 21)]
-             + [SimpleType("D", r) for r in range(2, 21)]
-             + [GLType(n) for n in range(1, 21)])
-    for t in types:
+    # list_orbits generates only the admissible partitions and builds its
+    # labels past OrbitLabel's checks; filtering every partition through
+    # the public constructor, which runs every check, gives the same labels
+    # in the same order on every classical type of rank <= 20 and gl1-gl20.
+    for t in CLASSICAL_UP_TO_20:
         want = [OrbitLabel(t, lam) for lam in _partitions(_partition_target(t))
                 if _parity_ok(t, lam)]
         assert list_orbits(t) == want, t
+
+
+def _admissible_count(t):
+    """The coefficient of x^N, N = _partition_target(t), in the product of
+    1/(1 - x^2p) over the parts p of the paired parity and of 1/(1 - x^p)
+    over the other parts: type A and gl pair no parity, B and D the even
+    parts, C the odd ones."""
+    n = _partition_target(t)
+    paired = {"B": 0, "C": 1, "D": 0}.get(getattr(t, "series", None))
+    series = [1] + [0] * n
+    for p in range(1, n + 1):
+        step = 2 * p if p % 2 == paired else p
+        for total in range(step, n + 1):
+            series[total] += series[total - step]
+    return series[n]
+
+
+def test_orbit_counts_are_the_generating_function_coefficients():
+    # A third check that reads neither the generator nor the filter.
+    counts = {str(t): len(list_orbits(t)) for t in CLASSICAL_UP_TO_20}
+    assert counts == {str(t): _admissible_count(t) for t in CLASSICAL_UP_TO_20}
+    assert [counts[name] for name in ("A20", "B20", "C20", "D20", "gl20")] \
+        == [792, 5922, 7336, 5096, 627]
 
 
 def test_gl_dims_against_centralizer_formula():
