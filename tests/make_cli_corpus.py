@@ -133,6 +133,10 @@ ARGVS += ([["parabolics", name, "--json"]
 # The orbit tables at the rank limit, B20's 5,922 labels among them.
 ARGVS += [["orbits", name] for name in ("A20", "B20", "C20", "D20", "gl20")]
 
+# Rank-4 lattices in JSON, each subset's a_M_dim a rank of root
+# coordinates.
+ARGVS += [["parabolics", name, "--json"] for name in ("A4", "B4", "C4", "D3")]
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
