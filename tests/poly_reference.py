@@ -1,11 +1,13 @@
-"""Polynomial references over Fraction, and adapters that put rational
-input through the library's integer polynomials.
+"""Polynomial and determinant references over Fraction, and adapters that
+put rational input through the library's integer routines.
 
 The references are the routes the library ran before its polynomials
 became integer lists: the derivative, long division (`poly_divmod`),
 Euclid's gcd, Yun's squarefree split with exact division by the monic
 gcd, and the resultant by the Euclidean recursion.  They share no code
 with the library, and the tests compare the library with them.
+`complement_determinant` is the discriminant oracle as it ran on
+Fraction matrices.
 
 The adapters (`rational_charpoly`, `rational_squarefree`,
 `rational_resultant`) scale rational input to integers by a common
@@ -134,3 +136,37 @@ def rational_resultant(a: Sequence[Fraction],
     big_a, big_b = [int(c * da) for c in a], [int(c * db) for c in b]
     return Fraction(linalg.poly_resultant(big_a, big_b),
                     da ** (len(b) - 1) * db ** (len(a) - 1))
+
+
+def _mat_mul(a: list[list[Fraction]],
+             b: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def complement_determinant(g: Sequence[Sequence[Fraction]]) -> Fraction:
+    """det(1 - Ad(g)) restricted to the matrix units the conjugation
+    action moves, for diagonal g.
+
+    The action is computed by honest matrix products g E g^{-1} on each
+    unit E, expanded back in the unit basis; the complement of the
+    centralizer is exactly the span of the moved units.
+    """
+    n = len(g)
+    diag = [Fraction(g[i][i]) for i in range(n)]
+    ginv = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        ginv[i][i] = 1 / diag[i]
+    moved = [(i, j) for i in range(n) for j in range(n)
+             if i != j and diag[i] != diag[j]]
+    index = {pair: a for a, pair in enumerate(moved)}
+    size = len(moved)
+    m = [[Fraction(0)] * size for _ in range(size)]
+    gm = [[Fraction(x) for x in row] for row in g]
+    for (k, l), col in index.items():
+        unit = [[Fraction(0)] * n for _ in range(n)]
+        unit[k][l] = Fraction(1)
+        image = _mat_mul(_mat_mul(gm, unit), ginv)
+        for (i, j), row in index.items():
+            m[row][col] = (1 if (i, j) == (k, l) else 0) - image[i][j]
+    return linalg.det(m)

@@ -1,12 +1,16 @@
 """The brute-force group-order oracle: checked against a straight count of
 all N^(n^2) matrices and against the earlier count over all pairs of first
-rows, and pinned on the degenerate levels."""
+rows, and pinned on the degenerate levels.  The complement-determinant
+oracle: checked against its Fraction reference."""
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
+import poly_reference
 from tracegeo import oracles
 from tracegeo.arithmetic import sl_index
 from tracegeo.errors import DomainError, ResourceLimitError
@@ -98,3 +102,30 @@ def test_levels_past_the_row_limit_refused(n, N):
 def test_only_small_sizes_are_counted():
     with pytest.raises(ResourceLimitError):
         oracles.sl_group_order(4, 2)
+
+
+def _seeded_diagonals():
+    """80 diagonals of each size n = 2..5: rational entries of both signs,
+    whole ones among them, and every other diagonal drawn from a pool of
+    n - 1 values, so that it repeats an entry."""
+    rng = random.Random(4141)
+    for n in range(2, 6):
+        for trial in range(80):
+            pool = [Fraction(rng.choice([x for x in range(-9, 10) if x]),
+                             rng.choice((1, 1, 2, 3, 7, 9)))
+                    for _ in range(n - 1 if trial % 2 else n)]
+            yield [rng.choice(pool) for _ in range(n)] if trial % 2 \
+                else pool
+
+
+def test_complement_determinant_matches_the_fraction_reference():
+    repeated = negative = 0
+    for diag in _seeded_diagonals():
+        rows = [[x if i == j else 0 for j in range(len(diag))]
+                for i, x in enumerate(diag)]
+        got = oracles.complement_determinant(rows)
+        assert type(got) is Fraction, diag
+        assert got == poly_reference.complement_determinant(rows), diag
+        repeated += len(set(diag)) < len(diag)
+        negative += min(diag) < 0
+    assert repeated >= 160 and negative >= 250
