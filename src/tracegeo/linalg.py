@@ -1,14 +1,15 @@
-"""Exact linear algebra over the rationals, and integer polynomials.
+"""Exact linear algebra and polynomials on integers.
 
-Matrices are row-major lists of rows of ``fractions.Fraction`` or ``int``.
-Rank and determinant share one fraction-free (Bareiss) elimination on
-integer rows, so neither does Fraction arithmetic on the way.  The
-characteristic polynomial, Berkowitz's division-free recursion, takes an
-integer matrix, and the polynomial helpers work on lists of integer
-coefficients, highest degree first: the squarefree split takes its gcds
-by primitive remainder sequences and the resultant is the subresultant
-sequence, both on one exact pseudo-remainder.  A caller with a rational
-matrix scales it to integers first.
+Matrices are row-major lists of rows of ``int``; nothing here makes a
+``Fraction``.  Rank and determinant share one fraction-free (Bareiss)
+elimination, so the determinant is an int, and both refuse a non-int
+entry.  The characteristic polynomial, Berkowitz's division-free
+recursion, takes an integer matrix, and the polynomial helpers work on
+lists of integer coefficients, highest degree first: the squarefree split
+takes its gcds by primitive remainder sequences and the resultant is the
+subresultant sequence, both on one exact pseudo-remainder.  A caller with
+a rational matrix scales it to integers first; scaling row i by s_i keeps
+the rank and multiplies the determinant by s_i.
 Hand-rolled rather than numpy because a float rank is not a rank: these
 values feed invariants whose contracts promise integer or rational
 answers.  Functions never mutate their arguments.
@@ -18,31 +19,29 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
-Mat = Sequence[Sequence[Fraction | int]]
+Mat = Sequence[Sequence[int]]
 
 
-def _bareiss(m: Mat) -> tuple[int, Fraction]:
-    """Rank of m and, when m is square, its determinant (else 0).
+def _bareiss(m: Mat) -> tuple[int, int]:
+    """Rank of the integer matrix m and, when m is square, its determinant
+    (else 0).
 
-    Each row is first scaled to integers by the lcm of its denominators
-    (rows that are all int are copied as they are).  Bareiss's step
-    a_ij <- (p a_ij - a_ic a_rj) / p_prev then divides exactly, so every
-    entry stays an integer minor of the scaled matrix and the last pivot
-    of a full-rank square matrix is its determinant.
+    Bareiss's step a_ij <- (p a_ij - a_ic a_rj) / p_prev divides exactly
+    (Bareiss, Math. Comp. 22, 1968), so every entry stays an integer minor
+    of m and the last pivot of a full-rank square matrix is its
+    determinant.  The division is floor division, which would truncate a
+    Fraction or a float, so a row with an entry whose type is not exactly
+    int (bool included) raises TypeError.
     """
     a: list[list[int]] = []
-    scale = 1
     for row in m:
-        if all(type(x) is int for x in row):
-            a.append(list(row))
-        else:
-            fr = [Fraction(x) for x in row]
-            den = math.lcm(*(x.denominator for x in fr))
-            a.append([x.numerator * (den // x.denominator) for x in fr])
-            scale *= den
+        if not all(type(x) is int for x in row):
+            bad = next(x for x in row if type(x) is not int)
+            raise TypeError("rank and det take integer matrices; got an "
+                            f"entry of type {type(bad).__name__}")
+        a.append(list(row))
     rows = len(a)
     cols = len(a[0]) if rows else 0
     r, sign, prev = 0, 1, 1
@@ -62,15 +61,14 @@ def _bareiss(m: Mat) -> tuple[int, Fraction]:
             a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ar)]
         prev = p
         r += 1
-    full_square = r == rows == cols
-    return r, Fraction(sign * prev, scale) if full_square else Fraction(0)
+    return r, sign * prev if r == rows == cols else 0
 
 
 def rank(m: Mat) -> int:
     return _bareiss(m)[0]
 
 
-def det(m: Mat) -> Fraction:
+def det(m: Mat) -> int:
     if any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
     return _bareiss(m)[1]

@@ -3,8 +3,9 @@
 Nothing here shares code with the implementations under test: parabolic
 subsets are found by scanning every root subset, group orders by counting
 the first rows of a matrix (up to unit scaling) whose cofactors are coprime
-to the level, discriminants by eigenvalue products and complement
-determinants.  The subset scan and the group-order count refuse inputs
+to the level, discriminants by eigenvalue products and by complement
+determinants, the latter from integer matrix products with one Fraction
+made at the end.  The subset scan and the group-order count refuse inputs
 above fixed sizes.
 """
 
@@ -110,35 +111,40 @@ def diagonal_discriminant(diag: Sequence[Fraction]) -> Fraction:
     return value
 
 
-def _mat_mul(a: list[list[Fraction]],
-             b: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
 
 
-def complement_determinant(g: Sequence[Sequence[Fraction]]) -> Fraction:
+def complement_determinant(g: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """det(1 - Ad(g)) restricted to the matrix units the conjugation
     action moves, for diagonal g.
 
-    The action is computed by honest matrix products g E g^{-1} on each
-    unit E, expanded back in the unit basis; the complement of the
-    centralizer is exactly the span of the moved units.
+    The action is computed by honest integer matrix products on each
+    unit E: with G = a g and H = b g^{-1} integral, Ad(g) E = G E H / (ab),
+    expanded back in the unit basis.  The complement of the centralizer
+    is exactly the span of the moved units, and on it the integer matrix
+    ab - G E H has determinant (ab)^size det(1 - Ad(g)), so one Fraction
+    is made at the end.
     """
     n = len(g)
-    diag = [Fraction(g[i][i]) for i in range(n)]
-    ginv = [[Fraction(0)] * n for _ in range(n)]
+    gm = [[Fraction(x) for x in row] for row in g]
+    diag = [gm[i][i] for i in range(n)]
+    a = math.lcm(*(x.denominator for row in gm for x in row))
+    b = math.lcm(*(x.numerator for x in diag))
+    big_g = [[int(x * a) for x in row] for row in gm]
+    big_h = [[0] * n for _ in range(n)]
     for i in range(n):
-        ginv[i][i] = 1 / diag[i]
+        big_h[i][i] = b * diag[i].denominator // diag[i].numerator
     moved = [(i, j) for i in range(n) for j in range(n)
              if i != j and diag[i] != diag[j]]
-    index = {pair: a for a, pair in enumerate(moved)}
-    size = len(moved)
-    m = [[Fraction(0)] * size for _ in range(size)]
-    gm = [[Fraction(x) for x in row] for row in g]
+    index = {pair: c for c, pair in enumerate(moved)}
+    size, ab = len(moved), a * b
+    m = [[0] * size for _ in range(size)]
     for (k, l), col in index.items():
-        unit = [[Fraction(0)] * n for _ in range(n)]
-        unit[k][l] = Fraction(1)
-        image = _mat_mul(_mat_mul(gm, unit), ginv)
+        unit = [[0] * n for _ in range(n)]
+        unit[k][l] = 1
+        image = _mat_mul(_mat_mul(big_g, unit), big_h)
         for (i, j), row in index.items():
-            m[row][col] = (1 if (i, j) == (k, l) else 0) - image[i][j]
-    return linalg.det(m)
+            m[row][col] = (ab if (i, j) == (k, l) else 0) - image[i][j]
+    return Fraction(linalg.det(m), ab ** size)

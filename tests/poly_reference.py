@@ -10,9 +10,9 @@ with the library, and the tests compare the library with them.
 Fraction matrices.
 
 The adapters (`rational_charpoly`, `rational_squarefree`,
-`rational_resultant`) scale rational input to integers by a common
-denominator, call the library and scale the result back, so tests can
-check the library on rational cases.
+`rational_resultant`, `rational_rank`, `rational_det`) scale rational
+input to integers by a common denominator, call the library and scale the
+result back, so tests can check the library on rational cases.
 """
 
 from __future__ import annotations
@@ -108,6 +108,30 @@ def integer_matrix(m: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     return [[int(x * den) for x in row] for row in m]
 
 
+def _integer_rows(m: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
+    """m with each row scaled to integers by the common denominator of
+    its entries, and the product of those row scales."""
+    rows, scale = [], 1
+    for row in m:
+        den = _denominator(row)
+        rows.append([int(x * den) for x in row])
+        scale *= den
+    return rows, scale
+
+
+def rational_rank(m: Sequence[Sequence[Fraction | int]]) -> int:
+    """linalg.rank of m with its rows scaled to integers: scaling a row
+    by a nonzero number keeps the rank."""
+    return linalg.rank(_integer_rows(m)[0])
+
+
+def rational_det(m: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """det(m) = det(S m) / prod s_i, for S m the rows of m scaled to
+    integers by s_i."""
+    rows, scale = _integer_rows(m)
+    return Fraction(linalg.det(rows), scale)
+
+
 def rational_charpoly(m: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
     """det(xI - m) for a rational m: chi_m(x) = D^-n chi_Dm(D x), so
     coefficient i is that of linalg.charpoly(D m) over D^i."""
@@ -169,4 +193,4 @@ def complement_determinant(g: Sequence[Sequence[Fraction]]) -> Fraction:
         image = _mat_mul(_mat_mul(gm, unit), ginv)
         for (i, j), row in index.items():
             m[row][col] = (1 if (i, j) == (k, l) else 0) - image[i][j]
-    return linalg.det(m)
+    return rational_det(m)

@@ -1140,9 +1140,9 @@ STDOUT_SHA256 = {
     "budget-human": (["budget", "--k", "1"],
         "57366257779f9fcfc58041b7fe125bef3ce72df0c528b523d6aa5ec0775277f2"),
     "reproduce": (["reproduce", "--json"],
-        "b966eab83e493d22aa1179b741bd805c1e130458b5f8e7d416d42664a090d6ec"),
+        "e42d476514af0b3bdd9d138a4ebc1cf4d308520e93f3900914774f3678b24c29"),
     "reproduce-human": (["reproduce"],
-        "1b7e969fbd4ce3e2072bc860e4d18f80cfcca5540698862e241e03d8cd043203"),
+        "a6f65bb9607e32d991e4eb81469288c35fae0623b61fe639c95ebf9e1c51480a"),
 }
 
 

