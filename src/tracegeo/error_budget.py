@@ -267,12 +267,14 @@ def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
     k = _require("k", k, nonnegative=True)
     if any(isinstance(v, float) for v in (C2, C4, Cn, k)):
         # The cancellation-free root 2 C4 Cn^2 / (k + D) with
-        # D = sqrt(k^2 + 4 C2 C4 Cn^2).  hypot never forms k^2 or
-        # C2 C4 Cn^2, halving keeps k + D finite, and dividing before the
-        # last factor Cn keeps C4 Cn^2 from being formed.
+        # D = sqrt(k^2 + 4 C2 C4 Cn^2), divided through by
+        # s = 2 sqrt(C2) sqrt(C4) Cn: with x = k / s it is
+        # sqrt(C4) / sqrt(C2) Cn / (x + hypot(1, x)).  No square and no
+        # product s is formed, so nothing overflows or underflows on the
+        # way to a root that fits a float.
         c2, c4, cn, kk = map(float, (C2, C4, Cn, k))
-        d = math.hypot(kk, 2 * math.sqrt(c2) * math.sqrt(c4) * cn)
-        return c4 * cn / (kk / 2 + d / 2) * cn
+        x = kk / 2 / math.sqrt(c2) / math.sqrt(c4) / cn
+        return math.sqrt(c4) / math.sqrt(c2) * cn / (x + math.hypot(1, x))
     root = _sqrt(k * k + 4 * C2 * C4 * Cn * Cn)
     return (-k + root) / (2 * C2)
 
@@ -313,7 +315,8 @@ def exponents(p: BudgetParams) -> ExponentReport:
         _number(name, getattr(p, name))
         for name in ("k", "lam", "epsilon", "C2", "C4", "Cn", "beta"))
     e_spec = -lam * (1 - eps) * beta
-    e1 = -C4 * Cn * Cn / beta + C2 * beta
+    # C4 Cn / beta before the last Cn: C4 Cn^2 alone can overflow a float.
+    e1 = -(C4 * Cn / beta) * Cn + C2 * beta
     e2 = -lam * beta
     ok = all(_le(e, -k) for e in (e_spec, e1, e2))
     return ExponentReport(e_spec=e_spec, e1=e1, e2=e2, all_ok=ok)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,45 @@ def test_beta_max_float_path_extremes():
     assert math.isfinite(beta) and abs(beta - 1e-308) <= 1e-323
     # C4 Cn^2 overflows on its own, the root does not
     assert math.isfinite(beta_max(1.0, 1.0, 1e160, 1.0))
+
+
+def _beta_decimal(c2, c4, cn, k):
+    """The positive root of C2 b^2 + k b - C4 Cn^2 = 0 in 60-digit
+    decimals, from the exact values of the floats, by the
+    cancellation-free form 2 C4 Cn^2 / (k + sqrt(k^2 + 4 C2 C4 Cn^2))."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c2, c4, cn, k = map(Decimal, (c2, c4, cn, k))
+        top = 2 * c4 * cn * cn
+        return top / (k + (k * k + 2 * c2 * top).sqrt())
+
+
+@pytest.mark.parametrize("args", [
+    (1e200, 1e200, 1e200, 1.0),  # C4 Cn and the hypot both overflow
+    (1.0, 1.0, 1e160, 1.0), (1e-20, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1e308),
+    (1e-320, 1e-320, 1e-10, 1e-300),  # 2 sqrt(C2 C4) Cn underflows
+    (2.0, 3.0, 5.0, 0.0)])
+def test_float_beta_matches_a_high_precision_root(args):
+    want = _beta_decimal(*args)
+    beta = beta_max(*args)
+    assert math.isfinite(beta)
+    assert abs(Decimal(beta) - want) <= Decimal("1e-15") * want, beta
+
+
+def test_first_exponent_stays_finite_where_c4_cn_squared_overflows():
+    # Cn = 1e160 with beta at its own scale: each term of
+    # e1 = -C4 Cn^2 / beta + C2 beta is about 1e160, though C4 Cn^2 is
+    # not a float.  e1 agrees with its 60-digit value to a few units in
+    # the last place of those terms.
+    beta = beta_max(1.0, 1.0, 1e160, 1.0)
+    rep = exponents(BudgetParams(k=1.0, lam=1.0, epsilon=0.5, C2=1.0,
+                                 C4=1.0, Cn=1e160, c_prime=1.0, beta=beta))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        cn, b = Decimal(1e160), Decimal(beta)
+        want = -cn * cn / b + b
+    assert math.isfinite(rep.e1)
+    assert abs(Decimal(rep.e1) - want) <= Decimal("1e-15") * b
 
 
 def test_beta_solves_the_quadratic_exactly():
