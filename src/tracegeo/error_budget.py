@@ -266,12 +266,9 @@ def beta_max(C2: Number, C4: Number, Cn: Number, k: Number) -> Number:
                   for name, v in (("C2", C2), ("C4", C4), ("Cn", Cn)))
     k = _require("k", k, nonnegative=True)
     if any(isinstance(v, float) for v in (C2, C4, Cn, k)):
-        # The cancellation-free root 2 C4 Cn^2 / (k + D) with
-        # D = sqrt(k^2 + 4 C2 C4 Cn^2), divided through by
-        # s = 2 sqrt(C2) sqrt(C4) Cn: with x = k / s it is
-        # sqrt(C4) / sqrt(C2) Cn / (x + hypot(1, x)).  No square and no
-        # product s is formed, so nothing overflows or underflows on the
-        # way to a root that fits a float.
+        # The root 2 C4 Cn^2 / (k + sqrt(k^2 + 4 C2 C4 Cn^2)) divided through
+        # by s = 2 sqrt(C2 C4) Cn.  With x = k / s formed by divisions alone,
+        # no step leaves the float range before a root that fits does.
         c2, c4, cn, kk = map(float, (C2, C4, Cn, k))
         x = kk / 2 / math.sqrt(c2) / math.sqrt(c4) / cn
         return math.sqrt(c4) / math.sqrt(c2) * cn / (x + math.hypot(1, x))

@@ -1,18 +1,16 @@
 """Exact linear algebra and polynomials on integers.
 
-Matrices are row-major lists of rows of ``int``; nothing here makes a
-``Fraction``.  Rank and determinant share one fraction-free (Bareiss)
-elimination, so the determinant is an int, and both refuse a non-int
-entry.  The characteristic polynomial, Berkowitz's division-free
-recursion, takes an integer matrix, and the polynomial helpers work on
-lists of integer coefficients, highest degree first: the squarefree split
-takes its gcds by primitive remainder sequences and the resultant is the
+Matrices are row-major lists of rows of ``int``, and nothing here makes a
+``Fraction``: rank and determinant share one fraction-free (Bareiss)
+elimination that refuses any other entry type, and the characteristic
+polynomial is Berkowitz's division-free recursion.  Polynomials are lists
+of integer coefficients, highest degree first: the squarefree split takes
+its gcds by primitive remainder sequences and the resultant is the
 subresultant sequence, both on one exact pseudo-remainder.  A caller with
-a rational matrix scales it to integers first; scaling row i by s_i keeps
-the rank and multiplies the determinant by s_i.
-Hand-rolled rather than numpy because a float rank is not a rank: these
-values feed invariants whose contracts promise integer or rational
-answers.  Functions never mutate their arguments.
+a rational matrix scales its rows to integers first.  Hand-rolled rather
+than numpy because a float rank is not a rank: these values feed
+invariants whose contracts promise integer or rational answers.
+Functions never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -21,20 +19,15 @@ import math
 import operator
 from typing import Sequence
 
-Mat = Sequence[Sequence[int]]
 
-
-def _bareiss(m: Mat) -> tuple[int, int]:
+def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Rank of the integer matrix m and, when m is square, its determinant
-    (else 0).
-
-    Bareiss's step a_ij <- (p a_ij - a_ic a_rj) / p_prev divides exactly
-    (Bareiss, Math. Comp. 22, 1968), so every entry stays an integer minor
-    of m and the last pivot of a full-rank square matrix is its
-    determinant.  The division is floor division, which would truncate a
-    Fraction or a float, so a row with an entry whose type is not exactly
-    int (bool included) raises TypeError.
-    """
+    (else 0).  Bareiss's step a_ij <- (p a_ij - a_ic a_rj) / p_prev
+    divides exactly (Math. Comp. 22, 1968), so every entry stays an integer
+    minor of m and the last pivot of a full-rank square m is its
+    determinant.  The floor division would truncate a Fraction or a float,
+    so an entry whose type is not exactly int (bool included) raises
+    TypeError."""
     a: list[list[int]] = []
     for row in m:
         if not all(type(x) is int for x in row):
@@ -64,11 +57,11 @@ def _bareiss(m: Mat) -> tuple[int, int]:
     return r, sign * prev if r == rows == cols else 0
 
 
-def rank(m: Mat) -> int:
+def rank(m: Sequence[Sequence[int]]) -> int:
     return _bareiss(m)[0]
 
 
-def det(m: Mat) -> int:
+def det(m: Sequence[Sequence[int]]) -> int:
     if any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
     return _bareiss(m)[1]

@@ -59,8 +59,7 @@ class OrbitLabel(Value):
 
 
 def _partition_target(t: SimpleType | GLType) -> int:
-    """The size of t's partitions: n for gl(n), r + 1 in type A_r, 2r + 1
-    in B_r and 2r in C_r and D_r; t is classical."""
+    """The partition size: n, r + 1, 2r + 1, 2r, 2r for gl(n), A_r-D_r."""
     if isinstance(t, GLType):
         return t.n
     if t.series == "A":
@@ -146,20 +145,17 @@ def orbit_dim(label: OrbitLabel) -> int:
     The formulas read the squares of the transpose partition's parts, and
     sum_j (lambda'_j)^2 = sum_i (2i - 1) lambda_i (Macdonald, Symmetric
     Functions and Hall Polynomials, I (1.6)): one pass over the parts.
-    The partition's size is read from the type.
     """
     t = label.attached_type
     lam = label.partition
     n = _partition_target(t)
     sq = sum((2 * i - 1) * x for i, x in enumerate(lam, 1))
-    odd = sum(1 for x in lam if x % 2 == 1)
     if isinstance(t, GLType) or t.series == "A":
         dim = n * n - sq
-    elif t.series in ("B", "D"):
-        dim = (n * n - n) // 2 - (sq - odd) // 2
-    else:  # C, n = 2l
-        l = n // 2
-        dim = 2 * l * l + l - (sq + odd) // 2
+    else:
+        # (n^2 - n - sq + odd) / 2 in B and D, (n^2 + n - sq - odd) / 2 in C
+        odd = sum(1 for x in lam if x % 2 == 1)
+        dim = (n * n - sq + (1 if t.series == "C" else -1) * (n - odd)) // 2
     assert dim % 2 == 0 and dim >= 0
     return dim
 

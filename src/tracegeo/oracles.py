@@ -4,9 +4,8 @@ Nothing here shares code with the implementations under test: parabolic
 subsets are found by scanning every root subset, group orders by counting
 the first rows of a matrix (up to unit scaling) whose cofactors are coprime
 to the level, discriminants by eigenvalue products and by complement
-determinants, the latter from integer matrix products with one Fraction
-made at the end.  The subset scan and the group-order count refuse inputs
-above fixed sizes.
+determinants of integer matrix products.  The subset scan and the
+group-order count refuse inputs above fixed sizes.
 """
 
 from __future__ import annotations
@@ -120,31 +119,26 @@ def complement_determinant(g: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """det(1 - Ad(g)) restricted to the matrix units the conjugation
     action moves, for diagonal g.
 
-    The action is computed by honest integer matrix products on each
-    unit E: with G = a g and H = b g^{-1} integral, Ad(g) E = G E H / (ab),
-    expanded back in the unit basis.  The complement of the centralizer
-    is exactly the span of the moved units, and on it the integer matrix
-    ab - G E H has determinant (ab)^size det(1 - Ad(g)), so one Fraction
-    is made at the end.
+    The action is computed by honest integer products G E H on each unit
+    E, with G = a g and H = b g^{-1} integral, so Ad(g) E = G E H / (ab).
+    The moved units span the complement of the centralizer, and there
+    det(ab - G E H) = (ab)^size det(1 - Ad(g)): one Fraction at the end.
     """
     n = len(g)
-    gm = [[Fraction(x) for x in row] for row in g]
-    diag = [gm[i][i] for i in range(n)]
-    a = math.lcm(*(x.denominator for row in gm for x in row))
+    diag = [Fraction(g[i][i]) for i in range(n)]
+    a = math.lcm(*(Fraction(x).denominator for row in g for x in row))
     b = math.lcm(*(x.numerator for x in diag))
-    big_g = [[int(x * a) for x in row] for row in gm]
-    big_h = [[0] * n for _ in range(n)]
-    for i in range(n):
-        big_h[i][i] = b * diag[i].denominator // diag[i].numerator
+    big_g = [[int(Fraction(x) * a) for x in row] for row in g]
+    big_h = [[b * x.denominator // x.numerator if i == j else 0
+              for j in range(n)] for i, x in enumerate(diag)]
     moved = [(i, j) for i in range(n) for j in range(n)
              if i != j and diag[i] != diag[j]]
-    index = {pair: c for c, pair in enumerate(moved)}
     size, ab = len(moved), a * b
     m = [[0] * size for _ in range(size)]
-    for (k, l), col in index.items():
+    for col, (k, l) in enumerate(moved):
         unit = [[0] * n for _ in range(n)]
         unit[k][l] = 1
         image = _mat_mul(_mat_mul(big_g, unit), big_h)
-        for (i, j), row in index.items():
-            m[row][col] = (ab if (i, j) == (k, l) else 0) - image[i][j]
+        for row, (i, j) in enumerate(moved):
+            m[row][col] = (ab if row == col else 0) - image[i][j]
     return Fraction(linalg.det(m), ab ** size)

@@ -1140,9 +1140,9 @@ STDOUT_SHA256 = {
     "budget-human": (["budget", "--k", "1"],
         "57366257779f9fcfc58041b7fe125bef3ce72df0c528b523d6aa5ec0775277f2"),
     "reproduce": (["reproduce", "--json"],
-        "e42d476514af0b3bdd9d138a4ebc1cf4d308520e93f3900914774f3678b24c29"),
+        "be32b76eee7ef61926b40501adeb1c16845fa3a3dd17a8d8b28b4c7acb2d52bb"),
     "reproduce-human": (["reproduce"],
-        "a6f65bb9607e32d991e4eb81469288c35fae0623b61fe639c95ebf9e1c51480a"),
+        "f6a648fe0958a5aeac990023bea44a9d7a8227bdfe30b86555f4ee48e7f3a31e"),
 }
 
 
