@@ -172,8 +172,8 @@ def _conjugated(diag: list[Fraction]) -> list[list[Fraction]]:
     n = len(diag)
     inv = [[(i == j) * (2 - (j == n - 1)) - (abs(i - j) == 1)
             for j in range(n)] for i in range(n)]
-    return [[sum((min(i, k) + 1) * diag[k] * inv[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
+    return [[sum((min(i, k) + 1) * inv[k][j] * diag[k] for k in range(n)
+                 if inv[k][j]) for j in range(n)] for i in range(n)]
 
 
 def _check_discriminant() -> tuple[bool, str, str, str]:
