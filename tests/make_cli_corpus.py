@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 from tracegeo import cli
@@ -28,6 +29,11 @@ SIMPLE_TYPES = ([f"{s}{r}" for s in "ABC" for r in range(1, 9)]
                 + ["E6", "E7", "E8", "F4", "G2"])
 PRODUCTS = ["A2xB3", "G2xF4", "D4xA1", "E6xA2", "B2xC3", "F4xB4"]
 
+# k of every simple type of rank <= 8 and some products: E8's generated
+# roots feed the pairs route; the pairs DP's leaf cases are alpha_8 on
+# alpha_6 in D8 and alpha_2 on alpha_4 in E7; pairs runs factor by factor,
+# yet the total-rank guard still nulls it above rank 8 (A4xA5).  k
+# generates no root above rank 8, so the root guard never trips (A45).
 ARGVS = ([["k", name, "--json"] for name in SIMPLE_TYPES + PRODUCTS]
          + [["k", "A4xA5", "--json"], ["k", "E8xA1", "--json"],
             ["k", "D4xA1+T1@res=2", "--json"], ["k", "B3xC2+T2@res=3"]]
@@ -38,10 +44,16 @@ ARGVS = ([["k", name, "--json"] for name in SIMPLE_TYPES + PRODUCTS]
             ["k", "A46", "--degree", "0"]]
          + [["parabolics", name, "--json"]
             for name in ("A1", "A2", "A3", "B2", "G2", "A1xA1")]
+         # The root-coordinate guard sits where roots are generated (exit 3),
+         # and parabolics reads neither @res= nor @relative=, so it refuses
+         # them (exit 2).
          + [["parabolics", "A7"], ["parabolics", "A46"],
             ["parabolics", "A2+T" + "9" * 20], ["parabolics", "A2@res=3"]]
          + [["index", "--n", "4", "--level", "360", "--json"],
             ["levels", "check-prime-fixed", "2,4,8", "--allowed", "2"]]
+         # --matrix entries share the number grammar: 1e5000 is refused
+         # before it is built, 1_0 is refused, and a nested entry is refused
+         # by its JSON kind ("a JSON array").
          + [["discriminant", "--matrix", matrix]
             for matrix in ('[["1e5000","0"],["0","3"]]',
                            '[["1_0","0"],["0","1"]]', "[[[1],0],[0,2]]")])
@@ -94,6 +106,7 @@ ARGVS += ([["mellin-fp", "--preset", "exp", "--lambda", lam, "--t0", t0,
           + [["mellin-fp", "--spec", SPLINE_SPEC, "--tol", "1e-6", "--json"]]
           + [["discriminant", "--matrix", matrix, "--json"]
              for matrix in DISCRIMINANT_MATRICES]
+          # a matrix that is not semisimple is refused
           + [["discriminant", "--matrix", "[[2,1,0],[0,2,0],[0,0,3]]"]]
           + [["discriminant", "--matrix", matrix, "--json"]
              for matrix in NON_SPLIT_MATRICES])
@@ -120,8 +133,8 @@ ARGVS += ([["mellin-fp", "--preset", "sqrt", "--t0", t0, "--json"]
               '{"t0": "1e-300", "terms": [["-5", 1], ["0", 1]], %s, '
               '"samples": [[1e-3, 1e15], [1, 0.3], [2, 0.1]]}' % _DECAY]])
 
-# Parabolic lattices past rank 2, among them F4's 5,089 subsets, and the
-# orbit table of every classical type of rank <= 8 and of gl2-gl8.
+# Parabolic lattices past rank 2, among them F4's 5,089 subsets, which the
+# coset walk lists whole, and the orbit table of every classical type of rank <= 8 and of gl2-gl8.
 _ORBIT_TYPES = ([t for t in SIMPLE_TYPES if t[0] in "ABCD"]
                 + [f"gl{n}" for n in range(2, 9)])
 ARGVS += ([["parabolics", name, "--json"]
@@ -137,19 +150,86 @@ ARGVS += [["orbits", name] for name in ("A20", "B20", "C20", "D20", "gl20")]
 # coordinates.
 ARGVS += [["parabolics", name, "--json"] for name in ("A4", "B4", "C4", "D3")]
 
+# One call of every subcommand, human and --json, budget and reproduce
+# among them: a surd, a rational and a float beta.  parabolics F4 --json
+# prints 11 MB.
+ARGVS += [["budget", "--k", "1", "--json"],
+          ["budget", "--k", "1", "--C2", "2", "--eps", "1/2", "--json"],
+          ["budget", "--k", "2.5", "--C2", "0.3", "--json"],
+          ["budget", "--k", "1"],
+          ["reproduce", "--json"], ["reproduce"],
+          ["parabolics", "F4", "--json"], ["parabolics", "A1xB2"],
+          ["k", "B3"], ["orbits", "D4", "--json"],
+          ["discriminant", "--matrix",
+           '[["1/2", 1, 0], [0, "-3", "2/7"], [1, 0, 5]]',
+           "--primes", "3,7", "--json"],
+          ["discriminant", "--matrix", '[["2", "0"], ["0", "3"]]'],
+          ["index", "--n", "3", "--level", "12"],
+          ["levels", "check-prime-fixed", "2,6,10", "--allowed", "2,3",
+           "--json"],
+          ["levels", "check-prime-fixed", "4,8"],
+          ["mellin-fp", "--preset", "exp", "--lambda", "2", "--json"],
+          ["mellin-fp", "--preset", "sqrt"]]
 
-def sha256(text: str) -> str:
+# Exit codes by error class.  Unknown names and missing arguments go
+# through the parser with every subcommand (2); reproduce has no
+# --inject-fault option, so argparse refuses it (2).  The parabolic count
+# limit refuses E6 and E8 (3), the index digit limit n = 60 at level 1000
+# (3), and orbits a family without orbit tables or a size not in ASCII
+# digits (2).
+ARGVS += [["k", "Z9"], ["k"], ["nosuch"], ["no-such-command"],
+          ["reproduce", "--inject-fault", "no_such_check"],
+          ["parabolics", "E6"], ["parabolics", "E8"],
+          ["index", "--n", "60", "--level", "1000"],
+          ["orbits", "G2"], ["orbits", "gl²"],
+          ["k", "A46", "--json"]]
+
+# Every number is the exact rational it spells: 0.1 is 1/10, and 1e160 is
+# an integer, not a float that overflows (e1 is -1/1).  The JSON number 0.5
+# in --matrix is 1/2, so the two discriminant calls print the same bytes,
+# and the squarefree split runs on integers (value 1/36).
+ARGVS += [["budget", "--k", "1", "--eps", "0.1"],
+          ["budget", "--k", "1", "--Cn", "1e160", "--json"],
+          ["mellin-fp", "--preset", "exp", "--lambda", "1/2"],
+          ["discriminant", "--matrix", "[[0.5,0],[0,2]]", "--json"],
+          ["discriminant", "--matrix", '[["1/2","0"],["0","2"]]', "--json"],
+          ["discriminant", "--matrix", "[[2,0,0],[0,2,0],[0,0,3]]", "--json"]]
+
+# A tiny rate times split point is integrated in log t, so the smallest
+# rate accepted gives -log lambda; a flag the chosen source does not use is
+# refused; the small-t rule runs in log t, so a far split point is right;
+# and a tiny split point moves to 1/rate, where the pole term's closed form
+# no longer cancels the tail integral.
+ARGVS += [["mellin-fp", "--preset", "exp", "--lambda", "1e-300"],
+          ["mellin-fp", "--preset", "sqrt", "--lambda", "3"],
+          ["mellin-fp", "--preset", "sqrt", "--t0", "1e60"],
+          ["mellin-fp", "--preset", "sqrt", "--t0", "1e-20"]]
+
+# reproduce prints how long each check took, the only bytes that change
+# from run to run; both streams are digested with those timings blanked.
+TIMINGS = [(re.compile(r'"seconds": "[^"]*"'), '"seconds": ""'),
+           (re.compile(r"\(\d+\.\d\d s\)"), "( s)")]
+
+
+def digest(text: str) -> str:
+    for pattern, blank in TIMINGS:
+        text = pattern.sub(blank, text)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def entry(argv: list[str], code: int, out: str, err: str) -> dict:
+    """One call's entry: argv, exit code and the masked digests of its
+    stdout and stderr."""
+    return {"argv": argv, "code": code,
+            "stdout_sha256": digest(out), "stderr_sha256": digest(err)}
+
+
 def run(argv: list[str]) -> dict:
-    """One call's entry: argv, exit code and the digests of its output."""
+    """The entry of one call of `cli.main` in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return {"argv": argv, "code": code,
-            "stdout_sha256": sha256(out.getvalue()),
-            "stderr_sha256": sha256(err.getvalue())}
+    return entry(argv, code, out.getvalue(), err.getvalue())
 
 
 def main() -> None:
