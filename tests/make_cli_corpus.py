@@ -18,6 +18,7 @@ import io
 import json
 import math
 import re
+import subprocess
 from pathlib import Path
 
 from tracegeo import cli
@@ -230,6 +231,15 @@ def run(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return entry(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_installed(argv: list[str]) -> dict:
+    """The entry of one call of the installed `tracegeo` console script,
+    stopped after 10 s: CI replays the corpus through it."""
+    proc = subprocess.run(["tracegeo", *argv], capture_output=True,
+                          timeout=10)
+    return entry(argv, proc.returncode, proc.stdout.decode(),
+                 proc.stderr.decode())
 
 
 def main() -> None:

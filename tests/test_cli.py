@@ -1,8 +1,6 @@
-import hashlib
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import time
@@ -1066,8 +1064,9 @@ def test_budget_decimal_prints_the_bytes_of_its_ratio(capsys, decimal, ratio):
 
 
 def test_budget_float_pin_prints_exact_exponents(capsys):
-    # The STDOUT_SHA256 "budget-float" call, in full: once the float path
-    # printed e_spec and e1 as "-2.5" and e2 as "-2.77777777777778".
+    # The corpus's "budget --k 2.5 --C2 0.3 --json" call, in full: once the
+    # float path printed e_spec and e1 as "-2.5" and e2 as
+    # "-2.77777777777778".
     assert cli.main(["budget", "--k", "2.5", "--C2", "0.3", "--json"]) == 0
     assert capsys.readouterr().out == (
         '{\n  "schema": "1",\n  "command": "budget",\n  "result": {\n'
@@ -1087,73 +1086,6 @@ def test_budget_rational_inputs(capsys):
 
 
 # -- output bytes --------------------------------------------------------------
-
-
-# sha256 of stdout for one call of every subcommand, human and --json, with
-# reproduce's timings masked.  parabolics F4 prints 11 MB.
-STDOUT_SHA256 = {
-    "parabolics-B3": (["parabolics", "B3", "--json"],
-        "dc9c9add106bea88f45ac4de49973db10baee6f967ff1a3df2dae21b21daefb8"),
-    "parabolics-A4": (["parabolics", "A4", "--json"],
-        "147188a71197880610eb7068ccaa38cdceb6973b2d3f466cb6b9f0368e936ac4"),
-    "parabolics-F4": (["parabolics", "F4", "--json"],
-        "1f26974a080cc7d9987eccbbf577cd19d40c950655be9476de9900c0260043b2"),
-    "parabolics-A1xB2": (["parabolics", "A1xB2", "--json"],
-        "0a7f2d28f1d482d755d8300ee147ea5d86068a7a2eb456a464065069cdfd64cf"),
-    "parabolics-A1xB2-human": (["parabolics", "A1xB2"],
-        "553534b355b71024f79e981f279a4f31dba035012e4ef82ad62c2bde70904c4f"),
-    "k-product": (["k", "D4xA1+T1@res=2", "--json"],
-        "d79bbc8cdeb7ef4f6701405579d763a429be4c50a742feb7b2f1dd26f62d2b11"),
-    "k-human": (["k", "B3"],
-        "373f96a741c91701e7d93bfc33acab348d52f86500b04e2756bcd22617e9f10f"),
-    "orbits-D4": (["orbits", "D4", "--json"],
-        "445e8ce0f5b95cb143b8c66595c2f6280450b415c5ca786e3488093c776f0c0b"),
-    "orbits-gl4-human": (["orbits", "gl4"],
-        "fe40966cf82f5b4fc11f047881af2a70675cdc6a3b7e58ee06ecb2bcd248a94b"),
-    "discriminant": (["discriminant", "--matrix",
-                      '[["1/2", 1, 0], [0, "-3", "2/7"], [1, 0, 5]]',
-                      "--primes", "3,7", "--json"],
-        "c993946bf2e4cdb27ddd12faf31bca02c2deb88f47e05c90495d3a498c6f0aeb"),
-    "discriminant-human": (["discriminant", "--matrix",
-                            '[["2", "0"], ["0", "3"]]'],
-        "c9a7a9df210c850ca5eb8b5d683c778ca6f361f215c5ae54abe33a755ef7eff0"),
-    "index": (["index", "--n", "4", "--level", "360", "--json"],
-        "fd83b9d0cae7b6d8770d3a5d55be872b7aa86aadef237dfc3d26e32335eef596"),
-    "index-human": (["index", "--n", "3", "--level", "12"],
-        "2f33a93eb15706c0f15c16ab4d889da9965af8583730ae88f7e5984ea8e30a7a"),
-    "levels": (["levels", "check-prime-fixed", "2,6,10", "--allowed", "2,3",
-                "--json"],
-        "473209e132774ffa27d12692393edfee16de9ae013f5e48bd44fc32cfc318b78"),
-    "levels-human": (["levels", "check-prime-fixed", "4,8"],
-        "fcb66f705f3628d8e24903f5f4909218810290f4693b4d19ede163b658acf15b"),
-    "mellin-exp": (["mellin-fp", "--preset", "exp", "--lambda", "2", "--json"],
-        "918bcb557fa2b2f68997ab751e163332955faf7c0ce8ad861cb701e90cf9b264"),
-    "mellin-sqrt-human": (["mellin-fp", "--preset", "sqrt"],
-        "f3bca34503b56db5850c7a8acfe8b7c2a6b7353874683c306d3e5618a0239852"),
-    "budget-surd": (["budget", "--k", "1", "--json"],
-        "7821baf7e42e4c0887851d482877ff5b7d4a07a48bb91772b75491da4240535c"),
-    "budget-rational": (["budget", "--k", "1", "--C2", "2", "--eps", "1/2",
-                         "--json"],
-        "4bf8b6fbc009b17060cc81ffeb333a8a4c57bd6b3945c0899b9dee3fb6e1330b"),
-    "budget-float": (["budget", "--k", "2.5", "--C2", "0.3", "--json"],
-        "36e2af33fc06269100095fdec041bc495c56676b12d4b39dde7798ff157fc9a4"),
-    "budget-human": (["budget", "--k", "1"],
-        "57366257779f9fcfc58041b7fe125bef3ce72df0c528b523d6aa5ec0775277f2"),
-    "reproduce": (["reproduce", "--json"],
-        "be32b76eee7ef61926b40501adeb1c16845fa3a3dd17a8d8b28b4c7acb2d52bb"),
-    "reproduce-human": (["reproduce"],
-        "f6a648fe0958a5aeac990023bea44a9d7a8227bdfe30b86555f4ee48e7f3a31e"),
-}
-
-
-@pytest.mark.parametrize("name", STDOUT_SHA256)
-def test_stdout_bytes_are_pinned(capsys, name):
-    argv, digest = STDOUT_SHA256[name]
-    assert cli.main(argv) == 0
-    out = re.sub(r'"seconds": "[^"]*"', '"seconds": ""',
-                 capsys.readouterr().out)
-    out = re.sub(r"\(\d+\.\d\d s\)", "( s)", out)
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _fmt_reference(x):
@@ -1203,24 +1135,6 @@ def test_one_json_walk_matches_the_fmt_rebuild():
         name = type(unknown).__name__
         with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
             json.dumps({"x": [unknown]}, indent=2, default=cli._scalar)
-
-
-def test_exit_codes(capsys):
-    assert cli.main(["k", "Z9"]) == 2
-    capsys.readouterr()
-    assert cli.main(["parabolics", "E8"]) == 3
-    capsys.readouterr()
-    assert cli.main(["orbits", "G2"]) == 2
-    capsys.readouterr()
-    assert cli.main(["reproduce", "--inject-fault", "no_such_check"]) == 2
-    capsys.readouterr()
-
-
-def test_missing_argument_is_parse_error(capsys):
-    assert cli.main(["k"]) == 2
-    capsys.readouterr()
-    assert cli.main(["no-such-command"]) == 2
-    capsys.readouterr()
 
 
 _COMMANDS = ("{k,orbits,parabolics,discriminant,index,levels,mellin-fp,"
