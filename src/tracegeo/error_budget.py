@@ -307,7 +307,8 @@ class ExponentReport(Value):
 
 
 def exponents(p: BudgetParams) -> ExponentReport:
-    """The three level exponents and whether each clears -k."""
+    """The three level exponents and whether each clears -k.  A float
+    exponent beyond the float range raises NumericError naming it."""
     k, lam, eps, C2, C4, Cn, beta = (
         _number(name, getattr(p, name))
         for name in ("k", "lam", "epsilon", "C2", "C4", "Cn", "beta"))
@@ -315,6 +316,9 @@ def exponents(p: BudgetParams) -> ExponentReport:
     # C4 Cn / beta before the last Cn: C4 Cn^2 alone can overflow a float.
     e1 = -(C4 * Cn / beta) * Cn + C2 * beta
     e2 = -lam * beta
+    for name, e in (("e_spec", e_spec), ("e1", e1), ("e2", e2)):
+        if isinstance(e, float) and not math.isfinite(e):
+            raise NumericError(f"exponent {name} overflows the float range")
     ok = all(_le(e, -k) for e in (e_spec, e1, e2))
     return ExponentReport(e_spec=e_spec, e1=e1, e2=e2, all_ok=ok)
 

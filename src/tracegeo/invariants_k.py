@@ -55,11 +55,18 @@ class RelativeDatum(Value):
                               "matching lengths")
         width = len(roots[0])
         for r in roots:
+            for x in r:
+                if type(x) is not int:
+                    raise DomainError("relative root entries must be "
+                                      f"integers, not {x!r}")
             if len(r) != width or all(x == 0 for x in r):
                 raise DomainError("relative roots must be nonzero vectors "
                                   "of equal length")
         for c in contributions:
-            if not isinstance(c, int) or c < 1:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise DomainError("nilradical contributions must be "
+                                  f"integers, not {c!r}")
+            if c < 1:
                 raise DomainError("nilradical contributions must be "
                                   "positive integers")
 
@@ -77,7 +84,9 @@ class GroupSpec(Value):
         set_field(self, "absolute", absolute)
         set_field(self, "restriction_degree", restriction_degree)
         set_field(self, "relative", relative)
-        if not isinstance(restriction_degree, int) or restriction_degree < 1:
+        if isinstance(restriction_degree, bool) \
+                or not isinstance(restriction_degree, int) \
+                or restriction_degree < 1:
             raise DomainError("restriction degree must be a positive integer")
         if relative is not None:
             if relative.rank > absolute.semisimple_rank:

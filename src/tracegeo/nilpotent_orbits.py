@@ -24,7 +24,7 @@ class GLType(Value):
 
     def __init__(self, n: int):
         set_field(self, "n", n)
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise DomainError("gl size must be a positive integer")
 
     def __str__(self) -> str:

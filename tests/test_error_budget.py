@@ -10,7 +10,7 @@ import sympy
 from tracegeo.error_budget import (BudgetParams, QuadraticSurd, a_exponent,
                                    beta_max, exponents, lambda_min,
                                    total_envelope)
-from tracegeo.errors import DomainError
+from tracegeo.errors import DomainError, NumericError
 
 
 def _rat(x):
@@ -139,6 +139,19 @@ def test_first_exponent_stays_finite_where_c4_cn_squared_overflows():
         want = -cn * cn / b + b
     assert math.isfinite(rep.e1)
     assert abs(Decimal(rep.e1) - want) <= Decimal("1e-15") * b
+
+
+def test_a_float_exponent_past_the_float_range_is_refused_by_name():
+    # beta = 1 is far below Cn = 1e160's own scale, so
+    # e1 = -(C4 Cn / beta) Cn + C2 beta is about -1e320, past the float
+    # range: NumericError names e1, where all_ok was decided against -inf.
+    with pytest.raises(NumericError, match="^exponent e1 overflows the "
+                       "float range$"):
+        exponents(BudgetParams(k=1.0, lam=1.0, epsilon=0.5, C2=1.0, C4=1.0,
+                               Cn=1e160, c_prime=1.0, beta=1.0))
+    with pytest.raises(NumericError, match="^exponent e_spec overflows"):
+        exponents(BudgetParams(k=1.0, lam=1e300, epsilon=0.5, C2=1.0,
+                               C4=1.0, Cn=1.0, c_prime=1.0, beta=1e10))
 
 
 def test_beta_solves_the_quadratic_exactly():

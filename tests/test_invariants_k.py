@@ -1,5 +1,7 @@
 import random
+import re
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from typing import Sequence
@@ -136,6 +138,26 @@ def test_relative_datum_validation():
         RelativeDatum(roots=((1,),), contributions=(0,))
     with pytest.raises(DomainError):
         RelativeDatum(roots=((1,), (1, 0)), contributions=(1, 1))
+
+
+def test_relative_datum_refuses_entries_that_are_not_integers():
+    # linalg.rank reads only int entries, so a Fraction, float or bool
+    # root entry, or a bool contribution, is refused by name where it
+    # enters, not as a TypeError from the rank.
+    for bad in (Fraction(1, 2), 0.5, True):
+        with pytest.raises(DomainError, match="^relative root entries must "
+                           f"be integers, not {re.escape(repr(bad))}$"):
+            RelativeDatum(roots=((1,), (bad,)), contributions=(2, 2))
+    with pytest.raises(DomainError, match="^nilradical contributions must "
+                       "be integers, not True$"):
+        RelativeDatum(roots=((1,),), contributions=(True,))
+
+
+def test_degree_refuses_a_bool():
+    rs = build_root_system(["A1"])
+    with pytest.raises(DomainError, match="^restriction degree must be a "
+                       "positive integer$"):
+        GroupSpec(rs, True)
 
 
 def test_relative_rank_cannot_exceed_absolute():

@@ -159,6 +159,13 @@ def test_parity_constraints():
         OrbitLabel(GLType(3), (2, 2))
 
 
+def test_gl_size_refuses_a_bool():
+    # SimpleType and RootSystem refuse a bool rank; True is not gl1.
+    with pytest.raises(DomainError, match="^gl size must be a positive "
+                       "integer$"):
+        GLType(True)
+
+
 def test_very_even_flag():
     labels = list_orbits(SimpleType("D", 4))
     very_even = [lab for lab in labels if lab.very_even]
