@@ -20,6 +20,7 @@ import pytest
 
 import tracegeo
 from tracegeo import errors, oracles, value
+from tracegeo.arithmetic import sl_index
 from tracegeo.invariants_k import GroupSpec, k_by_pairs, k_min_orbit, \
     k_richardson
 from tracegeo.local_data import RationalMatrix, weyl_discriminant
@@ -108,6 +109,10 @@ def _least_nonzero_orbit_dim(series, rank):
                if d)
 
 
+# reproduce's sl_index check: n = 2, 3 at levels 2-8.
+SL_LEVELS = [(n, N) for n in (2, 3) for N in range(2, 9)]
+
+
 def _root_datum(*names):
     return [f"root_datum.py:{name}" for name in names]
 
@@ -136,6 +141,10 @@ PAIRS = {
     "orbit_minima": (
         [lambda t=t: _least_nonzero_orbit_dim(*t) for t in ORBIT_TYPES],
         [lambda t=t: min_orbit_dim(SimpleType(*t)) for t in ORBIT_TYPES],
+        []),
+    "sl_index": (
+        [lambda n=n, N=N: sl_index(n, N) for n, N in SL_LEVELS],
+        [lambda n=n, N=N: oracles.sl_group_order(n, N) for n, N in SL_LEVELS],
         []),
 }
 
