@@ -1,9 +1,18 @@
 """Regenerate tests/cli_corpus.json, the CLI byte corpus.
 
-Each entry is one call of `tracegeo`: its argv, its exit code and the
-sha256 of its stdout and of its stderr, as `cli.main` writes them in
-process.  tests/test_cli_corpus.py replays every entry.  A change that
-alters an entry's bytes is an output change and is named as one.
+The corpus is the one place the bytes `tracegeo` prints are pinned by
+digest.  Each entry is one call: its argv, its exit code and the sha256
+of its stdout and of its stderr, as `cli.main` writes them in process.
+One mask applies before hashing, here and in every replay: reproduce's
+per-check timings (`"seconds": "..."` and `(0.12 s)`) are blanked
+(TIMINGS).
+
+tests/test_cli_corpus.py replays every entry in process, and CI replays
+every entry through the installed `tracegeo` console script, one process
+per call and 10 s each (run_installed).  A change that alters an entry's
+bytes is an output change and is named as one.  The corpus only grows:
+this script refuses to write a corpus that drops an argv of the committed
+one or lists an argv twice.
 
 Run from the repository root:
 
@@ -135,7 +144,8 @@ ARGVS += ([["mellin-fp", "--preset", "sqrt", "--t0", t0, "--json"]
               '"samples": [[1e-3, 1e15], [1, 0.3], [2, 0.1]]}' % _DECAY]])
 
 # Parabolic lattices past rank 2, among them F4's 5,089 subsets, which the
-# coset walk lists whole, and the orbit table of every classical type of rank <= 8 and of gl2-gl8.
+# coset walk lists whole, and the orbit table of every classical type of
+# rank <= 8 and of gl2-gl8.
 _ORBIT_TYPES = ([t for t in SIMPLE_TYPES if t[0] in "ABCD"]
                 + [f"gl{n}" for n in range(2, 9)])
 ARGVS += ([["parabolics", name, "--json"]
@@ -182,8 +192,11 @@ ARGVS += [["k", "Z9"], ["k"], ["nosuch"], ["no-such-command"],
           ["reproduce", "--inject-fault", "no_such_check"],
           ["parabolics", "E6"], ["parabolics", "E8"],
           ["index", "--n", "60", "--level", "1000"],
-          ["orbits", "G2"], ["orbits", "gl²"],
-          ["k", "A46", "--json"]]
+          ["orbits", "G2"], ["orbits", "gl²"]]
+
+# k generates no root above rank 8, so the root guard never trips at A46
+# either ("minorbit": 46).
+ARGVS += [["k", "A46", "--json"]]
 
 # Every number is the exact rational it spells: 0.1 is 1/10, and 1e160 is
 # an integer, not a float that overflows (e1 is -1/1).  The JSON number 0.5
@@ -243,6 +256,13 @@ def run_installed(argv: list[str]) -> dict:
 
 
 def main() -> None:
+    argvs = [tuple(argv) for argv in ARGVS]
+    twice = sorted({argv for argv in argvs if argvs.count(argv) > 1})
+    dropped = [entry["argv"] for entry in json.loads(CORPUS.read_text())
+               if tuple(entry["argv"]) not in argvs]
+    if twice or dropped:
+        raise SystemExit(f"refusing to write {CORPUS}: argvs listed twice "
+                         f"{twice}, committed argvs dropped {dropped}")
     entries = [run(argv) for argv in ARGVS]
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {CORPUS}")
