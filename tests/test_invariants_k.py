@@ -138,9 +138,6 @@ def test_relative_datum_validation():
         RelativeDatum(roots=((1,),), contributions=(0,))
     with pytest.raises(DomainError):
         RelativeDatum(roots=((1,), (1, 0)), contributions=(1, 1))
-
-
-def test_relative_datum_refuses_entries_that_are_not_integers():
     # linalg.rank reads only int entries, so a Fraction, float or bool
     # root entry, or a bool contribution, is refused by name where it
     # enters, not as a TypeError from the rank.
@@ -153,13 +150,6 @@ def test_relative_datum_refuses_entries_that_are_not_integers():
         RelativeDatum(roots=((1,),), contributions=(True,))
 
 
-def test_degree_refuses_a_bool():
-    rs = build_root_system(["A1"])
-    with pytest.raises(DomainError, match="^restriction degree must be a "
-                       "positive integer$"):
-        GroupSpec(rs, True)
-
-
 def test_relative_rank_cannot_exceed_absolute():
     rel = RelativeDatum(roots=((1, 0), (0, 1)), contributions=(1, 1))
     with pytest.raises(DomainError):
@@ -169,6 +159,10 @@ def test_relative_rank_cannot_exceed_absolute():
 def test_degree_validation():
     with pytest.raises(DomainError):
         spec("A1", restriction_degree=0)
+    # True is not degree 1.
+    with pytest.raises(DomainError, match="^restriction degree must be a "
+                       "positive integer$"):
+        GroupSpec(build_root_system(["A1"]), True)
 
 
 def test_rank_guard():
