@@ -258,8 +258,8 @@ def run_installed(argv: list[str]) -> dict:
 def main() -> None:
     argvs = [tuple(argv) for argv in ARGVS]
     twice = sorted({argv for argv in argvs if argvs.count(argv) > 1})
-    dropped = [entry["argv"] for entry in json.loads(CORPUS.read_text())
-               if tuple(entry["argv"]) not in argvs]
+    dropped = [e["argv"] for e in json.loads(CORPUS.read_text())
+               if tuple(e["argv"]) not in argvs]
     if twice or dropped:
         raise SystemExit(f"refusing to write {CORPUS}: argvs listed twice "
                          f"{twice}, committed argvs dropped {dropped}")
