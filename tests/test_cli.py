@@ -12,7 +12,11 @@ import pytest
 from tracegeo import QuadraticSurd, cli, errors, parabolic_lattice, reproduce
 from tracegeo.errors import DomainError, ParseError, TracegeoError
 
+from make_cli_corpus import CORPUS
+from make_cli_corpus import run as run_corpus_call
 from test_invariants_k import TYPING_SYSTEMS
+
+CORPUS_ENTRIES = json.loads(CORPUS.read_text())
 
 
 def run_json(capsys, argv):
@@ -1086,6 +1090,24 @@ def test_budget_rational_inputs(capsys):
 
 
 # -- output bytes --------------------------------------------------------------
+
+# Six corpus calls replayed under this file's raw-float check, which the
+# corpus replay does not run; their bytes are the corpus entry's.
+RAW_FLOAT_CALLS = {
+    "parabolics-B3": ["parabolics", "B3", "--json"],
+    "parabolics-A4": ["parabolics", "A4", "--json"],
+    "parabolics-A1xB2": ["parabolics", "A1xB2", "--json"],
+    "k-product": ["k", "D4xA1+T1@res=2", "--json"],
+    "orbits-gl4-human": ["orbits", "gl4"],
+    "index": ["index", "--n", "4", "--level", "360", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", RAW_FLOAT_CALLS)
+def test_stdout_bytes_are_pinned(name):
+    argv = RAW_FLOAT_CALLS[name]
+    [entry] = [e for e in CORPUS_ENTRIES if e["argv"] == argv]
+    assert run_corpus_call(argv) == entry
 
 
 def _fmt_reference(x):
