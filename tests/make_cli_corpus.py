@@ -155,7 +155,10 @@ ARGVS += ([["parabolics", name, "--json"]
           + [["orbits", name, "--json"] for name in ("B8", "C8", "D8", "gl8")])
 
 # The orbit tables at the rank limit, B20's 5,922 labels among them.
-ARGVS += [["orbits", name] for name in ("A20", "B20", "C20", "D20", "gl20")]
+# C20's 7,336 labels come straight from the admissible-partition
+# generator; rank 21 is refused at RANK_LIMIT before it starts (3).
+ARGVS += ([["orbits", name] for name in ("A20", "B20", "C20", "D20", "gl20")]
+          + [["orbits", "C20", "--json"], ["orbits", "C21"]])
 
 # Rank-4 lattices in JSON, each subset's a_M_dim a rank of root
 # coordinates.
