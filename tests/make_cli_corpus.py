@@ -5,7 +5,8 @@ digest.  Each entry is one call: its argv, its exit code and the sha256
 of its stdout and of its stderr, as `cli.main` writes them in process.
 One mask applies before hashing, here and in every replay: reproduce's
 per-check timings (`"seconds": "..."` and `(0.12 s)`) are blanked
-(TIMINGS).
+(TIMINGS).  Every call in process also walks its --json result and fails
+on a raw float, which json would write as a number (raw_float_check).
 
 tests/test_cli_corpus.py replays every entry in process, and CI replays
 every entry through the installed `tracegeo` console script, one process
@@ -241,10 +242,44 @@ def entry(argv: list[str], code: int, out: str, err: str) -> dict:
             "stdout_sha256": digest(out), "stderr_sha256": digest(err)}
 
 
+def _no_raw_float(handler):
+    """`handler` with its --json result walked first: json would write a
+    raw float as a number, not as the %.15g string."""
+    def checked(args):
+        result, human, code = handler(args)
+        stack = [result] if args.json else []
+        while stack:
+            x = stack.pop()
+            assert type(x) is not float, (args.command, x)
+            if isinstance(x, dict):
+                stack.extend(x.values())
+            elif isinstance(x, (list, tuple)):
+                stack.extend(x)
+        return result, human, code
+    return checked
+
+
+@contextlib.contextmanager
+def raw_float_check():
+    """Run every `cli._cmd_*` handler under _no_raw_float inside the
+    block."""
+    saved = {name: fn for name, fn in vars(cli).items()
+             if name.startswith("_cmd_")}
+    for name, fn in saved.items():
+        setattr(cli, name, _no_raw_float(fn))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(cli, name, fn)
+
+
 def run(argv: list[str]) -> dict:
-    """The entry of one call of `cli.main` in process."""
+    """The entry of one call of `cli.main` in process, its --json result
+    walked for raw floats."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with raw_float_check(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return entry(argv, code, out.getvalue(), err.getvalue())
 

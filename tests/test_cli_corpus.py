@@ -1,8 +1,9 @@
 """Replay the CLI byte corpus, the one digest pin of CLI output bytes:
 every call keeps its exit code and the bytes of its stdout and stderr, with
-reproduce's timings masked.  CI replays the same entries through the
-installed `tracegeo`.  `make_cli_corpus.py` beside this file regenerates
-the corpus and says what it masks."""
+reproduce's timings masked, and no --json result holds a raw float.  CI
+replays the same entries through the installed `tracegeo`.
+`make_cli_corpus.py` beside this file regenerates the corpus and says what
+it masks."""
 
 import json
 
