@@ -34,7 +34,7 @@ def test_as_fraction():
 
 
 def test_identity_and_central():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         res = weyl_discriminant(diag(*([1] * n)))
         assert res.value == 1
         assert res.centralizer_dim == n * n

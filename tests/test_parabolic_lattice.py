@@ -449,7 +449,7 @@ def test_count_contributing_tuples_brute_force():
         _, levis, _ = f_sets(rs, m0)
         g_key = full_levi(rs).sort_key()
         d = m0.a_M_dim - rs.torus_rank
-        for s in (1, 2, 3):
+        for s in (1, 2, 3, 4):
             brute = sum(
                 1 for tup in itertools.product(levis, repeat=s)
                 if sum(1 for l in tup if l.sort_key() != g_key) <= d)
