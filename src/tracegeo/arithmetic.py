@@ -165,7 +165,7 @@ class LevelData(Value):
 
 
 def _checked_level(N: int) -> int:
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise DomainError("level must be a positive integer")
     if N > LEVEL_LIMIT:
         raise ResourceLimitError(f"levels are limited to {LEVEL_LIMIT}")
@@ -209,7 +209,7 @@ def sl_index(n: int, N: int) -> int:
 
 def conjecture_bound(N: int, b: float, c: float) -> float:
     """Evaluate c * (1 + log N)^b with the natural logarithm."""
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise DomainError("level must be a positive integer")
     if b < 0:
         raise DomainError("exponent b must be nonnegative")

@@ -186,7 +186,8 @@ def modulus_character(block_sizes: Sequence[int],
     if len(block_sizes) != len(block_dets):
         raise DomainError("block sizes and determinants must have matching "
                           "lengths")
-    if any(not isinstance(s, int) or s < 1 for s in block_sizes):
+    if any(isinstance(s, bool) or not isinstance(s, int) or s < 1
+           for s in block_sizes):
         raise DomainError("block sizes must be positive integers")
     dets = [as_fraction(d) for d in block_dets]
     if any(d == 0 for d in dets):

@@ -69,7 +69,7 @@ def sl_group_order(n: int, N: int) -> int:
     adds the product of the two class sizes.  Levels with more than
     BRUTE_FORCE_ROW_LIMIT rows N^n are refused.
     """
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise DomainError(f"level must be a positive integer, got {N!r}")
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"matrix size must be an integer >= 2, got {n!r}")

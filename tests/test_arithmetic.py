@@ -110,6 +110,8 @@ def test_level_data_guards():
         level_data(0)
     with pytest.raises(DomainError):
         level_data(-5)
+    with pytest.raises(DomainError, match="level must be a positive integer"):
+        level_data(True)
     with pytest.raises(ResourceLimitError):
         level_data(2 ** 63 + 1)
 
@@ -173,6 +175,8 @@ def test_sl_index_validation():
         sl_index(1, 5)
     with pytest.raises(DomainError):
         sl_index(2, 0)
+    with pytest.raises(DomainError, match="level must be a positive integer"):
+        sl_index(2, True)
 
 
 def test_conjecture_bound():
@@ -184,6 +188,8 @@ def test_conjecture_bound():
         conjecture_bound(10, -1.0, 1.0)
     with pytest.raises(DomainError):
         conjecture_bound(10, 1.0, 0.0)
+    with pytest.raises(DomainError, match="level must be a positive integer"):
+        conjecture_bound(True, 1, 1)
 
 
 def test_prime_fixed_families():

@@ -111,6 +111,8 @@ def test_modulus_character():
     assert modulus_character([1, 2], [a, d2]) == want
     with pytest.raises(DomainError):
         modulus_character([1], [2, 3])
+    with pytest.raises(DomainError, match="block sizes must be positive"):
+        modulus_character([True], [2])
     with pytest.raises(DomainError):
         modulus_character([1, 1], [2, 0])
     with pytest.raises(DomainError):

@@ -79,7 +79,7 @@ def test_nonpositive_level_rejected(N):
         oracles.sl_group_order(2, N)
 
 
-@pytest.mark.parametrize("n, N", [(3, 7.0), (2, "5")])
+@pytest.mark.parametrize("n, N", [(3, 7.0), (2, "5"), (2, True)])
 def test_level_that_is_not_an_integer_rejected(n, N):
     with pytest.raises(DomainError, match="level must be a positive integer"):
         oracles.sl_group_order(n, N)
