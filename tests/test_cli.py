@@ -12,8 +12,11 @@ import pytest
 from tracegeo import QuadraticSurd, cli, errors, parabolic_lattice, reproduce
 from tracegeo.errors import DomainError, ParseError, TracegeoError
 
-from make_cli_corpus import raw_float_check
+from make_cli_corpus import CORPUS, raw_float_check
+from make_cli_corpus import run as run_corpus_call
 from test_invariants_k import TYPING_SYSTEMS
+
+CORPUS_ENTRIES = json.loads(CORPUS.read_text())
 
 
 def run_json(capsys, argv):
@@ -1073,6 +1076,25 @@ def test_budget_rational_inputs(capsys):
 
 # -- output bytes --------------------------------------------------------------
 
+# Six corpus calls replayed under this file's name; their bytes are the
+# corpus entry's.
+RAW_FLOAT_CALLS = {
+    "parabolics-B3": ["parabolics", "B3", "--json"],
+    "parabolics-A4": ["parabolics", "A4", "--json"],
+    "parabolics-A1xB2": ["parabolics", "A1xB2", "--json"],
+    "k-product": ["k", "D4xA1+T1@res=2", "--json"],
+    "orbits-gl4-human": ["orbits", "gl4"],
+    "index": ["index", "--n", "4", "--level", "360", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", RAW_FLOAT_CALLS)
+def test_stdout_bytes_are_pinned(name):
+    argv = RAW_FLOAT_CALLS[name]
+    [entry] = [e for e in CORPUS_ENTRIES if e["argv"] == argv]
+    assert run_corpus_call(argv) == entry
+
+
 def _fmt_reference(x):
     """The walk main ran over every result before one json.dumps did it."""
     if isinstance(x, bool) or x is None or isinstance(x, str):
@@ -1128,12 +1150,12 @@ _COMMANDS = ("{k,orbits,parabolics,discriminant,index,levels,mellin-fp,"
 _TOP_USAGE = f"usage: tracegeo [-h]\n                {_COMMANDS}" + (
     " ...\n" if sys.version_info >= (3, 13) else "\n                ...\n")
 
-# argv -> the help one `python -m tracegeo` process prints in an
-# 80-column terminal, exit 0 and nothing on stderr.  Help follows the
-# terminal width, so no corpus entry holds it; the usage errors are corpus
-# entries (`nosuch`, `k`).
+# argv -> (exit code, stdout, stderr) of one `python -m tracegeo` process
+# in an 80-column terminal.  Help follows the terminal width, so no corpus
+# entry holds it; the two usage errors are also corpus entries (`nosuch`,
+# `k`).
 HELP_PINS = {
-    "top-help": (["-h"], _TOP_USAGE + f"""
+    "top-help": (["-h"], 0, _TOP_USAGE + f"""
 Command-line front end.
 
 positional arguments:
@@ -1150,8 +1172,8 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-"""),
-    "k-help": (["k", "-h"], """\
+""", ""),
+    "k-help": (["k", "-h"], 0, """\
 usage: tracegeo k [-h] [--json] [--relative FILE] [--degree N]
                   [--method {pairs,richardson,minorbit}]
                   spec
@@ -1167,8 +1189,8 @@ options:
   --degree N            restriction-of-scalars degree; overrides @res=
   --method {pairs,richardson,minorbit}
                         single method instead of the full report
-"""),
-    "levels-check-help": (["levels", "check-prime-fixed", "-h"], """\
+""", ""),
+    "levels-check-help": (["levels", "check-prime-fixed", "-h"], 0, """\
 usage: tracegeo levels check-prime-fixed [-h] [--json] [--allowed ALLOWED]
                                          levels
 
@@ -1179,17 +1201,24 @@ options:
   -h, --help         show this help message and exit
   --json             emit a versioned JSON envelope
   --allowed ALLOWED  comma list of allowed primes
-"""),
+""", ""),
+    "unknown-command": (["nosuch"], 2, "",
+                        "error: argument command: invalid choice: 'nosuch' "
+                        "(choose from 'k', 'orbits', 'parabolics', "
+                        "'discriminant', 'index', 'levels', 'mellin-fp', "
+                        "'budget', 'reproduce')\n"),
+    "k-without-spec": (["k"], 2, "",
+                       "error: the following arguments are required: spec\n"),
 }
 
 
 @pytest.mark.parametrize("name", HELP_PINS)
 def test_help_and_usage_errors_are_pinned(name):
-    argv, out = HELP_PINS[name]
+    argv, code, out, err = HELP_PINS[name]
     proc = subprocess.run([sys.executable, "-m", "tracegeo", *argv],
                           capture_output=True, text=True,
                           env=dict(os.environ, COLUMNS="80"))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 # A call builds only its subcommand's parser; these argv must parse, print
