@@ -1,5 +1,6 @@
-"""Polynomial and determinant references over Fraction, and adapters that
-put rational input through the library's integer routines.
+"""Polynomial, determinant, surd and group-order references over
+Fraction and row classes, and adapters that put rational input through the
+library's integer routines.
 
 The references are the routes the library ran before its polynomials
 became integer lists: the derivative, long division (`poly_divmod`),
@@ -7,7 +8,10 @@ Euclid's gcd, Yun's squarefree split with exact division by the monic
 gcd, and the resultant by the Euclidean recursion.  They share no code
 with the library, and the tests compare the library with them.
 `complement_determinant` is the discriminant oracle as it ran on
-Fraction matrices.
+Fraction matrices.  `QuadraticSurd` is the budget's a + b sqrt(d) as it
+ran on two Fractions, and `sl3_class_pair_count` is the group-order
+oracle's n = 3 count as it ran over every ordered pair of unit-scaling
+classes of rows, unimodular or not.
 
 The adapters (`rational_charpoly`, `rational_squarefree`,
 `rational_resultant`, `rational_rank`, `rational_det`) scale rational
@@ -17,11 +21,15 @@ result back, so tests can check the library on rational cases.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 from tracegeo import linalg
+from tracegeo.errors import DomainError, NumericError
+from tracegeo.value import Value, set_field
 
 
 def _strip(p: list[Fraction]) -> list[Fraction]:
@@ -194,3 +202,162 @@ def complement_determinant(g: Sequence[Sequence[Fraction]]) -> Fraction:
         for (i, j), row in index.items():
             m[row][col] = (1 if (i, j) == (k, l) else 0) - image[i][j]
     return rational_det(m)
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _surd(a: Fraction, b: Fraction, d: int) -> Fraction | QuadraticSurd:
+    """a + b sqrt(d), as a Fraction when the sqrt part vanishes."""
+    return QuadraticSurd(a, b, d) if b else a
+
+
+class QuadraticSurd(Value):
+    """The irrational a + b sqrt(d): rationals a and b != 0 and an integer
+    d > 1 that is not a square.  Immutable and hashable.
+
+    Values of one field Q(sqrt d) combine exactly with each other and with
+    int and Fraction, a result whose sqrt part vanishes is a Fraction, and
+    a float operand makes the result a float.  The triple (a, b^2 d,
+    sign b) names the number in any spelling of d, so equality is exact:
+    sqrt(8) == 2*sqrt(2).
+    """
+
+    _fields = ("a", "b", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        a, b = Fraction(a), Fraction(b)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
+        if not b or not isinstance(d, int) or d < 2 \
+                or math.isqrt(d) ** 2 == d:
+            raise DomainError("a QuadraticSurd needs b != 0 and an integer "
+                              "d > 1 that is not a square")
+
+    def _key(self) -> tuple[Fraction, Fraction, int]:
+        return self.a, self.b * self.b * self.d, _sgn(self.b)
+
+    def __eq__(self, other):
+        # never equal to a rational or a float, since it is irrational
+        if isinstance(other, QuadraticSurd):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __str__(self) -> str:
+        b = abs(self.b)
+        root = f"sqrt({self.d})" if b == 1 else f"{b}*sqrt({self.d})"
+        if not self.a:
+            return root if self.b > 0 else f"-{root}"
+        return f"{self.a} {'+' if self.b > 0 else '-'} {root}"
+
+    def _parts(self, other) -> tuple[Fraction, Fraction] | None:
+        """other as (a, b) over sqrt(self.d); None for a foreign type."""
+        if isinstance(other, (int, Fraction)):
+            return Fraction(other), Fraction(0)
+        if not isinstance(other, QuadraticSurd):
+            return None
+        if other.d == self.d:
+            return other.a, other.b
+        # sqrt(e) = s sqrt(d) / d when d e = s^2: the same field
+        s = math.isqrt(self.d * other.d)
+        if s * s != self.d * other.d:
+            raise DomainError(f"sqrt({self.d}) and sqrt({other.d}) lie in "
+                              "different quadratic fields")
+        return other.a, other.b * Fraction(s, self.d)
+
+    def __neg__(self) -> QuadraticSurd:
+        return QuadraticSurd(-self.a, -self.b, self.d)
+
+    def __add__(self, other):
+        if isinstance(other, float):
+            return float(self) + other
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        return _surd(self.a + parts[0], self.b + parts[1], self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, float):
+            return float(self) * other
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        a, b = parts
+        return _surd(self.a * a + self.b * b * self.d,
+                     self.a * b + self.b * a, self.d)
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> QuadraticSurd:
+        # the norm a^2 - b^2 d vanishes only at 0, since d is not a square
+        norm = self.a * self.a - self.b * self.b * self.d
+        return _surd(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        if isinstance(other, float):
+            return float(self) / other
+        if isinstance(other, QuadraticSurd):
+            return self * other._inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def sign(self) -> int:
+        sa, sb = _sgn(self.a), _sgn(self.b)
+        if sa in (0, sb):
+            return sb
+        return sa if self.a * self.a > self.b * self.b * self.d else sb
+
+    def __float__(self) -> float:
+        # sqrt(d) to 128 fractional bits; with opposite signs go through
+        # the conjugate, (a^2 - b^2 d) / (a - b sqrt d), which does not
+        # cancel.  float(Fraction) then rounds once.  A value beyond the
+        # normal float range is an error, never a printed 0 or inf.
+        root = Fraction(math.isqrt(self.d << 256), 1 << 128)
+        if self.a * self.b >= 0:
+            q = self.a + self.b * root
+        else:
+            q = (self.a * self.a - self.b * self.b * self.d) \
+                / (self.a - self.b * root)
+        if not sys.float_info.min <= abs(q) <= sys.float_info.max:
+            from decimal import Context, Decimal
+            digits = Context(prec=15).divide(Decimal(q.numerator),
+                                             Decimal(q.denominator))
+            raise NumericError(f"{digits.normalize():g} lies outside the "
+                               "float range")
+        return float(q)
+
+
+def sl3_class_pair_count(N: int) -> int:
+    """|SL(3, Z/N)|: every row taken up to unit scaling, each ordered pair
+    of classes weighted by the product of their sizes when the cross
+    product of its representatives is coprime to N, times N^2 last rows."""
+    units = [u for u in range(N) if math.gcd(u, N) == 1]
+    sizes = {}
+    seen = set()
+    for r in itertools.product(range(N), repeat=3):
+        if r not in seen:
+            scaled = {tuple(u * x % N for x in r) for u in units}
+            seen |= scaled
+            sizes[r] = len(scaled)
+    count = sum(w1 * w2 for (a, b, c), w1 in sizes.items()
+                for (d, e, f), w2 in sizes.items()
+                if math.gcd(b * f - c * e, c * d - a * f, a * e - b * d,
+                            N) == 1)
+    return count * N ** 2

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import poly_reference
 from tracegeo.error_budget import (BudgetParams, QuadraticSurd, a_exponent,
                                    beta_max, exponents, lambda_min,
                                    total_envelope)
-from tracegeo.errors import DomainError, NumericError
+from tracegeo.errors import DomainError, NumericError, TracegeoError
 
 
 def _rat(x):
@@ -477,3 +478,102 @@ def test_total_envelope():
         total_envelope(1, 1, 0, 1.0)
     with pytest.raises(DomainError):
         total_envelope(10, 1, 0, -1.0)
+
+
+# -- the surd against its Fraction reference -----------------------------------
+
+# Spellings of one field side by side, squareful d among them, so that sums
+# and products cross spellings (sqrt 8 * sqrt 2 = 4).
+FIELDS = [(2, 8, 18, 50), (3, 12, 27), (5, 20, 45), (6, 24), (7,)]
+
+
+def _outcome(f):
+    """What f() returns, or the type and text of what it raises."""
+    try:
+        return f()
+    except (ArithmeticError, TracegeoError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want, what):
+    if isinstance(want, poly_reference.QuadraticSurd):
+        assert type(got) is QuadraticSurd, what
+        assert all(type(x) is Fraction for x in (got.a, got.b)), what
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d), what
+        assert (str(got), repr(got), hash(got), got.sign()) == \
+            (str(want), repr(want), hash(want), want.sign()), what
+        assert _outcome(lambda: float(got)) == \
+            _outcome(lambda: float(want)), what
+    else:
+        assert type(got) is type(want) and got == want, what
+
+
+def _seeded_surds(rng, family, count):
+    """count surds over the spellings in family, as (library, reference)
+    pairs; a is 0 in some, and a^2 - b^2 d has both signs."""
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 7, 12)))
+
+    for i in range(count):
+        a = frac(-40, 40) if i % 5 else Fraction(0)
+        b = frac(1, 20) * rng.choice((-1, 1))
+        d = rng.choice(family)
+        yield QuadraticSurd(a, b, d), poly_reference.QuadraticSurd(a, b, d)
+
+
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+       "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+def test_surd_arithmetic_matches_the_fraction_reference():
+    rng = random.Random(4545)
+    negative_norm = crossed = 0
+    for family in FIELDS:
+        surds = list(_seeded_surds(rng, family, 12))
+        plain = [0, 1, -3, 7, Fraction(0), Fraction(-5, 6), Fraction(9, 4),
+                 0.0, 0.5, -2.75, rng.uniform(-9, 9)]
+        operands = [(y, y) for y in plain] + surds
+        for x, rx in surds:
+            _assert_same(-x, -rx, ("neg", rx))
+            negative_norm += rx.a * rx.a < rx.b * rx.b * rx.d
+            for y, ry in operands:
+                crossed += getattr(ry, "d", x.d) != x.d
+                for name, op in OPS.items():
+                    for left, right, rl, rr in ((x, y, rx, ry),
+                                                (y, x, ry, rx)):
+                        want = _outcome(lambda: op(rl, rr))
+                        got = _outcome(lambda: op(left, right))
+                        _assert_same(got, want, (rl, name, rr))
+                if isinstance(y, QuadraticSurd):
+                    assert (x == y) is (rx == ry), (rx, ry)
+    assert negative_norm >= 20 and crossed >= 100
+
+
+def test_surds_of_different_fields_are_refused_as_the_reference_refuses():
+    x, rx = QuadraticSurd(1, 1, 2), poly_reference.QuadraticSurd(1, 1, 2)
+    y, ry = QuadraticSurd(1, 1, 12), poly_reference.QuadraticSurd(1, 1, 12)
+    for op in OPS.values():
+        want = _outcome(lambda: op(rx, ry))
+        assert want[0] is DomainError
+        assert _outcome(lambda: op(x, y)) == want
+
+
+@pytest.mark.parametrize("a,b,d", [
+    (10 ** 400, 1, 2), (-(10 ** 308), 1, 3), (Fraction(1, 10 ** 400), 1, 2),
+    (0, Fraction(1, 10 ** 320), 5), (Fraction(-1, 2), Fraction(1, 2),
+                                     4 * 10 ** 200 + 1),
+    (10 ** 30, -1, 10 ** 60 + 1),
+    (Fraction(7, 3), Fraction(-5, 11), 13), ("1/2", "-3/4", 2)],
+    ids=["huge", "past-max", "tiny", "subnormal", "large-d", "cancelling",
+         "plain", "strings"])
+def test_surd_text_and_float_match_the_fraction_reference(a, b, d):
+    _assert_same(QuadraticSurd(a, b, d), poly_reference.QuadraticSurd(a, b, d),
+                 (a, b, d))
+
+
+@pytest.mark.parametrize("b,d", [(1, 4), (1, 1), (1, 0), (1, -3), (1, 2.0),
+                                 (0, 2), (Fraction(0), 3), (1, True)])
+def test_surd_constructor_refuses_as_the_reference_refuses(b, d):
+    want = _outcome(lambda: poly_reference.QuadraticSurd(1, b, d))
+    assert want[0] is DomainError
+    assert _outcome(lambda: QuadraticSurd(1, b, d)) == want

@@ -129,3 +129,8 @@ def test_complement_determinant_matches_the_fraction_reference():
         repeated += len(set(diag)) < len(diag)
         negative += min(diag) < 0
     assert repeated >= 160 and negative >= 250
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_matches_the_class_pair_route(N):
+    assert oracles.sl_group_order(3, N) == poly_reference.sl3_class_pair_count(N)
