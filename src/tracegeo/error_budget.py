@@ -10,10 +10,12 @@ The arithmetic is type generic: float inputs give float answers, while
 rational inputs (any numbers.Rational, read as a Fraction) stay exact.
 When the discriminant k^2 + 4 C2 C4 Cn^2 is not a rational square, beta
 lies in Q(sqrt d) with d = num * den of the discriminant, and the whole
-chain runs there in QuadraticSurd, whose signs are decided by comparing
-a^2 with b^2 d.  So identities like e1(beta_max) = -k hold exactly, with
-no simplifier involved, and a result whose sqrt part vanishes comes back
-as a Fraction.  Any other argument type raises DomainError.
+chain runs there in QuadraticSurd.  A surd is held as integers
+(p + q sqrt d) / c, normalised once per operation by one gcd, and its
+sign is decided by comparing p^2 with q^2 d.  So identities like
+e1(beta_max) = -k hold exactly, with no simplifier involved, and a result
+whose sqrt part vanishes comes back as a Fraction.  Any other argument
+type raises DomainError.
 """
 
 from __future__ import annotations
@@ -37,36 +39,65 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _surd(a: Fraction, b: Fraction, d: int) -> Fraction | QuadraticSurd:
-    """a + b sqrt(d), as a Fraction when the sqrt part vanishes."""
-    return QuadraticSurd(a, b, d) if b else a
+# sys.float_info.max as an int, for exact range checks on int ratios
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _surd(p: int, q: int, c: int, d: int) -> Fraction | QuadraticSurd:
+    """(p + q sqrt(d)) / c for any c != 0, normalised: a Fraction when
+    q = 0, else a surd with c > 0 and gcd(p, q, c) = 1."""
+    if not q:
+        return Fraction(p, c)
+    g = math.gcd(p, q, c)
+    if c < 0:
+        g = -g
+    x = object.__new__(QuadraticSurd)
+    set_field(x, "p", p // g)
+    set_field(x, "q", q // g)
+    set_field(x, "c", c // g)
+    set_field(x, "d", d)
+    return x
 
 
 class QuadraticSurd(Value):
     """The irrational a + b sqrt(d): rationals a and b != 0 and an integer
     d > 1 that is not a square.  Immutable and hashable.
 
-    Values of one field Q(sqrt d) combine exactly with each other and with
-    int and Fraction, a result whose sqrt part vanishes is a Fraction, and
-    a float operand makes the result a float.  The triple (a, b^2 d,
-    sign b) names the number in any spelling of d, so equality is exact:
-    sqrt(8) == 2*sqrt(2).
+    It is held as integers (p + q sqrt(d)) / c with c > 0 and gcd(p, q, c)
+    = 1, so each operation is a few integer products and one gcd; a and b
+    are Fractions made on read.  Values of one field Q(sqrt d) combine
+    exactly with each other and with int and Fraction, a result whose
+    sqrt part vanishes is a Fraction, and a float operand makes the result
+    a float.  The triple (a, b^2 d, sign b) names the number in any
+    spelling of d, so equality is exact: sqrt(8) == 2*sqrt(2).
     """
 
     _fields = ("a", "b", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
         a, b = Fraction(a), Fraction(b)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "d", d)
         if not b or not isinstance(d, int) or d < 2 \
                 or math.isqrt(d) ** 2 == d:
             raise DomainError("a QuadraticSurd needs b != 0 and an integer "
                               "d > 1 that is not a square")
+        # over the lcm of two reduced denominators, gcd(p, q, c) = 1
+        c = math.lcm(a.denominator, b.denominator)
+        set_field(self, "p", a.numerator * (c // a.denominator))
+        set_field(self, "q", b.numerator * (c // b.denominator))
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.c)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.c)
 
     def _key(self) -> tuple[Fraction, Fraction, int]:
-        return self.a, self.b * self.b * self.d, _sgn(self.b)
+        return (self.a, Fraction(self.q * self.q * self.d, self.c * self.c),
+                _sgn(self.q))
 
     def __eq__(self, other):
         # never equal to a rational or a float, since it is irrational
@@ -78,29 +109,35 @@ class QuadraticSurd(Value):
         return hash(self._key())
 
     def __str__(self) -> str:
-        b = abs(self.b)
+        a, b = self.a, abs(self.b)
         root = f"sqrt({self.d})" if b == 1 else f"{b}*sqrt({self.d})"
-        if not self.a:
-            return root if self.b > 0 else f"-{root}"
-        return f"{self.a} {'+' if self.b > 0 else '-'} {root}"
+        if not a:
+            return root if self.q > 0 else f"-{root}"
+        return f"{a} {'+' if self.q > 0 else '-'} {root}"
 
-    def _parts(self, other) -> tuple[Fraction, Fraction] | None:
-        """other as (a, b) over sqrt(self.d); None for a foreign type."""
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+    def _parts(self, other) -> tuple[int, int, int] | None:
+        """other as (p, q, c) over sqrt(self.d); None for a foreign type."""
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         if not isinstance(other, QuadraticSurd):
             return None
         if other.d == self.d:
-            return other.a, other.b
+            return other.p, other.q, other.c
         # sqrt(e) = s sqrt(d) / d when d e = s^2: the same field
         s = math.isqrt(self.d * other.d)
         if s * s != self.d * other.d:
             raise DomainError(f"sqrt({self.d}) and sqrt({other.d}) lie in "
                               "different quadratic fields")
-        return other.a, other.b * Fraction(s, self.d)
+        return other.p * self.d, other.q * s, other.c * self.d
 
     def __neg__(self) -> QuadraticSurd:
-        return QuadraticSurd(-self.a, -self.b, self.d)
+        return _surd(-self.p, -self.q, self.c, self.d)
+
+    def _add(self, p: int, q: int, c: int):
+        return _surd(self.p * c + p * self.c, self.q * c + q * self.c,
+                     self.c * c, self.d)
 
     def __add__(self, other):
         if isinstance(other, float):
@@ -108,15 +145,28 @@ class QuadraticSurd(Value):
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        return _surd(self.a + parts[0], self.b + parts[1], self.d)
+        return self._add(*parts)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -other
+        parts = self._parts(other)
+        if parts is None:
+            return self + -other
+        p, q, c = parts
+        return self._add(-p, -q, c)
 
     def __rsub__(self, other):
-        return -self + other
+        parts = self._parts(other)
+        if parts is None:
+            return -self + other
+        p, q, c = parts
+        return _surd(p * self.c - self.p * c, q * self.c - self.q * c,
+                     self.c * c, self.d)
+
+    def _mul(self, p: int, q: int, c: int):
+        return _surd(self.p * p + self.q * q * self.d, self.p * q + self.q * p,
+                     self.c * c, self.d)
 
     def __mul__(self, other):
         if isinstance(other, float):
@@ -124,53 +174,60 @@ class QuadraticSurd(Value):
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        a, b = parts
-        return _surd(self.a * a + self.b * b * self.d,
-                     self.a * b + self.b * a, self.d)
+        return self._mul(*parts)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> QuadraticSurd:
-        # the norm a^2 - b^2 d vanishes only at 0, since d is not a square
-        norm = self.a * self.a - self.b * self.b * self.d
-        return _surd(self.a / norm, -self.b / norm, self.d)
+        # c / (p + q sqrt d) = c (p - q sqrt d) / (p^2 - q^2 d); the norm
+        # vanishes only at 0, since d is not a square
+        return _surd(self.c * self.p, -self.c * self.q,
+                     self.p * self.p - self.q * self.q * self.d, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, float):
             return float(self) / other
-        if isinstance(other, QuadraticSurd):
-            return self * other._inverse()
-        if isinstance(other, (int, Fraction)):
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        if not other:  # fails as a Fraction division by zero does
             return self * (1 / Fraction(other))
-        return NotImplemented
+        p, q, c = parts
+        return self._mul(c * p, -c * q, p * p - q * q * self.d)
 
     def __rtruediv__(self, other):
-        return self._inverse() * other
+        parts = self._parts(other)
+        if parts is None:
+            return self._inverse() * other
+        return self._inverse()._mul(*parts)
 
     def sign(self) -> int:
-        sa, sb = _sgn(self.a), _sgn(self.b)
+        p, q = self.p, self.q
+        sa, sb = _sgn(p), _sgn(q)
         if sa in (0, sb):
             return sb
-        return sa if self.a * self.a > self.b * self.b * self.d else sb
+        return sa if p * p > q * q * self.d else sb
 
     def __float__(self) -> float:
-        # sqrt(d) to 128 fractional bits; with opposite signs go through
-        # the conjugate, (a^2 - b^2 d) / (a - b sqrt d), which does not
-        # cancel.  float(Fraction) then rounds once.  A value beyond the
-        # normal float range is an error, never a printed 0 or inf.
-        root = Fraction(math.isqrt(self.d << 256), 1 << 128)
-        if self.a * self.b >= 0:
-            q = self.a + self.b * root
+        # sqrt(d) to 128 fractional bits, R / S; with opposite signs go
+        # through the conjugate, (a^2 - b^2 d) / (a - b sqrt d), which does
+        # not cancel.  The int division then rounds the exact ratio once.
+        # A value beyond the normal float range is an error, never a
+        # printed 0 or inf.
+        p, q, c, d = self.p, self.q, self.c, self.d
+        root, scale = math.isqrt(d << 256), 1 << 128
+        if p * q >= 0:
+            num, den = p * scale + q * root, c * scale
         else:
-            q = (self.a * self.a - self.b * self.b * self.d) \
-                / (self.a - self.b * root)
-        if not sys.float_info.min <= abs(q) <= sys.float_info.max:
+            num, den = (p * p - q * q * d) * scale, c * (p * scale - q * root)
+        if den < 0:
+            num, den = -num, -den
+        if not den <= abs(num) << 1022 or abs(num) > _FLOAT_MAX * den:
             from decimal import Context, Decimal
-            digits = Context(prec=15).divide(Decimal(q.numerator),
-                                             Decimal(q.denominator))
+            digits = Context(prec=15).divide(Decimal(num), Decimal(den))
             raise NumericError(f"{digits.normalize():g} lies outside the "
                                "float range")
-        return float(q)
+        return num / den
 
 
 def _number(name: str, x) -> Fraction | float | QuadraticSurd:
@@ -190,7 +247,7 @@ def _sqrt(x: Fraction | QuadraticSurd) -> Fraction | QuadraticSurd:
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
-    return QuadraticSurd(0, Fraction(1, d), n * d)
+    return _surd(0, 1, d, n * d)
 
 
 def _le(a: Number, b: Number) -> bool:
@@ -204,7 +261,9 @@ def _le(a: Number, b: Number) -> bool:
 
 def _sign(x: Number) -> int:
     """The sign of x, decided exactly; 0 for NaN."""
-    return x.sign() if isinstance(x, QuadraticSurd) else _sgn(x)
+    if isinstance(x, QuadraticSurd):
+        return x.sign()
+    return _sgn(x.numerator if isinstance(x, Fraction) else x)
 
 
 def _require(name: str, x, nonnegative: bool = False) -> Number:
