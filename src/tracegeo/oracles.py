@@ -2,10 +2,11 @@
 
 Nothing here shares code with the implementations under test: parabolic
 subsets are found by scanning every root subset, group orders by counting
-the first rows of a matrix (up to unit scaling) whose cofactors are coprime
-to the level, discriminants by eigenvalue products and by complement
-determinants of integer matrix products.  The subset scan and the
-group-order count refuse inputs above fixed sizes.
+the first rows of a matrix (for n = 3, unordered pairs of unimodular rows
+up to unit scaling) whose cofactors are coprime to the level,
+discriminants by eigenvalue products and by complement determinants of
+integer matrix products.  The subset scan and the group-order count
+refuse inputs above fixed sizes.
 """
 
 from __future__ import annotations
@@ -65,9 +66,14 @@ def sl_group_order(n: int, N: int) -> int:
     For n = 3 the two first rows are taken up to unit scaling.  For units
     u and v mod N, (u r1) x (v r2) = uv (r1 x r2) and gcd(uv m, N) =
     gcd(m, N), so whether a pair counts depends on each row only through
-    its class {u r : gcd(u, N) = 1}.  Each pair of classes that counts
-    adds the product of the two class sizes.  Levels with more than
-    BRUTE_FORCE_ROW_LIMIT rows N^n are refused.
+    its class {u r : gcd(u, N) = 1}.  Only unimodular rows (gcd(r, N) = 1)
+    can count: a prime dividing N and every entry of a row divides every
+    entry of its cross product with any row.  cross(r2, r1) = -cross(r1,
+    r2), so each unordered pair of distinct classes is tested once and,
+    when it counts, adds twice the product of the two class sizes.  A
+    class paired with itself has cross product 0, which counts only at
+    N = 1.  Levels with more than BRUTE_FORCE_ROW_LIMIT rows N^n are
+    refused.
     """
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise DomainError(f"level must be a positive integer, got {N!r}")
@@ -85,17 +91,19 @@ def sl_group_order(n: int, N: int) -> int:
         count = sum(1 for a, b in rows if math.gcd(a, b, N) == 1)
     else:
         units = [u for u in range(N) if math.gcd(u, N) == 1]
-        sizes = {}
+        classes = []
         seen = set()
         for r in rows:
-            if r not in seen:
+            if r not in seen and math.gcd(*r, N) == 1:
                 scaled = {tuple(u * x % N for x in r) for u in units}
                 seen |= scaled
-                sizes[r] = len(scaled)
-        count = sum(w1 * w2 for (a, b, c), w1 in sizes.items()
-                    for (d, e, f), w2 in sizes.items()
-                    if math.gcd(b * f - c * e, c * d - a * f, a * e - b * d,
-                                N) == 1)
+                classes.append((r, len(scaled)))
+        count = 2 * sum(w1 * w2 for ((a, b, c), w1), ((d, e, f), w2)
+                        in itertools.combinations(classes, 2)
+                        if math.gcd(b * f - c * e, c * d - a * f,
+                                    a * e - b * d, N) == 1)
+        if N == 1:
+            count += sum(w * w for _, w in classes)
     return count * N ** (n - 1)
 
 
