@@ -48,7 +48,10 @@ RHO_STEPS = 2 ** 20
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the first 12 prime bases: exact below 3.18e23,
-    a strong probable-prime test above."""
+    a strong probable-prime test above.  A bool or a non-int raises
+    DomainError."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"primality is defined for integers, got {n!r}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -124,8 +127,11 @@ def factorize(n: int) -> dict[int, int]:
     Trial division by the primes below 2000, then Miller-Rabin and
     Pollard-Brent on what is left.  A cofactor that does not split within
     its step budget (RHO_STEPS, scaled down above 100 digits) raises
-    ResourceLimitError.
+    ResourceLimitError.  A bool, a non-int or n < 1 raises DomainError.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"only a positive integer can be factored, "
+                          f"got {n!r}")
     fac: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -211,6 +217,9 @@ def conjecture_bound(N: int, b: float, c: float) -> float:
     """Evaluate c * (1 + log N)^b with the natural logarithm."""
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise DomainError("level must be a positive integer")
+    for name, x in (("exponent b", b), ("constant c", c)):
+        if isinstance(x, bool):
+            raise DomainError(f"{name} must be a number, not a bool")
     if b < 0:
         raise DomainError("exponent b must be nonnegative")
     if c <= 0:

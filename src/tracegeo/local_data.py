@@ -137,7 +137,7 @@ def weyl_discriminant(gamma_s: RationalMatrix,
     support = set(factorize(abs(value.numerator))) | \
         set(factorize(value.denominator))
     for p in primes:
-        if not is_prime(p):
+        if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
             raise DomainError(f"{p} is not a prime")
         support.add(p)
     vals = {p: _valuation(value, p) for p in sorted(support)}
@@ -198,6 +198,7 @@ def modulus_character(block_sizes: Sequence[int],
             x *= dets[i] ** block_sizes[j] * dets[j] ** (-block_sizes[i])
     if place == "inf":
         return abs(x)
-    if isinstance(place, int) and is_prime(place):
+    if not isinstance(place, bool) and isinstance(place, int) \
+            and is_prime(place):
         return Fraction(place) ** (-_valuation(x, place))
     raise DomainError(f"place must be 'inf' or a prime, got {place!r}")

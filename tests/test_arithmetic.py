@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,28 @@ def test_factorize_takes_perfect_powers_apart(n, want):
     # Composite exponents, and products whose exponents share a factor:
     # each power is taken apart root by root.
     assert factorize(n) == want
+
+
+@pytest.mark.parametrize("n", [12.0, Fraction(12), "12", True, False, 0,
+                               -12, None], ids=repr)
+def test_factorize_refuses_what_is_not_a_positive_integer(n):
+    # 12.0 gave {2: 2, 3.0: 1}; 0, -12, True and False gave {}
+    with pytest.raises(DomainError, match="^only a positive integer can be "
+                       f"factored, got {re.escape(repr(n))}$"):
+        factorize(n)
+
+
+@pytest.mark.parametrize("n", [True, False, 7.0, Fraction(7), "7", None],
+                         ids=repr)
+def test_is_prime_refuses_a_bool_or_a_non_integer(n):
+    # True and False read as 1 and 0; 7.0 read as a prime
+    with pytest.raises(DomainError, match="^primality is defined for "
+                       f"integers, got {re.escape(repr(n))}$"):
+        is_prime(n)
+
+
+def test_is_prime_takes_every_integer():
+    assert [n for n in range(-5, 12) if is_prime(n)] == [2, 3, 5, 7, 11]
 
 
 def test_the_group_order_oracle_does_not_factor():
@@ -190,6 +213,13 @@ def test_conjecture_bound():
         conjecture_bound(10, 1.0, 0.0)
     with pytest.raises(DomainError, match="level must be a positive integer"):
         conjecture_bound(True, 1, 1)
+    # True read as 1 for either float and gave 1.693...
+    with pytest.raises(DomainError, match="^exponent b must be a number, "
+                       "not a bool$"):
+        conjecture_bound(2, True, 1.0)
+    with pytest.raises(DomainError, match="^constant c must be a number, "
+                       "not a bool$"):
+        conjecture_bound(2, 1.0, True)
 
 
 def test_prime_fixed_families():

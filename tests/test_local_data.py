@@ -95,6 +95,9 @@ def test_rejects_bad_input():
         weyl_discriminant(RationalMatrix.from_rows([[1, 1], [0, 1]]))
     with pytest.raises(DomainError):
         weyl_discriminant(diag(2, 3), primes=[4])
+    for p in (True, 5.0):
+        with pytest.raises(DomainError, match=f"^{p} is not a prime$"):
+            weyl_discriminant(diag(2, 3), primes=[p])
     with pytest.raises(DomainError):
         RationalMatrix.from_rows([[1, 2], [3]])
 
@@ -117,6 +120,9 @@ def test_modulus_character():
         modulus_character([1, 1], [2, 0])
     with pytest.raises(DomainError):
         modulus_character([1, 1], [2, 3], place=6)
+    with pytest.raises(DomainError, match="^place must be 'inf' or a prime, "
+                       "got True$"):
+        modulus_character([1, 1], [2, 3], place=True)
 
 
 
