@@ -1152,8 +1152,7 @@ _TOP_USAGE = f"usage: tracegeo [-h]\n                {_COMMANDS}" + (
 
 # argv -> (exit code, stdout, stderr) of one `python -m tracegeo` process
 # in an 80-column terminal.  Help follows the terminal width, so no corpus
-# entry holds it; the two usage errors are also corpus entries (`nosuch`,
-# `k`).
+# entry holds it; usage errors are corpus entries (`nosuch`, `k`).
 HELP_PINS = {
     "top-help": (["-h"], 0, _TOP_USAGE + f"""
 Command-line front end.
@@ -1202,13 +1201,6 @@ options:
   --json             emit a versioned JSON envelope
   --allowed ALLOWED  comma list of allowed primes
 """, ""),
-    "unknown-command": (["nosuch"], 2, "",
-                        "error: argument command: invalid choice: 'nosuch' "
-                        "(choose from 'k', 'orbits', 'parabolics', "
-                        "'discriminant', 'index', 'levels', 'mellin-fp', "
-                        "'budget', 'reproduce')\n"),
-    "k-without-spec": (["k"], 2, "",
-                       "error: the following arguments are required: spec\n"),
 }
 
 
