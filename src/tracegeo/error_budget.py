@@ -39,7 +39,7 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
-# sys.float_info.max as an int, for exact range checks on int ratios
+# The float range as ints: |x| is normal when 2^-1022 <= |x| <= _FLOAT_MAX.
 _FLOAT_MAX = int(sys.float_info.max)
 
 
@@ -135,38 +135,23 @@ class QuadraticSurd(Value):
     def __neg__(self) -> QuadraticSurd:
         return _surd(-self.p, -self.q, self.c, self.d)
 
-    def _add(self, p: int, q: int, c: int):
-        return _surd(self.p * c + p * self.c, self.q * c + q * self.c,
-                     self.c * c, self.d)
-
     def __add__(self, other):
         if isinstance(other, float):
             return float(self) + other
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        return self._add(*parts)
+        p, q, c = parts
+        return _surd(self.p * c + p * self.c, self.q * c + q * self.c,
+                     self.c * c, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        parts = self._parts(other)
-        if parts is None:
-            return self + -other
-        p, q, c = parts
-        return self._add(-p, -q, c)
+        return self + -other
 
     def __rsub__(self, other):
-        parts = self._parts(other)
-        if parts is None:
-            return -self + other
-        p, q, c = parts
-        return _surd(p * self.c - self.p * c, q * self.c - self.q * c,
-                     self.c * c, self.d)
-
-    def _mul(self, p: int, q: int, c: int):
-        return _surd(self.p * p + self.q * q * self.d, self.p * q + self.q * p,
-                     self.c * c, self.d)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, float):
@@ -174,7 +159,9 @@ class QuadraticSurd(Value):
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        return self._mul(*parts)
+        p, q, c = parts
+        return _surd(self.p * p + self.q * q * self.d, self.p * q + self.q * p,
+                     self.c * c, self.d)
 
     __rmul__ = __mul__
 
@@ -187,19 +174,14 @@ class QuadraticSurd(Value):
     def __truediv__(self, other):
         if isinstance(other, float):
             return float(self) / other
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        if not other:  # fails as a Fraction division by zero does
-            return self * (1 / Fraction(other))
-        p, q, c = parts
-        return self._mul(c * p, -c * q, p * p - q * q * self.d)
+        if isinstance(other, QuadraticSurd):
+            return self * other._inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(other.denominator, other.numerator)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        parts = self._parts(other)
-        if parts is None:
-            return self._inverse() * other
-        return self._inverse()._mul(*parts)
+        return self._inverse() * other
 
     def sign(self) -> int:
         p, q = self.p, self.q
@@ -209,11 +191,11 @@ class QuadraticSurd(Value):
         return sa if p * p > q * q * self.d else sb
 
     def __float__(self) -> float:
-        # sqrt(d) to 128 fractional bits, R / S; with opposite signs go
-        # through the conjugate, (a^2 - b^2 d) / (a - b sqrt d), which does
-        # not cancel.  The int division then rounds the exact ratio once.
-        # A value beyond the normal float range is an error, never a
-        # printed 0 or inf.
+        # sqrt(d) to 128 fractional bits, root / scale; with opposite
+        # signs go through the conjugate, (a^2 - b^2 d) / (a - b sqrt d),
+        # which does not cancel.  The int division then rounds the exact
+        # ratio once.  A value beyond the normal float range is an error,
+        # never a printed 0 or inf.
         p, q, c, d = self.p, self.q, self.c, self.d
         root, scale = math.isqrt(d << 256), 1 << 128
         if p * q >= 0:
@@ -222,7 +204,7 @@ class QuadraticSurd(Value):
             num, den = (p * p - q * q * d) * scale, c * (p * scale - q * root)
         if den < 0:
             num, den = -num, -den
-        if not den <= abs(num) << 1022 or abs(num) > _FLOAT_MAX * den:
+        if abs(num) << 1022 < den or abs(num) > _FLOAT_MAX * den:
             from decimal import Context, Decimal
             digits = Context(prec=15).divide(Decimal(num), Decimal(den))
             raise NumericError(f"{digits.normalize():g} lies outside the "
