@@ -1,7 +1,8 @@
 """The brute-force group-order oracle: checked against a straight count of
-all N^(n^2) matrices and against the earlier count over all pairs of first
-rows, and pinned on the degenerate levels.  The complement-determinant
-oracle: checked against its Fraction reference."""
+all N^(n^2) matrices, against the earlier counts over all pairs of first
+rows and over all ordered pairs of unit-scaling classes, and pinned on the
+degenerate levels.  The complement-determinant oracle: checked against its
+Fraction reference."""
 
 import itertools
 import math
