@@ -139,11 +139,12 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             n //= p
             fac[p] = fac.get(p, 0) + 1
-    todo = [n] if n > 1 else []
+    # (cofactor, multiplicity): a perfect power's root is factored once.
+    todo = [(n, 1)] if n > 1 else []
     while todo:
-        m = todo.pop()
+        m, e = todo.pop()
         if is_prime(m):
-            fac[m] = fac.get(m, 0) + 1
+            fac[m] = fac.get(m, 0) + e
             continue
         # Rho splits p^k only after about sqrt(p) steps, and squares are
         # common in discriminants, so take perfect powers apart first.
@@ -152,11 +153,11 @@ def factorize(n: int) -> dict[int, int]:
         for k in _primes_below(m.bit_length() // 10 + 1):
             r = _root(m, k)
             if r ** k == m:
-                todo += [r] * k
+                todo.append((r, e * k))
                 break
         else:
             d = _pollard_brent(m)
-            todo += [d, m // d]
+            todo += [(d, e), (m // d, e)]
     return dict(sorted(fac.items()))
 
 

@@ -8,6 +8,8 @@ is a Richardson orbit), or directly from the minimal-orbit dimension
 The pairs route runs per simple type, by a DP over its Dynkin diagram (a
 path, with one extra leaf in types D and E) that collects the pairs'
 values from the diagram's segments in O(r^2) steps, not 2^r subsets.
+Both it and the Richardson route read only the diagram; only an
+exceptional component's minimal orbit reads generated roots.
 Restriction of scalars from a degree-n field multiplies every orbit
 dimension, hence the invariant, by n.
 
@@ -29,6 +31,7 @@ from .nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from .root_datum import RootSystem, SimpleType, build_root_system, type_data
 from .value import Value, set_field
 
+# Bounds no work since the pairs DP, but perfbench expects its refusals.
 PAIR_RANK_LIMIT = 8
 RELATIVE_ENTRY_LIMIT = 12
 
@@ -100,32 +103,28 @@ class GroupSpec(Value):
                    restriction_degree, relative)
 
 
-# -- component recognition ----------------------------------------------------
+# -- segment types ------------------------------------------------------------
 
 
-def _component_type(cartan: Sequence[Sequence[int]],
-                    comp: list[int]) -> SimpleType:
-    """The simple type of a connected set of simple roots, read off its
-    Dynkin subdiagram in the Cartan matrix cartan.
-
-    cartan[i][j] == -2 is a double bond from long root i to short root j,
-    and -3 a triple bond.  B2 and A3 stand for B2/C2 and A3/D3: the
-    algebras are isomorphic, so their orbit dimensions agree.
+def _segment_type(t: SimpleType, j: int, i: int,
+                  p: int | None = None) -> SimpleType:
+    """The type of the nodes j to i - 1 of t's path, joined to t's leaf
+    when p, the path position of the leaf's anchor, is given (j <= p < i).
+    Bourbaki's numbering ends the path at every multiple bond but F4's,
+    alpha_2 => alpha_3 at path positions 1 and 2.  A leaf joined inside the
+    segment makes a branch node: D with an arm of one node, E otherwise.
     """
-    nbrs = {i: [j for j in comp if j != i and cartan[i][j]] for i in comp}
-    leaves = {i for i in comp if len(nbrs[i]) == 1}
-    for i in comp:
-        for j in nbrs[i]:
-            if cartan[i][j] == -3:
-                return SimpleType("G", 2)
-            if cartan[i][j] == -2:
-                series = "B" if j in leaves else "C" if i in leaves else "F"
-                return SimpleType(series, len(comp))
-    for i in comp:
-        if len(nbrs[i]) == 3:
-            series = "D" if len(leaves & set(nbrs[i])) >= 2 else "E"
-            return SimpleType(series, len(comp))
-    return SimpleType("A", len(comp))
+    n = i - j
+    if p is not None:
+        if j < p < i - 1:
+            return SimpleType("D" if 1 in (p - j, i - 1 - p) else "E", n + 1)
+        return SimpleType("A", n + 1)
+    if t.series in "BCG" and i == t.rank and n > 1:
+        return SimpleType(t.series, n)
+    if t.series == "F" and j < 2 < i:
+        # alpha_1 alpha_2 alpha_3 is B3, alpha_2 alpha_3 alpha_4 is C3
+        return SimpleType("B" if i == 3 else "C" if j else "F", n)
+    return SimpleType("A", n)
 
 
 @lru_cache(maxsize=None)
@@ -143,10 +142,8 @@ def _orbit_dims(t: SimpleType) -> tuple[int, ...]:
                        and sum(a * b for a, b in zip(r, theta)) > 0))
 
 
-def _segment_values(cartan: Sequence[Sequence[int]],
-                    nodes: list[int]) -> set[int]:
-    """#roots - d for each orbit dimension d of the component on nodes."""
-    c = _component_type(cartan, nodes)
+def _segment_values(c: SimpleType) -> set[int]:
+    """#roots - d for each orbit dimension d of a component of type c."""
     roots = c.size()[0]
     return {roots - d for d in _orbit_dims(c)}
 
@@ -168,31 +165,30 @@ def _pair_values(t: SimpleType) -> frozenset[int]:
     [j, i) after a gap, so left[i] adds [j, i)'s values to left[j - 1];
     right[i] does the same for the path from node i on.  A J with the leaf
     leaves its anchor out, splitting the path there, or joins it to one
-    segment through the anchor.  Each segment is typed once.
+    segment through the anchor.  Each segment is typed once, by its place.
     """
-    cartan = type_data(t)[3]
-    leaf = {"D": t.rank - 1, "E": 1}.get(t.series)
-    path = [i for i in range(t.rank) if i != leaf]
-    m = len(path)
-    seg = {(j, i): _segment_values(cartan, path[j:i])
+    leaf = t.series in "DE"
+    m = t.rank - leaf
+    seg = {(j, i): _segment_values(_segment_type(t, j, i))
            for i in range(1, m + 1) for j in range(i)}
     left = [{0}]
     for i in range(1, m + 1):
         left.append(left[i - 1].union(*(_sums(left[max(j - 1, 0)], seg[j, i])
                                         for j in range(i))))
-    if leaf is None:
+    if not leaf:
         return frozenset(left[m])
     right = [{0}] * (m + 2)
     for j in reversed(range(m)):
         right[j] = right[j + 1].union(*(_sums(seg[j, i], right[i + 1])
                                         for i in range(j + 1, m + 1)))
-    # The anchor's path position; D2's leaf has none, and m stands in.
-    p = next((p for p, i in enumerate(path) if cartan[leaf][i]), m)
+    # The anchor's path position: alpha_(n-2) of D_n, alpha_4 of E_n.  D2's
+    # leaf has none, and m stands in.
+    p = 2 if t.series == "E" else t.rank - 3 if t.rank > 2 else m
     values = left[m] | _sums(_sums(left[p], right[p + 1]),
-                             _segment_values(cartan, [leaf]))
+                             _segment_values(SimpleType("A", 1)))
     for j in range(p + 1):
         for i in range(p + 1, m + 1):
-            joined = _segment_values(cartan, path[j:i] + [leaf])
+            joined = _segment_values(_segment_type(t, j, i, p))
             values |= _sums(_sums(left[max(j - 1, 0)], right[i + 1]), joined)
     return frozenset(values)
 
@@ -248,10 +244,12 @@ def _richardson_absolute(rs: RootSystem) -> int:
             f"got rank {s}")
     # R_J grows with J, so the radical dimension is least at a maximal
     # proper parabolic, the one of S minus {i} for some i: its radical is
-    # half the roots that involve alpha_i, all of them in i's own factor.
-    return min(len(pairs) - col.count(0)
-               for pairs in (type_data(t)[2] for t in rs.factors)
-               for col in zip(*[c for _, c in pairs])) // 2
+    # dim G/P, least at one end node of i's own factor (Bourbaki, plates
+    # I-IX; Collingwood and McGovern, ch. 7).  D2 is A1xA1, D3 is A3.
+    return min({"A": l, "B": 2 * l - 1, "C": 2 * l - 1,
+                "D": 2 * l - 2 - (l < 4), "E": {6: 16, 7: 27, 8: 57}.get(l),
+                "F": 15, "G": 5}[t.series] for t in rs.factors
+               for l in [t.rank])
 
 
 def _richardson_relative(rel: RelativeDatum) -> int:

@@ -223,6 +223,12 @@ ARGVS += [["mellin-fp", "--preset", "exp", "--lambda", "1e-300"],
           ["mellin-fp", "--preset", "sqrt", "--t0", "1e60"],
           ["mellin-fp", "--preset", "sqrt", "--t0", "1e-20"]]
 
+# The Richardson route keeps its total-rank guard (3), on a simple type and
+# on a product whose factors are each below it; orbits refuses every
+# exceptional type (2), not only G2.
+ARGVS += ([["k", name, "--method", "richardson"] for name in ("A9", "A4xA5")]
+          + [["orbits", name] for name in ("F4", "E6", "E7", "E8")])
+
 # reproduce prints how long each check took, the only bytes that change
 # from run to run; both streams are digested with those timings blanked.
 TIMINGS = [(re.compile(r'"seconds": "[^"]*"'), '"seconds": ""'),

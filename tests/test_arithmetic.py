@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracegeo import oracles
+from tracegeo import arithmetic, oracles
 from tracegeo.arithmetic import (INDEX_DIGIT_LIMIT, _pollard_brent, conjecture_bound,
                                  factorize, is_prime, level_data, prime_fixed_check,
                                  sl_index)
@@ -81,6 +81,18 @@ def test_factorize_takes_perfect_powers_apart(n, want):
     # Composite exponents, and products whose exponents share a factor:
     # each power is taken apart root by root.
     assert factorize(n) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_factorize_splits_a_perfect_powers_root_once(monkeypatch, k):
+    # ((2^31 - 1)(2^61 - 1))^k: the root needs one rho split, where k
+    # copies of it each needed their own.
+    calls = []
+    split = arithmetic._pollard_brent
+    monkeypatch.setattr(arithmetic, "_pollard_brent",
+                        lambda n: calls.append(n) or split(n))
+    assert factorize(((2 ** 31 - 1) * M61) ** k) == {2 ** 31 - 1: k, M61: k}
+    assert calls == [(2 ** 31 - 1) * M61]
 
 
 @pytest.mark.parametrize("n", [12.0, Fraction(12), "12", True, False, 0,

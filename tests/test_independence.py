@@ -91,7 +91,7 @@ REPEATED_ROWS = [[x if i == j else Fraction(0) for j, x in enumerate(REPEATED)]
                  for i in range(len(REPEATED))]
 REPEATED_MATRIX = RationalMatrix.from_rows(REPEATED_ROWS)
 
-K_SPECS = [["E6"], ["G2"], ["B4"], ["A2", "B3"]]
+K_SPECS = [["E6"], ["G2"], ["B4"], ["C3"], ["D5"], ["F4"], ["A2", "B3"]]
 
 
 def _on_k_specs(route):
@@ -117,8 +117,10 @@ def _root_datum(*names):
     return [f"root_datum.py:{name}" for name in names]
 
 
-# The root generator, which both sides of two pairs run: the lambdas pick
-# each series' simple roots.
+# The root generator, which both sides of the parabolic pair run: the
+# lambdas pick each series' simple roots.  k's routes share none of it:
+# pairs types segments by their place on the diagram, and Richardson is a
+# closed form.
 GENERATOR = _root_datum("type_data", "_positive_coords", "_cartan",
                         "_chain", "_dot")
 
@@ -131,7 +133,7 @@ PAIRS = {
     "k_by_pairs": (
         _on_k_specs(k_by_pairs),
         _on_k_specs(k_richardson) + _on_k_specs(k_min_orbit),
-        GENERATOR + _root_datum(*["<lambda>"] * 4, *["<genexpr>"] * 2)),
+        []),
     "enumerate_parabolic_subsets": (
         [lambda: enumerate_parabolic_subsets(build_root_system(["A2"]))],
         [lambda: oracles.brute_force_parabolic_count(

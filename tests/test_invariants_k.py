@@ -11,10 +11,10 @@ import pytest
 from tracegeo import invariants_k, linalg, reproduce, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.invariants_k import (RELATIVE_ENTRY_LIMIT, GroupSpec,
-                                   RelativeDatum, _component_type,
-                                   _orbit_dims, _pair_values,
-                                   _richardson_relative, k_by_pairs,
-                                   k_min_orbit, k_report, k_richardson)
+                                   RelativeDatum, _orbit_dims, _pair_values,
+                                   _richardson_absolute, _richardson_relative,
+                                   _segment_type, k_by_pairs, k_min_orbit,
+                                   k_report, k_richardson)
 from tracegeo.nilpotent_orbits import list_orbits, min_orbit_dim, orbit_dim
 from tracegeo.root_datum import (SimpleType, build_root_system, mask_flags,
                                  mask_indices, type_data)
@@ -44,6 +44,13 @@ def _cartan(rs):
 
 def spec(*names, **kw):
     return GroupSpec.build([SimpleType.parse(n) for n in names], **kw)
+
+
+# Every simple type of rank <= 20.
+TYPES_TO_RANK_20 = ([SimpleType(s, r) for s in "ABC" for r in range(1, 21)]
+                    + [SimpleType("D", r) for r in range(2, 21)]
+                    + [SimpleType("E", r) for r in (6, 7, 8)]
+                    + [SimpleType("F", 4), SimpleType("G", 2)])
 
 
 def test_special_linear_values():
@@ -100,6 +107,26 @@ def test_richardson_differs_when_minimal_orbit_is_not_induced():
     assert k_report(g)["agreement"] is False
     # for type A the minimal orbit is Richardson and they agree
     assert k_richardson(spec("A3")) == k_min_orbit(spec("A3")) == 3
+
+
+def _least_radical_by_root_columns(t):
+    """The least number of positive roots that involve one simple root,
+    counted on t's generated roots as the Richardson route did before its
+    closed form: the radical of the maximal parabolic of that root."""
+    pairs = type_data.__wrapped__(t)[2]
+    return min(len(pairs) - col.count(0)
+               for col in zip(*[c for _, c in pairs])) // 2
+
+
+def test_richardson_closed_form_matches_the_root_count(monkeypatch):
+    # A45, B36, C36 and D37 are the largest of their series that the root
+    # guard admits; uncached, so their roots are not kept.  The rank guard
+    # is lifted to reach them.
+    monkeypatch.setattr(invariants_k, "PAIR_RANK_LIMIT", 45)
+    for t in TYPES_TO_RANK_20 + [SimpleType("A", 45), SimpleType("B", 36),
+                                 SimpleType("C", 36), SimpleType("D", 37)]:
+        assert _richardson_absolute(build_root_system([t])) == \
+            _least_radical_by_root_columns(t), t
 
 
 def test_relative_datum_route():
@@ -202,10 +229,37 @@ def test_torus_only_rejected():
 
 # -- Levi component typing against the signature matcher ---------------------
 #
-# The reference types a component by its (root count, short-root count)
-# pair, from the ambient root vectors; the route under test reads the
-# Dynkin subdiagram off the Cartan matrix.  They share only the component
-# split.
+# _component_type reads a component's Dynkin subdiagram off the Cartan
+# matrix, as the pairs route did before it typed segments by their place
+# on the diagram; it is the reference for _segment_type below and for the
+# subset-walk references.  The signature matcher types a component by its
+# (root count, short-root count) pair, from the ambient root vectors; the
+# two share only the component split.
+
+
+def _component_type(cartan: Sequence[Sequence[int]],
+                    comp: list[int]) -> SimpleType:
+    """The simple type of a connected set of simple roots, read off its
+    Dynkin subdiagram in the Cartan matrix cartan.
+
+    cartan[i][j] == -2 is a double bond from long root i to short root j,
+    and -3 a triple bond.  B2 and A3 stand for B2/C2 and A3/D3: the
+    algebras are isomorphic, so their orbit dimensions agree.
+    """
+    nbrs = {i: [j for j in comp if j != i and cartan[i][j]] for i in comp}
+    leaves = {i for i in comp if len(nbrs[i]) == 1}
+    for i in comp:
+        for j in nbrs[i]:
+            if cartan[i][j] == -3:
+                return SimpleType("G", 2)
+            if cartan[i][j] == -2:
+                series = "B" if j in leaves else "C" if i in leaves else "F"
+                return SimpleType(series, len(comp))
+    for i in comp:
+        if len(nbrs[i]) == 3:
+            series = "D" if len(leaves & set(nbrs[i])) >= 2 else "E"
+            return SimpleType(series, len(comp))
+    return SimpleType("A", len(comp))
 
 
 def _signature(t):
@@ -273,6 +327,42 @@ def test_component_type_matches_signature_matcher():
                     _signature_type(rs, comp), (factors, comp)
                 seen += 1
     assert seen == 6639
+
+
+def _dp_segments(t):
+    """Each segment the pairs DP types by _segment_type, as its arguments
+    and the segment's simple roots: t's path is its diagram less the leaf,
+    alpha_n of D_n or alpha_2 of E_n, and a segment through the leaf's
+    anchor, alpha_(n-2) or alpha_4, may take the leaf in.  The leaf alone
+    is A1 without a rule."""
+    leaf = {"D": t.rank - 1, "E": 1}.get(t.series)
+    path = [i for i in range(t.rank) if i != leaf]
+    m = len(path)
+    for i in range(1, m + 1):
+        for j in range(i):
+            yield (t, j, i), path[j:i]
+    if leaf is not None and t.rank > 2:
+        p = path.index(t.rank - 3 if t.series == "D" else 3)
+        for j in range(p + 1):
+            for i in range(p + 1, m + 1):
+                yield (t, j, i, p), path[j:i] + [leaf]
+
+
+# B2 for C2 and A3 for D3, as _component_type spells them.
+_SPELLING = {SimpleType("C", 2): SimpleType("B", 2),
+             SimpleType("D", 3): SimpleType("A", 3)}
+
+
+def test_segment_types_match_the_cartan_reading():
+    seen = 0
+    for t in TYPES_TO_RANK_20:
+        cartan = type_data(t)[3]
+        for args, nodes in _dp_segments(t):
+            got = _segment_type(*args)
+            assert _SPELLING.get(got, got) == \
+                _component_type(cartan, nodes), (t, nodes)
+            seen += 1
+    assert seen == 6405
 
 
 # -- the pairs route against its earlier form ---------------------------------

@@ -681,9 +681,17 @@ def test_each_simple_type_runs_the_generator_once(monkeypatch):
     for cache in (root_datum.type_data, invariants_k._orbit_dims,
                   invariants_k._pair_values):
         cache.cache_clear()
+    # k types every Levi component by its place on the Dynkin diagram and
+    # counts radicals in closed form, so a classical spec generates no
+    # root; only an exceptional component's minimal orbit reads its own.
     k_report(GroupSpec(build_root_system(["A2", "B3"])))
     dual_coxeter_number(SimpleType("A", 2))
-    assert sorted(ranks) == [2, 3]
+    assert ranks == []
+    # E6's Levis include D5 and D4, G2's only A1: the exceptional types
+    # are generated once each, through every factor and component.
+    k_report(GroupSpec(build_root_system(["E6", "G2"])))
+    k_report(GroupSpec(build_root_system(["G2", "E6"])))
+    assert sorted(ranks) == [2, 6]
 
 
 def test_k_above_rank_8_generates_no_root(monkeypatch):
