@@ -255,8 +255,10 @@ def prime_fixed_check(levels: Sequence[int],
         reference = set()
         for p in allowed:
             # The level guard keeps is_prime inside its exact range.
-            if not isinstance(p, int) or p < 2 or \
-                    not is_prime(_checked_level(p)):
+            if isinstance(p, int) and p > LEVEL_LIMIT:
+                raise ResourceLimitError(
+                    f"allowed primes are limited to {LEVEL_LIMIT}")
+            if not isinstance(p, int) or p < 2 or not is_prime(p):
                 raise DomainError(f"allowed set must contain primes, got {p}")
             reference.add(p)
     else:

@@ -24,8 +24,9 @@ import re
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .errors import (_NUMBER, DomainError, ParseError, TracegeoError, _clip,
-                     _read_int, _read_number, exit_code_for)
+from .errors import (_NUMBER, DomainError, NumericError, ParseError,
+                     TracegeoError, _clip, _read_int, _read_number,
+                     exit_code_for)
 
 # Only the stdlib and .errors load at module top.  Every library
 # module is imported inside the function that calls it, so a subcommand
@@ -454,8 +455,16 @@ def _cmd_budget(args) -> tuple[object, str, int]:
                           m_nonarch=m_nonarch)
     report = exponents(params)
     a = a_exponent(params)
-    beta, lam, e_spec, e1, e2 = map(_scalar, (beta, lam, report.e_spec,
-                                              report.e1, report.e2))
+
+    def scalar(name, x):
+        try:
+            return _scalar(x)
+        except NumericError as exc:  # a surd past the float range
+            raise NumericError(f"{name}: {exc}") from None
+    beta, lam, e_spec, e1, e2 = (
+        scalar(name, x) for name, x in (
+            ("beta", beta), ("lambda", lam), ("e_spec", report.e_spec),
+            ("e1", report.e1), ("e2", report.e2)))
     result = {
         "beta": beta,
         "lambda": lam,

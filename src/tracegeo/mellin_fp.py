@@ -386,8 +386,8 @@ def torsion_constant(entries: Sequence[tuple[TailFunction, AsymptoticExpansion]]
 
     entries[p-1] describes degree p, for p = 1..d.
     """
-    if d < 1:
-        raise DomainError("d must be a positive integer")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise DomainError(f"d must be a positive integer, got {d!r}")
     if len(entries) != d:
         raise DomainError(f"expected {d} entries, got {len(entries)}")
     total = 0.0

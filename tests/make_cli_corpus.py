@@ -229,6 +229,23 @@ ARGVS += [["mellin-fp", "--preset", "exp", "--lambda", "1e-300"],
 ARGVS += ([["k", name, "--method", "richardson"] for name in ("A9", "A4xA5")]
           + [["orbits", name] for name in ("F4", "E6", "E7", "E8")])
 
+# budget's refusals: a k, epsilon or C2 outside its domain (2), and a
+# beta or lambda past the float range (4), named by the quantity; and the
+# runs where lambda is the nudge above c', beta a surd printed from its
+# exact value, or b_conj and m_nonarch given.
+ARGVS += ([["budget", "--k", "0"], ["budget", "--k", "-1"],
+           ["budget", "--k", "1", "--eps", "0"],
+           ["budget", "--k", "1", "--eps", "1"],
+           ["budget", "--k", "1", "--C2", "0"],
+           ["budget", "--k", "1e400"], ["budget", "--k", "1e300", "--json"],
+           ["budget", "--k", "1", "--cprime", "100", "--json"],
+           ["budget", "--k", "5/2", "--C2", "1e-300", "--json"],
+           ["budget", "--k", "1", "--b-conj", "2", "--m-nonarch", "3"]]
+          # an allowed prime or a level past the level limit (3)
+          + [["levels", "check-prime-fixed", "6", "--allowed",
+              "9999999999999999999"],
+             ["levels", "check-prime-fixed", "9999999999999999999"]])
+
 # reproduce prints how long each check took, the only bytes that change
 # from run to run; both streams are digested with those timings blanked.
 TIMINGS = [(re.compile(r'"seconds": "[^"]*"'), '"seconds": ""'),

@@ -261,3 +261,8 @@ def test_prime_fixed_validation():
         prime_fixed_check([])
     with pytest.raises(DomainError):
         prime_fixed_check([2, 4], allowed=[4])
+    # named as an allowed prime, not as a level
+    for p in (10 ** 19 - 1, 10 ** 5000):
+        with pytest.raises(ResourceLimitError, match="^allowed primes are "
+                           "limited to 9223372036854775808$"):
+            prime_fixed_check([6], allowed=[2, p])

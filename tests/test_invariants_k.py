@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -504,6 +505,21 @@ def test_pair_values_match_the_subset_walk(t):
                                for d in dims}
 
 
+def test_pairs_dp_at_rank_20_generates_no_root_within_10_s(monkeypatch):
+    # k = h_dual - 1; empty caches, so no cached table hides a generator call
+    def generate(simple, cartan):
+        raise AssertionError("the pairs DP generated roots")
+    monkeypatch.setattr(root_datum, "_positive_coords", generate)
+    for cache in (type_data, _pair_values, _orbit_dims):
+        cache.cache_clear()
+    start = time.perf_counter()
+    for t in map(SimpleType.parse, ("A20", "B20", "C20", "D20")):
+        n = t.size()[0]
+        k = (n - max(v for v in _pair_values(t) if v != n)) // 2
+        assert k == root_datum.dual_coxeter_number(t) - 1, (t, k)
+    assert time.perf_counter() - start < 10
+
+
 # -- the pairs route against its scan-per-subset form -------------------------
 #
 # The reference rescans every root for each simple-root subset J, splits J
@@ -689,3 +705,12 @@ def test_relative_guard_counts_entries():
                        match="^relative data are limited to 12 entries; "
                              "got 13$"):
         _richardson_relative(rel)
+
+
+def test_relative_route_at_12_entries_of_rank_12_within_5_s():
+    # The 2^12-subset walk, 1.9 s on 12 random entries, is no reference here.
+    units = tuple(tuple(int(i == j) for j in range(12)) for i in range(12))
+    rel = RelativeDatum(units, tuple(range(12, 0, -1)))
+    start = time.perf_counter()
+    assert k_richardson(GroupSpec.build(["A12"], relative=rel)) == 1
+    assert time.perf_counter() - start < 5

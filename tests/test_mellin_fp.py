@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,14 @@ def test_torsion_constant():
         torsion_constant([(f, expn)], 2)
     with pytest.raises(DomainError):
         torsion_constant([], 0)
+
+
+@pytest.mark.parametrize("d", [True, 2.0, Fraction(2)], ids=repr)
+def test_torsion_constant_refuses_a_bool_or_a_non_integer_d(d):
+    # True read as 1 and gave -6.7e-16; 2.0 and Fraction(2) ran
+    with pytest.raises(DomainError, match="^d must be a positive integer, "
+                       f"got {re.escape(repr(d))}$"):
+        torsion_constant([exp_preset(1.0)] * int(d), d)
 
 
 def test_tolerance_violation_reported():

@@ -7,6 +7,7 @@ Fraction reference."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,13 @@ def test_levels_past_the_row_limit_refused(n, N):
 def test_only_small_sizes_are_counted():
     with pytest.raises(ResourceLimitError):
         oracles.sl_group_order(4, 2)
+
+
+def test_the_level_with_the_most_classes_is_counted_within_5_s():
+    # (3, 30): 2,821 unimodular row classes, the most of an admitted level
+    start = time.perf_counter()
+    assert oracles.sl_group_order(3, 30) == sl_index(3, 30)
+    assert time.perf_counter() - start < 5
 
 
 def _seeded_diagonals():

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from tracegeo import linalg, oracles, parabolic_lattice
+from tracegeo import linalg, oracles, parabolic_lattice, root_datum
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.parabolic_lattice import (LeviDatum, ParabolicSubset, _root_rank,
                                         count_contributing_tuples,
@@ -152,6 +153,18 @@ def test_a_subset_holds_only_its_mask(name):
         assert len(p.member_roots) == p.mask.bit_count()
         assert vars(p).keys() == {"system", "mask"}
         assert levi_of(p).members is levi_of(p).members
+
+
+def test_f4_lattice_peaks_under_2_mib():
+    # 12.1 MB when each subset cached a frozenset; roots generated traced
+    root_datum.type_data.cache_clear()
+    tracemalloc.start()
+    try:
+        for p in enumerate_parabolic_subsets(build_root_system(["F4"])):
+            p.members, levi_of(p).levi_roots
+        assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_enumeration_guard():
