@@ -1,14 +1,18 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import e1
 
+import mellin_reference
+from tracegeo.cli import _mellin_pair_from_spec
 from tracegeo.errors import DiagnosticsError, DomainError, NumericError
-from tracegeo.mellin_fp import (AsymptoticExpansion, TailFunction, exp_preset,
-                                fp_mellin, monotone_cubic, sqrt_exp_preset,
+from tracegeo.mellin_fp import (_DE_MAX_LEVEL, AsymptoticExpansion,
+                                TailFunction, exp_preset, fp_mellin,
+                                monotone_cubic, sqrt_exp_preset,
                                 torsion_constant, truncation_tail)
 
 
@@ -315,13 +319,19 @@ def test_torsion_constant_refuses_a_bool_or_a_non_integer_d(d):
         torsion_constant([exp_preset(1.0)] * int(d), d)
 
 
-def test_tolerance_violation_reported():
-    # a violently oscillating integrand the quadrature cannot certify at
-    # the requested tolerance
+def _oscillating():
+    # README "Limits" input (11): a violently oscillating integrand the
+    # quadrature cannot certify at tol 1e-13
     f = TailFunction(lambda t: math.exp(-t) * math.sin(200.0 / t), (1.0, 1.0))
-    expn = AsymptoticExpansion((), 1.0, Fraction(1, 2))
-    with pytest.raises(NumericError):
-        fp_mellin(f, expn, tol=1e-13)
+    return f, AsymptoticExpansion((), 1.0, Fraction(1, 2))
+
+
+def test_tolerance_violation_reported():
+    start = time.perf_counter()
+    with pytest.raises(NumericError,
+                       match=f"in {_DE_MAX_LEVEL} step halvings"):
+        fp_mellin(*_oscillating(), tol=1e-13)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
@@ -367,3 +377,110 @@ def test_monotone_cubic_keeps_monotone_data_monotone():
         grid = [xs[0] + (xs[-1] - xs[0]) * i / 2000 for i in range(2001)]
         values = [f(x) for x in grid]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _outcome(call, *args, **kwargs):
+    """A call's value by float.hex, or the type and text of its error."""
+    try:
+        return call(*args, **kwargs).hex()
+    except Exception as exc:  # whatever the error, both routes raise it
+        return type(exc).__name__, str(exc)
+
+
+def _spline_spec(lam):
+    # the CLI's --spec path: a monotone cubic through samples of e^{-lam t}
+    return _mellin_pair_from_spec({
+        "t0": 1.0, "decay": {"C": 1.1, "lambda": lam},
+        "terms": [[j, repr((-lam) ** j / math.factorial(j))]
+                  for j in range(4)],
+        "samples": [[round(0.05 * i, 2), math.exp(-lam * 0.05 * i)]
+                    for i in range(1, 121)]})
+
+
+def _pole_past_the_float_range(evaluator_overflows):
+    # The residual never settles, so the rule runs from 0, where the pole
+    # term 1e-300 t^-6 overflows at the nodes below 1e-51 and f does not.
+    def f(t):
+        if t >= 0.5:
+            return math.exp(-t)
+        if t < 1e-40 and evaluator_overflows:
+            raise OverflowError("the evaluator overflows")
+        pole = 1e-300 * t ** -6 if t >= 1e-40 else 0.0
+        return pole + t ** 0.125 * (1 + 0.5 * math.cos(math.pi * math.log2(t)))
+    return TailFunction(f, (1.0, 1.0)), AsymptoticExpansion(
+        (("-6", 1e-300),), 0.5, Fraction(49, 8))
+
+
+RATES_AND_SPLITS = [(lam, t0) for lam in (0.03, 0.1, 0.5, 1, 2, 7.9, 100, 1e5)
+                    for t0 in (0.25, 0.5, 1, 2, 8)]
+DIFFERENTIAL_CASES = [
+    *((f"exp-{lam}-{t0}", "fp", lambda lam=lam, t0=t0: exp_preset(lam, t0),
+       None) for lam, t0 in RATES_AND_SPLITS),
+    *((f"sqrt-{t0}", "fp", lambda t0=t0: sqrt_exp_preset(t0), None)
+      for t0 in (0.25, 0.5, 1, 2, 8)),
+    *((f"tail-exp-{lam}-{T}", "tail", lambda lam=lam: exp_preset(lam), T)
+      for lam in (0.03, 0.1, 0.5, 1, 2, 7.9, 100, 1e5) for T in (1, 2.5, 4)),
+    *((f"tail-sqrt-{T}", "tail", sqrt_exp_preset, T) for T in (1, 2.5, 4)),
+    *((f"spline-{lam}", "fp", lambda lam=lam: _spline_spec(lam), None)
+      for lam in (0.7, 1.0, 1.9)),
+    # rate * t0 below about 2e-21: the tail rule first integrates
+    # [t0, 1/rate] in log t
+    *((f"head-{t0}-{x}", "fp",
+       lambda t0=t0, x=x: exp_preset(10.0 ** x / t0, t0), None)
+      for t0 in (1e-6, 1.0, 1e6) for x in (-21, -25, -30)),
+    *((f"tail-head-{lam}", "tail", lambda lam=lam: exp_preset(lam), 1.0)
+      for lam in (1e-21, 1e-25, 1e-300)),
+    ("pole-overflow", "fp", lambda: _pole_past_the_float_range(False), None),
+    ("evaluator-overflow", "fp", lambda: _pole_past_the_float_range(True),
+     None),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-13])
+@pytest.mark.parametrize("kind,pair,T", [c[1:] for c in DIFFERENTIAL_CASES],
+                         ids=[c[0] for c in DIFFERENTIAL_CASES])
+def test_finite_parts_and_tails_match_the_closure_rule(kind, pair, T, tol):
+    # Every value equals the closure-built rule's by float.hex, and every
+    # refusal is the same error with the same text.
+    f, expn = pair()
+    if kind == "fp":
+        got = _outcome(fp_mellin, f, expn, tol)
+        want = _outcome(mellin_reference.fp_mellin, f, expn, tol)
+    else:
+        got = _outcome(truncation_tail, f, T, tol)
+        want = _outcome(mellin_reference.truncation_tail, f, T, tol)
+    assert got == want
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-13])
+def test_the_oscillating_refusal_matches_the_closure_rule(tol):
+    f, expn = _oscillating()
+    assert _outcome(fp_mellin, f, expn, tol) == \
+        _outcome(mellin_reference.fp_mellin, f, expn, tol)
+
+
+def _evaluations(call, pair, *args):
+    f, expn = pair
+    count = 0
+    inner = f.evaluator
+
+    def evaluator(t):
+        nonlocal count
+        count += 1
+        return inner(t)
+
+    counted = TailFunction(evaluator, f.decay)
+    call(*((counted, expn) if call is fp_mellin else (counted,)), *args)
+    return count
+
+
+@pytest.mark.parametrize("call,pair,args,count", [
+    (fp_mellin, exp_preset(1.0), (), 346),
+    (fp_mellin, exp_preset(2.5, 0.5), (), 458),
+    (fp_mellin, sqrt_exp_preset(), (), 458),
+    (truncation_tail, exp_preset(1.0), (2.0,), 218),
+], ids=["exp-1", "exp-2.5-0.5", "sqrt", "tail-exp-1-2"])
+def test_evaluation_counts_are_pinned(call, pair, args, count):
+    # the decay spot check, the residual grid, the cutoff search and every
+    # node of weight above zero each call the evaluator once
+    assert _evaluations(call, pair, *args) == count
