@@ -3,9 +3,10 @@
 These are the routes `tracegeo.mellin_fp` ran before its double-exponential
 rules read per-process node tables: every node computes sinh, cosh and exp
 of its tau through a closure, and every integrand value goes through
-`TailFunction.__call__` and `AsymptoticExpansion.pole_part`.  The checks,
-the cutoff search and the closed forms are the library's own, so a test
-that compares the two compares their quadrature alone.
+`TailFunction.__call__` and `pole_part`, the sum of the pole terms that
+`AsymptoticExpansion` had as a method.  The checks, the cutoff search and
+the closed forms are the library's own, so a test that compares the two
+compares their quadrature alone.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from tracegeo.mellin_fp import (_BOUNDED_SPAN, _DE_MAX_LEVEL, _DE_MIN_LEVEL,
                                 DEFAULT_TOL, AsymptoticExpansion,
                                 TailFunction, _check_expansion_match,
                                 _check_tol, _cutoff)
+
+
+def pole_part(exp: AsymptoticExpansion, t: float) -> float:
+    try:
+        return sum(c * t ** a for a, c in exp._pole_terms)
+    except OverflowError:
+        raise exp._overflow(t) from None
 
 
 def _de_quad(g: Callable[[float], float],
@@ -104,7 +112,7 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     c_minus1 = sum(c for a, c in exp.terms if a == 0)
 
     def excess(t: float) -> float:
-        return f(t) - exp.pole_part(t)
+        return f(t) - pole_part(exp, t)
 
     if cutoff > 0:
         i1 = _de_quad(lambda x: excess(math.exp(x)),

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from mpmath import e1
 
 import mellin_reference
+from tracegeo import mellin_fp
 from tracegeo.cli import _mellin_pair_from_spec
 from tracegeo.errors import DiagnosticsError, DomainError, NumericError
 from tracegeo.mellin_fp import (_DE_MAX_LEVEL, AsymptoticExpansion,
@@ -247,7 +249,7 @@ def test_expansion_validation():
         AsymptoticExpansion(((10 ** 400, 1.0),), 1.0, Fraction(1))
     # an exponent that rounds to 0.0 stays out of the pole part
     expn = AsymptoticExpansion(((Fraction(1, 10 ** 400), 2.0),), 1.0, 1)
-    assert expn.pole_part(0.5) == 0 and expn.evaluate(0.5) == 2.0
+    assert expn._pole_terms == () and expn.evaluate(0.5) == 2.0
 
 
 EXPANSIONS = [
@@ -261,14 +263,13 @@ EXPANSIONS = [
 
 @pytest.mark.parametrize("expn", EXPANSIONS)
 def test_evaluations_match_the_exponent_formula_bit_for_bit(expn):
-    # evaluate and pole_part sum c t^float(a) in term order, over every term
-    # and over the terms with a <= 0.
+    # evaluate sums c t^float(a) in term order over every term; the
+    # quadrature's pole part, over the terms with a <= 0.
     for t in (1e-100, 1e-30, 1e-6, 0.03125, 0.3, 1.0, 2.5, 1e6):
         assert expn.evaluate(t) == sum(c * t ** float(a)
                                        for a, c in expn.terms), t
-    for t in (1e-100, 1e-6, 0.3, 1.0, 7.0, 1e30, 1e300):
-        assert expn.pole_part(t) == sum(c * t ** float(a)
-                                        for a, c in expn.terms if a <= 0), t
+    assert expn._pole_terms == tuple((float(a), c) for a, c in expn.terms
+                                     if a <= 0)
 
 
 def test_a_term_that_overflows_is_named():
@@ -276,8 +277,10 @@ def test_a_term_that_overflows_is_named():
     message = r"^the expansion term 1.0 t\^\(-5\) overflows a float at t = "
     with pytest.raises(NumericError, match=message + r"1e-300$"):
         expn.evaluate(1e-300)
-    with pytest.raises(NumericError, match=message + r"1e-100$"):
-        expn.pole_part(1e-100)
+    # a pole term that overflows at a quadrature node is named there
+    with pytest.raises(NumericError, match=r"^the expansion term 1e-300 "
+                       r"t\^\(-6\) overflows a float at t = 1\.98.*e-62$"):
+        fp_mellin(*_pole_past_the_float_range(False))
     # The pole term's closed form at t0 is refused, whether or not the
     # split could move to 1/rate.
     for rate in (1.0, 1e300):
@@ -332,6 +335,21 @@ def test_tolerance_violation_reported():
                        match=f"in {_DE_MAX_LEVEL} step halvings"):
         fp_mellin(*_oscillating(), tol=1e-13)
     assert time.perf_counter() - start < 5
+
+
+def test_node_tables_hold_no_more_rows_than_stated():
+    # Input (11) runs tanh-sinh to level 10 over |tau| <= 4.5, and a zero
+    # tail at the largest rate runs exp-sinh out to its farthest tau; the
+    # tables then hold at most the rows the module docstring states,
+    # however many calls came before.
+    with pytest.raises(NumericError, match=f"in {_DE_MAX_LEVEL} step"):
+        fp_mellin(*_oscillating(), tol=1e-13)
+    zero = TailFunction(lambda t: 0.0, (1.0, sys.float_info.max))
+    assert fp_mellin(zero, AsymptoticExpansion((), 1e-300, 1)) == 0.0
+    tanh_sinh, exp_sinh = (sum(len(columns[0]) for columns in rule[2])
+                           for rule in (mellin_fp._TANH_SINH,
+                                        mellin_fp._EXP_SINH))
+    assert tanh_sinh == 4609 and exp_sinh <= 11578
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
