@@ -441,14 +441,16 @@ def _cmd_mellin_fp(args) -> tuple[object, str, int]:
 
 
 def _cmd_budget(args) -> tuple[object, str, int]:
-    from .error_budget import (BudgetParams, a_exponent, beta_max, exponents,
-                               lambda_min)
+    from .error_budget import (BudgetParams, _require, a_exponent, beta_max,
+                               exponents, lambda_min)
     b_conj = _read_int(args.b_conj, "--b-conj")
     m_nonarch = _read_int(args.m_nonarch, "--m-nonarch")
     k, c2, c4, cn, eps, cprime = (
         _read_number(getattr(args, name), f"--{name}")
         for name in ("k", "C2", "C4", "Cn", "eps", "cprime"))
-    beta = beta_max(c2, c4, cn, k)
+    # beta_max alone admits k = 0, and would refuse k < 0 as "nonnegative";
+    # the budget as a whole needs k > 0.
+    beta = beta_max(c2, c4, cn, _require("k", k))
     lam = lambda_min(k, beta, eps, cprime)
     params = BudgetParams(k=k, lam=lam, epsilon=eps, C2=c2, C4=c4, Cn=cn,
                           c_prime=cprime, beta=beta, b_conj=b_conj,

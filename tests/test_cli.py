@@ -958,12 +958,14 @@ def test_budget_non_finite_input_is_named(capsys, argv, code, message):
 
 def test_budget_zero_k_is_named(capsys):
     # beta_max accepts k = 0 and returns beta = 1 > 0, so the error must
-    # blame k, not beta
-    code = cli.main(["budget", "--k", "0", "--json"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: k must be positive\n"
+    # blame k, not beta; a negative k is refused by the same domain, not
+    # by beta_max's "nonnegative"
+    for k in ("0", "-1"):
+        code = cli.main(["budget", "--k", k, "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: k must be positive\n"
 
 
 def test_budget_tiny_exact_c2_is_positive(capsys):

@@ -232,6 +232,10 @@ def test_param_validation():
                      c_prime=-1, beta=beta)
     with pytest.raises(DomainError):
         beta_max(0, 1, 1, 1)
+    # beta_max alone takes k = 0 (C2 b^2 = C4 Cn^2); only k < 0 is out
+    assert beta_max(1, 1, 1, 0) == 1
+    with pytest.raises(DomainError, match="^k must be nonnegative$"):
+        beta_max(1, 1, 1, -1)
     with pytest.raises(DomainError):
         lambda_min(1, beta, Fraction(1, 2), -1)
     with pytest.raises(DomainError, match="^k must be positive$"):
