@@ -224,18 +224,21 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _tanh_sinh_row(tau: float) -> tuple[float, ...]:
-    e = math.exp(-2 * (math.pi / 2 * math.sinh(tau)))
-    return e, 1 + e, (1 + e) ** 2, math.cosh(tau)
+def _tanh_sinh_rows(taus: list[float]) -> tuple:
+    e = [math.exp(-2 * (math.pi / 2 * s)) for s in map(math.sinh, taus)]
+    return e, [1 + x for x in e], [(1 + x) ** 2 for x in e], \
+        map(math.cosh, taus)
 
 
-def _exp_sinh_row(tau: float) -> tuple[float, ...]:
-    return math.exp(math.pi / 2 * math.sinh(tau)), math.cosh(tau)
+def _exp_sinh_rows(taus: list[float]) -> tuple:
+    return [math.exp(math.pi / 2 * s) for s in map(math.sinh, taus)], \
+        map(math.cosh, taus)
 
 
-# A rule's row of node values, its first tau and, per level, its columns.
-_TANH_SINH = _tanh_sinh_row, 0.0, [(array("d"),) * 4] * (_DE_MAX_LEVEL + 1)
-_EXP_SINH = _exp_sinh_row, -_DE_SPAN, [(array("d"),) * 2] * (_DE_MAX_LEVEL + 1)
+# A rule's node values over taus, its first tau and, per level, its table.
+_TANH_SINH = _tanh_sinh_rows, 0.0, [(array("d"),) * 4] * (_DE_MAX_LEVEL + 1)
+_EXP_SINH = (_exp_sinh_rows, -_DE_SPAN,
+             [(array("d"),) * 2] * (_DE_MAX_LEVEL + 1))
 
 
 def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
@@ -247,7 +250,7 @@ def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
     pi/2 sinh tau, measured from the nearer end so that x never rounds
     onto it early; or, given a rate, exp-sinh on [a, inf) for -_DE_SPAN
     <= tau <= span, x = a + exp(u) / rate."""
-    row, start, table = _EXP_SINH if rate else _TANH_SINH
+    rows_at, start, table = _EXP_SINH if rate else _TANH_SINH
     ba, total, value, err = b - a, 0.0, 0.0, math.inf
     for level in range(_DE_MAX_LEVEL + 1):
         h, step = 0.5 ** level, 2 if level else 1
@@ -255,8 +258,7 @@ def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
         rows, have = (math.floor(span / h) - first) // step + 1, \
             len(table[level][0])
         if have < rows:
-            new = zip(*[row((first + i * step) * h)
-                        for i in range(have, rows)])
+            new = rows_at([(first + i * step) * h for i in range(have, rows)])
             # Replaced whole, so that a reader never sees a partial row.
             table[level] = tuple(column + array("d", values)
                                  for column, values in zip(table[level], new))
@@ -344,6 +346,9 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     c_minus1 = sum(c for a, c in exp.terms if a == 0)
 
     evaluator, poles, in_log_t = f.evaluator, exp._pole_terms, cutoff > 0
+    # sum() gives 0 + c t^a for one term, as in every preset; spelled out,
+    # it costs no generator, which would cost more than f itself.
+    (a1, c1), = poles if len(poles) == 1 else ((None, None),)
 
     def excess(x: float) -> float:
         # f minus its pole part against dt/t, which is d(log t): in log t
@@ -351,7 +356,10 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
         t = math.exp(x) if in_log_t else x
         value = evaluator(t)
         try:
-            value -= sum(c * t ** a for a, c in poles)
+            if a1 is None:
+                value -= sum(c * t ** a for a, c in poles)
+            else:
+                value -= 0 + c1 * t ** a1
         except OverflowError:
             raise exp._overflow(t) from None
         return value if in_log_t else value / t

@@ -12,10 +12,11 @@ import mellin_reference
 from tracegeo import mellin_fp
 from tracegeo.cli import _mellin_pair_from_spec
 from tracegeo.errors import DiagnosticsError, DomainError, NumericError
-from tracegeo.mellin_fp import (_DE_MAX_LEVEL, AsymptoticExpansion,
-                                TailFunction, exp_preset, fp_mellin,
-                                monotone_cubic, sqrt_exp_preset,
-                                torsion_constant, truncation_tail)
+from tracegeo.mellin_fp import (_DE_MAX_LEVEL, PRESET_ORDER,
+                                AsymptoticExpansion, TailFunction,
+                                exp_preset, fp_mellin, monotone_cubic,
+                                sqrt_exp_preset, torsion_constant,
+                                truncation_tail)
 
 
 def exp1(x: float) -> float:
@@ -415,6 +416,14 @@ def _spline_spec(lam):
                     for i in range(1, 121)]})
 
 
+def _two_poles(t0):
+    # (t^-1/2 + t^-1/4) e^{-t}, expanded to PRESET_ORDER
+    terms = sorted((Fraction(4 * k - p, 4), (-1.0) ** k / math.factorial(k))
+                   for k in range(PRESET_ORDER + 1) for p in (1, 2))
+    return TailFunction(lambda t: (t ** -0.5 + t ** -0.25) * math.exp(-t),
+                        (2.0, 1.0)), AsymptoticExpansion(terms, t0, 1)
+
+
 def _pole_past_the_float_range(evaluator_overflows):
     # The residual never settles, so the rule runs from 0, where the pole
     # term 1e-300 t^-6 overflows at the nodes below 1e-51 and f does not.
@@ -448,6 +457,12 @@ DIFFERENTIAL_CASES = [
       for t0 in (1e-6, 1.0, 1e6) for x in (-21, -25, -30)),
     *((f"tail-head-{lam}", "tail", lambda lam=lam: exp_preset(lam), 1.0)
       for lam in (1e-21, 1e-25, 1e-300)),
+    # no pole term, and two: each sums its pole part as sum() does
+    ("no-terms", "fp", lambda: (TailFunction(
+        lambda t: math.sqrt(t) * math.exp(-t), (1.0, 0.5)),
+        AsymptoticExpansion((), 1.0, Fraction(1, 2))), None),
+    *((f"two-poles-{t0}", "fp", lambda t0=t0: _two_poles(t0), None)
+      for t0 in (0.5, 1, 2)),
     ("pole-overflow", "fp", lambda: _pole_past_the_float_range(False), None),
     ("evaluator-overflow", "fp", lambda: _pole_past_the_float_range(True),
      None),
