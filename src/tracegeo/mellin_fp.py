@@ -27,7 +27,7 @@ is never sampled.  The values that depend on tau alone come from
 per-process tables, one per rule and halving level, so a node costs
 arithmetic and one call of the integrand.  A table grows only as far as
 a call's rule has reached, so at most 4,609 rows for tanh-sinh (|tau| <=
-4.5, mirrored) and 11,578 for exp-sinh (-4.5 <= tau <= 6.81): 0.33 MB.
+4.5, mirrored) and 11,578 for exp-sinh (-4.5 <= tau <= 6.81): 1.3 MB.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from array import array
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -236,9 +235,8 @@ def _exp_sinh_rows(taus: list[float]) -> tuple:
 
 
 # A rule's node values over taus, its first tau and, per level, its table.
-_TANH_SINH = _tanh_sinh_rows, 0.0, [(array("d"),) * 4] * (_DE_MAX_LEVEL + 1)
-_EXP_SINH = (_exp_sinh_rows, -_DE_SPAN,
-             [(array("d"),) * 2] * (_DE_MAX_LEVEL + 1))
+_TANH_SINH = _tanh_sinh_rows, 0.0, [((),) * 4] * (_DE_MAX_LEVEL + 1)
+_EXP_SINH = _exp_sinh_rows, -_DE_SPAN, [((),) * 2] * (_DE_MAX_LEVEL + 1)
 
 
 def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
@@ -260,7 +258,7 @@ def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
         if have < rows:
             new = rows_at([(first + i * step) * h for i in range(have, rows)])
             # Replaced whole, so that a reader never sees a partial row.
-            table[level] = tuple(column + array("d", values)
+            table[level] = tuple(column + tuple(values)
                                  for column, values in zip(table[level], new))
         nodes = zip(*[column[:rows] for column in table[level]])
         part = 0.0
