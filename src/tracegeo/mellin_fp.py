@@ -23,11 +23,10 @@ read off the expansion residuals, run in log t so that no scale between
 the cutoff and t0 goes unsampled.  Below the cutoff the expansion's
 positive-exponent terms are integrated analytically and the remainder by
 its leading power, so the cancellation in f minus its pole part near 0
-is never sampled.  The values that depend on tau alone come from
-per-process tables, one per rule and halving level, so a node costs
-arithmetic and one call of the integrand.  A table grows only as far as
-a call's rule has reached, so at most 4,609 rows for tanh-sinh (|tau| <=
-4.5, mirrored) and 11,578 for exp-sinh (-4.5 <= tau <= 6.81): 1.3 MB.
+is never sampled.  The node values that depend on tau alone come from
+per-process tables, one per rule and halving level, filled as far as a
+call reaches: at most 4,609 rows for tanh-sinh (|tau| <= 4.5, mirrored)
+and 11,578 for exp-sinh (-4.5 <= tau <= 6.81), 1.3 MB in all.
 """
 
 from __future__ import annotations
@@ -344,9 +343,9 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     c_minus1 = sum(c for a, c in exp.terms if a == 0)
 
     evaluator, poles, in_log_t = f.evaluator, exp._pole_terms, cutoff > 0
-    # sum() gives 0 + c t^a for one term, as in every preset; spelled out,
-    # it costs no generator, which would cost more than f itself.
-    (a1, c1), = poles if len(poles) == 1 else ((None, None),)
+    # For one term, as in every preset, sum() gives 0 + c t^a: spelled out,
+    # it needs no generator, which would cost more than f itself.
+    a1, c1 = poles[0] if len(poles) == 1 else (None, None)
 
     def excess(x: float) -> float:
         # f minus its pole part against dt/t, which is d(log t): in log t
@@ -362,9 +361,9 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
             raise exp._overflow(t) from None
         return value if in_log_t else value / t
 
-    i1 = _de_quad(excess, math.log(cutoff), _BOUNDED_SPAN, tol,
-                  b=math.log(t0)) if in_log_t else \
-        _de_quad(excess, 0.0, _DE_SPAN, tol, b=t0)
+    lo, span, hi = (math.log(cutoff), _BOUNDED_SPAN, math.log(t0)) \
+        if in_log_t else (0.0, _DE_SPAN, t0)
+    i1 = _de_quad(excess, lo, span, tol, b=hi)
     i2 = _tail(f, t0, tol)
 
     c0 = c_minus1 * math.log(t0)
