@@ -222,20 +222,10 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _tanh_sinh_rows(taus: list[float]) -> tuple:
-    e = [math.exp(-2 * (math.pi / 2 * s)) for s in map(math.sinh, taus)]
-    return e, [1 + x for x in e], [(1 + x) ** 2 for x in e], \
-        map(math.cosh, taus)
-
-
-def _exp_sinh_rows(taus: list[float]) -> tuple:
-    return [math.exp(math.pi / 2 * s) for s in map(math.sinh, taus)], \
-        map(math.cosh, taus)
-
-
-# A rule's node values over taus, its first tau and, per level, its table.
-_TANH_SINH = _tanh_sinh_rows, 0.0, [((),) * 4] * (_DE_MAX_LEVEL + 1)
-_EXP_SINH = _exp_sinh_rows, -_DE_SPAN, [((),) * 2] * (_DE_MAX_LEVEL + 1)
+# The node tables, per level: columns e = exp(k u) (k = -2 for tanh-sinh,
+# 1 for exp-sinh) and cosh tau, then tanh-sinh's 1 + e and (1 + e)^2.
+_TANH_SINH = [((),) * 4] * (_DE_MAX_LEVEL + 1)
+_EXP_SINH = [((),) * 2] * (_DE_MAX_LEVEL + 1)
 
 
 def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
@@ -247,7 +237,8 @@ def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
     pi/2 sinh tau, measured from the nearer end so that x never rounds
     onto it early; or, given a rate, exp-sinh on [a, inf) for -_DE_SPAN
     <= tau <= span, x = a + exp(u) / rate."""
-    rows_at, start, table = _EXP_SINH if rate else _TANH_SINH
+    table, start, k = (_EXP_SINH, -_DE_SPAN, 1) if rate else \
+        (_TANH_SINH, 0.0, -2)
     ba, total, value, err = b - a, 0.0, 0.0, math.inf
     for level in range(_DE_MAX_LEVEL + 1):
         h, step = 0.5 ** level, 2 if level else 1
@@ -255,7 +246,11 @@ def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
         rows, have = (math.floor(span / h) - first) // step + 1, \
             len(table[level][0])
         if have < rows:
-            new = rows_at([(first + i * step) * h for i in range(have, rows)])
+            taus = [(first + i * step) * h for i in range(have, rows)]
+            exps = [math.exp(k * (math.pi / 2 * s))
+                    for s in map(math.sinh, taus)]
+            new = [exps, map(math.cosh, taus)] + ([] if rate else [
+                [1 + x for x in exps], [(1 + x) ** 2 for x in exps]])
             # Replaced whole, so that a reader never sees a partial row.
             table[level] = tuple(column + tuple(values)
                                  for column, values in zip(table[level], new))
@@ -272,7 +267,7 @@ def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
             # tau < 0 (the mirror image, without tau = 0), then tau >= 0
             for end, sign, half in ((a, 1.0, reversed(nodes[not level:])),
                                     (b, -1.0, nodes)):
-                for e, e1, e1_sq, cosh in half:
+                for e, cosh, e1, e1_sq in half:
                     w = ba * math.pi * cosh * e / e1_sq
                     if w:
                         part += g(end + sign * (ba * e / e1)) * w
@@ -343,8 +338,8 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     c_minus1 = sum(c for a, c in exp.terms if a == 0)
 
     evaluator, poles, in_log_t = f.evaluator, exp._pole_terms, cutoff > 0
-    # For one term, as in every preset, sum() gives 0 + c t^a: spelled out,
-    # it needs no generator, which would cost more than f itself.
+    # sum() of one term, as in the presets, is 0 + c t^a: so spelled, it
+    # needs no generator per node, which would cost more than f itself.
     a1, c1 = poles[0] if len(poles) == 1 else (None, None)
 
     def excess(x: float) -> float:

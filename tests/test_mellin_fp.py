@@ -347,9 +347,9 @@ def test_node_tables_hold_no_more_rows_than_stated():
         fp_mellin(*_oscillating(), tol=1e-13)
     zero = TailFunction(lambda t: 0.0, (1.0, sys.float_info.max))
     assert fp_mellin(zero, AsymptoticExpansion((), 1e-300, 1)) == 0.0
-    tanh_sinh, exp_sinh = (sum(len(columns[0]) for columns in rule[2])
-                           for rule in (mellin_fp._TANH_SINH,
-                                        mellin_fp._EXP_SINH))
+    tanh_sinh, exp_sinh = (sum(len(columns[0]) for columns in table)
+                           for table in (mellin_fp._TANH_SINH,
+                                         mellin_fp._EXP_SINH))
     assert tanh_sinh == 4609 and exp_sinh <= 11578
 
 
