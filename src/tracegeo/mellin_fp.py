@@ -243,18 +243,20 @@ def _de_quad(g: Callable[[float], float], a: float, span: float, tol: float,
     for level in range(_DE_MAX_LEVEL + 1):
         h, step = 0.5 ** level, 2 if level else 1
         first = math.ceil(start / h) | (step - 1)
-        rows, have = (math.floor(span / h) - first) // step + 1, \
-            len(table[level][0])
-        if have < rows:
-            taus = [(first + i * step) * h for i in range(have, rows)]
+        rows = (math.floor(span / h) - first) // step + 1
+        columns = table[level]
+        if len(columns[0]) < rows:
+            taus = [(first + i * step) * h
+                    for i in range(len(columns[0]), rows)]
             exps = [math.exp(k * (math.pi / 2 * s))
                     for s in map(math.sinh, taus)]
             new = [exps, map(math.cosh, taus)] + ([] if rate else [
                 [1 + x for x in exps], [(1 + x) ** 2 for x in exps]])
-            # Replaced whole, so that a reader never sees a partial row.
-            table[level] = tuple(column + tuple(values)
-                                 for column, values in zip(table[level], new))
-        nodes = zip(*[column[:rows] for column in table[level]])
+            # The level's columns are read once and replaced whole, so a
+            # thread neither sees a partial row nor extends another's.
+            columns = table[level] = tuple(
+                column + tuple(values) for column, values in zip(columns, new))
+        nodes = zip(*[column[:rows] for column in columns])
         part = 0.0
         if rate:
             for ex, cosh in nodes:

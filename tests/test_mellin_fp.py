@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -351,6 +352,56 @@ def test_node_tables_hold_no_more_rows_than_stated():
                            for table in (mellin_fp._TANH_SINH,
                                          mellin_fp._EXP_SINH))
     assert tanh_sinh == 4609 and exp_sinh <= 11578
+
+
+def test_threads_filling_the_node_tables_leave_them_as_one_thread_does(
+        monkeypatch):
+    # Four threads fill empty tables at once under a short switch
+    # interval, ten times over.  Each call must keep its reference value,
+    # and the tables must end as one thread making the same calls leaves
+    # them: a row appended after another thread's rows would sit at the
+    # wrong tau.
+    calls = [(pair, tol) for pair in
+             [exp_preset(lam, t0) for lam in (0.03, 1.0, 7.9, 1e5)
+              for t0 in (0.25, 8.0)] + [sqrt_exp_preset(0.5)]
+             for tol in (1e-6, 1e-10, 1e-13)]
+    want = [_outcome(mellin_reference.fp_mellin, *pair, tol)
+            for pair, tol in calls]
+
+    def empty_tables():
+        monkeypatch.setattr(mellin_fp, "_TANH_SINH",
+                            [((),) * 4] * (_DE_MAX_LEVEL + 1))
+        monkeypatch.setattr(mellin_fp, "_EXP_SINH",
+                            [((),) * 2] * (_DE_MAX_LEVEL + 1))
+
+    empty_tables()
+    for pair, tol in calls:
+        _outcome(fp_mellin, *pair, tol)
+    one_thread = (mellin_fp._TANH_SINH, mellin_fp._EXP_SINH)
+    wrong = []
+
+    def work(shift):
+        for i in range(len(calls)):
+            j = (i + shift) % len(calls)
+            if _outcome(fp_mellin, *calls[j][0], calls[j][1]) != want[j]:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            empty_tables()
+            threads = [threading.Thread(target=work, args=(7 * shift,))
+                       for shift in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert (mellin_fp._TANH_SINH, mellin_fp._EXP_SINH) == one_thread
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
