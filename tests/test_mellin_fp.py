@@ -517,6 +517,7 @@ DIFFERENTIAL_CASES = [
     ("pole-overflow", "fp", lambda: _pole_past_the_float_range(False), None),
     ("evaluator-overflow", "fp", lambda: _pole_past_the_float_range(True),
      None),
+    ("oscillating", "fp", _oscillating, None),
 ]
 
 
@@ -534,13 +535,6 @@ def test_finite_parts_and_tails_match_the_closure_rule(kind, pair, T, tol):
         got = _outcome(truncation_tail, f, T, tol)
         want = _outcome(mellin_reference.truncation_tail, f, T, tol)
     assert got == want
-
-
-@pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-13])
-def test_the_oscillating_refusal_matches_the_closure_rule(tol):
-    f, expn = _oscillating()
-    assert _outcome(fp_mellin, f, expn, tol) == \
-        _outcome(mellin_reference.fp_mellin, f, expn, tol)
 
 
 def _evaluations(call, pair, *args):
