@@ -19,6 +19,7 @@ from tracegeo.parabolic_lattice import (LeviDatum, ParabolicSubset, _root_rank,
 from tracegeo.root_datum import (RootSystem, build_root_system, mask_tables,
                                  negate_mask, permute_mask)
 
+import parabolic_reference
 from test_invariants_k import roots_in_simple_span
 from test_root_datum import negation
 
@@ -714,6 +715,36 @@ def test_enumerated_masks_are_distinct(factors, torus):
     assert len(masks) == sum(
         w // _macdonald_order(rs, [j for j in range(s) if mask >> j & 1])
         for mask in range(1 << s))
+
+
+# -- the layer against the walk on P ---------------------------------------
+#
+# parabolic_reference holds the route as it ran before a subset carried its
+# radical: the walk on P, the string-key sort and the Levi as P n -P.  The
+# library must return the same masks in the same order and share one Levi
+# record per symmetric part, the reference's.
+
+REFERENCE_SYSTEMS = DISTINCT_SYSTEMS + [(["A2", "B2"], 1),
+                                        (["B2", "A1", "A1"], 2), ([], 2)]
+
+
+@pytest.mark.parametrize(
+    "factors,torus", REFERENCE_SYSTEMS,
+    ids=[("x".join(f) + (f"+T{k}" if k else "")) or f"T{k}"
+         for f, k in REFERENCE_SYSTEMS])
+def test_lattice_matches_the_walk_on_p(factors, torus):
+    rs = build_root_system(factors, torus)
+    got = enumerate_parabolic_subsets(rs)
+    assert [p.mask for p in got] == parabolic_reference.enumerate_masks(
+        rs, parabolic_lattice.PARABOLIC_COUNT_LIMIT)
+    assert rs.levi_memo == {}
+    shared = {}
+    for p in got:
+        levi = levi_of(p)
+        assert levi.mask == parabolic_reference.levi_mask(rs, p.mask)
+        assert shared.setdefault(levi.mask, levi) is levi
+        assert levi_of(ParabolicSubset(rs, p.mask)) is levi
+    assert rs.levi_memo == shared
 
 
 # -- the walk against the negation walk it replaced ---------------------------
