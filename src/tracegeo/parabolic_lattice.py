@@ -7,38 +7,27 @@ is finite set combinatorics plus exact ranks of root sets, so all
 dimensions and counts are exact.
 
 Subsets are stored as root_datum's root masks (bit i set iff roots[i] is
-a member), from the enumeration to the caller.  A subset holds only its
-system and mask and decodes `members` and `member_roots` on every read;
-a Levi, shared by every subset with its symmetric part, decodes
-`members` (`levi_roots`) and `member_roots` once, on first access.
+a member), from the enumeration to the caller.  A subset holds its
+system, its mask and the mask of its unipotent radical, and decodes
+`members` and `member_roots` on every read; a Levi, shared by every
+subset with its symmetric part, decodes `members` (`levi_roots`) and
+`member_roots` once, on first access.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable
 
 from . import linalg
 from .errors import DomainError, ResourceLimitError, _clip
 from .root_datum import (RootSystem, mask_flags, mask_indices, mask_tables,
-                         negate_mask, permute_mask)
+                         negate_mask, negate_masks, permute_mask)
 from .value import Value, set_field
 
 PARABOLIC_COUNT_LIMIT = 2**16
-
-_ORDER = str.maketrans("01", "10")
-
-
-def _order_key(mask: int) -> str:
-    """A key that sorts masks as their ascending index tuples sort.
-
-    Read from bit 0, a set bit sorts before a clear one, and a mask with
-    no bits past the first difference sorts first, as a tuple does when
-    it is a prefix of the other.
-    """
-    return bin(mask)[:1:-1].translate(_ORDER) if mask else ""
 
 
 class _RootMask(Value):
@@ -65,7 +54,16 @@ class _RootMask(Value):
 
 
 class ParabolicSubset(_RootMask):
-    """A closed subset S of the roots with S u -S = R."""
+    """A closed subset S of the roots with S u -S = R.
+
+    radical is the mask of its unipotent radical N, the roots of S whose
+    negatives are not in S.  The enumeration stores it with each subset;
+    a subset built by hand computes it on first read.
+    """
+
+    @cached_property
+    def radical(self) -> int:
+        return self.mask & ~negate_mask(self.system, self.mask)
 
 
 class LeviDatum(_RootMask):
@@ -141,7 +139,8 @@ def full_levi(rs: RootSystem) -> LeviDatum:
 
 
 def levi_of(p: ParabolicSubset) -> LeviDatum:
-    """The Levi of a parabolic subset: its symmetric part S n -S.
+    """The Levi of a parabolic subset: its symmetric part S n -S, which
+    is S without its radical.
 
     Records are shared per system: the first subset with a given
     symmetric part builds its LeviDatum and keeps it in the system's
@@ -150,7 +149,7 @@ def levi_of(p: ParabolicSubset) -> LeviDatum:
     268 records.
     """
     rs = p.system
-    sym = p.mask & negate_mask(rs, p.mask)
+    sym = p.mask ^ p.radical
     memo = rs.levi_memo
     levi = memo.get(sym)
     if levi is None:
@@ -174,53 +173,81 @@ def dim_unipotent_radical(p: ParabolicSubset) -> int:
     return n - p.mask.bit_count()
 
 
+def _radicals(rs: RootSystem, refusal: str) -> list[int]:
+    """The radicals of the parabolic subsets of rs, walked as
+    enumerate_parabolic_subsets describes.  The reflections' tables, the
+    walk's largest allocation, are freed on return, before any subset is
+    built."""
+    n = len(rs.roots)
+    simple = [rs.root_index[a] for a in rs.simple_roots]
+    steps = []
+    for i, perm in enumerate(rs.reflection_perms):
+        ascent = 1 << simple[i]
+        steps.append((mask_tables(perm), ascent, ascent | sum(
+            1 << n - 1 - perm[a] for a in simple[:i])))
+    found = [rs.positive_mask & ~span for span in rs.span_masks()]
+    start = 0
+    while start < len(found):
+        level = found[start:]
+        start = len(found)
+        for tables, ascent, test in steps:
+            found += [permute_mask(tables, r) for r in level
+                      if r & test == ascent]
+            if len(found) > PARABOLIC_COUNT_LIMIT:
+                raise ResourceLimitError(refusal)
+    return found
+
+
 def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
-    """All closed subsets S with S u -S = R, as ParabolicSubset values.
+    """All closed subsets S with S u -S = R, as ParabolicSubset values
+    that carry their radicals N = {a in S : -a not in S}.
 
     Each parabolic subset is w.P_J for exactly one standard P_J (the roots
-    of the span of a simple-root subset J together with all positive
-    roots) and one minimal coset representative w in W^J.  The walk starts
-    at each P_J and steps from P to s_i.P along the ascents i of P
-    (alpha_i in P, -alpha_i not), which are the steps from w to s_i.w
-    inside W^J.  A child is kept only when i is its smallest left descent,
-    so each w is reached from one parent.  j is a descent of s_i.P when
-    -s_i(alpha_j) lies in the radical of P (the roots of P whose negatives
-    are not in P), so one bit test on the parent decides before the child
-    is built (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).
+    of the span of a simple-root subset J and all positive roots) and one
+    minimal coset representative w in W^J, and its radical is w(N_J), N_J
+    the positive roots outside the span of J.  The walk starts at each N_J
+    and steps from N to s_i(N) along the ascents i (alpha_i in N), which
+    are the steps from w to s_i.w inside W^J, one level (length of w) at a
+    time.  A child is kept only when i is its smallest left descent, so
+    each w is reached once; j is a descent of s_i.P when -s_i(alpha_j)
+    lies in N, one bit test on the parent (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 2.4).
 
-    Every mask the walk holds has P u -P = R, so a root lies in the
-    radical exactly when its negative is not in P, and both tests read P's
-    own bits: i is an ascent when the bit of -alpha_i is clear, and j is
-    not a descent of s_i.P when the bit of s_i(alpha_j) is set.  Per step,
-    want holds the bits of s_i(alpha_j) for j < i and test adds the bit of
-    -alpha_i; the child is kept iff mask & test == want.  No mask is
-    negated.
+    The roots are sorted, so -roots[i] = roots[n - 1 - i] and negation
+    reverses a mask's n bits.  R minus S is -N, so S is the negation of ~N
+    (on n bits), and read from bit n - 1 down, N says whether index 0,
+    1, ... is missing from S; h(N) = N & (N + 1) clears N's trailing ones,
+    the indices past max S.  Sorting by member index tuple is sorting by
+    h(N) << n | ~N.  Let i be the least index in just one of S and T, say
+    S, and b = n - 1 - i: N_S and N_T agree above bit b, where N_T has a
+    one and N_S a zero.  If T has a member past i, S sorts first, and
+    h(N_S) < h(N_T), as h(N_T) keeps bit b, h(N_S) does not, and both keep
+    the bits above.  Otherwise T, a prefix of S, sorts first: h(N_T) has
+    only bits of N_T above b, which h(N_S) keeps, so h(N_T) <= h(N_S), and
+    at equality ~N_T < ~N_S.
 
-    The result is sorted by member index tuple.  The walk stops as soon
-    as more than PARABOLIC_COUNT_LIMIT masks exist, before any subset is
-    built; at rank s >= 1 there are more than the 2^s seeds, so 2^s >= the
-    limit refuses before seeding.
+    More than PARABOLIC_COUNT_LIMIT subsets are refused before any is
+    built.  The walk counts after each comprehension, which adds at most
+    one child per mask of a level already counted, so it holds at most
+    twice the limit when it refuses.  At rank s >= 1 there are more than
+    the 2^s seeds, so 2^s >= the limit refuses before seeding.
     """
     s = rs.semisimple_rank
     refusal = (f"parabolic enumeration is limited to {PARABOLIC_COUNT_LIMIT} "
                f"subsets; {rs} has more")
     if 1 << s >= PARABOLIC_COUNT_LIMIT:
         raise ResourceLimitError(refusal)
-    last = len(rs.roots) - 1
-    simple = [rs.root_index[a] for a in rs.simple_roots]
-    steps = []
-    for i, perm in enumerate(rs.reflection_perms):
-        want = sum(1 << perm[a] for a in simple[:i])
-        steps.append((mask_tables(perm), want | 1 << last - simple[i], want))
-    found = [span | rs.positive_mask for span in rs.span_masks()]
-    # found is also the queue: the loop reaches every mask appended to it.
-    for mask in found:
-        for tables, test, want in steps:
-            if mask & test == want:
-                found.append(permute_mask(tables, mask))
-        if len(found) > PARABOLIC_COUNT_LIMIT:
-            raise ResourceLimitError(refusal)
-    return [ParabolicSubset(rs, m) for m in sorted(found, key=_order_key)]
+    n = len(rs.roots)
+    full = (1 << n) - 1
+    # Each list replaces the last: the keys' low n bits give back ~N.
+    found = [(r & r + 1) << n | full ^ r for r in _radicals(rs, refusal)]
+    found.sort()
+    found = [full & ~key for key in found]
+    subsets = list(map(ParabolicSubset, repeat(rs),
+                       negate_masks(rs, (full ^ r for r in found))))
+    for p, r in zip(subsets, found):
+        set_field(p, "radical", r)
+    return subsets
 
 
 def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
@@ -242,7 +269,7 @@ def f_sets(rs: RootSystem, m: LeviDatum) -> tuple[
     by_levi: dict[LeviDatum, list[ParabolicSubset]] = {}
     for p in f_all:
         by_levi.setdefault(levi_of(p), []).append(p)
-    levis = sorted(by_levi, key=lambda l: _order_key(l.mask))
+    levis = sorted(by_levi, key=LeviDatum.sort_key)
     return f_all, levis, by_levi
 
 

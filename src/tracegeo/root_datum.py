@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import compress, count
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParseError, ResourceLimitError, _read_int
 from .value import Value, set_field
@@ -196,8 +196,8 @@ def mask_tables(perm: Sequence[int]) -> tuple[list[int], ...]:
     tables = []
     for base in range(0, len(perm), 8):
         table = [0]
-        for j in perm[base:base + 8]:
-            table += [img | 1 << j for img in table]
+        for bit in map((1).__lshift__, perm[base:base + 8]):
+            table += [img | bit for img in table]
         tables.append(table)
     return tuple(tables)
 
@@ -213,16 +213,23 @@ def permute_mask(tables: tuple[list[int], ...], mask: int) -> int:
 _REVERSE = bytes(mask_tables(range(7, -1, -1))[0])
 
 
-def negate_mask(rs: RootSystem, mask: int) -> int:
-    """The mask of the negated roots.  The roots are sorted and closed
-    under negation, so -roots[i] is roots[n - 1 - i]: negation reverses
-    the n-bit mask."""
+def negate_masks(rs: RootSystem, masks: Iterable[int]) -> Iterator[int]:
+    """The mask of the negated roots of each mask, refusing a mask with
+    bits past the roots.  The roots are sorted and closed under negation,
+    so -roots[i] is roots[n - 1 - i]: negation reverses the n-bit mask."""
     n = len(rs.roots)
-    if mask >> n:
-        raise DomainError("root index out of range")
     k = (n + 7) // 8
-    return int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSE),
-                          "little") >> (8 * k - n)
+    shift = 8 * k - n
+    for mask in masks:
+        if mask >> n:
+            raise DomainError("root index out of range")
+        yield int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSE),
+                             "little") >> shift
+
+
+def negate_mask(rs: RootSystem, mask: int) -> int:
+    """The mask of the negated roots of one mask, as negate_masks."""
+    return next(negate_masks(rs, (mask,)))
 
 
 class RootSystem(Value):

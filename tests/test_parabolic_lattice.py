@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -146,13 +147,14 @@ def test_a_shared_levi_decodes_its_roots_once():
 @pytest.mark.parametrize("name", ["F4", "A2xB3"])
 def test_a_subset_holds_only_its_mask(name):
     # A subset decodes on every read and keeps nothing it decodes, so
-    # F4's 5,089 subsets hold no frozenset each; the Levi they share
-    # keeps its own.
+    # F4's 5,089 subsets hold no frozenset each, only the int mask of
+    # their radical; the Levi they share keeps its own.
     rs = build_root_system(name.split("x"))
     for p in enumerate_parabolic_subsets(rs):
         assert p.members == frozenset(p.sort_key())
         assert len(p.member_roots) == p.mask.bit_count()
-        assert vars(p).keys() == {"system", "mask"}
+        assert vars(p).keys() == {"system", "mask", "radical"}
+        assert type(p.radical) is int
         assert levi_of(p).members is levi_of(p).members
 
 
@@ -316,6 +318,19 @@ def test_parabolic_count_limit(monkeypatch):
     assert len(enumerate_parabolic_subsets(build_root_system(["A3"]))) == 75
     with pytest.raises(ResourceLimitError, match="limited to 146 subsets"):
         enumerate_parabolic_subsets(build_root_system(["B3"]))
+
+
+def test_the_most_subsets_admitted_are_enumerated_within_5_s():
+    # 25 * 17 * 17 * 3 * 3 = 65,025 subsets, the most of an admitted
+    # system found; each factor's Levis multiply too (8 * 6 * 6 * 2 * 2).
+    rs = build_root_system(["G2", "B2", "B2", "A1", "A1"])
+    start = time.perf_counter()
+    subsets = enumerate_parabolic_subsets(rs)
+    levis = {levi_of(p) for p in subsets}
+    dims = [dim_unipotent_radical(p) for p in subsets]
+    assert time.perf_counter() - start < 5
+    assert len(subsets) == 65025 and len(levis) == 1152
+    assert max(dims) == 16 and min(dims) == 0
 
 
 def test_levi_dimensions_a2():
@@ -740,6 +755,7 @@ def test_lattice_matches_the_walk_on_p(factors, torus):
     assert rs.levi_memo == {}
     shared = {}
     for p in got:
+        assert p.radical == p.mask & ~negate_mask(rs, p.mask)
         levi = levi_of(p)
         assert levi.mask == parabolic_reference.levi_mask(rs, p.mask)
         assert shared.setdefault(levi.mask, levi) is levi
@@ -747,38 +763,17 @@ def test_lattice_matches_the_walk_on_p(factors, torus):
     assert rs.levi_memo == shared
 
 
-# -- the walk against the negation walk it replaced ---------------------------
+# -- the walk against the walk on P ------------------------------------------
 #
-# A copy of the coset walk as it stood when it formed each mask's radical
-# as mask & ~negate_mask(mask).  The walk under test must append the same
-# masks in the same order, refuse at the same point, and return them in
-# the same sorted order.
-
-def _negation_walk(rs, limit):
-    """(masks in append order, whether more than limit were appended); the
-    walk stops where the count first passes the limit, and does not start
-    when the 2^s seeds alone reach it."""
-    if 1 << rs.semisimple_rank >= limit:
-        return [], True
-    last = len(rs.roots) - 1
-    simple = [rs.root_index[a] for a in rs.simple_roots]
-    steps = [(mask_tables(perm), 1 << simple[i],
-              sum(1 << last - perm[a] for a in simple[:i]))
-             for i, perm in enumerate(rs.reflection_perms)]
-    found = [span | rs.positive_mask for span in rs.span_masks()]
-    for mask in found:
-        radical = mask & ~negate_mask(rs, mask)
-        for tables, ascent, descents in steps:
-            if radical & ascent and not radical & descents:
-                found.append(permute_mask(tables, mask))
-        if len(found) > limit:
-            return found, True
-    return found, False
-
+# The walk runs on radicals, one level at a time, where the reference walks
+# on P in append order.  Each must reach every subset once: the library
+# permutes each radical past the seeds exactly once, and refuses exactly
+# where the reference does, before any subset is built.
 
 def _walk_images(monkeypatch, rs):
-    """The children the library's walk appends, in order, and its result
-    (or the refusal it raised)."""
+    """The subsets whose radicals the library's walk forms by a
+    permutation, as masks of P, and its result (or the refusal it
+    raised)."""
     images = []
 
     def recording(tables, mask):
@@ -787,9 +782,11 @@ def _walk_images(monkeypatch, rs):
 
     monkeypatch.setattr(parabolic_lattice, "permute_mask", recording)
     try:
-        return images, enumerate_parabolic_subsets(rs)
+        got = enumerate_parabolic_subsets(rs)
     except ResourceLimitError as exc:
-        return images, exc
+        got = exc
+    full = (1 << len(rs.roots)) - 1
+    return [negate_mask(rs, full ^ r) for r in images], got
 
 
 @pytest.mark.parametrize(
@@ -797,30 +794,39 @@ def _walk_images(monkeypatch, rs):
     ids=["x".join(f) + (f"+T{k}" if k else "") for f, k in DISTINCT_SYSTEMS])
 def test_walk_matches_the_negation_walk(monkeypatch, factors, torus):
     rs = build_root_system(factors, torus)
-    want, refused = _negation_walk(rs,
-                                   parabolic_lattice.PARABOLIC_COUNT_LIMIT)
-    assert not refused
+    want = parabolic_reference.walk(rs,
+                                    parabolic_lattice.PARABOLIC_COUNT_LIMIT)
     images, got = _walk_images(monkeypatch, rs)
-    assert images == want[1 << rs.semisimple_rank:]
+    assert sorted(images) == sorted(want[1 << rs.semisimple_rank:])
     assert [p.mask for p in got] == sorted(
-        want, key=parabolic_lattice._order_key)
+        want, key=parabolic_reference.order_key)
     for p in got:
-        sym = p.mask & negate_mask(rs, p.mask)
-        assert dim_unipotent_radical(p) == \
-            p.mask.bit_count() - sym.bit_count()
+        assert dim_unipotent_radical(p) == p.radical.bit_count()
         assert dim_unipotent_radical(p) == len(rs.roots) - p.mask.bit_count()
 
 
-@pytest.mark.parametrize("limit", [8, 9, 100, 146, 147])
+@pytest.mark.parametrize("limit", [8, 9, 20, 100, 146, 147])
 def test_walk_refuses_where_the_negation_walk_does(monkeypatch, limit):
     # B3 has 8 seeds and 147 subsets: a limit of 8 refuses before seeding,
-    # 9 after the first mask, 146 at the last append.
+    # 9 after the first level, 146 at the last.
     rs = build_root_system(["B3"])
-    want, refused = _negation_walk(rs, limit)
+    try:
+        want = parabolic_reference.walk(rs, limit)
+    except ResourceLimitError as exc:
+        want = exc
     monkeypatch.setattr(parabolic_lattice, "PARABOLIC_COUNT_LIMIT", limit)
+    if isinstance(want, ResourceLimitError):
+        monkeypatch.setattr(parabolic_lattice, "ParabolicSubset", None)
     images, got = _walk_images(monkeypatch, rs)
-    assert images == want[8:]
-    assert refused == isinstance(got, ResourceLimitError)
-    if refused:
-        assert str(got) == (f"parabolic enumeration is limited to {limit} "
-                            "subsets; B3 has more")
+    if isinstance(want, ResourceLimitError):
+        assert isinstance(got, ResourceLimitError)
+        assert str(got) == str(want) == (
+            f"parabolic enumeration is limited to {limit} subsets; B3 has "
+            "more")
+        # the seeds and images held when it refused
+        held = 8 + len(images) if images else 0
+        assert limit < held <= 2 * limit or limit <= 8 and not images
+        assert rs.levi_memo == {}
+    else:
+        assert sorted(images) == sorted(want[8:])
+        assert len(got) == 147
