@@ -69,6 +69,8 @@ _MIN_RATE = 1e-300
 
 
 def _to_fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, str):
         return _read_number(x, "exponent")
     try:
@@ -464,6 +466,14 @@ def monotone_cubic(xs: Sequence[float],
 
 # -- stock inputs used by the CLI presets and the test oracles ---------------
 
+# The presets' exponents and remainder order, built once and kept as they
+# are by AsymptoticExpansion; t^{-1/2} e^{-t}'s terms do not vary at all.
+_EXP_POWERS = tuple(map(Fraction, range(PRESET_ORDER + 1)))
+_SQRT_EXP_TERMS = tuple((Fraction(2 * k - 1, 2),
+                         (-1.0) ** k / math.factorial(k))
+                        for k in range(PRESET_ORDER + 1))
+_PRESET_REMAINDER = Fraction(1)
+
 
 def exp_preset(lam: float,
                t0: float = 1.0) -> tuple[TailFunction, AsymptoticExpansion]:
@@ -474,20 +484,18 @@ def exp_preset(lam: float,
     if not math.isfinite(lam):
         raise DomainError(f"decay rate must be finite, got {lam!r}")
     try:
-        terms = [(Fraction(k), (-lam) ** k / math.factorial(k))
-                 for k in range(PRESET_ORDER + 1)]
+        terms = tuple((a, (-lam) ** k / math.factorial(k))
+                      for k, a in enumerate(_EXP_POWERS))
     except OverflowError:
         raise DomainError("decay rate is too large for a finite expansion "
                           f"coefficient, got {lam!r}") from None
     f = TailFunction(lambda t: math.exp(-lam * t), (1.0, lam))
-    return f, AsymptoticExpansion(tuple(terms), t0, Fraction(1))
+    return f, AsymptoticExpansion(terms, t0, _PRESET_REMAINDER)
 
 
 def sqrt_exp_preset(
         t0: float = 1.0) -> tuple[TailFunction, AsymptoticExpansion]:
     """f(t) = t^{-1/2} e^{-t}, expanded to PRESET_ORDER and valid to t0;
     no exponent-zero term, so no pole at 0."""
-    terms = [(Fraction(2 * k - 1, 2), (-1.0) ** k / math.factorial(k))
-             for k in range(PRESET_ORDER + 1)]
     f = TailFunction(lambda t: math.exp(-t) / math.sqrt(t), (1.0, 1.0))
-    return f, AsymptoticExpansion(tuple(terms), t0, Fraction(1))
+    return f, AsymptoticExpansion(_SQRT_EXP_TERMS, t0, _PRESET_REMAINDER)
