@@ -191,10 +191,10 @@ def _radicals(rs: RootSystem, refusal: str) -> list[int]:
         level = found[start:]
         start = len(found)
         for tables, ascent, test in steps:
-            found += [permute_mask(tables, r) for r in level
-                      if r & test == ascent]
-            if len(found) > PARABOLIC_COUNT_LIMIT:
+            parents = [r for r in level if r & test == ascent]
+            if len(found) + len(parents) > PARABOLIC_COUNT_LIMIT:
                 raise ResourceLimitError(refusal)
+            found += map(permute_mask, repeat(tables), parents)
     return found
 
 
@@ -227,10 +227,10 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     at equality ~N_T < ~N_S.
 
     More than PARABOLIC_COUNT_LIMIT subsets are refused before any is
-    built.  The walk counts after each comprehension, which adds at most
-    one child per mask of a level already counted, so it holds at most
-    twice the limit when it refuses.  At rank s >= 1 there are more than
-    the 2^s seeds, so 2^s >= the limit refuses before seeding.
+    built.  Each step of the walk counts its children before it forms
+    them, so it holds at most the limit's number of masks when it
+    refuses.  At rank s >= 1 there are more than the 2^s seeds, so 2^s >=
+    the limit refuses before seeding.
     """
     s = rs.semisimple_rank
     refusal = (f"parabolic enumeration is limited to {PARABOLIC_COUNT_LIMIT} "

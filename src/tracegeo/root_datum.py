@@ -196,7 +196,8 @@ def mask_tables(perm: Sequence[int]) -> tuple[list[int], ...]:
     tables = []
     for base in range(0, len(perm), 8):
         table = [0]
-        for bit in map((1).__lshift__, perm[base:base + 8]):
+        for j in perm[base:base + 8]:
+            bit = 1 << j
             table += [img | bit for img in table]
         tables.append(table)
     return tuple(tables)
