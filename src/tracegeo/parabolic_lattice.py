@@ -244,7 +244,7 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     found.sort()
     found = [full & ~key for key in found]
     subsets = list(map(ParabolicSubset, repeat(rs),
-                       negate_masks(rs, (full ^ r for r in found))))
+                       negate_masks(rs, map(full.__xor__, found))))
     for p, r in zip(subsets, found):
         set_field(p, "radical", r)
     return subsets

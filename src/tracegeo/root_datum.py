@@ -221,11 +221,12 @@ def negate_masks(rs: RootSystem, masks: Iterable[int]) -> Iterator[int]:
     n = len(rs.roots)
     k = (n + 7) // 8
     shift = 8 * k - n
+    from_bytes, reverse = int.from_bytes, _REVERSE
     for mask in masks:
         if mask >> n:
             raise DomainError("root index out of range")
-        yield int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSE),
-                             "little") >> shift
+        yield from_bytes(mask.to_bytes(k, "big").translate(reverse),
+                         "little") >> shift
 
 
 def negate_mask(rs: RootSystem, mask: int) -> int:
