@@ -239,7 +239,8 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
         raise ResourceLimitError(refusal)
     n = len(rs.roots)
     full = (1 << n) - 1
-    # Each list replaces the last: the keys' low n bits give back ~N.
+    # Each list replaces the last, so no three are alive at once; a key's
+    # low n bits are ~N.
     found = [(r & r + 1) << n | full ^ r for r in _radicals(rs, refusal)]
     found.sort()
     found = [full & ~key for key in found]
