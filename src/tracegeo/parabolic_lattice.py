@@ -24,7 +24,7 @@ from typing import Iterable
 from . import linalg
 from .errors import DomainError, ResourceLimitError, _clip
 from .root_datum import (RootSystem, mask_flags, mask_indices, mask_tables,
-                         negate_mask, negate_masks, permute_mask)
+                         negate_mask, negate_masks, permute_masks)
 from .value import Value, set_field
 
 PARABOLIC_COUNT_LIMIT = 2**16
@@ -194,7 +194,7 @@ def _radicals(rs: RootSystem, refusal: str) -> list[int]:
             parents = [r for r in level if r & test == ascent]
             if len(found) + len(parents) > PARABOLIC_COUNT_LIMIT:
                 raise ResourceLimitError(refusal)
-            found += map(permute_mask, repeat(tables), parents)
+            found += permute_masks(tables, parents)
     return found
 
 

@@ -203,10 +203,12 @@ def mask_tables(perm: Sequence[int]) -> tuple[list[int], ...]:
     return tuple(tables)
 
 
-def permute_mask(tables: tuple[list[int], ...], mask: int) -> int:
-    """The image of mask under the permutation behind mask_tables."""
-    return sum(map(list.__getitem__, tables,
-                   mask.to_bytes(len(tables), "little")))
+def permute_masks(tables: tuple[list[int], ...],
+                  masks: Iterable[int]) -> list[int]:
+    """The images of masks under the permutation behind mask_tables."""
+    k, getitem = len(tables), list.__getitem__
+    return [sum(map(getitem, tables, mask.to_bytes(k, "little")))
+            for mask in masks]
 
 
 # _REVERSE[b] is the byte b with its eight bits in reverse order: the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from tracegeo.errors import ResourceLimitError
 from tracegeo.root_datum import (RootSystem, mask_tables, negate_mask,
-                                 permute_mask)
+                                 permute_masks)
 
 _ORDER = str.maketrans("01", "10")
 
@@ -52,7 +52,7 @@ def walk(rs: RootSystem, limit: int) -> list[int]:
     for mask in found:
         for tables, test, want in steps:
             if mask & test == want:
-                found.append(permute_mask(tables, mask))
+                found += permute_masks(tables, [mask])
         if len(found) > limit:
             raise ResourceLimitError(refusal)
     return found

@@ -18,7 +18,7 @@ from tracegeo.parabolic_lattice import (LeviDatum, ParabolicSubset, _root_rank,
                                         full_levi, levi_of, make_levi,
                                         minimal_levi)
 from tracegeo.root_datum import (RootSystem, build_root_system, mask_tables,
-                                 negate_mask, permute_mask)
+                                 negate_mask, permute_masks)
 
 import parabolic_reference
 from test_invariants_k import roots_in_simple_span
@@ -252,7 +252,7 @@ def _walk_seeded_a_M_dims(rs):
             rs.group_dim - ranks[k]
         for tables, ascent, descents in steps:
             if mask & ~sym & ascent and not mask & ~sym & descents:
-                found.append(permute_mask(tables, mask))
+                found += permute_masks(tables, [mask])
                 ranks.append(ranks[k])
     return seeded
 
@@ -777,11 +777,12 @@ def _walk_images(monkeypatch, rs):
     raised)."""
     images = []
 
-    def recording(tables, mask):
-        images.append(permute_mask(tables, mask))
-        return images[-1]
+    def recording(tables, masks):
+        formed = permute_masks(tables, masks)
+        images.extend(formed)
+        return formed
 
-    monkeypatch.setattr(parabolic_lattice, "permute_mask", recording)
+    monkeypatch.setattr(parabolic_lattice, "permute_masks", recording)
     try:
         got = enumerate_parabolic_subsets(rs)
     except ResourceLimitError as exc:
