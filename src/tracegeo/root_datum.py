@@ -216,10 +216,20 @@ def permute_masks(tables: tuple[list[int], ...],
 _REVERSE = bytes(mask_tables(range(7, -1, -1))[0])
 
 
+def negate_mask(rs: RootSystem, mask: int) -> int:
+    """The mask of the negated roots.  The roots are sorted and closed
+    under negation, so -roots[i] is roots[n - 1 - i]: negation reverses
+    the n-bit mask."""
+    n = len(rs.roots)
+    if mask >> n:
+        raise DomainError("root index out of range")
+    k = (n + 7) // 8
+    return int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSE),
+                          "little") >> (8 * k - n)
+
+
 def negate_masks(rs: RootSystem, masks: Iterable[int]) -> Iterator[int]:
-    """The mask of the negated roots of each mask, refusing a mask with
-    bits past the roots.  The roots are sorted and closed under negation,
-    so -roots[i] is roots[n - 1 - i]: negation reverses the n-bit mask."""
+    """negate_mask of each of masks, with the system's sizes bound once."""
     n = len(rs.roots)
     k = (n + 7) // 8
     shift = 8 * k - n
@@ -229,11 +239,6 @@ def negate_masks(rs: RootSystem, masks: Iterable[int]) -> Iterator[int]:
             raise DomainError("root index out of range")
         yield from_bytes(mask.to_bytes(k, "big").translate(reverse),
                          "little") >> shift
-
-
-def negate_mask(rs: RootSystem, mask: int) -> int:
-    """The mask of the negated roots of one mask, as negate_masks."""
-    return next(negate_masks(rs, (mask,)))
 
 
 class RootSystem(Value):
