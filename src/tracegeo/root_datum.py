@@ -228,19 +228,6 @@ def negate_mask(rs: RootSystem, mask: int) -> int:
                           "little") >> (8 * k - n)
 
 
-def negate_masks(rs: RootSystem, masks: Iterable[int]) -> Iterator[int]:
-    """negate_mask of each of masks, with the system's sizes bound once."""
-    n = len(rs.roots)
-    k = (n + 7) // 8
-    shift = 8 * k - n
-    from_bytes, reverse = int.from_bytes, _REVERSE
-    for mask in masks:
-        if mask >> n:
-            raise DomainError("root index out of range")
-        yield from_bytes(mask.to_bytes(k, "big").translate(reverse),
-                         "little") >> shift
-
-
 class RootSystem(Value):
     """A finite root system (possibly a product) with a central torus block.
 
@@ -388,8 +375,11 @@ class RootSystem(Value):
         """For each simple root, the induced permutation of root indices:
         its factor's cached reflection carried to the places of that
         factor's roots in the sorted roots; the roots of every other
-        factor are fixed."""
+        factor are fixed.  A single factor's roots are the sorted roots
+        themselves, so its system shares the type's tuples."""
         index = range(len(self.roots))
+        if len(self.factors) == 1:
+            return type_data(self.factors[0])[4]
         perms = []
         for t, (lower, upper) in zip(self.factors, self._assembled[3]):
             where = [*index[lower], *index[upper]]

@@ -333,6 +333,38 @@ def test_the_most_subsets_admitted_are_enumerated_within_5_s():
     assert max(dims) == 16 and min(dims) == 0
 
 
+# The simple types within the count limit and their subset counts.  A7,
+# B6, C6, D6 and E6 are past it, and so is every larger type of their
+# series: each has one of them as a standard Levi, and a Levi's parabolic
+# subsets, joined with the radical N_J, are parabolic subsets of the type.
+COUNTS_WITHIN_LIMIT = {
+    "A1": 3, "A2": 13, "A3": 75, "A4": 541, "A5": 4683, "A6": 47293,
+    "B2": 17, "B3": 147, "B4": 1697, "B5": 24483, "C3": 147, "C4": 1697,
+    "C5": 24483, "D4": 865, "D5": 12483, "G2": 25, "F4": 5089}
+
+
+def test_no_system_within_the_limit_has_more_than_64_roots():
+    # The enumeration packs each subset's mask in a 64-bit word.  A
+    # product's count is its factors' product, so the most roots within
+    # the limit are B5xA1's, C5xA1's and F4xA1xA1's 52.
+    for name in ["A7", "B6", "C6", "D6", "E6"]:
+        with pytest.raises(ResourceLimitError):
+            enumerate_parabolic_subsets(build_root_system([name]))
+    sizes = []
+    for name, count in COUNTS_WITHIN_LIMIT.items():
+        rs = build_root_system([name])
+        assert len(enumerate_parabolic_subsets(rs)) == count
+        sizes.append((len(rs.roots), count))
+
+    def most_roots(start, roots, count):
+        return max([roots] + [
+            most_roots(i, roots + n, count * c)
+            for i, (n, c) in enumerate(sizes[start:], start)
+            if count * c <= parabolic_lattice.PARABOLIC_COUNT_LIMIT])
+
+    assert most_roots(0, 0, 1) == 52
+
+
 def test_levi_dimensions_a2():
     rs = build_root_system(["A2"])
     m0 = minimal_levi(rs)
