@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import cached_property
 from itertools import compress
 from typing import Iterable
 
@@ -25,7 +26,7 @@ from . import linalg
 from .errors import DomainError, ResourceLimitError, _clip
 from .root_datum import (_REVERSE, RootSystem, mask_flags, mask_indices,
                          mask_tables, negate_mask, permute_masks)
-from .value import Value, cached_field, set_field
+from .value import Value, set_field
 
 PARABOLIC_COUNT_LIMIT = 2**16
 
@@ -61,7 +62,7 @@ class ParabolicSubset(_RootMask):
     a subset built by hand computes it on first read.
     """
 
-    @cached_field
+    @cached_property
     def radical(self) -> int:
         return self.mask & ~negate_mask(self.system, self.mask)
 
@@ -76,10 +77,10 @@ class LeviDatum(_RootMask):
     keeps what it decodes, where a subset decodes on every read.
     """
 
-    members = cached_field(_RootMask.members.fget)
-    member_roots = cached_field(_RootMask.member_roots.fget)
+    members = cached_property(_RootMask.members.fget)
+    member_roots = cached_property(_RootMask.member_roots.fget)
 
-    @cached_field
+    @cached_property
     def a_M_dim(self) -> int:
         return self.system.group_dim - _root_rank(self.system, self.mask)
 
@@ -192,9 +193,10 @@ def _radicals(rs: RootSystem, refusal: str) -> list[int]:
         start = len(found)
         for tables, ascent, test in steps:
             parents = [r for r in level if r & test == ascent]
-            if len(found) + len(parents) > PARABOLIC_COUNT_LIMIT:
-                raise ResourceLimitError(refusal)
-            found += permute_masks(tables, parents)
+            if parents:
+                if len(found) + len(parents) > PARABOLIC_COUNT_LIMIT:
+                    raise ResourceLimitError(refusal)
+                found += permute_masks(tables, parents)
     return found
 
 
@@ -226,11 +228,11 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     only bits of N_T above b, which h(N_S) keeps, so h(N_T) <= h(N_S), and
     at equality ~N_T < ~N_S.
 
-    The negations S of the ~N are formed at once: packed in an array of
-    64-bit words whose bytes are swapped and then each reversed, each ~N
-    reads back with its 64 bits reversed, S shifted up by 64 - n.  No
-    system within the limit has more than 64 roots; the most is 52, in
-    B5xA1, C5xA1 and F4xA1xA1.
+    S is the complement of -N.  Packed in an array of 64-bit words whose
+    bytes are swapped and then each reversed, the N read back as their
+    negations shifted up by 64 - n, 1,024 at a time, which keeps the
+    buffers small.  No system within the limit has more than 64 roots;
+    the most is 52, in B5xA1, C5xA1 and F4xA1xA1.
 
     More than PARABOLIC_COUNT_LIMIT subsets are refused before any is
     built.  Each step of the walk counts its children before it forms
@@ -249,14 +251,16 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     # low n bits are ~N.
     found = [(r & r + 1) << n | full ^ r for r in _radicals(rs, refusal)]
     found.sort()
-    found = [full & key for key in found]
-    words = array("Q", found)
-    words.byteswap()
+    found = [full & ~key for key in found]
     shift = 64 - n
-    subsets = [ParabolicSubset(rs, w >> shift)
-               for w in array("Q", words.tobytes().translate(_REVERSE))]
-    for p, c in zip(subsets, found):
-        set_field(p, "radical", full ^ c)
+    subsets = []
+    for i in range(0, len(found), 1024):
+        words = array("Q", found[i:i + 1024])
+        words.byteswap()
+        subsets += [ParabolicSubset(rs, full ^ w >> shift) for w in memoryview(
+            words.tobytes().translate(_REVERSE)).cast("Q")]
+    for p, r in zip(subsets, found):
+        set_field(p, "radical", r)
     return subsets
 
 

@@ -15,25 +15,6 @@ from operator import attrgetter
 set_field = object.__setattr__
 
 
-class cached_field:
-    """functools.cached_property for records built by the thousand: the
-    value is stored with set_field, where cached_property writes the
-    instance __dict__ and so gives each record a dict of its own."""
-
-    def __init__(self, func):
-        self.func = func
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        set_field(obj, self.name, value)
-        return value
-
-
 class Value:
     """Equal only to an instance of the same class with equal compared
     fields, hashed as the tuple of those fields, shown as
