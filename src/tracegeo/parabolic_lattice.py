@@ -228,11 +228,11 @@ def enumerate_parabolic_subsets(rs: RootSystem) -> list[ParabolicSubset]:
     only bits of N_T above b, which h(N_S) keeps, so h(N_T) <= h(N_S), and
     at equality ~N_T < ~N_S.
 
-    S is the complement of -N.  Packed in an array of 64-bit words whose
-    bytes are swapped and then each reversed, the N read back as their
-    negations shifted up by 64 - n, 1,024 at a time, which keeps the
-    buffers small.  No system within the limit has more than 64 roots;
-    the most is 52, in B5xA1, C5xA1 and F4xA1xA1.
+    Packed in an array of 64-bit words whose bytes are swapped and then
+    each reversed, the N read back as -N shifted up by 64 - n, and S is
+    its complement; 1,024 at a time keep the buffers small.  No system
+    within the limit has more than 64 roots; the most is 52, in B5xA1,
+    C5xA1 and F4xA1xA1.
 
     More than PARABOLIC_COUNT_LIMIT subsets are refused before any is
     built.  Each step of the walk counts its children before it forms
