@@ -10,10 +10,10 @@ on a raw float, which json would write as a number (raw_float_check).
 
 tests/test_cli_corpus.py replays every entry in process, and CI replays
 every entry through the installed `tracegeo` console script, one process
-per call and 10 s each (run_installed).  A change that alters an entry's
-bytes is an output change and is named as one.  The corpus only grows:
-this script refuses to write a corpus that drops an argv of the committed
-one or lists an argv twice.
+per call and 10 s each (check_installed).  A change that alters an
+entry's bytes is an output change and is named as one.  The corpus only
+grows: this script refuses to write a corpus that drops an argv of the
+committed one or lists an argv twice.
 
 Run from the repository root:
 
@@ -246,6 +246,23 @@ ARGVS += ([["budget", "--k", "0"], ["budget", "--k", "-1"],
               "9999999999999999999"],
              ["levels", "check-prime-fixed", "9999999999999999999"]])
 
+# Argparse's refusals of a missing argument or an extra one, each exit 2
+# with one line on stderr whatever the terminal width.  An invalid choice
+# is left out: its wording of the choices differs between Python versions.
+ARGVS += [["orbits"], ["parabolics"], ["discriminant"], ["budget"],
+          ["levels"], ["levels", "check-prime-fixed"], ["index", "--n", "3"],
+          ["reproduce", "extra"]]
+
+# Exit 4: a beta or lambda whose exact value lies outside the float range,
+# and a spec whose samples break their declared decay bound.
+LYING_DECAY_SPEC = json.dumps({
+    "decay": {"C": "0.0001", "lambda": "5"}, "terms": [[0, "1"]],
+    "samples": [[f"{0.5 * i:g}", f"{math.exp(-0.5 * i):.12g}"]
+                for i in range(1, 13)]}, separators=(",", ":"))
+ARGVS += [["budget", "--k", "1e999"], ["budget", "--k", "1e-999"],
+          ["budget", "--k", "1e308", "--json"],
+          ["mellin-fp", "--spec", LYING_DECAY_SPEC]]
+
 # reproduce prints how long each check took, the only bytes that change
 # from run to run; both streams are digested with those timings blanked.
 TIMINGS = [(re.compile(r'"seconds": "[^"]*"'), '"seconds": ""'),
@@ -314,6 +331,15 @@ def run_installed(argv: list[str]) -> dict:
                           timeout=10)
     return entry(argv, proc.returncode, proc.stdout.decode(),
                  proc.stderr.decode())
+
+
+def check_installed() -> int:
+    """Replay every corpus entry through run_installed; print each argv
+    whose entry differs and return 1 if any does, else 0."""
+    entries = json.loads(CORPUS.read_text())
+    bad = [e["argv"] for e in entries if run_installed(e["argv"]) != e]
+    print(f"{len(bad)} of {len(entries)} entries differ", *bad, sep="\n")
+    return int(bool(bad))
 
 
 def main() -> None:

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,15 @@ def test_level_data_guards():
         level_data(2 ** 63 + 1)
 
 
+def test_the_slowest_level_admitted_is_split_within_5_s():
+    # 2327125637 * 3963418141, the slowest to split of 41 products of two
+    # primes just under the level limit
+    start = time.perf_counter()
+    data = level_data(9223371966071980817)
+    assert time.perf_counter() - start < 5
+    assert data.S_N == (2327125637, 3963418141)
+
+
 def test_sl_index_known_values():
     assert sl_index(2, 2) == 6
     assert sl_index(2, 4) == 48
@@ -160,7 +170,9 @@ def test_sl_index_known_values():
 
 def test_sl_index_refuses_an_index_past_the_digit_limit():
     # 2^(119^2 - 1) has 4263 digits and 2^(120^2 - 1) has 4335.
+    start = time.perf_counter()
     assert len(str(sl_index(119, 2))) <= INDEX_DIGIT_LIMIT
+    assert time.perf_counter() - start < 5
     with pytest.raises(ResourceLimitError, match="about 4335 digits"):
         sl_index(120, 2)
     with pytest.raises(ResourceLimitError, match="about 10797 digits"):

@@ -1195,6 +1195,54 @@ options:
   --method {pairs,richardson,minorbit}
                         single method instead of the full report
 """, ""),
+    "orbits-help": (["orbits", "-h"], 0, """\
+usage: tracegeo orbits [-h] [--json] type
+
+positional arguments:
+  type        simple type "B3" or general linear "gl4"
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a versioned JSON envelope
+""", ""),
+    "parabolics-help": (["parabolics", "-h"], 0, """\
+usage: tracegeo parabolics [-h] [--json] spec
+
+positional arguments:
+  spec
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a versioned JSON envelope
+""", ""),
+    "discriminant-help": (["discriminant", "-h"], 0, """\
+usage: tracegeo discriminant [-h] [--json] --matrix MATRIX [--primes PRIMES]
+
+options:
+  -h, --help       show this help message and exit
+  --json           emit a versioned JSON envelope
+  --matrix MATRIX  JSON rows of numbers, each a JSON number or a string such
+                   as "1/2" or "0.25"
+  --primes PRIMES  extra primes for valuations, e.g. 2,3
+""", ""),
+    "index-help": (["index", "-h"], 0, """\
+usage: tracegeo index [-h] [--json] --n N --level LEVEL
+
+options:
+  -h, --help     show this help message and exit
+  --json         emit a versioned JSON envelope
+  --n N
+  --level LEVEL
+""", ""),
+    "levels-help": (["levels", "-h"], 0, """\
+usage: tracegeo levels [-h] {check-prime-fixed} ...
+
+positional arguments:
+  {check-prime-fixed}
+
+options:
+  -h, --help           show this help message and exit
+""", ""),
     "levels-check-help": (["levels", "check-prime-fixed", "-h"], 0, """\
 usage: tracegeo levels check-prime-fixed [-h] [--json] [--allowed ALLOWED]
                                          levels
@@ -1206,6 +1254,43 @@ options:
   -h, --help         show this help message and exit
   --json             emit a versioned JSON envelope
   --allowed ALLOWED  comma list of allowed primes
+""", ""),
+    "mellin-fp-help": (["mellin-fp", "-h"], 0, """\
+usage: tracegeo mellin-fp [-h] [--json] [--preset {exp,sqrt}] [--lambda LAM]
+                          [--t0 T0] [--tol TOL] [--spec SPEC]
+
+options:
+  -h, --help           show this help message and exit
+  --json               emit a versioned JSON envelope
+  --preset {exp,sqrt}
+  --lambda LAM         decay rate for --preset exp
+  --t0 T0              split point / expansion validity (default 1)
+  --tol TOL
+  --spec SPEC          JSON {terms, t0, decay:{C,lambda}, samples|preset}
+""", ""),
+    "budget-help": (["budget", "-h"], 0, """\
+usage: tracegeo budget [-h] [--json] --k K [--C2 C2] [--C4 C4] [--Cn CN]
+                       [--eps EPS] [--cprime CPRIME] [--b-conj B_CONJ]
+                       [--m-nonarch M_NONARCH]
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit a versioned JSON envelope
+  --k K
+  --C2 C2
+  --C4 C4
+  --Cn CN
+  --eps EPS
+  --cprime CPRIME
+  --b-conj B_CONJ
+  --m-nonarch M_NONARCH
+""", ""),
+    "reproduce-help": (["reproduce", "-h"], 0, """\
+usage: tracegeo reproduce [-h] [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a versioned JSON envelope
 """, ""),
 }
 

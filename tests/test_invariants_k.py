@@ -207,6 +207,17 @@ def test_rank_guard():
     assert report["agreement"] is True
 
 
+def test_the_largest_rank_admitted_is_reported_within_5_s():
+    # A4xA4: total rank 8, the pair rank limit; empty caches
+    for cache in (type_data, _pair_values, _orbit_dims):
+        cache.cache_clear()
+    start = time.perf_counter()
+    report = k_report(spec("A4", "A4"))
+    assert time.perf_counter() - start < 5
+    assert report == {"minorbit": 4, "pairs": 4, "richardson_absolute": 4,
+                      "richardson_relative": None, "agreement": True}
+
+
 def test_k_reads_only_its_factors_tables():
     # Every route reads per-type tables, so the report builds none of the
     # product's roots or coordinates.

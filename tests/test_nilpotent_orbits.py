@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from tracegeo.errors import DomainError, ResourceLimitError
-from tracegeo.nilpotent_orbits import (GLType, OrbitLabel, _parity_ok,
+from tracegeo.nilpotent_orbits import (RANK_LIMIT, GLType, OrbitLabel,
+                                       _parity_ok,
                                        _partition_target, list_orbits,
                                        min_orbit_dim, orbit_dim)
 from tracegeo.root_datum import SimpleType, dual_coxeter_number
@@ -204,6 +207,15 @@ def test_rank_guard():
         list_orbits(SimpleType("B", 21))
     with pytest.raises(ResourceLimitError):
         list_orbits(GLType(22))
+
+
+def test_the_largest_table_admitted_is_listed_within_5_s():
+    # C20: 7,336 orbits, the most of a type at the rank limit (B20 has 5,922)
+    start = time.perf_counter()
+    labels = list_orbits(SimpleType("C", RANK_LIMIT))
+    dims = [orbit_dim(lab) for lab in labels]
+    assert time.perf_counter() - start < 5
+    assert len(labels) == 7336 and max(dims) == 800 and min(dims) == 0
 
 
 # -- list_orbits against the raise-and-catch filter ---------------------------

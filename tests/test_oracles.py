@@ -16,6 +16,7 @@ import poly_reference
 from tracegeo import oracles
 from tracegeo.arithmetic import sl_index
 from tracegeo.errors import DomainError, ResourceLimitError
+from tracegeo.root_datum import build_root_system
 
 
 def _numpy_count(n: int, N: int) -> int:
@@ -104,6 +105,21 @@ def test_levels_past_the_row_limit_refused(n, N):
 def test_only_small_sizes_are_counted():
     with pytest.raises(ResourceLimitError):
         oracles.sl_group_order(4, 2)
+
+
+def test_the_most_roots_admitted_are_scanned_within_5_s():
+    # B2xA2: 14 roots, the limit; 2^14 subsets scanned, 17 * 13 parabolic
+    start = time.perf_counter()
+    count = oracles.brute_force_parabolic_count(build_root_system(["B2", "A2"]))
+    assert time.perf_counter() - start < 5
+    assert count == 221
+
+
+def test_a_scan_past_14_roots_is_refused():
+    with pytest.raises(ResourceLimitError,
+                       match=r"^brute force scan over 2\^16 subsets refused$"):
+        oracles.brute_force_parabolic_count(
+            build_root_system(["B2", "A2", "A1"]))
 
 
 def test_the_level_with_the_most_classes_is_counted_within_5_s():

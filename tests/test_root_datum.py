@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -745,3 +746,21 @@ def test_size_guard_refuses_before_generating(monkeypatch):
     e8 = build_root_system(["E8"], 408)
     assert e8.ambient_dim == 416 and ranks == []
     assert len(e8.roots) == 240 and ranks == [8]
+
+
+@pytest.mark.parametrize("name,roots,refused", [
+    ("C36", 2592, "C37"), ("D37", 2664, "D38"), ("A45", 2070, "A46")])
+def test_the_most_coordinates_admitted_are_generated_within_5_s(
+        name, roots, refused):
+    # The largest of each kind under the limit: C36 holds 93,312 root
+    # coordinates, D37 98,568 and A45 95,220; one rank more is refused.
+    root_datum.type_data.cache_clear()
+    start = time.perf_counter()
+    rs = build_root_system([name])
+    perms = rs.reflection_perms
+    assert time.perf_counter() - start < 5
+    assert len(rs.roots) == roots and len(perms) == rs.semisimple_rank
+    assert roots * rs.ambient_dim <= root_datum.ROOT_COORD_LIMIT
+    with pytest.raises(ResourceLimitError,
+                       match="limited to 100000 root coordinates"):
+        build_root_system([refused]).roots
