@@ -1,8 +1,10 @@
 """Command-line front end.
 
-One binary, one subcommand per module.  Every subcommand takes `--json`
-and then emits a versioned envelope {"schema": "1", "command": ...,
-"result": ...}; without it a short human-readable report is printed.
+One binary, one subcommand per module, each declared once in
+`_SUBCOMMANDS` by its help, its handler and its arguments; a call builds
+the parser of only the subcommand it names.  Every subcommand takes
+`--json` and then emits a versioned envelope {"schema": "1", "command":
+..., "result": ...}; without it a short human-readable report is printed.
 
 Serialization rules, chosen so golden outputs are bit-stable.  `main`
 writes the envelope in one `json.dumps(..., indent=2, default=_scalar)`:
@@ -214,14 +216,11 @@ def _cmd_k(args) -> tuple[object, str, int]:
     canonical = _render_spec(rs, degree, rel_path)
     if args.method is None:
         report = k_report(g)
-        result = {"spec": canonical, **report}
-        lines = [f"k invariants for {canonical}:"]
-        for key in ("minorbit", "pairs", "richardson_absolute",
-                    "richardson_relative"):
-            value = report[key]
-            lines.append(f"  {key}: " + ("n/a" if value is None else str(value)))
-        lines.append(f"  agreement: {report['agreement']}")
-        return result, "\n".join(lines), 0
+        # The four routes, then agreement, in the order k_report gives them.
+        lines = [f"k invariants for {canonical}:"] + [
+            f"  {key}: " + ("n/a" if value is None else str(value))
+            for key, value in report.items()]
+        return {"spec": canonical, **report}, "\n".join(lines), 0
     fn = {"pairs": k_by_pairs, "richardson": k_richardson,
           "minorbit": k_min_orbit}[args.method]
     value = fn(g)
@@ -519,107 +518,66 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-# Each subcommand's parser is added by its own function, so that a call
-# builds only the parser it runs.
-
-
-def _add_k(sub, common) -> None:
-    p = sub.add_parser("k", parents=[common],
-                       help="decay invariant of a group spec")
-    p.add_argument("spec", help='group spec, e.g. "A2" or "D3xA1+T2@res=2"')
-    p.add_argument("--relative", metavar="FILE",
-                   help="JSON file {simple_roots, nilradical_dims}; "
-                        "overrides @relative=")
-    p.add_argument("--degree", metavar="N",
-                   help="restriction-of-scalars degree; overrides @res=")
-    p.add_argument("--method", choices=["pairs", "richardson", "minorbit"],
-                   help="single method instead of the full report")
-    p.set_defaults(fn=_cmd_k)
-
-
-def _add_orbits(sub, common) -> None:
-    p = sub.add_parser("orbits", parents=[common],
-                       help="nilpotent orbits of a classical type")
-    p.add_argument("type", help='simple type "B3" or general linear "gl4"')
-    p.set_defaults(fn=_cmd_orbits)
-
-
-def _add_parabolics(sub, common) -> None:
-    p = sub.add_parser("parabolics", parents=[common],
-                       help="all parabolic root subsets of a group spec")
-    p.add_argument("spec")
-    p.set_defaults(fn=_cmd_parabolics)
-
-
-def _add_discriminant(sub, common) -> None:
-    p = sub.add_parser("discriminant", parents=[common],
-                       help="Weyl discriminant of a rational matrix")
-    p.add_argument("--matrix", required=True,
-                   help="JSON rows of numbers, each a JSON number or a "
-                        'string such as "1/2" or "0.25"')
-    p.add_argument("--primes", help="extra primes for valuations, e.g. 2,3")
-    p.set_defaults(fn=_cmd_discriminant)
-
-
-def _add_index(sub, common) -> None:
-    p = sub.add_parser("index", parents=[common],
-                       help="index of a principal congruence subgroup")
-    p.add_argument("--n", required=True)
-    p.add_argument("--level", required=True)
-    p.set_defaults(fn=_cmd_index)
-
-
-def _add_levels(sub, common) -> None:
-    p = sub.add_parser("levels", help="level-set predicates")
-    lsub = p.add_subparsers(dest="levels_command", required=True,
-                            parser_class=_Parser)
-    q = lsub.add_parser("check-prime-fixed", parents=[common])
-    q.add_argument("levels", help="comma list of levels, e.g. 2,4,8")
-    q.add_argument("--allowed", help="comma list of allowed primes")
-    q.set_defaults(fn=_cmd_levels)
-
-
-def _add_mellin_fp(sub, common) -> None:
-    p = sub.add_parser("mellin-fp", parents=[common],
-                       help="finite part of a normalized Mellin transform")
-    p.add_argument("--preset", choices=["exp", "sqrt"])
-    p.add_argument("--lambda", dest="lam",
-                   help="decay rate for --preset exp")
-    p.add_argument("--t0",
-                   help="split point / expansion validity (default 1)")
-    p.add_argument("--tol", default="1e-10")
-    p.add_argument("--spec", help="JSON {terms, t0, decay:{C,lambda}, "
-                                  "samples|preset}")
-    p.set_defaults(fn=_cmd_mellin_fp)
-
-
-def _add_budget(sub, common) -> None:
-    p = sub.add_parser("budget", parents=[common],
-                       help="error-exponent budget feasibility")
-    p.add_argument("--k", required=True)
-    p.add_argument("--C2", default="1")
-    p.add_argument("--C4", default="1")
-    p.add_argument("--Cn", default="1")
-    p.add_argument("--eps", default="1/10")
-    p.add_argument("--cprime", default="0")
-    p.add_argument("--b-conj", dest="b_conj", default="0")
-    p.add_argument("--m-nonarch", dest="m_nonarch", default="0")
-    p.set_defaults(fn=_cmd_budget)
-
-
-def _add_reproduce(sub, common) -> None:
-    p = sub.add_parser("reproduce", parents=[common],
-                       help="run every stated-value check end to end")
-    p.set_defaults(fn=_cmd_reproduce)
-
-
-# In the order that `tracegeo -h` lists them.
+# name -> (help, handler, arguments), in the order that `tracegeo -h` lists
+# them; arguments holds the (flag, keywords) of each add_argument call.  An
+# entry with a fourth item, the name of its one nested subcommand, gives the
+# arguments and --json to that subcommand (`levels check-prime-fixed`).
 _SUBCOMMANDS = {
-    "k": _add_k, "orbits": _add_orbits, "parabolics": _add_parabolics,
-    "discriminant": _add_discriminant, "index": _add_index,
-    "levels": _add_levels, "mellin-fp": _add_mellin_fp,
-    "budget": _add_budget, "reproduce": _add_reproduce,
+    "k": ("decay invariant of a group spec", _cmd_k, [
+        ("spec", dict(help='group spec, e.g. "A2" or "D3xA1+T2@res=2"')),
+        ("--relative", dict(metavar="FILE",
+                            help="JSON file {simple_roots, nilradical_dims}; "
+                                 "overrides @relative=")),
+        ("--degree", dict(metavar="N", help="restriction-of-scalars degree; "
+                                            "overrides @res=")),
+        ("--method", dict(choices=["pairs", "richardson", "minorbit"],
+                          help="single method instead of the full report"))]),
+    "orbits": ("nilpotent orbits of a classical type", _cmd_orbits, [
+        ("type", dict(help='simple type "B3" or general linear "gl4"'))]),
+    "parabolics": ("all parabolic root subsets of a group spec",
+                   _cmd_parabolics, [("spec", {})]),
+    "discriminant": ("Weyl discriminant of a rational matrix",
+                     _cmd_discriminant, [
+        ("--matrix", dict(required=True,
+                          help="JSON rows of numbers, each a JSON number or "
+                               'a string such as "1/2" or "0.25"')),
+        ("--primes", dict(help="extra primes for valuations, e.g. 2,3"))]),
+    "index": ("index of a principal congruence subgroup", _cmd_index, [
+        ("--n", dict(required=True)), ("--level", dict(required=True))]),
+    "levels": ("level-set predicates", _cmd_levels, [
+        ("levels", dict(help="comma list of levels, e.g. 2,4,8")),
+        ("--allowed", dict(help="comma list of allowed primes"))],
+        "check-prime-fixed"),
+    "mellin-fp": ("finite part of a normalized Mellin transform",
+                  _cmd_mellin_fp, [
+        ("--preset", dict(choices=["exp", "sqrt"])),
+        ("--lambda", dict(dest="lam", help="decay rate for --preset exp")),
+        ("--t0", dict(help="split point / expansion validity (default 1)")),
+        ("--tol", dict(default="1e-10")),
+        ("--spec", dict(help="JSON {terms, t0, decay:{C,lambda}, "
+                             "samples|preset}"))]),
+    "budget": ("error-exponent budget feasibility", _cmd_budget, [
+        ("--k", dict(required=True)), ("--C2", dict(default="1")),
+        ("--C4", dict(default="1")), ("--Cn", dict(default="1")),
+        ("--eps", dict(default="1/10")), ("--cprime", dict(default="0")),
+        ("--b-conj", dict(default="0")), ("--m-nonarch", dict(default="0"))]),
+    "reproduce": ("run every stated-value check end to end", _cmd_reproduce,
+                  []),
 }
+
+
+def _add(sub, common, name: str) -> None:
+    """Add subcommand name's parser to sub, as its _SUBCOMMANDS entry
+    states it."""
+    summary, handler, arguments, *nested = _SUBCOMMANDS[name]
+    p = sub.add_parser(name, parents=[] if nested else [common], help=summary)
+    if nested:
+        p = p.add_subparsers(dest=f"{name}_command", required=True,
+                             parser_class=_Parser).add_parser(
+            nested[0], parents=[common])
+    for flag, keywords in arguments:
+        p.add_argument(flag, **keywords)
+    p.set_defaults(fn=handler)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -632,11 +590,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     top = _Parser(prog="tracegeo", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
-    if command in _SUBCOMMANDS:
-        _SUBCOMMANDS[command](sub, common)
-    else:
-        for add in _SUBCOMMANDS.values():
-            add(sub, common)
+    for name in (command,) if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        _add(sub, common, name)
     return top
 
 

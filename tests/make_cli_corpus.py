@@ -301,17 +301,15 @@ def _no_raw_float(handler):
 
 @contextlib.contextmanager
 def raw_float_check():
-    """Run every `cli._cmd_*` handler under _no_raw_float inside the
-    block."""
-    saved = {name: fn for name, fn in vars(cli).items()
-             if name.startswith("_cmd_")}
-    for name, fn in saved.items():
-        setattr(cli, name, _no_raw_float(fn))
+    """Run every handler of `cli._SUBCOMMANDS` under _no_raw_float inside
+    the block."""
+    saved = dict(cli._SUBCOMMANDS)
+    for name, (summary, handler, *rest) in saved.items():
+        cli._SUBCOMMANDS[name] = (summary, _no_raw_float(handler), *rest)
     try:
         yield
     finally:
-        for name, fn in saved.items():
-            setattr(cli, name, fn)
+        cli._SUBCOMMANDS.update(saved)
 
 
 def run(argv: list[str]) -> dict:
