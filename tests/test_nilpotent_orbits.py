@@ -4,9 +4,8 @@ import pytest
 
 from tracegeo.errors import DomainError, ResourceLimitError
 from tracegeo.nilpotent_orbits import (RANK_LIMIT, GLType, OrbitLabel,
-                                       _parity_ok,
-                                       _partition_target, list_orbits,
-                                       min_orbit_dim, orbit_dim)
+                                       _parity_ok, _partition_target,
+                                       list_orbits, min_orbit_dim, orbit_dim)
 from tracegeo.root_datum import SimpleType, dual_coxeter_number
 
 

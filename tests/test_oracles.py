@@ -110,7 +110,8 @@ def test_only_small_sizes_are_counted():
 def test_the_most_roots_admitted_are_scanned_within_5_s():
     # B2xA2: 14 roots, the limit; 2^14 subsets scanned, 17 * 13 parabolic
     start = time.perf_counter()
-    count = oracles.brute_force_parabolic_count(build_root_system(["B2", "A2"]))
+    count = oracles.brute_force_parabolic_count(
+        build_root_system(["B2", "A2"]))
     assert time.perf_counter() - start < 5
     assert count == 221
 

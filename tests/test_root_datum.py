@@ -749,7 +749,8 @@ def test_size_guard_refuses_before_generating(monkeypatch):
 
 
 @pytest.mark.parametrize("name,roots,refused", [
-    ("C36", 2592, "C37"), ("D37", 2664, "D38"), ("A45", 2070, "A46")])
+    ("C36", 2592, "C37"), ("D37", 2664, "D38"), ("A45", 2070, "A46")],
+    ids=["C36", "D37", "A45"])
 def test_the_most_coordinates_admitted_are_generated_within_5_s(
         name, roots, refused):
     # The largest of each kind under the limit: C36 holds 93,312 root
