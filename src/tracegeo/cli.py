@@ -514,6 +514,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile("-" + _NUMBER.pattern,
                                                    re.ASCII)
 
+    def _check_value(self, action, value):
+        # Quote the choices as Python 3.10-3.13.0 do; 3.13.13 does not.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
     def error(self, message):
         raise ParseError(message)
 

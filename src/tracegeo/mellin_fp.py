@@ -26,7 +26,9 @@ its leading power, so the cancellation in f minus its pole part near 0
 is never sampled.  The node values that depend on tau alone come from
 per-process tables, one per rule and halving level, filled as far as a
 call reaches: at most 4,609 rows for tanh-sinh (|tau| <= 4.5, mirrored)
-and 11,578 for exp-sinh (-4.5 <= tau <= 6.81), 1.3 MB in all.
+and 11,578 for exp-sinh (-4.5 <= tau <= 6.81), 1.3 MB in all.  Every
+float sum is a left fold from 0, the builtin sum's order before Python
+3.12 compensated it, so a finite part has the same bits on every Python.
 """
 
 from __future__ import annotations
@@ -66,6 +68,14 @@ _CUTOFF_STEPS = 60
 _UNDERFLOW = 745.0
 # The tail rule's last weight is about 5000 / rate, which must stay finite.
 _MIN_RATE = 1e-300
+
+
+def _fold(values) -> float:
+    """values added left to right from 0."""
+    total = 0
+    for x in values:
+        total += x
+    return total
 
 
 def _to_fraction(x) -> Fraction:
@@ -108,28 +118,29 @@ class AsymptoticExpansion(Value):
         for _, c in terms:
             if not math.isfinite(c):
                 raise DomainError("coefficients must be finite")
-        # The quadrature sums the pole part at every node: the exponents
-        # are read as floats, and the pole part's terms picked, once.
+        # The quadrature reads the exponents as floats, once, and picks the
+        # pole part by their signs: each must keep its own in a float.
         try:
             floats = tuple((float(a), c) for a, c in terms)
         except OverflowError:
-            raise DomainError("exponents must lie in the float range") \
-                from None
+            floats = None
+        if floats is None or any(a and not x
+                                 for (a, _), (x, _) in zip(terms, floats)):
+            raise DomainError("exponents must lie in the float range")
         set_field(self, "_float_terms", floats)
-        set_field(self, "_pole_terms",
-                  tuple(x for x, (a, _) in zip(floats, terms) if a <= 0))
+        set_field(self, "_pole_terms", tuple(x for x in floats if x[0] <= 0))
 
     def evaluate(self, t: float) -> float:
         try:
-            return sum(c * t ** a for a, c in self._float_terms)
+            return _fold(c * t ** a for a, c in self._float_terms)
         except OverflowError:
             raise self._overflow(t) from None
 
     def _overflow(self, t: float) -> NumericError:
         """The error naming the first term whose power of t overflows."""
-        for a, c in self.terms:
+        for (a, _), (x, c) in zip(self.terms, self._float_terms):
             try:
-                t ** float(a)
+                t ** x
             except OverflowError:
                 break
         return NumericError(f"the expansion term {c!r} t^({a}) overflows a "
@@ -169,11 +180,19 @@ class TailFunction(Value):
                     f"{abs(value):.6g} > {bound:.6g}")
 
 
-def _check_expansion_match(f: TailFunction, exp: AsymptoticExpansion,
-                           tol: float, split: float) -> list[float]:
-    """Sample f minus its claimed expansion on a dyadic grid below the
-    split point; the residual must head to zero.  Returns the signed
-    residuals at min(split, 1) * 2^-j, j = 0..14."""
+def _cutoff(f: TailFunction, exp: AsymptoticExpansion, tol: float,
+            order: Fraction, split: float) -> tuple[float, float]:
+    """A cutoff tau and the integral of R = f - expansion against dt/t
+    below it, or (0, 0) when none is found.
+
+    R is sampled first at min(split, 1) * 2^-j, j = 0..14, and must head
+    to zero there.  R(t) = K t^order (1 + o(1)) near 0, so the integral
+    is R(tau) / order up to the o(1) part, which shows as R(2 tau) /
+    2^order differing from R(tau).  The cutoff is the largest dyadic
+    point, continuing below the sampled grid, where the two agree within
+    tol * order / 8.  Going lower is no better when f has a pole part:
+    f - pole part cancels there.
+    """
     t0 = min(split, 1.0)
     residuals = []
     for j in range(15):
@@ -189,25 +208,7 @@ def _check_expansion_match(f: TailFunction, exp: AsymptoticExpansion,
             "expansion does not match the function near zero: residual "
             f"{r7:.3g} at t={t0 * 2 ** -7:.3g} does not decay "
             f"(still {r14:.3g} at t={t0 * 2 ** -14:.3g})")
-    return residuals
-
-
-def _cutoff(f: TailFunction, exp: AsymptoticExpansion, tol: float,
-            order: Fraction, residuals: list[float],
-            split: float) -> tuple[float, float]:
-    """A cutoff tau and the integral of R = f - expansion against dt/t
-    below it, or (0, 0) when none is found.
-
-    R(t) = K t^order (1 + o(1)) near 0, so that integral is R(tau) / order
-    up to the o(1) part, which shows as R(2 tau) / 2^order differing from
-    R(tau).  The cutoff is the largest dyadic point, continuing below the
-    sampled grid, where the two agree within tol * order / 8.  Going
-    lower is no better when f has a pole part: f - pole part cancels
-    there.
-    """
-    rho = float(order)
-    t = min(split, 1.0)
-    previous = residuals[0]
+    rho, t, previous = float(order), t0, residuals[0]
     for j in range(1, _CUTOFF_STEPS):
         t /= 2
         r = residuals[j] if j < len(residuals) else f(t) - exp.evaluate(t)
@@ -330,34 +331,29 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     t0, rate = exp.valid_to, f.decay[1]
     try:
         # eps * sum_{a<0} |c| t0^a / |a|, about the closed forms' rounding
-        rounding = sys.float_info.epsilon * sum(
+        rounding = sys.float_info.epsilon * _fold(
             abs(c) * t0 ** a / -a for a, c in exp._pole_terms if a < 0)
     except OverflowError:
         raise exp._overflow(t0) from None
     if rounding > tol / 8 and 1 / rate > t0:
         t0 = 1 / rate
-    residuals = _check_expansion_match(f, exp, tol, t0)
-    cutoff, below = _cutoff(f, exp, tol, order, residuals, t0)
-
-    c_minus1 = sum(c for a, c in exp.terms if a == 0)
+    cutoff, below = _cutoff(f, exp, tol, order, t0)
+    floats = exp._float_terms
+    c_minus1 = _fold(c for a, c in floats if a == 0)
 
     evaluator, poles, in_log_t = f.evaluator, exp._pole_terms, cutoff > 0
-    # sum() of one term, as in the presets, is 0 + c t^a: so spelled, it
-    # needs no generator per node, which would cost more than f itself.
-    a1, c1 = poles[0] if len(poles) == 1 else (None, None)
 
     def excess(x: float) -> float:
         # f minus its pole part against dt/t, which is d(log t): in log t
         # the nodes spread over every scale from the cutoff to t0.
         t = math.exp(x) if in_log_t else x
-        value = evaluator(t)
+        value, pole = evaluator(t), 0
         try:
-            if a1 is None:
-                value -= sum(c * t ** a for a, c in poles)
-            else:
-                value -= 0 + c1 * t ** a1
+            for a, c in poles:
+                pole += c * t ** a
         except OverflowError:
             raise exp._overflow(t) from None
+        value -= pole
         return value if in_log_t else value / t
 
     lo, span, hi = (math.log(cutoff), _BOUNDED_SPAN, math.log(t0)) \
@@ -366,9 +362,8 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     i2 = _tail(f, t0, tol)
 
     c0 = c_minus1 * math.log(t0)
-    c0 += sum(c * t0 ** float(a) / float(a) for a, c in exp.terms if a < 0)
-    c0 += sum(c * cutoff ** float(a) / float(a)
-              for a, c in exp.terms if a > 0)
+    c0 += _fold(c * t0 ** a / a for a, c in floats if a < 0)
+    c0 += _fold(c * cutoff ** a / a for a, c in floats if a > 0)
     c0 += below + i1 + i2
     return c0 + EULER_GAMMA * c_minus1
 

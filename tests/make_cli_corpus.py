@@ -10,7 +10,7 @@ on a raw float, which json would write as a number (raw_float_check).
 
 tests/test_cli_corpus.py replays every entry in process, and CI replays
 every entry through the installed `tracegeo` console script, one process
-per call and 10 s each (check_installed).  A change that alters an
+per call and 10 s each (check(run_installed)).  A change that alters an
 entry's bytes is an output change and is named as one.  The corpus only
 grows: this script refuses to write a corpus that drops an argv of the
 committed one or lists an argv twice.
@@ -18,6 +18,11 @@ committed one or lists an argv twice.
 Run from the repository root:
 
     PYTHONPATH=src python tests/make_cli_corpus.py
+
+and replay the corpus in process on any interpreter, pytest or not, with
+
+    PYTHONPATH=src:tests python3.12 -c \
+        "import make_cli_corpus as m; raise SystemExit(m.check(m.run))"
 """
 
 from __future__ import annotations
@@ -247,8 +252,7 @@ ARGVS += ([["budget", "--k", "0"], ["budget", "--k", "-1"],
              ["levels", "check-prime-fixed", "9999999999999999999"]])
 
 # Argparse's refusals of a missing argument or an extra one, each exit 2
-# with one line on stderr whatever the terminal width.  An invalid choice
-# is left out: its wording of the choices differs between Python versions.
+# with one line on stderr whatever the terminal width.
 ARGVS += [["orbits"], ["parabolics"], ["discriminant"], ["budget"],
           ["levels"], ["levels", "check-prime-fixed"], ["index", "--n", "3"],
           ["reproduce", "extra"]]
@@ -262,6 +266,24 @@ LYING_DECAY_SPEC = json.dumps({
 ARGVS += [["budget", "--k", "1e999"], ["budget", "--k", "1e-999"],
           ["budget", "--k", "1e308", "--json"],
           ["mellin-fp", "--spec", LYING_DECAY_SPEC]]
+
+# An invalid choice of the subcommand, of an option and of levels' nested
+# subcommand, each exit 2, worded the same on every Python (cli._Parser).
+ARGVS += [["k", "A2", "--method", "x"], ["mellin-fp", "--preset", "x"],
+          ["levels", "nosuch"]]
+
+# (1 + t^{-1/2}) e^{-t} sampled at t = 0.2, 0.4, ..., 12 with its terms to
+# t^8: two pole terms, t^{-1/2} and t^0, where the presets and SPLINE_SPEC
+# have one.
+TWO_POLES_SPEC = json.dumps({
+    "t0": "1", "decay": {"C": "2", "lambda": "1"},
+    "terms": [[a, c] for k, c in enumerate(
+        ["1", "-1", "1/2", "-1/6", "1/24", "-1/120", "1/720", "-1/5040",
+         "1/40320"]) for a in (f"{2 * k - 1}/2", k)],
+    "samples": [[f"{0.2 * i:.10g}",
+                 f"{(1 + (0.2 * i) ** -0.5) * math.exp(-0.2 * i):.12g}"]
+                for i in range(1, 61)]}, separators=(",", ":"))
+ARGVS += [["mellin-fp", "--spec", TWO_POLES_SPEC, "--tol", "1e-6", "--json"]]
 
 # reproduce prints how long each check took, the only bytes that change
 # from run to run; both streams are digested with those timings blanked.
@@ -331,11 +353,11 @@ def run_installed(argv: list[str]) -> dict:
                  proc.stderr.decode())
 
 
-def check_installed() -> int:
-    """Replay every corpus entry through run_installed; print each argv
-    whose entry differs and return 1 if any does, else 0."""
+def check(run=run_installed) -> int:
+    """Replay every corpus entry through run; print each argv whose entry
+    differs and return 1 if any does, else 0."""
     entries = json.loads(CORPUS.read_text())
-    bad = [e["argv"] for e in entries if run_installed(e["argv"]) != e]
+    bad = [e["argv"] for e in entries if run(e["argv"]) != e]
     print(f"{len(bad)} of {len(entries)} entries differ", *bad, sep="\n")
     return int(bool(bad))
 

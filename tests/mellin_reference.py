@@ -4,9 +4,9 @@ These are the routes `tracegeo.mellin_fp` ran before its double-exponential
 rules read per-process node tables: every node computes sinh, cosh and exp
 of its tau through a closure, and every integrand value goes through
 `TailFunction.__call__` and `pole_part`, the sum of the pole terms that
-`AsymptoticExpansion` had as a method.  The checks, the cutoff search and
-the closed forms are the library's own, so a test that compares the two
-compares their quadrature alone.
+`AsymptoticExpansion` had as a method.  The checks, the cutoff search,
+the closed forms and their summation order (`_fold`) are the library's
+own, so a test that compares the two compares their quadrature alone.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from tracegeo.errors import DiagnosticsError, DomainError, NumericError
 from tracegeo.mellin_fp import (_BOUNDED_SPAN, _DE_MAX_LEVEL, _DE_MIN_LEVEL,
                                 _DE_SPAN, _UNDERFLOW, EULER_GAMMA,
                                 DEFAULT_TOL, AsymptoticExpansion,
-                                TailFunction, _check_expansion_match,
-                                _check_tol, _cutoff)
+                                TailFunction, _check_tol, _cutoff, _fold)
 
 
 def pole_part(exp: AsymptoticExpansion, t: float) -> float:
     try:
-        return sum(c * t ** a for a, c in exp._pole_terms)
+        return _fold(c * t ** a for a, c in exp._pole_terms)
     except OverflowError:
         raise exp._overflow(t) from None
 
@@ -100,16 +99,15 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     f.spot_check_decay()
     t0, rate = exp.valid_to, f.decay[1]
     try:
-        rounding = sys.float_info.epsilon * sum(
+        rounding = sys.float_info.epsilon * _fold(
             abs(c) * t0 ** a / -a for a, c in exp._pole_terms if a < 0)
     except OverflowError:
         raise exp._overflow(t0) from None
     if rounding > tol / 8 and 1 / rate > t0:
         t0 = 1 / rate
-    residuals = _check_expansion_match(f, exp, tol, t0)
-    cutoff, below = _cutoff(f, exp, tol, order, residuals, t0)
+    cutoff, below = _cutoff(f, exp, tol, order, t0)
 
-    c_minus1 = sum(c for a, c in exp.terms if a == 0)
+    c_minus1 = _fold(c for a, c in exp.terms if a == 0)
 
     def excess(t: float) -> float:
         return f(t) - pole_part(exp, t)
@@ -124,9 +122,9 @@ def fp_mellin(f: TailFunction, exp: AsymptoticExpansion,
     i2 = _tail(f, t0, tol)
 
     c0 = c_minus1 * math.log(t0)
-    c0 += sum(c * t0 ** float(a) / float(a) for a, c in exp.terms if a < 0)
-    c0 += sum(c * cutoff ** float(a) / float(a)
-              for a, c in exp.terms if a > 0)
+    c0 += _fold(c * t0 ** float(a) / float(a) for a, c in exp.terms if a < 0)
+    c0 += _fold(c * cutoff ** float(a) / float(a)
+                for a, c in exp.terms if a > 0)
     c0 += below + i1 + i2
     return c0 + EULER_GAMMA * c_minus1
 
